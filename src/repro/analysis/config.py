@@ -122,7 +122,7 @@ class AnalysisConfig:
         "service/",
         # The load simulator reports tx/s and latency percentiles —
         # measurement-layer floats; its *decisions* (traffic draws,
-        # fees, lane routing) are all-integer for exact replay.
+        # fees, churn) are all-integer for exact replay.
         "loadsim/",
     )
     #: The fixed-point boundary: the only modules that may touch floats

@@ -1,33 +1,23 @@
-"""The simulated blockchain: accounts, transactions, mempool, block lanes.
+"""The simulated blockchain: accounts, transactions, mempool, blocks.
 
 Implements the standard assumptions of the paper's threat model
 (Section IV-A): the chain is tamper-resistant (blocks are hash-chained and
 :meth:`Blockchain.verify_chain` detects modification) and consistent (one
 world state; every transaction either commits atomically or reverts).
 
-Two scale upgrades sit on top of the seed semantics, both invisible at
-their defaults:
-
-- **Fee-ordered mempool** (:attr:`Blockchain.mempool`): clients
-  :meth:`submit` transactions instead of executing them inline;
-  :meth:`mine_round` pulls them in fee order under a per-lane block-size
-  budget.  The direct :meth:`transact` path is unchanged — mining is the
-  same call under the hood.
-- **Parallel block lanes** (``lanes=k``): every account hashes to one of
-  ``k`` lanes, a transaction executes and is sealed on its *sender's*
-  lane, and each lane keeps its own hash-linked block chain (a genesis
-  block per lane).  World state, balances and the event index stay
-  global, so cross-lane value transfer and provenance queries need no
-  extra machinery — lanes shard *ordering and sealing*, which is what
-  the load simulator stresses.  ``lanes=1`` (the default) is exactly the
-  seed chain.
+One scale upgrade sits on top of the seed semantics, invisible unless
+used: the **fee-ordered mempool** (:attr:`Blockchain.mempool`).  Clients
+:meth:`submit` transactions instead of executing them inline, and
+:meth:`mine_round` pulls them in fee order under a block-size budget and
+seals them into the one hash-linked chain.  The direct :meth:`transact`
+path is unchanged — mining is the same call under the hood.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import faults
 from repro.errors import ChainError, ContractError, OutOfGasError, TxDroppedError, TxRevertedError
@@ -86,7 +76,6 @@ class TransactionReceipt:
     return_value: object = None
     error: str | None = None
     block_number: int | None = None
-    lane: int = 0
 
     def span_attrs(self, prefix: str = "tx") -> dict:
         """This receipt as flat span attributes (gas, status, event names).
@@ -107,16 +96,13 @@ class TransactionReceipt:
 
 @dataclass(frozen=True)
 class Block:
-    number: int  #: height within this block's lane (genesis = 0)
+    number: int
     parent_hash: str
     tx_hashes: tuple
-    lane: int = 0
 
     @property
     def hash(self) -> str:
         payload = "%d:%s:%s" % (self.number, self.parent_hash, ",".join(self.tx_hashes))
-        if self.lane:
-            payload = "%d|%s" % (self.lane, payload)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -124,54 +110,31 @@ class Block:
 class MiningRound:
     """Outcome of one :meth:`Blockchain.mine_round`."""
 
-    blocks: list = field(default_factory=list)
+    block: Block | None  #: ``None`` when there was nothing to seal
     #: ``(tx, receipt)`` for every transaction that was mined (the
     #: receipt may be a failed one — reverts are still on chain).
-    executed: list = field(default_factory=list)
+    executed: list
     #: Transactions lost in flight (injected ``drop`` faults): no
     #: receipt, no nonce bump — the submitter decides whether to retry.
-    dropped: list = field(default_factory=list)
+    dropped: list
 
 
 class Blockchain:
     """A single-node simulated chain with deterministic gas metering."""
 
-    def __init__(
-        self,
-        schedule: GasSchedule = DEFAULT_SCHEDULE,
-        lanes: int = 1,
-        mempool_capacity: int = 4096,
-    ):
-        if lanes < 1:
-            raise ChainError("a chain needs at least one block lane")
+    def __init__(self, schedule: GasSchedule = DEFAULT_SCHEDULE, mempool_capacity: int = 4096):
         self.schedule = schedule
-        self.lanes = lanes
         self.mempool = Mempool(mempool_capacity)
         self._balances: dict[str, int] = {}
         self._nonces: dict[str, int] = {}
         self.contracts: dict[str, Contract] = {}
         self.receipts: list[TransactionReceipt] = []
         self._event_index = EventIndex()
-        self.blocks: list[Block] = []
-        #: Unsealed receipts per lane (sealing stamps block numbers in
-        #: O(pending), not O(all receipts)).
-        self._pending: list[list[TransactionReceipt]] = [[] for _ in range(lanes)]
-        self._lane_heads: list[Block] = []
+        self.blocks: list[Block] = [Block(0, "0" * 64, ())]
+        #: Unsealed receipts (sealing stamps block numbers in O(pending),
+        #: not O(all receipts)).
+        self._pending: list[TransactionReceipt] = []
         self._counter = itertools.count(1)
-        self._genesis()
-
-    def _genesis(self) -> None:
-        for lane in range(self.lanes):
-            block = Block(0, "0" * 64, (), lane)
-            self.blocks.append(block)
-            self._lane_heads.append(block)
-
-    def lane_of(self, address: str) -> int:
-        """The block lane an account's transactions execute on."""
-        if self.lanes == 1:
-            return 0
-        digest = hashlib.sha256(b"lane:" + address.encode()).digest()
-        return int.from_bytes(digest[:4], "big") % self.lanes
 
     # ----- accounts -----------------------------------------------------------
 
@@ -287,14 +250,13 @@ class Blockchain:
         tx_hash = hashlib.sha256(
             b"%s:%s:%s:%d" % (sender.encode(), to.encode(), method.encode(), len(self.receipts))
         ).hexdigest()
-        lane = self.lane_of(sender)
         receipt = TransactionReceipt(
-            tx_hash, sender, to, method, gas, status, list(events), ret, error, lane=lane
+            tx_hash, sender, to, method, gas, status, list(events), ret, error
         )
         self.receipts.append(receipt)
         for event in receipt.events:
             self._event_index.add(event)
-        self._pending[lane].append(receipt)
+        self._pending.append(receipt)
         return receipt
 
     # ----- mempool ------------------------------------------------------------------
@@ -321,7 +283,7 @@ class Blockchain:
         return self.mempool.add(sender, contract, method, tuple(args), value, fee, gas_limit)
 
     def execute_batch(self, batch: list[PendingTx]) -> tuple[list, list]:
-        """Execute one lane's mined transactions in priority order.
+        """Execute one round's mined transactions in priority order.
 
         Returns ``(executed, dropped)``: ``executed`` pairs each
         transaction with its receipt (possibly a failed one); ``dropped``
@@ -348,61 +310,34 @@ class Blockchain:
             executed.append((tx, receipt))
         return executed, dropped
 
-    def mine_round(self, max_txs_per_lane: int = 64) -> MiningRound:
-        """Mine one round: pull fee-ordered transactions from the mempool
-        (up to ``max_txs_per_lane`` for each lane), execute them, and
-        seal one block per lane that did any work."""
-        round_ = MiningRound()
-        batches = self.mempool.take_round(self.lane_of, self.lanes, max_txs_per_lane)
-        for lane, batch in enumerate(batches):
-            executed, dropped = self.execute_batch(batch)
-            round_.executed.extend(executed)
-            round_.dropped.extend(dropped)
-            if self._pending[lane]:
-                round_.blocks.append(self.seal_lane(lane))
-        return round_
+    def mine_round(self, max_txs: int = 64) -> MiningRound:
+        """Mine one round: pull up to ``max_txs`` fee-ordered transactions
+        from the mempool, execute them, and seal a block if any receipt
+        is waiting for one."""
+        executed, dropped = self.execute_batch(self.mempool.take(max_txs))
+        block = self.seal_block() if self._pending else None
+        return MiningRound(block, executed, dropped)
 
     # ----- blocks -----------------------------------------------------------------
 
-    def seal_lane(self, lane: int) -> Block:
-        """Group one lane's pending transactions into its next block."""
-        if not 0 <= lane < self.lanes:
-            raise ChainError("no such lane %d" % lane)
-        head = self._lane_heads[lane]
-        pending = self._pending[lane]
-        block = Block(head.number + 1, head.hash, tuple(r.tx_hash for r in pending), lane)
-        for receipt in pending:
+    def seal_block(self) -> Block:
+        """Group the pending transactions into the next block."""
+        head = self.blocks[-1]
+        block = Block(head.number + 1, head.hash, tuple(r.tx_hash for r in self._pending))
+        for receipt in self._pending:
             receipt.block_number = block.number
-        self._pending[lane] = []
+        self._pending = []
         self.blocks.append(block)
-        self._lane_heads[lane] = block
         return block
 
-    def seal_block(self) -> Block:
-        """Seed-compatible single-lane sealing (lane 0)."""
-        return self.seal_lane(0)
-
-    def seal_round(self, include_empty: bool = False) -> list[Block]:
-        """Seal every lane that has pending transactions (all lanes with
-        ``include_empty=True``)."""
-        return [
-            self.seal_lane(lane)
-            for lane in range(self.lanes)
-            if include_empty or self._pending[lane]
-        ]
-
     def verify_chain(self) -> bool:
-        """Check per-lane block hash linkage (the tamper-resistance
-        assumption); with one lane this is the seed's single chain."""
-        heads: dict[int, Block] = {}
-        for block in self.blocks:
-            prev = heads.get(block.lane)
-            if prev is None:
-                if block.number != 0 or block.parent_hash != "0" * 64:
-                    return False
-            elif block.parent_hash != prev.hash or block.number != prev.number + 1:
+        """Check block hash linkage (the tamper-resistance assumption)."""
+        genesis = self.blocks[0]
+        if genesis.number != 0 or genesis.parent_hash != "0" * 64:
+            return False
+        for prev, block in zip(self.blocks, self.blocks[1:]):
+            if block.parent_hash != prev.hash or block.number != prev.number + 1:
                 return False
-            heads[block.lane] = block
         return True
 
     def total_balance(self) -> int:

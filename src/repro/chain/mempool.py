@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro import telemetry
 from repro.errors import MempoolFullError
@@ -116,16 +116,13 @@ class Mempool:
             self._evict_cheapest()
         tx = PendingTx(self._next_seq, sender, contract, method, tuple(args), value, fee, gas_limit)
         self._next_seq += 1
-        self._insert(tx)
+        self._txs[tx.seq] = tx
+        heapq.heappush(self._serve, (-tx.fee, tx.seq))
+        heapq.heappush(self._evict, (tx.fee, -tx.seq))
         self.admitted += 1
         if telemetry.metrics_enabled():
             telemetry.counter("chain.mempool.admitted").inc()
         return tx
-
-    def _insert(self, tx: PendingTx) -> None:
-        self._txs[tx.seq] = tx
-        heapq.heappush(self._serve, (-tx.fee, tx.seq))
-        heapq.heappush(self._evict, (tx.fee, -tx.seq))
 
     def _evict_cheapest(self) -> PendingTx:
         while True:
@@ -147,41 +144,12 @@ class Mempool:
                 return tx
         return None
 
-    def requeue(self, tx: PendingTx) -> None:
-        """Put a popped transaction back, keeping its original admission
-        order (used when a mining round's per-lane budget is exhausted).
-        Requeued transactions bypass the capacity check: they were
-        already admitted once and eviction happens against new arrivals."""
-        self._insert(tx)
-
-    def take_round(
-        self, lane_of: Callable[[str], int], lanes: int, per_lane: int
-    ) -> List[List[PendingTx]]:
-        """Select the next mining round: up to ``per_lane`` transactions
-        for each of ``lanes`` lanes, in global fee order.
-
-        Transactions whose lane budget is already full are held back and
-        requeued with their original sequence numbers, so the round after
-        next sees them in unchanged priority order.
-        """
-        batches: List[List[PendingTx]] = [[] for _ in range(lanes)]
-        held: List[PendingTx] = []
-        open_lanes = lanes
-        while open_lanes and self._txs:
-            tx = self.pop()
-            if tx is None:
-                break
-            lane = lane_of(tx.sender)
-            batch = batches[lane]
-            batch.append(tx)
-            if len(batch) == per_lane:
-                open_lanes -= 1
-            elif len(batch) > per_lane:
-                batch.pop()
-                held.append(tx)
-        for tx in held:
-            self._insert(tx)
-        return batches
+    def take(self, n: int) -> List[PendingTx]:
+        """Remove and return up to ``n`` transactions in mining order."""
+        batch: List[PendingTx] = []
+        while len(batch) < n and self._txs:
+            batch.append(self.pop())
+        return batch
 
     def drain_evicted(self) -> List[PendingTx]:
         """Evicted transactions since the last call (and clear the log).

@@ -20,11 +20,10 @@ from repro import faults, telemetry
 from repro.telemetry import ledger as _ledger
 from repro.errors import (
     DeadlineExceededError,
-    ExchangeAbortedError,
     ProtocolError,
     RetryExhaustedError,
 )
-from repro.faults.retry import ABORT_POLICY, RetryPolicy
+from repro.faults.retry import RetryPolicy, must_land
 from repro.field.fr import MODULUS as R, random_scalar
 from repro.gadgets.poseidon import assert_commitment_opens, poseidon_hash_gadget
 from repro.plonk.circuit import CircuitBuilder
@@ -333,30 +332,15 @@ class KeySecureExchange:
         refund through, retrying persistently.
 
         The refund is the safety-critical leg — until it lands the
-        buyer's escrow is stranded — so it runs under the patient
-        :data:`repro.faults.ABORT_POLICY` rather than the per-step
-        policy.  A refund that still cannot be confirmed raises
-        :class:`ExchangeAbortedError`; chaos plans with bounded fault
-        budgets never reach it.
+        buyer's escrow is stranded — so it goes through
+        :func:`repro.faults.retry.must_land` rather than the per-step
+        policy.
         """
         with telemetry.span("exchange.abort", exchange_id=exchange_id) as sp:
-            try:
-                refund = ABORT_POLICY.run(
-                    lambda: self.chain.transact(
-                        buyer.address, self.arbiter, "refund", exchange_id
-                    ),
-                    site="chain.refund",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                raise ExchangeAbortedError(
-                    "buyer refund for exchange %s could not be submitted: %s"
-                    % (exchange_id, exc)
-                ) from exc
+            refund = must_land(
+                self.chain, buyer.address, self.arbiter, "refund", exchange_id,
+                site="chain.refund", noun="buyer refund for exchange %s" % exchange_id,
+            )
             gas += refund.gas_used
             sp.set_attrs(refund.span_attrs("refund"))
-            if not refund.status:
-                raise ExchangeAbortedError(
-                    "buyer refund for exchange %s reverted: %s"
-                    % (exchange_id, refund.error)
-                )
         return self._aborted(gas, exchange_id, reason)

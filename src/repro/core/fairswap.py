@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import (
-    DeadlineExceededError,
-    ExchangeAbortedError,
-    ProtocolError,
-    RetryExhaustedError,
-)
-from repro.faults.retry import ABORT_POLICY, RetryPolicy
+from repro.errors import DeadlineExceededError, ProtocolError, RetryExhaustedError
+from repro.faults.retry import RetryPolicy, must_land
 from repro import telemetry
 from repro.field.fr import MODULUS as R, rand_fr
 from repro.gadgets.merkle import MerkleTree
@@ -164,46 +159,29 @@ class FairSwapExchange:
                 break
 
         if bad_index is None:
-            self.chain.seal_block()
             for _ in range(6):
                 self.chain.seal_block()
-            try:
-                receipt = ABORT_POLICY.run(
-                    lambda: self.chain.transact(seller, self.contract, "finalize", sale_id),
-                    site="chain.finalize",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                raise ExchangeAbortedError(
-                    "finalize for sale %s could not be submitted: %s" % (sale_id, exc)
-                ) from exc
-            gas += receipt.gas_used
-            return FairSwapResult(True, decrypted, "ok", gas)
+            receipt = must_land(
+                self.chain, seller, self.contract, "finalize", sale_id,
+                site="chain.finalize", noun="finalize for sale %s" % sale_id,
+            )
+            return FairSwapResult(True, decrypted, "ok", gas + receipt.gas_used)
 
         # Dispute: assemble the proof of misbehaviour.  A lost complaint
-        # strands the buyer's escrow, so submission runs under the more
-        # persistent abort policy.
+        # strands the buyer's escrow, so it must land.
         c_proof = listing.cipher_tree.prove(bad_index)
         p_proof = listing.plain_tree.prove(bad_index)
-        try:
-            receipt = ABORT_POLICY.run(
-                lambda: self.chain.transact(
-                    buyer, self.contract, "complain", sale_id, bad_index,
-                    listing.cipher_blocks[bad_index],
-                    tuple(c_proof.siblings), tuple(c_proof.path_bits),
-                    listing.blocks[bad_index],
-                    tuple(p_proof.siblings), tuple(p_proof.path_bits),
-                ),
-                site="chain.complain",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            raise ExchangeAbortedError(
-                "complaint for sale %s could not be submitted: %s" % (sale_id, exc)
-            ) from exc
-        gas += receipt.gas_used
-        if not receipt.status:
-            return FairSwapResult(False, None, "complaint rejected: %s" % receipt.error, gas)
+        receipt = must_land(
+            self.chain, buyer, self.contract, "complain", sale_id, bad_index,
+            listing.cipher_blocks[bad_index],
+            tuple(c_proof.siblings), tuple(c_proof.path_bits),
+            listing.blocks[bad_index],
+            tuple(p_proof.siblings), tuple(p_proof.path_bits),
+            site="chain.complain", noun="complaint for sale %s" % sale_id,
+        )
         return FairSwapResult(
-            False, None, "seller cheated; buyer refunded", gas, dispute_gas=receipt.gas_used
+            False, None, "seller cheated; buyer refunded", gas + receipt.gas_used,
+            dispute_gas=receipt.gas_used,
         )
 
     # ----- abort machinery ----------------------------------------------
@@ -225,18 +203,8 @@ class FairSwapExchange:
         with telemetry.span("fairswap.abort", sale_id=sale_id):
             for _ in range(6):
                 self.chain.seal_block()
-            try:
-                refund = ABORT_POLICY.run(
-                    lambda: self.chain.transact(buyer, self.contract, "abort", sale_id),
-                    site="chain.abort",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                raise ExchangeAbortedError(
-                    "buyer abort for sale %s could not be submitted: %s" % (sale_id, exc)
-                ) from exc
-            gas += refund.gas_used
-            if not refund.status:
-                raise ExchangeAbortedError(
-                    "buyer abort for sale %s reverted: %s" % (sale_id, refund.error)
-                )
-        return self._aborted(gas, reason)
+            refund = must_land(
+                self.chain, buyer, self.contract, "abort", sale_id,
+                site="chain.abort", noun="buyer abort for sale %s" % sale_id,
+            )
+        return self._aborted(gas + refund.gas_used, reason)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import faults, telemetry
-from repro.errors import DeadlineExceededError, ExchangeAbortedError, RetryExhaustedError
-from repro.faults.retry import ABORT_POLICY, RetryPolicy
+from repro.errors import DeadlineExceededError, RetryExhaustedError
+from repro.faults.retry import RetryPolicy, must_land
 from repro.gadgets.mimc import assert_ctr_encryption
 from repro.gadgets.poseidon import poseidon_hash_gadget
 from repro.groth16 import groth16_prove, groth16_setup, groth16_verify
@@ -157,6 +157,8 @@ class ZKCPExchange:
                 return self._aborted(gas, "payment lock undeliverable: %s" % exc)
             sp.set_attrs(receipt.span_attrs())
         gas += receipt.gas_used
+        if not receipt.status:
+            return ZKCPResult(False, None, "payment lock failed", gas)
         deal_id = receipt.return_value
 
         # ----- Open: seller discloses k ON CHAIN --------------------------
@@ -197,18 +199,8 @@ class ZKCPExchange:
     def _abort_and_refund(
         self, buyer_address: str, deal_id: int, gas: int, reason: str
     ) -> ZKCPResult:
-        try:
-            refund = ABORT_POLICY.run(
-                lambda: self.chain.transact(buyer_address, self.arbiter, "refund", deal_id),
-                site="chain.refund",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            raise ExchangeAbortedError(
-                "buyer refund for deal %s could not be submitted: %s" % (deal_id, exc)
-            ) from exc
-        gas += refund.gas_used
-        if not refund.status:
-            raise ExchangeAbortedError(
-                "buyer refund for deal %s reverted: %s" % (deal_id, refund.error)
-            )
-        return self._aborted(gas, reason)
+        refund = must_land(
+            self.chain, buyer_address, self.arbiter, "refund", deal_id,
+            site="chain.refund", noun="buyer refund for deal %s" % deal_id,
+        )
+        return self._aborted(gas + refund.gas_used, reason)

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro import telemetry
-from repro.errors import DeadlineExceededError, RetryExhaustedError, TransientError
+from repro.errors import (
+    DeadlineExceededError,
+    ExchangeAbortedError,
+    RetryExhaustedError,
+    TransientError,
+)
 from repro.faults.plan import PPM, draw
 
 T = TypeVar("T")
@@ -104,3 +109,24 @@ DEFAULT_POLICY = RetryPolicy()
 
 #: A patient policy for safety-critical cleanup (abort/refund paths).
 ABORT_POLICY = RetryPolicy(max_attempts=8, base_delay_us=25_000)
+
+
+def must_land(chain, sender: str, contract, method: str, *args, site: str, noun: str):
+    """Drive a safety-critical transaction through under :data:`ABORT_POLICY`.
+
+    Until it lands, somebody's escrow is stranded, so there is no softer
+    outcome to return: the receipt comes back only if the transaction
+    succeeded.  One that still cannot be submitted, or that reverts,
+    raises :class:`ExchangeAbortedError` naming ``noun`` ("buyer refund
+    for exchange 3"); chaos plans with bounded fault budgets never reach
+    it.
+    """
+    try:
+        receipt = ABORT_POLICY.run(
+            lambda: chain.transact(sender, contract, method, *args), site=site
+        )
+    except (RetryExhaustedError, DeadlineExceededError) as exc:
+        raise ExchangeAbortedError("%s could not be submitted: %s" % (noun, exc)) from exc
+    if not receipt.status:
+        raise ExchangeAbortedError("%s reverted: %s" % (noun, receipt.error))
+    return receipt

@@ -3,7 +3,7 @@
 The paper validates its exchange protocol per-exchange; this package
 asks the system question: does a marketplace serving 10^4-10^6 users —
 minting, trading and auditing data tokens concurrently through a
-bounded fee-ordered mempool, multiple block lanes and a churning DHT —
+bounded fee-ordered mempool and a churning DHT —
 *conserve* everything the protocol promises, continuously, under a
 deterministic fault schedule?
 
@@ -17,7 +17,7 @@ Run one from the command line (exit code 1 on any violation)::
     PYTHONPATH=src python -m repro.loadsim --users 10000 --ops 4000 \\
         --mix mixed --seed 20220707 --faults all
 
-See ``docs/loadsim.md`` for the DSL, shard/mempool semantics and the
+See ``docs/loadsim.md`` for the DSL, mempool semantics and the
 invariant catalogue.
 """
 

@@ -41,9 +41,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mix", default="mixed",
                         help="preset name or 'mint=N,trade=N,audit=N'")
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=20220707)
-    parser.add_argument("--lanes", type=int, default=4)
     parser.add_argument("--mempool", type=int, default=4096, dest="mempool_capacity")
-    parser.add_argument("--block-txs", type=int, default=64)
+    parser.add_argument("--block-txs", type=int, default=256)
     parser.add_argument("--churn-every", type=int, default=500)
     parser.add_argument("--faults", default="off",
                         help="fault profile, 'profile:seed', or 'env' (read REPRO_FAULTS)")
@@ -57,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         ops=args.ops,
         mix=args.mix,
         seed=args.seed,
-        lanes=args.lanes,
         mempool_capacity=args.mempool_capacity,
         block_txs=args.block_txs,
         churn_every=args.churn_every,
@@ -67,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     report = LoadSimulator(config).run()
     payload = report.to_dict()
     for column in (
-        "users", "ops", "mix", "seed", "lanes", "fault_profile", "fault_seed",
+        "users", "ops", "mix", "seed", "fault_profile", "fault_seed",
         "digest", "tx_per_sec", "mined", "dropped", "trades_started",
         "trades_completed", "refunds", "aborts", "abort_rate",
         "audit_p50_us", "audit_p99_us", "users_materialized", "blocks",
@@ -75,9 +73,9 @@ def main(argv: list[str] | None = None) -> int:
         print("%-22s %s" % (column, payload[column]))
     print(
         "%-22s python -m repro.loadsim --users %d --ops %d --mix '%s' --seed %d "
-        "--lanes %d --faults %s:%d"
+        "--faults %s:%d"
         % ("replay", config.users, config.ops, config.mix, config.seed,
-           config.lanes, profile, config.resolved_fault_seed())
+           profile, config.resolved_fault_seed())
     )
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

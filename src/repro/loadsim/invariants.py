@@ -3,19 +3,15 @@
 The :class:`InvariantChecker` is an *independent ledger*: it replays the
 chain's receipt stream event by event (a cursor makes each check
 incremental — receipts are visited once, ever) and rebuilds its own view
-of token ownership, open escrows and per-lane value flow.  Each mining
-round the rebuilt view is compared against the chain's actual state, so
-a conservation break surfaces within one round of the transaction that
-caused it, with the whole fault schedule still replayable from the seed.
+of token ownership and open escrows.  Each mining round the rebuilt
+view is compared against the chain's actual state, so a conservation
+break surfaces within one round of the transaction that caused it, with
+the whole fault schedule still replayable from the seed.
 
 The catalogue (see ``docs/loadsim.md``):
 
 - **conservation** — every unit of value on chain was injected by the
   population faucet: ``chain.total_balance() == funds_injected``.
-- **per-lane conservation** — for every block lane, the balance sum of
-  the accounts homed on it equals injected funds plus the net flow the
-  *settled* escrow events say crossed lanes, minus what its buyers hold
-  in open escrow.  Catches value teleporting between shards.
 - **escrow accounting** — the arbiter's balance is exactly the sum of
   open deals; nothing stranded, nothing double-released.
 - **no double-spend** — a ``Transfer`` must come from the replayed
@@ -24,7 +20,7 @@ The catalogue (see ``docs/loadsim.md``):
   must hit a live ``Locked`` deal, at most once, never after a refund
   (and vice versa).
 - **terminal cleanliness** (:meth:`check_final`) — no open deals, empty
-  mempool, arbiter balance zero, per-lane hash linkage intact.
+  mempool, arbiter balance zero, block hash linkage intact.
 """
 
 from __future__ import annotations
@@ -47,20 +43,12 @@ class InvariantChecker:
         self._open: dict[int, tuple[str, int]] = {}  # deal_id -> (buyer, amount)
         self._settled: set[int] = set()
         self._refunded: set[int] = set()
-        #: Net settled value flow into each lane (Opened credits the
-        #: seller's lane, Locked debits the buyer's lane, Refunded pays
-        #: the buyer's lane back).
-        self._lane_flow: dict[int, int] = {}
         self.checks_run = 0
 
     # ----- shadow-ledger replay ---------------------------------------------------
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
-
-    def _flow(self, address: str, amount: int) -> None:
-        lane = self.chain.lane_of(address)
-        self._lane_flow[lane] = self._lane_flow.get(lane, 0) + amount
 
     def _replay_new_receipts(self) -> None:
         receipts = self.chain.receipts
@@ -70,9 +58,9 @@ class InvariantChecker:
             if not receipt.status:
                 continue  # reverted transactions emit nothing
             for event in receipt.events:
-                self._replay_event(receipt, event)
+                self._replay_event(event)
 
-    def _replay_event(self, receipt, event) -> None:
+    def _replay_event(self, event) -> None:
         name = event.name
         if name == "Minted":
             token_id = event.get("token_id")
@@ -98,7 +86,6 @@ class InvariantChecker:
                 self._violate("deal %d locked twice" % deal_id)
                 return
             self._open[deal_id] = (buyer, amount)
-            self._flow(buyer, -amount)
         elif name == "Opened":
             deal_id = event.get("deal_id")
             deal = self._open.pop(deal_id, None)
@@ -109,10 +96,6 @@ class InvariantChecker:
                     % (deal_id, deal_id in self._settled, deal_id in self._refunded)
                 )
                 return
-            _buyer, amount = deal
-            # The seller is whoever sent the open() transaction; the
-            # contract paid them out of the escrowed amount.
-            self._flow(receipt.sender, amount)
             self._settled.add(deal_id)
         elif name == "Refunded":
             deal_id = event.get("deal_id")
@@ -120,8 +103,6 @@ class InvariantChecker:
             if deal is None:
                 self._violate("deal %s refunded but not in open escrow" % deal_id)
                 return
-            buyer, amount = deal
-            self._flow(buyer, amount)
             self._refunded.add(deal_id)
 
     # ----- the per-round diff -----------------------------------------------------
@@ -150,27 +131,7 @@ class InvariantChecker:
                 "escrow accounting broken: arbiter holds %d but open deals sum to %d"
                 % (escrow, expected_escrow)
             )
-
-        self._check_lane_sums()
         return len(self.violations) == before
-
-    def _check_lane_sums(self) -> None:
-        lanes = self.chain.lanes
-        injected = [0] * lanes
-        actual = [0] * lanes
-        for address, amount in self.population.injected_by_address().items():
-            lane = self.chain.lane_of(address)
-            injected[lane] += amount
-            actual[lane] += self.chain.balance_of(address)
-        for lane in range(lanes):
-            expected = injected[lane] + self._lane_flow.get(lane, 0)
-            if actual[lane] != expected:
-                self._violate(
-                    "lane %d conservation broken: balances sum to %d, expected %d "
-                    "(injected %d, net settled flow %d)"
-                    % (lane, actual[lane], expected, injected[lane],
-                       self._lane_flow.get(lane, 0))
-                )
 
     def check_final(self) -> bool:
         """End-of-run checks: everything per-round, plus terminal state."""
@@ -186,7 +147,7 @@ class InvariantChecker:
         if len(self.chain.mempool) != 0:
             self._violate("mempool not drained: %d transactions left" % len(self.chain.mempool))
         if not self.chain.verify_chain():
-            self._violate("per-lane block hash linkage broken")
+            self._violate("block hash linkage broken")
         for token_id, owner in self._owner.items():
             on_chain = self.chain.call_view(self.token, "owner_of", token_id)
             if on_chain != owner:

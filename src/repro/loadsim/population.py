@@ -32,7 +32,6 @@ class Population:
         self.funds_each = funds_each
         self._accounts: dict[int, str] = {}
         self._index_of: dict[str, int] = {}
-        self._injected: dict[str, int] = {}
         #: Total value faucet-ed into existence (accounts created so far
         #: times ``funds_each`` plus any explicit top-ups).
         self.funds_injected = 0
@@ -54,7 +53,6 @@ class Population:
             address = self.chain.create_account(funded=self.funds_each)
             self._accounts[index] = address
             self._index_of[address] = index
-            self._injected[address] = self.funds_each
             self.funds_injected += self.funds_each
         return address
 
@@ -68,13 +66,8 @@ class Population:
             raise ReproError("top-up must be non-negative")
         address = self.account(index)
         self.chain.faucet(address, amount)
-        self._injected[address] += amount
         self.funds_injected += amount
 
     def addresses(self) -> list[str]:
         """All materialised addresses (stable creation order)."""
         return [self._accounts[i] for i in sorted(self._accounts)]
-
-    def injected_by_address(self) -> dict[str, int]:
-        """Per-address injection ledger (for per-lane conservation)."""
-        return dict(self._injected)

@@ -2,7 +2,7 @@
 
 One :class:`LoadSimulator` run drives a seeded operation stream (see
 :mod:`repro.loadsim.traffic`) against the full stack: DHT storage with
-node churn, the fee-ordered mempool, multi-lane mining, the ERC-721
+node churn, the fee-ordered mempool, block sealing, the ERC-721
 data-token contract and the hash-locked escrow arbiter — optionally
 under a fault profile — while the :class:`InvariantChecker` diffs a
 shadow ledger against chain state after every mining round.
@@ -57,9 +57,8 @@ class SimConfig:
     ops: int = 2_000
     mix: str = "mixed"
     seed: int = 20220707
-    lanes: int = 4
     mempool_capacity: int = 4096
-    block_txs: int = 64  #: per lane per mining round
+    block_txs: int = 256  #: per mining round
     ops_per_round: int = 128  #: submissions between mining rounds
     dht_nodes: int = 16
     replication: int = 3
@@ -125,13 +124,12 @@ class SimReport:
     def to_dict(self) -> dict:
         cfg = self.config
         return {
-            "schema": "repro.loadsim.report/1",
+            "schema": "repro.loadsim.report/2",
             "users": cfg.users,
             "ops": cfg.ops,
             "mix": cfg.resolved_mix().spec(),
             "mix_name": cfg.resolved_mix().name,
             "seed": cfg.seed,
-            "lanes": cfg.lanes,
             "fault_profile": cfg.fault_profile,
             "fault_seed": cfg.resolved_fault_seed(),
             "digest": self.digest,
@@ -193,7 +191,7 @@ class LoadSimulator:
             raise ReproError("nothing to simulate with ops < 1")
         self.config = config
         self.mix = config.resolved_mix()
-        self.chain = Blockchain(lanes=config.lanes, mempool_capacity=config.mempool_capacity)
+        self.chain = Blockchain(mempool_capacity=config.mempool_capacity)
         self.population = Population(self.chain, config.users, config.funds)
         self.net = DHTNetwork(
             ["seed-%d" % i for i in range(config.dht_nodes)], replication=config.replication
@@ -569,12 +567,11 @@ class LoadSimulator:
         h = hashlib.sha256()
         for receipt in self.chain.receipts:
             h.update(
-                b"r|%s|%s|%d|%d|%d|%s"
+                b"r|%s|%s|%d|%d|%s"
                 % (
                     receipt.tx_hash.encode(),
                     receipt.method.encode(),
                     int(receipt.status),
-                    receipt.lane,
                     receipt.block_number if receipt.block_number is not None else -1,
                     (receipt.error or "").encode(),
                 )

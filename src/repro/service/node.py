@@ -26,7 +26,7 @@ Fault semantics mirror the synchronous driver exactly: the same
 ``exchange.msg.*`` / ``chain.*`` sites, the same per-step
 :class:`~repro.faults.RetryPolicy`, and the same safety envelope — a
 request that fails after payment lock always drives the buyer's refund
-through under :data:`~repro.faults.retry.ABORT_POLICY` before reporting,
+through :func:`~repro.faults.retry.must_land` before reporting,
 so no escrow is ever stranded.  The chaos suite asserts this under the
 ``exchange`` fault profile.
 """
@@ -58,7 +58,7 @@ from repro.errors import (
     ServiceError,
     SessionError,
 )
-from repro.faults.retry import ABORT_POLICY, RetryPolicy
+from repro.faults.retry import RetryPolicy, must_land
 from repro.service.pool import ProverPool
 from repro.service.queue import FairQueue
 from repro.service.settlement import SettlementBatcher
@@ -490,22 +490,8 @@ class MarketplaceNode:
         safety-critical leg — see the synchronous driver's docstring);
         identical policy and failure semantics to
         :meth:`KeySecureExchange._abort_and_refund`."""
-        try:
-            refund = ABORT_POLICY.run(
-                lambda: self.chain.transact(
-                    buyer_address, self.arbiter, "refund", exchange_id
-                ),
-                site="chain.refund",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            raise ExchangeAbortedError(
-                "buyer refund for exchange %s could not be submitted: %s"
-                % (exchange_id, exc)
-            ) from exc
-        gas += refund.gas_used
-        if not refund.status:
-            raise ExchangeAbortedError(
-                "buyer refund for exchange %s reverted: %s"
-                % (exchange_id, refund.error)
-            )
-        return self._aborted_outcome(gas, exchange_id, reason)
+        refund = must_land(
+            self.chain, buyer_address, self.arbiter, "refund", exchange_id,
+            site="chain.refund", noun="buyer refund for exchange %s" % exchange_id,
+        )
+        return self._aborted_outcome(gas + refund.gas_used, exchange_id, reason)

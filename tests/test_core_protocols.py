@@ -212,3 +212,12 @@ class TestZKCPBaseline:
         result = protocol.run(seller, buyer, asset, price=3000, tamper_key=True)
         assert not result.success
         assert chain.balance_of(buyer) == buyer_before  # refunded
+
+    def test_zkcp_underfunded_buyer_rejected(self, market):
+        chain, arbiter, seller, _buyer = market
+        poor = chain.create_account(funded=100)
+        asset = DataAsset.create([7, 8], key=4242, nonce=1)
+        result = ZKCPExchange(chain, arbiter).run(seller, poor, asset, price=3000)
+        assert not result.success and not result.aborted
+        assert result.reason == "payment lock failed"
+        assert chain.balance_of(poor) == 100 and chain.balance_of(arbiter.address) == 0

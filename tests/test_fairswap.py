@@ -35,6 +35,28 @@ class TestFairSwapHappyPath:
         assert result.plaintext == [10, 20, 30, 40]
         assert chain.balance_of(seller) == seller_before + 5000
 
+    def test_finalize_waits_out_exactly_the_dispute_window(self, market):
+        chain, contract, seller, buyer = market
+        window = 5  # the contract's default dispute_window
+        listing = FairSwapListing.create([10, 20], key=777, nonce=3)
+        height = len(chain.blocks)
+        assert FairSwapExchange(chain, contract).run(seller, buyer, listing, price=100).success
+        assert len(chain.blocks) == height + window + 1
+        # The same sale by hand: refused at the window, paid one block later.
+        sale_id = chain.transact(
+            seller, contract, "offer",
+            listing.cipher_tree.root, listing.plain_tree.root,
+            field_hash(listing.key), listing.nonce, 2, 100,
+        ).return_value
+        chain.transact(buyer, contract, "accept", sale_id, value=100)
+        chain.transact(seller, contract, "reveal_key", sale_id, listing.key)
+        for _ in range(window):
+            chain.seal_block()
+        refused = chain.transact(seller, contract, "finalize", sale_id)
+        assert not refused.status and "dispute window still open" in refused.error
+        chain.seal_block()
+        assert chain.transact(seller, contract, "finalize", sale_id).status
+
     def test_key_leaks_like_zkcp(self, market):
         chain, contract, seller, buyer = market
         listing = FairSwapListing.create([10, 20], key=777, nonce=3)

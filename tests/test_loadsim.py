@@ -10,6 +10,8 @@ steers (seed, mix, profile) through the environment so a red run prints
 a one-command replay line.
 """
 
+import hashlib
+
 import pytest
 
 from repro.loadsim import (
@@ -23,8 +25,8 @@ from repro.loadsim import (
 )
 
 #: Small-but-real: enough operations that every op kind, the mempool
-#: backpressure path, churn, and multi-lane sealing all actually fire.
-_SMOKE = dict(users=200, ops=400, lanes=2, dht_nodes=8, churn_every=100, ops_per_round=48)
+#: backpressure path and churn all actually fire.
+_SMOKE = dict(users=200, ops=400, dht_nodes=8, churn_every=100, ops_per_round=48)
 
 
 class TestTrafficMix:
@@ -89,18 +91,26 @@ class TestSimulation:
         again = run_sim(fault_profile="soak", seed=4242, **_SMOKE)
         assert again.digest == report.digest
 
-    def test_lane_count_changes_sealing_not_semantics(self):
-        narrow = run_sim(seed=777, **{**_SMOKE, "lanes": 1})
-        wide = run_sim(seed=777, **{**_SMOKE, "lanes": 4})
-        assert narrow.violations == [] and wide.violations == []
-        # Same op stream and mining cadence; more lanes seal more blocks.
-        assert narrow.rounds == wide.rounds
-        assert wide.blocks > narrow.blocks
+    def test_default_config_traffic_is_pinned(self):
+        """Golden run: the numbers ``lanes=1, block_txs=256`` produced at
+        the last commit that had lanes (3523e03), which were also the
+        numbers of its default ``lanes=4, block_txs=64``."""
+        sim = LoadSimulator(SimConfig(users=10_000, ops=2_000, seed=1))
+        report = sim.run()
+        assert report.violations == []
+        assert (report.mined, report.trades_completed, report.rounds) == (2709, 652, 18)
+        assert sum(r.gas_used for r in sim.chain.receipts) == 177_437_463
+        balances = hashlib.sha256()
+        for address in sorted(sim.chain._balances):
+            balances.update(b"%s|%d;" % (address.encode(), sim.chain._balances[address]))
+        assert balances.hexdigest() == (
+            "27131ff9acfb281d85f9ccb880563416639967b8d43c5a11d49ddd87148ffa22"
+        )
 
     def test_report_artifact_schema(self):
-        report = run_sim(users=50, ops=60, lanes=2, dht_nodes=6, churn_every=0)
+        report = run_sim(users=50, ops=60, dht_nodes=6, churn_every=0)
         payload = report.to_dict()
-        assert payload["schema"] == "repro.loadsim.report/1"
+        assert payload["schema"] == "repro.loadsim.report/2"
         for column in ("tx_per_sec", "audit_p50_us", "audit_p99_us", "digest",
                        "fault_profile", "fault_seed", "violations"):
             assert column in payload
@@ -118,7 +128,7 @@ class TestInvariantChecker:
     """The checker must catch real corruption, not just bless clean runs."""
 
     def _finished_sim(self):
-        sim = LoadSimulator(SimConfig(users=60, ops=80, lanes=2, dht_nodes=6,
+        sim = LoadSimulator(SimConfig(users=60, ops=80, dht_nodes=6,
                                       churn_every=0, ops_per_round=32))
         report = sim.run()
         assert report.violations == []
@@ -165,7 +175,6 @@ class TestSoak:
             mix=soak_params["mix"],
             seed=soak_params["seed"],
             fault_profile=soak_params["profile"],
-            lanes=4,
         )
         assert report.violations == [], report.violations[:10]
         assert report.mined > 1_000
@@ -174,6 +183,5 @@ class TestSoak:
 
     def test_soak_replay_digest_stable(self, soak_params):
         small = dict(users=10_000, ops=1_000, mix=soak_params["mix"],
-                     seed=soak_params["seed"], fault_profile=soak_params["profile"],
-                     lanes=4)
+                     seed=soak_params["seed"], fault_profile=soak_params["profile"])
         assert run_sim(**small).digest == run_sim(**small).digest
