@@ -5,7 +5,7 @@ exchange runs the same transformation predicate with fresh witnesses).
 Two backend-layer changes target exactly that workload:
 
 - the engine caches per-key state: the 9 per-key-fixed polynomials
-  (selectors, permutation columns, L1) keep their size-8n coset
+  (selectors, permutation columns, L1) keep their size-4n coset
   evaluations after the first proof, the SRS Jacobian view is converted
   once, and NTT twiddle plans are memoised — a fresh engine per proof
   repays all of it every time;
@@ -65,7 +65,7 @@ def test_repeated_proof_cache(benchmark, snark_ctx):
     keys = snark_ctx.keys_for(layout)
 
     # Cold: a fresh engine per proof repays domain plans, the SRS Jacobian
-    # conversion, and all 15 size-8n coset FFTs on every call.
+    # conversion, and all 15 size-4n coset FFTs on every call.
     cold_times = []
     for _ in range(3):
         with SerialEngine() as cold_engine:

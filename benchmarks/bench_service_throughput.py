@@ -45,7 +45,7 @@ from repro.service import ExchangeRequest, MarketplaceNode, NegotiationBundle, N
 FULL_FLOOR = 3.0  # >= 3x at 10^3 buyers (full mode)
 QUICK_FLOOR = 2.0  # >= 2x at 10^2 buyers (CI smoke)
 
-#: pi_p for a 2-entry asset pads to n = 8192; headroom for the 8n coset.
+#: pi_p for a 2-entry asset pads to n = 8192; the SRS needs n + DEGREE_MARGIN.
 _SRS_DEGREE = 8300
 
 _PRICE = 5000

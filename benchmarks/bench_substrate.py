@@ -35,7 +35,8 @@ from repro.plonk.verifier import verify
 WARM_PROOF_FLOOR = 1.3
 MSM_FLOOR = 1.4
 
-#: Enough SRS headroom for the n=256 range circuit's 8n coset domain.
+#: More than the n=256 range circuit needs (n + DEGREE_MARGIN = 264 powers):
+#: the committed baseline was recorded with this set-up.
 _SRS_DEGREE = 2200
 
 

@@ -381,27 +381,32 @@ class Engine:
         shifts ``2^(w*c) * P_i`` are computed once (first proof) and every
         later MSM collapses to a single bucket pass.  Returns ``None``
         when the path does not apply (reference substrate, or a size
-        outside the table bounds) — callers fall back to the generic MSM.
-        Tables are pinned by owner identity like the Jacobian caches and
-        extended in place when a longer prefix is first requested.
+        outside the table bounds) — callers fall back to the generic MSM,
+        and the fall-off is counted as
+        ``engine.cache.bypasses{cache=msm_window}`` so it cannot go
+        unnoticed.  Tables are pinned by owner identity like the Jacobian
+        caches and extended in place when a longer prefix is first
+        requested.
         """
         n = len(scalars)
         if not substrate.fast_enabled() or not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
+            if _tel.metrics_enabled():
+                _tel.counter("engine.cache.bypasses", cache="msm_window").inc()
             return None
-        key = id(owner)
-        hit = self._window_tables.get(key)
+        hit = self._window_tables.get(id(owner))
         if hit is not None and hit[0] is owner:
             _, c, tables = hit
-            if _tel.metrics_enabled():
-                _record_cache("msm_window", len(tables) >= n)
-            if len(tables) < n:
-                tables.extend(build_window_tables(list(points[len(tables) : n]), c))
         else:
-            if _tel.metrics_enabled():
-                _record_cache("msm_window", False)
-            c = fixed_window_c(n)
-            tables = build_window_tables(list(points[:n]), c)
-            self._window_tables[key] = (owner, c, tables)
+            c, tables = 0, []
+        if _tel.metrics_enabled():
+            _record_cache("msm_window", len(tables) >= n)
+        if len(tables) < n:
+            # The width follows the table's size: growth across a
+            # ``fixed_window_c`` threshold rebuilds at the wider window.
+            if fixed_window_c(n) != c:
+                c, tables = fixed_window_c(n), []
+            tables.extend(build_window_tables(list(points[len(tables) : n]), c))
+            self._window_tables[id(owner)] = (owner, c, tables)
         return msm_fixed_window(tables, c, scalars)
 
     def _fixed_jacobian(self, table: Any) -> tuple:

@@ -280,10 +280,15 @@ def msm_jacobian(points: list[tuple], scalars: list[int]) -> tuple:
 # --------------------------------------------------------- fixed-base MSM
 
 #: Bounds for the precomputed-table path: below the floor the single
-#: window is mostly empty slots (the plain GLV path wins); above the cap
-#: the tables' memory footprint stops being worth pinning.
+#: window is mostly empty slots (the plain GLV path wins).  The cap is
+#: "circuit size + blinding margin": every SRS-prefix MSM a Plonk circuit
+#: of size n <= 2048 issues (blinded wires, t_hi and the opening quotients
+#: carry up to n + ``plonk.keys.DEGREE_MARGIN`` scalars) stays on the
+#: tables.  Larger circuits (the n=4096 publish proof) are proved once per
+#: asset, so their tables would never amortise their build and footprint.
 FIXED_WINDOW_MIN = 32
-FIXED_WINDOW_MAX = 2048
+_BLINDING_MARGIN = 8  # == plonk.keys.DEGREE_MARGIN (this layer cannot import it; tests pin it)
+FIXED_WINDOW_MAX = 2048 + _BLINDING_MARGIN
 
 
 def fixed_window_c(n: int) -> int:

@@ -12,7 +12,8 @@ from repro import telemetry
 from repro.errors import ProofError
 from repro.backend import get_engine
 from repro.field import poly
-from repro.field.fr import MODULUS as R, random_scalar
+from repro.field.fr import MODULUS as R, inv, random_scalar
+from repro.field.ntt import COSET_SHIFT
 from repro.plonk.circuit import Assignment, K1, K2
 from repro.plonk.keys import ProvingKey
 from repro.plonk.proof import Proof
@@ -38,8 +39,9 @@ def prove(
     All kernel work (NTTs, MSMs, batched inversion) routes through the
     compute ``engine``.  The engine memoises the coset evaluations of the
     selector and permutation polynomials — fixed per proving key — so the
-    second proof onward for a circuit skips 9 of the 15 size-8n FFTs of
-    round 3, plus the SRS Jacobian conversion behind every commitment.
+    second proof onward for a circuit skips 9 of the 15 coset FFTs of
+    round 3 (size 4n; 8n at n=4), plus the SRS Jacobian conversion behind
+    every commitment.
 
     Under ``REPRO_TELEMETRY=trace`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
@@ -143,9 +145,10 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             zw_poly.append(coef * acc % R)
             acc = acc * omega % R
 
-        from repro.field.ntt import COSET_SHIFT
-
-        big_n = 8 * n  # numerator degree can reach 4n+5 < 8n
+        # The smallest power-of-two coset that holds t (degree <= 3n+5): 4n
+        # for n >= 8.  The numerator (degree up to 4n+5) does not fit, so it
+        # is never interpolated: Z_H is divided out pointwise instead.
+        big_n = 1 << (3 * n + 5).bit_length()
         xs = engine.coset_points(big_n)
         # Selector / permutation / L1 polynomials are fixed per proving key:
         # their coset evaluations come from the engine's memo (computed on the
@@ -173,7 +176,10 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for (name, _), evals in zip(live, live_evals):
             ev[name] = evals
         alpha2 = alpha * alpha % R
-        num_evals = []
+        # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
+        zh_period = big_n // n
+        zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
+        t_evals = []
         for i in range(big_n):
             av, bv, cv = ev["a"][i], ev["b"][i], ev["c"][i]
             zv, zwv = ev["z"][i], ev["zw"][i]
@@ -205,12 +211,16 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 % R
             )
             boundary = (zv - 1) * ev["l1"][i] % R
-            num_evals.append((gate + alpha * (perm_a - perm_b) + alpha2 * boundary) % R)
-        numerator = engine.coset_intt(num_evals)
-        try:
-            t_poly = poly.divide_by_vanishing(numerator, n)
-        except Exception as exc:  # exact division fails iff constraints broken
-            raise ProofError("quotient is not divisible by Z_H: %s" % exc) from exc
+            t_evals.append(
+                (gate + alpha * (perm_a - perm_b) + alpha2 * boundary) * zh_inv[i % zh_period] % R
+            )
+        t_poly = poly.trim(engine.coset_intt(t_evals))
+        # A numerator Z_H does not divide leaves a quotient that fills the
+        # whole coset; a satisfied circuit keeps it at degree 3n+5.
+        if len(t_poly) > 3 * n + 6:
+            raise ProofError(
+                "quotient is not divisible by Z_H: degree %d exceeds 3n+5" % (len(t_poly) - 1)
+            )
 
         t_lo = t_poly[:n]
         t_mid = t_poly[n : 2 * n]

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro import substrate
 from repro.errors import BackendError, CurveError, FieldError
 from repro.backend import (
     ParallelEngine,
@@ -31,7 +32,7 @@ from repro.backend import (
 from repro.curve.fq import fq2_batch_inverse, fq_batch_inverse
 from repro.curve.g1 import G1, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
-from repro.curve.msm import msm_g1, msm_g2
+from repro.curve.msm import fixed_window_c, msm_g1, msm_g2, msm_jacobian
 from repro.field.fr import MODULUS as R, batch_inverse, inv, root_of_unity
 from repro.field.ntt import COSET_SHIFT, Domain
 from repro.kzg.commit import commit
@@ -224,6 +225,25 @@ class TestEngineCaches:
         assert engine.srs_g1_jacobian(small_srs) is first
         assert len(first) == len(small_srs.g1_powers)
         assert jac_to_affine(first[0]) == (small_srs.g1_powers[0].x, small_srs.g1_powers[0].y)
+
+    def test_window_width_follows_table_growth(self, small_srs):
+        """A table first built for a short prefix (narrow window) is rebuilt
+        at the wide window once a long prefix arrives, not served narrow
+        for ever."""
+        engine = SerialEngine()
+        points = engine.srs_g1_jacobian(small_srs)
+        rng = random.Random(7)
+        assert fixed_window_c(40) < fixed_window_c(200)
+        for size in (40, 200, 40):
+            scalars = [rng.randrange(R) for _ in range(size)]
+            # CI also runs this file under REPRO_SUBSTRATE=reference.
+            with substrate.use_mode(substrate.MODE_FAST):
+                got = engine.msm_srs(small_srs, scalars)
+            expected = msm_jacobian(list(points[:size]), scalars)
+            assert jac_to_affine(got) == jac_to_affine(expected)
+            _, width, tables = engine._window_tables[id(small_srs)]
+            assert width == fixed_window_c(len(tables))
+        assert len(tables) == 200
 
 
 class TestKernelEdgeCases:

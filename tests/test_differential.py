@@ -18,9 +18,12 @@ from repro.backend import ParallelEngine, SerialEngine
 from repro.curve import glv, pairing_ref
 from repro.curve.g1 import G1, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
+from repro.curve.msm import FIXED_WINDOW_MAX, msm_jacobian
 from repro.field.fr import MODULUS as R
 from repro.field.frvec import ScalarVector
 from repro.field.ntt import COSET_SHIFT, Domain, _ntt_in_place_fast, _ntt_in_place_ref
+from repro.kzg.srs import SRS
+from repro.plonk.keys import DEGREE_MARGIN
 
 pytestmark = pytest.mark.differential
 
@@ -275,6 +278,26 @@ class TestSubstrateDifferential:
             table = tuple(powers)
             got_fixed = eng.msm_g1_fixed(table, coeffs)
             assert got_fixed.to_bytes() == G1.from_jacobian(expected).to_bytes()
+
+    def test_table_path_equals_generic_across_the_blinding_margin(self, chaos_seed):
+        """The prefix lengths an n=2048 circuit commits to (n .. n +
+        DEGREE_MARGIN scalars): pinned window tables == generic GLV bucket
+        MSM == the reference substrate's plain bucket MSM."""
+        rng = _rng(chaos_seed, "margin-msm")
+        top = 2048 + DEGREE_MARGIN
+        assert top == FIXED_WINDOW_MAX
+        srs = SRS.generate(top, tau=rng.randrange(1, R))
+        engine = SerialEngine()
+        points = engine.srs_g1_jacobian(srs)
+        scalars = [rng.randrange(R) for _ in range(top)]
+        for length in range(2048, top + 1):
+            with substrate.use_mode(substrate.MODE_FAST):
+                table = engine.msm_srs(srs, scalars[:length])
+                generic = msm_jacobian(list(points[:length]), scalars[:length])
+            with substrate.use_mode(substrate.MODE_REFERENCE):
+                reference = engine.msm_srs(srs, scalars[:length])
+            assert jac_to_affine(table) == jac_to_affine(generic) == jac_to_affine(reference)
+        assert len(engine._window_tables[id(srs)][2]) == top
 
     def test_full_engines_identical_under_both_substrate_modes(self, engines, chaos_seed):
         serial, parallel = engines

@@ -5,6 +5,9 @@ soundness implies for concrete attacks (Definition 2.6), and the succinct
 proof shape the paper reports (9 G1 + 6 field elements).
 """
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.errors import (
@@ -17,7 +20,8 @@ from repro.errors import (
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
 from repro.kzg import SRS
-from repro.plonk import CircuitBuilder, Proof, prove, setup, verify
+from repro.plonk import CircuitBuilder, Proof, prove, prover, setup, verify
+from repro.plonk.circuit import Layout
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,16 @@ def _square_circuit(x_value, y_value, w_value=3):
     builder.assert_equal(w2, x)
     s = builder.add(w, x)
     builder.assert_equal(s, y)
+    return builder.compile()
+
+
+def _one_gate_circuit():
+    """Public x; private w with w^2 = x: pads to n = 4, the one size whose
+    quotient still needs the 8n coset."""
+    builder = CircuitBuilder()
+    x = builder.public_input(9)
+    w = builder.var(3)
+    builder.assert_equal(builder.mul(w, w), x)
     return builder.compile()
 
 
@@ -191,3 +205,53 @@ class TestPlonkEndToEnd:
         pk, vk = setup(srs, layout)
         proof = prove(pk, assignment)
         assert verify(vk, [], proof)
+
+
+class TestQuotientRound:
+    """Round 3 computes t on the smallest coset that holds it; the proof
+    bytes and the abort-on-bad-witness property are those of the
+    interpolate-then-divide prover it replaced."""
+
+    #: sha256 of ``proof.to_bytes()`` recorded at commit 0bfa3ba (quotient
+    #: on the 8n coset, ``divide_by_vanishing``), SRS tau = 987654321.
+    #: The blinded rows draw blinders 1000003, 1000003 + 7919, ...
+    GOLDEN = {
+        ("n4", False): "66b2b179e2108e474e48709f16489996271b7441efffa8999459a7e93e4569b9",
+        ("n8", False): "0b61bbd8ec4e1a1bef53da8b7dd0e8ede53774eb42b933151ff8ba8adda02cdb",
+        ("n4", True): "2725e2183549745a24851e39dea67b407464ccb4f565d12cd262bc2481c8eb31",
+        ("n8", True): "4e9b6792a80928f7dfe2908548c5e8714e78114e58fb81dd3aa9ab7df8f8b9af",
+    }
+    CIRCUITS = {"n4": _one_gate_circuit, "n8": lambda: _square_circuit(9, 12)}
+
+    @pytest.mark.parametrize("blinding", [False, True])
+    @pytest.mark.parametrize("name", ["n4", "n8"])
+    def test_proof_bytes_equal_the_parent_commits(self, srs, monkeypatch, name, blinding):
+        layout, assignment = self.CIRCUITS[name]()
+        assert layout.n == int(name[1:])
+        pk, vk = setup(srs, layout)
+        blinders = itertools.count(1000003, 7919)
+        monkeypatch.setattr(prover, "random_scalar", lambda nonzero=False: next(blinders))
+        proof = prove(pk, assignment, blinding=blinding)
+        assert verify(vk, assignment.public_inputs, proof)
+        assert hashlib.sha256(proof.to_bytes()).hexdigest() == self.GOLDEN[name, blinding]
+
+    @pytest.mark.parametrize("blinding", [False, True])
+    @pytest.mark.parametrize("name", ["n4", "n8"])
+    def test_bad_witness_aborts_without_the_layout_check(self, srs, monkeypatch, name, blinding):
+        """Corrupt each wire cell in turn: whatever ``Layout.check`` rejects,
+        the rounds themselves must refuse to prove."""
+        layout, _ = self.CIRCUITS[name]()
+        pk, _vk = setup(srs, layout)
+        real_check = Layout.check
+        monkeypatch.setattr(Layout, "check", lambda self, assignment: None)
+        rejected = 0
+        for column, row in itertools.product("abc", range(layout.n)):
+            _, assignment = self.CIRCUITS[name]()
+            getattr(assignment, column)[row] += 5
+            try:
+                real_check(layout, assignment)
+            except UnsatisfiedConstraintError:
+                rejected += 1
+                with pytest.raises(ProofError):
+                    prove(pk, assignment, blinding=blinding)
+        assert rejected >= layout.n  # the sweep did hit constrained cells

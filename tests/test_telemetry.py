@@ -9,11 +9,12 @@ import io
 
 import pytest
 
-from repro import telemetry
+from repro import substrate, telemetry
 from repro.backend.parallel import ParallelEngine
 from repro.backend.serial import SerialEngine
 from repro.chain import Blockchain, Contract, external
 from repro.plonk.circuit import CircuitBuilder
+from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
 from repro.plonk.verifier import verify
 from repro.telemetry import workers
@@ -309,13 +310,21 @@ class TestExporters:
 # ----- kernel accounting (the cache ground truth) ---------------------------
 
 
+def _assert_coset_sizes(kind, count, size):
+    """Every ``engine.ntt.size`` observation of ``kind`` is exactly ``size``."""
+    sizes = telemetry.histogram("engine.ntt.size", kind=kind)
+    assert (sizes.count, sizes.total) == (count, count * size)
+    assert sizes.bucket_counts[sizes.bounds.index(size)] == count
+
+
 class TestKernelAccounting:
     def test_warm_proof_skips_nine_of_fifteen_coset_ffts(self, snark_ctx):
         """The measured source of truth for the '9 of 15 FFTs cached' claim.
 
-        Round 3 runs 15 size-8n coset FFTs: 9 per-key-fixed polynomials
+        Round 3 runs 15 size-4n coset FFTs: 9 per-key-fixed polynomials
         (qm ql qr qo qc s1 s2 s3 l1) served from the engine's coset-eval
         cache, and 6 live ones (a b c z z*omega PI) recomputed per proof.
+        All nine commitments take the precomputed-table MSM path.
         """
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
@@ -326,8 +335,13 @@ class TestKernelAccounting:
         proof = prove(keys.pk, assignment, engine=engine)
         assert verify(keys.vk, assignment.public_inputs, proof)
         assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 6
+        _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
+        _assert_coset_sizes("coset_ifft", 1, 4 * layout.n)
         assert telemetry.counter("engine.cache.hits", cache="coset_eval").value == 9
         assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 0
+        assert telemetry.counter("engine.cache.hits", cache="msm_window").value == 9
+        assert telemetry.counter("engine.cache.misses", cache="msm_window").value == 0
+        assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 0
         # Warm engine: SRS view and NTT plans are cache hits too.
         assert telemetry.counter("engine.cache.misses", cache="srs_jacobian").value == 0
         assert telemetry.counter("engine.cache.hits", cache="srs_jacobian").value > 0
@@ -342,6 +356,29 @@ class TestKernelAccounting:
         # All 15 coset FFT kernels run cold: 9 cache misses + 6 live polys.
         assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 9
         assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 15
+        _assert_coset_sizes("coset_fft", 15, 4 * layout.n)
+
+    def test_margin_sized_srs_msms_take_the_table_path(self, snark_ctx):
+        """Every commitment an n=2048 circuit issues (n .. n + DEGREE_MARGIN
+        scalars) is served from the pinned window tables; one scalar more,
+        or the reference substrate, is counted as a bypass."""
+        srs = snark_ctx.srs
+        lengths = range(2048, 2048 + DEGREE_MARGIN + 1)
+        engine = SerialEngine()
+        engine.msm_srs(srs, [1] * lengths[-1])  # warm: build the tables
+        telemetry.set_level(telemetry.METRICS)
+        telemetry.reset_metrics()
+        for length in lengths:
+            engine.msm_srs(srs, [length] * length)
+        assert telemetry.counter("engine.cache.hits", cache="msm_window").value == len(lengths)
+        assert telemetry.counter("engine.cache.misses", cache="msm_window").value == 0
+        assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 0
+        engine.msm_srs(srs, [1] * (lengths[-1] + 1))
+        assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 1
+        with substrate.use_mode("reference"):
+            engine.msm_srs(srs, [1] * 2048)
+        assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 2
+        assert telemetry.counter("engine.cache.hits", cache="msm_window").value == len(lengths)
 
     def test_parallel_and_serial_report_identical_totals(self, snark_ctx):
         """Kernel metrics are recorded at the dispatch site, so backend
@@ -390,6 +427,7 @@ class TestKernelAccounting:
             parallel.close()
         assert serial_counts == parallel_counts
         assert serial_counts["engine.ntt.calls{kind=coset_fft}"] == 6
+        _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
         assert any(k.startswith("worker.tasks") for k in worker_counts)
 
 
