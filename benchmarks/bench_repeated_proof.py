@@ -65,7 +65,7 @@ def test_repeated_proof_cache(benchmark, snark_ctx):
     keys = snark_ctx.keys_for(layout)
 
     # Cold: a fresh engine per proof repays domain plans, the SRS Jacobian
-    # conversion, and all 15 size-4n coset FFTs on every call.
+    # conversion, and all 16 size-4n coset FFTs on every call.
     cold_times = []
     for _ in range(3):
         with SerialEngine() as cold_engine:
@@ -75,8 +75,8 @@ def test_repeated_proof_cache(benchmark, snark_ctx):
     assert verify(keys.vk, assignment.public_inputs, proof)
     cold = min(cold_times)
 
-    # Warm: one engine across proofs — second proof onward skips 9 of the
-    # 15 coset FFTs and every one-time conversion.  The telemetry kernel
+    # Warm: one engine across proofs — second proof onward skips 10 of the
+    # 16 coset FFTs and every one-time conversion.  The telemetry kernel
     # counters are the source of truth for the cache accounting: run the
     # warm proofs at metrics level and read the live-FFT and cache-hit
     # counts straight off the registry.
@@ -112,17 +112,17 @@ def test_repeated_proof_cache(benchmark, snark_ctx):
             ["warm engine, 2nd proof on", "%.3f" % warm, "engine caches hit"],
             ["warm vs cold", "%.1f%%" % cache_reduction, "engine caching"],
             ["warm vs seed", "%.1f%%" % vs_seed, "target >= 25% (recorded)"],
-            ["coset FFTs per warm proof", "%.0f" % ffts_per_proof, "6 live of 15 total"],
-            ["coset cache hits per proof", "%.0f" % hits_per_proof, "9 per-key-fixed"],
+            ["coset FFTs per warm proof", "%.0f" % ffts_per_proof, "6 live of 16 total"],
+            ["coset cache hits per proof", "%.0f" % hits_per_proof, "10 per-key-fixed"],
         ],
     )
-    # 6 live polys (a, b, c, z, z*omega, PI) re-run per proof; the 9
+    # 6 live polys (a, b, c, z, z*omega, PI) re-run per proof; the 10
     # per-key-fixed ones (selectors, sigmas, L1) must all be cache hits.
     assert ffts_per_proof == 6, (
         "expected 6 coset FFTs per warm proof, measured %.1f" % ffts_per_proof
     )
-    assert hits_per_proof == 9, (
-        "expected 9 coset-eval cache hits per warm proof, measured %.1f" % hits_per_proof
+    assert hits_per_proof == 10, (
+        "expected 10 coset-eval cache hits per warm proof, measured %.1f" % hits_per_proof
     )
 
 

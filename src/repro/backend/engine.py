@@ -15,10 +15,10 @@ repeated work across proofs:
   repeated base), used by SRS generation and Groth16 setup;
 - **coset-evaluation cache**: an LRU of coset-NTT outputs for polynomials
   that are fixed per proving key (Plonk selectors, permutation columns
-  and the first Lagrange basis polynomial — 9 polynomials in all), so
-  the second proof onward skips 9 of the prover's 15 big FFTs.  (The
+  and the first Lagrange basis polynomial — 10 polynomials in all), so
+  the second proof onward skips 10 of the prover's 16 big FFTs.  (The
   telemetry counters are the source of truth for that number:
-  ``tests/test_telemetry.py`` asserts 9 ``coset_eval`` cache hits and 6
+  ``tests/test_telemetry.py`` asserts 10 ``coset_eval`` cache hits and 6
   live coset FFTs per warm proof.)
 
 Protocol code never touches raw kernels directly: it asks its engine.

@@ -18,7 +18,7 @@ from repro.plonk.verifier import verify as plonk_verify
 
 def _vk_code_bytes(vk: VerifyingKey) -> int:
     """Bytes the hardcoded key contributes to the deployed code."""
-    return 8 * 64 + 2 * 128 + 64  # 8 G1 commitments, 2 G2 points, domain data
+    return 9 * 64 + 2 * 128 + 64  # 9 G1 commitments, 2 G2 points, domain data
 
 
 class PlonkVerifierContract(Contract):
@@ -32,10 +32,11 @@ class PlonkVerifierContract(Contract):
 
     def _charge_verification_gas(self) -> None:
         """Meter the EVM precompile costs of one Plonk verification:
-        ~18 ECMULs and ~20 ECADDs for the F/E combination, one 2-pair
-        pairing check, and transcript hashing."""
+        19 ECMULs and 21 ECADDs for the F/E combination (the cubic
+        selector q3 is one of each), one 2-pair pairing check, and
+        transcript hashing."""
         s = self.schedule
-        gas = 18 * s.ecmul + 20 * s.ecadd + s.pairing_cost(2)
+        gas = 19 * s.ecmul + 21 * s.ecadd + s.pairing_cost(2)
         gas += 15 * (s.sha_base + 2 * s.sha_per_word)  # Fiat-Shamir hashing
         self._ctx.burn(gas)
 
@@ -61,7 +62,7 @@ class PlonkVerifierContract(Contract):
         the amortisation the settlement benchmarks measure.
         """
         s = self.schedule
-        per_proof = 20 * s.ecmul + 22 * s.ecadd + 15 * (s.sha_base + 2 * s.sha_per_word)
+        per_proof = 21 * s.ecmul + 23 * s.ecadd + 15 * (s.sha_base + 2 * s.sha_per_word)
         self._ctx.burn(k * per_proof + s.pairing_cost(2))
 
     @external

@@ -19,9 +19,9 @@ from repro.primitives.poseidon import FULL_ROUNDS, PARTIAL_ROUNDS
 
 
 def mimc_block_gates(rounds: int = MIMC_ROUNDS) -> int:
-    """One MiMC permutation: per round one linear fold + x^7 in 4 muls,
-    plus the final key addition."""
-    return rounds * 5 + 1
+    """One MiMC permutation: per round one linear fold + x^7 in two cubic
+    gates (s^3, then (s^3)^2 * s), plus the final key addition."""
+    return rounds * 3 + 1
 
 
 def mimc_ctr_element_gates(rounds: int = MIMC_ROUNDS) -> int:
@@ -29,29 +29,36 @@ def mimc_ctr_element_gates(rounds: int = MIMC_ROUNDS) -> int:
     return mimc_block_gates(rounds) + 2
 
 
-def poseidon_permutation_gates(width: int = 3) -> int:
-    """One Poseidon permutation of the given width.
+#: Gates of one Poseidon full round over three live lanes: three 2-gate
+#: S-boxes (round constant folded in) + three 3-term mixing rows.
+_POSEIDON_FULL_ROUND = 3 * 2 + 3 * 2
 
-    Full round: width add-consts + width x^5 S-boxes (3 muls each) +
-    width mixing rows (width-term linear combinations, width-1 gates).
-    Partial round: the same with a single S-box.
+#: Gates of one partial round in lane coordinates: the S-box, the 3-term
+#: read-out of the next S-box input, and one update gate per idle lane.
+_POSEIDON_PARTIAL_ROUND = 2 + 2 + 2
+
+
+def poseidon_permutation_gates() -> int:
+    """One width-3 Poseidon permutation of three live wires (the Merkle
+    node, and every sponge chunk after the first): the rounds plus two
+    gates mapping the idle lanes back before the closing full rounds."""
+    return FULL_ROUNDS * _POSEIDON_FULL_ROUND + PARTIAL_ROUNDS * _POSEIDON_PARTIAL_ROUND + 2
+
+
+def poseidon_hash_gates(num_inputs: int) -> int:
+    """Sponge hash of ``num_inputs`` wires, exactly.
+
+    The first chunk is absorbed into build-time constants (length tag,
+    zero padding), so its opening round has S-boxes only on the live
+    lanes and one-gate mixing rows; later chunks pay a full permutation
+    plus one absorb-add per input.  Hashing nothing is one constant gate.
     """
-    mix = width * (width - 1)
-    full = width + 3 * width + mix
-    partial = width + 3 + mix
-    return FULL_ROUNDS * full + PARTIAL_ROUNDS * partial
-
-
-def poseidon_hash_gates(num_inputs: int, width: int = 3) -> int:
-    """Sponge hash: one absorb-add per input + one permutation per chunk.
-
-    Constants (the length tag and initial zeros) are deduplicated by the
-    builder, costing at most 2 extra gates across a circuit; they are
-    counted once here.
-    """
-    rate = width - 1
-    chunks = max(1, -(-max(num_inputs, 1) // rate))
-    return chunks * poseidon_permutation_gates(width) + num_inputs
+    if num_inputs == 0:
+        return 1
+    live = min(num_inputs, 2)
+    first = poseidon_permutation_gates() - _POSEIDON_FULL_ROUND + 2 * live + 3
+    later_chunks = (num_inputs - 1) // 2
+    return first + later_chunks * poseidon_permutation_gates() + num_inputs - live
 
 
 def commitment_open_gates(message_len: int) -> int:
@@ -65,7 +72,6 @@ def encryption_circuit_gates(num_entries: int) -> int:
         num_entries * (mimc_ctr_element_gates() + 1)  # +1 equality per block
         + commitment_open_gates(num_entries)
         + commitment_open_gates(1)
-        + 2  # cached constants
     )
 
 
@@ -74,13 +80,13 @@ def transformation_circuit_gates(source_sizes: list[int], derived_sizes: list[in
     openings for every dataset plus one equality per derived element."""
     gates = sum(commitment_open_gates(n) for n in source_sizes)
     gates += sum(commitment_open_gates(n) for n in derived_sizes)
-    gates += sum(derived_sizes)  # element equalities
-    return gates + 2
+    return gates + sum(derived_sizes)  # element equalities
 
 
 def key_negotiation_gates() -> int:
-    """The pi_k circuit: key opening + H(k_v) + the masking equation."""
-    return commitment_open_gates(1) + poseidon_hash_gates(1) + 4
+    """The pi_k circuit: key opening + H(k_v) + three gates: the h_v
+    equality and the masking equation k_c = k + k_v (add, equality)."""
+    return commitment_open_gates(1) + poseidon_hash_gates(1) + 3
 
 
 def logistic_circuit_gates(num_points: int, num_features: int, fp_mul_gates: int = 95) -> int:

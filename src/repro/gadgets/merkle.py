@@ -24,7 +24,7 @@ def _hash2(left: int, right: int) -> int:
 
 def _hash2_gadget(builder: CircuitBuilder, left: Wire, right: Wire) -> Wire:
     state = [builder.constant(0), left, right]
-    return poseidon_permutation(builder, state, 3)[0]
+    return poseidon_permutation(builder, state)[0]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The proof-of-encryption statements of Section IV-B —
 ``ct_i = pt_i + E_k(nonce + i)`` — are proved by re-computing the cipher
-inside the circuit.  One MiMC block costs 91 rounds x 4 multiplication
-gates (x^7 via x2, x4, x6, x7) plus one linear gate per round, which is
-why the paper picks MiMC over AES ("millions of constraints" per kilobyte,
-Section IV-C).
+inside the circuit.  One MiMC block costs 91 rounds x 3 gates — one
+linear gate for ``s = x + k + c``, then x^7 as ``s^3`` and ``(s^3)^2 * s``
+on the cubic gate — which is why the paper picks MiMC over AES ("millions
+of constraints" per kilobyte, Section IV-C).
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ def mimc_block(
     x = block
     for c in cipher.constants:
         s = builder.linear_combination([(1, x), (1, key)], constant=c)
-        # s^7 = ((s^2)^2 * s^2) * s  -- 4 multiplication gates.
-        s2 = builder.mul(s, s)
-        s4 = builder.mul(s2, s2)
-        s6 = builder.mul(s4, s2)
-        x = builder.mul(s6, s)
+        # s^7 = (s^3)^2 * s  -- 2 cubic gates.
+        x = builder.square_mul(builder.square_mul(s, s), s)
     assert EXPONENT == 7, "gadget unrolled for exponent 7"
     return builder.add(x, key)
 
@@ -68,4 +65,4 @@ def assert_ctr_encryption(
 
 def constraints_per_block(rounds: int = ROUNDS) -> int:
     """Gate count of one MiMC block (used by the cost model)."""
-    return rounds * 5 + 1
+    return rounds * 3 + 1

@@ -3,60 +3,190 @@
 Used for the Open(m, c, o) = 1 clauses of the transformation and exchange
 protocols: the circuit recomputes the Poseidon commitment from the witness
 message and blinder and constrains it to equal the public commitment.
+
+Same function as :mod:`repro.primitives.poseidon` (the oracle the tests
+compare against), laid out for the cubic gate ``q3*a*a*b``:
+
+- an S-box ``(s + c)^5`` is two gates, the round constant folded into the
+  coefficients, so there are no add-constant rows;
+- across the 60 partial rounds the two lanes without an S-box are carried
+  in coordinates ``sigma_p = A^-p * l_p`` (``A`` the lane block of the MDS
+  matrix), in which a lane update is one gate, not a dense matrix row; they
+  are mapped back once, before the closing full rounds;
+- lanes whose value is fixed at build time (the length tag, zero padding)
+  never become wires.
+
+One permutation of three live wires is 458 gates; a one- or two-input hash
+is 451 / 453.
 """
 
 from __future__ import annotations
 
-from repro.gadgets.arithmetic import pow_const
+from dataclasses import dataclass
+from functools import lru_cache
+
+from repro.field.fr import MODULUS as R, inv
 from repro.plonk.circuit import CircuitBuilder, Wire
 from repro.primitives.poseidon import ALPHA, Poseidon
 
+#: The gadgets are laid out for the paper's t = 3 instance (rate 2).
+WIDTH = 3
 
-def poseidon_permutation(
-    builder: CircuitBuilder, state: list[Wire], width: int = 3
-) -> list[Wire]:
-    """Constrain and return the Poseidon permutation of ``state``."""
-    spec = Poseidon.get(width)
-    if len(state) != width:
-        raise ValueError("state width mismatch")
-    half_full = spec.full_rounds // 2
-    total = spec.full_rounds + spec.partial_rounds
-    rc = spec.round_constants
-    for rnd in range(total):
-        offset = rnd * width
-        state = [
-            builder.add_const(s, rc[offset + i]) for i, s in enumerate(state)
-        ]
-        if rnd < half_full or rnd >= total - half_full:
-            state = [pow_const(builder, s, ALPHA) for s in state]
+assert ALPHA == 5, "S-box gates are unrolled for x^5"
+
+
+@dataclass(frozen=True)
+class _Known:
+    """A lane whose value is fixed at build time, not a wire."""
+
+    value: int
+
+
+def _sbox(builder: CircuitBuilder, s: Wire, c: int) -> Wire:
+    """Return a wire constrained to (s + c)^5: two cubic gates."""
+    c2 = c * c % R
+    v = (builder.value(s) + c) % R
+    v2 = v * v % R
+    # (s+c)^3 = s^3 + 3c s^2 + 3c^2 s + c^3
+    x3 = builder.var(v2 * v)
+    builder.gate(a=s, b=s, c=x3, q3=1, qm=3 * c, ql=3 * c2, qc=c2 * c, qo=-1)
+    # (s+c)^2 * x3 = s^2 x3 + 2c s x3 + c^2 x3
+    x5 = builder.var(v2 * builder.value(x3))
+    builder.gate(a=s, b=x3, c=x5, q3=1, qm=2 * c, qr=c2, qo=-1)
+    return x5
+
+
+def _combine(builder: CircuitBuilder, terms, constant: int = 0):
+    """sum(k * lane) + constant; known lanes fold into the constant."""
+    live = []
+    for k, lane in terms:
+        if isinstance(lane, _Known):
+            constant += k * lane.value
         else:
-            state = [pow_const(builder, state[0], ALPHA)] + state[1:]
-        mixed = []
-        for i in range(width):
-            mixed.append(
-                builder.linear_combination(
-                    [(spec.mds[i][j], state[j]) for j in range(width)]
-                )
-            )
-        state = mixed
-    return state
+            live.append((k, lane))
+    if not live:
+        return _Known(constant % R)
+    return builder.linear_combination(live, constant)
 
 
-def poseidon_hash_gadget(
-    builder: CircuitBuilder, inputs: list[Wire], width: int = 3
-) -> Wire:
+def _full_round(builder: CircuitBuilder, spec: Poseidon, rnd: int, lanes: list) -> list:
+    rc = spec.round_constants[rnd * WIDTH : (rnd + 1) * WIDTH]
+    boxed = [
+        _Known(pow(lane.value + c, ALPHA, R))
+        if isinstance(lane, _Known)
+        else _sbox(builder, lane, c)
+        for lane, c in zip(lanes, rc)
+    ]
+    return [_combine(builder, zip(row, boxed)) for row in spec.mds]
+
+
+def _mat_vec(m, v) -> tuple:
+    return tuple((row[0] * v[0] + row[1] * v[1]) % R for row in m)
+
+
+def _mat_mul(m, k) -> tuple:
+    return tuple(
+        tuple((row[0] * k[0][j] + row[1] * k[1][j]) % R for j in range(2)) for row in m
+    )
+
+
+@lru_cache(maxsize=None)
+def _partial_round_tables() -> tuple:
+    """Coefficients of the partial rounds in lane coordinates.
+
+    Write the MDS matrix as ``[[m00, m0^T], [b, A]]``.  A partial round maps
+    ``(s0, l)`` to ``y = (s0 + c0)^5``, ``s0' = m00*y + m0.(l + cl)``,
+    ``l' = b*y + A(l + cl)``.  With ``sigma_p = A^-p l_p`` that is
+
+        s0'    = m00*y + ((A^T)^p m0).sigma + m0.cl
+        sigma' = sigma + (A^-(p+1) b)*y + A^-p cl
+
+    — ``A`` is invertible because every square block of an MDS matrix is.
+    Returns one ``(c0, read, read_const, inject, lane_const)`` row per
+    partial round and ``A^60``, which maps the lanes back.  Derived once:
+    sellers and verifiers rebuild these circuits on every call.
+    """
+    spec = Poseidon.get(WIDTH)
+    rc, mds = spec.round_constants, spec.mds
+    m0 = mds[0][1:]
+    b = (mds[1][0], mds[2][0])
+    a = (mds[1][1:], mds[2][1:])
+    det_inv = inv((a[0][0] * a[1][1] - a[0][1] * a[1][0]) % R)
+    a_inv = (
+        (a[1][1] * det_inv % R, -a[0][1] * det_inv % R),
+        (-a[1][0] * det_inv % R, a[0][0] * det_inv % R),
+    )
+    a_t = ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
+    fwd = bwd = ((1, 0), (0, 1))  # A^p, A^-p
+    read = m0  # (A^T)^p m0
+    rows = []
+    first = spec.full_rounds // 2
+    for rnd in range(first, first + spec.partial_rounds):
+        c0, *cl = rc[rnd * WIDTH : (rnd + 1) * WIDTH]
+        lane_const = _mat_vec(bwd, cl)
+        bwd = _mat_mul(bwd, a_inv)
+        rows.append(
+            (c0, read, (m0[0] * cl[0] + m0[1] * cl[1]) % R, _mat_vec(bwd, b), lane_const)
+        )
+        read = _mat_vec(a_t, read)
+        fwd = _mat_mul(fwd, a)
+    return tuple(rows), fwd
+
+
+def _partial_rounds(builder: CircuitBuilder, spec: Poseidon, lanes: list[Wire]) -> list[Wire]:
+    """All partial rounds: per round 2 S-box gates, 2 for the next S-box
+    input, 1 per lane; plus 2 at the end to leave lane coordinates."""
+    rows, back = _partial_round_tables()
+    m00 = spec.mds[0][0]
+    s0, sig1, sig2 = lanes
+    for c0, read, read_const, inject, lane_const in rows:
+        y = _sbox(builder, s0, c0)
+        s0 = builder.linear_combination(
+            [(read[0], sig1), (read[1], sig2), (m00, y)], read_const
+        )
+        sig1 = builder.linear_combination([(1, sig1), (inject[0], y)], lane_const[0])
+        sig2 = builder.linear_combination([(1, sig2), (inject[1], y)], lane_const[1])
+    return [s0] + [
+        builder.linear_combination([(row[0], sig1), (row[1], sig2)]) for row in back
+    ]
+
+
+def _permute(builder: CircuitBuilder, lanes: list) -> list:
+    """The permutation over lanes that are wires or :class:`_Known`."""
+    spec = Poseidon.get(WIDTH)
+    if all(isinstance(lane, _Known) for lane in lanes):
+        return [_Known(v) for v in spec.permute([lane.value for lane in lanes])]
+    half_full = spec.full_rounds // 2
+    for rnd in range(half_full):
+        lanes = _full_round(builder, spec, rnd, lanes)
+    # One live lane makes every lane live after a round: no MDS entry is 0.
+    lanes = _partial_rounds(builder, spec, lanes)
+    for rnd in range(half_full + spec.partial_rounds, spec.full_rounds + spec.partial_rounds):
+        lanes = _full_round(builder, spec, rnd, lanes)
+    return lanes
+
+
+def poseidon_permutation(builder: CircuitBuilder, state: list[Wire]) -> list[Wire]:
+    """Constrain and return the Poseidon permutation of ``state``."""
+    if len(state) != WIDTH:
+        raise ValueError("state width mismatch")
+    return _permute(builder, state)
+
+
+def poseidon_hash_gadget(builder: CircuitBuilder, inputs: list[Wire]) -> Wire:
     """Constrain and return the sponge hash of ``inputs`` (matches
     :func:`repro.primitives.poseidon.poseidon_hash`)."""
-    rate = width - 1
-    state = [builder.constant(len(inputs))] + [builder.constant(0)] * rate
-    count = max(len(inputs), 1)
-    for i in range(0, count, rate):
-        chunk = inputs[i : i + rate]
-        absorbed = list(state)
-        for j, wire in enumerate(chunk):
-            absorbed[1 + j] = builder.add(state[1 + j], wire)
-        state = poseidon_permutation(builder, absorbed, width)
-    return state[0]
+    rate = WIDTH - 1
+    state: list = [_Known(len(inputs))] + [_Known(0)] * rate
+    for i in range(0, max(len(inputs), 1), rate):
+        for j, wire in enumerate(inputs[i : i + rate], start=1):
+            # A rate lane is known only while it is the initial zero:
+            # absorbing into it is the input wire itself.
+            known = isinstance(state[j], _Known)
+            state[j] = wire if known else builder.add(state[j], wire)
+        state = _permute(builder, state)
+    digest = state[0]
+    return builder.constant(digest.value) if isinstance(digest, _Known) else digest
 
 
 def assert_commitment_opens(
@@ -64,12 +194,11 @@ def assert_commitment_opens(
     message: list[Wire],
     commitment: Wire,
     blinder: Wire,
-    width: int = 3,
 ) -> None:
     """Constrain Open(message, commitment, blinder) == 1.
 
     Recomputes c' = Poseidon(blinder || message) in-circuit and enforces
     c' == commitment (the public input wire).
     """
-    computed = poseidon_hash_gadget(builder, [blinder] + list(message), width)
+    computed = poseidon_hash_gadget(builder, [blinder] + list(message))
     builder.assert_equal(computed, commitment)

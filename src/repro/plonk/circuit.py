@@ -2,7 +2,7 @@
 
 A circuit is a list of gates over three wires (a, b, c), each enforcing
 
-    qL*a + qR*b + qO*c + qM*a*b + qC (+ PI) = 0,
+    qL*a + qR*b + qO*c + qM*a*b + q3*a*a*b + qC (+ PI) = 0,
 
 plus copy constraints ("the same variable appears in these slots"), which
 Plonk encodes as a permutation over the 3n wire slots.
@@ -52,6 +52,7 @@ class _Gate:
     qr: int
     qo: int
     qm: int
+    q3: int
     qc: int
     a: Wire
     b: Wire
@@ -65,7 +66,7 @@ class Layout:
     Attributes:
         n: number of gates, a power of two.
         ell: number of public inputs (occupying the first ``ell`` gates).
-        selectors: dict of the five selector columns, each length ``n``.
+        ql, qr, qo, qm, q3, qc: the six selector columns, each length ``n``.
         sigma: the copy-constraint permutation over the ``3n`` wire slots.
     """
 
@@ -75,6 +76,7 @@ class Layout:
     qr: tuple
     qo: tuple
     qm: tuple
+    q3: tuple
     qc: tuple
     sigma: tuple
 
@@ -83,13 +85,21 @@ class Layout:
         return self.n
 
     def digest(self) -> bytes:
-        """Stable hash of the structure (used for transcript binding)."""
-        h = hashlib.sha256()
-        h.update(b"layout:%d:%d;" % (self.n, self.ell))
-        for col in (self.ql, self.qr, self.qo, self.qm, self.qc, self.sigma):
-            for v in col:
-                h.update(v.to_bytes(32, "little"))
-        return h.digest()
+        """Stable hash of the structure (the key cache's lookup key).
+
+        Hashing every column is linear in ``n``, so the result is kept on
+        the instance: a layout is immutable.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            h = hashlib.sha256()
+            h.update(b"layout:%d:%d;" % (self.n, self.ell))
+            for col in (self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma):
+                for v in col:
+                    h.update(v.to_bytes(32, "little"))
+            cached = h.digest()
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def sigma_star(self) -> tuple[list[int], list[int], list[int]]:
         """Encode the permutation as field elements (the S_sigma columns).
@@ -126,7 +136,7 @@ class Layout:
                 self.ql[i] * a[i]
                 + self.qr[i] * b[i]
                 + self.qo[i] * c[i]
-                + self.qm[i] * a[i] * b[i]
+                + (self.qm[i] + self.q3[i] * a[i]) * a[i] * b[i]
                 + self.qc[i]
                 + pi
             ) % R
@@ -197,16 +207,20 @@ class CircuitBuilder:
         qr: int = 0,
         qo: int = 0,
         qm: int = 0,
+        q3: int = 0,
         qc: int = 0,
     ) -> None:
-        """Append a raw gate; unused wire positions get dummy variables."""
+        """Append a raw gate; unused wire positions get dummy variables.
+
+        ``q3`` weighs the cubic term ``a*a*b`` (an S-box step in one row).
+        """
         if self._compiled:
             raise CircuitError("builder already compiled")
         a = self.var(0) if a is None else a
         b = self.var(0) if b is None else b
         c = self.var(0) if c is None else c
         self._gates.append(
-            _Gate(ql % R, qr % R, qo % R, qm % R, qc % R, a, b, c)
+            _Gate(ql % R, qr % R, qo % R, qm % R, q3 % R, qc % R, a, b, c)
         )
 
     # ----- arithmetic operations (compute value + constrain) --------------------
@@ -227,6 +241,12 @@ class CircuitBuilder:
         """Return a wire constrained to x * y."""
         out = self.var(self._values[x] * self._values[y])
         self.gate(a=x, b=y, c=out, qm=1, qo=-1)
+        return out
+
+    def square_mul(self, x: Wire, y: Wire) -> Wire:
+        """Return a wire constrained to x * x * y (one cubic gate)."""
+        out = self.var(self._values[x] * self._values[x] % R * self._values[y])
+        self.gate(a=x, b=y, c=out, q3=1, qo=-1)
         return out
 
     def mul_add(self, x: Wire, y: Wire, z: Wire) -> Wire:
@@ -330,18 +350,19 @@ class CircuitBuilder:
         # Public-input gates come first: a = w_i with qL = 1; the PI
         # polynomial contributes -w_i so the row sums to zero.
         for w in self._public:
-            gates.append(_Gate(1, 0, 0, 0, 0, w, self.var(0), self.var(0)))
+            gates.append(_Gate(1, 0, 0, 0, 0, 0, w, self.var(0), self.var(0)))
         gates.extend(self._gates)
         n = max(min_size, 1)
         while n < len(gates):
             n <<= 1
         while len(gates) < n:
-            gates.append(_Gate(0, 0, 0, 0, 0, self.var(0), self.var(0), self.var(0)))
+            gates.append(_Gate(0, 0, 0, 0, 0, 0, self.var(0), self.var(0), self.var(0)))
 
         ql = tuple(g.ql for g in gates)
         qr = tuple(g.qr for g in gates)
         qo = tuple(g.qo for g in gates)
         qm = tuple(g.qm for g in gates)
+        q3 = tuple(g.q3 for g in gates)
         qc = tuple(g.qc for g in gates)
 
         # Copy constraints: slots holding the same variable form one cycle.
@@ -355,7 +376,7 @@ class CircuitBuilder:
             for i, s in enumerate(slots):
                 sigma[s] = slots[(i + 1) % len(slots)]
 
-        layout = Layout(n, len(self._public), ql, qr, qo, qm, qc, tuple(sigma))
+        layout = Layout(n, len(self._public), ql, qr, qo, qm, q3, qc, tuple(sigma))
         vals = self._values
         assignment = Assignment(
             a=[vals[g.a] for g in gates],

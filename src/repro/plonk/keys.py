@@ -1,7 +1,7 @@
 """Plonk key generation (the KeyGen of the NIZK triple).
 
 ``setup(srs, layout)`` preprocesses a compiled circuit into a proving key
-(polynomials + SRS) and a verification key (eight commitments + domain
+(polynomials + SRS) and a verification key (nine commitments + domain
 metadata).  The SRS is universal: the same string serves every circuit
 whose size fits, so — as the paper stresses — circuits can change without
 re-running the ceremony.
@@ -26,11 +26,12 @@ DEGREE_MARGIN = 8
 
 @dataclass(frozen=True)
 class VerifyingKey:
-    """Succinct verification key: 8 G1 commitments + domain metadata."""
+    """Succinct verification key: 9 G1 commitments + domain metadata."""
 
     n: int
     ell: int
     c_qm: G1
+    c_q3: G1
     c_ql: G1
     c_qr: G1
     c_qo: G1
@@ -47,6 +48,7 @@ class VerifyingKey:
         h.update(b"plonk-vk:%d:%d:%d:%d;" % (self.n, self.ell, K1, K2))
         for c in (
             self.c_qm,
+            self.c_q3,
             self.c_ql,
             self.c_qr,
             self.c_qo,
@@ -75,7 +77,7 @@ class ProvingKey:
 def setup(srs: SRS, layout: Layout, engine=None) -> tuple[ProvingKey, VerifyingKey]:
     """Preprocess ``layout`` under ``srs`` into proving/verifying keys.
 
-    All eight interpolations run as one engine batch (parallel backends
+    All nine interpolations run as one engine batch (parallel backends
     fan them out) and the commitments share the engine's cached Jacobian
     view of the SRS.
     """
@@ -87,30 +89,16 @@ def setup(srs: SRS, layout: Layout, engine=None) -> tuple[ProvingKey, VerifyingK
             % (srs.max_degree, n, n + DEGREE_MARGIN)
         )
     sigma_star = layout.sigma_star()
-    columns = [
-        list(layout.qm),
-        list(layout.ql),
-        list(layout.qr),
-        list(layout.qo),
-        list(layout.qc),
-    ] + [list(col) for col in sigma_star]
+    selectors = ("qm", "q3", "ql", "qr", "qo", "qc")
+    columns = [list(getattr(layout, name)) for name in selectors]
+    columns += [list(col) for col in sigma_star]
     interpolated = engine.ntt_batch([("ifft", n, col, 0) for col in columns])
-    q_polys = {
-        "qm": interpolated[0],
-        "ql": interpolated[1],
-        "qr": interpolated[2],
-        "qo": interpolated[3],
-        "qc": interpolated[4],
-    }
-    s_polys = tuple(interpolated[5:8])
+    q_polys = dict(zip(selectors, interpolated))
+    s_polys = tuple(interpolated[len(selectors) :])
     vk = VerifyingKey(
         n=n,
         ell=layout.ell,
-        c_qm=commit(srs, q_polys["qm"], engine=engine),
-        c_ql=commit(srs, q_polys["ql"], engine=engine),
-        c_qr=commit(srs, q_polys["qr"], engine=engine),
-        c_qo=commit(srs, q_polys["qo"], engine=engine),
-        c_qc=commit(srs, q_polys["qc"], engine=engine),
+        **{"c_" + name: commit(srs, q_polys[name], engine=engine) for name in selectors},
         c_s1=commit(srs, s_polys[0], engine=engine),
         c_s2=commit(srs, s_polys[1], engine=engine),
         c_s3=commit(srs, s_polys[2], engine=engine),

@@ -39,7 +39,7 @@ def prove(
     All kernel work (NTTs, MSMs, batched inversion) routes through the
     compute ``engine``.  The engine memoises the coset evaluations of the
     selector and permutation polynomials — fixed per proving key — so the
-    second proof onward for a circuit skips 9 of the 15 coset FFTs of
+    second proof onward for a circuit skips 10 of the 16 coset FFTs of
     round 3 (size 4n; 8n at n=4), plus the SRS Jacobian conversion behind
     every commitment.
 
@@ -147,7 +147,9 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
 
         # The smallest power-of-two coset that holds t (degree <= 3n+5): 4n
         # for n >= 8.  The numerator (degree up to 4n+5) does not fit, so it
-        # is never interpolated: Z_H is divided out pointwise instead.
+        # is never interpolated: Z_H is divided out pointwise instead.  The
+        # permutation term sets that degree; the cubic gate term q3*a*a*b
+        # reaches only (n-1) + 3(n+1) = 4n+2 and rides inside it.
         big_n = 1 << (3 * n + 5).bit_length()
         xs = engine.coset_points(big_n)
         # Selector / permutation / L1 polynomials are fixed per proving key:
@@ -157,6 +159,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             name: engine.coset_ntt_cached(pk, name, coeffs, big_n)
             for name, coeffs in (
                 ("qm", pk.q_polys["qm"]),
+                ("q3", pk.q_polys["q3"]),
                 ("ql", pk.q_polys["ql"]),
                 ("qr", pk.q_polys["qr"]),
                 ("qo", pk.q_polys["qo"]),
@@ -185,7 +188,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             zv, zwv = ev["z"][i], ev["zw"][i]
             x = xs[i]
             gate = (
-                av * bv % R * ev["qm"][i]
+                av * bv % R * (ev["qm"][i] + av * ev["q3"][i])
                 + av * ev["ql"][i]
                 + bv * ev["qr"][i]
                 + cv * ev["qo"][i]
@@ -279,6 +282,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
 
         d_poly: list[int] = []
         d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qm"], a_bar * b_bar % R))
+        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["q3"], a_bar * a_bar % R * b_bar % R))
         d_poly = poly.add(d_poly, poly.scale(pk.q_polys["ql"], a_bar))
         d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qr"], b_bar))
         d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qo"], c_bar))

@@ -130,6 +130,23 @@ class R1CSBuilder:
         self.enforce({x: 1}, {y: 1}, {out: 1})
         return out
 
+    def square_mul(self, x: int, y: int) -> int:
+        return self.mul(self.mul(x, x), y)
+
+    def gate(
+        self, a: int, b: int, c: int, ql=0, qr=0, qo=0, qm=0, q3=0, qc=0
+    ) -> None:
+        """The Plonk gate qL*a + qR*b + qO*c + qM*a*b + q3*a*a*b + qC = 0,
+        as (q3*a^2 + qM*a + qR) * b = -(qL*a + qO*c + qC); a cubic term
+        costs one more constraint for a^2."""
+        left = {a: qm, self.ONE: qr}
+        if q3 % R:
+            left[self.mul(a, a)] = q3
+        right: LinearCombination = {self.ONE: -qc}
+        for var, coeff in ((a, -ql), (c, -qo)):
+            right[var] = right.get(var, 0) + coeff
+        self.enforce(left, {b: 1}, right)
+
     def add(self, x: int, y: int) -> int:
         out = self.var(self._values[x] + self._values[y])
         self.enforce({x: 1, y: 1}, {self.ONE: 1}, {out: 1})

@@ -12,7 +12,10 @@ elements = st.integers(min_value=0, max_value=R - 1)
 # A random program: sequence of (op, value) instructions applied to a
 # rolling stack of wires.
 ops = st.lists(
-    st.tuples(st.sampled_from(["var", "add", "mul", "sub", "scale", "const"]), elements),
+    st.tuples(
+        st.sampled_from(["var", "add", "mul", "square_mul", "sub", "scale", "const"]),
+        elements,
+    ),
     min_size=1,
     max_size=25,
 )
@@ -30,7 +33,7 @@ def _run_program(program):
             stack.append(builder.scale(stack[-1], value))
         elif len(stack) >= 2:
             a, b = stack[-2], stack[-1]
-            fn = {"add": builder.add, "mul": builder.mul, "sub": builder.sub}[op]
+            fn = getattr(builder, op)  # add, mul, square_mul, sub
             stack.append(fn(a, b))
     return builder
 
@@ -66,8 +69,8 @@ class TestBuilderInvariants:
     def test_digest_distinguishes_structures(self, p1, p2):
         l1, _ = _run_program(p1).compile()
         l2, _ = _run_program(p2).compile()
-        structure1 = (l1.ql, l1.qr, l1.qo, l1.qm, l1.qc, l1.sigma, l1.ell)
-        structure2 = (l2.ql, l2.qr, l2.qo, l2.qm, l2.qc, l2.sigma, l2.ell)
+        structure1 = (l1.ql, l1.qr, l1.qo, l1.qm, l1.q3, l1.qc, l1.sigma, l1.ell)
+        structure2 = (l2.ql, l2.qr, l2.qo, l2.qm, l2.q3, l2.qc, l2.sigma, l2.ell)
         assert (l1.digest() == l2.digest()) == (structure1 == structure2)
 
     def test_permutation_cosets_are_valid(self):

@@ -5,6 +5,8 @@ These tests validate circuits by direct constraint evaluation
 trips over gadget circuits live in test_plonk_gadget_integration.py.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +246,65 @@ class TestPoseidonGadget:
         assert_commitment_opens(b, [b.var(7)], b.public_input(c.value), b.var(o + 1))
         with pytest.raises(UnsatisfiedConstraintError):
             b.compile()
+
+
+def assert_deterministic(builder, inputs):
+    """Every gate defines one fresh wire — its c, with qO != 0 — from wires
+    defined earlier, so the witness is a function of ``inputs`` and a
+    gadget that matches the native primitive leaves nothing free."""
+    defined = set(inputs)
+    for g in builder._gates:
+        assert g.a in defined or not (g.ql or g.qm or g.q3)
+        assert g.b in defined or not (g.qr or g.qm or g.q3)
+        assert g.qo and g.c not in defined
+        defined.add(g.c)
+
+
+class TestCubicGateGadgetsMatchNative:
+    """The rewritten Poseidon / MiMC gadgets against the untouched native
+    primitives, on seeded random field elements."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_hash(self, count, chaos_seed):
+        rng = random.Random("%d:hash:%d" % (chaos_seed, count))
+        values = [rng.randrange(R) for _ in range(count)]
+        b = CircuitBuilder()
+        wires = [b.var(v) for v in values]
+        out = poseidon_hash_gadget(b, wires)
+        assert b.value(out) == poseidon_hash(values)
+        assert_deterministic(b, wires)
+        compile_ok(b)
+
+    def test_permutation_with_three_live_lanes(self, chaos_seed):
+        """The Merkle node path: no lane is a build-time constant."""
+        rng = random.Random("%d:permutation" % chaos_seed)
+        values = [rng.randrange(R) for _ in range(3)]
+        b = CircuitBuilder()
+        wires = [b.var(v) for v in values]
+        out = poseidon_permutation(b, wires)
+        assert [b.value(w) for w in out] == Poseidon.get(3).permute(values)
+        assert_deterministic(b, wires)
+        compile_ok(b)
+
+    def test_mimc_block(self, chaos_seed):
+        rng = random.Random("%d:mimc" % chaos_seed)
+        key, block = rng.randrange(R), rng.randrange(R)
+        b = CircuitBuilder()
+        wires = [b.var(key), b.var(block)]
+        out = mimc_block(b, *wires)
+        assert b.value(out) == MiMC().encrypt_block(key, block)
+        assert_deterministic(b, wires)
+        compile_ok(b)
+
+    def test_wrong_intermediate_value_is_caught(self):
+        """A cubic row is checked like any other: nudge an S-box output."""
+        b = CircuitBuilder()
+        poseidon_hash_gadget(b, [b.var(3)])
+        layout, assignment = b.compile()
+        row = next(i for i, q in enumerate(layout.q3) if q)
+        assignment.c[row] = (assignment.c[row] + 1) % R
+        with pytest.raises(UnsatisfiedConstraintError):
+            layout.check(assignment)
 
 
 class TestMerkle:

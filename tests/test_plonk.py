@@ -52,6 +52,24 @@ def _one_gate_circuit():
     return builder.compile()
 
 
+def _sbox_circuit():
+    """Public y; private w with y = ((w + 11)^5)^7.  Every constrained row
+    but the last is a cubic gate: a Poseidon-style S-box with its round
+    constant folded into qM/qL/qR/qC, then x^7 as two ``square_mul``."""
+    c = 11
+    w_value = 3
+    builder = CircuitBuilder()
+    y = builder.public_input(pow(pow(w_value + c, 5, R), 7, R))
+    w = builder.var(w_value)
+    x3 = builder.var((w_value + c) ** 3)
+    builder.gate(a=w, b=w, c=x3, q3=1, qm=3 * c, ql=3 * c * c, qc=c**3, qo=-1)
+    x5 = builder.var((w_value + c) ** 5)
+    builder.gate(a=w, b=x3, c=x5, q3=1, qm=2 * c, qr=c * c, qo=-1)
+    x35 = builder.square_mul(builder.square_mul(x5, x5), x5)
+    builder.assert_equal(x35, y)
+    return builder.compile()
+
+
 class TestCircuitBuilder:
     def test_compile_pads_to_power_of_two(self):
         layout, assignment = _square_circuit(9, 12)
@@ -74,6 +92,7 @@ class TestCircuitBuilder:
         assert b.value(b.sub(x, y)) == R - 1
         assert b.value(b.scale(x, 10)) == 60
         assert b.value(b.add_const(x, 4)) == 10
+        assert b.value(b.square_mul(x, y)) == 252
         assert b.value(b.mul_add(x, y, x)) == 48
         assert b.value(b.mul_add_const(x, y, 8)) == 50
         assert b.value(b.linear_combination([(2, x), (3, y), (5, x)], 1)) == 64
@@ -197,6 +216,20 @@ class TestPlonkEndToEnd:
         with pytest.raises(SRSError):
             setup(small, layout)
 
+    def test_cubic_gates_prove_and_verify(self, srs):
+        layout, assignment = _sbox_circuit()
+        assert sum(1 for q in layout.q3 if q) == 4
+        pk, vk = setup(srs, layout)
+        proof = prove(pk, assignment)
+        assert verify(vk, assignment.public_inputs, proof)
+        assert not verify(vk, [assignment.public_inputs[0] + 1], proof)
+
+    def test_vanilla_circuit_commits_q3_to_the_identity(self, srs):
+        layout, _ = _square_circuit(9, 12)
+        assert not any(layout.q3)
+        _pk, vk = setup(srs, layout)
+        assert vk.c_q3 == G1.identity()
+
     def test_no_public_inputs(self, srs):
         builder = CircuitBuilder()
         w = builder.var(6)
@@ -212,16 +245,24 @@ class TestQuotientRound:
     bytes and the abort-on-bad-witness property are those of the
     interpolate-then-divide prover it replaced."""
 
-    #: sha256 of ``proof.to_bytes()`` recorded at commit 0bfa3ba (quotient
-    #: on the 8n coset, ``divide_by_vanishing``), SRS tau = 987654321.
-    #: The blinded rows draw blinders 1000003, 1000003 + 7919, ...
+    #: sha256 of ``proof.to_bytes()``, SRS tau = 987654321; the blinded rows
+    #: draw blinders 1000003, 1000003 + 7919, ...  Re-recorded at PR 17, the
+    #: commit that added the q3 selector (child of c767512): the transcript
+    #: now binds a ninth key commitment, so the challenges moved.  They are
+    #: what c767512's prover emits when its ``vk.digest()`` alone is given
+    #: the identity point in c_q3's place — the rounds did not change for a
+    #: circuit whose q3 column is zero.  (Before: recorded at 0bfa3ba.)
     GOLDEN = {
-        ("n4", False): "66b2b179e2108e474e48709f16489996271b7441efffa8999459a7e93e4569b9",
-        ("n8", False): "0b61bbd8ec4e1a1bef53da8b7dd0e8ede53774eb42b933151ff8ba8adda02cdb",
-        ("n4", True): "2725e2183549745a24851e39dea67b407464ccb4f565d12cd262bc2481c8eb31",
-        ("n8", True): "4e9b6792a80928f7dfe2908548c5e8714e78114e58fb81dd3aa9ab7df8f8b9af",
+        ("n4", False): "7e3924f743f1acba1d5db078ae07fe6b8547f096094f7cb40c46a24eb95e5f86",
+        ("n8", False): "b30b4e3564c4b14d6ad473b8c833aca4f9c70fee3e9eeaf85d2848bc88a794b0",
+        ("n4", True): "5a64aa09da8408de1b264cc9066c2cb63c254c728ab9c9439aa080b269f4c7d6",
+        ("n8", True): "b4bd557d50e46ec7f7b33e721987f4aae44aa8f4b86aaf2e5f327acd8fb126e7",
     }
-    CIRCUITS = {"n4": _one_gate_circuit, "n8": lambda: _square_circuit(9, 12)}
+    CIRCUITS = {
+        "n4": _one_gate_circuit,
+        "n8": lambda: _square_circuit(9, 12),
+        "sbox": _sbox_circuit,
+    }
 
     @pytest.mark.parametrize("blinding", [False, True])
     @pytest.mark.parametrize("name", ["n4", "n8"])
@@ -236,7 +277,7 @@ class TestQuotientRound:
         assert hashlib.sha256(proof.to_bytes()).hexdigest() == self.GOLDEN[name, blinding]
 
     @pytest.mark.parametrize("blinding", [False, True])
-    @pytest.mark.parametrize("name", ["n4", "n8"])
+    @pytest.mark.parametrize("name", ["n4", "n8", "sbox"])
     def test_bad_witness_aborts_without_the_layout_check(self, srs, monkeypatch, name, blinding):
         """Corrupt each wire cell in turn: whatever ``Layout.check`` rejects,
         the rounds themselves must refuse to prove."""

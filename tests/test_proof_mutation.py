@@ -14,6 +14,7 @@ artifact; a verifier that raises on a mutant instead of returning False
 is also accepted.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.kzg import SRS
 from repro.plonk import CircuitBuilder, prove, setup, verify
 from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS
 from repro.r1cs import R1CSBuilder
+from tests.test_plonk import _sbox_circuit
 
 pytestmark = pytest.mark.slow
 
@@ -104,6 +106,51 @@ class TestPlonkProofMutation:
         vk, publics, proof = plonk_case
         mutant = proof.replace(c_a=proof.c_b, c_b=proof.c_a)
         assert _rejects(lambda: verify(vk, publics, mutant))
+
+
+@pytest.fixture(scope="module")
+def cubic_case():
+    """A circuit whose constrained rows are cubic gates (test_plonk's
+    S-box circuit, y = ((w + 11)^5)^7)."""
+    layout, assignment = _sbox_circuit()
+    pk, vk = setup(SRS.generate(64, tau=987654321), layout)
+    proof = prove(pk, assignment)
+    publics = assignment.public_inputs
+    assert verify(vk, publics, proof)
+    return vk, publics, proof
+
+
+class TestCubicGateProofMutation:
+    """The same surface over a proof whose gate identity runs through q3."""
+
+    def test_every_commitment_is_load_bearing(self, cubic_case):
+        vk, publics, proof = cubic_case
+        for field in _POINT_FIELDS:
+            mutant = proof.replace(**{field: getattr(proof, field) + G1.generator()})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+
+    def test_every_scalar_is_load_bearing(self, cubic_case):
+        vk, publics, proof = cubic_case
+        for field in _SCALAR_FIELDS:
+            mutant = proof.replace(**{field: (getattr(proof, field) + 1) % R})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+
+    def test_public_input_is_binding(self, cubic_case):
+        vk, publics, proof = cubic_case
+        assert _rejects(lambda: verify(vk, [(publics[0] + 1) % R], proof))
+
+    def test_key_without_the_cubic_selector_rejects(self, cubic_case, monkeypatch):
+        """Swap ``c_q3`` for the identity: the proof must fail — and not
+        only because ``vk.digest()`` moved the challenges.  With the digest
+        pinned to the honest key's, the a^2*b*[q3] term is simply missing
+        from the verifier's MSM and the pairing equation breaks."""
+        vk, publics, proof = cubic_case
+        stripped = dataclasses.replace(vk, c_q3=G1.identity())
+        assert _rejects(lambda: verify(stripped, publics, proof))
+        honest_digest = vk.digest()
+        monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
+        assert verify(vk, publics, proof)  # sanity: pinning changes nothing
+        assert _rejects(lambda: verify(stripped, publics, proof))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the telemetry layer: spans, metrics, exporters, kernel counters.
 
 The kernel-accounting tests double as the repo's cache ground truth: the
-warm-proof test asserts the *measured* "9 of 15 coset FFTs skipped" claim
+warm-proof test asserts the *measured* "10 of 16 coset FFTs skipped" claim
 that the engine docstring and the repeated-proof benchmark cite.
 """
 
@@ -318,11 +318,11 @@ def _assert_coset_sizes(kind, count, size):
 
 
 class TestKernelAccounting:
-    def test_warm_proof_skips_nine_of_fifteen_coset_ffts(self, snark_ctx):
-        """The measured source of truth for the '9 of 15 FFTs cached' claim.
+    def test_warm_proof_skips_ten_of_sixteen_coset_ffts(self, snark_ctx):
+        """The measured source of truth for the '10 of 16 FFTs cached' claim.
 
-        Round 3 runs 15 size-4n coset FFTs: 9 per-key-fixed polynomials
-        (qm ql qr qo qc s1 s2 s3 l1) served from the engine's coset-eval
+        Round 3 runs 16 size-4n coset FFTs: 10 per-key-fixed polynomials
+        (qm q3 ql qr qo qc s1 s2 s3 l1) served from the engine's coset-eval
         cache, and 6 live ones (a b c z z*omega PI) recomputed per proof.
         All nine commitments take the precomputed-table MSM path.
         """
@@ -337,7 +337,7 @@ class TestKernelAccounting:
         assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 6
         _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
         _assert_coset_sizes("coset_ifft", 1, 4 * layout.n)
-        assert telemetry.counter("engine.cache.hits", cache="coset_eval").value == 9
+        assert telemetry.counter("engine.cache.hits", cache="coset_eval").value == 10
         assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 0
         assert telemetry.counter("engine.cache.hits", cache="msm_window").value == 9
         assert telemetry.counter("engine.cache.misses", cache="msm_window").value == 0
@@ -346,17 +346,17 @@ class TestKernelAccounting:
         assert telemetry.counter("engine.cache.misses", cache="srs_jacobian").value == 0
         assert telemetry.counter("engine.cache.hits", cache="srs_jacobian").value > 0
 
-    def test_cold_engine_pays_all_fifteen(self, snark_ctx):
+    def test_cold_engine_pays_all_sixteen(self, snark_ctx):
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
         telemetry.set_level(telemetry.METRICS)
         telemetry.reset_metrics()
         with SerialEngine() as engine:
             prove(keys.pk, assignment, engine=engine)
-        # All 15 coset FFT kernels run cold: 9 cache misses + 6 live polys.
-        assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 9
-        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 15
-        _assert_coset_sizes("coset_fft", 15, 4 * layout.n)
+        # All 16 coset FFT kernels run cold: 10 cache misses + 6 live polys.
+        assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 10
+        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 16
+        _assert_coset_sizes("coset_fft", 16, 4 * layout.n)
 
     def test_margin_sized_srs_msms_take_the_table_path(self, snark_ctx):
         """Every commitment an n=2048 circuit issues (n .. n + DEGREE_MARGIN
