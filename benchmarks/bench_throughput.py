@@ -5,7 +5,8 @@ volumes".  Verification is the per-exchange on-chain bottleneck (proof
 generation is off-chain and parallel across sellers), so we measure how
 many pi_k verifications per second a settlement node sustains — one by
 one versus batched through the small-exponent folding of
-repro.plonk.batch (k proofs, still one two-pairing check).
+repro.plonk.batch (k proofs: two MSMs over all members' weighted terms,
+still one two-pairing check).
 """
 
 import time
@@ -54,8 +55,8 @@ def test_throughput_batched_settlement(benchmark, snark_ctx):
         "Throughput - settling %d exchanges (pi_k verifications)" % BATCH,
         ["strategy", "total time", "exchanges/second", "speedup"],
         [
-            ("one-by-one", "%.1f s" % results["single"], "%.2f" % single_rate, "1.0x"),
-            ("batched", "%.1f s" % results["batched"], "%.2f" % batch_rate,
+            ("one-by-one", "%.3f s" % results["single"], "%.2f" % single_rate, "1.0x"),
+            ("batched", "%.3f s" % results["batched"], "%.2f" % batch_rate,
              "%.1fx" % (results["single"] / results["batched"])),
         ],
     )

@@ -32,9 +32,9 @@ class PlonkVerifierContract(Contract):
 
     def _charge_verification_gas(self) -> None:
         """Meter the EVM precompile costs of one Plonk verification:
-        19 ECMULs and 21 ECADDs for the F/E combination (the cubic
-        selector q3 is one of each), one 2-pair pairing check, and
-        transcript hashing."""
+        19 ECMULs and 21 ECADDs for the proof's 21 terms (``W_zeta`` and
+        ``[qC]`` carry scalar 1; the cubic selector q3 is one of each), one
+        2-pair pairing check, and transcript hashing."""
         s = self.schedule
         gas = 19 * s.ecmul + 21 * s.ecadd + s.pairing_cost(2)
         gas += 15 * (s.sha_base + 2 * s.sha_per_word)  # Fiat-Shamir hashing
@@ -55,28 +55,36 @@ class PlonkVerifierContract(Contract):
     def _charge_batch_verification_gas(self, k: int) -> None:
         """Meter the precompile costs of a k-proof batched verification.
 
-        Each member still pays its own F/E combination (plus two extra
-        group ops to fold it under a random weight) and its Fiat-Shamir
-        hashing, but the 2-pair pairing check — the dominant precompile
-        cost — is shared across the whole batch.  That shared pairing is
-        the amortisation the settlement benchmarks measure.
+        The fold (:func:`repro.plonk.verifier.fold_check`) weights the
+        terms of all k members in F_r and multiplies once.  A member
+        contributes 11 points of its own — ``W_zeta`` and ``W_zeta_omega``
+        on both sides of the equation, its other seven commitments once —
+        while the nine commitments of this contract's one key and the
+        generator are shared, their k scalars summed before the
+        multiplication (~10 MULMOD/ADDMOD a member: field work, which this
+        model prices nowhere).  That is 11k + 10 terms, an ECMUL and an
+        ECADD each, plus each member's Fiat-Shamir hashing and one 2-pair
+        pairing check for the whole batch.  The first member's two unit
+        scalars are not discounted (k = 1 pays 21 ECMULs where
+        :meth:`verify` pays 19): the charge stays a function of k alone.
         """
         s = self.schedule
-        per_proof = 21 * s.ecmul + 23 * s.ecadd + 15 * (s.sha_base + 2 * s.sha_per_word)
-        self._ctx.burn(k * per_proof + s.pairing_cost(2))
+        terms = 11 * k + 10
+        hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
+        self._ctx.burn(terms * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2))
 
     @external
     def verify_batch(self, items: tuple) -> tuple:
         """Verify many ``(public_inputs, proof_bytes)`` pairs at once.
 
         The happy path folds every well-formed member through the
-        random-linear-combination batch verifier — one pairing check for
-        the whole batch.  If the fold fails (at least one member is
-        invalid), the batch falls back to individually metered per-proof
-        verification so a single poisoned proof cannot poison its
-        batchmates: honest members still settle, and the submitter pays
-        the re-check gas.  Malformed proof bytes never revert the batch;
-        they are reported False in place.
+        random-linear-combination batch verifier — two MSMs and one
+        pairing check for the whole batch.  If the fold fails (at least
+        one member is invalid), the batch falls back to individually
+        metered per-proof verification so a single poisoned proof cannot
+        poison its batchmates: honest members still settle, and the
+        submitter pays the re-check gas.  Malformed proof bytes never
+        revert the batch; they are reported False in place.
         """
         parsed: list = []
         for public_inputs, proof_bytes in items:

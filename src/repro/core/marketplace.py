@@ -32,7 +32,7 @@ from repro.core.exchange import (
 )
 from repro.core.provenance import ProvenanceGraph
 from repro.core.snark import SnarkContext
-from repro.core.tokens import DataAsset
+from repro.core.tokens import DataAsset, PublicAssetView, serialize_ciphertext
 from repro.core.transform_protocol import (
     EncryptionProof,
     TransformProof,
@@ -42,6 +42,7 @@ from repro.core.transform_protocol import (
     verify_transformation,
 )
 from repro.core.transformations import Transformation
+from repro.primitives.mimc import CtrCiphertext
 
 
 def _proof_hash(proof) -> str:
@@ -307,26 +308,27 @@ class ZKDETMarketplace:
         if commitment is None:
             return AuditReport(token_id, False, checks)
 
-        # 1. Storage integrity: the URI must resolve and self-verify.
+        # 1. Storage integrity: the URI must resolve and self-verify — and
+        # resolve to the ciphertext pi_e speaks about.  pi_e's statement
+        # carries its own nonce and blocks, so a registry proof that
+        # validly encrypts the committed dataset under another key or
+        # nonce would otherwise pass while the token addresses other bytes.
+        pi_e = self._pi_e_registry.get(token_id)
+        stated = None if pi_e is None else CtrCiphertext(pi_e.nonce, pi_e.ciphertext_blocks)
         try:
-            self.fetch_ciphertext(token_id)
-            checks.append(("ciphertext resolves and matches its URI", True))
+            stored = self.fetch_ciphertext(token_id)
+            resolves = stated is None or stored == serialize_ciphertext(stated)
         except Exception:
-            checks.append(("ciphertext resolves and matches its URI", False))
+            resolves = False
+        checks.append(("ciphertext resolves and matches its URI", resolves))
 
         # 2. pi_e: the ciphertext encrypts the committed dataset.
-        pi_e = self._pi_e_registry.get(token_id)
-        if pi_e is None:
-            checks.append(("pi_e published", False))
-        else:
-            checks.append(("pi_e published", True))
+        checks.append(("pi_e published", pi_e is not None))
+        if pi_e is not None:
             # Rebuild the public view from pi_e's own statement.
-            from repro.core.tokens import PublicAssetView
-            from repro.primitives.mimc import CtrCiphertext
-
             view = PublicAssetView(
                 uri=self.chain.call_view(self.token, "token_uri", token_id) or "",
-                ciphertext=CtrCiphertext(pi_e.nonce, pi_e.ciphertext_blocks),
+                ciphertext=stated,
                 data_commitment=pi_e.data_commitment,
                 key_commitment=pi_e.key_commitment,
                 num_entries=len(pi_e.ciphertext_blocks),

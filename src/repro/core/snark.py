@@ -17,6 +17,10 @@ from repro.plonk.circuit import CircuitBuilder, Layout
 from repro.plonk.keys import DEGREE_MARGIN, ProvingKey, VerifyingKey, setup
 
 
+#: Entries :meth:`SnarkContext.keys_for_shape` keeps (a reference each).
+_SHAPE_MEMO_SIZE = 256
+
+
 @dataclass
 class CircuitKeys:
     layout: Layout
@@ -31,6 +35,7 @@ class SnarkContext:
         self.srs = srs
         self.engine = engine or get_engine()
         self._cache: dict = {}
+        self._by_shape: dict = {}
 
     @staticmethod
     def with_fresh_srs(
@@ -55,17 +60,28 @@ class SnarkContext:
             self._cache[digest] = keys
         return keys
 
-    def compile_and_keys(self, build_fn) -> tuple[CircuitKeys, list[int]]:
-        """Build a circuit with ``build_fn(builder)``, compile, fetch keys.
+    def keys_for_shape(self, shape: tuple, build_fn) -> CircuitKeys:
+        """Keys of the circuit ``build_fn(builder)`` describes, memoised
+        under ``shape``.
 
-        Returns the keys plus the assignment's public inputs; the caller
-        keeps the assignment via closure if it needs to prove.
+        For verifiers, which know a circuit only by what determines its
+        layout — proof kind, sizes, predicate or transformation — and
+        would otherwise rebuild and re-digest it on every call.  ``shape``
+        must be hashable and must determine the layout; the builder runs
+        on a miss only (with placeholder values, so unchecked).  The memo
+        is small and first-in-first-out: a caller that mints a fresh
+        predicate object per call misses every time and must not grow it.
         """
-        builder = CircuitBuilder()
-        build_fn(builder)
-        layout, assignment = builder.compile()
-        keys = self.keys_for(layout)
-        return keys, assignment  # type: ignore[return-value]
+        keys = self._by_shape.get(shape)
+        if keys is None:
+            builder = CircuitBuilder()
+            build_fn(builder)
+            layout, _ = builder.compile(check=False)
+            keys = self.keys_for(layout)
+            if len(self._by_shape) >= _SHAPE_MEMO_SIZE:
+                del self._by_shape[next(iter(self._by_shape))]
+            self._by_shape[shape] = keys
+        return keys
 
     @property
     def cached_circuits(self) -> int:

@@ -18,6 +18,15 @@ from repro.primitives.encoding import bytes_to_elements
 from repro.primitives.mimc import CtrCiphertext, mimc_encrypt_ctr
 
 
+def serialize_ciphertext(ciphertext: CtrCiphertext) -> bytes:
+    """``nonce || blocks``, 32 little-endian bytes each: the storage layout
+    a token's URI addresses."""
+    out = bytearray(ciphertext.nonce.to_bytes(32, "little"))
+    for block in ciphertext.blocks:
+        out += block.to_bytes(32, "little")
+    return bytes(out)
+
+
 @dataclass(frozen=True)
 class PublicAssetView:
     """Everything a non-owner can see about an asset."""
@@ -72,10 +81,7 @@ class DataAsset:
 
     def serialized_ciphertext(self) -> bytes:
         """Canonical bytes of the ciphertext, as published to storage."""
-        out = bytearray(self.ciphertext.nonce.to_bytes(32, "little"))
-        for block in self.ciphertext.blocks:
-            out += block.to_bytes(32, "little")
-        return bytes(out)
+        return serialize_ciphertext(self.ciphertext)
 
     def publish(self, store, owner: str = "anonymous") -> str:
         """Upload the ciphertext to content-addressed storage; sets uri."""

@@ -198,25 +198,6 @@ def prove_transformation(
 # ----- verifier side ------------------------------------------------------------------
 
 
-def _encryption_layout(ctx: SnarkContext, num_entries: int, predicate=None):
-    """Rebuild the pi_e circuit structure from public shape information."""
-    builder = CircuitBuilder()
-    build_encryption_circuit(
-        builder,
-        [0] * num_entries,
-        0,
-        0,
-        0,
-        [0] * num_entries,
-        0,
-        0,
-        0,
-        predicate=predicate,
-    )
-    layout, _ = builder.compile(check=False)
-    return ctx.keys_for(layout)
-
-
 def verify_encryption(
     ctx: SnarkContext, view: PublicAssetView, enc_proof: EncryptionProof, predicate=None
 ) -> bool:
@@ -229,7 +210,14 @@ def verify_encryption(
         return False
     if enc_proof.key_commitment != view.key_commitment:
         return False
-    keys = _encryption_layout(ctx, len(view.ciphertext.blocks), predicate=predicate)
+    num_entries = len(view.ciphertext.blocks)
+    zeros = [0] * num_entries
+    keys = ctx.keys_for_shape(
+        ("pi_e", num_entries, predicate),
+        lambda builder: build_encryption_circuit(
+            builder, zeros, 0, 0, 0, zeros, 0, 0, 0, predicate=predicate
+        ),
+    )
     return verify(keys.vk, enc_proof.public_inputs, enc_proof.proof)
 
 
@@ -245,15 +233,15 @@ def verify_transformation(
         return False
     if list(expected) != list(t_proof.derived_sizes):
         return False
-    builder = CircuitBuilder()
-    build_transformation_circuit(
-        builder,
-        transformation,
-        [([0] * n, 0, 0) for n in t_proof.source_sizes],
-        [([0] * n, 0, 0) for n in t_proof.derived_sizes],
+    keys = ctx.keys_for_shape(
+        ("pi_t", transformation, tuple(t_proof.source_sizes), tuple(t_proof.derived_sizes)),
+        lambda builder: build_transformation_circuit(
+            builder,
+            transformation,
+            [([0] * n, 0, 0) for n in t_proof.source_sizes],
+            [([0] * n, 0, 0) for n in t_proof.derived_sizes],
+        ),
     )
-    layout, _ = builder.compile(check=False)
-    keys = ctx.keys_for(layout)
     return verify(keys.vk, t_proof.public_inputs, t_proof.proof)
 
 

@@ -46,13 +46,23 @@ _SCALAR_BITS = 254
 
 
 def _window_size(n: int) -> int:
-    """Empirical window width for the signed bucket method."""
-    if n < 4:
+    """Empirical window width for the signed bucket method.
+
+    ``n`` is the pair count the bucket loop sees — on the G1 fast path
+    that is *after* the GLV split, two half-width pairs per term.  The
+    rows below 512 are fitted to that kernel (EXPERIMENTS.md, "MSM window
+    widths at the small end"): the verifier's folds live there.
+    """
+    if n < 12:
         return 2
     if n < 32:
+        return 3
+    if n < 96:
         return 4
-    if n < 128:
+    if n < 200:
         return 5
+    if n < 512:
+        return 6
     if n < 2048:
         return 7
     if n < 4096:

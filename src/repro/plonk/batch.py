@@ -1,14 +1,15 @@
-"""Batch verification: many Plonk proofs, one two-pairing check.
+"""Batch verification: many Plonk proofs, two MSMs, one two-pairing check.
 
-Each proof reduces (see :func:`repro.plonk.verifier.prepare_pairing_inputs`)
-to an equation e(L_i, [tau]_2) = e(R_i, [1]_2).  Folding with independent
-random weights rho_i gives
+Each proof reduces (see :func:`repro.plonk.verifier.proof_terms`) to an
+equation e(L_i, [tau]_2) = e(R_i, [1]_2) whose sides are sums of (point,
+scalar) terms.  Folding with independent random weights rho_i gives
 
     e(sum rho_i L_i, [tau]_2) == e(sum rho_i R_i, [1]_2),
 
 which holds for random rho iff every individual equation holds (standard
-small-exponent batching).  Verification of k proofs therefore costs one
-pairing check plus O(k) group work — this is what keeps the marketplace's
+small-exponent batching).  The weights go into the scalars, not onto
+evaluated points, so verification of k proofs costs one pairing check plus
+two MSMs over all members' terms — this is what keeps the marketplace's
 throughput high when many exchanges and transformations settle at once
 (the paper's abstract: "maintaining high throughput despite large data
 volumes").
@@ -16,13 +17,10 @@ volumes").
 
 from __future__ import annotations
 
-from repro.errors import VerificationError
-from repro.backend import get_engine
-from repro.curve.g1 import G1
 from repro.field.fr import random_scalar
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.proof import Proof
-from repro.plonk.verifier import prepare_pairing_inputs
+from repro.plonk.verifier import fold_check
 
 
 def batch_verify(
@@ -31,32 +29,15 @@ def batch_verify(
 ) -> bool:
     """Verify many (vk, public_inputs, proof) triples at once.
 
-    All verification keys must come from the same SRS (same [tau]_2) —
-    which they do under ZKDET's universal setup.  Returns False if any
-    proof is structurally malformed or the batched equation fails.
+    All verification keys must come from the same SRS (same [1]_2 and
+    [tau]_2) — which they do under ZKDET's universal setup.  Returns False
+    if any proof is structurally malformed or the batched equation fails.
     """
     if not items:
         return True
-    engine = engine or get_engine()
-    g2_tau = items[0][0].g2_tau
-    g2 = items[0][0].g2
-    for vk, _, _ in items:
-        if vk.g2_tau != g2_tau:
-            raise VerificationError("batch members use different SRS tau points")
-
-    lhs_points: list[G1] = []
-    rhs_points: list[G1] = []
-    weights: list[int] = []
-    for vk, publics, proof in items:
-        prepared = prepare_pairing_inputs(vk, publics, proof, engine=engine)
-        if prepared is None:
-            return False
-        lhs, rhs = prepared
-        lhs_points.append(lhs)
-        rhs_points.append(rhs)
-        # A zero weight would drop this proof from the folded check.
-        weights.append(random_scalar(nonzero=True))
-
-    combined_lhs = engine.msm_g1(lhs_points, weights)
-    combined_rhs = engine.msm_g1(rhs_points, weights)
-    return engine.pairing_check([(combined_lhs, g2_tau), (-combined_rhs, g2)])
+    # The first member keeps weight 1 (a one-member batch *is* verify);
+    # every other gets its own full-width weight — each is multiplied into
+    # full-width challenge products anyway, so a short one saves nothing —
+    # and a zero weight would drop its member from the folded check.
+    weights = [1] + [random_scalar(nonzero=True) for _ in items[1:]]
+    return fold_check(items, weights, engine)

@@ -1,9 +1,13 @@
 """The Plonk verifier.
 
-Succinct: independent of circuit size, the verifier performs one MSM over
-16 G1 points (19 scalar multiplications once the two openings are folded
-in) and a single 2-pairing product check — the costs the paper reports in
-Section VI-B3 and Figure 7.
+Succinct: independent of circuit size, a proof reduces to 21 (point,
+scalar) terms over 19 distinct points — its nine commitments, the nine of
+the verifying key and the generator — and verification is two MSMs over
+those terms (19 non-trivial scalar multiplications: ``W_zeta`` and
+``[qC]`` ride with scalar 1) and a single 2-pairing product check, the
+costs the paper reports in Section VI-B3 and Figure 7.  :func:`fold_check`
+is the one place those terms are multiplied: :func:`verify` runs it over
+one member, :func:`repro.plonk.batch.batch_verify` over many.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from repro import telemetry
 from repro.backend import get_engine
 from repro.curve.g1 import G1
+from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import K1, K2
 from repro.plonk.keys import VerifyingKey
@@ -20,31 +25,94 @@ from repro.plonk.transcript import Transcript
 
 def verify(vk: VerifyingKey, public_inputs: list[int], proof: Proof, engine=None) -> bool:
     """Check ``proof`` against ``vk`` and the public inputs."""
-    engine = engine or get_engine()
     with telemetry.span("plonk.verify", n=vk.n, public_inputs=len(public_inputs)) as sp:
-        prepared = prepare_pairing_inputs(vk, public_inputs, proof, engine=engine)
-        if prepared is None:
-            sp.set_attr("ok", False)
-            return False
-        lhs_g1, rhs_g1 = prepared
-        with telemetry.span("pairing"):
-            ok = engine.pairing_check([(lhs_g1, vk.g2_tau), (-rhs_g1, vk.g2)])
+        ok = fold_check([(vk, public_inputs, proof)], [1], engine)
         sp.set_attr("ok", ok)
         return ok
 
 
-def prepare_pairing_inputs(
+def fold_check(
+    items: list[tuple[VerifyingKey, list[int], Proof]], weights: list[int], engine=None
+) -> bool:
+    """Check ``sum_i weights[i] * (member i's pairing equation)``, for a
+    non-empty ``items``.
+
+    Member i's equation is ``e(sum_j s_ij P_ij, [tau]_2) == e(sum_j t_ij
+    Q_ij, [1]_2)`` over the terms of :func:`proof_terms`; since
+    ``rho * sum_j s_j P_j == sum_j (rho s_j) P_j`` the weights are
+    multiplied into the scalars in F_r and each side of the folded
+    equation is *one* MSM, whatever the batch size.  The nine key
+    commitments and the generator are the same points in every member
+    that shares a key, so their scalars are summed per key — by key
+    *identity*, never by point value: members are not compared, merged or
+    cached by content.  k members under one key cost MSMs of 2k and
+    9k + 10 points and one 2-pair check.  Returns False on a structurally
+    malformed member; raises if the members' keys come from different SRS.
+    """
+    engine = engine or get_engine()
+    g2, g2_tau = items[0][0].g2, items[0][0].g2_tau
+    if any(vk.g2 != g2 or vk.g2_tau != g2_tau for vk, _, _ in items):
+        raise VerificationError("batch members use different SRS G2 points")
+    tau_side: list[tuple[G1, int]] = []
+    one_side: list[tuple[G1, int]] = []
+    key_sums: dict[int, tuple[VerifyingKey, list[int]]] = {}
+    for (vk, publics, proof), rho in zip(items, weights):
+        terms = proof_terms(vk, publics, proof, engine=engine)
+        if terms is None:
+            return False
+        tau_terms, one_terms, key_scalars = terms
+        tau_side += [(p, rho * s % R) for p, s in tau_terms]
+        one_side += [(p, rho * s % R) for p, s in one_terms]
+        _, sums = key_sums.setdefault(id(vk), (vk, [0] * len(key_scalars)))
+        for j, s in enumerate(key_scalars):
+            sums[j] = (sums[j] + rho * s) % R
+    for vk, sums in key_sums.values():
+        one_side += zip(_key_points(vk), sums)
+    lhs = engine.msm_g1(*zip(*tau_side))
+    rhs = engine.msm_g1(*zip(*one_side))
+    with telemetry.span("pairing"):
+        return engine.pairing_check([(lhs, g2_tau), (-rhs, g2)])
+
+
+def _key_points(vk: VerifyingKey) -> list[G1]:
+    """The points :func:`proof_terms`'s ``key_scalars`` multiply, in order."""
+    return [
+        vk.c_qm,
+        vk.c_q3,
+        vk.c_ql,
+        vk.c_qr,
+        vk.c_qo,
+        vk.c_qc,
+        vk.c_s1,
+        vk.c_s2,
+        vk.c_s3,
+        G1.generator(),
+    ]
+
+
+def proof_terms(
     vk: VerifyingKey, public_inputs: list[int], proof: Proof, engine=None
 ) -> tuple | None:
-    """Reduce a proof to its final pairing equation.
+    """Reduce a proof to the terms of its final pairing equation.
 
-    Returns (L, R) such that the proof is valid iff
-    e(L, [tau]_2) == e(R, [1]_2); None means an early structural reject.
-    Exposing this split lets :mod:`repro.plonk.batch` fold many proofs
-    into a single two-pairing check.
+    Returns ``(tau_terms, one_terms, key_scalars)`` such that the proof is
+    valid iff
+
+        e(sum s*P over tau_terms, [tau]_2)
+            == e(sum s*P over one_terms + sum key_scalars[j] * K_j, [1]_2)
+
+    with ``K`` the nine key commitments and the generator
+    (:func:`_key_points`); None means an early structural reject.  No
+    group operation happens here — field work and the transcript's SHA-256
+    only — so :func:`fold_check` can weight and merge the terms of many
+    proofs before anything is multiplied.
     """
     engine = engine or get_engine()
     if len(public_inputs) != vk.ell:
+        return None
+    # The transcript and PI(zeta) reduce mod r: x and x + r would be two
+    # statements settled by one proof.
+    if any(not 0 <= w < R for w in public_inputs):
         return None
     n = vk.n
     domain = engine.domain(n)
@@ -110,76 +178,57 @@ def prepare_pairing_inputs(
         - l1_zeta * alpha2
         - alpha * pb % R * ((proof.c_bar + gamma) % R) % R * proof.z_omega_bar
     ) % R
+    v2, v3, v4, v5 = (pow(v, e, R) for e in (2, 3, 4, 5))
+    e_scalar = (
+        -r0
+        + v * proof.a_bar
+        + v2 * proof.b_bar
+        + v3 * proof.c_bar
+        + v4 * proof.s1_bar
+        + v5 * proof.s2_bar
+        + u * proof.z_omega_bar
+    ) % R
 
-    # [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[S1] + v^5[S2]  (one MSM).
+    # The equation, with [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[S1] + v^5[S2]:
+    #   e(W_z + u*W_zw, [tau]_2) == e(zeta*W_z + u*zeta*omega*W_zw + F - E, [1]_2)
     zeta_n = pow(zeta, n, R)
-    points = [
-        vk.c_qm,
-        vk.c_q3,
-        vk.c_ql,
-        vk.c_qr,
-        vk.c_qo,
-        vk.c_qc,
-        proof.c_z,
-        vk.c_s3,
-        proof.c_t_lo,
-        proof.c_t_mid,
-        proof.c_t_hi,
-        proof.c_a,
-        proof.c_b,
-        proof.c_c,
-        vk.c_s1,
-        vk.c_s2,
+    tau_terms = [(proof.w_zeta, 1), (proof.w_zeta_omega, u)]
+    one_terms = [
+        (proof.w_zeta, zeta),
+        (proof.w_zeta_omega, u * zeta % R * omega % R),
+        (proof.c_z, (alpha * pa + alpha2 * l1_zeta + u) % R),
+        (proof.c_t_lo, -zh_zeta % R),
+        (proof.c_t_mid, -zh_zeta * zeta_n % R),
+        (proof.c_t_hi, -zh_zeta * zeta_n % R * zeta_n % R),
+        (proof.c_a, v),
+        (proof.c_b, v2),
+        (proof.c_c, v3),
     ]
-    scalars = [
+    key_scalars = [
         proof.a_bar * proof.b_bar % R,
         proof.a_bar * proof.a_bar % R * proof.b_bar % R,
         proof.a_bar,
         proof.b_bar,
         proof.c_bar,
         1,
-        (alpha * pa + alpha2 * l1_zeta + u) % R,
+        v4,
+        v5,
         (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R,
-        -zh_zeta % R,
-        -zh_zeta * zeta_n % R,
-        -zh_zeta * zeta_n % R * zeta_n % R,
-        v,
-        v * v % R,
-        pow(v, 3, R),
-        pow(v, 4, R),
-        pow(v, 5, R),
+        -e_scalar % R,
     ]
-    f_commit = engine.msm_g1(points, scalars)
-
-    e_scalar = (
-        -r0
-        + v * proof.a_bar
-        + pow(v, 2, R) * proof.b_bar
-        + pow(v, 3, R) * proof.c_bar
-        + pow(v, 4, R) * proof.s1_bar
-        + pow(v, 5, R) * proof.s2_bar
-        + u * proof.z_omega_bar
-    ) % R
-
-    # Final equation:
-    #   e(W_z + u*W_zw, [tau]_2) == e(zeta*W_z + u*zeta*omega*W_zw + F - E, [1]_2)
-    lhs_g1 = proof.w_zeta + proof.w_zeta_omega * u
-    rhs_g1 = (
-        proof.w_zeta * zeta
-        + proof.w_zeta_omega * (u * zeta % R * omega % R)
-        + f_commit
-        - G1.generator() * e_scalar
-    )
-    return lhs_g1, rhs_g1
+    return tau_terms, one_terms, key_scalars
 
 
 def verification_group_operations(vk: VerifyingKey) -> dict:
     """Operation counts for the verifier (used by the Fig. 7 benchmark).
 
     Returns the paper-reported shape: 2 pairings and 19 G1 scalar
-    multiplications regardless of circuit size (15 in the F combination —
-    qC rides with scalar 1 — plus E and three around the opening proofs;
-    the cubic selector q3 accounts for one of them).  Public inputs enter
+    multiplications regardless of circuit size.  All 19 happen inside
+    :func:`fold_check`'s two MSMs and nowhere else: 1 on the ``[tau]_2``
+    side (``u W_zeta_omega``; ``W_zeta`` rides with scalar 1) and 18 on
+    the ``[1]_2`` side (the nine proof points, eight of the nine key
+    commitments — ``[qC]`` rides with scalar 1, the cubic selector q3 is
+    one of the eight — and ``-E`` on the generator).  Public inputs enter
     through scalars, not points: field work only.
     """
     return {

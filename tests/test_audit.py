@@ -1,8 +1,12 @@
 """Tests for the marketplace audit API (buyer-side due diligence)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.marketplace import ZKDETMarketplace
+from repro.core.tokens import DataAsset
+from repro.core.transform_protocol import prove_encryption, verify_encryption
 from repro.core.transformations import Duplication
 
 pytestmark = pytest.mark.slow
@@ -70,3 +74,29 @@ class TestAudit:
             assert not report.ok
         finally:
             market._pi_t_registry[derived.token_id] = (transformation, pi_t, source_ids)
+
+    def test_valid_pi_e_for_other_ciphertext_fails_audit(self, audited_market, snark_ctx):
+        """The audit binds storage to statement.  An asset with the
+        published plaintext, commitment and blinder but a fresh key and
+        nonce has a *valid* pi_e that matches the on-chain commitment —
+        yet it speaks about a ciphertext the token's URI does not hold."""
+        market, _alice, source, _derived = audited_market
+        fresh = DataAsset.create(source.asset.plaintext)
+        other = dataclasses.replace(
+            fresh,
+            data_commitment=source.asset.data_commitment,
+            data_blinder=source.asset.data_blinder,
+        )
+        assert other.ciphertext != source.asset.ciphertext
+        pi_e = prove_encryption(snark_ctx, other)
+        assert verify_encryption(snark_ctx, other.public_view(), pi_e)
+        assert pi_e.data_commitment == source.asset.data_commitment.value
+        honest = market._pi_e_registry[source.token_id]
+        market._pi_e_registry[source.token_id] = pi_e
+        try:
+            report = market.audit(source.token_id)
+        finally:
+            market._pi_e_registry[source.token_id] = honest
+        assert not report.ok
+        assert report.failed_checks() == ["ciphertext resolves and matches its URI"]
+        assert market.audit(source.token_id).ok

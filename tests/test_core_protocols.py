@@ -24,6 +24,7 @@ from repro.core.transform_protocol import (
 )
 from repro.core.transformations import Duplication
 from repro.core.zkcp import ZKCPExchange
+from repro.plonk.circuit import CircuitBuilder
 
 pytestmark = pytest.mark.slow
 
@@ -42,6 +43,24 @@ def pi_e(snark_ctx, asset):
 class TestTransformationProtocol:
     def test_pi_e_verifies(self, snark_ctx, asset, pi_e):
         assert verify_encryption(snark_ctx, asset.public_view(), pi_e)
+
+    def test_repeat_verification_compiles_nothing(self, snark_ctx, asset, pi_e, monkeypatch):
+        """Verifiers look their keys up by shape: after the first call for
+        (kind, sizes, predicate / transformation) no circuit is built."""
+        _derived, pi_t = prove_transformation(snark_ctx, [asset], Duplication())
+        assert verify_encryption(snark_ctx, asset.public_view(), pi_e)
+        assert verify_transformation(snark_ctx, Duplication(), pi_t)
+
+        def no_compile(self, check=True):
+            raise AssertionError("a verifier compiled a circuit for a shape it had seen")
+
+        monkeypatch.setattr(CircuitBuilder, "compile", no_compile)
+        assert verify_encryption(snark_ctx, asset.public_view(), pi_e)
+        # An equal transformation, not the same object: keyed by value.
+        assert verify_transformation(snark_ctx, Duplication(), pi_t)
+        # Another predicate is another circuit, so it does compile.
+        with pytest.raises(AssertionError, match="compiled a circuit"):
+            verify_encryption(snark_ctx, asset.public_view(), pi_e, predicate=lambda b, pt: None)
 
     def test_pi_e_bound_to_statement(self, snark_ctx, asset, pi_e):
         other = DataAsset.create([101, 202], key=999, nonce=777)

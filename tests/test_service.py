@@ -282,6 +282,29 @@ class TestBatchSettlementContracts:
         assert receipt.status
         assert receipt.return_value == ()
 
+    def test_unreduced_masked_key_is_refused_and_refundable(self, snark_ctx, pik_bundles):
+        """k_c + r hashes and evaluates like k_c, so pi_k used to settle
+        under it — and the arbiter stored the alias as ``masked_key``.
+        One proof, one on-chain statement: the alias fails verification on
+        both entry points and the buyer's escrow stays refundable."""
+        asset, bundles = pik_bundles
+        node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 2)
+        (e0, b0), (e1, b1) = locked
+        single = node.chain.transact(
+            session.seller.address, node.arbiter, "submit_key",
+            e0, b0.masked_key + R, b0.proof_bytes,
+        )
+        assert not single.status and "pi_k verification failed" in single.error
+        batch = node.chain.transact(
+            node.operator, node.arbiter, "submit_key_batch",
+            ((e0, b0.masked_key + R, b0.proof_bytes), (e1, b1.masked_key, b1.proof_bytes)),
+        )
+        assert batch.status and batch.return_value == (e1,)
+        assert node.chain.call_view(node.arbiter, "masked_key", e0) is None
+        before = node.chain.balance_of(buyer)
+        assert node.chain.transact(buyer, node.arbiter, "refund", e0).status
+        assert node.chain.balance_of(buyer) == before + PRICE
+
     def test_batch_gas_amortises_the_pairing(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles
         node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 3)

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.chain import Blockchain
+from repro.chain.contract import ExecutionContext
 from repro.contracts import PlonkVerifierContract
 from repro.errors import SRSError
 from repro.core.snark import SnarkContext
+from repro.field.fr import MODULUS as R
 from repro.plonk import CircuitBuilder, prove
 
 
@@ -78,3 +80,71 @@ class TestVerifierContract:
             contract, "verify_view", tuple(assignment.public_inputs), proof.to_bytes()
         )
         assert chain.call_view(contract, "circuit_size") == keys.vk.n
+
+    def _deployed(self, snark_ctx):
+        layout, assignment = _toy_layout()
+        keys = snark_ctx.keys_for(layout)
+        chain = Blockchain()
+        operator = chain.create_account(funded=10**12)
+        contract = PlonkVerifierContract(keys.vk)
+        chain.deploy(contract, operator)
+        member = (tuple(assignment.public_inputs), prove(keys.pk, assignment).to_bytes())
+        return chain, operator, contract, member
+
+    def test_batch_charge_is_the_folds_term_count(self, snark_ctx):
+        """(11k + 10) ECMUL + ECADD, k hashings, one 2-pair check."""
+        chain, operator, contract, _member = self._deployed(snark_ctx)
+        s = chain.schedule
+        hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
+
+        def charged(k):
+            contract._ctx = ExecutionContext(chain, operator, 0, gas_limit=10**9)
+            try:
+                contract._charge_batch_verification_gas(k)
+                return contract._ctx.gas_used
+            finally:
+                contract._ctx = None
+
+        for k in (1, 2, 8, 64):
+            assert charged(k) == (
+                (11 * k + 10) * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2)
+            )
+        # Against the evaluate-then-fold verifier's k * (21 ECMUL + 23
+        # ECADD): a batch of one moves by two ECADDs (0.12% of the charge),
+        # a batch of eight drops 54k gas a member.
+        def before(k):
+            return k * (21 * s.ecmul + 23 * s.ecadd + hashing) + s.pairing_cost(2)
+
+        assert before(1) - charged(1) == 2 * s.ecadd
+        assert (before(8) - charged(8)) // 8 == 54_112
+
+    def test_failed_fold_still_charges_every_recheck(self, snark_ctx):
+        chain, operator, contract, (publics, proof_bytes) = self._deployed(snark_ctx)
+        s = chain.schedule
+        single = (
+            19 * s.ecmul + 21 * s.ecadd + s.pairing_cost(2)
+            + 15 * (s.sha_base + 2 * s.sha_per_word)
+        )
+        clean = chain.transact(operator, contract, "verify_batch", ((publics, proof_bytes),) * 4)
+        assert clean.status and clean.return_value == (True,) * 4
+        # Same calldata length and zero-byte profile: 9 -> 8 in one member.
+        poisoned_member = ((publics[0] - 1,), proof_bytes)
+        poisoned = chain.transact(
+            operator, contract, "verify_batch",
+            ((publics, proof_bytes),) * 3 + (poisoned_member,),
+        )
+        assert poisoned.status and poisoned.return_value == (True, True, True, False)
+        assert poisoned.gas_used - clean.gas_used == 4 * single
+
+    def test_public_input_aliases_are_refused_on_chain(self, snark_ctx):
+        chain, operator, contract, (publics, proof_bytes) = self._deployed(snark_ctx)
+        for alias in (publics[0] + R, publics[0] - R):
+            receipt = chain.transact(operator, contract, "verify", (alias,), proof_bytes)
+            assert receipt.status and receipt.return_value is False
+            batch = chain.transact(
+                operator,
+                contract,
+                "verify_batch",
+                ((publics, proof_bytes), ((alias,), proof_bytes)),
+            )
+            assert batch.status and batch.return_value == (True, False)

@@ -16,6 +16,7 @@ from repro.chain import Blockchain, Contract, external
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
+from repro.plonk.batch import batch_verify
 from repro.plonk.verifier import verify
 from repro.telemetry import workers
 from repro.telemetry.metrics import (
@@ -379,6 +380,28 @@ class TestKernelAccounting:
             engine.msm_srs(srs, [1] * 2048)
         assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 2
         assert telemetry.counter("engine.cache.hits", cache="msm_window").value == len(lengths)
+
+    def test_a_batch_is_two_msms_and_one_pairing_whatever_its_size(self, snark_ctx):
+        """The fold multiplies once: k members' terms go through exactly
+        two G1 MSMs (2k and 9k + 10 points under one key) and one 2-pair
+        check — for verify (k = 1) as for a batch."""
+        layout, assignment = _tiny_circuit()
+        keys = snark_ctx.keys_for(layout)
+        engine = SerialEngine()
+        member = (keys.vk, assignment.public_inputs, prove(keys.pk, assignment, engine=engine))
+        telemetry.set_level(telemetry.METRICS)
+        for k in (1, 5):
+            telemetry.reset_metrics()
+            if k == 1:
+                assert verify(*member, engine=engine)
+            else:
+                assert batch_verify([member] * k, engine=engine)
+            assert telemetry.counter("engine.msm.calls", group="g1").value == 2
+            points = telemetry.histogram("engine.msm.points", group="g1")
+            assert (points.count, points.total) == (2, 2 * k + 9 * k + 10)
+            assert telemetry.counter("engine.pairing.calls").value == 1
+            pairs = telemetry.histogram("engine.pairing.pairs")
+            assert (pairs.count, pairs.total) == (1, 2)
 
     def test_parallel_and_serial_report_identical_totals(self, snark_ctx):
         """Kernel metrics are recorded at the dispatch site, so backend
