@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from repro import faults
@@ -27,38 +28,40 @@ from repro.chain.gas import DEFAULT_SCHEDULE, GasSchedule
 from repro.chain.mempool import Mempool, PendingTx
 
 
+def _encode_value(out: bytearray, value) -> None:
+    if isinstance(value, bool):
+        out.extend(int(value).to_bytes(32, "big"))
+    elif isinstance(value, int):
+        out.extend((value % (1 << 256)).to_bytes(32, "big"))
+    elif isinstance(value, str):
+        out.extend(len(value).to_bytes(32, "big"))
+        out.extend(value.encode())
+    elif isinstance(value, bytes):
+        out.extend(len(value).to_bytes(32, "big"))
+        out.extend(value)
+    elif isinstance(value, (list, tuple)):
+        out.extend(len(value).to_bytes(32, "big"))
+        for item in value:
+            _encode_value(out, item)
+    elif value is None:
+        out.extend(b"\x00" * 32)
+    else:  # objects with a canonical byte form
+        to_bytes = getattr(value, "to_bytes", None)
+        if callable(to_bytes):
+            data = value.to_bytes()
+            out.extend(len(data).to_bytes(32, "big"))
+            out.extend(data)
+        else:
+            raise ChainError("cannot encode calldata value %r" % (value,))
+
+
 def encode_calldata(method: str, args: tuple) -> bytes:
     """Deterministic ABI-style encoding used for calldata gas metering."""
     out = bytearray(hashlib.sha256(method.encode()).digest()[:4])
-
-    def enc(value):
-        if isinstance(value, bool):
-            out.extend(int(value).to_bytes(32, "big"))
-        elif isinstance(value, int):
-            out.extend((value % (1 << 256)).to_bytes(32, "big"))
-        elif isinstance(value, str):
-            out.extend(len(value).to_bytes(32, "big"))
-            out.extend(value.encode())
-        elif isinstance(value, bytes):
-            out.extend(len(value).to_bytes(32, "big"))
-            out.extend(value)
-        elif isinstance(value, (list, tuple)):
-            out.extend(len(value).to_bytes(32, "big"))
-            for item in value:
-                enc(item)
-        elif value is None:
-            out.extend(b"\x00" * 32)
-        else:  # objects with a canonical byte form
-            to_bytes = getattr(value, "to_bytes", None)
-            if callable(to_bytes):
-                data = value.to_bytes()
-                out.extend(len(data).to_bytes(32, "big"))
-                out.extend(data)
-            else:
-                raise ChainError("cannot encode calldata value %r" % (value,))
-
+    # Not a closure over ``out``: a nested function that calls itself is a
+    # reference cycle, one per transaction, only the collector can free.
     for a in args:
-        enc(a)
+        _encode_value(out, a)
     return bytes(out)
 
 
@@ -167,7 +170,12 @@ class Blockchain:
         address = "0x" + hashlib.sha256(
             b"contract:%s:%d" % (type(contract).__name__.encode(), next(self._counter))
         ).hexdigest()[:40]
-        contract._bind(self, address)
+        # The chain owns its contracts; they refer back weakly, so a chain
+        # nobody holds is freed by reference counting with its receipts
+        # and events rather than waiting for the cycle collector.  (Bound
+        # here, not in Contract._bind: a contract method's bytecode is
+        # what code_size() meters.)
+        contract._bind(weakref.proxy(self), address)
         self.contracts[address] = contract
         self._balances[address] = 0
         gas = self.schedule.deployment_cost(contract.code_size())
@@ -362,14 +370,17 @@ class Blockchain:
 
         Combines (AND semantics) any of: event ``name``, emitting contract
         ``address`` (a hex string or a deployed :class:`Contract`), exact
-        ``field=value`` matches on event fields, and an arbitrary
-        ``where(event) -> bool`` predicate for anything richer::
+        ``field=value`` matches on event fields (``field=None`` also matches
+        events without the field), and an arbitrary ``where(event) -> bool``
+        predicate for anything richer::
 
             chain.query_events("Transfer", token_id=3)
             chain.query_events("Locked", address=arbiter, where=lambda e: e.get("amount") > 10**6)
 
         Events are returned in emission order across all successful
-        transactions (reverted transactions log nothing).  Under a fault
+        transactions (reverted transactions log nothing).  A ``name`` with a
+        ``field=value`` costs its hits, not the log: :class:`EventIndex`
+        keeps a value table per queried ``(name, field)``.  Under a fault
         plan the ``chain.events`` site models event-delivery lag: a
         ``delay`` fault raises :class:`repro.errors.EventDelayError`
         (transient — re-query after backoff).
@@ -377,17 +388,10 @@ class Blockchain:
         faults.check("chain.events")
         if address is not None and not isinstance(address, str):
             address = address.address  # a deployed Contract instance
-        # Name/address narrowing is an O(1) posting-list hit in the
-        # emission-order index; only the already-narrowed candidates pay
-        # the per-event field/predicate checks.
-        out = []
-        for event in self._event_index.select(name=name, address=address):
-            if fields and any(event.get(k) != v for k, v in fields.items()):
-                continue
-            if where is not None and not where(event):
-                continue
-            out.append(event)
-        return out
+        # Name, address and exact field filters are posting-list hits in
+        # the emission-order index; only what they leave pays the predicate.
+        hits = self._event_index.select(name, address, fields)
+        return hits if where is None else [event for event in hits if where(event)]
 
     def query_events_linear(
         self,

@@ -25,7 +25,10 @@ load simulator's whole-run digest relies on.
 Implementation: two lazily-synchronised binary heaps (a serving max-heap
 and an eviction min-heap) over the same entries, with a live-sequence
 set as the tombstone filter.  ``add``/``pop``/``evict`` are all
-O(log n) amortised.
+O(log n) amortised.  A mined transaction leaves a stale entry in the
+eviction heap; :meth:`Mempool.pop` rebuilds that heap from the live set
+once stale entries outnumber live ones, so it stays within twice the
+pool's size on a chain that never fills its pool.
 """
 
 from __future__ import annotations
@@ -141,6 +144,13 @@ class Mempool:
             neg_fee, seq = heapq.heappop(self._serve)
             tx = self._txs.pop(seq, None)
             if tx is not None:
+                if len(self._evict) > 2 * len(self._txs):
+                    # Only a full pool pops the eviction heap, so without
+                    # this it keeps an entry for every transaction ever
+                    # mined.  Keys are unique: the order it yields is the
+                    # same whatever its layout.
+                    self._evict = [(live.fee, -live.seq) for live in self._txs.values()]
+                    heapq.heapify(self._evict)
                 return tx
         return None
 

@@ -14,12 +14,12 @@ from repro.field.fr import MODULUS as R
 from repro.gadgets.boolean import select
 from repro.gadgets.poseidon import poseidon_permutation
 from repro.plonk.circuit import CircuitBuilder, Wire
-from repro.primitives.poseidon import Poseidon
+from repro.primitives.poseidon import permute
 
 
 def _hash2(left: int, right: int) -> int:
     """Fixed-arity 2-to-1 compression: one Poseidon permutation."""
-    return Poseidon.get(3).permute([0, left % R, right % R])[0]
+    return permute([0, left, right])[0]
 
 
 def _hash2_gadget(builder: CircuitBuilder, left: Wire, right: Wire) -> Wire:

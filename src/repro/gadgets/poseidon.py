@@ -4,8 +4,9 @@ Used for the Open(m, c, o) = 1 clauses of the transformation and exchange
 protocols: the circuit recomputes the Poseidon commitment from the witness
 message and blinder and constrains it to equal the public commitment.
 
-Same function as :mod:`repro.primitives.poseidon` (the oracle the tests
-compare against), laid out for the cubic gate ``q3*a*a*b``:
+Same function as :mod:`repro.primitives.poseidon`, whose constants and
+partial-round tables are imported here (one derivation, a native and an
+in-circuit consumer), laid out for the cubic gate ``q3*a*a*b``:
 
 - an S-box ``(s + c)^5`` is two gates, the round constant folded into the
   coefficients, so there are no add-constant rows;
@@ -23,14 +24,20 @@ is 451 / 453.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.field.fr import MODULUS as R, inv
+from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import CircuitBuilder, Wire
-from repro.primitives.poseidon import ALPHA, Poseidon
-
-#: The gadgets are laid out for the paper's t = 3 instance (rate 2).
-WIDTH = 3
+from repro.primitives.poseidon import (
+    ALPHA,
+    FULL_ROUNDS,
+    LANES_BACK,
+    MDS,
+    PARTIAL_ROUNDS,
+    PARTIAL_ROWS,
+    ROUND_CONSTANTS,
+    WIDTH,
+    permute,
+)
 
 assert ALPHA == 5, "S-box gates are unrolled for x^5"
 
@@ -69,77 +76,23 @@ def _combine(builder: CircuitBuilder, terms, constant: int = 0):
     return builder.linear_combination(live, constant)
 
 
-def _full_round(builder: CircuitBuilder, spec: Poseidon, rnd: int, lanes: list) -> list:
-    rc = spec.round_constants[rnd * WIDTH : (rnd + 1) * WIDTH]
+def _full_round(builder: CircuitBuilder, rnd: int, lanes: list) -> list:
+    rc = ROUND_CONSTANTS[rnd * WIDTH : (rnd + 1) * WIDTH]
     boxed = [
         _Known(pow(lane.value + c, ALPHA, R))
         if isinstance(lane, _Known)
         else _sbox(builder, lane, c)
         for lane, c in zip(lanes, rc)
     ]
-    return [_combine(builder, zip(row, boxed)) for row in spec.mds]
+    return [_combine(builder, zip(row, boxed)) for row in MDS]
 
 
-def _mat_vec(m, v) -> tuple:
-    return tuple((row[0] * v[0] + row[1] * v[1]) % R for row in m)
-
-
-def _mat_mul(m, k) -> tuple:
-    return tuple(
-        tuple((row[0] * k[0][j] + row[1] * k[1][j]) % R for j in range(2)) for row in m
-    )
-
-
-@lru_cache(maxsize=None)
-def _partial_round_tables() -> tuple:
-    """Coefficients of the partial rounds in lane coordinates.
-
-    Write the MDS matrix as ``[[m00, m0^T], [b, A]]``.  A partial round maps
-    ``(s0, l)`` to ``y = (s0 + c0)^5``, ``s0' = m00*y + m0.(l + cl)``,
-    ``l' = b*y + A(l + cl)``.  With ``sigma_p = A^-p l_p`` that is
-
-        s0'    = m00*y + ((A^T)^p m0).sigma + m0.cl
-        sigma' = sigma + (A^-(p+1) b)*y + A^-p cl
-
-    — ``A`` is invertible because every square block of an MDS matrix is.
-    Returns one ``(c0, read, read_const, inject, lane_const)`` row per
-    partial round and ``A^60``, which maps the lanes back.  Derived once:
-    sellers and verifiers rebuild these circuits on every call.
-    """
-    spec = Poseidon.get(WIDTH)
-    rc, mds = spec.round_constants, spec.mds
-    m0 = mds[0][1:]
-    b = (mds[1][0], mds[2][0])
-    a = (mds[1][1:], mds[2][1:])
-    det_inv = inv((a[0][0] * a[1][1] - a[0][1] * a[1][0]) % R)
-    a_inv = (
-        (a[1][1] * det_inv % R, -a[0][1] * det_inv % R),
-        (-a[1][0] * det_inv % R, a[0][0] * det_inv % R),
-    )
-    a_t = ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
-    fwd = bwd = ((1, 0), (0, 1))  # A^p, A^-p
-    read = m0  # (A^T)^p m0
-    rows = []
-    first = spec.full_rounds // 2
-    for rnd in range(first, first + spec.partial_rounds):
-        c0, *cl = rc[rnd * WIDTH : (rnd + 1) * WIDTH]
-        lane_const = _mat_vec(bwd, cl)
-        bwd = _mat_mul(bwd, a_inv)
-        rows.append(
-            (c0, read, (m0[0] * cl[0] + m0[1] * cl[1]) % R, _mat_vec(bwd, b), lane_const)
-        )
-        read = _mat_vec(a_t, read)
-        fwd = _mat_mul(fwd, a)
-    return tuple(rows), fwd
-
-
-def _partial_rounds(builder: CircuitBuilder, spec: Poseidon, lanes: list[Wire]) -> list[Wire]:
+def _partial_rounds(builder: CircuitBuilder, lanes: list[Wire]) -> list[Wire]:
     """All partial rounds: per round 2 S-box gates, 2 for the next S-box
     input, 1 per lane; plus 2 at the end to leave lane coordinates."""
-    rows, back = _partial_round_tables()
-    m00 = spec.mds[0][0]
+    m00 = MDS[0][0]
     s0, sig1, sig2 = lanes
-    for c0, read, read_const, inject, lane_const in rows:
+    for c0, read, read_const, inject, lane_const in PARTIAL_ROWS:
         y = _sbox(builder, s0, c0)
         s0 = builder.linear_combination(
             [(read[0], sig1), (read[1], sig2), (m00, y)], read_const
@@ -147,22 +100,21 @@ def _partial_rounds(builder: CircuitBuilder, spec: Poseidon, lanes: list[Wire]) 
         sig1 = builder.linear_combination([(1, sig1), (inject[0], y)], lane_const[0])
         sig2 = builder.linear_combination([(1, sig2), (inject[1], y)], lane_const[1])
     return [s0] + [
-        builder.linear_combination([(row[0], sig1), (row[1], sig2)]) for row in back
+        builder.linear_combination([(row[0], sig1), (row[1], sig2)]) for row in LANES_BACK
     ]
 
 
 def _permute(builder: CircuitBuilder, lanes: list) -> list:
     """The permutation over lanes that are wires or :class:`_Known`."""
-    spec = Poseidon.get(WIDTH)
     if all(isinstance(lane, _Known) for lane in lanes):
-        return [_Known(v) for v in spec.permute([lane.value for lane in lanes])]
-    half_full = spec.full_rounds // 2
+        return [_Known(v) for v in permute([lane.value for lane in lanes])]
+    half_full = FULL_ROUNDS // 2
     for rnd in range(half_full):
-        lanes = _full_round(builder, spec, rnd, lanes)
+        lanes = _full_round(builder, rnd, lanes)
     # One live lane makes every lane live after a round: no MDS entry is 0.
-    lanes = _partial_rounds(builder, spec, lanes)
-    for rnd in range(half_full + spec.partial_rounds, spec.full_rounds + spec.partial_rounds):
-        lanes = _full_round(builder, spec, rnd, lanes)
+    lanes = _partial_rounds(builder, lanes)
+    for rnd in range(half_full + PARTIAL_ROUNDS, FULL_ROUNDS + PARTIAL_ROUNDS):
+        lanes = _full_round(builder, rnd, lanes)
     return lanes
 
 

@@ -9,7 +9,7 @@ is enforced by tests.
 """
 
 from repro.primitives.mimc import MiMC, mimc_encrypt_ctr, mimc_decrypt_ctr
-from repro.primitives.poseidon import Poseidon, poseidon_hash
+from repro.primitives.poseidon import poseidon_hash
 from repro.primitives.commitment import Commitment, commit, open_commitment
 from repro.primitives.encoding import bytes_to_elements, elements_to_bytes
 from repro.primitives.hashing import field_hash, digest_hex
@@ -17,7 +17,6 @@ from repro.primitives.hashing import field_hash, digest_hex
 __all__ = [
     "Commitment",
     "MiMC",
-    "Poseidon",
     "bytes_to_elements",
     "commit",
     "digest_hex",

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.field.fr import MODULUS as R
 from repro.primitives.poseidon import poseidon_hash
 
 
 def field_hash(*values: int) -> int:
     """Circuit-friendly hash of field elements (Poseidon sponge)."""
-    return poseidon_hash([v % R for v in values])
+    return poseidon_hash(values)
 
 
 def digest_hex(data: bytes) -> str:

@@ -1,12 +1,16 @@
 """Tests for the blockchain substrate: gas metering, atomicity, blocks,
 and the fee-ordered mempool."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import Blockchain, Contract, Mempool, external, view
 from repro.chain.blockchain import encode_calldata
+from repro.chain.events import Event
 from repro.chain.gas import DEFAULT_SCHEDULE
 from repro.errors import ChainError, ContractError, MempoolFullError
 
@@ -33,6 +37,29 @@ class Counter(Contract):
     @view
     def count(self) -> int:
         return self._storage.get("count") or 0
+
+
+class Logger(Contract):
+    """Emits whatever it is handed, so a test can log what ``emit(**fields)``
+    cannot spell: a repeated key, a missing one."""
+
+    @external
+    def log(self, name: str, fields) -> None:
+        self._ctx.events.append(Event(self.address, name, tuple(fields)))
+
+
+_EVENT_NAMES = st.sampled_from(["Minted", "Transfer"])
+_FIELD_KEYS = st.sampled_from(["token_id", "to", "prev_ids"])
+_FIELD_VALUES = st.one_of(
+    st.integers(0, 3),
+    st.none(),
+    st.booleans(),  # True == 1 and hashes alike: both paths must agree on that too
+    st.sampled_from(["0xa", "0xb"]),
+    st.lists(st.integers(0, 2), max_size=2),  # unhashable, as prev_ids=[...] is
+    st.tuples(st.integers(0, 1), st.lists(st.integers(0, 1), max_size=1)),  # unhashable inside
+)
+#: Up to four (key, value) pairs from three keys: repeats happen.
+_EVENT_FIELDS = st.lists(st.tuples(_FIELD_KEYS, _FIELD_VALUES), max_size=4)
 
 
 @pytest.fixture
@@ -65,6 +92,31 @@ class TestDeployment:
         assert receipt.gas_used == expected
         assert receipt.gas_used > 50000
         assert contract.address in chain.contracts
+
+    def test_dropped_chain_is_freed_without_the_collector(self):
+        """Contracts refer to their chain weakly: chain -> contract -> chain
+        would park every receipt and event until a collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            chain = Blockchain()
+            sender = chain.create_account(funded=10**9)
+            contract = Counter()
+            chain.deploy(contract, sender)
+            chain.transact(sender, contract, "increment", 1)
+            chain.submit(sender, contract, "increment", 2, fee=1)
+            chain.mine_round()
+            assert chain.call_view(contract, "count") == 3
+            gone = weakref.ref(chain)
+            del chain
+            assert gone() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        # A contract that outlives its chain fails loudly, it does not
+        # meter against nothing.
+        with pytest.raises(ReferenceError):
+            contract.schedule
 
     def test_transact_on_undeployed_contract(self, chain):
         sender = chain.create_account()
@@ -242,6 +294,38 @@ class TestMempool:
         assert evicted == [second] and pool.fee_floor() == 1
         assert first.seq in [tx.seq for tx in pool.drain_order()]
 
+    def test_eviction_heap_is_bounded_by_the_live_set(self):
+        """Mined transactions must not stay in the eviction heap until the
+        pool next fills: on a chain that never fills it that is one tuple
+        a transaction, for the life of the chain."""
+        pool = Mempool(capacity=64)
+        for burst in range(500):
+            for i in range(8):
+                pool.add("0xa", object(), "m", fee=(burst * 7 + i * 3) % 11)
+            assert len(pool.take(6)) == 6
+            assert len(pool._evict) <= 2 * len(pool) + 1
+            if len(pool) > 40:
+                pool.take(len(pool))
+                assert pool._evict == []
+        assert pool.admitted == 4000 and pool.evicted == 0
+
+    def test_eviction_order_survives_heap_rebuilds(self):
+        """Under pressure the victims are still cheapest-first, latest
+        arrival first among equals, whatever was mined in between."""
+        pool = Mempool(capacity=12)
+        for i in range(60):  # churn: rebuilds happen here
+            pool.add("0xa", object(), "m", fee=i % 5)
+            if len(pool) > 6:
+                pool.take(3)
+        assert len(pool._evict) <= 2 * len(pool) + 1
+        while len(pool) < pool.capacity:
+            pool.add("0xa", object(), "m", fee=len(pool) % 4)
+        resident = pool.drain_order()
+        expected = sorted(resident, key=lambda tx: (tx.fee, -tx.seq))[:5]
+        for _ in range(5):
+            pool.add("0xb", object(), "m", fee=100)
+        assert pool.drain_evicted() == expected
+
     def test_undeployed_contract_rejected_at_submit(self, chain):
         sender = chain.create_account()
         with pytest.raises(ChainError):
@@ -318,6 +402,75 @@ class TestLanes:
         for kwargs in queries:
             assert chain.query_events(**kwargs) == chain.query_events_linear(**kwargs), kwargs
         assert chain.verify_chain()
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("emit"), st.integers(0, 1), _EVENT_NAMES, _EVENT_FIELDS),
+                st.tuples(
+                    st.just("query"),
+                    st.one_of(st.none(), st.integers(0, 1)),
+                    st.one_of(st.none(), _EVENT_NAMES),
+                    st.dictionaries(_FIELD_KEYS, _FIELD_VALUES, max_size=2),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_field_postings_match_linear_oracle_between_emits(self, steps):
+        """``field=value`` filters are served from per-(name, field) tables
+        that the first query builds and later ones extend: interleave emits
+        and queries so every table is read stale, and log what a table
+        must not mistake — a field that is missing, ``None``, repeated
+        (the first occurrence counts), unhashable — alone, in pairs and
+        under an address."""
+        chain = Blockchain()
+        sender = chain.create_account(funded=10**9)
+        loggers = [Logger(), Logger()]
+        for logger in loggers:
+            chain.deploy(logger, sender)
+        asked = []
+        for kind, which, name, fields in steps:
+            if kind == "emit":
+                chain.transact(sender, loggers[which], "log", name, fields)
+                continue
+            kwargs = dict(fields)
+            if name is not None:
+                kwargs["name"] = name
+            if which is not None:
+                kwargs["address"] = loggers[which]
+            asked.append(kwargs)
+            assert chain.query_events(**kwargs) == chain.query_events_linear(**kwargs), kwargs
+        for kwargs in asked:  # again, now that every table lags the whole log
+            assert chain.query_events(**kwargs) == chain.query_events_linear(**kwargs), kwargs
+
+    def test_field_query_costs_its_hits_not_the_log(self, monkeypatch):
+        chain = Blockchain()
+        sender = chain.create_account(funded=10**9)
+        logger = Logger()
+        chain.deploy(logger, sender)
+        for token_id in range(5_000):
+            fields = (("token_id", token_id), ("to", sender))
+            chain.transact(sender, logger, "log", "Minted", fields)
+        assert len(chain.query_events("Minted", token_id=7)) == 1  # the first query reads the log
+        chain.transact(sender, logger, "log", "Minted", (("token_id", 4_242), ("to", "0xb")))
+        calls = []
+        plain_get = Event.get
+
+        def counting_get(event, key, default=None):
+            calls.append(key)
+            return plain_get(event, key, default)
+
+        monkeypatch.setattr(Event, "get", counting_get)
+        hits = chain.query_events("Minted", token_id=4_242)
+        assert [event.get("to") for event in hits] == [sender, "0xb"]
+        # One read of the event emitted since, nothing per event of the log.
+        assert len(calls) <= 1 + 2 * len(hits)
+        calls.clear()
+        assert len(chain.query_events("Minted", token_id=4_242, to="0xb")) == 1
+        assert len(calls) <= 2 * len(hits)
 
 
 class TestCalldata:

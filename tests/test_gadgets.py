@@ -31,7 +31,8 @@ from repro.gadgets.merkle import MerkleTree, assert_merkle_membership
 from repro.gadgets.mimc import assert_ctr_encryption, mimc_block
 from repro.gadgets.poseidon import assert_commitment_opens, poseidon_hash_gadget, poseidon_permutation
 from repro.plonk.circuit import CircuitBuilder
-from repro.primitives import MiMC, Poseidon, commit, mimc_encrypt_ctr, poseidon_hash
+from repro.primitives import MiMC, commit, mimc_encrypt_ctr
+from tests.poseidon_oracle import Poseidon, poseidon_hash
 
 
 def compile_ok(builder):
@@ -261,8 +262,9 @@ def assert_deterministic(builder, inputs):
 
 
 class TestCubicGateGadgetsMatchNative:
-    """The rewritten Poseidon / MiMC gadgets against the untouched native
-    primitives, on seeded random field elements."""
+    """The Poseidon / MiMC gadgets against the textbook native forms
+    (Poseidon's is ``tests/poseidon_oracle.py``: the library's shares its
+    partial-round tables with the gadget), on seeded random field elements."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     def test_hash(self, count, chaos_seed):

@@ -10,7 +10,9 @@ steers (seed, mix, profile) through the environment so a red run prints
 a one-command replay line.
 """
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -106,6 +108,23 @@ class TestSimulation:
         assert balances.hexdigest() == (
             "27131ff9acfb281d85f9ccb880563416639967b8d43c5a11d49ddd87148ffa22"
         )
+
+    def test_finished_simulator_is_freed_without_the_collector(self):
+        """A benchmark segment holds finished episodes; what it lets go of
+        must go at once — simulator, chain, receipts, events — or peak
+        memory follows the collector's schedule, not the workload."""
+        gc.collect()
+        gc.disable()
+        try:
+            sim = LoadSimulator(SimConfig(**_SMOKE))
+            assert sim.run().violations == []
+            assert len(sim.chain.receipts) > 100
+            gone = [weakref.ref(sim), weakref.ref(sim.chain), weakref.ref(sim.chain.receipts[-1])]
+            del sim
+            assert [ref() for ref in gone] == [None, None, None]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_report_artifact_schema(self):
         report = run_sim(users=50, ops=60, dht_nodes=6, churn_every=0)

@@ -8,7 +8,6 @@ from repro.errors import FieldError, ReproError
 from repro.field.fr import MODULUS as R
 from repro.primitives import (
     MiMC,
-    Poseidon,
     bytes_to_elements,
     commit,
     elements_to_bytes,
@@ -18,8 +17,13 @@ from repro.primitives import (
     open_commitment,
     poseidon_hash,
 )
+from repro.primitives.poseidon import permute
+from tests import poseidon_oracle
 
 elements = st.integers(min_value=0, max_value=R - 1)
+#: Lane values as callers may hand them in: the edges, reduced elements, and
+#: anything an integer can be (negative, several multiples of R too large).
+lanes = st.one_of(st.sampled_from([0, 1, R - 1, R, -1]), elements, st.integers(-(R**3), R**3))
 
 
 class TestMiMC:
@@ -62,13 +66,14 @@ class TestMiMC:
 
 class TestPoseidon:
     def test_permutation_deterministic_and_width_checked(self):
-        p = Poseidon.get(3)
-        out1 = p.permute([1, 2, 3])
-        out2 = p.permute([1, 2, 3])
+        out1 = permute([1, 2, 3])
+        out2 = permute([1, 2, 3])
         assert out1 == out2
         assert out1 != [1, 2, 3]
         with pytest.raises(FieldError):
-            p.permute([1, 2])
+            permute([1, 2])
+        with pytest.raises(FieldError):
+            permute([1, 2, 3, 4])
 
     def test_hash_varies_with_input(self):
         assert poseidon_hash([1, 2]) != poseidon_hash([2, 1])
@@ -78,14 +83,49 @@ class TestPoseidon:
     def test_hash_long_input(self):
         out = poseidon_hash(list(range(20)))
         assert 0 <= out < R
+        assert out == poseidon_oracle.poseidon_hash(list(range(20)))
 
-    def test_width_cached(self):
-        assert Poseidon.get(3) is Poseidon.get(3)
-        assert Poseidon.get(3) is not Poseidon.get(4)
+    def test_known_answers(self):
+        """Outputs recorded from ccd2838 (the naive permutation, before the
+        lane-coordinate rewrite): every commitment, hash-lock, token digest
+        and Merkle root on a chain made before this change stays valid."""
+        assert permute([1, 2, 3]) == [
+            0x1B433CE71462FB75288483DBFC29412323E7C82E4FF01E47E763466245909AD3,
+            0x15D5ED4A7244D0EB1B1D129431A2E6617E6C60B7CB663AA2797A087E7A57FA9,
+            0xCBC1B1DC4B679CC3B956980C10E4547E0C5188F442857AB98D77F32446032BF,
+        ]
+        assert permute([R - 1] * 3) == [
+            0x2315955AC7211D22A95673A03C6D3AE94DD4D40E8988F84F43E953553D0DEB5F,
+            0xF1A53C028EBFDD091CF5324273C82CFED67A31086CCACDE4CBDF06B7B9526AE,
+            0x15488C684E915FA56D94C39579CE7E763C552364D15D3AD04322C8D210FD30C9,
+        ]
+        hashes = {
+            0: 0x26D5B9DECC8A1873C22B8952BE04CEBCB436B6A3580DE902FEEDC2DA1ED47878,
+            1: 0x106EF327DC2D1A6F3A37FF1157EF43B2900D54327D6AD0C80F584F8AE0EB05B8,
+            2: 0x2958C70A73D7E3F7A32CD22CD131E1D87F26C5C33409FDF784E4C59C5A87DF6C,
+            3: 0x2BEC4CDD4FDC0224E84AE65A19C0DB6149C2A4D090CC67BECE3F26B8EDC2DFEA,
+            5: 0x83BD66EFFEE82AEEF0BEC4F3248714C5775B65B1D7C409329ACF4019894D91B,
+        }
+        for count, expected in hashes.items():
+            assert poseidon_hash(list(range(1, count + 1))) == expected, count
+        assert permute([0, 0, 0])[0] == hashes[0]  # the empty sponge is one permutation
+        assert field_hash(42) == 0x2FFE3946F0742C08CA2FEFF68B14FC2BE8995B29CD544336F07C56D2B85C2830
+        assert field_hash(1, 2, 3) == hashes[3]
+        # field_hash reduces what it is given, once.
+        assert field_hash(R + 42) == field_hash(42)
+        assert field_hash(-1) == 0xF6577162E216579EA32D49D85EFC2986406909F436872F6D0566F4DAE3070E8
 
-    def test_invalid_width(self):
-        with pytest.raises(FieldError):
-            Poseidon(1)
+    @given(st.lists(lanes, min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_permute_matches_oracle(self, state):
+        assert permute(state) == poseidon_oracle.Poseidon.get(3).permute(state)
+
+    @given(st.lists(lanes, max_size=7))
+    @settings(max_examples=30, deadline=None)
+    def test_hash_matches_oracle(self, inputs):
+        expected = poseidon_oracle.poseidon_hash(inputs)
+        assert poseidon_hash(inputs) == expected
+        assert field_hash(*inputs) == expected
 
     @given(st.lists(elements, max_size=6), st.lists(elements, max_size=6))
     @settings(max_examples=15, deadline=None)
