@@ -140,7 +140,7 @@ class AnalysisConfig:
     protocol_scopes: tuple[str, ...] = ("kzg/", "plonk/", "groth16/")
     #: Kernel modules protocol code must not import directly.
     banned_kernel_modules: frozenset[str] = frozenset(
-        {"repro.field.ntt", "repro.curve.msm", "repro.curve.pairing", "repro.curve.pairing_ref"}
+        {"repro.field.ntt", "repro.curve.msm", "repro.curve.pairing"}
     )
     #: Names importable from banned kernel modules anyway: pure constants
     #: with no execution strategy attached.

@@ -69,7 +69,7 @@ from repro.curve.msm import (
 from repro.curve.pairing import (
     PreparedG2,
     final_exponentiation as _final_exponentiation,
-    miller_loop_prepared as _miller_loop_prepared,
+    multi_miller_loop as _multi_miller_loop,
     pairing_check as _pairing_check_prepared,
     prepare_g2,
 )
@@ -515,7 +515,8 @@ class Engine:
         """The Miller-loop line coefficients of ``q_pt``, cached LRU.
 
         Preparing a G2 point costs the entire G2-side ate loop (~64
-        projective doublings in F_q2); verification keys and SRS points
+        projective doublings in F_q2, one batched inversion to normalise
+        the lines); verification keys and SRS points
         are pairing inputs over and over, so the cache turns every
         pairing after the first into G1-side-only work.  Keyed by affine
         coordinates, so equal points share an entry across SRS/VK
@@ -554,14 +555,14 @@ class Engine:
             return self._pairing(p_pt, prep)
 
     def _pairing(self, p_pt: G1, prep: PreparedG2) -> tuple:
-        return _final_exponentiation(_miller_loop_prepared(prep, p_pt))
+        return _final_exponentiation(_multi_miller_loop([(p_pt, prep)]))
 
     def pairing_check(self, pairs: list, target: tuple | None = None) -> bool:
         """Product-of-pairings check: prod e(P_i, Q_i) == target (or 1).
 
         Each pair is ``(G1, G2 | PreparedG2)``; bare G2 points are
         resolved through the :meth:`prepared_g2` cache before dispatch.
-        One Miller loop per pair, a *single* shared final
+        One interleaved Miller loop over all pairs, a *single* final
         exponentiation.  ``target`` lets callers compare against a
         precomputed GT constant (e.g. Groth16's e(alpha, beta)) instead
         of folding it into the product.

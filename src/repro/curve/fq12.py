@@ -2,22 +2,36 @@
 
 Elements are 12-tuples of ints: the coefficients of a polynomial in ``w``
 reduced modulo ``w^12 - 18*w^6 + 82`` (the flat representation, equivalent
-to the F_q2/F_q6/F_q12 tower with ``w^6 = xi = 9 + u``).  The flat form
-keeps generic products in one tight CPython loop; the *tower structure* is
-recovered on demand (:func:`fq12_to_tower` / :func:`fq12_from_tower`) for
-the kernels where it wins outright:
+to the F_q2/F_q6/F_q12 tower with ``w^6 = xi = 9 + u``).
 
-- :func:`fq12_mul_sparse_013` — multiply by a Miller-loop line, which is
-  non-zero only at tower positions ``w^0, w^1, w^3`` (72 base mults
-  instead of 144);
-- :func:`fq12_square` — Karatsuba on the ``w^6`` split (63 mults);
-- :func:`fq12_frobenius` — precomputed ``gamma`` coefficient tables, no
-  big exponentiation;
-- :func:`fq12_cyclotomic_square` / :func:`fq12_cyclotomic_exp` — the
-  Granger-Scott squaring valid in the cyclotomic subgroup, driving the
-  final exponentiation's hard part;
-- :func:`fq12_inv` — the tower norm chain (one F_q inversion) instead of
-  an extended-Euclid polynomial GCD.
+The four products the pairing spends its time in are written out straight
+line on twelve locals, with one ``% Q`` per output coefficient — Python
+integers do not overflow, so every intermediate sum stays unreduced:
+
+- :func:`fq12_mul` — dense product, one Karatsuba level on the ``w^6``
+  split (108 base products);
+- :func:`fq12_square` — the same split with symmetric halves (78);
+- :func:`fq12_mul_line` — multiply by a unit-normalised Miller-loop line
+  ``1 + e1*w + e3*w^3`` (48);
+- :func:`fq12_cyclotomic_square` — the Granger-Scott squaring valid in the
+  cyclotomic subgroup (18), driving the final exponentiation's hard part.
+
+All three products share one reduction.  Write ``a = A0 + A1*W`` with
+``W = w^6`` and ``A0, A1`` of degree 5 in ``w``; then with ``P = A0*B0``,
+``R = A1*B1`` and ``M = A0*B1 + A1*B0 + 18*R``, the rule ``W^2 = 18*W - 82``
+gives ``a*b = (P - 82*R) + M*W``.  ``P``, ``R`` and ``M`` have degree 10,
+so splitting each at ``w^6`` once more (``X = X_lo + X_hi*W``) lands every
+term on a coefficient below 12:
+
+    ``lo = P_lo - 82*(R_lo + M_hi)``,
+    ``hi = P_hi - 82*R_hi + M_lo + 18*M_hi``.
+
+The *tower structure* is recovered on demand (:func:`fq12_to_tower` /
+:func:`fq12_from_tower`) where it wins outright: :func:`fq12_frobenius`
+(precomputed ``gamma`` tables, no big exponentiation) and :func:`fq12_inv`
+(the tower norm chain, one F_q inversion).  The loop-based schoolbook
+product these kernels replaced is the differential oracle in
+``tests/pairing_oracle.py``.
 
 Tower coordinate convention: an element is ``sum_j c_j * w^j`` with
 ``c_j`` in F_q2 and ``u = w^6 - 9``, so flat index ``j`` holds
@@ -36,16 +50,11 @@ from repro.curve.fq2 import (
     fq2_mul_by_nonresidue,
     fq2_neg,
     fq2_pow,
-    fq2_scalar,
     fq2_square,
     fq2_sub,
 )
 
 DEGREE = 12
-
-#: w^12 = 18*w^6 - 82, i.e. modulus polynomial coefficients for degrees 0..11.
-_MOD_COEFF_6 = 18
-_MOD_COEFF_0 = -82
 
 FQ12_ZERO = (0,) * 12
 FQ12_ONE = (1,) + (0,) * 11
@@ -59,107 +68,181 @@ def fq12(coeffs) -> tuple:
     return tuple(coeffs + [0] * (DEGREE - len(coeffs)))
 
 
-def fq12_add(a: tuple, b: tuple) -> tuple:
-    return tuple((x + y) % Q for x, y in zip(a, b))
-
-
-def fq12_sub(a: tuple, b: tuple) -> tuple:
-    return tuple((x - y) % Q for x, y in zip(a, b))
-
-
-def fq12_neg(a: tuple) -> tuple:
-    return tuple(-x % Q for x in a)
-
-
-def fq12_scalar(a: tuple, k: int) -> tuple:
-    k %= Q
-    return tuple(x * k % Q for x in a)
-
-
-def _reduce(prod: list) -> tuple:
-    """Fold degrees 22..12 down using w^d = 18 w^(d-6) - 82 w^(d-12)."""
-    for d in range(22, 11, -1):
-        c = prod[d]
-        if c:
-            prod[d - 6] += _MOD_COEFF_6 * c
-            prod[d - 12] += _MOD_COEFF_0 * c
-    return tuple(c % Q for c in prod[:12])
+# ----- straight-line products ----------------------------------------------
+#
+# In each kernel p_k, r_k, m_k are the degree-k coefficients of P, R and M
+# from the module docstring, and the return tuple is the shared fold.
 
 
 def fq12_mul(a: tuple, b: tuple) -> tuple:
-    """Schoolbook 12x12 product followed by reduction by w^12 - 18w^6 + 82."""
-    prod = [0] * 23
-    for i in range(12):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(12):
-            bj = b[j]
-            if bj:
-                prod[i + j] += ai * bj
-    return _reduce(prod)
+    """Dense product: Karatsuba on the ``w^6`` split, 3 x 36 base products.
 
-
-def _square_half(p: tuple) -> list:
-    """Square a degree-5 coefficient slice (21 mults, no reduction)."""
-    out = [0] * 11
-    for i in range(6):
-        pi = p[i]
-        if pi == 0:
-            continue
-        out[2 * i] += pi * pi
-        for j in range(i + 1, 6):
-            pj = p[j]
-            if pj:
-                out[i + j] += 2 * pi * pj
-    return out
+    The cross term comes from ``(A0 + A1)(B0 + B1) - P - R``, so
+    ``m_k = s*t - p_k + 17*r_k``.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = b
+    s0 = a0 + a6
+    s1 = a1 + a7
+    s2 = a2 + a8
+    s3 = a3 + a9
+    s4 = a4 + a10
+    s5 = a5 + a11
+    t0 = b0 + b6
+    t1 = b1 + b7
+    t2 = b2 + b8
+    t3 = b3 + b9
+    t4 = b4 + b10
+    t5 = b5 + b11
+    p0 = a0 * b0
+    p1 = a0 * b1 + a1 * b0
+    p2 = a0 * b2 + a1 * b1 + a2 * b0
+    p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    p4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0
+    p5 = a0 * b5 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a5 * b0
+    p6 = a1 * b5 + a2 * b4 + a3 * b3 + a4 * b2 + a5 * b1
+    p7 = a2 * b5 + a3 * b4 + a4 * b3 + a5 * b2
+    p8 = a3 * b5 + a4 * b4 + a5 * b3
+    p9 = a4 * b5 + a5 * b4
+    p10 = a5 * b5
+    r0 = a6 * b6
+    r1 = a6 * b7 + a7 * b6
+    r2 = a6 * b8 + a7 * b7 + a8 * b6
+    r3 = a6 * b9 + a7 * b8 + a8 * b7 + a9 * b6
+    r4 = a6 * b10 + a7 * b9 + a8 * b8 + a9 * b7 + a10 * b6
+    r5 = a6 * b11 + a7 * b10 + a8 * b9 + a9 * b8 + a10 * b7 + a11 * b6
+    r6 = a7 * b11 + a8 * b10 + a9 * b9 + a10 * b8 + a11 * b7
+    r7 = a8 * b11 + a9 * b10 + a10 * b9 + a11 * b8
+    r8 = a9 * b11 + a10 * b10 + a11 * b9
+    r9 = a10 * b11 + a11 * b10
+    r10 = a11 * b11
+    m0 = s0 * t0 + 17 * r0 - p0
+    m1 = s0 * t1 + s1 * t0 + 17 * r1 - p1
+    m2 = s0 * t2 + s1 * t1 + s2 * t0 + 17 * r2 - p2
+    m3 = s0 * t3 + s1 * t2 + s2 * t1 + s3 * t0 + 17 * r3 - p3
+    m4 = s0 * t4 + s1 * t3 + s2 * t2 + s3 * t1 + s4 * t0 + 17 * r4 - p4
+    m5 = s0 * t5 + s1 * t4 + s2 * t3 + s3 * t2 + s4 * t1 + s5 * t0 + 17 * r5 - p5
+    m6 = s1 * t5 + s2 * t4 + s3 * t3 + s4 * t2 + s5 * t1 + 17 * r6 - p6
+    m7 = s2 * t5 + s3 * t4 + s4 * t3 + s5 * t2 + 17 * r7 - p7
+    m8 = s3 * t5 + s4 * t4 + s5 * t3 + 17 * r8 - p8
+    m9 = s4 * t5 + s5 * t4 + 17 * r9 - p9
+    m10 = s5 * t5 + 17 * r10 - p10
+    return (
+        (p0 - 82 * (r0 + m6)) % Q,
+        (p1 - 82 * (r1 + m7)) % Q,
+        (p2 - 82 * (r2 + m8)) % Q,
+        (p3 - 82 * (r3 + m9)) % Q,
+        (p4 - 82 * (r4 + m10)) % Q,
+        (p5 - 82 * r5) % Q,
+        (p6 - 82 * r6 + m0 + 18 * m6) % Q,
+        (p7 - 82 * r7 + m1 + 18 * m7) % Q,
+        (p8 - 82 * r8 + m2 + 18 * m8) % Q,
+        (p9 - 82 * r9 + m3 + 18 * m9) % Q,
+        (p10 - 82 * r10 + m4 + 18 * m10) % Q,
+        m5 % Q,
+    )
 
 
 def fq12_square(a: tuple) -> tuple:
-    """Karatsuba squaring on the ``a = a0 + a1*w^6`` split (63 mults).
+    """Squaring: symmetric halves (2 x 21) and the 36-product cross term."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = a
+    p0 = a0 * a0
+    p1 = 2 * a0 * a1
+    p2 = 2 * a0 * a2 + a1 * a1
+    p3 = 2 * (a0 * a3 + a1 * a2)
+    p4 = 2 * (a0 * a4 + a1 * a3) + a2 * a2
+    p5 = 2 * (a0 * a5 + a1 * a4 + a2 * a3)
+    p6 = 2 * (a1 * a5 + a2 * a4) + a3 * a3
+    p7 = 2 * (a2 * a5 + a3 * a4)
+    p8 = 2 * a3 * a5 + a4 * a4
+    p9 = 2 * a4 * a5
+    p10 = a5 * a5
+    r0 = a6 * a6
+    r1 = 2 * a6 * a7
+    r2 = 2 * a6 * a8 + a7 * a7
+    r3 = 2 * (a6 * a9 + a7 * a8)
+    r4 = 2 * (a6 * a10 + a7 * a9) + a8 * a8
+    r5 = 2 * (a6 * a11 + a7 * a10 + a8 * a9)
+    r6 = 2 * (a7 * a11 + a8 * a10) + a9 * a9
+    r7 = 2 * (a8 * a11 + a9 * a10)
+    r8 = 2 * a9 * a11 + a10 * a10
+    r9 = 2 * a10 * a11
+    r10 = a11 * a11
+    m0 = 2 * a0 * a6 + 18 * r0
+    m1 = 2 * (a0 * a7 + a1 * a6) + 18 * r1
+    m2 = 2 * (a0 * a8 + a1 * a7 + a2 * a6) + 18 * r2
+    m3 = 2 * (a0 * a9 + a1 * a8 + a2 * a7 + a3 * a6) + 18 * r3
+    m4 = 2 * (a0 * a10 + a1 * a9 + a2 * a8 + a3 * a7 + a4 * a6) + 18 * r4
+    m5 = 2 * (a0 * a11 + a1 * a10 + a2 * a9 + a3 * a8 + a4 * a7 + a5 * a6) + 18 * r5
+    m6 = 2 * (a1 * a11 + a2 * a10 + a3 * a9 + a4 * a8 + a5 * a7) + 18 * r6
+    m7 = 2 * (a2 * a11 + a3 * a10 + a4 * a9 + a5 * a8) + 18 * r7
+    m8 = 2 * (a3 * a11 + a4 * a10 + a5 * a9) + 18 * r8
+    m9 = 2 * (a4 * a11 + a5 * a10) + 18 * r9
+    m10 = 2 * a5 * a11 + 18 * r10
+    return (
+        (p0 - 82 * (r0 + m6)) % Q,
+        (p1 - 82 * (r1 + m7)) % Q,
+        (p2 - 82 * (r2 + m8)) % Q,
+        (p3 - 82 * (r3 + m9)) % Q,
+        (p4 - 82 * (r4 + m10)) % Q,
+        (p5 - 82 * r5) % Q,
+        (p6 - 82 * r6 + m0 + 18 * m6) % Q,
+        (p7 - 82 * r7 + m1 + 18 * m7) % Q,
+        (p8 - 82 * r8 + m2 + 18 * m8) % Q,
+        (p9 - 82 * r9 + m3 + 18 * m9) % Q,
+        (p10 - 82 * r10 + m4 + 18 * m10) % Q,
+        m5 % Q,
+    )
 
-    ``a^2 = a0^2 + ((a0+a1)^2 - a0^2 - a1^2) w^6 + a1^2 w^12`` costs three
-    degree-5 symmetric squarings instead of the 144-mult dense product.
+
+def fq12_mul_line(a: tuple, l1: int, l3: int, l7: int, l9: int) -> tuple:
+    """Multiply ``a`` by ``1 + l1*w + l3*w^3 + l7*w^7 + l9*w^9``.
+
+    That is the flat image of ``1 + e1*w + e3*w^3`` with ``e1, e3`` in
+    F_q2 (``l_j = e_j[0] - 9*e_j[1]``, ``l_(j+6) = e_j[1]``) — a Miller
+    loop line divided by its ``w^0`` coefficient (see
+    :mod:`repro.curve.pairing`).  Four coefficients against twelve: 48
+    base products, and the leading 1 costs none.
     """
-    a0 = a[:6]
-    a1 = a[6:]
-    s0 = _square_half(a0)
-    s1 = _square_half(a1)
-    s01 = _square_half(tuple(x + y for x, y in zip(a0, a1)))
-    prod = [0] * 23
-    for i in range(11):
-        si0 = s0[i]
-        si1 = s1[i]
-        prod[i] += si0
-        prod[i + 6] += s01[i] - si0 - si1
-        prod[i + 12] += si1
-    return _reduce(prod)
-
-
-def fq12_mul_sparse_013(a: tuple, e0: tuple, e1: tuple, e3: tuple) -> tuple:
-    """Multiply ``a`` by the sparse element ``e0 + e1*w + e3*w^3``.
-
-    ``e0, e1, e3`` are F_q2 tower coefficients — exactly the shape of a
-    Miller-loop line evaluation (see :mod:`repro.curve.pairing`).  The
-    sparse operand has six non-zero flat coefficients, so the product
-    costs 72 base-field mults instead of the dense 144.
-    """
-    prod = [0] * 23
-    for j, (c0, c1) in ((0, e0), (1, e1), (3, e3)):
-        lo = (c0 - 9 * c1) % Q
-        if lo:
-            for i in range(12):
-                ai = a[i]
-                if ai:
-                    prod[i + j] += ai * lo
-        hi = c1 % Q
-        if hi:
-            jh = j + 6
-            for i in range(12):
-                ai = a[i]
-                if ai:
-                    prod[i + jh] += ai * hi
-    return _reduce(prod)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = a
+    p1 = a1 + l1 * a0
+    p2 = a2 + l1 * a1
+    p3 = a3 + l1 * a2 + l3 * a0
+    p4 = a4 + l1 * a3 + l3 * a1
+    p5 = a5 + l1 * a4 + l3 * a2
+    p6 = l1 * a5 + l3 * a3
+    p7 = l3 * a4
+    p8 = l3 * a5
+    r1 = l7 * a6
+    r2 = l7 * a7
+    r3 = l7 * a8 + l9 * a6
+    r4 = l7 * a9 + l9 * a7
+    r5 = l7 * a10 + l9 * a8
+    r6 = l7 * a11 + l9 * a9
+    r7 = l9 * a10
+    r8 = l9 * a11
+    m1 = a7 + l1 * a6 + l7 * a0 + 18 * r1
+    m2 = a8 + l1 * a7 + l7 * a1 + 18 * r2
+    m3 = a9 + l1 * a8 + l3 * a6 + l7 * a2 + l9 * a0 + 18 * r3
+    m4 = a10 + l1 * a9 + l3 * a7 + l7 * a3 + l9 * a1 + 18 * r4
+    m5 = a11 + l1 * a10 + l3 * a8 + l7 * a4 + l9 * a2 + 18 * r5
+    m6 = l1 * a11 + l3 * a9 + l7 * a5 + l9 * a3 + 18 * r6
+    m7 = l3 * a10 + l9 * a4 + 18 * r7
+    m8 = l3 * a11 + l9 * a5 + 18 * r8
+    return (
+        (a0 - 82 * m6) % Q,
+        (p1 - 82 * (r1 + m7)) % Q,
+        (p2 - 82 * (r2 + m8)) % Q,
+        (p3 - 82 * r3) % Q,
+        (p4 - 82 * r4) % Q,
+        (p5 - 82 * r5) % Q,
+        (p6 - 82 * r6 + a6 + 18 * m6) % Q,
+        (p7 - 82 * r7 + m1 + 18 * m7) % Q,
+        (p8 - 82 * r8 + m2 + 18 * m8) % Q,
+        m3 % Q,
+        m4 % Q,
+        m5 % Q,
+    )
 
 
 def fq12_pow(a: tuple, e: int) -> tuple:
@@ -229,39 +312,80 @@ def fq12_frobenius(a: tuple, power: int = 1) -> tuple:
 # ----- cyclotomic subgroup kernels ----------------------------------------
 
 
-def _fp4_square(a: tuple, b: tuple) -> tuple:
-    """Squaring in F_q4 = F_q2[y]/(y^2 - xi), used by Granger-Scott."""
-    t0 = fq2_square(a)
-    t1 = fq2_square(b)
-    c0 = fq2_add(fq2_mul_by_nonresidue(t1), t0)
-    c1 = fq2_sub(fq2_sub(fq2_square(fq2_add(a, b)), t0), t1)
-    return c0, c1
-
-
 def fq12_cyclotomic_square(a: tuple) -> tuple:
     """Granger-Scott squaring, valid when ``a^(q^6+1) = 1``.
 
-    Three F_q4 squarings (18 F_q2 mult-equivalents) instead of a generic
-    F_q12 squaring; only correct inside the cyclotomic subgroup, which is
-    where the final exponentiation's hard part lives.
+    Three F_q4 squarings of three F_q2 squarings each — 18 base products
+    against 78 — only correct inside the cyclotomic subgroup, which is
+    where the final exponentiation's hard part lives.  With tower
+    coefficients ``c_j`` the F_q4 = F_q2[y]/(y^2 - xi) pairs are
+    ``(c_0, c_3)``, ``(c_1, c_4)``, ``(c_2, c_5)``, and the square of a
+    pair ``(g, h)`` is ``(g^2 + xi*h^2, (g + h)^2 - g^2 - h^2)``.
     """
-    # Granger-Scott variable naming over the tower coefficients c_j at
-    # w^j: the three F_q4 pairs are (z0, z1) = (c_0, c_3),
-    # (z2, z3) = (c_1, c_4) and (z4, z5) = (c_2, c_5).
-    c = fq12_to_tower(a)
-    z0, z2, z4 = c[0], c[1], c[2]
-    z1, z3, z5 = c[3], c[4], c[5]
-    t0, t1 = _fp4_square(z0, z1)
-    z0 = fq2_add(fq2_scalar(fq2_sub(t0, z0), 2), t0)
-    z1 = fq2_add(fq2_scalar(fq2_add(t1, z1), 2), t1)
-    t0, t1 = _fp4_square(z2, z3)
-    t2, t3 = _fp4_square(z4, z5)
-    z4 = fq2_add(fq2_scalar(fq2_sub(t0, z4), 2), t0)
-    z5 = fq2_add(fq2_scalar(fq2_add(t1, z5), 2), t1)
-    t0 = fq2_mul_by_nonresidue(t3)
-    z2 = fq2_add(fq2_scalar(fq2_add(t0, z2), 2), t0)
-    z3 = fq2_add(fq2_scalar(fq2_sub(t2, z3), 2), t2)
-    return fq12_from_tower([z0, z2, z4, z1, z3, z5])
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = a
+    # c_j = x_j + a_(j+6) * u, the real parts left unreduced.
+    x0 = a0 + 9 * a6
+    x1 = a1 + 9 * a7
+    x2 = a2 + 9 * a8
+    x3 = a3 + 9 * a9
+    x4 = a4 + 9 * a10
+    x5 = a5 + 9 * a11
+    # (A, B) = (c_0, c_3)^2
+    gx = (x0 + a6) * (x0 - a6)
+    gy = 2 * x0 * a6
+    hx = (x3 + a9) * (x3 - a9)
+    hy = 2 * x3 * a9
+    sx = x0 + x3
+    sy = a6 + a9
+    ax = gx + 9 * hx - hy
+    ay = gy + hx + 9 * hy
+    bx = (sx + sy) * (sx - sy) - gx - hx
+    by = 2 * sx * sy - gy - hy
+    # (C, D) = (c_1, c_4)^2
+    gx = (x1 + a7) * (x1 - a7)
+    gy = 2 * x1 * a7
+    hx = (x4 + a10) * (x4 - a10)
+    hy = 2 * x4 * a10
+    sx = x1 + x4
+    sy = a7 + a10
+    cx = gx + 9 * hx - hy
+    cy = gy + hx + 9 * hy
+    dx = (sx + sy) * (sx - sy) - gx - hx
+    dy = 2 * sx * sy - gy - hy
+    # (E, F) = (c_2, c_5)^2
+    gx = (x2 + a8) * (x2 - a8)
+    gy = 2 * x2 * a8
+    hx = (x5 + a11) * (x5 - a11)
+    hy = 2 * x5 * a11
+    sx = x2 + x5
+    sy = a8 + a11
+    ex = gx + 9 * hx - hy
+    ey = gy + hx + 9 * hy
+    fx = (sx + sy) * (sx - sy) - gx - hx
+    fy = 2 * sx * sy - gy - hy
+    # c'_0 = 3A - 2c_0, c'_1 = 3*xi*F + 2c_1, c'_2 = 3C - 2c_2,
+    # c'_3 = 3B + 2c_3, c'_4 = 3E - 2c_4,    c'_5 = 3D + 2c_5;
+    # a coefficient (x, y) goes back to flat as (x - 9y, y).
+    y0 = 3 * ay - 2 * a6
+    y1 = 3 * (fx + 9 * fy) + 2 * a7
+    y2 = 3 * cy - 2 * a8
+    y3 = 3 * by + 2 * a9
+    y4 = 3 * ey - 2 * a10
+    y5 = 3 * dy + 2 * a11
+    return (
+        (3 * ax - 2 * x0 - 9 * y0) % Q,
+        (3 * (9 * fx - fy) + 2 * x1 - 9 * y1) % Q,
+        (3 * cx - 2 * x2 - 9 * y2) % Q,
+        (3 * bx + 2 * x3 - 9 * y3) % Q,
+        (3 * ex - 2 * x4 - 9 * y4) % Q,
+        (3 * dx + 2 * x5 - 9 * y5) % Q,
+        y0 % Q,
+        y1 % Q,
+        y2 % Q,
+        y3 % Q,
+        y4 % Q,
+        y5 % Q,
+    )
 
 
 def fq12_cyclotomic_exp(a: tuple, e: int) -> tuple:
@@ -334,8 +458,8 @@ def fq12_inv(a: tuple) -> tuple:
     Writing ``a = c0 + c1*w`` over F_q6 (``w^2 = v``), the inverse is
     ``(c0 - c1*w) / (c0^2 - v*c1^2)`` — two F_q6 products, one F_q6
     inversion and ultimately a single F_q inversion, replacing the
-    seed's extended-Euclid polynomial GCD (kept for the reference oracle
-    in :mod:`repro.curve.pairing_ref`).
+    seed's extended-Euclid polynomial GCD (kept by the reference oracle,
+    ``tests/pairing_oracle.py``).
     """
     if all(c % Q == 0 for c in a):
         raise FieldError("inverse of zero in Fq12")

@@ -10,8 +10,9 @@ adds the structure the F_q2/F_q6/F_q12 tower is built on:
 - cheap multiplication by ``xi`` (4 additions + 2 scalar muls instead of
   a general F_q2 product).
 
-The pairing's Miller loop and final exponentiation run entirely on these
-primitives; see ``docs/pairing.md`` for how they assemble.
+The G2 side of the pairing's Miller loop, the Frobenius maps and the
+tower inversion run on these primitives; see ``docs/pairing.md`` for how
+they assemble.
 """
 
 from __future__ import annotations

@@ -233,10 +233,17 @@ class G2:
         return hash(("G2", self.inf, self.x, self.y))
 
     def in_subgroup(self) -> bool:
-        """Check that the point has order r (required of SRS elements)."""
+        """Check that the point has order r.
+
+        Required of SRS elements and of any G2 point an adversary supplies
+        (a Groth16 ``proof.b``): the twist's cofactor is ~2^254, so being
+        on the curve says nothing.  ``jac2_mul`` reduces its scalar mod r,
+        so ``[r]P`` is taken as ``[r-1]P + P``.
+        """
         if self.inf:
             return True
-        return fq2_is_zero(jac2_mul(self.to_jacobian(), R)[2])
+        jac = self.to_jacobian()
+        return fq2_is_zero(jac2_add(jac2_mul(jac, R - 1), jac)[2])
 
     def to_bytes(self) -> bytes:
         """Serialise as 128 bytes (x0 x1 y0 y1 little-endian)."""

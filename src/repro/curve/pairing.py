@@ -1,16 +1,22 @@
 """Fast optimal-ate pairing e: G1 x G2 -> F_q12 for BN254.
 
-The standard fast pipeline, replacing the affine dense-F_q12 loop kept in
-:mod:`repro.curve.pairing_ref`:
+The repository's one pairing engine (the affine dense-F_q12 seed survives
+only as the test oracle ``tests/pairing_oracle.py``):
 
 - **Projective Miller loop over F_q2.**  The G2 point walks the ate loop
   in homogeneous projective coordinates on the *twist* with explicit
   doubling/addition line formulas — zero field inversions in the loop.
-- **Sparse line accumulation.**  A line evaluated at P in G1 is
-  ``l = c0*yP + c1*xP*w + c2*w^3`` — non-zero only at tower positions
-  (0, 1, 3) — and is folded into the accumulator with
-  :func:`repro.curve.fq12.fq12_mul_sparse_013` (72 base mults) while the
-  accumulator squaring uses the 63-mult Karatsuba split.
+- **Unit-normalised lines.**  A line evaluated at P in G1 is
+  ``c0*yP + c1*xP*w + c2*w^3`` — non-zero only at tower positions
+  (0, 1, 3).  :func:`prepare_g2` divides every line by ``c0`` (one
+  batched inversion for the whole sequence) and the loop scales by
+  ``xP/yP`` and ``1/yP``, so what reaches the accumulator is
+  ``1 + e1*w + e3*w^3`` and :func:`repro.curve.fq12.fq12_mul_line` pays
+  48 base products instead of 72.  The discarded factor ``c0*yP`` lies in
+  F_q2, which the ``q^6 - 1`` in the final exponent annihilates.
+- **One loop for k pairs.**  :func:`multi_miller_loop` keeps a single
+  accumulator: the 64 squarings are paid once a *check*, each pair adds
+  only its line products.
 - **Frobenius via gamma tables.**  The two loop-closing additions use
   the twisted q-power endomorphism computed with two precomputed F_q2
   constants, not a 254-bit ``fq12_pow``.
@@ -19,16 +25,16 @@ The standard fast pipeline, replacing the affine dense-F_q12 loop kept in
   Frobenius — and the hard part (q^4-q^2+1)/r evaluated by the
   Devegili-Scott-Dahab addition chain driven by the BN parameter ``u``
   with Granger-Scott cyclotomic squarings.
-- **Prepared G2.**  :func:`prepare_g2` caches the line-coefficient
+- **Prepared G2.**  :func:`prepare_g2` caches the normalised line
   sequence of a fixed G2 point (SRS ``[1]_2``/``[tau]_2``, Groth16
   ``beta/gamma/delta``), so repeated verifications pay only the G1-side
   evaluation.  The backend engine keeps a ``prepared_g2`` cache and
   exposes the whole product check as its ``pairing_check`` kernel.
 
 The raw Miller output differs from the reference oracle's by an F_q2
-scaling factor per line (projective vs affine normalisation), which the
-final exponentiation annihilates — full pairings agree bit-for-bit, and
-``tests/test_pairing_fast.py`` asserts it.
+scaling factor per line (normalised projective vs affine lines), which
+the final exponentiation annihilates — full pairings agree bit-for-bit,
+and ``tests/test_pairing_fast.py`` asserts it.
 
 :func:`pairing_check` verifies products of pairings with a *single* final
 exponentiation, which is what the Plonk and Groth16 verifiers use.
@@ -36,12 +42,13 @@ exponentiation, which is what the Plonk and Groth16 verifiers use.
 
 from __future__ import annotations
 
-from repro.errors import CurveError
-from repro.curve.fq import Q
+from repro.errors import CurveError, FieldError
+from repro.curve.fq import Q, fq_batch_inverse
 from repro.curve.fq2 import (
     FQ2_ONE,
     XI,
     fq2_add,
+    fq2_batch_inverse,
     fq2_conjugate,
     fq2_mul,
     fq2_neg,
@@ -59,7 +66,7 @@ from repro.curve.fq12 import (
     fq12_frobenius,
     fq12_inv,
     fq12_mul,
-    fq12_mul_sparse_013,
+    fq12_mul_line,
     fq12_square,
 )
 from repro.curve.g1 import G1
@@ -88,24 +95,49 @@ _TWIST_FROB_Y = fq2_pow(XI, (Q - 1) // 2)
 _B2_3 = fq2_scalar(B2, 3)
 
 
-class PreparedG2:
-    """The full line-coefficient sequence of one G2 point's Miller loop.
+#: Step codes of the ate schedule: double R, or add Q, pi(Q), -pi^2(Q).
+_DOUBLE, _ADD_Q, _ADD_PI_Q, _ADD_NEG_PI2_Q = range(4)
 
-    Each entry ``(c0, c1, c2)`` is a triple of F_q2 coefficients; the
-    line evaluated at P = (xP, yP) in G1 is the 013-sparse element
-    ``c0*yP + c1*xP*w + c2*w^3``.  Preparing costs the whole G2-side
-    loop (projective doublings/additions in F_q2); evaluating is two
-    F_q2-by-F_q scalings per line.
+
+def _ate_steps() -> tuple:
+    """The ate loop as a flat schedule, one entry per line function."""
+    steps = []
+    # 6u+2 has 65 bits; the top bit is absorbed by starting at R = Q, the
+    # remaining 64 drive one doubling (and maybe one addition) each.
+    for i in range(_LOG_ATE, -1, -1):
+        steps.append(_DOUBLE)
+        if ATE_LOOP_COUNT & (1 << i):
+            steps.append(_ADD_Q)
+    # The two Frobenius-twisted closing additions.
+    return tuple(steps) + (_ADD_PI_Q, _ADD_NEG_PI2_Q)
+
+
+#: Shared by the G2 side (which step produces each line) and the
+#: accumulator side (square before a doubling line's product).
+_ATE_STEPS = _ate_steps()
+
+
+class PreparedG2:
+    """The normalised line sequence of one G2 point's Miller loop.
+
+    A projective line ``(c0, c1, c2)`` over F_q2 is stored divided by
+    ``c0`` and already in flat F_q12 coordinates: ``(l1, l3, l7, l9)``
+    with ``c1/c0 = (l1 + 9*l7) + l7*u`` and ``c2/c0 = (l3 + 9*l9) + l9*u``.
+    The line evaluated at P = (xP, yP) in G1 is then, up to an F_q2
+    factor, ``1 + (xP/yP)*(l1*w + l7*w^7) + (1/yP)*(l3*w^3 + l9*w^9)``.
+    Preparing costs the whole G2-side loop (projective doublings and
+    additions in F_q2, one batched inversion); evaluating is four F_q
+    scalings per line.
     """
 
-    __slots__ = ("coeffs", "inf")
+    __slots__ = ("lines", "inf")
 
-    def __init__(self, coeffs: tuple, inf: bool):
-        self.coeffs = coeffs
+    def __init__(self, lines: tuple, inf: bool):
+        self.lines = lines
         self.inf = inf
 
     def __repr__(self) -> str:  # pragma: no cover
-        return "PreparedG2(inf)" if self.inf else "PreparedG2(%d lines)" % len(self.coeffs)
+        return "PreparedG2(inf)" if self.inf else "PreparedG2(%d lines)" % len(self.lines)
 
 
 def _double_step(x, y, z):
@@ -155,69 +187,81 @@ def _mul_by_char(qx, qy):
 
 
 def prepare_g2(q_pt: G2) -> PreparedG2:
-    """Precompute the Miller-loop line coefficients for a G2 point.
+    """Precompute the normalised Miller-loop lines for a G2 point.
 
     Runs the whole G2-side ate loop once: 64 doubling steps, one addition
     per set bit of 6u+2, plus the two Frobenius-twisted closing
     additions.  The result depends only on Q, so fixed verification-key
     points amortise it across every subsequent pairing (the backend
     engine's ``prepared_g2`` cache does exactly that).
+
+    Every ``c0`` is non-zero on the r-torsion (``-2yz`` on a doubling,
+    ``x - qx*z`` on an addition with R != +-Q); a point off it can
+    degenerate, which raises :class:`CurveError`.
     """
     if not isinstance(q_pt, G2):
         raise CurveError("prepare_g2 expects a G2 point")
     if q_pt.inf:
         return PreparedG2((), True)
-    qx, qy = q_pt.x, q_pt.y
-    coeffs = []
-    x, y, z = qx, qy, FQ2_ONE
-    # 6u+2 has 65 bits; the top bit is absorbed by starting at R = Q, the
-    # remaining 64 drive one doubling (and maybe one addition) each.
-    for i in range(_LOG_ATE, -1, -1):
-        x, y, z, line = _double_step(x, y, z)
-        coeffs.append(line)
-        if ATE_LOOP_COUNT & (1 << i):
-            x, y, z, line = _add_step(x, y, z, qx, qy)
-            coeffs.append(line)
-    q1 = _mul_by_char(qx, qy)
+    q1 = _mul_by_char(q_pt.x, q_pt.y)
     q2x, q2y = _mul_by_char(*q1)
-    q2 = (q2x, fq2_neg(q2y))
-    x, y, z, line = _add_step(x, y, z, *q1)
-    coeffs.append(line)
-    _, _, _, line = _add_step(x, y, z, *q2)
-    coeffs.append(line)
-    return PreparedG2(tuple(coeffs), False)
+    addends = {_ADD_Q: (q_pt.x, q_pt.y), _ADD_PI_Q: q1, _ADD_NEG_PI2_Q: (q2x, fq2_neg(q2y))}
+    projective = []
+    x, y, z = q_pt.x, q_pt.y, FQ2_ONE
+    for step in _ATE_STEPS:
+        if step == _DOUBLE:
+            x, y, z, line = _double_step(x, y, z)
+        else:
+            x, y, z, line = _add_step(x, y, z, *addends[step])
+        projective.append(line)
+    try:
+        inverses = fq2_batch_inverse([c0 for c0, _, _ in projective])
+    except FieldError:
+        raise CurveError("degenerate Miller line: point is outside the r-torsion") from None
+    lines = []
+    for (_, c1, c2), c0_inv in zip(projective, inverses):
+        e1 = fq2_mul(c1, c0_inv)
+        e3 = fq2_mul(c2, c0_inv)
+        lines.append(((e1[0] - 9 * e1[1]) % Q, (e3[0] - 9 * e3[1]) % Q, e1[1], e3[1]))
+    return PreparedG2(tuple(lines), False)
+
+
+def multi_miller_loop(pairs: list) -> tuple:
+    """Product of Miller loops over ``(G1, PreparedG2 | G2)`` pairs.
+
+    One accumulator for all pairs: squaring distributes over the product,
+    so the result equals the F_q12 product of the one-pair loops exactly
+    while the 64 squarings are paid once.  Pairs with a member at
+    infinity contribute 1 and are skipped.
+    """
+    active = []
+    for p_pt, q_pt in pairs:
+        prep = q_pt if isinstance(q_pt, PreparedG2) else prepare_g2(q_pt)
+        if not (prep.inf or p_pt.inf):
+            active.append((prep.lines, p_pt))
+    if not active:
+        return FQ12_ONE
+    # One F_q inversion for all the G1 points (y != 0: G1 has odd order).
+    y_invs = fq_batch_inverse([p_pt.y for _, p_pt in active])
+    scaled = [(lines, p_pt.x * yi % Q, yi) for (lines, p_pt), yi in zip(active, y_invs)]
+    f = FQ12_ONE
+    for idx, step in enumerate(_ATE_STEPS):
+        if step == _DOUBLE:
+            f = fq12_square(f)
+        for lines, xs, ys in scaled:
+            l1, l3, l7, l9 = lines[idx]
+            f = fq12_mul_line(f, l1 * xs % Q, l3 * ys % Q, l7 * xs % Q, l9 * ys % Q)
+    return f
 
 
 def miller_loop_prepared(prep: PreparedG2, p_pt: G1) -> tuple:
-    """Evaluate a prepared Miller loop at a G1 point (no final exp).
-
-    Only the G1-side work remains: per line two F_q2-by-F_q scalings and
-    one sparse accumulator product, plus one Karatsuba squaring per loop
-    iteration.
-    """
-    if prep.inf or p_pt.inf:
-        return FQ12_ONE
-    px, py = p_pt.x, p_pt.y
-    coeffs = prep.coeffs
-    idx = 0
-    f = FQ12_ONE
-    for i in range(_LOG_ATE, -1, -1):
-        f = fq12_square(f)
-        c0, c1, c2 = coeffs[idx]
-        idx += 1
-        f = fq12_mul_sparse_013(f, fq2_scalar(c0, py), fq2_scalar(c1, px), c2)
-        if ATE_LOOP_COUNT & (1 << i):
-            c0, c1, c2 = coeffs[idx]
-            idx += 1
-            f = fq12_mul_sparse_013(f, fq2_scalar(c0, py), fq2_scalar(c1, px), c2)
-    for c0, c1, c2 in coeffs[idx:]:
-        f = fq12_mul_sparse_013(f, fq2_scalar(c0, py), fq2_scalar(c1, px), c2)
-    return f
+    """Evaluate a prepared Miller loop at a G1 point (no final exp)."""
+    return multi_miller_loop([(p_pt, prep)])
 
 
 def miller_loop(q_pt: G2, p_pt: G1) -> tuple:
     """Run the Miller loop WITHOUT the final exponentiation."""
-    return miller_loop_prepared(prepare_g2(q_pt), p_pt)
+    return multi_miller_loop([(p_pt, q_pt)])
 
 
 def final_exponentiation(f: tuple) -> tuple:
@@ -266,25 +310,14 @@ def pairing(p_pt: G1, q_pt: G2) -> tuple:
     return final_exponentiation(miller_loop(q_pt, p_pt))
 
 
-def multi_miller_loop(pairs: list) -> tuple:
-    """Product of Miller loops over ``(G1, PreparedG2 | G2)`` pairs."""
-    acc = FQ12_ONE
-    for p_pt, q_pt in pairs:
-        prep = q_pt if isinstance(q_pt, PreparedG2) else prepare_g2(q_pt)
-        ml = miller_loop_prepared(prep, p_pt)
-        if ml is not FQ12_ONE:
-            acc = fq12_mul(acc, ml) if acc is not FQ12_ONE else ml
-    return acc
-
-
 def pairing_check(pairs: list, target: tuple = FQ12_ONE) -> bool:
     """Return True iff the product of pairings over ``pairs`` equals target.
 
-    Computes prod_i e(P_i, Q_i) == target with a single final
-    exponentiation, the standard trick that makes multi-pairing
-    verification ~k times cheaper than k separate pairings.  Each Q_i may
-    be a :class:`PreparedG2` to skip the G2-side loop; ``target`` lets
-    callers fold precomputed GT constants (e.g. Groth16's e(alpha, beta))
-    out of the product.
+    Computes prod_i e(P_i, Q_i) == target with one interleaved Miller
+    loop and a single final exponentiation, the standard trick that makes
+    multi-pairing verification ~k times cheaper than k separate pairings.
+    Each Q_i may be a :class:`PreparedG2` to skip the G2-side loop;
+    ``target`` lets callers fold precomputed GT constants (e.g. Groth16's
+    e(alpha, beta)) out of the product.
     """
     return fq12_eq(final_exponentiation(multi_miller_loop(pairs)), target)

@@ -28,9 +28,10 @@ class Groth16VerifyingKey:
     delta_g2: G2
     ic: tuple  # G1 points, one per public input + the constant ONE
     #: e(alpha, beta) precomputed at setup: the verifier compares the
-    #: 3-Miller-loop product against this GT constant instead of paying a
-    #: fourth loop for the fixed alpha/beta pair.  ``None`` (e.g. a key
-    #: built before this field existed) falls back to computing it lazily.
+    #: 3-pair product against this GT constant instead of carrying the
+    #: fixed alpha/beta pair through the Miller loop as a fourth.  ``None``
+    #: (e.g. a key built before this field existed) falls back to
+    #: computing it lazily.
     alpha_beta_gt: tuple | None = None
 
     def pairing_target(self) -> tuple:
@@ -207,6 +208,27 @@ def groth16_prove(
         return Groth16Proof(proof_a, proof_b, proof_c)
 
 
+def is_well_formed(
+    vk: Groth16VerifyingKey, public_inputs: list[int], proof: Groth16Proof
+) -> bool:
+    """The structural checks both verifiers make before any group work.
+
+    Arity; every public input in ``[0, r)`` — vk_x reduces mod r, so ``x``
+    and ``x + r`` would be two statements settled by one proof; and
+    ``proof.b`` in the order-r subgroup.  ``b`` is the only G2 point an
+    adversary chooses (G1 has cofactor 1, so ``a`` and ``c`` are in it by
+    being on the curve, and the key's G2 points come from the setup): off
+    the r-torsion the Miller loop's lines are not the ones the pairing's
+    bilinearity is proved for.  The subgroup check is one 254-bit G2
+    multiplication.
+    """
+    return (
+        len(public_inputs) == len(vk.ic) - 1
+        and all(0 <= w < R for w in public_inputs)
+        and proof.b.in_subgroup()
+    )
+
+
 def groth16_verify(
     vk: Groth16VerifyingKey,
     public_inputs: list[int],
@@ -216,18 +238,18 @@ def groth16_verify(
     """Check e(A, B) == e(alpha, beta) e(vk_x, gamma) e(C, delta).
 
     e(alpha, beta) is a setup-time constant (``vk.alpha_beta_gt``), so
-    the check runs only 3 Miller loops — A/B, vk_x/gamma, C/delta — plus
-    one shared final exponentiation, compared against the stored GT
-    target.  The vk_x MSM over the public inputs is the
-    ell-scalar-multiplication cost the paper contrasts against Plonk's
-    input-independent verifier.
+    the check runs only 3 pairs — A/B, vk_x/gamma, C/delta — through one
+    interleaved Miller loop and one final exponentiation, compared
+    against the stored GT target.  The vk_x MSM over the public inputs is
+    the ell-scalar-multiplication cost the paper contrasts against
+    Plonk's input-independent verifier.
     """
     engine = engine or get_engine()
     with telemetry.span("groth16.verify", public_inputs=len(public_inputs)) as sp:
-        if len(public_inputs) != len(vk.ic) - 1:
+        if not is_well_formed(vk, public_inputs, proof):
             sp.set_attr("ok", False)
             return False
-        vk_x = vk.ic[0] + engine.msm_g1(list(vk.ic[1:]), [w % R for w in public_inputs])
+        vk_x = vk.ic[0] + engine.msm_g1(list(vk.ic[1:]), public_inputs)
         with telemetry.span("pairing"):
             ok = engine.pairing_check(
                 [
@@ -244,7 +266,7 @@ def groth16_verify(
 def verification_group_operations(num_public_inputs: int) -> dict:
     """Verifier op counts (used by the Fig. 7 benchmark's ZKCP side)."""
     return {
-        "pairings": 3,  # 3 Miller loops; e(alpha, beta) precomputed at setup
+        "pairings": 3,  # e(alpha, beta) precomputed at setup
         "miller_loops": 3,
         "final_exponentiations": 1,
         "g1_scalar_mults": num_public_inputs,

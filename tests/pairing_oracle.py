@@ -1,37 +1,92 @@
 """Reference optimal-ate pairing for BN254 (the frozen seed implementation).
 
 This is the affine, dense-F_q12 pairing the repository grew up with, kept
-verbatim as the *oracle* for the fast tower pipeline in
+verbatim as the *oracle* for the one engine in ``src/``,
 :mod:`repro.curve.pairing`: G2 points are untwisted into the curve over
 F_q12, the Miller loop runs with one field inversion per line slope, the
 Frobenius is computed as a full ``fq12_pow(x, Q)``, and the final
 exponentiation is one ~3000-bit ``fq12_pow``.  Slow — a 2-pairing check
 costs ~0.4 s in CPython — but independently simple, which is exactly what
-``tests/test_pairing_fast.py`` and ``benchmarks/bench_pairing.py`` need
-for equivalence and speedup assertions.
+``tests/test_pairing_fast.py`` and ``tests/test_differential.py`` need.
 
-It keeps a private copy of the seed's extended-Euclid F_q12 inversion so
-the oracle's behaviour (and its cost baseline) cannot drift when the live
-field kernels are optimised.
+Until PR 20 this was ``repro.curve.pairing_ref`` and multiplied with the
+live ``fq12_mul``.  The library's products are now straight-line kernels,
+so the oracle carries private copies of the loop-based dense arithmetic it
+was written against (``fq12`` ... ``fq12_eq`` below, the deleted
+``repro.curve.fq12`` bodies unchanged) and of the seed's extended-Euclid
+inversion: it shares nothing with the code it judges beyond the modulus,
+the group classes and the error type.
 """
 
 from __future__ import annotations
 
-from repro.errors import CurveError
+from repro.errors import CurveError, FieldError
 from repro.curve.fq import Q
-from repro.curve.fq12 import (
-    DEGREE,
-    FQ12_ONE,
-    fq12,
-    fq12_eq,
-    fq12_mul,
-    fq12_neg,
-    fq12_scalar,
-    fq12_sub,
-)
 from repro.curve.g1 import G1
 from repro.curve.g2 import G2
 from repro.field.fr import MODULUS as R
+
+# ----- dense F_q12 arithmetic (flat 12-tuples mod w^12 - 18 w^6 + 82) -------
+
+DEGREE = 12
+
+#: w^12 = 18*w^6 - 82, i.e. modulus polynomial coefficients for degrees 0..11.
+_MOD_COEFF_6 = 18
+_MOD_COEFF_0 = -82
+
+FQ12_ONE = (1,) + (0,) * 11
+
+
+def fq12(coeffs) -> tuple:
+    """Build an F_q12 element from up to 12 coefficients (low degree first)."""
+    coeffs = [c % Q for c in coeffs]
+    if len(coeffs) > DEGREE:
+        raise FieldError("too many coefficients for Fq12")
+    return tuple(coeffs + [0] * (DEGREE - len(coeffs)))
+
+
+def fq12_sub(a: tuple, b: tuple) -> tuple:
+    return tuple((x - y) % Q for x, y in zip(a, b))
+
+
+def fq12_neg(a: tuple) -> tuple:
+    return tuple(-x % Q for x in a)
+
+
+def fq12_scalar(a: tuple, k: int) -> tuple:
+    k %= Q
+    return tuple(x * k % Q for x in a)
+
+
+def _reduce(prod: list) -> tuple:
+    """Fold degrees 22..12 down using w^d = 18 w^(d-6) - 82 w^(d-12)."""
+    for d in range(22, 11, -1):
+        c = prod[d]
+        if c:
+            prod[d - 6] += _MOD_COEFF_6 * c
+            prod[d - 12] += _MOD_COEFF_0 * c
+    return tuple(c % Q for c in prod[:12])
+
+
+def fq12_mul(a: tuple, b: tuple) -> tuple:
+    """Schoolbook 12x12 product followed by reduction by w^12 - 18w^6 + 82."""
+    prod = [0] * 23
+    for i in range(12):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(12):
+            bj = b[j]
+            if bj:
+                prod[i + j] += ai * bj
+    return _reduce(prod)
+
+
+def fq12_eq(a: tuple, b: tuple) -> bool:
+    return all(x % Q == y % Q for x, y in zip(a, b))
+
+
+# ----- the pairing ----------------------------------------------------------
 
 #: BN parameter-derived Miller loop count (6u + 2 for u = 4965661367192848881).
 ATE_LOOP_COUNT = 29793968203157093288
@@ -39,9 +94,6 @@ _LOG_ATE = 63
 
 #: Final exponentiation power.
 FINAL_EXP = (Q**12 - 1) // R
-
-_MOD_COEFF_6 = 18
-_MOD_COEFF_0 = -82
 
 # An F_q12 affine point is a (x, y) pair of 12-tuples; None is infinity.
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro import substrate
 from repro.backend import ParallelEngine, SerialEngine
-from repro.curve import glv, pairing_ref
+from repro.curve import glv
 from repro.curve.g1 import G1, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
 from repro.curve.msm import FIXED_WINDOW_MAX, msm_jacobian
@@ -24,6 +24,7 @@ from repro.field.frvec import ScalarVector
 from repro.field.ntt import COSET_SHIFT, Domain, _ntt_in_place_fast, _ntt_in_place_ref
 from repro.kzg.srs import SRS
 from repro.plonk.keys import DEGREE_MARGIN
+from tests import pairing_oracle
 
 pytestmark = pytest.mark.differential
 
@@ -316,7 +317,7 @@ class TestSubstrateDifferential:
 
 @pytest.mark.slow
 class TestPairingDifferential:
-    """The fast Fq2-tower pairing vs the reference implementation."""
+    """The pairing engine vs the reference oracle (``tests/pairing_oracle.py``)."""
 
     def test_fast_equals_reference_on_random_points(self, engines, chaos_seed):
         serial, parallel = engines
@@ -324,7 +325,7 @@ class TestPairingDifferential:
         for _ in range(3):
             p = G1.generator() * rng.randrange(1, R)
             q = G2.generator() * rng.randrange(1, R)
-            ref = pairing_ref.pairing(p, q)
+            ref = pairing_oracle.pairing(p, q)
             assert serial.pairing(p, q) == ref
             assert parallel.pairing(p, q) == ref
 
