@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro import faults, telemetry
+from repro.backend import get_engine
 from repro.core.snark import SnarkContext
 from repro.telemetry import ledger as _ledger
 
@@ -79,7 +80,7 @@ def _emit_json(title: str, headers: list, rows: list) -> None:
         "unix_time": time.time(),
         "utc_time": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "git_revision": _git_revision(),
-        "backend": os.environ.get("REPRO_BACKEND", "serial"),
+        "backend": get_engine().name,
         "telemetry_level": telemetry.level_name(),
     }
     # Stamp the active fault schedule so a soak/chaos result is
@@ -98,8 +99,7 @@ def _emit_json(title: str, headers: list, rows: list) -> None:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
     # With REPRO_LEDGER set, every emitted table also lands in the run
-    # ledger (the CI perf gate diffs that record against the committed
-    # baseline with `python -m repro.telemetry diff --check`).
+    # ledger, where `python -m repro.telemetry report` / `diff` read it.
     ledger_path = _ledger.default_path()
     if ledger_path is not None:
         metrics = (

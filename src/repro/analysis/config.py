@@ -152,9 +152,7 @@ class AnalysisConfig:
     #: layer and bypass the ownership rules in ``docs/data_plane.md``.
     substrate_scopes: tuple[str, ...] = ("kzg/", "plonk/", "groth16/", "core/")
     #: Contiguous-representation internals only ``backend/`` may import.
-    substrate_internal_modules: frozenset[str] = frozenset(
-        {"repro.field.frvec", "repro.backend.shm"}
-    )
+    substrate_internal_modules: frozenset[str] = frozenset({"repro.backend.shm"})
     #: Engine modules whose public kernels must record telemetry.
     backend_scopes: tuple[str, ...] = ("backend/",)
     #: Call leaf-names that count as *timing* a kernel (the duration half

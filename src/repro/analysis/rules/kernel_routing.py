@@ -19,10 +19,10 @@ Two invariants from the compute-backend architecture (PR 1-3):
   undercounts (or un-times) every backend.
 - **The contiguous data plane is engine-internal** (PR 6).  Protocol
   layers (``kzg/``, ``plonk/``, ``groth16/``, ``core/``) must not import
-  the packed-representation internals (``repro.field.frvec``,
-  ``repro.backend.shm``): the cell layout and shared-memory segment
-  ownership rules belong to the backend, and a protocol module that
-  unpacks cells itself would pin the layout across layers.
+  the packed-representation internals (``repro.backend.shm``): the cell
+  layout and shared-memory segment ownership rules belong to the
+  backend, and a protocol module that unpacks cells itself would pin
+  the layout across layers.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class KernelRouting(Rule):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                # Catch both spellings: ``from repro.field.frvec import X``
-                # and ``from repro.field import frvec``.
+                # Catch both spellings: ``from repro.backend.shm import X``
+                # and ``from repro.backend import shm``.
                 names = [node.module] if node.module else []
                 if node.module:
                     names += ["%s.%s" % (node.module, a.name) for a in node.names]

@@ -56,7 +56,6 @@ from repro.curve.g2 import (
     jac2_batch_normalize,
     jac2_double,
 )
-from repro import substrate
 from repro.curve.msm import (
     FIXED_WINDOW_MAX,
     FIXED_WINDOW_MIN,
@@ -380,16 +379,15 @@ class Engine:
         the owner's point table is fixed across proofs, so the window
         shifts ``2^(w*c) * P_i`` are computed once (first proof) and every
         later MSM collapses to a single bucket pass.  Returns ``None``
-        when the path does not apply (reference substrate, or a size
-        outside the table bounds) — callers fall back to the generic MSM,
-        and the fall-off is counted as
+        when the size is outside the table bounds — callers fall back to
+        the generic MSM, and the fall-off is counted as
         ``engine.cache.bypasses{cache=msm_window}`` so it cannot go
         unnoticed.  Tables are pinned by owner identity like the Jacobian
         caches and extended in place when a longer prefix is first
         requested.
         """
         n = len(scalars)
-        if not substrate.fast_enabled() or not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
+        if not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
             if _tel.metrics_enabled():
                 _tel.counter("engine.cache.bypasses", cache="msm_window").inc()
             return None

@@ -17,9 +17,9 @@ so :class:`ParallelEngine` shards work across a lazily created
 - **batch inversion**: Montgomery's trick is sequential within a chain,
   so long inputs are split into independent chains, one per worker.
 
-Under the fast substrate, inputs travel through
-``multiprocessing.shared_memory`` segments of the contiguous packed
-representation (:mod:`repro.backend.shm`) instead of being pickled:
+G1 MSM, NTT and inversion inputs travel through
+``multiprocessing.shared_memory`` segments of packed fixed-width cells
+(:mod:`repro.backend.shm`) instead of being pickled:
 
 - fixed point tables (SRS G1 powers, Groth16 query tables) are packed
   into a segment *once per table* and pinned by owner identity, so warm
@@ -31,12 +31,11 @@ representation (:mod:`repro.backend.shm`) instead of being pickled:
 - NTT/inverse results are written by workers into a result segment, so
   nothing big is pickled in either direction.
 
-The pickled-list path is retained, bit-identical, both as the
-``reference`` substrate mode and via ``use_shm=False`` (the oracle the
-differential suite compares against).  Small inputs fall back to the
-serial kernels (fork/pickle overhead would swamp the win); the
-thresholds are constructor arguments so tests can force the parallel
-paths.
+:class:`~repro.backend.serial.SerialEngine` is the bit-identity oracle
+the differential suite compares against.  G2 MSMs are rare and small, so
+their chunks are pickled.  Small inputs fall back to the serial kernels
+(fork/pickle overhead would swamp the win); the thresholds are
+constructor arguments so tests can force the parallel paths.
 
 The overrides are the internal ``_ntt_batch`` / ``_msm_jac`` /
 ``_msm_srs`` / ``_msm_g1_fixed`` / ``_msm_jac_g2`` / ``_batch_inverse``
@@ -51,9 +50,7 @@ and the parent merges the piggybacked stats back as ``worker.*`` metrics
 and ``worker.task`` child spans of the ``engine.dispatch`` span — so the
 pool is no longer a telemetry black box.  (The ``worker.*`` namespace is
 separate from ``engine.*`` precisely so the serial/parallel counter
-parity above stays bit-exact.)  Every worker task carries the parent's
-substrate mode: workers are forked, so a runtime mode flip in the parent
-would otherwise leave them on the import-time mode.
+parity above stays bit-exact.)
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ import multiprocessing
 import os
 import threading
 
-from repro import substrate
 from repro import telemetry as _tel
 from repro.backend import shm as _shm
 from repro.backend.engine import Engine, apply_ntt_job
@@ -72,10 +68,9 @@ from repro.curve.g2 import jac2_add
 from repro.curve.msm import msm_g2_jacobian, msm_jacobian
 from repro.errors import BackendError, FieldError
 from repro.field.fr import MODULUS as _R, batch_inverse as _fr_batch_inverse
-from repro.field.frvec import pack_scalars, unpack_scalars
 from repro.telemetry import workers as _workers
 
-_CELL = 32  # packed scalar cell size, bytes
+_CELL = _shm.SCALAR_BYTES
 
 # Every worker function takes ``(ctx, ...)`` — the first element is the
 # dispatch trace context (``None`` below profile level) prepended by
@@ -83,21 +78,9 @@ _CELL = 32  # packed scalar cell size, bytes
 # parent's ``Dispatch.collect`` can merge worker-side telemetry.
 
 
-def _msm_chunk_g1(args: tuple) -> tuple:
-    ctx, mode, points, scalars = args
-    rec = _workers.task_begin(ctx)
-    substrate.set_mode(mode)
-    rec.set_size(len(points))
-    rec.count("msm_g1")
-    with rec.timer("compute"):
-        out = msm_jacobian(points, scalars)
-    return out, rec.blob()
-
-
 def _msm_chunk_g2(args: tuple) -> tuple:
-    ctx, mode, points, scalars = args
+    ctx, points, scalars = args
     rec = _workers.task_begin(ctx)
-    substrate.set_mode(mode)
     rec.set_size(len(points))
     rec.count("msm_g2")
     with rec.timer("compute"):
@@ -105,35 +88,13 @@ def _msm_chunk_g2(args: tuple) -> tuple:
     return out, rec.blob()
 
 
-def _batch_inverse_chunk(args: tuple) -> tuple:
-    ctx, values = args
-    rec = _workers.task_begin(ctx)
-    rec.set_size(len(values))
-    rec.count("inverse")
-    with rec.timer("compute"):
-        out = _fr_batch_inverse(values)
-    return out, rec.blob()
-
-
-def _ntt_job_with_mode(args: tuple) -> tuple:
-    ctx, mode, job = args
-    rec = _workers.task_begin(ctx)
-    substrate.set_mode(mode)
-    rec.set_size(job[1])
-    rec.count(job[0])
-    with rec.timer("compute"):
-        out = apply_ntt_job(job)
-    return out, rec.blob()
-
-
 def _msm_shm_chunk(args: tuple) -> tuple:
     """Worker: MSM over a slice of packed shared-memory segments."""
-    ctx, mode, pts_name, scal_name, start, count = args
+    ctx, pts_name, scal_name, start, count = args
     rec = _workers.task_begin(ctx)
-    substrate.set_mode(mode)
     with rec.timer("shm_attach"):
         points = _shm.unpack_points(_shm.attach_segment(pts_name).buf, start, count)
-        scalars = unpack_scalars(_shm.attach_segment(scal_name).buf, start, count)
+        scalars = _shm.unpack_scalars(_shm.attach_segment(scal_name).buf, start, count)
     rec.set_size(count)
     rec.count("msm_g1")
     with rec.timer("compute"):
@@ -154,9 +115,9 @@ def _attach_twiddle_tables(tw_name: str, n: int) -> None:
         return
     buf = _shm.attach_segment(tw_name).buf
     half = max(n >> 1, 1)
-    omega, omega_inv, n_inv = unpack_scalars(buf, 0, 3)
-    twiddles = unpack_scalars(buf, 3, half)
-    inv_twiddles = unpack_scalars(buf, 3 + half, half)
+    omega, omega_inv, n_inv = _shm.unpack_scalars(buf, 0, 3)
+    twiddles = _shm.unpack_scalars(buf, 3, half)
+    inv_twiddles = _shm.unpack_scalars(buf, 3 + half, half)
     Domain.seed_cache(
         Domain.from_tables(n, omega, omega_inv, n_inv, twiddles, inv_twiddles)
     )
@@ -166,7 +127,6 @@ def _ntt_shm_job(args: tuple) -> tuple:
     """Worker: one NTT over packed cells; result written back to shm."""
     (
         ctx,
-        mode,
         in_name,
         out_name,
         tw_name,
@@ -178,9 +138,8 @@ def _ntt_shm_job(args: tuple) -> tuple:
         shift,
     ) = args
     rec = _workers.task_begin(ctx)
-    substrate.set_mode(mode)
     with rec.timer("shm_attach"):
-        values = unpack_scalars(_shm.attach_segment(in_name).buf, in_start, in_count)
+        values = _shm.unpack_scalars(_shm.attach_segment(in_name).buf, in_start, in_count)
         _attach_twiddle_tables(tw_name, n)
     rec.set_size(n)
     rec.count(kind)
@@ -188,7 +147,7 @@ def _ntt_shm_job(args: tuple) -> tuple:
         out = apply_ntt_job((kind, n, values, shift))
     with rec.timer("shm_attach"):
         buf = _shm.attach_segment(out_name).buf
-        buf[out_start * _CELL : (out_start + len(out)) * _CELL] = pack_scalars(out)
+        buf[out_start * _CELL : (out_start + len(out)) * _CELL] = _shm.pack_scalars(out)
     return None, rec.blob()
 
 
@@ -197,14 +156,14 @@ def _inverse_shm_chunk(args: tuple) -> tuple:
     ctx, in_name, out_name, start, count = args
     rec = _workers.task_begin(ctx)
     with rec.timer("shm_attach"):
-        values = unpack_scalars(_shm.attach_segment(in_name).buf, start, count)
+        values = _shm.unpack_scalars(_shm.attach_segment(in_name).buf, start, count)
     rec.set_size(count)
     rec.count("inverse")
     with rec.timer("compute"):
         out = _fr_batch_inverse(values)
     with rec.timer("shm_attach"):
         buf = _shm.attach_segment(out_name).buf
-        buf[start * _CELL : (start + count) * _CELL] = pack_scalars(out)
+        buf[start * _CELL : (start + count) * _CELL] = _shm.pack_scalars(out)
     return None, rec.blob()
 
 
@@ -246,7 +205,6 @@ class ParallelEngine(Engine):
         min_ntt_jobs: int = 2,
         min_ntt_size: int = 256,
         min_inverse_size: int = 8192,
-        use_shm: bool = True,
         task_timeout: float | None = None,
     ):
         super().__init__()
@@ -266,7 +224,6 @@ class ParallelEngine(Engine):
         self.min_ntt_jobs = min_ntt_jobs
         self.min_ntt_size = min_ntt_size
         self.min_inverse_size = min_inverse_size
-        self.use_shm = use_shm
         self.task_timeout = task_timeout
         self._pool = None
         #: Pinned packed-point segments: id(owner) -> (owner, segment).
@@ -349,9 +306,6 @@ class ParallelEngine(Engine):
 
     # ----------------------------------------------------- shm MSM plumbing
 
-    def _shm_enabled(self) -> bool:
-        return self.use_shm and substrate.fast_enabled()
-
     def _pinned_point_segment(self, owner, jac_points) -> object:
         """The packed shm image of a fixed point table, created once.
 
@@ -373,13 +327,12 @@ class ParallelEngine(Engine):
     ) -> tuple:
         """Fan an MSM out over shm slices; scalars go in a scratch segment."""
         n = len(scalars)
-        packed = pack_scalars(scalars)
+        packed = _shm.pack_scalars(scalars)
         scal_seg = _shm.create_segment(len(packed))
         try:
             scal_seg.buf[: len(packed)] = packed
-            mode = substrate.mode()
             tasks = [
-                (mode, pts_name, scal_seg.name, start, count)
+                (pts_name, scal_seg.name, start, count)
                 for start, count in _spans(n, self.workers)
             ]
             partials = self._run_tasks(_msm_shm_chunk, tasks, kernel)
@@ -408,7 +361,7 @@ class ParallelEngine(Engine):
             return seg
         dom = Domain.get(n)
         twiddles, inv_twiddles = dom.tables()
-        packed = pack_scalars(
+        packed = _shm.pack_scalars(
             [dom.omega, dom.omega_inv, dom.n_inv] + twiddles + inv_twiddles
         )
         seg = _shm.create_segment(len(packed))
@@ -425,11 +378,6 @@ class ParallelEngine(Engine):
         big_jobs = sum(1 for job in jobs if job[1] >= self.min_ntt_size)
         if not self._use_pool(big_jobs, self.min_ntt_jobs):
             return [apply_ntt_job(job) for job in jobs]
-        if not self._shm_enabled():
-            mode = substrate.mode()
-            return self._run_tasks(
-                _ntt_job_with_mode, [(mode, job) for job in jobs], "ntt"
-            )
         # Concatenate every job's input cells into one segment; workers
         # write transforms into a second segment at per-job offsets.
         in_cells = sum(len(job[2]) for job in jobs)
@@ -441,17 +389,15 @@ class ParallelEngine(Engine):
         try:
             out_seg = _shm.create_segment(out_cells * _CELL)
             try:
-                mode = substrate.mode()
                 tasks = []
                 in_start = out_start = 0
                 pos = 0
                 for kind, n, values, shift in jobs:
-                    packed = pack_scalars(values)
+                    packed = _shm.pack_scalars(values)
                     in_seg.buf[pos : pos + len(packed)] = packed
                     pos += len(packed)
                     tasks.append(
                         (
-                            mode,
                             in_seg.name,
                             out_seg.name,
                             self._twiddle_segment(n).name,
@@ -469,7 +415,7 @@ class ParallelEngine(Engine):
                 out = []
                 start = 0
                 for _, n, _, _ in jobs:
-                    out.append(unpack_scalars(out_seg.buf, start, n))
+                    out.append(_shm.unpack_scalars(out_seg.buf, start, n))
                     start += n
                 return out
             finally:
@@ -480,20 +426,6 @@ class ParallelEngine(Engine):
     def _msm_jac(self, points: list[tuple], scalars: list[int]) -> tuple:
         if not self._use_pool(len(points), self.min_msm_points):
             return msm_jacobian(points, scalars)
-        if not self._shm_enabled():
-            mode = substrate.mode()
-            chunks = [
-                (mode, pts, scs)
-                for pts, scs in zip(
-                    _chunk(list(points), self.workers),
-                    _chunk(list(scalars), self.workers),
-                )
-            ]
-            partials = self._run_tasks(_msm_chunk_g1, chunks, "msm_g1")
-            result = partials[0]
-            for part in partials[1:]:
-                result = jac_add(result, part)
-            return result
         if len(points) != len(scalars):
             raise BackendError(
                 "msm: %d points but %d scalars" % (len(points), len(scalars))
@@ -514,7 +446,7 @@ class ParallelEngine(Engine):
             _shm.release_segment(pts_seg)
 
     def _msm_srs(self, srs, scalars: list[int]) -> tuple:
-        if not (self._shm_enabled() and self._use_pool(len(scalars), self.min_msm_points)):
+        if not self._use_pool(len(scalars), self.min_msm_points):
             return super()._msm_srs(srs, scalars)
         points = self.srs_g1_jacobian(srs)
         if len(scalars) > len(points):
@@ -528,7 +460,7 @@ class ParallelEngine(Engine):
         )
 
     def _msm_g1_fixed(self, points, scalars: list[int]) -> tuple:
-        if not (self._shm_enabled() and self._use_pool(len(scalars), self.min_msm_points)):
+        if not self._use_pool(len(scalars), self.min_msm_points):
             return super()._msm_g1_fixed(points, scalars)
         jac = self._fixed_jacobian(points)
         seg = self._pinned_point_segment(points, jac)
@@ -539,13 +471,9 @@ class ParallelEngine(Engine):
     def _msm_jac_g2(self, points: list[tuple], scalars: list[int]) -> tuple:
         if not self._use_pool(len(points), self.min_msm_points):
             return msm_g2_jacobian(points, scalars)
-        mode = substrate.mode()
-        chunks = [
-            (mode, pts, scs)
-            for pts, scs in zip(
-                _chunk(list(points), self.workers), _chunk(list(scalars), self.workers)
-            )
-        ]
+        chunks = list(
+            zip(_chunk(list(points), self.workers), _chunk(list(scalars), self.workers))
+        )
         partials = self._run_tasks(_msm_chunk_g2, chunks, "msm_g2")
         result = partials[0]
         for part in partials[1:]:
@@ -560,15 +488,8 @@ class ParallelEngine(Engine):
         for i, v in enumerate(values):
             if v % _R == 0:
                 raise FieldError("batch inverse of zero at index %d" % i)
-        if not self._shm_enabled():
-            chunks = [(c,) for c in _chunk(list(values), self.workers)]
-            parts = self._run_tasks(_batch_inverse_chunk, chunks, "inverse")
-            out: list[int] = []
-            for part in parts:
-                out.extend(part)
-            return out
         n = len(values)
-        packed = pack_scalars(values)
+        packed = _shm.pack_scalars(values)
         # Nested like _ntt_batch: in_seg must not leak when the second
         # create_segment raises.
         in_seg = _shm.create_segment(len(packed))
@@ -581,7 +502,7 @@ class ParallelEngine(Engine):
                     for start, count in _spans(n, self.workers)
                 ]
                 self._run_tasks(_inverse_shm_chunk, tasks, "inverse")
-                return unpack_scalars(out_seg.buf, 0, n)
+                return _shm.unpack_scalars(out_seg.buf, 0, n)
             finally:
                 _shm.release_segment(out_seg)
         finally:

@@ -1,11 +1,12 @@
 """Shared-memory segment lifecycle for the zero-pickle parallel data plane.
 
-``ParallelEngine`` used to pickle every point and scalar list into each
-worker task.  With the contiguous representation
-(:mod:`repro.field.frvec`), an MSM/NTT input is one flat byte buffer, so
-it can live in a ``multiprocessing.shared_memory`` segment: the parent
-packs once, workers attach by name and read their slice zero-copy, and
-task payloads shrink to ``(segment name, offset, count)`` triples.
+Pickling every point and scalar of an MSM/NTT input into each worker
+task costs more than the kernel saves.  Packed into fixed-width cells
+(:func:`pack_scalars`, :func:`pack_points`) an input is one flat byte
+buffer, so it can live in a ``multiprocessing.shared_memory`` segment:
+the parent packs once, workers attach by name and read their slice
+zero-copy, and task payloads shrink to ``(segment name, offset, count)``
+triples.  This module is the only one that knows the packed format.
 
 Ownership rules (see ``docs/data_plane.md`` for the full contract):
 
@@ -25,7 +26,8 @@ Ownership rules (see ``docs/data_plane.md`` for the full contract):
 Point cells are 64 bytes (x || y, little-endian, ``z = 1`` implied);
 the all-zero cell encodes the point at infinity — ``(0, 0)`` is not on
 ``y^2 = x^3 + 3``, so the sentinel cannot collide with a real point.
-Scalar cells are the 32-byte :mod:`repro.field.frvec` encoding.
+Scalar cells are 32 bytes, canonical little-endian — the same encoding
+as :meth:`repro.field.fr.Fr.to_bytes`.
 
 Protocol modules must not import this module; the compute engine owns
 the representation (zklint ENG-001).
@@ -37,6 +39,7 @@ import atexit
 from multiprocessing import shared_memory
 
 from repro.curve.g1 import JAC_INF
+from repro.field.fr import MODULUS as _R, NUM_BYTES as SCALAR_BYTES
 
 _POINT_BYTES = 64
 _COORD_BYTES = 32
@@ -127,6 +130,37 @@ def segment_exists(name: str) -> bool:
 atexit.register(cleanup_owned)
 
 
+# ----------------------------------------------------------------- scalars
+
+
+def pack_scalars(values: list[int]) -> bytearray:
+    """Pack scalars, reduced mod r, into 32-byte little-endian cells."""
+    out = bytearray(SCALAR_BYTES * len(values))
+    pos = 0
+    for v in values:
+        out[pos : pos + SCALAR_BYTES] = (v % _R).to_bytes(SCALAR_BYTES, "little")
+        pos += SCALAR_BYTES
+    return out
+
+
+def unpack_scalars(buf, start: int = 0, count: int | None = None) -> list[int]:
+    """Unpack ``count`` scalars from a packed buffer starting at cell ``start``.
+
+    ``buf`` is anything supporting the buffer protocol (bytes, bytearray,
+    memoryview over a shared-memory segment).  Reads are zero-copy until
+    the final per-element ``int.from_bytes``.
+    """
+    view = memoryview(buf)
+    if count is None:
+        count = (len(view) - start * SCALAR_BYTES) // SCALAR_BYTES
+    out = [0] * count
+    pos = start * SCALAR_BYTES
+    for i in range(count):
+        out[i] = int.from_bytes(view[pos : pos + SCALAR_BYTES], "little")
+        pos += SCALAR_BYTES
+    return out
+
+
 # ------------------------------------------------------------------ points
 
 
@@ -161,5 +195,3 @@ def unpack_points(buf, start: int = 0, count: int | None = None) -> list[tuple]:
         pos += _POINT_BYTES
     return out
 
-
-POINT_BYTES = _POINT_BYTES

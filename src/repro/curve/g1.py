@@ -7,7 +7,6 @@ for protocol-level code and (de)serialisation.
 
 from __future__ import annotations
 
-from repro import substrate
 from repro.errors import CurveError
 from repro.curve.fq import B, Q, fq_batch_inverse, fq_inv
 from repro.field.fr import MODULUS as R
@@ -216,13 +215,11 @@ class G1:
     def __mul__(self, k) -> "G1":
         if not isinstance(k, int):
             k = int(k)
-        if substrate.fast_enabled():
-            # Lazy import: glv derives its constants from this module at
-            # its own import time.
-            from repro.curve.glv import glv_jac_mul
+        # Lazy import: glv derives its constants from this module at
+        # its own import time.
+        from repro.curve.glv import glv_jac_mul
 
-            return G1.from_jacobian(glv_jac_mul(self.to_jacobian(), k))
-        return G1.from_jacobian(jac_mul(self.to_jacobian(), k))
+        return G1.from_jacobian(glv_jac_mul(self.to_jacobian(), k))
 
     __rmul__ = __mul__
 
@@ -248,7 +245,12 @@ class G1:
             raise CurveError("G1 serialisation must be 64 bytes")
         if data == b"\x00" * 64:
             return G1.identity()
-        return G1(int.from_bytes(data[:32], "little"), int.from_bytes(data[32:], "little"))
+        x = int.from_bytes(data[:32], "little")
+        y = int.from_bytes(data[32:], "little")
+        if x >= Q or y >= Q:
+            # The constructor reduces mod q: x + q would alias x.
+            raise CurveError("G1 coordinate out of range")
+        return G1(x, y)
 
     def __repr__(self):
         if self.inf:

@@ -259,6 +259,9 @@ class G2:
         if data == b"\x00" * 128:
             return G2.identity()
         vals = [int.from_bytes(data[i : i + 32], "little") for i in range(0, 128, 32)]
+        if max(vals) >= _Q:
+            # The constructor reduces mod q: x + q would alias x.
+            raise CurveError("G2 coordinate out of range")
         return G2((vals[0], vals[1]), (vals[2], vals[3]))
 
     def __repr__(self):

@@ -25,11 +25,10 @@ extended-Euclid half-GCD on ``(r, lambda)``, stopping at the first
 remainder below ``sqrt(r)`` (Algorithm 3.74, Guide to Elliptic Curve
 Cryptography).
 
-:func:`glv_jac_mul` is gated behind the substrate mode switch by its
-caller (:meth:`repro.curve.g1.G1.__mul__` and the MSM front-end);
-``tests/test_differential.py`` holds it bit-identical — at the affine
-level — to the retained double-and-add oracle :func:`repro.curve.g1.
-jac_mul`.
+:func:`glv_jac_mul` is what :meth:`repro.curve.g1.G1.__mul__` and the
+MSM front-end run; ``tests/test_differential.py`` holds it bit-identical
+— at the affine level — to plain double-and-add (:func:`repro.curve.g1.
+jac_mul`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ generic signed bucket loop with mixed Jacobian additions.
 
 from __future__ import annotations
 
-from repro import substrate
 from repro.errors import CurveError
 from repro.curve import glv
 from repro.curve.fq import Q, fq2_is_zero, fq2_neg, fq_batch_inverse
@@ -30,7 +29,6 @@ from repro.curve.g1 import (
     jac_add,
     jac_batch_normalize,
     jac_double,
-    jac_mul,
     reduce_scalar,
 )
 from repro.curve.g2 import (
@@ -48,8 +46,8 @@ _SCALAR_BITS = 254
 def _window_size(n: int) -> int:
     """Empirical window width for the signed bucket method.
 
-    ``n`` is the pair count the bucket loop sees — on the G1 fast path
-    that is *after* the GLV split, two half-width pairs per term.  The
+    ``n`` is the pair count the bucket loop sees — on the G1 path that
+    is *after* the GLV split, two half-width pairs per term.  The
     rows below 512 are fitted to that kernel (EXPERIMENTS.md, "MSM window
     widths at the small end"): the verifier's folds live there.
     """
@@ -265,26 +263,21 @@ def _bucket_msm_g1(pairs: list, bits: int = _SCALAR_BITS) -> tuple:
 def msm_jacobian(points: list[tuple], scalars: list[int]) -> tuple:
     """MSM over G1 Jacobian point tuples; returns a Jacobian tuple.
 
-    Under the fast substrate each (point, scalar) pair is GLV-split
-    into two half-width pairs before bucketing: twice the bucket
-    insertions, but half the windows — and the per-window doubling
-    chain in the aggregation phase is the serial bottleneck.
+    Each (point, scalar) pair is GLV-split into two half-width pairs
+    before bucketing: twice the bucket insertions, but half the windows
+    — and the per-window doubling chain in the aggregation phase is the
+    serial bottleneck.
     """
     pairs = _collect_pairs(points, scalars, _jac_is_inf, "msm")
     if not pairs:
         return JAC_INF
     if len(pairs) == 1:
-        if substrate.fast_enabled():
-            return glv.glv_jac_mul(pairs[0][0], pairs[0][1])
-        return jac_mul(pairs[0][0], pairs[0][1])
+        return glv.glv_jac_mul(pairs[0][0], pairs[0][1])
     normalized = jac_batch_normalize([p for p, _ in pairs])
-    pairs = [(p, s) for p, (_, s) in zip(normalized, pairs)]
-    if substrate.fast_enabled():
-        pairs = glv.split_pairs(pairs)
-        if not pairs:
-            return JAC_INF
-        return _bucket_msm_g1(pairs, bits=glv.HALF_BITS)
-    return _bucket_msm_g1(pairs)
+    pairs = glv.split_pairs([(p, s) for p, (_, s) in zip(normalized, pairs)])
+    if not pairs:
+        return JAC_INF
+    return _bucket_msm_g1(pairs, bits=glv.HALF_BITS)
 
 
 # --------------------------------------------------------- fixed-base MSM
@@ -344,7 +337,7 @@ def build_window_tables(jac_points: list[tuple], c: int) -> list[list[tuple]]:
 
 
 def msm_fixed_window(tables: list[list[tuple]], c: int, scalars: list[int]) -> tuple:
-    """GLV MSM against precomputed window tables (fast substrate only).
+    """GLV MSM against precomputed window tables.
 
     Each scalar is GLV-decomposed into two half-width signed parts; the
     ``k2`` part maps through the endomorphism on the fly (``psi`` commutes

@@ -148,7 +148,10 @@ class Fr:
         """Deserialise from canonical 32-byte little-endian form."""
         if len(data) != NUM_BYTES:
             raise FieldError("expected %d bytes, got %d" % (NUM_BYTES, len(data)))
-        return Fr(int.from_bytes(data, "little"))
+        value = int.from_bytes(data, "little")
+        if value >= _R:
+            raise FieldError("scalar out of range")
+        return Fr(value)
 
     def to_bytes(self) -> bytes:
         """Serialise to canonical 32-byte little-endian form."""

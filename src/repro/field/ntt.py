@@ -8,11 +8,9 @@ bundles a subgroup with its precomputed twiddle factors.
 
 from __future__ import annotations
 
-from repro import substrate
 from repro import telemetry as _tel
 from repro.errors import FieldError
 from repro.field.fr import MODULUS, batch_inverse, inv, root_of_unity
-from repro.field.frvec import as_scalar_list
 
 _R = MODULUS
 
@@ -35,33 +33,8 @@ def _bit_reverse_permute(values: list[int]) -> None:
             values[i], values[j] = values[j], values[i]
 
 
-def _ntt_in_place_ref(values: list[int], twiddles: list[int]) -> None:
-    """Reference Cooley-Tukey butterflies: one ``%`` per add and sub.
-
-    Retained as the bit-identity oracle for the lazy-reduction kernel
-    below (``tests/test_differential.py`` asserts equality on random
-    vectors) and as the butterfly the *reference* substrate mode runs.
-    """
-    n = len(values)
-    _bit_reverse_permute(values)
-    length = 2
-    while length <= n:
-        half = length >> 1
-        step = n // length
-        for start in range(0, n, length):
-            idx = 0
-            for k in range(start, start + half):
-                w = twiddles[idx]
-                u = values[k]
-                t = values[k + half] * w % _R
-                values[k] = (u + t) % _R
-                values[k + half] = (u - t) % _R
-                idx += step
-        length <<= 1
-
-
-def _ntt_in_place_fast(values: list[int], twiddles: list[int]) -> None:
-    """Lazy-reduction butterflies over the contiguous value vector.
+def _ntt_in_place(values: list[int], twiddles: list[int]) -> None:
+    """Cooley-Tukey butterflies with lazy reduction, in place.
 
     Inputs must be canonical (in ``[0, r)``); every butterfly keeps both
     outputs canonical with a compare-and-correct instead of a full
@@ -69,8 +42,8 @@ def _ntt_in_place_fast(values: list[int], twiddles: list[int]) -> None:
     cheaper than a reduction, and the add/sub reductions are half of the
     butterfly's modular work.  The first level (``length == 2``) always
     multiplies by ``w == 1``, so its n/2 twiddle multiplications are
-    skipped outright.  Outputs are bit-identical to
-    :func:`_ntt_in_place_ref` by construction.
+    skipped outright.  ``tests/substrate_oracle.py`` keeps the
+    modulo-per-butterfly transform this is bit-identical to.
     """
     n = len(values)
     _bit_reverse_permute(values)
@@ -109,14 +82,6 @@ def _ntt_in_place_fast(values: list[int], twiddles: list[int]) -> None:
                 values[k + half] = v1
                 idx += step
         length <<= 1
-
-
-def _ntt_in_place(values: list[int], twiddles: list[int]) -> None:
-    """Dispatch to the substrate's active butterfly kernel."""
-    if substrate.fast_enabled():
-        _ntt_in_place_fast(values, twiddles)
-    else:
-        _ntt_in_place_ref(values, twiddles)
 
 
 class Domain:
@@ -231,13 +196,9 @@ class Domain:
     def fft(self, coeffs: list[int]) -> list[int]:
         """Evaluate the polynomial with ``coeffs`` over H.
 
-        ``coeffs`` is a list or a contiguous
-        :class:`~repro.field.frvec.ScalarVector` (converted once at this
-        boundary).  Input shorter than ``n`` is zero-padded; longer input
-        is an error (it would alias).
+        Input shorter than ``n`` is zero-padded; longer input is an
+        error (it would alias).
         """
-        if not isinstance(coeffs, list):
-            coeffs = as_scalar_list(coeffs)
         if len(coeffs) > self.n:
             raise FieldError("polynomial degree too large for domain")
         values = [c % _R for c in coeffs] + [0] * (self.n - len(coeffs))
@@ -246,8 +207,6 @@ class Domain:
 
     def ifft(self, evals: list[int]) -> list[int]:
         """Interpolate a polynomial (coefficients) from evaluations over H."""
-        if not isinstance(evals, list):
-            evals = as_scalar_list(evals)
         if len(evals) != self.n:
             raise FieldError("expected %d evaluations, got %d" % (self.n, len(evals)))
         values = [v % _R for v in evals]
@@ -257,8 +216,6 @@ class Domain:
 
     def coset_fft(self, coeffs: list[int], shift: int = COSET_SHIFT) -> list[int]:
         """Evaluate over the coset ``shift * H``."""
-        if not isinstance(coeffs, list):
-            coeffs = as_scalar_list(coeffs)
         if len(coeffs) > self.n:
             raise FieldError("polynomial degree too large for domain")
         scaled = []

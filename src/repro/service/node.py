@@ -8,8 +8,7 @@ transaction at a time — the node amortises everything amortisable:
 
 - **sessions** pin a seller's listing: the phase-1 data-validation
   message ``(c_d, pi_p)`` is produced and verified once per session, not
-  once per request (``verify_phase1="always"`` restores the paranoid
-  per-request re-check for comparison runs);
+  once per request;
 - **admission control** is a bounded :class:`~repro.service.queue.FairQueue`
   with per-tenant budgets — overload is shed at the door with
   :class:`~repro.errors.QueueFullError`, and dispatch round-robins
@@ -83,13 +82,19 @@ class NodeConfig:
     #: forever).  Expires *before* payment lock, so a timed-out request
     #: is rejected with nothing escrowed.
     request_timeout: Optional[float] = 2.0
-    #: Phase-1 policy: "session" verifies (c_d, pi_p) once per session,
-    #: "always" re-verifies per request, "skip" trusts the session
-    #: opener (test/bench setups that pre-verified out of band).
+    #: Phase-1 policy: "session" verifies (c_d, pi_p) once, when the
+    #: session opens; "skip" trusts the session opener (test/bench
+    #: setups that pre-verified out of band).
     verify_phase1: str = "session"
     #: Prover-pool workers for requests without an attached bundle;
     #: 0 proves inline on the event loop (blocks other requests).
     pool_workers: int = 0
+
+    def __post_init__(self) -> None:
+        if self.verify_phase1 not in ("session", "skip"):
+            raise ServiceError(
+                "verify_phase1 must be 'session' or 'skip', got %r" % (self.verify_phase1,)
+            )
 
 
 @dataclass
@@ -100,9 +105,6 @@ class Session:
     tenant: str
     seller: Seller
     asset: DataAsset
-    encryption_proof: Optional[EncryptionProof]
-    data_commitment: int
-    phase1_verified: bool = False
     exchanges: int = 0
 
 
@@ -222,7 +224,6 @@ class MarketplaceNode:
         address = seller_address or self.register_account()
         seller = Seller(self.ctx, asset, address)
         pi_p = encryption_proof
-        verified = False
         if self.config.verify_phase1 != "skip":
             if pi_p is None:
                 with telemetry.span("service.session.prove", proof="pi_p"):
@@ -237,9 +238,6 @@ class MarketplaceNode:
             tenant=tenant,
             seller=seller,
             asset=asset,
-            encryption_proof=pi_p,
-            data_commitment=asset.data_commitment.value,
-            phase1_verified=verified,
         )
         self._sessions[session.session_id] = session
         self._next_session += 1
@@ -347,16 +345,7 @@ class MarketplaceNode:
         )
         buyer = Buyer(self.ctx, session.asset.public_view(), buyer_address)
 
-        # ----- Phase 1: data validation (amortised per session) ----------
-        if self.config.verify_phase1 == "always" or (
-            self.config.verify_phase1 == "session" and not session.phase1_verified
-        ):
-            if session.encryption_proof is None:
-                return RequestOutcome(False, "session has no pi_p to verify")
-            ok = buyer.verify_data(session.data_commitment, session.encryption_proof)
-            if not ok:
-                return RequestOutcome(False, "pi_p rejected by buyer")
-            session.phase1_verified = True
+        # Phase 1 (data validation) happened once, in open_session.
 
         # ----- The buyer's off-chain reply (k_v, h_v), with timeout ------
         try:

@@ -11,8 +11,8 @@ to reconstruct what one run did and cost:
 - per-cache hit rates derived from the ``engine.cache.*`` deltas;
 - every fault the active :class:`~repro.faults.injector.FaultInjector`
   injected during the run;
-- environment provenance: substrate mode, backend, git revision,
-  telemetry level.
+- environment provenance: the installed engine's backend name, git
+  revision, telemetry level.
 
 Schema (one JSON object per line)::
 
@@ -22,7 +22,7 @@ Schema (one JSON object per line)::
       "name": "exchange.keysecure",         # what kind of run
       "seq": 3,                             # per-writer sequence number
       "attrs": {...},                       # caller-provided outcome attrs
-      "env": {"substrate": ..., "backend": ..., "git_revision": ...,
+      "env": {"backend": ..., "git_revision": ...,
               "telemetry_level": ..., "pid": ...},
       "metrics": {"counters": {...}, "histograms": {...}},   # run delta
       "cache_hit_rates": {"<cache>": 0.93, ...},
@@ -45,7 +45,6 @@ import subprocess
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro import faults as _faults
-from repro import substrate as _substrate
 from repro import telemetry as _tel
 from repro.telemetry.export import span_records
 from repro.telemetry.metrics import quantile_from_bucket_dict
@@ -86,9 +85,11 @@ def _git_revision() -> str:
 
 def environment() -> Dict[str, Any]:
     """The provenance block every record carries."""
+    # Lazy import: ``repro.backend`` imports ``repro.telemetry``.
+    from repro.backend import get_engine
+
     return {
-        "substrate": _substrate.mode(),
-        "backend": os.environ.get("REPRO_BACKEND", "serial"),
+        "backend": get_engine().name,
         "git_revision": _git_revision(),
         "telemetry_level": _tel.level_name(),
         "pid": os.getpid(),

@@ -19,7 +19,6 @@ import random
 
 import pytest
 
-from repro import substrate
 from repro.errors import BackendError, CurveError, FieldError
 from repro.backend import (
     ParallelEngine,
@@ -236,9 +235,7 @@ class TestEngineCaches:
         assert fixed_window_c(40) < fixed_window_c(200)
         for size in (40, 200, 40):
             scalars = [rng.randrange(R) for _ in range(size)]
-            # CI also runs this file under REPRO_SUBSTRATE=reference.
-            with substrate.use_mode(substrate.MODE_FAST):
-                got = engine.msm_srs(small_srs, scalars)
+            got = engine.msm_srs(small_srs, scalars)
             expected = msm_jacobian(list(points[:size]), scalars)
             assert jac_to_affine(got) == jac_to_affine(expected)
             _, width, tables = engine._window_tables[id(small_srs)]

@@ -8,10 +8,35 @@ from repro.curve import G1, G2, msm_g1, pairing, pairing_check
 from repro.curve.fq import FQ2_ONE, Q, fq2_inv, fq2_mul, fq2_pow
 from repro.curve.fq12 import FQ12_ONE, fq12, fq12_eq, fq12_inv, fq12_mul, fq12_pow
 from repro.curve.msm import msm_jacobian
-from repro.errors import CurveError
+from repro.errors import CurveError, ReproError
 from repro.field.fr import MODULUS as R
 
 scalars = st.integers(min_value=0, max_value=R - 1)
+
+
+def _encodings(group, coords):
+    """Real points with ``m * q`` added to each coordinate where it still
+    fits in 32 bytes (``m = 0`` is the canonical form), and raw bytes."""
+
+    @st.composite
+    def shifted(draw):
+        data = (group.generator() * draw(scalars)).to_bytes()
+        out = b""
+        for i in range(coords):
+            c = int.from_bytes(data[32 * i : 32 * i + 32], "little")
+            c += draw(st.integers(min_value=0, max_value=5)) * Q
+            out += (c if c < 1 << 256 else c % Q).to_bytes(32, "little")
+        return out
+
+    return st.one_of(shifted(), st.binary(min_size=32 * coords, max_size=32 * coords))
+
+
+def _assert_decodes_injectively(group, data):
+    try:
+        point = group.from_bytes(data)
+    except ReproError:
+        return
+    assert point.to_bytes() == data
 
 
 class TestG1:
@@ -46,6 +71,11 @@ class TestG1:
         with pytest.raises(CurveError):
             G1.from_bytes(b"\x01" * 63)
 
+    @given(_encodings(G1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_decoding_is_injective(self, data):
+        _assert_decodes_injectively(G1, data)
+
     def test_scalar_reduced_mod_r(self):
         g = G1.generator()
         assert g * (R + 3) == g * 3
@@ -73,6 +103,11 @@ class TestG2:
         h = G2.generator() * 99
         assert G2.from_bytes(h.to_bytes()) == h
         assert G2.from_bytes(G2.identity().to_bytes()).inf
+
+    @given(_encodings(G2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_decoding_is_injective(self, data):
+        _assert_decodes_injectively(G2, data)
 
 
 class TestTowerFields:

@@ -13,18 +13,16 @@ import random
 
 import pytest
 
-from repro import substrate
-from repro.backend import ParallelEngine, SerialEngine
+from repro.backend import ParallelEngine, SerialEngine, shm
 from repro.curve import glv
-from repro.curve.g1 import G1, jac_mul, jac_to_affine
+from repro.curve.g1 import G1, jac_add, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
 from repro.curve.msm import FIXED_WINDOW_MAX, msm_jacobian
 from repro.field.fr import MODULUS as R
-from repro.field.frvec import ScalarVector
-from repro.field.ntt import COSET_SHIFT, Domain, _ntt_in_place_fast, _ntt_in_place_ref
+from repro.field.ntt import COSET_SHIFT, Domain, _ntt_in_place
 from repro.kzg.srs import SRS
 from repro.plonk.keys import DEGREE_MARGIN
-from tests import pairing_oracle
+from tests import pairing_oracle, substrate_oracle
 
 pytestmark = pytest.mark.differential
 
@@ -114,8 +112,9 @@ class TestEngineDifferential:
 
 
 class TestSubstrateDifferential:
-    """The fast data plane (GLV, lazy NTT, shared memory) vs the
-    retained reference kernels — bit-for-bit, per the PR 6 gate."""
+    """The data plane (GLV, lazy NTT, window tables, shared memory) vs
+    the naive comparators in ``tests/substrate_oracle.py`` and the serial
+    engine — bit for bit."""
 
     def test_glv_decomposition_reconstructs_and_is_short(self, chaos_seed):
         rng = _rng(chaos_seed, "glv-split")
@@ -139,9 +138,7 @@ class TestSubstrateDifferential:
         p = G1.generator() * rng.randrange(1, R)
         for _ in range(6):
             k = rng.randrange(R)
-            with substrate.use_mode("reference"):
-                ref = p * k
-            assert (p * k).to_bytes() == ref.to_bytes()
+            assert (p * k).to_bytes() == substrate_oracle.g1_mul(p, k).to_bytes()
 
     def test_fast_ntt_butterflies_bit_identical(self, chaos_seed):
         rng = _rng(chaos_seed, "ntt-lazy")
@@ -151,43 +148,23 @@ class TestSubstrateDifferential:
             values = [rng.randrange(R) for _ in range(n)]
             ref = list(values)
             fast = list(values)
-            _ntt_in_place_ref(ref, dom._twiddles)
-            _ntt_in_place_fast(fast, dom._twiddles)
+            substrate_oracle.ntt_in_place_ref(ref, dom._twiddles)
+            _ntt_in_place(fast, dom._twiddles)
             assert fast == ref
-
-    def test_ntt_over_vector_equals_ntt_over_list(self, chaos_seed):
-        rng = _rng(chaos_seed, "ntt-vec")
-        n = 1 << rng.randint(2, 9)
-        dom = Domain.get(n)
-        coeffs = [rng.randrange(R) for _ in range(n)]
-        vec = ScalarVector.from_list(coeffs)
-        assert dom.fft(vec) == dom.fft(list(coeffs))
-        assert dom.ifft(ScalarVector.from_list(coeffs)) == dom.ifft(list(coeffs))
-        assert dom.coset_fft(vec) == dom.coset_fft(list(coeffs))
-        assert vec.to_list() == coeffs  # boundary round-trip is lossless
-
-    def test_scalar_vector_roundtrip(self, chaos_seed):
-        rng = _rng(chaos_seed, "frvec")
-        values = [rng.randrange(R) for _ in range(rng.randint(1, 200))]
-        vec = ScalarVector.from_list(values)
-        assert list(vec) == values
-        assert ScalarVector.from_buffer(vec.tobytes()).to_list() == values
-        assert vec == values
 
     def test_shared_memory_msm_equals_pickle_path(self, chaos_seed):
         rng = _rng(chaos_seed, "shm-msm")
         n = rng.randint(130, 200)
         points = [G1.generator() * rng.randrange(1, R) for _ in range(n)]
         scalars = [rng.choice([0, 1, R - 1, rng.randrange(R)]) for _ in range(n)]
-        shm_engine = ParallelEngine(workers=2, min_msm_points=1, use_shm=True)
-        pkl_engine = ParallelEngine(workers=2, min_msm_points=1, use_shm=False)
+        # SerialEngine is the oracle (the test id predates that: it named
+        # a pickled dispatch twin that no longer exists).
+        shm_engine = ParallelEngine(workers=2, min_msm_points=1)
         try:
             got_shm = shm_engine.msm_g1(points, scalars)
-            got_pkl = pkl_engine.msm_g1(points, scalars)
-            assert got_shm.to_bytes() == got_pkl.to_bytes()
         finally:
             shm_engine.close()
-            pkl_engine.close()
+        assert got_shm.to_bytes() == SerialEngine().msm_g1(points, scalars).to_bytes()
 
     def test_shared_memory_ntt_and_inverse_equal_pickle_path(self, chaos_seed):
         rng = _rng(chaos_seed, "shm-ntt")
@@ -199,50 +176,44 @@ class TestSubstrateDifferential:
             jobs.append(("coset_ifft", n, coeffs, COSET_SHIFT))
         values = [rng.randrange(1, R) for _ in range(300)]
         shm_engine = ParallelEngine(
-            workers=2, min_ntt_jobs=1, min_ntt_size=1, min_inverse_size=1, use_shm=True
+            workers=2, min_ntt_jobs=1, min_ntt_size=1, min_inverse_size=1
         )
-        pkl_engine = ParallelEngine(
-            workers=2, min_ntt_jobs=1, min_ntt_size=1, min_inverse_size=1, use_shm=False
-        )
+        serial = SerialEngine()
         try:
-            assert shm_engine.ntt_batch(list(jobs)) == pkl_engine.ntt_batch(list(jobs))
-            assert shm_engine.batch_inverse(values) == pkl_engine.batch_inverse(values)
+            assert shm_engine.ntt_batch(list(jobs)) == serial.ntt_batch(list(jobs))
+            assert shm_engine.batch_inverse(values) == serial.batch_inverse(values)
         finally:
             shm_engine.close()
-            pkl_engine.close()
 
     def test_twiddle_tables_from_shm_bit_identical(self, chaos_seed):
         """A Domain rebuilt from packed twiddle tables (the shm worker
         path) is bit-identical to a locally constructed one: same
         twiddles, same transforms — including the coset variants, which
         exercise omega_inv and n_inv from the segment header."""
-        from repro.backend import shm as _shm
-        from repro.field.frvec import pack_scalars, unpack_scalars
-
         rng = _rng(chaos_seed, "twiddle-shm")
         n = 1 << rng.randint(3, 10)
         built = Domain(n)
         twiddles, inv_twiddles = built.tables()
         # Round-trip through an actual shared-memory segment in the
         # parent-side layout: [omega, omega_inv, n_inv] + tables.
-        packed = pack_scalars(
+        packed = shm.pack_scalars(
             [built.omega, built.omega_inv, built.n_inv] + twiddles + inv_twiddles
         )
-        seg = _shm.create_segment(len(packed))
+        seg = shm.create_segment(len(packed))
         try:
             seg.buf[: len(packed)] = packed
             half = max(n >> 1, 1)
-            omega, omega_inv, n_inv = unpack_scalars(seg.buf, 0, 3)
+            omega, omega_inv, n_inv = shm.unpack_scalars(seg.buf, 0, 3)
             attached = Domain.from_tables(
                 n,
                 omega,
                 omega_inv,
                 n_inv,
-                unpack_scalars(seg.buf, 3, half),
-                unpack_scalars(seg.buf, 3 + half, half),
+                shm.unpack_scalars(seg.buf, 3, half),
+                shm.unpack_scalars(seg.buf, 3 + half, half),
             )
         finally:
-            _shm.release_segment(seg)
+            shm.release_segment(seg)
         assert attached.tables() == built.tables()
         coeffs = [rng.randrange(R) for _ in range(n)]
         assert attached.fft(list(coeffs)) == built.fft(list(coeffs))
@@ -283,7 +254,7 @@ class TestSubstrateDifferential:
     def test_table_path_equals_generic_across_the_blinding_margin(self, chaos_seed):
         """The prefix lengths an n=2048 circuit commits to (n .. n +
         DEGREE_MARGIN scalars): pinned window tables == generic GLV bucket
-        MSM == the reference substrate's plain bucket MSM."""
+        MSM == the oracle's term-by-term double-and-add sum."""
         rng = _rng(chaos_seed, "margin-msm")
         top = 2048 + DEGREE_MARGIN
         assert top == FIXED_WINDOW_MAX
@@ -291,13 +262,12 @@ class TestSubstrateDifferential:
         engine = SerialEngine()
         points = engine.srs_g1_jacobian(srs)
         scalars = [rng.randrange(R) for _ in range(top)]
+        naive = substrate_oracle.msm_naive(points[:2047], scalars[:2047])
         for length in range(2048, top + 1):
-            with substrate.use_mode(substrate.MODE_FAST):
-                table = engine.msm_srs(srs, scalars[:length])
-                generic = msm_jacobian(list(points[:length]), scalars[:length])
-            with substrate.use_mode(substrate.MODE_REFERENCE):
-                reference = engine.msm_srs(srs, scalars[:length])
-            assert jac_to_affine(table) == jac_to_affine(generic) == jac_to_affine(reference)
+            naive = jac_add(naive, jac_mul(points[length - 1], scalars[length - 1]))
+            table = engine.msm_srs(srs, scalars[:length])
+            generic = msm_jacobian(list(points[:length]), scalars[:length])
+            assert jac_to_affine(table) == jac_to_affine(generic) == jac_to_affine(naive)
         assert len(engine._window_tables[id(srs)][2]) == top
 
     def test_full_engines_identical_under_both_substrate_modes(self, engines, chaos_seed):
@@ -306,13 +276,16 @@ class TestSubstrateDifferential:
         n = rng.randint(130, 170)
         points = [G1.generator() * rng.randrange(1, R) for _ in range(n)]
         scalars = [rng.randrange(R) for _ in range(n)]
-        jobs = [("coset_fft", 64, [rng.randrange(R) for _ in range(64)], COSET_SHIFT)]
-        with substrate.use_mode("reference"):
-            ref_msm = serial.msm_g1(points, scalars)
-            ref_ntt = serial.ntt_batch(list(jobs))
+        coeffs = [rng.randrange(R) for _ in range(64)]
+        jobs = [("coset_fft", 64, coeffs, COSET_SHIFT)]
+        ref_msm = G1.from_jacobian(
+            substrate_oracle.msm_naive([p.to_jacobian() for p in points], scalars)
+        )
+        ref_ntt = [c * pow(COSET_SHIFT, i, R) % R for i, c in enumerate(coeffs)]
+        substrate_oracle.ntt_in_place_ref(ref_ntt, Domain.get(64).tables()[0])
         for eng in (serial, parallel):
             assert eng.msm_g1(points, scalars).to_bytes() == ref_msm.to_bytes()
-            assert eng.ntt_batch(list(jobs)) == ref_ntt
+            assert eng.ntt_batch(list(jobs)) == [ref_ntt]
 
 
 @pytest.mark.slow

@@ -52,6 +52,18 @@ def test_fr_bytes_roundtrip():
         Fr.from_bytes(b"\x00" * 31)
 
 
+@given(st.integers(min_value=0, max_value=(1 << 256) - 1))
+@settings(max_examples=60, deadline=None)
+def test_fr_decoding_is_injective(value):
+    data = value.to_bytes(32, "little")
+    try:
+        decoded = Fr.from_bytes(data)
+    except FieldError:
+        assert value >= MODULUS
+        return
+    assert decoded.to_bytes() == data
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(FieldError):
         inv(0)

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import faults, telemetry
+from repro.backend import ParallelEngine, SerialEngine, use_engine
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract
 from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiation_keys
@@ -167,12 +168,18 @@ class TestRunRecorder:
         assert record["name"] == "unit.run"
         assert record["attrs"] == {"success": True, "gas_used": 7}
         assert record["metrics"]["counters"] == {"warmup": 2}
-        assert {"substrate", "backend", "git_revision", "telemetry_level", "pid"} <= set(
-            record["env"]
-        )
+        assert set(record["env"]) == {"backend", "git_revision", "telemetry_level", "pid"}
         names = [s["name"] for s in record["spans"]]
         assert names == ["unit.root", "unit.child"]
         assert record["faults"] == []
+
+    def test_env_names_the_installed_engine_not_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        with use_engine(ParallelEngine(workers=1)):
+            assert ledger.environment()["backend"] == "parallel"
+        monkeypatch.setenv("REPRO_BACKEND", "parallel")
+        with use_engine(SerialEngine()):
+            assert ledger.environment()["backend"] == "serial"
 
     def test_non_span_serialises_as_empty_spans(self, tmp_path):
         rec = ledger.begin("quiet.run", path=str(tmp_path / "r.jsonl"))

@@ -12,6 +12,7 @@ material without payment, and no stranded escrow after aborts.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.core.exchange import Seller
 from repro.core.tokens import DataAsset
+from repro.core.transform_protocol import prove_encryption, verify_encryption
 from repro.errors import QueueFullError, ServiceError, SessionError
 from repro.faults import FaultPlan
 from repro.field.fr import MODULUS as R
@@ -434,6 +436,45 @@ class TestNodePipeline:
             )
 
         asyncio.run(scenario())
+
+    def test_session_policy_verifies_pi_p_once_at_open(
+        self, snark_ctx, pik_bundles, monkeypatch
+    ):
+        """Default policy: a pi_p that does not verify never gets a session,
+        and a request on a good session does not verify it again."""
+        asset, bundles = pik_bundles
+        pi_p = prove_encryption(snark_ctx, asset)
+        forged = dataclasses.replace(
+            pi_p, proof=pi_p.proof.replace(a_bar=(pi_p.proof.a_bar + 1) % R)
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return verify_encryption(*args, **kwargs)
+
+        monkeypatch.setattr("repro.service.node.verify_encryption", counting)
+        monkeypatch.setattr("repro.core.exchange.verify_encryption", counting)
+
+        async def scenario():
+            node = _node(snark_ctx, verify_phase1="session")
+            with pytest.raises(ServiceError, match="pi_p failed verification"):
+                node.open_session(asset, encryption_proof=forged)
+            session = node.open_session(asset, encryption_proof=pi_p)
+            assert len(calls) == 2
+            await node.start()
+            try:
+                outcomes = await node.serve(_requests(session, bundles, 3))
+            finally:
+                await node.stop()
+            assert all(o.success for o in outcomes)
+            assert len(calls) == 2  # one per open_session, none per request
+
+        asyncio.run(scenario())
+
+    def test_unknown_phase1_policy_is_refused(self):
+        with pytest.raises(ServiceError, match="verify_phase1"):
+            NodeConfig(verify_phase1="per-request")
 
     def test_unknown_session_rejected(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles

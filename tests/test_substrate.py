@@ -1,7 +1,6 @@
-"""Unit tests for the contiguous data plane (PR 6).
+"""Unit tests for the packed data plane (``backend/shm.py``, ``curve/glv.py``).
 
-Covers the substrate mode switch, the packed scalar/point
-representations and their conversion boundaries, shared-memory segment
+Covers the packed scalar/point cell codecs, shared-memory segment
 lifecycle (including the worker-crash unlink guarantee, driven by the
 fault plane's ``workers`` profile), and the GLV constants.
 """
@@ -9,94 +8,26 @@ fault plane's ``workers`` profile), and the GLV constants.
 import os
 import signal
 import threading
-import time
 
 import pytest
 
-from repro import substrate
 from repro.backend import shm
 from repro.backend.parallel import ParallelEngine
 from repro.curve import glv
 from repro.curve.fq import Q
 from repro.curve.g1 import G1, JAC_INF
-from repro.errors import BackendError, FieldError
+from repro.errors import BackendError
 from repro.faults.plan import FaultPlan, draw
 from repro.field.fr import MODULUS as R
-from repro.field.frvec import ScalarVector, as_scalar_list, pack_scalars, unpack_scalars
 
 
-class TestSubstrateMode:
-    def test_default_is_fast(self):
-        assert substrate.mode() == substrate.MODE_FAST
-        assert substrate.fast_enabled()
-
-    def test_use_mode_restores_on_exit(self):
-        with substrate.use_mode("reference"):
-            assert not substrate.fast_enabled()
-            with substrate.use_mode("fast"):
-                assert substrate.fast_enabled()
-            assert substrate.mode() == "reference"
-        assert substrate.mode() == "fast"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            substrate.set_mode("turbo")
-        assert substrate.mode() == "fast"  # failed set leaves mode untouched
-
-    def test_use_mode_restores_after_exception(self):
-        with pytest.raises(RuntimeError):
-            with substrate.use_mode("reference"):
-                raise RuntimeError("boom")
-        assert substrate.mode() == "fast"
-
-
-class TestScalarVector:
+class TestScalarPacking:
     def test_pack_unpack_roundtrip(self):
         values = [0, 1, R - 1, 12345, R + 7]  # last one reduces mod r
-        buf = pack_scalars(values)
+        buf = shm.pack_scalars(values)
         assert len(buf) == 32 * len(values)
-        assert unpack_scalars(buf) == [v % R for v in values]
-
-    def test_from_list_to_list_boundary(self):
-        values = [3, 1, 4, 1, 5, 9, 2, 6]
-        vec = ScalarVector.from_list(values)
-        assert len(vec) == 8
-        assert vec.to_list() == values
-        assert list(vec) == values
-        assert vec[0] == 3 and vec[-1] == 6
-
-    def test_setitem_reduces(self):
-        vec = ScalarVector(2)
-        vec[0] = R + 5
-        assert vec[0] == 5
-
-    def test_slice_is_contiguous_view(self):
-        vec = ScalarVector.from_list(list(range(10)))
-        sub = vec[2:5]
-        assert sub.to_list() == [2, 3, 4]
-        with pytest.raises(FieldError):
-            vec[::2]
-
-    def test_from_buffer_zero_copy(self):
-        values = [7, 8, 9]
-        backing = bytearray(pack_scalars(values))
-        vec = ScalarVector.from_buffer(backing)
-        backing[0] = 1  # mutate the backing store; the view sees it
-        assert vec[0] == 1
-
-    def test_from_buffer_rejects_short_buffer(self):
-        with pytest.raises(FieldError):
-            ScalarVector.from_buffer(b"\x00" * 16, count=2)
-
-    def test_as_scalar_list_accepts_both(self):
-        assert as_scalar_list([1, 2]) == [1, 2]
-        assert as_scalar_list(ScalarVector.from_list([1, 2])) == [1, 2]
-
-    def test_equality(self):
-        vec = ScalarVector.from_list([1, 2, 3])
-        assert vec == [1, 2, 3]
-        assert vec == ScalarVector.from_list([1, 2, 3])
-        assert vec != ScalarVector.from_list([1, 2, 4])
+        assert shm.unpack_scalars(buf) == [v % R for v in values]
+        assert shm.unpack_scalars(buf, start=2, count=2) == [R - 1, 12345]
 
 
 class TestPointPacking:
@@ -138,7 +69,7 @@ class TestSegmentLifecycle:
     def test_engine_close_releases_pinned_segments(self):
         table = tuple(G1.generator() * k for k in range(1, 140))
         scalars = list(range(1, 140))
-        engine = ParallelEngine(workers=2, min_msm_points=1, use_shm=True)
+        engine = ParallelEngine(workers=2, min_msm_points=1)
         try:
             before = set(shm.owned_names())
             engine.msm_g1_fixed(table, scalars)
@@ -149,9 +80,7 @@ class TestSegmentLifecycle:
         assert all(not shm.segment_exists(n) for n in pinned)
 
     def test_scratch_segments_released_after_each_call(self):
-        engine = ParallelEngine(
-            workers=2, min_inverse_size=1, min_msm_points=10**9, use_shm=True
-        )
+        engine = ParallelEngine(workers=2, min_inverse_size=1, min_msm_points=10**9)
         try:
             before = set(shm.owned_names())
             engine.batch_inverse(list(range(1, 64)))
@@ -204,9 +133,7 @@ class TestWorkerCrashCleanup:
     def test_worker_kill_unlinks_segments_and_raises(self, chaos_seed):
         workers = 3
         kills = self._kill_set(chaos_seed, workers)
-        engine = ParallelEngine(
-            workers=workers, min_msm_points=1, use_shm=True, task_timeout=4.0
-        )
+        engine = ParallelEngine(workers=workers, min_msm_points=1, task_timeout=4.0)
         # A workload big enough that every worker's chunk is still in
         # flight when the kills land (cycled base points keep setup cheap;
         # packing cost is per-point so the MSM itself stays large).

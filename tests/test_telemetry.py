@@ -9,10 +9,11 @@ import io
 
 import pytest
 
-from repro import substrate, telemetry
+from repro import telemetry
 from repro.backend.parallel import ParallelEngine
 from repro.backend.serial import SerialEngine
 from repro.chain import Blockchain, Contract, external
+from repro.curve.msm import FIXED_WINDOW_MIN
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
@@ -362,7 +363,7 @@ class TestKernelAccounting:
     def test_margin_sized_srs_msms_take_the_table_path(self, snark_ctx):
         """Every commitment an n=2048 circuit issues (n .. n + DEGREE_MARGIN
         scalars) is served from the pinned window tables; one scalar more,
-        or the reference substrate, is counted as a bypass."""
+        or a prefix below the table floor, is counted as a bypass."""
         srs = snark_ctx.srs
         lengths = range(2048, 2048 + DEGREE_MARGIN + 1)
         engine = SerialEngine()
@@ -376,8 +377,7 @@ class TestKernelAccounting:
         assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 0
         engine.msm_srs(srs, [1] * (lengths[-1] + 1))
         assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 1
-        with substrate.use_mode("reference"):
-            engine.msm_srs(srs, [1] * 2048)
+        engine.msm_srs(srs, [1] * (FIXED_WINDOW_MIN - 1))
         assert telemetry.counter("engine.cache.bypasses", cache="msm_window").value == 2
         assert telemetry.counter("engine.cache.hits", cache="msm_window").value == len(lengths)
 

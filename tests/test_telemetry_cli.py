@@ -1,16 +1,17 @@
 """The telemetry CLI: report/diff/flame over ledgers and BENCH tables.
 
-Two committed artifacts double as fixtures so the CLI is continuously
-proven against real output of the stack:
+Two committed artifacts are the fixtures, both real output of the stack:
 
 - ``benchmarks/baselines/sample_ledger.jsonl`` — one profile-level
   KeySecure exchange on the 2-worker parallel backend (worker spans and
   ``worker.*`` counters included);
-- ``benchmarks/baselines/BENCH_substrate.json`` — the quick substrate
-  bench table the CI perf job diffs against.
+- ``tests/fixtures/bench_table_sample.json`` — a frozen BENCH table (two
+  data rows with speedup cells, one policy row, a trimmed registry
+  snapshot) from a bench that has since been retired; a parser sample,
+  not a baseline anything is gated against.
 
-The regression tests here are the CI gate's demonstration: degrading a
-speedup cell beyond the tolerance must flip ``diff --check`` to exit 1.
+The regression tests show ``diff --check`` working: degrading a speedup
+cell beyond the tolerance must flip it to exit 1.
 """
 
 import copy
@@ -31,7 +32,7 @@ from repro.telemetry.cli import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_LEDGER = REPO_ROOT / "benchmarks" / "baselines" / "sample_ledger.jsonl"
-BENCH_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "BENCH_substrate.json"
+BENCH_BASELINE = REPO_ROOT / "tests" / "fixtures" / "bench_table_sample.json"
 
 
 def _bench_payload():
