@@ -13,7 +13,7 @@ level and then shows the four things it produces:
    the `python -m repro.telemetry report` rendered from it.
 
 Run:  python examples/traced_exchange.py        (~2 minutes, real proofs)
-Tip:  REPRO_TELEMETRY=profile REPRO_BACKEND=parallel REPRO_WORKERS=2 \
+Tip:  REPRO_TELEMETRY=profile REPRO_BACKEND=parallel \
           python examples/traced_exchange.py
       additionally reconstructs worker.task child spans inside every
       parallel dispatch and attributes queue-wait/shm-attach/compute

@@ -253,6 +253,8 @@ class AnalysisConfig:
         ("attach_segment", ("close",)),
         ("SharedMemory", ("close", "unlink")),
         ("Pool", ("terminate", "close", "join")),
+        ("Process", ("terminate", "kill", "join")),
+        ("Pipe", ("close",)),
         ("acquire_ledger", ("release_ledger",)),
     )
 

@@ -5,8 +5,9 @@ multiplication over G1/G2, batched field inversion, fixed-base scalar
 multiplication — is reached through an :class:`Engine`:
 
 - :class:`SerialEngine` — single-process reference implementation;
-- :class:`ParallelEngine` — shards MSMs, independent NTTs and inversion
-  chains across ``multiprocessing`` workers.
+- :class:`ParallelEngine` — splits fixed-table MSMs with forked helpers
+  and shards generic MSMs, independent NTTs and inversion chains across
+  ``multiprocessing`` workers, one process per CPU it may run on.
 
 Both produce bit-identical outputs (enforced by property tests); they
 differ only in execution strategy.  The process-wide default engine is
@@ -15,7 +16,7 @@ selected by the ``REPRO_BACKEND`` environment variable (``serial`` |
 
     from repro.backend import ParallelEngine, use_engine
 
-    with use_engine(ParallelEngine(workers=8)):
+    with use_engine(ParallelEngine()):
         proof = prove(pk, assignment)       # all kernels run parallel
 
 or per call site — every protocol entry point accepts ``engine=``.

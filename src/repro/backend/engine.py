@@ -350,9 +350,8 @@ class Engine:
 
         The KZG commit hot path.  The points resolve through the cached
         Jacobian view (:meth:`srs_g1_jacobian`), so the caller never
-        copies the point list; backends may additionally pin a packed
-        shared-memory image of the SRS keyed by the same identity, which
-        makes the per-call worker payload just the scalars.
+        copies the point list; a split backend's helpers inherit the
+        window tables, so what it ships per call is just the scalars.
         """
         if not _tel.metrics_enabled():
             return self._msm_srs(srs, [int(s) for s in scalars])
@@ -405,6 +404,10 @@ class Engine:
                 c, tables = fixed_window_c(n), []
             tables.extend(build_window_tables(list(points[len(tables) : n]), c))
             self._window_tables[id(owner)] = (owner, c, tables)
+        return self._fixed_window(id(owner), c, tables, scalars)
+
+    def _fixed_window(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
+        """One bucket pass over ``_window_tables[key]`` (the strategy hook)."""
         return msm_fixed_window(tables, c, scalars)
 
     def _fixed_jacobian(self, table: Any) -> tuple:
@@ -431,9 +434,8 @@ class Engine:
 
         ``points`` is a sequence reused across proofs (Groth16 query
         tables); only the first ``len(scalars)`` entries are combined.
-        The affine->Jacobian conversion is cached per table identity and
-        shared-memory backends pin the packed image, so warm proofs ship
-        no points at all.
+        The affine->Jacobian conversion is cached per table identity, so
+        warm proofs convert (and split backends ship) no points at all.
         """
         if len(scalars) > len(points):
             raise BackendError(

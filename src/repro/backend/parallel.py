@@ -1,56 +1,57 @@
-"""The parallel compute engine: kernels fan out over worker processes.
+"""The parallel compute engines: kernels run on more than one core.
 
 CPython's GIL rules out thread-level parallelism for big-int arithmetic,
-so :class:`ParallelEngine` shards work across a lazily created
-``multiprocessing`` pool:
+so both engines here use forked processes.
 
-- **MSM**: the (point, scalar) pairs are split into per-worker chunks;
-  each worker runs the full Pippenger bucket method on its chunk and the
-  partial sums are folded with one Jacobian addition per chunk.  (Points
-  are sharded rather than Pippenger windows: window sharding would ship
-  the whole input to every worker, and in CPython the pickling cost of
-  the duplicated inputs dominates the saved additions.)
+:class:`SplitEngine` is the serial engine plus one thing: a fixed-table
+G1 MSM (``msm_srs`` / ``msm_g1_fixed`` on the window-table path — all
+nine commitments of a warm Plonk proof) keeps shard 0 in the calling
+process and sends every other shard to a long-lived forked *helper*.
+The helper inherited the window tables at fork, so a request is the
+table's key, an offset and the scalars (~33 B each), the reply is one
+Jacobian point, both sides run the same ``msm_fixed_window`` and the
+partials fold with ``jac_add``.  Helpers are forked once the tables they
+need exist and re-forked when a table outgrows them; a daemonic process
+(a ``ProverPool`` worker) may not fork, so it uses the helpers it
+inherited from its parent (:mod:`repro.service.pool`) and computes
+unsplit whatever they cannot cover.  A helper that dies is dropped and
+its shard recomputed in place.  Helpers record no telemetry: their time
+is the caller's ``msm_srs`` kernel time.
+
+:class:`ParallelEngine` adds a lazily created ``multiprocessing`` pool
+for the kernels with no inherited table to lean on:
+
+- **generic MSM**: the (point, scalar) pairs are split into per-worker
+  chunks, each runs the full Pippenger bucket method, and the partial
+  sums are folded with one Jacobian addition per chunk;
 - **NTT batches**: independent transforms — e.g. the prover's 6 live
-  coset FFTs of round 3 — map one job per worker task.  Per-process
-  :class:`~repro.field.ntt.Domain` caches mean twiddle tables are built
-  once per worker, not once per job.
+  coset FFTs of round 3 — map one job per worker task, twiddle tables
+  attached once per worker from a pinned segment;
 - **batch inversion**: Montgomery's trick is sequential within a chain,
   so long inputs are split into independent chains, one per worker.
 
-G1 MSM, NTT and inversion inputs travel through
+Pool inputs and NTT/inverse results travel through
 ``multiprocessing.shared_memory`` segments of packed fixed-width cells
-(:mod:`repro.backend.shm`) instead of being pickled:
-
-- fixed point tables (SRS G1 powers, Groth16 query tables) are packed
-  into a segment *once per table* and pinned by owner identity, so warm
-  proofs ship only scalars;
-- per-call scalars/values go into scratch segments that are unlinked in
-  a ``finally`` — worker crash and abort paths included — and a
-  watchdog timeout (``task_timeout``) converts a wedged pool into a
-  :class:`~repro.errors.BackendError` rather than a hang;
-- NTT/inverse results are written by workers into a result segment, so
-  nothing big is pickled in either direction.
+(:mod:`repro.backend.shm`) instead of being pickled; scratch segments
+are unlinked in a ``finally`` — worker crash and abort paths included —
+and a watchdog timeout (``task_timeout``) converts a wedged pool into a
+:class:`~repro.errors.BackendError` rather than a hang.  G2 MSMs are rare
+and small, so their chunks are pickled.  Small inputs fall back to the
+serial kernels; the thresholds are constructor arguments so tests can
+force the parallel paths.
 
 :class:`~repro.backend.serial.SerialEngine` is the bit-identity oracle
-the differential suite compares against.  G2 MSMs are rare and small, so
-their chunks are pickled.  Small inputs fall back to the serial kernels
-(fork/pickle overhead would swamp the win); the thresholds are
-constructor arguments so tests can force the parallel paths.
-
-The overrides are the internal ``_ntt_batch`` / ``_msm_jac`` /
-``_msm_srs`` / ``_msm_g1_fixed`` / ``_msm_jac_g2`` / ``_batch_inverse``
-dispatch targets.  The ``engine.*`` kernel metrics are recorded by the
-public wrappers in the base class, in this (parent) process, so a
-parallel run reports exactly the same ``engine.*`` counters as a serial
-run of the same workload.  On top of that, every fan-out goes through
+the differential suite compares against.  The overrides are the internal
+``_ntt_batch`` / ``_msm_jac`` / ``_fixed_window`` / ``_msm_jac_g2`` /
+``_batch_inverse`` dispatch targets; the ``engine.*`` kernel metrics are
+recorded by the public wrappers in the base class, in this process, so
+every engine reports the same ``engine.*`` counters for the same work.
+Every pool fan-out also goes through
 :func:`repro.telemetry.workers.dispatch`: at ``REPRO_TELEMETRY=profile``
-each task payload carries a trace context, workers time their
-queue-wait / shm-attach / compute phases and count the kernels they ran,
-and the parent merges the piggybacked stats back as ``worker.*`` metrics
-and ``worker.task`` child spans of the ``engine.dispatch`` span — so the
-pool is no longer a telemetry black box.  (The ``worker.*`` namespace is
-separate from ``engine.*`` precisely so the serial/parallel counter
-parity above stays bit-exact.)
+workers time their queue-wait / shm-attach / compute phases and the
+parent merges the piggybacked stats back as ``worker.*`` metrics (a
+namespace apart, so the parity above stays exact) and ``worker.task``
+child spans of the ``engine.dispatch`` span.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.backend.engine import Engine, apply_ntt_job
 from repro.field.ntt import Domain
 from repro.curve.g1 import jac_add, jac_batch_normalize
 from repro.curve.g2 import jac2_add
-from repro.curve.msm import msm_g2_jacobian, msm_jacobian
+from repro.curve.msm import msm_fixed_window, msm_g2_jacobian, msm_jacobian
 from repro.errors import BackendError, FieldError
 from repro.field.fr import MODULUS as _R, batch_inverse as _fr_batch_inverse
 from repro.telemetry import workers as _workers
@@ -89,12 +90,13 @@ def _msm_chunk_g2(args: tuple) -> tuple:
 
 
 def _msm_shm_chunk(args: tuple) -> tuple:
-    """Worker: MSM over a slice of packed shared-memory segments."""
-    ctx, pts_name, scal_name, start, count = args
+    """Worker: MSM over a slice of one packed segment (points, then scalars)."""
+    ctx, name, n_points, start, count = args
     rec = _workers.task_begin(ctx)
     with rec.timer("shm_attach"):
-        points = _shm.unpack_points(_shm.attach_segment(pts_name).buf, start, count)
-        scalars = _shm.unpack_scalars(_shm.attach_segment(scal_name).buf, start, count)
+        buf = _shm.attach_segment(name).buf
+        points = _shm.unpack_points(buf, start, count)
+        scalars = _shm.unpack_scalars(buf, 2 * n_points + start, count)
     rec.set_size(count)
     rec.count("msm_g1")
     with rec.timer("compute"):
@@ -167,19 +169,6 @@ def _inverse_shm_chunk(args: tuple) -> tuple:
     return None, rec.blob()
 
 
-def _chunk(seq: list, pieces: int) -> list[list]:
-    """Split ``seq`` into at most ``pieces`` contiguous, balanced chunks."""
-    pieces = max(1, min(pieces, len(seq)))
-    size, extra = divmod(len(seq), pieces)
-    out = []
-    start = 0
-    for i in range(pieces):
-        end = start + size + (1 if i < extra else 0)
-        out.append(seq[start:end])
-        start = end
-    return out
-
-
 def _spans(n: int, pieces: int) -> list[tuple[int, int]]:
     """Balanced contiguous ``(start, count)`` spans covering ``range(n)``."""
     pieces = max(1, min(pieces, n))
@@ -193,8 +182,103 @@ def _spans(n: int, pieces: int) -> list[tuple[int, int]]:
     return out
 
 
-class ParallelEngine(Engine):
-    """Engine that chunks MSMs, NTT batches and inversions across workers."""
+def _helper_loop(engine: "SplitEngine", conn, inherited: list) -> None:
+    """Forked helper: answer ``(table key, offset, scalars)`` with the
+    partial MSM over that slice of the tables it inherited."""
+    for other in inherited:  # so a dead peer reads as EOF, here and there
+        other.close()
+    while True:
+        try:
+            key, start, scalars = conn.recv()
+        except (EOFError, OSError):
+            return
+        _, c, tables = engine._window_tables[key]
+        conn.send(msm_fixed_window(tables[start : start + len(scalars)], c, scalars))
+
+
+class SplitEngine(Engine):
+    """Serial engine whose fixed-table G1 MSMs are shared with ``helpers``
+    forked processes; with none it is the serial engine."""
+
+    name = "split"
+
+    def __init__(self, helpers: int = 0, min_msm_points: int = 128) -> None:
+        super().__init__()
+        self.helpers = max(0, helpers)
+        self.min_msm_points = min_msm_points
+        #: Live helpers as ``(process, our pipe end)``.
+        self._links: list[tuple] = []
+        #: Table key -> rows the helpers inherited when they were forked.
+        self._forked_rows: dict[int, int] = {}
+
+    def _fork_helpers(self) -> None:
+        """(Re)fork the helpers so they inherit the tables as they are now."""
+        self.close()
+        ctx = multiprocessing.get_context("fork")
+        self._forked_rows = {k: len(v[2]) for k, v in self._window_tables.items()}
+        for _ in range(self.helpers):
+            ours, theirs = ctx.Pipe()
+            inherited = [ours] + [link[1] for link in self._links]
+            proc = ctx.Process(
+                target=_helper_loop, args=(self, theirs, inherited), daemon=True
+            )
+            proc.start()
+            theirs.close()
+            self._links.append((proc, ours))
+
+    def claim_helpers(self, slot: int, of: int) -> None:
+        """Keep every ``of``-th inherited helper from ``slot`` (one forked
+        pool worker's share); a slot past the end keeps none.  The pipe
+        ends let go here close as their last reference drops."""
+        self._links = self._links[slot::of] if slot < of else []
+
+    def live_helpers(self) -> int:
+        """Helpers still running, as seen by the process that forked them."""
+        return sum(1 for proc, _ in self._links if proc.is_alive())
+
+    def close(self) -> None:
+        links, self._links = self._links, []
+        for proc, conn in links:
+            conn.close()
+            proc.terminate()
+            proc.join()
+
+    def _fixed_window(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
+        n = len(scalars)
+        if self.helpers and n >= self.min_msm_points:
+            stale = self._forked_rows.get(key, 0) < n or not self._links
+            if stale and not multiprocessing.current_process().daemon:
+                self._fork_helpers()
+            if self._links and self._forked_rows.get(key, 0) >= n:
+                return self._split(key, c, tables, scalars)
+        return msm_fixed_window(tables, c, scalars)
+
+    def _split(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
+        shards = _spans(len(scalars), len(self._links) + 1)
+        asked = list(zip(self._links, shards[1:]))
+        for (_, conn), (start, count) in asked:
+            try:
+                conn.send((key, start, scalars[start : start + count]))
+            except OSError:
+                conn.close()  # the recv below raises and recomputes the shard
+        acc = msm_fixed_window(tables, c, scalars[: shards[0][1]])
+        for link, (start, count) in asked:
+            try:
+                part = link[1].recv()
+            except (EOFError, OSError):
+                # Helper lost: drop it and do its shard here, same kernel.
+                self._links.remove(link)
+                link[1].close()
+                part = msm_fixed_window(
+                    tables[start : start + count], c, scalars[start : start + count]
+                )
+            acc = jac_add(acc, part)
+        return acc
+
+
+class ParallelEngine(SplitEngine):
+    """Split engine that also chunks generic MSMs, NTT batches and
+    inversions across a worker pool."""
 
     name = "parallel"
 
@@ -207,27 +291,15 @@ class ParallelEngine(Engine):
         min_inverse_size: int = 8192,
         task_timeout: float | None = None,
     ):
-        super().__init__()
         if workers is None:
-            env = os.environ.get("REPRO_WORKERS")
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    raise BackendError(
-                        "REPRO_WORKERS must be an integer, got %r" % env
-                    ) from None
-            else:
-                workers = os.cpu_count() or 1
+            workers = len(os.sched_getaffinity(0))
         self.workers = max(1, workers)
-        self.min_msm_points = min_msm_points
+        super().__init__(self.workers - 1, min_msm_points)
         self.min_ntt_jobs = min_ntt_jobs
         self.min_ntt_size = min_ntt_size
         self.min_inverse_size = min_inverse_size
         self.task_timeout = task_timeout
         self._pool = None
-        #: Pinned packed-point segments: id(owner) -> (owner, segment).
-        self._point_segs: dict = {}
         #: Pinned packed twiddle-table segments: domain size -> segment.
         self._twiddle_segs: dict = {}
 
@@ -241,10 +313,8 @@ class ParallelEngine(Engine):
         return self._pool
 
     def close(self) -> None:
+        super().close()
         self._discard_pool(blocking=True)
-        for owner_id in list(self._point_segs):
-            _, seg = self._point_segs.pop(owner_id)
-            _shm.release_segment(seg)
         self._release_twiddle_segs()
 
     def _release_twiddle_segs(self) -> None:
@@ -295,53 +365,11 @@ class ParallelEngine(Engine):
                 return dsp.collect(result.get(self.task_timeout))
             except multiprocessing.TimeoutError:
                 self._discard_pool(blocking=False)
-                for owner_id in list(self._point_segs):
-                    _, seg = self._point_segs.pop(owner_id)
-                    _shm.release_segment(seg)
                 self._release_twiddle_segs()
                 raise BackendError(
                     "parallel kernel timed out after %.1fs (worker crash?)"
                     % self.task_timeout
                 ) from None
-
-    # ----------------------------------------------------- shm MSM plumbing
-
-    def _pinned_point_segment(self, owner, jac_points) -> object:
-        """The packed shm image of a fixed point table, created once.
-
-        Keyed and pinned by owner identity like the engine's Jacobian
-        caches; released by :meth:`close` (and the shm module's atexit
-        backstop)."""
-        key = id(owner)
-        hit = self._point_segs.get(key)
-        if hit is not None and hit[0] is owner:
-            return hit[1]
-        packed = _shm.pack_points(list(jac_points))
-        seg = _shm.create_segment(len(packed))
-        seg.buf[: len(packed)] = packed
-        self._point_segs[key] = (owner, seg)
-        return seg
-
-    def _msm_shm_sharded(
-        self, pts_name: str, scalars: list[int], kernel: str = "msm_g1"
-    ) -> tuple:
-        """Fan an MSM out over shm slices; scalars go in a scratch segment."""
-        n = len(scalars)
-        packed = _shm.pack_scalars(scalars)
-        scal_seg = _shm.create_segment(len(packed))
-        try:
-            scal_seg.buf[: len(packed)] = packed
-            tasks = [
-                (pts_name, scal_seg.name, start, count)
-                for start, count in _spans(n, self.workers)
-            ]
-            partials = self._run_tasks(_msm_shm_chunk, tasks, kernel)
-        finally:
-            _shm.release_segment(scal_seg)
-        result = partials[0]
-        for part in partials[1:]:
-            result = jac_add(result, part)
-        return result
 
     def _twiddle_segment(self, n: int) -> object:
         """The packed shm image of a size-``n`` domain's twiddle tables.
@@ -437,43 +465,29 @@ class ParallelEngine(Engine):
         cells: list[tuple] = [_shm_INF] * len(points)
         for i, p in zip(finite, normalized):
             cells[i] = p
-        packed = _shm.pack_points(cells)
-        pts_seg = _shm.create_segment(len(packed))
+        packed = _shm.pack_points(cells) + _shm.pack_scalars(scalars)
+        seg = _shm.create_segment(len(packed))
         try:
-            pts_seg.buf[: len(packed)] = packed
-            return self._msm_shm_sharded(pts_seg.name, [int(s) % _R for s in scalars])
+            seg.buf[: len(packed)] = packed
+            tasks = [
+                (seg.name, len(points), start, count)
+                for start, count in _spans(len(points), self.workers)
+            ]
+            partials = self._run_tasks(_msm_shm_chunk, tasks, "msm_g1")
         finally:
-            _shm.release_segment(pts_seg)
-
-    def _msm_srs(self, srs, scalars: list[int]) -> tuple:
-        if not self._use_pool(len(scalars), self.min_msm_points):
-            return super()._msm_srs(srs, scalars)
-        points = self.srs_g1_jacobian(srs)
-        if len(scalars) > len(points):
-            raise BackendError(
-                "msm_srs: %d scalars but SRS has %d G1 powers"
-                % (len(scalars), len(points))
-            )
-        seg = self._pinned_point_segment(srs, points)
-        return self._msm_shm_sharded(
-            seg.name, [int(s) % _R for s in scalars], "msm_srs"
-        )
-
-    def _msm_g1_fixed(self, points, scalars: list[int]) -> tuple:
-        if not self._use_pool(len(scalars), self.min_msm_points):
-            return super()._msm_g1_fixed(points, scalars)
-        jac = self._fixed_jacobian(points)
-        seg = self._pinned_point_segment(points, jac)
-        return self._msm_shm_sharded(
-            seg.name, [int(s) % _R for s in scalars], "msm_g1_fixed"
-        )
+            _shm.release_segment(seg)
+        result = partials[0]
+        for part in partials[1:]:
+            result = jac_add(result, part)
+        return result
 
     def _msm_jac_g2(self, points: list[tuple], scalars: list[int]) -> tuple:
         if not self._use_pool(len(points), self.min_msm_points):
             return msm_g2_jacobian(points, scalars)
-        chunks = list(
-            zip(_chunk(list(points), self.workers), _chunk(list(scalars), self.workers))
-        )
+        chunks = [
+            (points[start : start + count], scalars[start : start + count])
+            for start, count in _spans(len(points), self.workers)
+        ]
         partials = self._run_tasks(_msm_chunk_g2, chunks, "msm_g2")
         result = partials[0]
         for part in partials[1:]:

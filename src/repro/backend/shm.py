@@ -14,8 +14,8 @@ Ownership rules (see ``docs/data_plane.md`` for the full contract):
   process that ever unlinks it.  Scratch segments (per-call scalars, NTT
   values, results) are unlinked in a ``finally`` as soon as the call
   completes — including on worker crash/abort paths.  Pinned segments
-  (per-SRS / per-proving-key point tables) live until the engine is
-  closed; :func:`cleanup_owned` runs at interpreter exit as a backstop.
+  (per-domain twiddle tables) live until the engine is closed;
+  :func:`cleanup_owned` runs at interpreter exit as a backstop.
 - **Workers** only ever attach, read/write, and close.  Attachments are
   cached per process (keyed by segment name — names are unique per boot,
   so a cached attachment can never alias a new segment).  Workers are
@@ -95,16 +95,6 @@ def cleanup_owned() -> None:
     """Unlink every segment this process still owns (crash backstop)."""
     for seg in list(_owned.values()):
         release_segment(seg)
-
-
-def detach_all() -> None:
-    """Close every cached worker-side attachment (worker teardown)."""
-    for seg in list(_attached.values()):
-        _attached.pop(seg.name, None)
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover
-            pass
 
 
 def owned_names() -> list[str]:

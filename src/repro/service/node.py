@@ -401,6 +401,13 @@ class MarketplaceNode:
             return await self._abort_and_refund(
                 buyer_address, exchange_id, gas, str(exc)
             )
+        except Exception as exc:
+            # The payment is locked: whatever broke the prover (a closed
+            # pool, a backend or proof error), the buyer is refunded.
+            return await self._abort_and_refund(
+                buyer_address, exchange_id, gas,
+                "prover failed: %s: %s" % (type(exc).__name__, exc),
+            )
         try:
             policy.run(
                 lambda: faults.check("exchange.msg.negotiation"),

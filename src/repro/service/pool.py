@@ -7,10 +7,18 @@ over per-call pools is *cache residency*: the parent warms the pi_k
 circuit keys (and therefore the SRS Jacobian views and fixed-window
 tables inside the engine) **before** forking, so every worker inherits
 the warmed caches by copy-on-write and the first proof of each worker is
-already a warm proof.  Workers prove with a private *serial* engine —
-pool workers are daemonic and may not fork grandchildren, and nesting a
-:class:`~repro.backend.parallel.ParallelEngine` inside a pool worker
-would try exactly that.
+already a warm proof.
+
+A proof is 80% nine fixed-table MSMs, so when the process may run on at
+least twice as many CPUs as the pool has workers (``os.sched_getaffinity``;
+nothing a caller sets) every worker gets the spare cores as *helpers*: its
+:class:`~repro.backend.parallel.SplitEngine` keeps one shard of each MSM
+and sends the others to forked processes holding the same window tables.
+Pool workers are daemonic and may not fork, so the helpers are forked
+here, in the pool's parent, after the tables are warm and before the
+pool, and each worker claims its share of the inherited pipes.  A helper
+that dies costs that worker its split, not the proof.  With no core to
+spare the engine has no helpers and is the serial engine.
 
 The asyncio bridge is callback-based: ``apply_async`` completion fires
 on the pool's result-handler thread, which hops back onto the node's
@@ -21,18 +29,20 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import time
 from types import TracebackType
 from typing import Any, Optional
 
 from repro import telemetry
-from repro.backend.engine import Engine
+from repro.backend.parallel import SplitEngine
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset
 from repro.errors import ProtocolError, ServiceError
 from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import CircuitBuilder
+from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
 from repro.primitives.hashing import field_hash
 from repro.telemetry.metrics import LATENCY_BUCKETS
@@ -42,11 +52,20 @@ from repro.telemetry.metrics import LATENCY_BUCKETS
 _WORKER_STATE: dict[str, Any] = {}
 
 
+def _claim_helpers(taken: Any, workers: int) -> None:
+    """Pool initializer: this worker takes the next slot's helpers (a
+    replacement for a dead worker finds none left and proves unsplit)."""
+    with taken.get_lock():
+        slot = taken.value
+        taken.value += 1
+    _WORKER_STATE["engine"].claim_helpers(slot, workers)
+
+
 def _prove_pik_job(args: tuple) -> tuple:
     """Worker: prove one key negotiation; returns ``(k_c, proof_bytes)``.
 
     Runs entirely against the forked copies of the parent's SnarkContext
-    (circuit keys warm) and a serial engine (kernel caches warm).
+    (circuit keys warm) and engine (kernel caches warm).
     """
     key, key_commitment, key_blinder, k_v, h_v = args
     ctx = _WORKER_STATE["ctx"]
@@ -71,26 +90,38 @@ class ProverPool:
         if workers <= 0:
             raise ServiceError("prover pool needs at least one worker")
         self.workers = workers
-        # Warm everything the workers will inherit: the serial engine the
-        # forked provers use and the pi_k circuit keys on a context bound
-        # to that engine (key objects are engine-independent data, so the
-        # parent's cache transfers directly).
-        engine = Engine()
-        worker_ctx = SnarkContext(ctx.srs, engine=engine)
-        worker_ctx._cache.update(ctx._cache)
-        key_negotiation_keys(worker_ctx)
-        # Mirror any newly derived keys back so the caller's context also
-        # benefits from the warm-up.
-        ctx._cache.update(worker_ctx._cache)
-        _WORKER_STATE["ctx"] = worker_ctx
-        _WORKER_STATE["engine"] = engine
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" not in methods:
+        if "fork" not in multiprocessing.get_all_start_methods():
             raise ServiceError(
                 "prover pool requires the fork start method (cache inheritance)"
             )
-        self._pool = multiprocessing.get_context("fork").Pool(workers)
+        # Warm everything the workers will inherit: the engine the forked
+        # provers use and the pi_k circuit keys on a context bound to it
+        # (key objects are engine-independent data, so the parent's cache
+        # transfers directly).
+        spare = len(os.sched_getaffinity(0)) // workers - 1
+        engine = self._engine = SplitEngine(helpers=spare * workers)
+        worker_ctx = SnarkContext(ctx.srs, engine=engine)
+        worker_ctx._cache.update(ctx._cache)
+        keys = key_negotiation_keys(worker_ctx)
+        # Mirror any newly derived keys back so the caller's context also
+        # benefits from the warm-up.
+        ctx._cache.update(worker_ctx._cache)
+        # The window tables every blinded commitment needs (n + margin
+        # rows; key generation stops at n), built once, without proving —
+        # and this first full-width MSM is also what forks the helpers, so
+        # they exist before the pool does and hold complete tables.
+        engine.msm_srs(ctx.srs, [0] * (keys.layout.n + DEGREE_MARGIN))
+        _WORKER_STATE["ctx"] = worker_ctx
+        _WORKER_STATE["engine"] = engine
+        fork = multiprocessing.get_context("fork")
+        self._pool = fork.Pool(workers, _claim_helpers, (fork.Value("i", 0), workers))
+        self._helpers = self.helpers
         self._closed = False
+
+    @property
+    def helpers(self) -> int:
+        """Helper processes alive now (0: every worker proves unsplit)."""
+        return self._engine.live_helpers()
 
     async def prove_key_negotiation(
         self, asset: DataAsset, k_v: int, h_v: int
@@ -138,7 +169,10 @@ class ProverPool:
         try:
             result: tuple = await fut
         finally:
+            alive = self.helpers
+            lost, self._helpers = self._helpers - alive, alive
             if telemetry.metrics_enabled():
+                telemetry.counter("service.pool.helpers_lost").inc(lost)
                 telemetry.counter("service.pool.jobs").inc()
                 telemetry.histogram(
                     "service.pool.prove.seconds", LATENCY_BUCKETS
@@ -151,6 +185,7 @@ class ProverPool:
         self._closed = True
         self._pool.terminate()
         self._pool.join()
+        self._engine.close()
 
     def __enter__(self) -> "ProverPool":
         return self

@@ -450,6 +450,27 @@ class TestResourceReleaseOnRealCode:
         assert any("out_seg" in f.message for f in res_findings)
 
 
+    def test_a_forked_process_must_be_reaped_on_every_path(self, tmp_path):
+        """The split engine's helpers: a ``Process`` held in a local must
+        reach terminate/join even when the work in between raises."""
+        leaky = (
+            "import multiprocessing\n\n\n"
+            "def run(work):\n"
+            "    proc = multiprocessing.Process(target=work)\n"
+            "    proc.start()\n"
+            "    work()\n"
+            "    proc.join()\n"
+        )
+        result = _analyze_snippet(tmp_path, "service/helper_case.py", leaky)
+        assert [f.rule for f in result.findings] == ["RES-001"]
+        reaped = leaky.replace(
+            "    proc.start()\n    work()\n    proc.join()\n",
+            "    try:\n        proc.start()\n        work()\n"
+            "    finally:\n        proc.terminate()\n",
+        )
+        assert not _analyze_snippet(tmp_path, "service/helper_case.py", reaped).findings
+
+
 class TestPragmas:
     def test_pragma_suppresses_single_line(self, tmp_path):
         source = (

@@ -10,11 +10,13 @@ The contract under test is the one the protocol layers rely on:
 - kernel edge cases: ``batch_inverse`` error contracts, ``root_of_unity``
   bounds, MSM length mismatches, fixed-base multiples of the generators.
 
-The parallel engine under test forces the pool paths with thresholds of 1
-so the multiprocessing code runs even for tiny inputs (the container may
-have a single CPU; ``workers=2`` still exercises chunking and reassembly).
+The parallel engine under test forces the pool and helper paths with
+thresholds of 1 so the multiprocessing code runs even for tiny inputs (the
+container may have a single CPU; ``workers=2`` still exercises chunking,
+the table split and reassembly).
 """
 
+import os
 import random
 
 import pytest
@@ -101,10 +103,13 @@ class TestSelection:
             assert get_engine() is mine
         assert get_engine() is outer
 
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+    def test_workers_follow_the_affinity_mask(self, monkeypatch):
+        """The process count is observed, never configured: one shard per
+        CPU this process may run on, all but the caller's on helpers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         engine = ParallelEngine()
-        assert engine.workers == 3
+        assert (engine.workers, engine.helpers) == (3, 2)
+        assert ParallelEngine(workers=1).helpers == 0
         engine.close()
 
 
@@ -172,6 +177,9 @@ class TestEngineEquivalence:
         c_parallel = commit(small_srs, coeffs, engine=parallel_engine)
         assert c_serial == c_parallel
         assert c_serial.to_bytes() == c_parallel.to_bytes()
+        # 200 scalars ride the window tables, so this was the split path:
+        # half here, half on the forked helper.
+        assert parallel_engine.live_helpers() == 1
 
     def test_plonk_proof_bit_identical(self, parallel_engine, small_srs):
         from repro.plonk.circuit import CircuitBuilder

@@ -250,6 +250,10 @@ class TestSubstrateDifferential:
             table = tuple(powers)
             got_fixed = eng.msm_g1_fixed(table, coeffs)
             assert got_fixed.to_bytes() == G1.from_jacobian(expected).to_bytes()
+        # Both table paths were split with the forked helper, which was
+        # re-forked when the second table appeared.
+        assert parallel.live_helpers() == 1
+        assert set(parallel._forked_rows) >= {id(srs), id(table)}
 
     def test_table_path_equals_generic_across_the_blinding_margin(self, chaos_seed):
         """The prefix lengths an n=2048 circuit commits to (n .. n +

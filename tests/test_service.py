@@ -5,7 +5,9 @@ the chain-side batch entry points (batched verification, batched
 settlement, poisoned-member isolation).  The node-pipeline tests drive
 real exchanges end to end through the asyncio node with seller-attached
 pi_k bundles (proofs are produced once per module — the node's job here
-is serving, not proving).  The ``chaos``-marked class replays the
+is serving, not proving); ``TestProverPool`` is where the node proves,
+on both sides of the pool's choice between a serial prover and one split
+with forked helpers.  The ``chaos``-marked class replays the
 pipeline under the seeded ``exchange`` fault profile and asserts the
 safety envelope: every request terminates in exactly one state, no key
 material without payment, and no stranded escrow after aborts.
@@ -13,25 +15,39 @@ material without payment, and no stranded escrow after aborts.
 
 import asyncio
 import dataclasses
+import multiprocessing
+import os
+import random
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
-from repro.core.exchange import Seller
+from repro import faults, telemetry
+from repro.backend import SerialEngine, shm
+from repro.backend.parallel import SplitEngine
+from repro.core.exchange import Seller, build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import prove_encryption, verify_encryption
-from repro.errors import QueueFullError, ServiceError, SessionError
+from repro.curve.g1 import G1
+from repro.errors import BackendError, ProtocolError, QueueFullError, ServiceError, SessionError
 from repro.faults import FaultPlan
 from repro.field.fr import MODULUS as R
+from repro.plonk.circuit import CircuitBuilder
+from repro.plonk.keys import DEGREE_MARGIN
+from repro.plonk.proof import Proof
+from repro.plonk.prover import prove
+from repro.plonk.verifier import verify
 from repro.primitives.hashing import field_hash
+from repro.service import pool as pool_module
 from repro.service import (
     ExchangeRequest,
     FairQueue,
     MarketplaceNode,
     NegotiationBundle,
     NodeConfig,
+    ProverPool,
 )
 
 PRICE = 5000
@@ -476,6 +492,39 @@ class TestNodePipeline:
         with pytest.raises(ServiceError, match="verify_phase1"):
             NodeConfig(verify_phase1="per-request")
 
+    def test_prover_failure_after_the_lock_refunds_the_buyer(self, snark_ctx, pik_bundles):
+        """Anything that breaks phase 2 once the payment is locked — not
+        only a ``ProtocolError`` — must drive the refund: the escrow of a
+        request whose prover died used to stay in the arbiter for ever."""
+        asset, _ = pik_bundles
+
+        class _BrokenPool:
+            async def prove_key_negotiation(self, asset, k_v, h_v):
+                raise BackendError("helper pipe closed")
+
+            def close(self):
+                pass
+
+        async def scenario():
+            node = _node(snark_ctx)
+            node.pool = _BrokenPool()
+            session = node.open_session(asset, tenant="seller")
+            buyer = node.register_account(funded=FUNDS)
+            await node.start()
+            try:
+                request = ExchangeRequest(
+                    session.session_id, tenant="t", price=PRICE, buyer_address=buyer
+                )
+                (outcome,) = await node.serve([request])
+            finally:
+                await node.stop()
+            assert (outcome.success, outcome.aborted) == (False, True)
+            assert "prover failed" in outcome.reason and "BackendError" in outcome.reason
+            assert outcome.exchange_id is not None
+            assert node.chain.balance_of(buyer) == FUNDS
+
+        asyncio.run(scenario())
+
     def test_unknown_session_rejected(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles
 
@@ -505,6 +554,188 @@ class TestNodePipeline:
 # ---------------------------------------------------------------------------
 # Chaos: the pipeline under the seeded `exchange` fault profile
 # ---------------------------------------------------------------------------
+
+
+def _children():
+    return set(multiprocessing.active_children())
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU mask the pool observes (processes time-share the real
+    cores, so both sides of its choice run on any runner)."""
+
+    def set_mask(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    return set_mask
+
+
+def _prove_args(asset, k_v):
+    return (asset.key, asset.key_commitment.value, asset.key_blinder, k_v, field_hash(k_v))
+
+
+def _pik_verifies(snark_ctx, asset, k_v, result):
+    k_c, proof_bytes = result
+    statement = [k_c, asset.key_commitment.value, field_hash(k_v)]
+    vk = key_negotiation_keys(snark_ctx).vk
+    return verify(vk, statement, Proof.from_bytes(proof_bytes))
+
+
+@pytest.mark.slow
+class TestProverPool:
+    """The pool proves serially on a full mask and splits every
+    commitment with forked helpers when cores are spare; either way the
+    proof is the same proof and nothing outlives ``close()``."""
+
+    @pytest.mark.parametrize(
+        "mask, workers, helpers", [(1, 1, 0), (2, 1, 1), (2, 2, 0), (5, 2, 2)]
+    )
+    def test_helpers_are_chosen_from_the_cpu_mask(
+        self, snark_ctx, cpus, mask, workers, helpers
+    ):
+        cpus(mask)
+        before, segments = _children(), shm.owned_names()
+        with ProverPool(snark_ctx, workers=workers) as pool:
+            assert pool.helpers == helpers
+            # One process per worker and per helper, and none besides.
+            assert len(_children() - before) == workers + helpers
+        assert _children() == before
+        assert shm.owned_names() == segments
+
+    def test_pooled_proof_settles_through_the_node(self, snark_ctx, pik_bundles, cpus):
+        asset, _ = pik_bundles
+        cpus(2)
+        before, segments = _children(), shm.owned_names()
+
+        async def scenario():
+            node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+            assert node.pool.helpers == 1
+            session = node.open_session(asset, tenant="seller")
+            await node.start()
+            try:
+                request = ExchangeRequest(session.session_id, tenant="t", price=PRICE)
+                (outcome,) = await node.serve([request])
+            finally:
+                await node.stop()
+            assert outcome.success and outcome.plaintext == asset.plaintext
+
+        asyncio.run(scenario())
+        assert _children() == before
+        assert shm.owned_names() == segments
+
+    def test_two_workers_each_prove_with_their_own_helper(self, snark_ctx, pik_bundles, cpus):
+        """Workers sharing one helper's pipe would read each other's
+        partial sums; each claims its own at fork."""
+        asset, _ = pik_bundles
+        cpus(4)
+
+        async def scenario():
+            with ProverPool(snark_ctx, workers=2) as pool:
+                assert pool.helpers == 2
+                return await asyncio.gather(
+                    *(pool.prove_key_negotiation(asset, k, field_hash(k)) for k in (61, 62))
+                )
+
+        for k_v, result in zip((61, 62), asyncio.run(scenario())):
+            assert _pik_verifies(snark_ctx, asset, k_v, result)
+
+    def test_wrong_h_v_raises_protocol_error_from_the_worker(
+        self, snark_ctx, pik_bundles, cpus
+    ):
+        asset, _ = pik_bundles
+        cpus(1)
+
+        async def scenario():
+            with ProverPool(snark_ctx, workers=1) as pool:
+                with pytest.raises(ProtocolError, match="h_v"):
+                    await pool.prove_key_negotiation(asset, 77, field_hash(77) + 1)
+
+        asyncio.run(scenario())
+
+    def test_warm_up_covers_the_blinding_margin(self, snark_ctx, pik_bundles, cpus):
+        """Every commitment of a worker's first proof finds its window
+        table complete (n + margin rows): the pool warms them before it
+        forks, so no worker — and no helper — builds rows privately.
+        ``_prove_pik_job`` run here sees exactly what a worker inherits."""
+        asset, _ = pik_bundles
+        cpus(1)
+        with ProverPool(snark_ctx, workers=1):
+            with telemetry.use_level("metrics"):
+                telemetry.reset_metrics()
+                result = pool_module._prove_pik_job(_prove_args(asset, 4242))
+                counters = telemetry.registry().counter_values()
+                telemetry.reset_metrics()
+        assert _pik_verifies(snark_ctx, asset, 4242, result)
+        assert counters.get("engine.cache.misses{cache=msm_window}", 0) == 0
+        assert counters["engine.cache.hits{cache=msm_window}"] == 9
+
+    def test_split_msm_equals_serial_on_the_prover_lengths(self, snark_ctx):
+        """The property the split rests on, at the lengths a pi_k proof
+        commits to (n, n + 2, n + 3) and over the scalars that break
+        reductions: 0, r - 1 and values the caller did not reduce."""
+        n = key_negotiation_keys(snark_ctx).layout.n
+        serial, rng = SerialEngine(), random.Random(22)
+        with SplitEngine(helpers=2) as split:
+            for length in (n, n + 2, n + 3, n + DEGREE_MARGIN):
+                scalars = [
+                    rng.choice([0, 1, R - 1, R, R + rng.randrange(R), rng.randrange(R)])
+                    for _ in range(length)
+                ]
+                got = split.msm_srs(snark_ctx.srs, scalars)
+                assert split.live_helpers() == 2
+                want = serial.msm_srs(snark_ctx.srs, scalars)
+                assert G1.from_jacobian(got) == G1.from_jacobian(want)
+
+    def test_unblinded_proof_is_byte_identical_under_the_split(self, snark_ctx, pik_bundles):
+        asset, _ = pik_bundles
+        k_v = 31337
+        builder = CircuitBuilder()
+        build_key_negotiation_circuit(
+            builder, (asset.key + k_v) % R, asset.key_commitment.value,
+            field_hash(k_v), asset.key, asset.key_blinder, k_v,
+        )
+        layout, assignment = builder.compile()
+        pk = snark_ctx.keys_for(layout).pk
+        with SplitEngine(helpers=1) as split:
+            proof = prove(pk, assignment, blinding=False, engine=split)
+            assert split.live_helpers() == 1
+        assert proof.to_bytes() == prove(
+            pk, assignment, blinding=False, engine=SerialEngine()
+        ).to_bytes()
+
+    def test_killed_helpers_cost_the_split_not_the_proof(self, snark_ctx, pik_bundles, cpus):
+        """SIGKILL one real helper while a proof is running and the other
+        between proofs: both proofs verify, the worker ends up unsplit,
+        the pool says so, and ``close()`` still leaves nothing behind."""
+        asset, _ = pik_bundles
+        cpus(3)
+        before = _children()
+
+        async def scenario(pool):
+            first, second = (proc for proc, _ in pool._engine._links)
+            running = asyncio.ensure_future(
+                pool.prove_key_negotiation(asset, 501, field_hash(501))
+            )
+            await asyncio.sleep(0.3)
+            os.kill(first.pid, signal.SIGKILL)
+            assert _pik_verifies(snark_ctx, asset, 501, await running)
+            assert pool.helpers == 1
+            os.kill(second.pid, signal.SIGKILL)
+            second.join()
+            result = await pool.prove_key_negotiation(asset, 502, field_hash(502))
+            assert _pik_verifies(snark_ctx, asset, 502, result)
+            assert pool.helpers == 0
+
+        with telemetry.use_level("metrics"):
+            telemetry.reset_metrics()
+            with ProverPool(snark_ctx, workers=1) as pool:
+                assert pool.helpers == 2
+                asyncio.run(scenario(pool))
+            lost = telemetry.registry().counter_values()["service.pool.helpers_lost"]
+            telemetry.reset_metrics()
+        assert lost == 2
+        assert _children() == before
 
 
 @pytest.mark.chaos

@@ -5,6 +5,7 @@ lifecycle (including the worker-crash unlink guarantee, driven by the
 fault plane's ``workers`` profile), and the GLV constants.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -66,18 +67,24 @@ class TestSegmentLifecycle:
         shm.cleanup_owned()
         assert all(not shm.segment_exists(n) for n in names)
 
-    def test_engine_close_releases_pinned_segments(self):
+    def test_fixed_table_split_pins_nothing_and_close_reaps_the_helper(self):
+        """A fixed-table MSM is split with a forked helper that inherited
+        the window tables: no packed copy of the points exists, and
+        ``close()`` leaves no process behind."""
         table = tuple(G1.generator() * k for k in range(1, 140))
         scalars = list(range(1, 140))
         engine = ParallelEngine(workers=2, min_msm_points=1)
+        children = set(multiprocessing.active_children())
         try:
             before = set(shm.owned_names())
-            engine.msm_g1_fixed(table, scalars)
-            pinned = set(shm.owned_names()) - before
-            assert pinned, "warm table should pin a packed segment"
+            got = engine.msm_g1_fixed(table, scalars)
+            assert got == G1.generator() * sum(k * k for k in range(1, 140))
+            assert set(shm.owned_names()) == before
+            assert engine.live_helpers() == 1
+            assert len(set(multiprocessing.active_children()) - children) == 1
         finally:
             engine.close()
-        assert all(not shm.segment_exists(n) for n in pinned)
+        assert set(multiprocessing.active_children()) == children
 
     def test_scratch_segments_released_after_each_call(self):
         engine = ParallelEngine(workers=2, min_inverse_size=1, min_msm_points=10**9)
