@@ -26,7 +26,7 @@ def fq_inv(a: int) -> int:
     a %= Q
     if a == 0:
         raise FieldError("inverse of zero in Fq")
-    return pow(a, Q - 2, Q)
+    return pow(a, -1, Q)
 
 
 def fq_batch_inverse(values: list[int]) -> list[int]:

@@ -388,22 +388,35 @@ def fq12_cyclotomic_square(a: tuple) -> tuple:
     )
 
 
+def naf_digits(k: int) -> list[int]:
+    """Non-adjacent form of ``k >= 0``, low digit first: digits in
+    (-1, 0, 1), no two adjacent non-zero, the top digit 1."""
+    digits = []
+    while k:
+        d = 2 - (k & 3) if k & 1 else 0
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
+
+
 def fq12_cyclotomic_exp(a: tuple, e: int) -> tuple:
     """``a^e`` with cyclotomic squarings (``a`` must be cyclotomic).
 
-    Negative exponents use conjugation as inversion, which is exact in
-    the cyclotomic subgroup.
+    Conjugation is inversion in the cyclotomic subgroup, exactly, so the
+    exponent is walked in non-adjacent form (a product by ``conj(a)`` on
+    a negative digit) and a negative exponent starts from ``conj(a)``.
     """
     if e == 0:
         return FQ12_ONE
     if e < 0:
         a = fq12_conjugate(a)
         e = -e
+    a_inv = fq12_conjugate(a)
     result = a
-    for bit in bin(e)[3:]:
+    for d in naf_digits(e)[-2::-1]:  # below the top digit, high to low
         result = fq12_cyclotomic_square(result)
-        if bit == "1":
-            result = fq12_mul(result, a)
+        if d:
+            result = fq12_mul(result, a if d > 0 else a_inv)
     return result
 
 

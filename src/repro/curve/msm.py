@@ -1,7 +1,16 @@
-"""Pippenger (bucket-method) multi-scalar multiplication over G1 and G2.
+"""Multi-scalar multiplication over G1 and G2: two kernels, chosen by size.
 
-The Plonk and Groth16 provers spend most of their group time in MSMs of the
-form sum_i k_i * P_i with n up to a few thousand; the bucket method brings
+**Short folds: interleaved wNAF (Straus).**  The Plonk verifier's two
+folds (2 and 19 terms an audit, 16 and 82 a settlement batch of eight)
+have too few points to fill buckets, so up to :data:`STRAUS_MAX` terms
+:func:`msm_jacobian` runs :func:`_straus_msm_g1`: GLV half-scalars in
+width-5 non-adjacent form, a table of odd multiples per point, every
+addend summed per bit position by batched-affine additions, and one
+shared double-and-add chain of ~129 steps.
+
+**Everything larger: Pippenger (bucket method).**  The Plonk and Groth16
+provers spend most of their group time in MSMs of the form
+sum_i k_i * P_i with n up to a few thousand; the bucket method brings
 that from O(n * 256) point additions down to roughly O(n + 2^c * 256/c).
 
 Scalars are recoded into *signed* windows (digits in
@@ -16,6 +25,9 @@ further with batch-affine bucket accumulation (:func:`_bucket_msm_g1`):
 bucket contents stay affine and are reduced with batched-inverse affine
 additions.  G2 MSMs are comparatively rare and small, so they use the
 generic signed bucket loop with mixed Jacobian additions.
+
+The SRS commitments run neither: :func:`msm_fixed_window` folds every
+window of a precomputed table into one bucket pass.
 """
 
 from __future__ import annotations
@@ -47,9 +59,12 @@ def _window_size(n: int) -> int:
     """Empirical window width for the signed bucket method.
 
     ``n`` is the pair count the bucket loop sees — on the G1 path that
-    is *after* the GLV split, two half-width pairs per term.  The
-    rows below 512 are fitted to that kernel (EXPERIMENTS.md, "MSM window
-    widths at the small end"): the verifier's folds live there.
+    is *after* the GLV split, two half-width pairs per term, and only
+    folds above :data:`STRAUS_MAX` terms get there: G1 reaches the rows
+    from ``n < 200`` up (194 pairs at the crossover).  The rows below
+    that serve G2's :func:`_bucket_msm`, which sees every size from two
+    pairs.  The rows below 512 were fitted to the G1 kernel
+    (EXPERIMENTS.md, "MSM window widths at the small end").
     """
     if n < 12:
         return 2
@@ -260,24 +275,96 @@ def _bucket_msm_g1(pairs: list, bits: int = _SCALAR_BITS) -> tuple:
     return result
 
 
+#: Largest fold the interleaved wNAF kernel takes; the bucket kernel has
+#: everything above.  From the sweep in EXPERIMENTS.md ("The verifier paid
+#: Fermat for every inversion"): Straus is 30% ahead at 2-19 terms, 13% at
+#: 82, 6-10% at 96, inside the noise at 128-160 and 13% behind at 300.
+#: Width 5 wins that sweep from 16 terms up (per point 2 * 129/6 addends
+#: and 8 table steps; width 4 is 3-5% ahead at one and two terms only).
+STRAUS_MAX = 96
+_NAF_WIDTH = 5
+
+
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """Width-``_NAF_WIDTH`` non-adjacent form of ``k > 0`` as ``(position,
+    digit)`` pairs, low position first: ``sum d * 2^pos == k``, every
+    digit odd with ``|d| < 2^(width-1)``, positions at least ``width``
+    apart.  Zero runs are skipped by the lowest set bit, not walked."""
+    full = 1 << _NAF_WIDTH
+    out = []
+    pos = 0
+    while k:
+        shift = (k & -k).bit_length() - 1
+        k >>= shift
+        pos += shift
+        d = k & (full - 1)
+        if d > full >> 1:
+            d -= full
+        out.append((pos, d))
+        k -= d
+    return out
+
+
+def _straus_msm_g1(pairs: list) -> tuple:
+    """Interleaved wNAF (Straus) G1 MSM for the verifier's short folds.
+
+    ``pairs`` holds normalised ``z = 1`` points with scalars in (0, r).
+    Every GLV half-scalar is recoded by :func:`_wnaf`; the odd multiples
+    ``P, 3P, ..., (2^(w-1) - 1)P`` of the base points are built affine,
+    one batched inversion per step across all points (``psi`` of a
+    multiple is one multiplication by ``glv.BETA`` at scatter time, so
+    there is no second table); each digit's addend lands in the list of
+    its bit position, the lists are summed by :func:`_batch_affine_reduce`,
+    and one double-and-add chain of ~``glv.HALF_BITS`` steps folds them.
+    Nothing is kept between calls.
+    """
+    # Odd multiples: 2P, then (2m+1)P = (2m-1)P + 2P — never a doubling
+    # or a cancellation, since G1 has prime order and 2m + 1 < 2^w.
+    rows = [[(x, y)] for (x, y, _), _ in pairs]
+    twice = [[(x, y), (x, y)] for (x, y, _), _ in pairs]
+    _batch_affine_reduce(twice)
+    for _ in range((1 << (_NAF_WIDTH - 2)) - 1):
+        step = [[row[-1], dbl[0]] for row, dbl in zip(rows, twice)]
+        _batch_affine_reduce(step)
+        for row, nxt in zip(rows, step):
+            row.append(nxt[0])
+
+    beta = glv.BETA
+    slots: list[list] = [[] for _ in range(glv.HALF_BITS + 1)]
+    for row, (_, s) in zip(rows, pairs):
+        k1, k2 = glv.decompose(s)
+        for kk, multiples in ((k1, row), (k2, [(x * beta % Q, y) for x, y in row])):
+            neg = kk < 0
+            for pos, d in _wnaf(-kk if neg else kk):
+                x, y = multiples[abs(d) >> 1]
+                slots[pos].append((x, Q - y if (d < 0) != neg else y))
+    _batch_affine_reduce(slots)
+
+    result = JAC_INF
+    for lst in reversed(slots):
+        result = jac_double(result)
+        if lst:
+            result = jac_add(result, (lst[0][0], lst[0][1], 1))
+    return result
+
+
 def msm_jacobian(points: list[tuple], scalars: list[int]) -> tuple:
     """MSM over G1 Jacobian point tuples; returns a Jacobian tuple.
 
-    Each (point, scalar) pair is GLV-split into two half-width pairs
-    before bucketing: twice the bucket insertions, but half the windows
-    — and the per-window doubling chain in the aggregation phase is the
-    serial bottleneck.
+    Folds of up to :data:`STRAUS_MAX` terms run the interleaved wNAF
+    kernel.  Beyond it each (point, scalar) pair is GLV-split into two
+    half-width pairs before bucketing: twice the bucket insertions, but
+    half the windows — and the per-window doubling chain in the
+    aggregation phase is the serial bottleneck.
     """
     pairs = _collect_pairs(points, scalars, _jac_is_inf, "msm")
     if not pairs:
         return JAC_INF
-    if len(pairs) == 1:
-        return glv.glv_jac_mul(pairs[0][0], pairs[0][1])
     normalized = jac_batch_normalize([p for p, _ in pairs])
-    pairs = glv.split_pairs([(p, s) for p, (_, s) in zip(normalized, pairs)])
-    if not pairs:
-        return JAC_INF
-    return _bucket_msm_g1(pairs, bits=glv.HALF_BITS)
+    pairs = [(p, s) for p, (_, s) in zip(normalized, pairs)]
+    if len(pairs) <= STRAUS_MAX:
+        return _straus_msm_g1(pairs)
+    return _bucket_msm_g1(glv.split_pairs(pairs), bits=glv.HALF_BITS)
 
 
 # --------------------------------------------------------- fixed-base MSM

@@ -53,7 +53,7 @@ def inv(a: int) -> int:
     a %= _R
     if a == 0:
         raise FieldError("inverse of zero")
-    return pow(a, _R - 2, _R)
+    return pow(a, -1, _R)
 
 
 def batch_inverse(values: list[int]) -> list[int]:

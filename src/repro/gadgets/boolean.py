@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import CircuitError
-from repro.field.fr import MODULUS as R
+from repro.field import fr
 from repro.plonk.circuit import CircuitBuilder, Wire
 
 
@@ -62,7 +62,7 @@ def is_zero(builder: CircuitBuilder, x: Wire) -> Wire:
     out = 1 - x*inv and x*out = 0.
     """
     value = builder.value(x)
-    inv_val = pow(value, R - 2, R) if value else 0
+    inv_val = fr.inv(value) if value else 0
     inv = builder.var(inv_val)
     prod = builder.mul(x, inv)
     out = builder.linear_combination([(-1, prod)], constant=1)

@@ -94,26 +94,24 @@ class SRS:
             )
         return SRS(self.g1_powers[: max_degree + 1], self.g2, self.g2_tau)
 
-    def is_well_formed(self, check_powers: int = 4, engine=None) -> bool:
-        """Spot-check internal consistency with pairings.
+    def is_well_formed(self, engine=None) -> bool:
+        """Check every power of the string with one folded pairing check.
 
-        Verifies e([tau^i]_1, [tau]_2) == e([tau^(i+1)]_1, [1]_2) for the
-        first ``check_powers`` indices (full verification is linear in the
-        SRS size and is exercised in tests on small strings).  Each
-        equality runs as a two-pair product check, so [tau]_2 and [1]_2
-        hit the engine's prepared-G2 cache across iterations.
+        The string is well formed iff it starts at the generators and
+        e([tau^i]_1, [tau]_2) == e([tau^(i+1)]_1, [1]_2) for every
+        i < max_degree.  Random non-zero weights rho_i fold those
+        equations into one (small-exponent batching, as in
+        :meth:`Ceremony.verify_transcript`): two G1 MSMs and a two-pair
+        product check, whatever the size; a string with any power off
+        the chain passes with probability ~max_degree / r.
         """
         engine = engine or get_engine()
-        for i in range(min(check_powers, self.max_degree)):
-            ok = engine.pairing_check(
-                [
-                    (self.g1_powers[i], self.g2_tau),
-                    (-self.g1_powers[i + 1], self.g2),
-                ]
-            )
-            if not ok:
-                return False
-        return True
+        if self.g1_powers[0] != G1.generator() or self.g2 != G2.generator():
+            return False
+        weights = [random_scalar(nonzero=True) for _ in range(self.max_degree)]
+        low = engine.msm_g1(self.g1_powers[:-1], weights)
+        high = engine.msm_g1(self.g1_powers[1:], weights)
+        return engine.pairing_check([(low, self.g2_tau), (-high, self.g2)])
 
 
 @dataclass(frozen=True)
@@ -184,5 +182,5 @@ class Ceremony:
             ):
                 return False
             prev_tau_g1 = proof.after_tau_g1
-        # Finally the claimed SRS must carry the chained tau.
-        return self.srs.g1_powers[1] == prev_tau_g1
+        # Finally the claimed SRS must carry the chained tau, in every power.
+        return self.srs.g1_powers[1] == prev_tau_g1 and self.srs.is_well_formed(engine)

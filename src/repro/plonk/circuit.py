@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import hashlib
 
 from repro.errors import CircuitError, UnsatisfiedConstraintError
-from repro.field.fr import MODULUS as R, root_of_unity
+from repro.field.fr import MODULUS as R, inv as fr_inv, root_of_unity
 
 #: Coset representatives separating the three wire columns inside the
 #: permutation argument.  Checked at import time to lie outside every
@@ -33,7 +33,7 @@ def _find_cosets() -> tuple[int, int]:
     for k in candidates:
         if pow(k, full, R) == 1:
             continue
-        if any(pow(k * pow(other, R - 2, R) % R, full, R) == 1 for other in picked):
+        if any(pow(k * fr_inv(other) % R, full, R) == 1 for other in picked):
             continue
         picked.append(k)
         if len(picked) == 2:
@@ -325,7 +325,7 @@ class CircuitBuilder:
     def assert_not_zero(self, x: Wire) -> None:
         """Constrain x != 0 by exhibiting its inverse."""
         val = self._values[x]
-        inv_val = pow(val, R - 2, R) if val else 0
+        inv_val = fr_inv(val) if val else 0
         inv = self.var(inv_val)
         one = self.var(val * inv_val)
         self.gate(a=x, b=inv, c=one, qm=1, qo=-1)

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 from repro.curve import G1, G2, msm_g1, pairing, pairing_check
 from repro.curve.fq import FQ2_ONE, Q, fq2_inv, fq2_mul, fq2_pow
 from repro.curve.fq12 import FQ12_ONE, fq12, fq12_eq, fq12_inv, fq12_mul, fq12_pow
-from repro.curve.msm import msm_jacobian
-from repro.errors import CurveError, ReproError
+import random
+
+from repro.backend.parallel import ParallelEngine
+from repro.backend.serial import SerialEngine
+from repro.curve import glv
+from repro.curve.fq import fq_inv
+from repro.curve.g1 import JAC_INF, jac_add, jac_mul, jac_to_affine
+from repro.curve.msm import STRAUS_MAX, _wnaf, msm_jacobian
+from repro.errors import CurveError, FieldError, ReproError
+from repro.field import fr
 from repro.field.fr import MODULUS as R
 
 scalars = st.integers(min_value=0, max_value=R - 1)
@@ -165,6 +173,104 @@ class TestMSM:
         inf = (1, 1, 0)
         out = msm_jacobian([g, inf], [5, 9])
         assert G1.from_jacobian(out) == G1.generator() * 5
+
+
+def _naive_msm(points, ks):
+    acc = JAC_INF
+    for p, k in zip(points, ks):
+        acc = jac_add(acc, jac_mul(p, k))
+    return jac_to_affine(acc)
+
+
+class TestStraus:
+    """The interleaved wNAF kernel behind ``msm_jacobian`` for folds of up
+    to ``STRAUS_MAX`` terms, against plain double-and-add at the affine
+    level, on both sides of the crossover and on every degenerate term."""
+
+    rng = random.Random(0x57A05)
+
+    def _points(self, n):
+        return [jac_mul((1, 2, 1), self.rng.randrange(1, R)) for _ in range(n)]
+
+    def _check(self, points, ks):
+        assert jac_to_affine(msm_jacobian(points, ks)) == _naive_msm(points, ks)
+
+    def test_wnaf_digits(self):
+        ks = [1, 2, 31, 32, 1 << 127, (1 << 129) - 1]
+        ks += [self.rng.randrange(1, 1 << 129) for _ in range(50)]
+        for k in ks:
+            digits = _wnaf(k)
+            assert sum(d << pos for pos, d in digits) == k
+            assert all(d % 2 == 1 and abs(d) < 16 for _, d in digits)
+            assert all(b - a >= 5 for (a, _), (b, _) in zip(digits, digits[1:]))
+            assert digits[-1][0] <= glv.HALF_BITS
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 21, STRAUS_MAX, STRAUS_MAX + 1])
+    def test_random_terms_match_naive(self, n):
+        self._check(self._points(n), [self.rng.randrange(R) for _ in range(n)])
+
+    def test_one_point_many_times(self):
+        (p,) = self._points(1)
+        self._check([p] * STRAUS_MAX, [self.rng.randrange(R) for _ in range(STRAUS_MAX)])
+        self._check([p] * STRAUS_MAX, [5] * STRAUS_MAX)
+
+    def test_point_beside_its_negation(self):
+        p, q = self._points(2)
+        x, y = jac_to_affine(p)
+        k = self.rng.randrange(1, R)
+        assert msm_jacobian([p, (x, Q - y, 1)], [k, k])[2] == 0
+        self._check([p, q, (x, Q - y, 1)], [k, 7, k])
+
+    def test_identity_points_and_zero_scalars_among_the_terms(self):
+        points = self._points(4)
+        self._check(points + [JAC_INF], [3, 0, R, 11, 9])
+        assert msm_jacobian(points, [0, R, 0, 2 * R])[2] == 0
+
+    @pytest.mark.parametrize("k", [1, 2, R - 1, R, R + 5, glv.LAMBDA, R - glv.LAMBDA])
+    def test_boundary_scalars(self, k):
+        # lambda and r - lambda split into a GLV half of 0 beside +-1.
+        p, q = self._points(2)
+        self._check([p], [k])
+        self._check([p, q], [k, k])
+
+    def test_unnormalised_input_points(self):
+        points = self._points(6)
+        assert all(p[2] != 1 for p in points)
+        self._check(points, [self.rng.randrange(R) for _ in range(6)])
+
+    def test_engines_agree_across_the_crossover(self):
+        """Two workers halve a fold: 2 * STRAUS_MAX terms are two Straus
+        shards against one serial bucket pass, two more terms put both
+        sides on the bucket kernel, and STRAUS_MAX stays Straus on both."""
+        serial = SerialEngine()
+        parallel = ParallelEngine(workers=2, min_msm_points=1)
+        try:
+            for n in (STRAUS_MAX, 2 * STRAUS_MAX, 2 * STRAUS_MAX + 2):
+                points = self._points(n)
+                ks = [self.rng.randrange(R) for _ in range(n)]
+                expected = _naive_msm(points, ks)
+                assert jac_to_affine(serial.msm_jac(points, ks)) == expected
+                assert jac_to_affine(parallel.msm_jac(points, ks)) == expected
+        finally:
+            parallel.close()
+
+
+class TestFieldInverse:
+    """One Euclidean inverse per field, behind a zero check that keeps the
+    error a ``FieldError``."""
+
+    @pytest.mark.parametrize("inv,p", [(fq_inv, Q), (fr.inv, R)])
+    def test_inverse_law_and_reduction(self, inv, p):
+        rng = random.Random(p % 1000)
+        for a in [1, 2, p - 1, p + 1, 3 * p + 7] + [rng.randrange(1, p) for _ in range(20)]:
+            assert 0 < inv(a) < p and inv(a) * a % p == 1
+        assert inv(p + 5) == inv(5) == pow(5, p - 2, p)
+
+    @pytest.mark.parametrize("inv,p", [(fq_inv, Q), (fr.inv, R)])
+    def test_zero_is_a_field_error(self, inv, p):
+        for a in (0, p, 2 * p):
+            with pytest.raises(FieldError):
+                inv(a)
 
 
 @pytest.mark.slow

@@ -38,9 +38,24 @@ class TestSRS:
 
     @pytest.mark.slow
     def test_well_formedness_pairing_check(self, srs):
-        assert srs.is_well_formed(check_powers=2)
+        assert srs.is_well_formed()
         bad = SRS((G1.generator(), G1.generator() * 5, G1.generator() * 7), srs.g2, srs.g2_tau)
-        assert not bad.is_well_formed(check_powers=2)
+        assert not bad.is_well_formed()
+
+    @pytest.mark.slow
+    def test_every_corrupted_power_is_rejected(self, srs):
+        """One fold covers the whole string: no index is left unchecked
+        (the four-power spot check passed a corrupted ``g1_powers[9]``)."""
+        g = G1.generator()
+        for i in range(len(srs.g1_powers)):
+            powers = list(srs.g1_powers)
+            powers[i] = powers[i] + g
+            assert not SRS(tuple(powers), srs.g2, srs.g2_tau).is_well_formed(), i
+        powers = list(srs.g1_powers)
+        powers[9], powers[10] = powers[10], powers[9]
+        assert not SRS(tuple(powers), srs.g2, srs.g2_tau).is_well_formed()
+        assert not SRS(srs.g1_powers, srs.g2 * 2, srs.g2_tau).is_well_formed()
+        assert not SRS(srs.g1_powers, srs.g2, srs.g2_tau * 2).is_well_formed()
 
 
 @pytest.mark.slow
@@ -63,6 +78,16 @@ class TestCeremony:
             after_tau_g1=ceremony.transcript[0].after_tau_g1,
         )
         ceremony.transcript[0] = forged
+        assert not ceremony.verify_transcript()
+
+    def test_corrupted_high_power_rejected(self):
+        """The chained tau only pins ``g1_powers[1]``; the final string's
+        other powers are checked by :meth:`SRS.is_well_formed`."""
+        ceremony = Ceremony.bootstrap(8)
+        ceremony.contribute(rho=111)
+        powers = list(ceremony.srs.g1_powers)
+        powers[6] = powers[6] + G1.generator()
+        ceremony.srs = SRS(tuple(powers), ceremony.srs.g2, ceremony.srs.g2_tau)
         assert not ceremony.verify_transcript()
 
     def test_swapped_srs_rejected(self):

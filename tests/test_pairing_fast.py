@@ -118,9 +118,19 @@ class TestKernels:
 
     def test_cyclotomic_exp_matches_pow(self):
         f = _easy_part(tuple(_rng.randrange(Q) for _ in range(12)))
-        e = _rng.randrange(1 << 64)
-        assert k.fq12_cyclotomic_exp(f, e) == fq12_pow(f, e)
-        assert k.fq12_cyclotomic_exp(f, -e) == fq12_pow(k.fq12_conjugate(f), e)
+        # 3 and BN_U carry negative NAF digits; 1 and 2 have no digit
+        # below the top to walk.
+        for e in (_rng.randrange(1 << 64), 1, 2, 3, fast.BN_U):
+            assert k.fq12_cyclotomic_exp(f, e) == fq12_pow(f, e)
+            assert k.fq12_cyclotomic_exp(f, -e) == fq12_pow(k.fq12_conjugate(f), e)
+
+    def test_naf_digits(self):
+        for e in (0, 1, 2, 3, 7, fast.BN_U, fast.ATE_LOOP_COUNT, _rng.randrange(1 << 130)):
+            digits = k.naf_digits(e)
+            assert sum(d << i for i, d in enumerate(digits)) == e
+            assert set(digits) <= {-1, 0, 1}
+            assert not any(a and b for a, b in zip(digits, digits[1:]))
+            assert not digits or digits[-1] == 1
 
 
 class TestEquivalence:
@@ -208,7 +218,24 @@ class TestPreparedG2:
 
     def test_one_normalised_line_per_step(self):
         prep = fast.prepare_g2(G2.generator() * 5)
-        assert len(prep.lines) == len(fast._ATE_STEPS) == 64 + 36 + 2
+        steps = fast._ATE_STEPS
+        # Replay the schedule on integers: R starts at Q (multiple 1) and
+        # must reach 6u + 2 before the two Frobenius-twisted additions.
+        multiple = 1
+        for step in steps[:-2]:
+            if step == fast._DOUBLE:
+                multiple *= 2
+            else:
+                multiple += {fast._ADD_Q: 1, fast._SUB_Q: -1}[step]
+        assert multiple == fast.ATE_LOOP_COUNT
+        assert steps[-2:] == (fast._ADD_PI_Q, fast._ADD_NEG_PI2_Q)
+        # One doubling per bit below the top, one line per non-zero
+        # signed digit below the top, two closing lines.
+        doublings = steps.count(fast._DOUBLE)
+        signed = steps.count(fast._ADD_Q) + steps.count(fast._SUB_Q)
+        assert doublings == fast.ATE_LOOP_COUNT.bit_length() - 1
+        assert signed < bin(fast.ATE_LOOP_COUNT).count("1") - 1
+        assert len(prep.lines) == len(steps) == doublings + signed + 2 == 87
         assert all(len(line) == 4 and all(0 <= c < Q for c in line) for line in prep.lines)
 
     def test_degenerate_line_is_a_curve_error(self):

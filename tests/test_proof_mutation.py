@@ -63,7 +63,45 @@ def plonk_case():
     return vk, publics, proof
 
 
+def _degenerate_mutations():
+    """``(id, proof -> kwargs for Proof.replace)`` for the hostile slice:
+    identity / generator / negated / neighbouring points in every slot,
+    boundary values in every evaluation."""
+    cases = []
+    for i, field in enumerate(_POINT_FIELDS):
+        neighbour = _POINT_FIELDS[(i + 1) % len(_POINT_FIELDS)]
+        cases += [
+            (field + "=identity", lambda p, f=field: {f: G1.identity()}),
+            (field + "=generator", lambda p, f=field: {f: G1.generator()}),
+            (field + "=negated", lambda p, f=field: {f: -getattr(p, f)}),
+            (field + "=" + neighbour, lambda p, f=field, n=neighbour: {f: getattr(p, n)}),
+        ]
+    cases += [
+        ("all-points=identity", lambda p: dict.fromkeys(_POINT_FIELDS, G1.identity())),
+        ("openings=identity", lambda p: dict.fromkeys(("w_zeta", "w_zeta_omega"), G1.identity())),
+    ]
+    for field in _SCALAR_FIELDS:
+        for value in (0, 1, R - 1):
+            label = "%s=%s" % (field, "r-1" if value > 1 else value)
+            cases.append((label, lambda p, f=field, v=value: {f: v}))
+    return cases
+
+
 class TestPlonkProofMutation:
+    @pytest.mark.parametrize(
+        "mutation", [pytest.param(m, id=i) for i, m in _degenerate_mutations()]
+    )
+    def test_degenerate_component_rejected(self, plonk_case, mutation):
+        """Verdict False or a ``repro.errors`` exception — ``_rejects``
+        lets a ZeroDivisionError / IndexError / ValueError through as a
+        failure.  An identity point is dropped by the MSM's term filter
+        and the pairing skips an identity member, so none of these
+        reaches a kernel as a degenerate operand."""
+        vk, publics, proof = plonk_case
+        mutant = proof.replace(**mutation(proof))
+        assert mutant != proof
+        assert _rejects(lambda: verify(vk, publics, mutant))
+
     @pytest.mark.parametrize("field", _POINT_FIELDS)
     def test_nudged_commitment_rejected(self, plonk_case, field):
         vk, publics, proof = plonk_case
