@@ -12,12 +12,11 @@ level and then shows the four things it produces:
 4. the run ledger — the durable JSONL record the exchange appended, and
    the `python -m repro.telemetry report` rendered from it.
 
-Run:  python examples/traced_exchange.py        (~2 minutes, real proofs)
-Tip:  REPRO_TELEMETRY=profile REPRO_BACKEND=parallel \
-          python examples/traced_exchange.py
-      additionally reconstructs worker.task child spans inside every
-      parallel dispatch and attributes queue-wait/shm-attach/compute
-      time per worker in the report.
+Run:  python examples/traced_exchange.py        (~15 s, real proofs)
+Tip:  REPRO_LEDGER=runs.jsonl python examples/traced_exchange.py
+      keeps the ledger (this is how benchmarks/baselines/sample_ledger.jsonl
+      was recorded); `python -m repro.telemetry flame runs.jsonl` then
+      gives the collapsed stacks a flamegraph renderer reads.
 """
 
 import os
@@ -29,8 +28,8 @@ from repro.telemetry import ledger
 
 
 def main():
-    # REPRO_TELEMETRY is honoured if it asks for trace or profile;
-    # anything lower is raised to trace so the span trees below exist.
+    # Anything below trace is raised to trace so the span trees below
+    # exist.
     if telemetry.level() < telemetry.TRACE:
         telemetry.set_level("trace")
     ledger_path = ledger.default_path()

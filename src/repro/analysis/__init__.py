@@ -19,8 +19,8 @@ ASYNC-001  no blocking calls (``time.sleep``, sync I/O, ``Pool.join``,
            ``lock.acquire``) inside ``async def`` in the service plane
 ASYNC-002  no ``await`` while holding a sync threading/multiprocessing
            lock
-RES-001    every shared-memory segment / pool / ledger acquire is
-           released on all CFG paths, exceptional ones included
+RES-001    every process / pipe / pool / ledger acquire is released
+           on all CFG paths, exceptional ones included
 FORK-001   no threads, event loops, sockets or held locks captured
            across the ``ProverPool`` fork boundary
 FLT-002    registered fault sites on driver paths are wrapped in a

@@ -145,14 +145,6 @@ class AnalysisConfig:
     #: Names importable from banned kernel modules anyway: pure constants
     #: with no execution strategy attached.
     allowed_kernel_names: frozenset[str] = frozenset({"COSET_SHIFT"})
-    #: Layers that must stay ignorant of the contiguous data plane.  The
-    #: packed scalar/point representation (cell layout, shm segment
-    #: lifetimes) is owned by the compute engine; a protocol module that
-    #: unpacks cells itself would freeze the layout into the protocol
-    #: layer and bypass the ownership rules in ``docs/data_plane.md``.
-    substrate_scopes: tuple[str, ...] = ("kzg/", "plonk/", "groth16/", "core/")
-    #: Contiguous-representation internals only ``backend/`` may import.
-    substrate_internal_modules: frozenset[str] = frozenset({"repro.backend.shm"})
     #: Engine modules whose public kernels must record telemetry.
     backend_scopes: tuple[str, ...] = ("backend/",)
     #: Call leaf-names that count as *timing* a kernel (the duration half
@@ -249,9 +241,6 @@ class AnalysisConfig:
     #: store, return, yield, or hand-off to a non-release call) must reach
     #: one of its release leaves on every CFG path, exceptional included.
     resource_acquires: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("create_segment", ("release_segment",)),
-        ("attach_segment", ("close",)),
-        ("SharedMemory", ("close", "unlink")),
         ("Pool", ("terminate", "close", "join")),
         ("Process", ("terminate", "kill", "join")),
         ("Pipe", ("close",)),

@@ -7,7 +7,7 @@ Two invariants from the compute-backend architecture (PR 1-3):
   ``repro.field.ntt`` / ``repro.curve.msm`` / ``repro.curve.pairing``;
   a direct call bypasses backend selection, the engine caches (SRS
   Jacobian views, coset-eval memo, prepared-G2 LRU) *and* the telemetry
-  counters, so the parallel backend silently stops applying and the
+  counters, so the split backend silently stops applying and the
   metrics lie.  Pure constants (``COSET_SHIFT``) are exempt.
 - **Every engine kernel counts AND times.**  Each public kernel method
   on an :class:`repro.backend.engine.Engine` subclass must contain both
@@ -17,12 +17,6 @@ Two invariants from the compute-backend architecture (PR 1-3):
   CLI's hot-kernel table ranks kernels by the timer's
   ``engine.kernel.seconds`` histogram; a kernel that forgets either
   undercounts (or un-times) every backend.
-- **The contiguous data plane is engine-internal** (PR 6).  Protocol
-  layers (``kzg/``, ``plonk/``, ``groth16/``, ``core/``) must not import
-  the packed-representation internals (``repro.backend.shm``): the cell
-  layout and shared-memory segment ownership rules belong to the
-  backend, and a protocol module that unpacks cells itself would pin
-  the layout across layers.
 """
 
 from __future__ import annotations
@@ -52,8 +46,6 @@ class KernelRouting(Rule):
     def check(self, module: "ModuleInfo", config: "AnalysisConfig") -> Iterator[Finding]:
         if module.rel.startswith(tuple(config.protocol_scopes)):
             yield from self._check_protocol_imports(module, config)
-        if module.rel.startswith(tuple(config.substrate_scopes)):
-            yield from self._check_substrate_imports(module, config)
         if module.rel.startswith(tuple(config.backend_scopes)):
             yield from self._check_kernel_telemetry(module, config)
 
@@ -89,32 +81,6 @@ class KernelRouting(Rule):
                         "route through the compute engine so backend selection, "
                         "caches and telemetry apply"
                         % (module.rel, alias.name, node.module),
-                    )
-
-    def _check_substrate_imports(
-        self, module: "ModuleInfo", config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                # Catch both spellings: ``from repro.backend.shm import X``
-                # and ``from repro.backend import shm``.
-                names = [node.module] if node.module else []
-                if node.module:
-                    names += ["%s.%s" % (node.module, a.name) for a in node.names]
-            else:
-                continue
-            for name in names:
-                if name in config.substrate_internal_modules:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        "module %r imports contiguous-representation internals %r "
-                        "— the packed data plane is engine-internal; pass plain "
-                        "lists to the compute engine and let the backend pack"
-                        % (module.rel, name),
                     )
 
     # ----- backend side ---------------------------------------------------

@@ -1,22 +1,23 @@
-"""RES-001: every acquired segment/pool/ledger is released on all paths.
+"""RES-001: every acquired process/pipe/pool/ledger is released on all paths.
 
-The crash-safety story of the shared-memory data plane (PR 6) rests on
-an ownership protocol: whoever calls ``create_segment`` must reach
-``release_segment`` on *every* path out of the function — normal
-return, early return, and any exception raised between acquire and
-release — or the segment outlives the process and leaks kernel-backed
-memory until reboot.  The same discipline applies to ``Pool`` handles
-and ledger leases.  The chaos suite samples these paths; this rule
-proves them, using the CFG from :mod:`repro.analysis.flow`:
+The prover pool and the split engine's helpers rest on an ownership
+protocol: whoever forks a ``Process`` (or opens a ``Pipe`` or a
+``Pool``) and keeps it in a local must reach its terminate/join/close
+on *every* path out of the function — normal return, early return, and
+any exception raised between acquire and release — or the child
+outlives its owner.  The same discipline applies to ledger leases.
+The chaos suite samples these paths; this rule proves them, using the
+CFG from :mod:`repro.analysis.flow`:
 
 1. find acquire calls (config's ``resource_acquires`` map) whose result
    binds to a plain local name;
 2. skip bindings that **escape** — stored to ``self``/a container,
    returned, yielded, or passed to a call other than a release — since
-   ownership transferred and release happens elsewhere (the pinned
-   twiddle/point segments in ``backend/parallel.py`` are exactly this);
-3. find release calls on that name (``release_segment(seg)``,
-   ``seg.close()``) and ``with``-statements using the binding as a
+   ownership transferred and release happens elsewhere (the helpers
+   ``SplitEngine._fork_helpers`` appends to ``_links`` for ``close()``
+   to reap are exactly this);
+3. find release calls on that name (``release_ledger(lease)``,
+   ``proc.join()``) and ``with``-statements using the binding as a
    context manager;
 4. report when :meth:`FlowGraph.any_path_avoids` finds a path from the
    acquire's *normal successors* to EXIT that touches no release node.
@@ -24,9 +25,8 @@ proves them, using the CFG from :mod:`repro.analysis.flow`:
    acquire itself means nothing was acquired.
 
 The CFG overapproximates paths, so the rule can flag a leak a branch
-condition actually prevents — in this tree, wrapping the release in
-``try``/``finally`` (the idiom everywhere in ``backend/parallel.py``)
-is both the fix and the proof.
+condition actually prevents — wrapping the release in
+``try``/``finally`` is both the fix and the proof.
 """
 
 from __future__ import annotations
@@ -50,16 +50,16 @@ def _acquire_release_map(config: "AnalysisConfig") -> dict[str, tuple[str, ...]]
 
 
 def _call_suffix(dotted: str) -> str:
-    """Last dotted component (``_shm.create_segment`` → ``create_segment``)."""
+    """Last dotted component (``ctx.Process`` → ``Process``)."""
     return dotted.rpartition(".")[2]
 
 
 def _mentions_object(expr: ast.AST, name: str) -> bool:
     """Does the *object itself* (not a derived attribute read) flow out?
 
-    ``seg`` in a tuple escapes; ``seg.name`` / ``seg.buf[...]`` are
-    derived values — a worker given the segment's *name* attaches its
-    own handle, release ownership stays here.
+    ``proc`` in a tuple escapes; ``proc.pid`` / ``proc.name`` are
+    derived values — whoever is given them cannot reap the process,
+    release ownership stays here.
     """
     stack = [expr]
     while stack:

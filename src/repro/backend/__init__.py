@@ -4,20 +4,22 @@ Every kernel the provers spend time in — NTTs, multi-scalar
 multiplication over G1/G2, batched field inversion, fixed-base scalar
 multiplication — is reached through an :class:`Engine`:
 
-- :class:`SerialEngine` — single-process reference implementation;
-- :class:`ParallelEngine` — splits fixed-table MSMs with forked helpers
-  and shards generic MSMs, independent NTTs and inversion chains across
-  ``multiprocessing`` workers, one process per CPU it may run on.
+- :class:`SerialEngine` — single-process reference implementation and
+  the process-wide default;
+- :class:`SplitEngine` — the serial engine whose fixed-table G1 MSMs
+  (every commitment of a warm Plonk proof) are shared with forked
+  helpers on other cores.
 
 Both produce bit-identical outputs (enforced by property tests); they
-differ only in execution strategy.  The process-wide default engine is
-selected by the ``REPRO_BACKEND`` environment variable (``serial`` |
-``parallel``, default ``serial``) and can be replaced programmatically::
+differ only in execution strategy.  There is nothing to set: the default
+engine is always serial, :class:`~repro.service.pool.ProverPool` builds
+its own :class:`SplitEngine` from the CPU mask, and anything else
+replaces the default programmatically::
 
-    from repro.backend import ParallelEngine, use_engine
+    from repro.backend import SplitEngine, use_engine
 
-    with use_engine(ParallelEngine()):
-        proof = prove(pk, assignment)       # all kernels run parallel
+    with use_engine(SplitEngine(helpers=1)):
+        proof = prove(pk, assignment)       # table MSMs on two cores
 
 or per call site — every protocol entry point accepts ``engine=``.
 
@@ -27,31 +29,13 @@ lifetimes and how to add a new backend.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from repro.backend.engine import Engine
-from repro.backend.parallel import ParallelEngine
 from repro.backend.serial import SerialEngine
-from repro.errors import BackendError
-
-_BACKENDS = {
-    "serial": SerialEngine,
-    "parallel": ParallelEngine,
-}
+from repro.backend.split import SplitEngine
 
 _default_engine: Engine | None = None
-
-
-def engine_from_env() -> Engine:
-    """Construct an engine from the ``REPRO_BACKEND`` environment variable."""
-    kind = os.environ.get("REPRO_BACKEND", "serial").strip().lower() or "serial"
-    cls = _BACKENDS.get(kind)
-    if cls is None:
-        raise BackendError(
-            "unknown REPRO_BACKEND %r (available: %s)" % (kind, ", ".join(sorted(_BACKENDS)))
-        )
-    return cls()
 
 
 def get_engine() -> Engine:
@@ -63,14 +47,14 @@ def get_engine() -> Engine:
     """
     global _default_engine
     if _default_engine is None:
-        _default_engine = engine_from_env()
+        _default_engine = SerialEngine()
     return _default_engine
 
 
 def set_engine(engine: Engine | None) -> Engine | None:
     """Replace the default engine; returns the previous one.
 
-    Passing ``None`` resets to lazy re-selection from the environment.
+    Passing ``None`` resets to a lazily created :class:`SerialEngine`.
     """
     global _default_engine
     previous = _default_engine
@@ -90,9 +74,8 @@ def use_engine(engine: Engine):
 
 __all__ = [
     "Engine",
-    "ParallelEngine",
     "SerialEngine",
-    "engine_from_env",
+    "SplitEngine",
     "get_engine",
     "set_engine",
     "use_engine",

@@ -22,17 +22,15 @@ repeated work across proofs:
   live coset FFTs per warm proof.)
 
 Protocol code never touches raw kernels directly: it asks its engine.
-The base class implements every kernel serially; subclasses override the
-internal batch entry points (:meth:`_ntt_batch`, :meth:`_msm_jac`, ...)
-to change the execution strategy — the public methods are thin dispatch
-wrappers that record telemetry (call counts, input sizes, cache hit/miss
-outcomes, and wall-clock via ``telemetry.kernel_timer``) when
-``REPRO_TELEMETRY`` enables it, so every backend reports identical
-counter metrics for identical work.  The count-AND-time pairing is the
-ENG-001 lint contract: a kernel wrapper that counts but never times (or
-vice versa) is a finding.  See
-:class:`repro.backend.parallel.ParallelEngine` for the multiprocessing
-implementation.
+The base class implements every kernel serially; the one strategy hook
+is :meth:`Engine._fixed_window`, the bucket pass of a fixed-table MSM,
+which :class:`repro.backend.split.SplitEngine` shares with forked
+helpers.  The public methods are thin wrappers that record telemetry
+(call counts, input sizes, cache hit/miss outcomes, and wall-clock via
+``telemetry.kernel_timer``) when ``REPRO_TELEMETRY`` enables it, so both
+backends report identical counter metrics for identical work.  The
+count-AND-time pairing is the ENG-001 lint contract: a kernel wrapper
+that counts but never times (or vice versa) is a finding.
 """
 
 from __future__ import annotations
@@ -98,8 +96,7 @@ def _record_cache(cache: str, hit: bool) -> None:
 def apply_ntt_job(job: tuple) -> list[int]:
     """Execute one NTT job ``(kind, n, values, shift)``.
 
-    Module-level so multiprocessing workers can run jobs directly; the
-    per-process :class:`Domain` cache makes repeated sizes cheap.
+    The per-process :class:`Domain` cache makes repeated sizes cheap.
     """
     kind, n, values, shift = job
     dom = Domain.get(n)
@@ -169,9 +166,9 @@ class _FixedBaseTable:
 class Engine:
     """Serial reference implementation of the compute-backend interface.
 
-    Subclasses override the batch kernels to change execution strategy;
-    every override must be *observationally identical* — the engine-
-    equivalence property tests enforce bit-identical outputs.
+    A subclass overrides :meth:`_fixed_window` to change execution
+    strategy; the override must be *observationally identical* — the
+    engine-equivalence property tests enforce bit-identical outputs.
     """
 
     name = "serial"
@@ -228,21 +225,14 @@ class Engine:
     def ntt_batch(self, jobs: list[tuple]) -> list[list[int]]:
         """Run many independent NTT jobs ``(kind, n, values, shift)``.
 
-        The serial engine loops; parallel engines fan jobs out to
-        workers.  Job order is preserved in the result list.  Jobs are
-        recorded at this dispatch site — in the parent process — so
-        metric totals are identical whether the transforms then run
-        in-process or on pool workers.
+        Job order is preserved in the result list.
         """
         if not _tel.metrics_enabled():
-            return self._ntt_batch(jobs)
+            return [apply_ntt_job(job) for job in jobs]
         for kind, n, _, _ in jobs:
             _record_ntt(kind, n)
         with _tel.kernel_timer("ntt_batch"):
-            return self._ntt_batch(jobs)
-
-    def _ntt_batch(self, jobs: list[tuple]) -> list[list[int]]:
-        return [apply_ntt_job(job) for job in jobs]
+            return [apply_ntt_job(job) for job in jobs]
 
     # -------------------------------------------------------------- caching
 
@@ -326,14 +316,11 @@ class Engine:
     def msm_jac_g2(self, points: list[tuple], scalars: list[int]) -> tuple:
         """MSM over G2 Jacobian tuples; returns a Jacobian tuple."""
         if not _tel.metrics_enabled():
-            return self._msm_jac_g2(points, scalars)
+            return msm_g2_jacobian(points, scalars)
         _tel.counter("engine.msm.calls", group="g2").inc()
         _tel.histogram("engine.msm.points", group="g2").observe(len(points))
         with _tel.kernel_timer("msm_jac_g2"):
-            return self._msm_jac_g2(points, scalars)
-
-    def _msm_jac_g2(self, points: list[tuple], scalars: list[int]) -> tuple:
-        return msm_g2_jacobian(points, scalars)
+            return msm_g2_jacobian(points, scalars)
 
     def msm_g1(self, points: list[G1], scalars: list[int]) -> G1:
         """MSM over affine G1 points; returns an affine point."""
@@ -588,19 +575,16 @@ class Engine:
     def batch_inverse(self, values: list[int]) -> list[int]:
         """Invert many scalar-field elements (Montgomery's trick)."""
         if not _tel.metrics_enabled():
-            return self._batch_inverse(values)
+            return _fr_batch_inverse(values)
         _tel.counter("engine.batch_inverse.calls").inc()
         _tel.histogram("engine.batch_inverse.size").observe(len(values))
         with _tel.kernel_timer("batch_inverse"):
-            return self._batch_inverse(values)
-
-    def _batch_inverse(self, values: list[int]) -> list[int]:
-        return _fr_batch_inverse(values)
+            return _fr_batch_inverse(values)
 
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release backend resources (worker pools); caches survive."""
+        """Release backend resources (forked helpers); caches survive."""
 
     def __enter__(self) -> "Engine":
         return self

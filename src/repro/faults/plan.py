@@ -146,16 +146,6 @@ PROFILES: dict[str, tuple[FaultRule, ...]] = {
         FaultRule("exchange.msg.*", "stall", _pct(10), max_faults=1, delay_us=200_000),
         FaultRule("chain.transact", "drop", _pct(15), max_faults=2),
     ),
-    # Worker-process mortality for the parallel backend.  backend/ may
-    # not import repro.faults (DET-001), so this profile is consulted by
-    # the *test harness*: the chaos test draws "drop" decisions at the
-    # backend.worker site and SIGKILLs pool workers itself, then asserts
-    # the engine's shared-memory segments were unlinked on the crash
-    # path and the failure surfaced as a BackendError, not a hang.
-    "workers": (
-        FaultRule("backend.worker", "drop", _pct(60), max_faults=2),
-        FaultRule("backend.worker", "stall", _pct(20), max_faults=1, delay_us=50_000),
-    ),
     "all": (
         FaultRule("storage.get", "loss", _pct(15), max_faults=1),
         FaultRule("storage.get.data", "corrupt", _pct(10), max_faults=1),

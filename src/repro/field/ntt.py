@@ -113,52 +113,6 @@ class Domain:
             self._inv_twiddles[i] = wi
         self._elements: list[int] | None = None
 
-    @classmethod
-    def from_tables(
-        cls,
-        n: int,
-        omega: int,
-        omega_inv: int,
-        n_inv: int,
-        twiddles: list[int],
-        inv_twiddles: list[int],
-    ) -> "Domain":
-        """Reconstruct a domain from precomputed tables, skipping the O(n) build.
-
-        The shared-memory NTT dispatch packs a domain's twiddle tables
-        into a segment once in the parent; forked workers rebuild the
-        domain from the attached cells instead of re-running the
-        ``__init__`` twiddle loop per process.  Tables are trusted —
-        bit-identity with a locally built domain is guarded by
-        ``tests/test_differential.py``.
-        """
-        if n <= 0 or n & (n - 1):
-            raise FieldError("domain size must be a power of two, got %r" % n)
-        half = max(n >> 1, 1)
-        if len(twiddles) != half or len(inv_twiddles) != half:
-            raise FieldError(
-                "expected %d twiddles for domain of size %d, got %d/%d"
-                % (half, n, len(twiddles), len(inv_twiddles))
-            )
-        dom = cls.__new__(cls)
-        dom.n = n
-        dom.omega = omega
-        dom.omega_inv = omega_inv
-        dom.n_inv = n_inv
-        dom._twiddles = list(twiddles)
-        dom._inv_twiddles = list(inv_twiddles)
-        dom._elements = None
-        return dom
-
-    @classmethod
-    def seed_cache(cls, dom: "Domain") -> None:
-        """Install a reconstructed domain into the process-wide cache.
-
-        A no-op when a domain of that size is already cached — a locally
-        built table is never displaced by an attached one.
-        """
-        cls._cache.setdefault(dom.n, dom)
-
     def tables(self) -> tuple[list[int], list[int]]:
         """The forward and inverse twiddle tables (read-only views)."""
         return self._twiddles, self._inv_twiddles

@@ -186,10 +186,10 @@ def groth16_prove(
 
         with telemetry.span("msm"):
             # The query tables are fixed per proving key: msm_g1_fixed
-            # caches their Jacobian view (and, on shm backends, a pinned
-            # packed segment) by table identity, so warm proofs ship only
-            # scalars to the workers.  Prefix semantics replace the old
-            # per-call list slices.
+            # caches their Jacobian view and window tables by table
+            # identity, so warm proofs convert nothing and a split engine
+            # ships only scalars to its helpers.  Prefix semantics replace
+            # the old per-call list slices.
             a_acc = engine.msm_g1_fixed(pk.a_query, values)
             proof_a = pk.alpha_g1 + a_acc + pk.delta_g1 * r
 

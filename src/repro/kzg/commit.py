@@ -40,8 +40,8 @@ def commit(srs: SRS, coeffs: list[int], engine=None) -> G1:
         telemetry.counter("kzg.commit.calls").inc()
         telemetry.histogram("kzg.commit.degree").observe(max(len(coeffs) - 1, 0))
     # msm_srs resolves the points inside the engine (cached Jacobian view
-    # plus, on shm backends, a pinned packed segment) — no per-call copy
-    # of the SRS prefix and no point pickling on the parallel path.
+    # and window tables) — no per-call copy of the SRS prefix and no
+    # point pickling on the split path.
     return G1.from_jacobian(engine.msm_srs(srs, coeffs))
 
 

@@ -77,9 +77,8 @@ class ProvingKey:
 def setup(srs: SRS, layout: Layout, engine=None) -> tuple[ProvingKey, VerifyingKey]:
     """Preprocess ``layout`` under ``srs`` into proving/verifying keys.
 
-    All nine interpolations run as one engine batch (parallel backends
-    fan them out) and the commitments share the engine's cached Jacobian
-    view of the SRS.
+    All nine interpolations run as one engine batch and the commitments
+    share the engine's cached Jacobian view of the SRS.
     """
     engine = engine or get_engine()
     n = layout.n

@@ -171,7 +171,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             )
         }
         # The witness-dependent polynomials are transformed fresh each proof,
-        # as one batch so parallel backends can fan them out.
+        # as one engine batch.
         live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("zw", zw_poly), ("pi", pi_poly)
         live_evals = engine.ntt_batch(
             [("coset_fft", big_n, coeffs, COSET_SHIFT) for _, coeffs in live]

@@ -9,7 +9,6 @@ decoding is unambiguous.
 from __future__ import annotations
 
 from repro.errors import ReproError
-from repro.field.fr import MODULUS as R
 
 #: Payload bytes carried by one field element.
 CHUNK = 31
@@ -24,19 +23,22 @@ def bytes_to_elements(data: bytes) -> list[int]:
 
 
 def elements_to_bytes(elements: list[int]) -> bytes:
-    """Decode the output of :func:`bytes_to_elements`."""
+    """Decode the output of :func:`bytes_to_elements`, and nothing else:
+    an element wider than the payload bytes the length prefix gives it
+    is rejected, so no two element lists decode to the same bytes."""
     if not elements:
         raise ReproError("cannot decode an empty element list")
     length = elements[0]
     expected_chunks = (length + CHUNK - 1) // CHUNK
-    if len(elements) - 1 != expected_chunks:
+    if length < 0 or len(elements) - 1 != expected_chunks:
         raise ReproError(
             "length prefix %d implies %d chunks, got %d"
             % (length, expected_chunks, len(elements) - 1)
         )
     data = bytearray()
-    for e in elements[1:]:
-        if not 0 <= e < R:
-            raise ReproError("element out of field range")
-        data += e.to_bytes(CHUNK, "little")
-    return bytes(data[:length])
+    for i, e in enumerate(elements[1:]):
+        width = min(CHUNK, length - i * CHUNK)
+        if not 0 <= e < 1 << (8 * width):
+            raise ReproError("element %d does not fit its %d payload bytes" % (i + 1, width))
+        data += e.to_bytes(width, "little")
+    return bytes(data)

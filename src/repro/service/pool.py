@@ -12,7 +12,7 @@ already a warm proof.
 A proof is 80% nine fixed-table MSMs, so when the process may run on at
 least twice as many CPUs as the pool has workers (``os.sched_getaffinity``;
 nothing a caller sets) every worker gets the spare cores as *helpers*: its
-:class:`~repro.backend.parallel.SplitEngine` keeps one shard of each MSM
+:class:`~repro.backend.split.SplitEngine` keeps one shard of each MSM
 and sends the others to forked processes holding the same window tables.
 Pool workers are daemonic and may not fork, so the helpers are forked
 here, in the pool's parent, after the tables are warm and before the
@@ -35,7 +35,7 @@ from types import TracebackType
 from typing import Any, Optional
 
 from repro import telemetry
-from repro.backend.parallel import SplitEngine
+from repro.backend.split import SplitEngine
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset

@@ -1,7 +1,7 @@
 """Structured observability for the whole stack — spans, metrics, exporters.
 
 Zero-dependency and **off by default**: the ``REPRO_TELEMETRY``
-environment variable selects one of four levels,
+environment variable selects one of three levels,
 
 - ``off``     — every instrumentation point is a module-level no-op
   fast path (a single integer comparison; budgeted at <2% of proof
@@ -10,13 +10,10 @@ environment variable selects one of four levels,
   durations and cache hit/miss outcomes, but no spans are created;
 - ``trace``   — metrics plus nested wall-clock spans (prover rounds,
   Groth16 phases, exchange protocol steps) exported to stderr and/or a
-  JSON-lines file;
-- ``profile`` — trace plus cross-process worker attribution: the
-  parallel backend ships a trace context with every pool task, workers
-  time their queue-wait/shm-attach/compute phases, and the parent
-  merges the piggybacked stats back as ``worker.*`` metrics and child
-  spans of the dispatching kernel span (see
-  :mod:`repro.telemetry.workers`).
+  JSON-lines file.
+
+Everything is recorded in the calling process: the split engine's forked
+helpers record nothing, their time is the caller's kernel time.
 
 Typical use::
 
@@ -68,11 +65,10 @@ from repro.telemetry.spans import (
 )
 
 #: Telemetry levels, ordered.  ``metrics`` implies counters/histograms;
-#: ``trace`` additionally creates spans; ``profile`` additionally ships
-#: trace contexts to pool workers and merges their stats back.
-OFF, METRICS, TRACE, PROFILE = 0, 1, 2, 3
+#: ``trace`` additionally creates spans.
+OFF, METRICS, TRACE = 0, 1, 2
 
-_LEVEL_NAMES = {"off": OFF, "metrics": METRICS, "trace": TRACE, "profile": PROFILE}
+_LEVEL_NAMES = {"off": OFF, "metrics": METRICS, "trace": TRACE}
 
 #: The active level.  Module-level integer so the disabled fast path is
 #: one global load and compare — cheap enough for the hottest kernels.
@@ -83,30 +79,30 @@ _registry = Registry()
 
 def _parse_level(value: Union[int, str]) -> int:
     if isinstance(value, int):
-        if value not in (OFF, METRICS, TRACE, PROFILE):
-            raise ValueError("telemetry level must be 0, 1, 2 or 3, got %r" % value)
+        if value not in (OFF, METRICS, TRACE):
+            raise ValueError("telemetry level must be 0, 1 or 2, got %r" % value)
         return value
     name = str(value).strip().lower()
     if name in _LEVEL_NAMES:
         return _LEVEL_NAMES[name]
-    if name.isdigit() and int(name) in (OFF, METRICS, TRACE, PROFILE):
+    if name.isdigit() and int(name) in (OFF, METRICS, TRACE):
         return int(name)
     raise ValueError(
-        "unknown telemetry level %r (expected off, metrics, trace or profile)" % (value,)
+        "unknown telemetry level %r (expected off, metrics or trace)" % (value,)
     )
 
 
 def level() -> int:
-    """The active level as an integer (OFF / METRICS / TRACE / PROFILE)."""
+    """The active level as an integer (OFF / METRICS / TRACE)."""
     return _level
 
 
 def level_name() -> str:
-    return {OFF: "off", METRICS: "metrics", TRACE: "trace", PROFILE: "profile"}[_level]
+    return {OFF: "off", METRICS: "metrics", TRACE: "trace"}[_level]
 
 
 def set_level(value: Union[int, str]) -> int:
-    """Set the active level ('off' ... 'profile' or 0-3); returns the previous."""
+    """Set the active level ('off' ... 'trace' or 0-2); returns the previous."""
     global _level
     previous = _level
     _level = _parse_level(value)
@@ -129,10 +125,6 @@ def metrics_enabled() -> bool:
 
 def trace_enabled() -> bool:
     return _level >= TRACE
-
-
-def profile_enabled() -> bool:
-    return _level >= PROFILE
 
 
 # ----- instruments --------------------------------------------------------
@@ -235,7 +227,6 @@ __all__ = [
     "OFF",
     "METRICS",
     "TRACE",
-    "PROFILE",
     "Counter",
     "Histogram",
     "Registry",
@@ -257,7 +248,6 @@ __all__ = [
     "level",
     "level_name",
     "metrics_enabled",
-    "profile_enabled",
     "quantile_from_bucket_dict",
     "quantile_from_buckets",
     "read_spans",

@@ -6,8 +6,8 @@ Reads the two machine formats the stack emits — run-ledger JSONL files
 developer or a CI job actually wants:
 
 - ``report``  — hot-kernel table (count, total, mean, p50/p95/p99 from
-  the fixed-bucket histograms), worker phase attribution, cache hit
-  rates and fault summary for one file;
+  the fixed-bucket histograms), cache hit rates and fault summary for
+  one file;
 - ``diff``    — two files side by side, flagging changes beyond a
   tolerance; ``--check`` turns regressions into exit code 1, which is
   the whole CI perf gate;
@@ -163,10 +163,6 @@ def report_ledger(records: List[Dict[str, Any]], out: TextIO) -> None:
             [(cache, "%.1f%%" % (rate * 100)) for cache, rate in sorted(rates.items())],
             out,
         )
-    worker = {n: v for n, v in counters.items() if n.startswith("worker.")}
-    if worker:
-        out.write("\nworker counters:\n")
-        _table(["counter", "value"], sorted((n, str(v)) for n, v in worker.items()), out)
     faults = [fault for record in records for fault in record.get("faults", [])]
     if faults:
         out.write("\ninjected faults: %d\n" % len(faults))
@@ -410,7 +406,7 @@ def cmd_flame(args: argparse.Namespace) -> int:
             sys.stdout.write(line + "\n")
     if not lines:
         sys.stdout.write(
-            "no spans in ledger (record runs with REPRO_TELEMETRY=trace or profile)\n"
+            "no spans in ledger (record runs with REPRO_TELEMETRY=trace)\n"
         )
     return 0
 

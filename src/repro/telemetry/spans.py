@@ -2,13 +2,9 @@
 
 A span is a named ``with`` region; entering pushes it onto a
 ``contextvars`` stack so children attach to the innermost open span no
-matter which thread or task runs them.  The :class:`repro.backend.parallel.ParallelEngine`
-fan-out boundary keeps the stack parent-only — worker processes never
-push spans — but at ``REPRO_TELEMETRY=profile`` the dispatch machinery
-in :mod:`repro.telemetry.workers` reconstructs each pool task as a
-``worker.task`` child span from the stats blob the worker piggybacks on
-its result, stamped directly with the worker's (fork-shared) monotonic
-clock rather than entered through this stack.
+matter which thread or task runs them.  The stack is per process: the
+split engine's forked helpers never push spans, so their work shows as
+the wall-clock of the caller's kernel span.
 
 When a **root** span (one with no open parent) closes, the finished tree
 is handed to every registered exporter and kept in a bounded in-memory

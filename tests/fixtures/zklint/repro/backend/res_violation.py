@@ -1,11 +1,12 @@
-"""Seeded RES-001 violation: a segment acquired with no release path."""
+"""Seeded RES-001 violation: a forked helper nobody reaps."""
 
-from repro.backend import shm as _shm
+import multiprocessing
 
 
-def scratch_sum(payload: bytes) -> int:
-    seg = _shm.create_segment(len(payload))
-    seg.buf[: len(payload)] = payload
-    # No try/finally and no release: any exception above — or the normal
-    # return below — strands the kernel-backed segment until reboot.
-    return sum(seg.buf)
+def partial_sum(work, values: list) -> int:
+    ctx = multiprocessing.get_context("fork")
+    proc = ctx.Process(target=work, args=(values,))
+    proc.start()
+    # No try/finally and no join: any exception below — or the normal
+    # return — leaves the child running with nobody holding its handle.
+    return sum(values)

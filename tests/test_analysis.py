@@ -109,7 +109,6 @@ class TestPerRuleFixtures:
             ("DET-001", "repro/plonk/faults_violation.py", "repro.faults"),
             ("FLD-001", "repro/plonk/fld_violation.py", "literal"),
             ("ENG-001", "repro/kzg/eng_violation.py", "compute engine"),
-            ("ENG-001", "repro/plonk/substrate_violation.py", "contiguous-representation"),
             ("ENG-001", "repro/backend/untimed_kernel.py", "never times itself"),
             ("ASYNC-001", "repro/service/async_violation.py", "blocks the calling thread"),
             ("ASYNC-002", "repro/service/async_lock_violation.py", "holding a sync lock"),
@@ -255,18 +254,19 @@ class TestRuleBehaviour:
         result = _analyze_snippet(
             tmp_path,
             "backend/good_res.py",
-            "from repro.backend import shm as _shm\n"
+            "import multiprocessing\n"
             "\n\n"
-            "def roundtrip(n: int) -> int:\n"
-            "    seg = _shm.create_segment(n)\n"
+            "def roundtrip(work) -> int:\n"
+            "    proc = multiprocessing.Process(target=work)\n"
             "    try:\n"
-            "        return len(seg.buf)\n"
+            "        proc.start()\n"
+            "        return proc.pid\n"
             "    finally:\n"
-            "        _shm.release_segment(seg)\n"
+            "        proc.join()\n"
             "\n\n"
             "def scoped(n: int) -> None:\n"
-            "    seg = _shm.create_segment(n)\n"
-            "    with seg:\n"
+            "    pool = multiprocessing.Pool(n)\n"
+            "    with pool:\n"
             "        pass\n",
         )
         assert not result.findings
@@ -418,37 +418,27 @@ class TestFlowGraph:
 
 
 class TestResourceReleaseOnRealCode:
-    """RES-001 acceptance: a deleted ``finally`` release must be caught.
+    """RES-001 acceptance on production-shaped code, not just toy
+    fixtures: a copy of the real split engine."""
 
-    Runs against a copy of the real shared-memory dispatch module, so the
-    rule is proven on production-shaped code, not just toy fixtures.
-    """
-
-    def test_deleting_a_finally_release_is_caught(self, tmp_path):
-        source = (SRC / "repro" / "backend" / "parallel.py").read_text()
-        target = tmp_path / "repro" / "backend" / "parallel.py"
+    def test_dropping_the_helper_handoff_is_caught(self, tmp_path):
+        """``_fork_helpers`` hands each ``Process`` to ``_links`` for
+        ``close()`` to reap; a refactor that drops the hand-off leaves a
+        local nobody terminates or joins."""
+        source = (SRC / "repro" / "backend" / "split.py").read_text()
+        target = tmp_path / "repro" / "backend" / "split.py"
         target.parent.mkdir(parents=True)
         target.write_text(source)
         clean = analyze_paths([tmp_path], DEFAULT_CONFIG, baseline=set())
         assert not [f for f in clean.findings if f.rule == "RES-001"]
 
-        # Neuter the first `finally: _shm.release_segment(out_seg)` the
-        # same way a careless refactor would.
-        lines = source.splitlines()
-        idx = next(
-            i
-            for i, line in enumerate(lines)
-            if "_shm.release_segment(out_seg)" in line
-        )
-        indent = len(lines[idx]) - len(lines[idx].lstrip())
-        lines[idx] = " " * indent + "pass"
-        target.write_text("\n".join(lines) + "\n")
-
+        handoff = "self._links.append((proc, ours))"
+        assert source.count(handoff) == 1
+        target.write_text(source.replace(handoff, "pass"))
         broken = analyze_paths([tmp_path], DEFAULT_CONFIG, baseline=set())
         res_findings = [f for f in broken.findings if f.rule == "RES-001"]
         assert res_findings
-        assert any("out_seg" in f.message for f in res_findings)
-
+        assert any("'proc' acquired by Process()" in f.message for f in res_findings)
 
     def test_a_forked_process_must_be_reaped_on_every_path(self, tmp_path):
         """The split engine's helpers: a ``Process`` held in a local must

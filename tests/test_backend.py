@@ -2,34 +2,26 @@
 
 The contract under test is the one the protocol layers rely on:
 
-- backend selection (env var, registry, programmatic override) is explicit
-  and fails loudly on unknown names;
-- ``ParallelEngine`` is bit-identical to ``SerialEngine`` on every kernel
+- backend selection is programmatic (``use_engine`` / ``set_engine`` /
+  ``engine=``) and the process default is always serial;
+- ``SplitEngine`` is bit-identical to ``SerialEngine`` on every kernel
   (NTT batches, G1/G2 MSM, batched inversion, KZG commitments) and on a
-  full Plonk proof;
+  full Plonk proof whose commitments are wide enough to split;
 - kernel edge cases: ``batch_inverse`` error contracts, ``root_of_unity``
   bounds, MSM length mismatches, fixed-base multiples of the generators.
 
-The parallel engine under test forces the pool and helper paths with
-thresholds of 1 so the multiprocessing code runs even for tiny inputs (the
-container may have a single CPU; ``workers=2`` still exercises chunking,
-the table split and reassembly).
+The split engine under test has one helper (the container may have a
+single CPU; the fork, the pipe protocol and the fold still run) and
+shares a fixed-table MSM of ``MIN_MSM_POINTS`` terms or more.
 """
 
-import os
 import random
 
 import pytest
 
-from repro.errors import BackendError, CurveError, FieldError
-from repro.backend import (
-    ParallelEngine,
-    SerialEngine,
-    engine_from_env,
-    get_engine,
-    set_engine,
-    use_engine,
-)
+from repro.errors import CurveError, FieldError
+from repro.backend import SerialEngine, SplitEngine, get_engine, set_engine, use_engine
+from repro.backend.split import MIN_MSM_POINTS
 from repro.curve.fq import fq2_batch_inverse, fq_batch_inverse
 from repro.curve.g1 import G1, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
@@ -41,17 +33,26 @@ from repro.kzg.srs import SRS
 
 
 @pytest.fixture(scope="module")
-def parallel_engine():
-    """A ParallelEngine with every pool threshold forced to 1."""
-    engine = ParallelEngine(
-        workers=2,
-        min_msm_points=1,
-        min_ntt_jobs=1,
-        min_ntt_size=1,
-        min_inverse_size=1,
-    )
+def split_engine():
+    """A SplitEngine with one forked helper."""
+    engine = SplitEngine(helpers=1)
     yield engine
     engine.close()
+
+
+def wide_circuit():
+    """100 chained squarings: n = 128, so every commitment of a proof
+    (n .. n + margin scalars) is wide enough for a helper to take half."""
+    from repro.plonk.circuit import CircuitBuilder
+
+    builder = CircuitBuilder()
+    w = builder.var(5)
+    for _ in range(100):
+        w = builder.mul(w, w)
+    builder.assert_equal(w, builder.public_input(pow(5, 1 << 100, R)))
+    layout, assignment = builder.compile()
+    assert layout.n >= MIN_MSM_POINTS
+    return layout, assignment
 
 
 @pytest.fixture(scope="module")
@@ -61,25 +62,16 @@ def small_srs():
 
 class TestSelection:
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        engine = engine_from_env()
-        assert isinstance(engine, SerialEngine)
-        assert engine.name == "serial"
-
-    def test_env_selects_parallel(self, monkeypatch):
+        """Always: no variable selects a backend, whatever a deployment
+        has in its environment."""
         monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        engine = engine_from_env()
-        assert isinstance(engine, ParallelEngine)
-        engine.close()
-
-    def test_env_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "  Serial ")
-        assert isinstance(engine_from_env(), SerialEngine)
-
-    def test_unknown_backend_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        with pytest.raises(BackendError):
-            engine_from_env()
+        previous = set_engine(None)
+        try:
+            engine = get_engine()
+            assert isinstance(engine, SerialEngine)
+            assert engine.name == "serial"
+        finally:
+            set_engine(previous)
 
     def test_get_engine_is_singleton(self):
         previous = set_engine(None)  # reset the process-wide default
@@ -103,20 +95,11 @@ class TestSelection:
             assert get_engine() is mine
         assert get_engine() is outer
 
-    def test_workers_follow_the_affinity_mask(self, monkeypatch):
-        """The process count is observed, never configured: one shard per
-        CPU this process may run on, all but the caller's on helpers."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        engine = ParallelEngine()
-        assert (engine.workers, engine.helpers) == (3, 2)
-        assert ParallelEngine(workers=1).helpers == 0
-        engine.close()
-
 
 class TestEngineEquivalence:
-    """ParallelEngine must be bit-identical to SerialEngine."""
+    """SplitEngine must be bit-identical to SerialEngine."""
 
-    def test_ntt_batch(self, parallel_engine):
+    def test_ntt_batch(self, split_engine):
         rng = random.Random(1)
         serial = SerialEngine()
         jobs = []
@@ -129,9 +112,9 @@ class TestEngineEquivalence:
             jobs.append(
                 ("coset_ifft", n, [rng.randrange(R) for _ in range(n)], COSET_SHIFT)
             )
-        assert parallel_engine.ntt_batch(jobs) == serial.ntt_batch(jobs)
+        assert split_engine.ntt_batch(jobs) == serial.ntt_batch(jobs)
 
-    def test_msm_g1_matches_serial_and_naive(self, parallel_engine):
+    def test_msm_g1_matches_serial_and_naive(self, split_engine):
         rng = random.Random(2)
         serial = SerialEngine()
         for n in (1, 2, 5, 37, 200):
@@ -143,12 +126,12 @@ class TestEngineEquivalence:
             for p, s in zip(points, scalars):
                 expected = expected + p * s
             got_serial = serial.msm_g1(points, scalars)
-            got_parallel = parallel_engine.msm_g1(points, scalars)
+            got_split = split_engine.msm_g1(points, scalars)
             assert got_serial == expected
-            assert got_parallel == expected
-            assert got_parallel.to_bytes() == got_serial.to_bytes()
+            assert got_split == expected
+            assert got_split.to_bytes() == got_serial.to_bytes()
 
-    def test_msm_g2_matches_serial_and_naive(self, parallel_engine):
+    def test_msm_g2_matches_serial_and_naive(self, split_engine):
         rng = random.Random(3)
         serial = SerialEngine()
         for n in (1, 3, 11):
@@ -158,60 +141,55 @@ class TestEngineEquivalence:
             for p, s in zip(points, scalars):
                 expected = expected + p * s
             assert serial.msm_g2(points, scalars) == expected
-            assert parallel_engine.msm_g2(points, scalars) == expected
+            assert split_engine.msm_g2(points, scalars) == expected
 
-    def test_batch_inverse(self, parallel_engine):
+    def test_batch_inverse(self, split_engine):
         rng = random.Random(4)
         values = [rng.randrange(1, R) for _ in range(513)]
         serial = SerialEngine().batch_inverse(values)
-        parallel = parallel_engine.batch_inverse(values)
-        assert serial == parallel
+        assert serial == split_engine.batch_inverse(values)
         for v, v_inv in zip(values, serial):
             assert v * v_inv % R == 1
 
-    def test_commitments(self, parallel_engine, small_srs):
+    def test_commitments(self, split_engine, small_srs):
         rng = random.Random(5)
         serial = SerialEngine()
         coeffs = [rng.randrange(R) for _ in range(200)]
         c_serial = commit(small_srs, coeffs, engine=serial)
-        c_parallel = commit(small_srs, coeffs, engine=parallel_engine)
-        assert c_serial == c_parallel
-        assert c_serial.to_bytes() == c_parallel.to_bytes()
+        c_split = commit(small_srs, coeffs, engine=split_engine)
+        assert c_serial == c_split
+        assert c_serial.to_bytes() == c_split.to_bytes()
         # 200 scalars ride the window tables, so this was the split path:
         # half here, half on the forked helper.
-        assert parallel_engine.live_helpers() == 1
+        assert split_engine.live_helpers() == 1
 
-    def test_plonk_proof_bit_identical(self, parallel_engine, small_srs):
-        from repro.plonk.circuit import CircuitBuilder
+    def test_plonk_proof_bit_identical(self, split_engine, small_srs):
         from repro.plonk.keys import setup
         from repro.plonk.prover import prove
         from repro.plonk.verifier import verify
 
-        builder = CircuitBuilder()
-        a = builder.public_input(25)
-        w = builder.var(5)
-        builder.assert_equal(builder.mul(w, w), a)
-        layout, assignment = builder.compile()
-
+        layout, assignment = wide_circuit()
         serial = SerialEngine()
         pk_s, vk_s = setup(small_srs, layout, engine=serial)
-        pk_p, vk_p = setup(small_srs, layout, engine=parallel_engine)
+        pk_p, vk_p = setup(small_srs, layout, engine=split_engine)
         assert vk_s.digest() == vk_p.digest()
 
         # blinding=False makes the prover deterministic, so the proofs of
         # the two engines must agree byte for byte.
         proof_s = prove(pk_s, assignment, blinding=False, engine=serial)
-        proof_p = prove(pk_p, assignment, blinding=False, engine=parallel_engine)
-        assert proof_s == proof_p
+        proof_p = prove(pk_p, assignment, blinding=False, engine=split_engine)
+        assert proof_s.to_bytes() == proof_p.to_bytes()
+        assert split_engine.live_helpers() == 1
+        assert split_engine._forked_rows[id(small_srs)] >= layout.n
         assert verify(vk_s, assignment.public_inputs, proof_p, engine=serial)
 
-    def test_fixed_base_mul(self, parallel_engine):
+    def test_fixed_base_mul(self, split_engine):
         rng = random.Random(6)
         serial = SerialEngine()
         g1, g2 = G1.generator(), G2.generator()
         for k in (0, 1, 2, R - 1, R, rng.randrange(R)):
             assert serial.fixed_base_mul(g1, k) == g1 * k
-            assert parallel_engine.fixed_base_mul(g1, k) == g1 * k
+            assert split_engine.fixed_base_mul(g1, k) == g1 * k
             assert serial.fixed_base_mul(g2, k) == g2 * k
 
 
@@ -252,24 +230,22 @@ class TestEngineCaches:
 
 
 class TestKernelEdgeCases:
-    def test_batch_inverse_empty(self, parallel_engine):
+    def test_batch_inverse_empty(self, split_engine):
         assert batch_inverse([]) == []
         assert SerialEngine().batch_inverse([]) == []
-        assert parallel_engine.batch_inverse([]) == []
+        assert split_engine.batch_inverse([]) == []
 
-    def test_batch_inverse_zero_raises_with_index(self, parallel_engine):
+    def test_batch_inverse_zero_raises_with_index(self, split_engine):
         values = [5, 7, 0, 11]
         with pytest.raises(FieldError, match="index 2"):
             batch_inverse(values)
         with pytest.raises(FieldError, match="index 2"):
             SerialEngine().batch_inverse(values)
-        # The parallel engine must report the *global* index even when the
-        # zero lands in a later chunk.
         with pytest.raises(FieldError, match="index 2"):
-            parallel_engine.batch_inverse(values)
+            split_engine.batch_inverse(values)
         tail_zero = [3] * 100 + [0]
         with pytest.raises(FieldError, match="index 100"):
-            parallel_engine.batch_inverse(tail_zero)
+            split_engine.batch_inverse(tail_zero)
 
     def test_fq_batch_inverse_edge_cases(self):
         assert fq_batch_inverse([]) == []
@@ -333,25 +309,32 @@ class TestKernelEdgeCases:
 
 
 class TestParallelThresholds:
-    def test_below_threshold_stays_serial(self):
-        """Small inputs must not pay pool overhead (and still be correct)."""
-        engine = ParallelEngine(workers=2)  # default thresholds
+    def test_below_threshold_stays_serial(self, small_srs):
+        """Small inputs must not pay a fork or a pipe round trip (and
+        still be correct)."""
+        engine = SplitEngine(helpers=1)
         try:
             g = G1.generator()
             assert engine.msm_g1([g, g], [2, 3]) == g * 5
             assert engine.batch_inverse([4]) == [inv(4)]
             jobs = [("fft", 4, [1, 2, 3, 4], 0)]
             assert engine.ntt_batch(jobs) == SerialEngine().ntt_batch(jobs)
+            short = list(range(1, MIN_MSM_POINTS))
+            assert jac_to_affine(engine.msm_srs(small_srs, short)) == jac_to_affine(
+                SerialEngine().msm_srs(small_srs, short)
+            )
+            assert engine.live_helpers() == 0 and not engine._forked_rows
         finally:
             engine.close()
 
-    def test_close_is_idempotent(self):
-        engine = ParallelEngine(workers=2, min_msm_points=1)
-        g = G1.generator()
-        engine.msm_g1([g] * 4, [1, 2, 3, 4])  # spin the pool up
+    def test_close_is_idempotent(self, small_srs):
+        engine = SplitEngine(helpers=1)
+        engine.msm_srs(small_srs, [1] * MIN_MSM_POINTS)  # fork the helper
+        assert engine.live_helpers() == 1
         engine.close()
         engine.close()
+        assert engine.live_helpers() == 0
 
-    def test_repr_names_backend(self, parallel_engine):
-        assert "parallel" in repr(parallel_engine)
+    def test_repr_names_backend(self, split_engine):
+        assert "split" in repr(split_engine)
         assert "serial" in repr(SerialEngine())

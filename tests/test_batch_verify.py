@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.plonk.batch as batch_module
-from repro.backend import ParallelEngine, SerialEngine
+from repro.backend import SerialEngine, SplitEngine
+from repro.backend.split import MIN_MSM_POINTS
 from repro.curve.g1 import G1
 from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
@@ -204,20 +205,19 @@ class TestFold:
         assert not batch_verify(batch)
 
     def test_parallel_backend_gives_the_same_verdicts(self, instances, cubic_instance):
-        """16 members put 9*16 + 30 points in the second MSM — past the
-        parallel engine's default ``min_msm_points`` — so the pool path
-        is the one deciding."""
+        """A prover's split engine verifies too.  16 members put
+        9*16 + 30 points in the second MSM — past ``MIN_MSM_POINTS`` —
+        but a fold's points are the proofs' own, not a fixed table, so
+        the engine decides in-process and forks nothing."""
         batch = [(instances + [cubic_instance])[i % 4] for i in range(16)]
         poisoned = list(batch)
         poisoned[11] = _tamper(poisoned[11], "public", 0)
-        engine = ParallelEngine(workers=2)
-        try:
-            assert 9 * len(batch) + 30 >= engine.min_msm_points
+        with SplitEngine(helpers=1) as engine:
+            assert 9 * len(batch) + 30 >= MIN_MSM_POINTS
             assert batch_verify(batch, engine=engine)
             assert not batch_verify(poisoned, engine=engine)
             assert verify(*batch[0], engine=engine)
-        finally:
-            engine.close()
+            assert engine.live_helpers() == 0
         serial = SerialEngine()
         assert batch_verify(batch, engine=serial)
         assert not batch_verify(poisoned, engine=serial)

@@ -9,7 +9,7 @@ from repro.curve.fq import FQ2_ONE, Q, fq2_inv, fq2_mul, fq2_pow
 from repro.curve.fq12 import FQ12_ONE, fq12, fq12_eq, fq12_inv, fq12_mul, fq12_pow
 import random
 
-from repro.backend.parallel import ParallelEngine
+from repro.backend.split import SplitEngine
 from repro.backend.serial import SerialEngine
 from repro.curve import glv
 from repro.curve.fq import fq_inv
@@ -239,20 +239,27 @@ class TestStraus:
         self._check(points, [self.rng.randrange(R) for _ in range(6)])
 
     def test_engines_agree_across_the_crossover(self):
-        """Two workers halve a fold: 2 * STRAUS_MAX terms are two Straus
-        shards against one serial bucket pass, two more terms put both
-        sides on the bucket kernel, and STRAUS_MAX stays Straus on both."""
+        """``STRAUS_MAX`` terms are one Straus fold, twice that (and two
+        more) a bucket pass; the same terms as a fixed table are one
+        window pass at ``STRAUS_MAX`` and two half-width shards — the
+        helper's and the caller's — past it.  All of them are the naive
+        sum."""
         serial = SerialEngine()
-        parallel = ParallelEngine(workers=2, min_msm_points=1)
+        split = SplitEngine(helpers=1)
         try:
             for n in (STRAUS_MAX, 2 * STRAUS_MAX, 2 * STRAUS_MAX + 2):
                 points = self._points(n)
                 ks = [self.rng.randrange(R) for _ in range(n)]
                 expected = _naive_msm(points, ks)
                 assert jac_to_affine(serial.msm_jac(points, ks)) == expected
-                assert jac_to_affine(parallel.msm_jac(points, ks)) == expected
+                assert jac_to_affine(split.msm_jac(points, ks)) == expected
+                table = tuple(G1.from_jacobian(p) for p in points)
+                for engine in (serial, split):
+                    got = engine.msm_g1_fixed(table, ks)
+                    assert (got.x, got.y) == expected
+            assert split.live_helpers() == 1
         finally:
-            parallel.close()
+            split.close()
 
 
 class TestFieldInverse:

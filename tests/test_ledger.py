@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro import faults, telemetry
-from repro.backend import ParallelEngine, SerialEngine, use_engine
+from repro.backend import SerialEngine, SplitEngine, use_engine
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract
 from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiation_keys
@@ -175,8 +175,8 @@ class TestRunRecorder:
 
     def test_env_names_the_installed_engine_not_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
-        with use_engine(ParallelEngine(workers=1)):
-            assert ledger.environment()["backend"] == "parallel"
+        with use_engine(SplitEngine(helpers=1)):
+            assert ledger.environment()["backend"] == "split"
         monkeypatch.setenv("REPRO_BACKEND", "parallel")
         with use_engine(SerialEngine()):
             assert ledger.environment()["backend"] == "serial"

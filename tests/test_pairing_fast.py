@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.backend.parallel import ParallelEngine
+from repro.backend.split import SplitEngine
 from repro.backend.serial import SerialEngine
 from repro.curve import fq12 as k
 from repro.curve.fq import Q
@@ -348,10 +348,7 @@ class TestEngineKernel:
 
         telemetry.set_level(telemetry.METRICS)
         serial_counts = measured(SerialEngine())
-        parallel = ParallelEngine(workers=2)
-        try:
-            parallel_counts = measured(parallel)
-        finally:
-            parallel.close()
-        assert serial_counts == parallel_counts
+        with SplitEngine(helpers=1) as split:
+            split_counts = measured(split)
+        assert serial_counts == split_counts
         assert serial_counts["engine.pairing.calls"] == 2

@@ -185,6 +185,30 @@ class TestEncoding:
         with pytest.raises(ReproError):
             elements_to_bytes([1, R])
 
+    def test_decode_rejects_what_encode_never_emits(self):
+        """ROADMAP 3(i): the decoder is injective.  An element past the
+        31 payload bytes was a bare ``OverflowError``; non-zero bytes past
+        the length prefix were dropped, so two lists decoded to ``b"B"``."""
+        with pytest.raises(ReproError):
+            elements_to_bytes([31, 1 << 250])
+        assert elements_to_bytes([1, 0x42]) == b"B"
+        with pytest.raises(ReproError):
+            elements_to_bytes([1, 0x4142])
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-1, 70), st.sampled_from([1 << 248, R - 1, R]), elements),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200)
+    def test_decode_is_injective(self, elems):
+        try:
+            data = elements_to_bytes(elems)
+        except ReproError:
+            return
+        assert bytes_to_elements(data) == elems
+
 
 class TestFieldHash:
     def test_multi_arg(self):

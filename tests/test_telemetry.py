@@ -10,8 +10,8 @@ import io
 import pytest
 
 from repro import telemetry
-from repro.backend.parallel import ParallelEngine
 from repro.backend.serial import SerialEngine
+from repro.backend.split import SplitEngine
 from repro.chain import Blockchain, Contract, external
 from repro.curve.msm import FIXED_WINDOW_MIN
 from repro.plonk.circuit import CircuitBuilder
@@ -19,7 +19,6 @@ from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
 from repro.plonk.batch import batch_verify
 from repro.plonk.verifier import verify
-from repro.telemetry import workers
 from repro.telemetry.metrics import (
     Histogram,
     Registry,
@@ -27,6 +26,7 @@ from repro.telemetry.metrics import (
     quantile_from_bucket_dict,
     quantile_from_buckets,
 )
+from tests.test_backend import wide_circuit
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +90,14 @@ class TestLevels:
         assert telemetry.level() == telemetry.METRICS
         telemetry.configure_from_env({})  # empty env leaves the level alone
         assert telemetry.level() == telemetry.METRICS
+
+    def test_profile_level_is_gone(self):
+        """There are three levels; ``profile`` is not one of them."""
+        with pytest.raises(ValueError, match="unknown telemetry level 'profile'"):
+            telemetry.configure_from_env({"REPRO_TELEMETRY": "profile"})
+        with pytest.raises(ValueError):
+            telemetry.set_level(3)
+        assert telemetry.level() == telemetry.OFF
 
 
 # ----- spans ----------------------------------------------------------------
@@ -404,16 +412,13 @@ class TestKernelAccounting:
             assert (pairs.count, pairs.total) == (1, 2)
 
     def test_parallel_and_serial_report_identical_totals(self, snark_ctx):
-        """Kernel metrics are recorded at the dispatch site, so backend
-        choice cannot change the reported ``engine.*`` totals (only the
-        process-global ntt_plan cache, the serial-only msm_window table
-        cache and the parallel-only ntt_twiddle_shm segment cache may
-        differ between runs).  The parallel backend's
-        extra ``worker.*`` instruments live in their own namespace
-        precisely so this parity holds even at profile level — they are
-        excluded here and asserted additive-only below.
-        """
-        layout, assignment = _tiny_circuit()
+        """Kernel metrics are recorded by the public wrappers, in the
+        calling process, so backend choice cannot change the reported
+        ``engine.*`` totals — here on a proof wide enough that every
+        commitment is shared with the split engine's helper, which
+        records nothing (only the process-global ntt_plan cache may
+        differ between runs)."""
+        layout, assignment = wide_circuit()
         keys = snark_ctx.keys_for(layout)
 
         def measured_counters(engine):
@@ -424,121 +429,18 @@ class TestKernelAccounting:
                 k: v
                 for k, v in telemetry.registry().counter_values().items()
                 if "ntt_plan" not in k
-                and "msm_window" not in k
-                and "ntt_twiddle" not in k
-                and not k.startswith("worker.")
             }
 
-        # Profile level: worker stats piggyback on every parallel task,
-        # the strictest setting under which parity must still hold.
-        telemetry.set_level(telemetry.PROFILE)
+        telemetry.set_level(telemetry.TRACE)
         serial_counts = measured_counters(SerialEngine())
-        parallel = ParallelEngine(
-            workers=2, min_msm_points=1, min_ntt_jobs=1, min_ntt_size=1,
-            min_inverse_size=1,
-        )
-        try:
-            parallel_counts = measured_counters(parallel)
-            # The parallel run *did* produce worker.* telemetry; it just
-            # never leaks into the engine.* namespace compared above.
-            worker_counts = {
-                k: v
-                for k, v in telemetry.registry().counter_values().items()
-                if k.startswith("worker.")
-            }
-        finally:
-            parallel.close()
-        assert serial_counts == parallel_counts
+        with SplitEngine(helpers=1) as split:
+            split_counts = measured_counters(split)
+            assert split.live_helpers() == 1
+        assert serial_counts == split_counts
         assert serial_counts["engine.ntt.calls{kind=coset_fft}"] == 6
+        assert serial_counts["engine.cache.hits{cache=msm_window}"] == 9
         _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
-        assert any(k.startswith("worker.tasks") for k in worker_counts)
-
-
-# ----- worker trace propagation (profile level) -----------------------------
-
-
-class TestWorkerPropagation:
-    def _parallel_engine(self):
-        return ParallelEngine(
-            workers=2, min_msm_points=1, min_ntt_jobs=1, min_ntt_size=1,
-            min_inverse_size=1,
-        )
-
-    def test_below_profile_no_worker_telemetry(self, snark_ctx):
-        """At trace level tasks are untagged: no worker.* instruments, no
-        worker.task children — exactly the pre-profile wire format."""
-        layout, assignment = _tiny_circuit()
-        keys = snark_ctx.keys_for(layout)
-        telemetry.set_level(telemetry.TRACE)
-        with self._parallel_engine() as engine:
-            prove(keys.pk, assignment, engine=engine)
-        counters = telemetry.registry().counter_values()
-        assert not any(k.startswith("worker.") for k in counters)
-        root = telemetry.finished_roots()[-1]
-        for dispatch in (s for s in root.walk() if s.name == "engine.dispatch"):
-            assert dispatch.children == []
-
-    def test_warm_proof_worker_spans_cover_dispatch_wall_clock(self, snark_ctx):
-        """The acceptance bar for cross-process propagation: on a warm
-        pool, the merged ``worker.task`` child spans of the largest
-        ``engine.dispatch`` span account for >=90% of its wall-clock —
-        i.e. the reconstructed trace actually explains where dispatch
-        time went instead of leaving a parent-side blind spot.
-        """
-        layout, assignment = _tiny_circuit()
-        keys = snark_ctx.keys_for(layout)
-        engine = self._parallel_engine()
-        try:
-            prove(keys.pk, assignment, engine=engine)  # warm pool + caches
-            telemetry.set_level(telemetry.PROFILE)
-            # A parent-side scheduler stall after the workers finish both
-            # inflates a dispatch's tail and makes it the largest — the
-            # max-by-duration pick adversely selects such blips, so allow
-            # a couple of re-proofs on contended single-CPU runners.
-            coverage = 0.0
-            for _attempt in range(3):
-                telemetry.reset_metrics()
-                telemetry.clear_finished()
-                prove(keys.pk, assignment, engine=engine)
-                root = telemetry.finished_roots()[-1]
-                assert root.name == "plonk.prove"
-                dispatches = [
-                    s for s in root.walk() if s.name == "engine.dispatch"
-                ]
-                assert dispatches, "parallel proof produced no dispatch spans"
-                for dispatch in dispatches:
-                    tasks = [
-                        c for c in dispatch.children if c.name == "worker.task"
-                    ]
-                    assert len(tasks) == dispatch.attrs["tasks"]
-                    for task in tasks:
-                        assert task.parent is dispatch
-                        assert task.attrs["kernel"] == dispatch.attrs["kernel"]
-                        assert task.duration > 0
-                largest = max(dispatches, key=lambda s: s.duration)
-                coverage = workers.worker_coverage(largest)
-                if coverage >= 0.90:
-                    break
-        finally:
-            engine.close()
-        assert coverage >= 0.90, (
-            "worker spans cover %.1f%% of the largest dispatch span"
-            % (100 * coverage)
-        )
-        # The piggybacked stats merged into the worker.* namespace too.
-        counters = telemetry.registry().counter_values()
-        assert any(k.startswith("worker.tasks{") for k in counters)
-        assert any(k.startswith("worker.kernel.calls{") for k in counters)
-        hists = telemetry.snapshot()["histograms"]
-        compute = [k for k in hists if k.startswith("worker.compute.seconds")]
-        assert compute and all(hists[k]["count"] > 0 for k in compute)
-
-    def test_worker_coverage_helper_edges(self):
-        telemetry.set_level(telemetry.TRACE)
-        with telemetry.span("engine.dispatch", kernel="x", tasks=0) as sp:
-            pass
-        assert workers.worker_coverage(sp) == 0.0
-        assert workers.worker_coverage(telemetry.NOOP_SPAN) == 0.0
+        assert telemetry.finished_roots()[-1].attrs["backend"] == "split"
 
 
 # ----- prover / protocol span trees ----------------------------------------

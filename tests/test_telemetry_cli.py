@@ -2,9 +2,9 @@
 
 Two committed artifacts are the fixtures, both real output of the stack:
 
-- ``benchmarks/baselines/sample_ledger.jsonl`` — one profile-level
-  KeySecure exchange on the 2-worker parallel backend (worker spans and
-  ``worker.*`` counters included);
+- ``benchmarks/baselines/sample_ledger.jsonl`` — one trace-level
+  KeySecure exchange on the default engine, as
+  ``examples/traced_exchange.py`` records it;
 - ``tests/fixtures/bench_table_sample.json`` — a frozen BENCH table (two
   data rows with speedup cells, one policy row, a trimmed registry
   snapshot) from a bench that has since been retired; a parser sample,
@@ -77,10 +77,7 @@ class TestReport:
         out = capsys.readouterr().out
         assert "hot kernels" in out
         assert "engine.kernel.seconds{kernel=msm_srs}" in out
-        # The sample was recorded at profile on the parallel backend, so
-        # the worker attribution sections must be populated.
-        assert "worker.compute.seconds" in out
-        assert "worker counters:" in out
+        assert "worker" not in out
         assert "cache hit rates:" in out
 
     def test_report_on_committed_bench_table(self, capsys):
@@ -237,8 +234,8 @@ class TestFlame:
         for line in lines:
             stack, _, weight = line.rpartition(" ")
             assert stack and int(weight) >= 1
-        # Worker spans survive the export as dispatch children.
-        assert any("engine.dispatch;worker.task" in line for line in lines)
+        # The prover's rounds survive the export under the exchange step.
+        assert any("exchange.prove;plonk.prove;quotient" in line for line in lines)
 
     def test_flame_out_writes_a_file(self, tmp_path, capsys):
         target = tmp_path / "stacks.txt"
