@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import faults, telemetry
+from repro import telemetry
 from repro.telemetry import ledger as _ledger
-from repro.errors import (
-    DeadlineExceededError,
-    ProtocolError,
-    RetryExhaustedError,
-)
-from repro.faults.retry import RetryPolicy, must_land
+from repro.errors import ProtocolError
+from repro.faults.retry import ExchangeSteps, RetryPolicy
 from repro.field.fr import MODULUS as R, random_scalar
 from repro.gadgets.poseidon import assert_commitment_opens, poseidon_hash_gadget
 from repro.plonk.circuit import CircuitBuilder
@@ -140,31 +136,36 @@ class Buyer:
 
 
 @dataclass
-class ExchangeResult:
+class Outcome:
+    """How one exchange ended — the fields every driver's result shares."""
+
     success: bool
     plaintext: list | None
     reason: str
-    gas_used: int
-    exchange_id: int | None = None
+    gas_used: int = 0
     #: True when the run terminated through the abort path: no key
     #: material reached the chain and, if payment was ever locked, the
     #: buyer was refunded.  ``success`` and ``aborted`` are mutually
-    #: exclusive; a run that ends with neither is a plain protocol
-    #: rejection before any funds moved.
+    #: exclusive; a run that ends with neither is a plain rejection.
     aborted: bool = False
+
+
+@dataclass
+class ExchangeResult(Outcome):
+    exchange_id: int | None = None
 
 
 class KeySecureExchange:
     """Orchestrates one exchange between a Seller and a Buyer on chain.
 
-    Every fallible step — the two off-chain message channels and every
-    transaction — runs under ``retry`` (bounded exponential backoff with
-    deterministic jitter, see :class:`repro.faults.RetryPolicy`).  When a
-    step stays down past the policy's budget the run *aborts into a safe
-    state*: the seller never reveals key material, any locked payment is
-    refunded to the buyer, and token ownership is untouched.  The chaos
-    suite (``tests/test_faults.py``) asserts these invariants under
-    arbitrary seeded fault plans.
+    Every fallible step — the off-chain message channels, every
+    transaction and the pi_k prover — runs through one
+    :class:`~repro.faults.retry.ExchangeSteps` under ``retry`` (bounded
+    exponential backoff with deterministic jitter).  When a step fails
+    for good the run *aborts into a safe state*: the seller never reveals
+    key material, any locked payment is refunded to the buyer, and token
+    ownership is untouched.  ``tests/exchange_invariants.py`` states
+    these invariants once; the fault suite checks them on every edge.
     """
 
     def __init__(self, ctx: SnarkContext, chain, arbiter, retry: RetryPolicy | None = None):
@@ -218,129 +219,57 @@ class KeySecureExchange:
     def _run_steps(
         self, seller, buyer, price, predicate, tamper_k_c, tamper_k_v
     ) -> ExchangeResult:
-        gas = 0
-        policy = self.retry
+        steps = ExchangeSteps(self.chain, "keysecure", self.retry)
+        exchange_id = None
         # ----- Phase 1: data validation ---------------------------------
         with telemetry.span("exchange.prove", phase=1, proof="pi_p"):
             c_d, pi_p = seller.data_validation_message(predicate=predicate)
         try:
-            # The (c_d, pi_p) message channel; a lost message is re-sent
-            # (the proof is computed once, above).
-            policy.run(
-                lambda: faults.check("exchange.msg.validation"),
-                site="exchange.msg.validation",
+            # A lost (c_d, pi_p) is re-sent; the proof is computed once, above.
+            steps.send("exchange.msg.validation", "phase-1 message")
+            with telemetry.span("exchange.verify", phase=1, proof="pi_p") as sp:
+                ok = buyer.verify_data(c_d, pi_p, predicate=predicate)
+                sp.set_attr("ok", ok)
+            if not ok:
+                return ExchangeResult(False, None, "pi_p rejected by buyer", steps.gas)
+            k_v, h_v = buyer.choose_verification_key()
+            if tamper_k_v:
+                k_v = (k_v + 1) % R  # buyer lies to the seller off-chain
+            steps.send("exchange.msg.key", "k_v")
+            receipt = steps.tx(
+                buyer.address, self.arbiter, "lock_payment",
+                seller.address, seller.asset.key_commitment.value, h_v,
+                value=price, site="chain.lock_payment", noun="payment lock",
+                span=telemetry.span("exchange.commit", phase=1),
             )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted(gas, None, "phase-1 message undeliverable: %s" % exc)
-        with telemetry.span("exchange.verify", phase=1, proof="pi_p") as sp:
-            ok = buyer.verify_data(c_d, pi_p, predicate=predicate)
-            sp.set_attr("ok", ok)
-        if not ok:
-            return ExchangeResult(False, None, "pi_p rejected by buyer", gas)
-        k_v, h_v = buyer.choose_verification_key()
-        if tamper_k_v:
-            k_v = (k_v + 1) % R  # buyer lies to the seller off-chain
-        try:
-            # The off-chain k_v channel, buyer -> seller.
-            policy.run(lambda: faults.check("exchange.msg.key"), site="exchange.msg.key")
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted(gas, None, "k_v undeliverable: %s" % exc)
-        with telemetry.span("exchange.commit", phase=1) as sp:
-            try:
-                receipt = policy.run(
-                    lambda: self.chain.transact(
-                        buyer.address,
-                        self.arbiter,
-                        "lock_payment",
-                        seller.address,
-                        seller.asset.key_commitment.value,
-                        h_v,
-                        value=price,
-                    ),
-                    site="chain.lock_payment",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                sp.set_attr("aborted", True)
-                return self._aborted(gas, None, "payment lock undeliverable: %s" % exc)
-            sp.set_attrs(receipt.span_attrs())
-        gas += receipt.gas_used
-        if not receipt.status:
-            return ExchangeResult(False, None, "payment lock failed", gas)
-        exchange_id = receipt.return_value
-
-        # ----- Phase 2: key negotiation ---------------------------------
-        info = self.chain.call_view(self.arbiter, "exchange_info", exchange_id)
-        h_v_on_chain = info[3]
-        try:
-            with telemetry.span("exchange.prove", phase=2, proof="pi_k"):
-                k_c, pi_k = seller.key_negotiation_message(k_v, h_v_on_chain)
-        except ProtocolError as exc:
-            return self._abort_and_refund(buyer, exchange_id, gas, str(exc))
-        if tamper_k_c:
-            k_c = (k_c + 1) % R
-        try:
-            # The (k_c, pi_k) message channel, seller -> chain.
-            policy.run(
-                lambda: faults.check("exchange.msg.negotiation"),
-                site="exchange.msg.negotiation",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._abort_and_refund(
-                buyer, exchange_id, gas, "phase-2 message undeliverable: %s" % exc
-            )
-        with telemetry.span("exchange.reveal", phase=2) as sp:
-            try:
-                receipt = policy.run(
-                    lambda: self.chain.transact(
-                        seller.address,
-                        self.arbiter,
-                        "submit_key",
-                        exchange_id,
-                        k_c,
-                        pi_k.to_bytes(),
-                    ),
-                    site="chain.submit_key",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                sp.set_attr("aborted", True)
-                return self._abort_and_refund(
-                    buyer, exchange_id, gas, "key submission undeliverable: %s" % exc
-                )
-            sp.set_attrs(receipt.span_attrs())
-        gas += receipt.gas_used
-        if not receipt.status:
-            return self._abort_and_refund(
-                buyer, exchange_id, gas, "pi_k rejected on chain: %s" % receipt.error
-            )
-
-        with telemetry.span("exchange.settle", phase=2):
-            masked = self.chain.call_view(self.arbiter, "masked_key", exchange_id)
-            plaintext = buyer.recover_plaintext(masked)
-        return ExchangeResult(True, plaintext, "ok", gas, exchange_id)
-
-    # ----- abort machinery ----------------------------------------------
-
-    def _aborted(self, gas: int, exchange_id, reason: str) -> ExchangeResult:
-        """Terminal abort *before* any payment was locked: nothing to
-        unwind, the seller still holds the key, the buyer her funds."""
-        if telemetry.metrics_enabled():
-            telemetry.counter("exchange.aborted", protocol="keysecure").inc()
-        return ExchangeResult(False, None, reason, gas, exchange_id, aborted=True)
-
-    def _abort_and_refund(self, buyer, exchange_id, gas: int, reason: str) -> ExchangeResult:
-        """Terminal abort *after* the payment lock: drive the buyer's
-        refund through, retrying persistently.
-
-        The refund is the safety-critical leg — until it lands the
-        buyer's escrow is stranded — so it goes through
-        :func:`repro.faults.retry.must_land` rather than the per-step
-        policy.
-        """
-        with telemetry.span("exchange.abort", exchange_id=exchange_id) as sp:
-            refund = must_land(
-                self.chain, buyer.address, self.arbiter, "refund", exchange_id,
+            if not receipt.status:
+                return ExchangeResult(False, None, "payment lock failed", steps.gas)
+            exchange_id = receipt.return_value
+            steps.hold(
+                buyer.address, self.arbiter, "refund", exchange_id,
                 site="chain.refund", noun="buyer refund for exchange %s" % exchange_id,
+                span=telemetry.span("exchange.abort", exchange_id=exchange_id),
             )
-            gas += refund.gas_used
-            sp.set_attrs(refund.span_attrs("refund"))
-        return self._aborted(gas, exchange_id, reason)
+
+            # ----- Phase 2: key negotiation -----------------------------
+            info = self.chain.call_view(self.arbiter, "exchange_info", exchange_id)
+            with steps.step("prover", telemetry.span("exchange.prove", phase=2, proof="pi_k")):
+                k_c, pi_k = seller.key_negotiation_message(k_v, info[3])
+            if tamper_k_c:
+                k_c = (k_c + 1) % R
+            steps.send("exchange.msg.negotiation", "phase-2 message")
+            steps.tx(
+                seller.address, self.arbiter, "submit_key", exchange_id, k_c, pi_k.to_bytes(),
+                site="chain.submit_key", noun="key submission",
+                span=telemetry.span("exchange.reveal", phase=2), fatal="pi_k rejected on chain",
+            )
+            steps.release()
+            with telemetry.span("exchange.settle", phase=2):
+                masked = self.chain.call_view(self.arbiter, "masked_key", exchange_id)
+                plaintext = buyer.recover_plaintext(masked)
+            return ExchangeResult(True, plaintext, "ok", steps.gas, exchange_id=exchange_id)
+        except Exception as exc:
+            reason = steps.abort(exc)
+            return ExchangeResult(
+                False, None, reason, steps.gas, aborted=True, exchange_id=exchange_id
+            )

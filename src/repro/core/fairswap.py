@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import DeadlineExceededError, ProtocolError, RetryExhaustedError
-from repro.faults.retry import RetryPolicy, must_land
+from repro.core.exchange import Outcome
+from repro.errors import ProtocolError
+from repro.faults.retry import ExchangeSteps, RetryPolicy, must_land
 from repro import telemetry
 from repro.field.fr import MODULUS as R, rand_fr
 from repro.gadgets.merkle import MerkleTree
@@ -59,36 +60,24 @@ class FairSwapListing:
 
 
 @dataclass
-class FairSwapResult:
-    success: bool
-    plaintext: list | None
-    reason: str
-    gas_used: int
+class FairSwapResult(Outcome):
     dispute_gas: int = 0
-    aborted: bool = False
 
 
 class FairSwapExchange:
     """Orchestrates one FairSwap sale against the arbiter contract.
 
-    Transactions run under ``retry``; if the seller's ``reveal_key``
-    stays undeliverable past the policy budget, the driver waits out the
-    reveal window and recovers the buyer's escrow through the contract's
-    ``abort`` entry point.
+    Transactions run through one :class:`~repro.faults.retry.ExchangeSteps`
+    under ``retry``.  The buyer's escrow is refunded through the
+    contract's ``abort`` entry point, which opens only once the reveal
+    window has passed: if the seller's ``reveal_key`` stays undeliverable,
+    the driver waits the window out first.
     """
 
     def __init__(self, chain, contract, retry: RetryPolicy | None = None):
         self.chain = chain
         self.contract = contract
         self.retry = retry if retry is not None else RetryPolicy()
-
-    def _tx(self, sender: str, method: str, *args, site: str, value: int = 0):
-        return self.retry.run(
-            lambda: self.chain.transact(
-                sender, self.contract, method, *args, value=value
-            ),
-            site=site,
-        )
 
     def run(
         self,
@@ -103,108 +92,77 @@ class FairSwapExchange:
         ``cheat_block`` makes the seller corrupt that ciphertext block
         before listing; the buyer then wins a dispute.
         """
-        gas = 0
         if cheat_block is not None:
             listing.tamper_block(cheat_block)
-
+        steps = ExchangeSteps(self.chain, "fairswap", self.retry)
         try:
-            receipt = self._tx(
-                seller, "offer",
+            receipt = steps.tx(
+                seller, self.contract, "offer",
                 listing.cipher_tree.root, listing.plain_tree.root,
-                field_hash(listing.key), listing.nonce,
-                len(listing.blocks), price,
-                site="chain.offer",
+                field_hash(listing.key), listing.nonce, len(listing.blocks), price,
+                site="chain.offer", noun="offer",
             )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted(gas, "offer undeliverable: %s" % exc)
-        gas += receipt.gas_used
-        sale_id = receipt.return_value
-
-        try:
-            receipt = self._tx(buyer, "accept", sale_id, site="chain.accept", value=price)
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted(gas, "accept undeliverable: %s" % exc)
-        gas += receipt.gas_used
-        if not receipt.status:
-            return FairSwapResult(False, None, "accept failed", gas)
-
-        try:
-            receipt = self._tx(
-                seller, "reveal_key", sale_id, listing.key, site="chain.reveal"
+            sale_id = receipt.return_value
+            receipt = steps.tx(
+                buyer, self.contract, "accept", sale_id,
+                value=price, site="chain.accept", noun="accept",
             )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._abort_after_accept(
-                buyer, sale_id, gas, "reveal undeliverable: %s" % exc
-            )
-        gas += receipt.gas_used
-        if not receipt.status:
-            return self._abort_after_accept(
-                buyer, sale_id, gas, "reveal rejected: %s" % receipt.error
-            )
-
-        # Buyer decrypts locally and checks every block against the
-        # advertised plaintext root.
-        key = self.chain.call_view(self.contract, "revealed_key", sale_id)
-        cipher = MiMC()
-        decrypted = [
-            (c - cipher.encrypt_block(key, (listing.nonce + i) % R)) % R
-            for i, c in enumerate(listing.cipher_blocks)
-        ]
-        bad_index = None
-        for i, block in enumerate(decrypted):
-            if not MerkleTree.verify(
-                listing.plain_tree.root, block, listing.plain_tree.prove(i)
-            ):
-                bad_index = i
-                break
-
-        if bad_index is None:
-            for _ in range(6):
-                self.chain.seal_block()
-            receipt = must_land(
-                self.chain, seller, self.contract, "finalize", sale_id,
-                site="chain.finalize", noun="finalize for sale %s" % sale_id,
-            )
-            return FairSwapResult(True, decrypted, "ok", gas + receipt.gas_used)
-
-        # Dispute: assemble the proof of misbehaviour.  A lost complaint
-        # strands the buyer's escrow, so it must land.
-        c_proof = listing.cipher_tree.prove(bad_index)
-        p_proof = listing.plain_tree.prove(bad_index)
-        receipt = must_land(
-            self.chain, buyer, self.contract, "complain", sale_id, bad_index,
-            listing.cipher_blocks[bad_index],
-            tuple(c_proof.siblings), tuple(c_proof.path_bits),
-            listing.blocks[bad_index],
-            tuple(p_proof.siblings), tuple(p_proof.path_bits),
-            site="chain.complain", noun="complaint for sale %s" % sale_id,
-        )
-        return FairSwapResult(
-            False, None, "seller cheated; buyer refunded", gas + receipt.gas_used,
-            dispute_gas=receipt.gas_used,
-        )
-
-    # ----- abort machinery ----------------------------------------------
-
-    def _aborted(self, gas: int, reason: str) -> FairSwapResult:
-        if telemetry.metrics_enabled():
-            telemetry.counter("exchange.aborted", protocol="fairswap").inc()
-        return FairSwapResult(False, None, reason, gas, aborted=True)
-
-    def _abort_after_accept(
-        self, buyer: str, sale_id: int, gas: int, reason: str
-    ) -> FairSwapResult:
-        """Recover the buyer's escrow when the seller never reveals.
-
-        Waits out the reveal window (the offers placed by this driver use
-        the contract's default ``dispute_window`` of 5 blocks), then pulls
-        the escrow back through the contract's ``abort`` entry point.
-        """
-        with telemetry.span("fairswap.abort", sale_id=sale_id):
-            for _ in range(6):
-                self.chain.seal_block()
-            refund = must_land(
-                self.chain, buyer, self.contract, "abort", sale_id,
+            if not receipt.status:
+                return FairSwapResult(False, None, "accept failed", steps.gas)
+            # Offers placed here keep the contract's default dispute_window
+            # of 5 blocks: the abort opens on the sixth.
+            steps.hold(
+                buyer, self.contract, "abort", sale_id,
                 site="chain.abort", noun="buyer abort for sale %s" % sale_id,
+                span=telemetry.span("fairswap.abort", sale_id=sale_id), after_blocks=6,
             )
-        return self._aborted(gas + refund.gas_used, reason)
+            steps.tx(
+                seller, self.contract, "reveal_key", sale_id, listing.key,
+                site="chain.reveal", noun="reveal", fatal="reveal rejected",
+            )
+            steps.release()
+
+            # Buyer decrypts locally and checks every block against the
+            # advertised plaintext root.
+            key = self.chain.call_view(self.contract, "revealed_key", sale_id)
+            cipher = MiMC()
+            decrypted = [
+                (c - cipher.encrypt_block(key, (listing.nonce + i) % R)) % R
+                for i, c in enumerate(listing.cipher_blocks)
+            ]
+            bad_index = None
+            for i, block in enumerate(decrypted):
+                if not MerkleTree.verify(
+                    listing.plain_tree.root, block, listing.plain_tree.prove(i)
+                ):
+                    bad_index = i
+                    break
+
+            if bad_index is None:
+                for _ in range(6):
+                    self.chain.seal_block()
+                receipt = must_land(
+                    self.chain, seller, self.contract, "finalize", sale_id,
+                    site="chain.finalize", noun="finalize for sale %s" % sale_id,
+                )
+                return FairSwapResult(True, decrypted, "ok", steps.gas + receipt.gas_used)
+
+            # Dispute: assemble the proof of misbehaviour.  A lost complaint
+            # strands the buyer's escrow, so it must land.
+            c_proof = listing.cipher_tree.prove(bad_index)
+            p_proof = listing.plain_tree.prove(bad_index)
+            receipt = must_land(
+                self.chain, buyer, self.contract, "complain", sale_id, bad_index,
+                listing.cipher_blocks[bad_index],
+                tuple(c_proof.siblings), tuple(c_proof.path_bits),
+                listing.blocks[bad_index],
+                tuple(p_proof.siblings), tuple(p_proof.path_bits),
+                site="chain.complain", noun="complaint for sale %s" % sale_id,
+            )
+            return FairSwapResult(
+                False, None, "seller cheated; buyer refunded", steps.gas + receipt.gas_used,
+                dispute_gas=receipt.gas_used,
+            )
+        except Exception as exc:
+            reason = steps.abort(exc)
+            return FairSwapResult(False, None, reason, steps.gas, aborted=True)

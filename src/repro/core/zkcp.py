@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import faults, telemetry
-from repro.errors import DeadlineExceededError, RetryExhaustedError
-from repro.faults.retry import RetryPolicy, must_land
+from repro import telemetry
+from repro.faults.retry import ExchangeSteps, RetryPolicy
 from repro.gadgets.mimc import assert_ctr_encryption
 from repro.gadgets.poseidon import poseidon_hash_gadget
 from repro.groth16 import groth16_prove, groth16_setup, groth16_verify
 from repro.primitives.hashing import field_hash
 from repro.primitives.mimc import mimc_decrypt_ctr
 from repro.r1cs import R1CSBuilder
+from repro.core.exchange import Outcome
 from repro.core.tokens import DataAsset
 
 
@@ -54,22 +54,17 @@ def build_zkcp_circuit(
 
 
 @dataclass
-class ZKCPResult:
-    success: bool
-    plaintext: list | None
-    reason: str
-    gas_used: int
+class ZKCPResult(Outcome):
     leaked_key: int | None = None  # what a third party can read afterwards
-    aborted: bool = False
 
 
 class ZKCPExchange:
     """Orchestrates the four ZKCP steps against the hash-lock arbiter.
 
     Like :class:`repro.core.exchange.KeySecureExchange`, every message
-    channel and transaction runs under a :class:`repro.faults.RetryPolicy`
-    and a persistent failure aborts into a safe state (escrow refunded,
-    key unrevealed).
+    channel and transaction runs through one
+    :class:`~repro.faults.retry.ExchangeSteps` and a persistent failure
+    aborts into a safe state (escrow refunded, key unrevealed).
     """
 
     def __init__(self, chain, arbiter, retry: RetryPolicy | None = None):
@@ -110,7 +105,6 @@ class ZKCPExchange:
     def _run_steps(
         self, seller_address, buyer_address, asset, price, predicate, tamper_key
     ) -> ZKCPResult:
-        gas = 0
         view = asset.public_view()
         key_hash = field_hash(asset.key)
 
@@ -131,76 +125,42 @@ class ZKCPExchange:
             proof = groth16_prove(pk, witness)
 
         # ----- Verify: buyer checks pi_p, locks payment against h --------
+        steps = ExchangeSteps(self.chain, "zkcp", self.retry)
         try:
-            self.retry.run(
-                lambda: faults.check("exchange.msg.deliver"), site="exchange.msg.deliver"
+            steps.send("exchange.msg.deliver", "deliver message")
+            publics = list(asset.ciphertext.blocks) + [asset.ciphertext.nonce, key_hash]
+            with telemetry.span("zkcp.verify", step="verify") as sp:
+                ok = groth16_verify(vk, publics, proof)
+                sp.set_attr("ok", ok)
+            if not ok:
+                return ZKCPResult(False, None, "pi_p rejected by buyer", steps.gas)
+            receipt = steps.tx(
+                buyer_address, self.arbiter, "lock", seller_address, key_hash,
+                value=price, site="chain.lock", noun="payment lock",
+                span=telemetry.span("zkcp.commit", step="lock"),
             )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted(gas, "deliver message undeliverable: %s" % exc)
-        publics = list(asset.ciphertext.blocks) + [asset.ciphertext.nonce, key_hash]
-        with telemetry.span("zkcp.verify", step="verify") as sp:
-            ok = groth16_verify(vk, publics, proof)
-            sp.set_attr("ok", ok)
-        if not ok:
-            return ZKCPResult(False, None, "pi_p rejected by buyer", gas)
-        with telemetry.span("zkcp.commit", step="lock") as sp:
-            try:
-                receipt = self.retry.run(
-                    lambda: self.chain.transact(
-                        buyer_address, self.arbiter, "lock", seller_address,
-                        key_hash, value=price,
-                    ),
-                    site="chain.lock",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                sp.set_attr("aborted", True)
-                return self._aborted(gas, "payment lock undeliverable: %s" % exc)
-            sp.set_attrs(receipt.span_attrs())
-        gas += receipt.gas_used
-        if not receipt.status:
-            return ZKCPResult(False, None, "payment lock failed", gas)
-        deal_id = receipt.return_value
-
-        # ----- Open: seller discloses k ON CHAIN --------------------------
-        key = (asset.key + 1) if tamper_key else asset.key
-        with telemetry.span("zkcp.reveal", step="open") as sp:
-            try:
-                receipt = self.retry.run(
-                    lambda: self.chain.transact(
-                        seller_address, self.arbiter, "open", deal_id, key
-                    ),
-                    site="chain.open",
-                )
-            except (RetryExhaustedError, DeadlineExceededError) as exc:
-                sp.set_attr("aborted", True)
-                return self._abort_and_refund(
-                    buyer_address, deal_id, gas, "open undeliverable: %s" % exc
-                )
-            sp.set_attrs(receipt.span_attrs())
-        gas += receipt.gas_used
-        if not receipt.status:
-            return self._abort_and_refund(
-                buyer_address, deal_id, gas, "open rejected: %s" % receipt.error
+            if not receipt.status:
+                return ZKCPResult(False, None, "payment lock failed", steps.gas)
+            deal_id = receipt.return_value
+            steps.hold(
+                buyer_address, self.arbiter, "refund", deal_id,
+                site="chain.refund", noun="buyer refund for deal %s" % deal_id,
             )
 
-        # ----- Finalize: buyer decrypts — but so can anyone ---------------
-        with telemetry.span("zkcp.settle", step="finalize"):
-            revealed = self.chain.call_view(self.arbiter, "revealed_key", deal_id)
-            plaintext = mimc_decrypt_ctr(revealed, view.ciphertext)
-        return ZKCPResult(True, plaintext, "ok", gas, leaked_key=revealed)
+            # ----- Open: seller discloses k ON CHAIN ----------------------
+            key = (asset.key + 1) if tamper_key else asset.key
+            steps.tx(
+                seller_address, self.arbiter, "open", deal_id, key,
+                site="chain.open", noun="open",
+                span=telemetry.span("zkcp.reveal", step="open"), fatal="open rejected",
+            )
+            steps.release()
 
-    # ----- abort machinery ----------------------------------------------
-
-    def _aborted(self, gas: int, reason: str) -> ZKCPResult:
-        if telemetry.metrics_enabled():
-            telemetry.counter("exchange.aborted", protocol="zkcp").inc()
-        return ZKCPResult(False, None, reason, gas, aborted=True)
-
-    def _abort_and_refund(
-        self, buyer_address: str, deal_id: int, gas: int, reason: str
-    ) -> ZKCPResult:
-        refund = must_land(
-            self.chain, buyer_address, self.arbiter, "refund", deal_id,
-            site="chain.refund", noun="buyer refund for deal %s" % deal_id,
-        )
-        return self._aborted(gas + refund.gas_used, reason)
+            # ----- Finalize: buyer decrypts — but so can anyone -----------
+            with telemetry.span("zkcp.settle", step="finalize"):
+                revealed = self.chain.call_view(self.arbiter, "revealed_key", deal_id)
+                plaintext = mimc_decrypt_ctr(revealed, view.ciphertext)
+            return ZKCPResult(True, plaintext, "ok", steps.gas, leaked_key=revealed)
+        except Exception as exc:
+            reason = steps.abort(exc)
+            return ZKCPResult(False, None, reason, steps.gas, aborted=True)

@@ -6,8 +6,9 @@ happens when they don't.  A seeded :class:`FaultPlan` schedules typed
 failures — storage chunk loss and slow reads, transaction drops and
 reverts, event-log lag, off-chain message loss and stalls — at named
 *sites* instrumented throughout ``storage/``, ``chain/`` and ``core/``;
-a :class:`RetryPolicy` plus explicit abort/refund paths in the protocol
-drivers provide the recovery machinery, and the chaos suite
+a :class:`RetryPolicy` plus the one abort/refund path every exchange
+driver steps through (:class:`repro.faults.retry.ExchangeSteps`) provide
+the recovery machinery, and the chaos suite
 (``tests/test_faults.py``) asserts every schedule still terminates in a
 safe state.
 

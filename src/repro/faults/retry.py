@@ -4,7 +4,8 @@ The recovery half of the fault plane: protocol drivers wrap each
 fallible step (a storage read, a transaction submission, an off-chain
 message) in :meth:`RetryPolicy.run`.  Only :class:`repro.errors.TransientError`
 subclasses are retried — everything else is a genuine protocol outcome
-and propagates immediately.
+and propagates immediately.  The exchange drivers do so through one
+:class:`ExchangeSteps` per run, which also owns their one abort path.
 
 Backoff is exponential with *deterministic seeded jitter*: the jitter
 fraction for attempt ``a`` at site ``s`` is a SHA-256 draw of
@@ -17,17 +18,20 @@ is one ``try``/``except`` per call.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro import telemetry
 from repro.errors import (
     DeadlineExceededError,
     ExchangeAbortedError,
+    ProtocolError,
     RetryExhaustedError,
     TransientError,
 )
 from repro.faults.plan import PPM, draw
+from repro.telemetry.spans import NOOP_SPAN
 
 T = TypeVar("T")
 
@@ -130,3 +134,118 @@ def must_land(chain, sender: str, contract, method: str, *args, site: str, noun:
     if not receipt.status:
         raise ExchangeAbortedError("%s reverted: %s" % (noun, receipt.error))
     return receipt
+
+
+class ExchangeSteps:
+    """One exchange run's fallible edges and its one abort path.
+
+    A driver makes one per run and goes through it for every off-chain
+    message (:meth:`send`), transaction (:meth:`tx`) and local step that
+    may fail (:meth:`step`), each under the driver's policy.  A step that
+    cannot complete raises :class:`ProtocolError` carrying the run's
+    reason.  The driver says when the buyer's escrow is held and which
+    transaction refunds it (:meth:`hold`), and when the key has landed
+    (:meth:`release`); its one ``except`` hands any failure to
+    :meth:`abort`.
+    """
+
+    def __init__(self, chain, protocol: str, policy: RetryPolicy):
+        self.chain = chain
+        self.protocol = protocol
+        self.policy = policy
+        #: Gas of every transaction the run landed, the refund's included.
+        self.gas = 0
+        self._refund: tuple | None = None
+        self._released = False
+
+    @contextmanager
+    def step(self, noun: str, span=NOOP_SPAN) -> Iterator[None]:
+        """Run the ``with`` body as the step ``noun`` inside ``span``.
+
+        Retry exhaustion or a blown deadline becomes "<noun> undeliverable:
+        ..." and marks the span ``aborted`` (the span itself closes
+        cleanly); any other exception but a :class:`ProtocolError` becomes
+        "<noun> failed: <type>: ...".
+        """
+        undelivered = None
+        try:
+            with span:
+                try:
+                    yield
+                except (RetryExhaustedError, DeadlineExceededError) as exc:
+                    span.set_attr("aborted", True)
+                    undelivered = exc
+        except ProtocolError:
+            raise
+        except Exception as exc:
+            raise ProtocolError("%s failed: %s: %s" % (noun, type(exc).__name__, exc)) from exc
+        if undelivered is not None:
+            raise ProtocolError("%s undeliverable: %s" % (noun, undelivered)) from undelivered
+
+    def send(self, site: str, noun: str) -> None:
+        """Deliver one off-chain message over the channel ``site``."""
+        from repro import faults  # late import: faults imports this module
+
+        with self.step(noun):
+            self.policy.run(lambda: faults.check(site), site=site)
+
+    def tx(
+        self, sender: str, contract, method: str, *args,
+        site: str, noun: str, value: int = 0, span=NOOP_SPAN, fatal: str | None = None,
+    ):
+        """Submit one transaction and add its gas.
+
+        A reverted receipt is returned for the driver to judge, unless the
+        driver declared it ``fatal``: then the step fails with
+        "<fatal>: <revert reason>".
+        """
+        with self.step(noun, span):
+            receipt = self.policy.run(
+                lambda: self.chain.transact(sender, contract, method, *args, value=value),
+                site=site,
+            )
+            span.set_attrs(receipt.span_attrs())
+        self.gas += receipt.gas_used
+        if fatal is not None and not receipt.status:
+            raise ProtocolError("%s: %s" % (fatal, receipt.error))
+        return receipt
+
+    def hold(
+        self, sender: str, contract, method: str, *args,
+        site: str, noun: str, span=NOOP_SPAN, after_blocks: int = 0,
+    ) -> None:
+        """The buyer's escrow is held: until :meth:`release`, an abort
+        lands ``method(*args)`` from ``sender`` inside ``span``, after
+        sealing ``after_blocks`` blocks for a contract that refunds only
+        once its window has passed."""
+        self._refund = (sender, contract, method, args, site, noun, span, after_blocks)
+
+    def release(self) -> None:
+        """The key has landed and the escrow window is closed."""
+        self._released = True
+
+    def abort(self, exc: Exception) -> str:
+        """End the run through the abort path and return its reason.
+
+        A held escrow is refunded through :func:`must_land` first, so the
+        only way out with it still locked is :class:`ExchangeAbortedError`.
+        After :meth:`release` the seller has been paid and there is
+        nothing to abort: ``exc`` propagates.
+        """
+        if self._released:
+            raise exc
+        if self._refund is not None:
+            sender, contract, method, args, site, noun, span, after_blocks = self._refund
+            with span:
+                for _ in range(after_blocks):
+                    self.chain.seal_block()
+                receipt = must_land(
+                    self.chain, sender, contract, method, *args, site=site, noun=noun
+                )
+                span.set_attrs(receipt.span_attrs("refund"))
+            self.gas += receipt.gas_used
+        if telemetry.metrics_enabled():
+            telemetry.counter("exchange.aborted", protocol=self.protocol).inc()
+        if isinstance(exc, ProtocolError):
+            return str(exc)
+        return "%s: %s" % (type(exc).__name__, exc)

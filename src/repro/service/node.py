@@ -21,13 +21,10 @@ transaction at a time — the node amortises everything amortisable:
   one ``submit_key_batch`` transaction settles k exchanges with a single
   batched pairing check.
 
-Fault semantics mirror the synchronous driver exactly: the same
-``exchange.msg.*`` / ``chain.*`` sites, the same per-step
-:class:`~repro.faults.RetryPolicy`, and the same safety envelope — a
-request that fails after payment lock always drives the buyer's refund
-through :func:`~repro.faults.retry.must_land` before reporting,
-so no escrow is ever stranded.  The chaos suite asserts this under the
-``exchange`` fault profile.
+Each request steps the same :class:`~repro.faults.retry.ExchangeSteps`
+runner as the synchronous driver, so its fault sites, retries and abort
+path — the buyer refunded before the outcome is reported — are that
+driver's.
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import faults, telemetry
+from repro import telemetry
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract
-from repro.core.exchange import Buyer, Seller, key_negotiation_keys
+from repro.core.exchange import Buyer, ExchangeResult, Seller, key_negotiation_keys
 from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import (
@@ -48,16 +45,8 @@ from repro.core.transform_protocol import (
     prove_encryption,
     verify_encryption,
 )
-from repro.errors import (
-    DeadlineExceededError,
-    ExchangeAbortedError,
-    ProtocolError,
-    QueueFullError,
-    RetryExhaustedError,
-    ServiceError,
-    SessionError,
-)
-from repro.faults.retry import RetryPolicy, must_land
+from repro.errors import ProtocolError, QueueFullError, ServiceError, SessionError
+from repro.faults.retry import ExchangeSteps, RetryPolicy
 from repro.service.pool import ProverPool
 from repro.service.queue import FairQueue
 from repro.service.settlement import SettlementBatcher
@@ -141,18 +130,9 @@ class ExchangeRequest:
 
 
 @dataclass
-class RequestOutcome:
-    """Terminal state of one request; exactly one of the flags is set
-    for runs that touched the chain (``success`` xor ``aborted``), and
-    both stay False for requests shed or rejected before any funds
-    moved."""
+class RequestOutcome(ExchangeResult):
+    """The synchronous driver's result plus the request's time in the node."""
 
-    success: bool
-    reason: str
-    gas_used: int = 0
-    exchange_id: Optional[int] = None
-    aborted: bool = False
-    plaintext: Optional[list] = None
     latency_s: float = 0.0
 
 
@@ -301,9 +281,7 @@ class MarketplaceNode:
             try:
                 slots.append(self.submit(request))
             except (QueueFullError, SessionError) as exc:
-                slots.append(
-                    RequestOutcome(False, "admission rejected: %s" % exc)
-                )
+                slots.append(RequestOutcome(False, None, "admission rejected: %s" % exc))
         results: List[RequestOutcome] = []
         for slot in slots:
             results.append(await slot if isinstance(slot, asyncio.Future) else slot)
@@ -316,10 +294,13 @@ class MarketplaceNode:
             _tenant, (request, fut, enqueued) = await self.queue.get()
             try:
                 outcome = await self._handle(request)
-            except ExchangeAbortedError:
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                outcome = RequestOutcome(False, "internal error: %s" % exc)
+            except Exception as exc:
+                # A refund that would not land (ExchangeAbortedError): the
+                # caller hears it, as from the synchronous driver, and this
+                # worker serves the next request.
+                if not fut.done():
+                    fut.set_exception(exc)
+                continue
             outcome.latency_s = time.perf_counter() - enqueued
             if telemetry.metrics_enabled():
                 label = (
@@ -337,127 +318,76 @@ class MarketplaceNode:
     async def _handle(self, request: ExchangeRequest) -> RequestOutcome:
         session = self._sessions.get(request.session_id)
         if session is None:
-            return RequestOutcome(False, "session closed")
-        gas = 0
-        policy = self.retry
+            return RequestOutcome(False, None, "session closed")
+        steps = ExchangeSteps(self.chain, "keysecure", self.retry)
+        exchange_id = None
         buyer_address = request.buyer_address or self.register_account(
             funded=2 * request.price
         )
         buyer = Buyer(self.ctx, session.asset.public_view(), buyer_address)
-
-        # Phase 1 (data validation) happened once, in open_session.
-
-        # ----- The buyer's off-chain reply (k_v, h_v), with timeout ------
         try:
-            reply = await self._await_buyer(request, buyer)
-        except asyncio.TimeoutError:
-            if telemetry.metrics_enabled():
-                telemetry.counter("service.timeouts").inc()
-            return RequestOutcome(
-                False, "buyer reply timed out after %.3fs" % self.config.request_timeout
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted_outcome(gas, None, "k_v undeliverable: %s" % exc)
-        k_v, h_v = reply
-
-        # ----- Payment lock ----------------------------------------------
-        try:
-            receipt = policy.run(
-                lambda: self.chain.transact(
-                    buyer_address,
-                    self.arbiter,
-                    "lock_payment",
-                    session.seller.address,
-                    session.asset.key_commitment.value,
-                    h_v,
-                    value=request.price,
-                ),
-                site="chain.lock_payment",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return self._aborted_outcome(
-                gas, None, "payment lock undeliverable: %s" % exc
-            )
-        gas += receipt.gas_used
-        if not receipt.status:
-            return RequestOutcome(False, "payment lock failed", gas)
-        exchange_id = receipt.return_value
-
-        # ----- Phase 2: pi_k ---------------------------------------------
-        try:
-            if request.bundle is not None:
-                k_c, proof_bytes = (
-                    request.bundle.masked_key,
-                    request.bundle.proof_bytes,
+            # Phase 1 (data validation) happened once, in open_session.
+            reply = await self._await_buyer(request, buyer, steps)
+            if reply is None:
+                return RequestOutcome(
+                    False, None,
+                    "buyer reply timed out after %.3fs" % self.config.request_timeout,
                 )
-            elif self.pool is not None:
-                k_c, proof_bytes = await self.pool.prove_key_negotiation(
-                    session.asset, k_v, h_v
-                )
-            else:
-                k_c, pi_k = session.seller.key_negotiation_message(k_v, h_v)
-                proof_bytes = pi_k.to_bytes()
-        except ProtocolError as exc:
-            return await self._abort_and_refund(
-                buyer_address, exchange_id, gas, str(exc)
+            k_v, h_v = reply
+            receipt = steps.tx(
+                buyer_address, self.arbiter, "lock_payment",
+                session.seller.address, session.asset.key_commitment.value, h_v,
+                value=request.price, site="chain.lock_payment", noun="payment lock",
             )
+            if not receipt.status:
+                return RequestOutcome(False, None, "payment lock failed", steps.gas)
+            exchange_id = receipt.return_value
+            steps.hold(
+                buyer_address, self.arbiter, "refund", exchange_id,
+                site="chain.refund", noun="buyer refund for exchange %s" % exchange_id,
+            )
+
+            # ----- Phase 2: pi_k -----------------------------------------
+            with steps.step("prover"):
+                if request.bundle is not None:
+                    k_c, proof_bytes = request.bundle.masked_key, request.bundle.proof_bytes
+                elif self.pool is not None:
+                    k_c, proof_bytes = await self.pool.prove_key_negotiation(
+                        session.asset, k_v, h_v
+                    )
+                else:
+                    k_c, pi_k = session.seller.key_negotiation_message(k_v, h_v)
+                    proof_bytes = pi_k.to_bytes()
+            steps.send("exchange.msg.negotiation", "phase-2 message")
+
+            # ----- Batched settlement ------------------------------------
+            with steps.step("settlement"):
+                settled, gas_share = await self.batcher.settle(exchange_id, k_c, proof_bytes)
+            steps.gas += gas_share
+            if not settled:
+                raise ProtocolError("pi_k rejected on chain")
+            steps.release()
+            masked = self.chain.call_view(self.arbiter, "masked_key", exchange_id)
+            plaintext = buyer.recover_plaintext(masked)
+            session.exchanges += 1
+            return RequestOutcome(True, plaintext, "ok", steps.gas, exchange_id=exchange_id)
         except Exception as exc:
-            # The payment is locked: whatever broke the prover (a closed
-            # pool, a backend or proof error), the buyer is refunded.
-            return await self._abort_and_refund(
-                buyer_address, exchange_id, gas,
-                "prover failed: %s: %s" % (type(exc).__name__, exc),
+            reason = steps.abort(exc)
+            return RequestOutcome(
+                False, None, reason, steps.gas, aborted=True, exchange_id=exchange_id
             )
-        try:
-            policy.run(
-                lambda: faults.check("exchange.msg.negotiation"),
-                site="exchange.msg.negotiation",
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return await self._abort_and_refund(
-                buyer_address,
-                exchange_id,
-                gas,
-                "phase-2 message undeliverable: %s" % exc,
-            )
-
-        # ----- Batched settlement ----------------------------------------
-        try:
-            settled, gas_share = await self.batcher.settle(
-                exchange_id, k_c, proof_bytes
-            )
-        except (RetryExhaustedError, DeadlineExceededError) as exc:
-            return await self._abort_and_refund(
-                buyer_address,
-                exchange_id,
-                gas,
-                "settlement undeliverable: %s" % exc,
-            )
-        gas += gas_share
-        if not settled:
-            return await self._abort_and_refund(
-                buyer_address, exchange_id, gas, "pi_k rejected on chain"
-            )
-
-        masked = self.chain.call_view(self.arbiter, "masked_key", exchange_id)
-        plaintext = buyer.recover_plaintext(masked)
-        session.exchanges += 1
-        return RequestOutcome(
-            True, "ok", gas, exchange_id, plaintext=plaintext
-        )
 
     async def _await_buyer(
-        self, request: ExchangeRequest, buyer: Buyer
-    ) -> tuple[int, int]:
-        """The buyer's off-chain (k_v, h_v) delivery, under the node's
-        wall-clock timeout and the ``exchange.msg.key`` fault site."""
+        self, request: ExchangeRequest, buyer: Buyer, steps: ExchangeSteps
+    ) -> Optional[tuple[int, int]]:
+        """The buyer's off-chain (k_v, h_v) delivery over the
+        ``exchange.msg.key`` channel, or None once the node's wall-clock
+        timeout expires — before any payment is locked."""
 
         async def _reply() -> tuple[int, int]:
             if request.buyer_delay > 0:
                 await asyncio.sleep(request.buyer_delay)
-            self.retry.run(
-                lambda: faults.check("exchange.msg.key"), site="exchange.msg.key"
-            )
+            steps.send("exchange.msg.key", "k_v")
             if request.bundle is not None:
                 buyer.k_v = request.bundle.verification_key
                 return (
@@ -468,26 +398,9 @@ class MarketplaceNode:
 
         if self.config.request_timeout is None:
             return await _reply()
-        return await asyncio.wait_for(_reply(), timeout=self.config.request_timeout)
-
-    # ----- abort machinery ------------------------------------------------
-
-    def _aborted_outcome(
-        self, gas: int, exchange_id: Optional[int], reason: str
-    ) -> RequestOutcome:
-        if telemetry.metrics_enabled():
-            telemetry.counter("exchange.aborted", protocol="keysecure").inc()
-        return RequestOutcome(False, reason, gas, exchange_id, aborted=True)
-
-    async def _abort_and_refund(
-        self, buyer_address: str, exchange_id: int, gas: int, reason: str
-    ) -> RequestOutcome:
-        """Drive the buyer's refund through persistently (the
-        safety-critical leg — see the synchronous driver's docstring);
-        identical policy and failure semantics to
-        :meth:`KeySecureExchange._abort_and_refund`."""
-        refund = must_land(
-            self.chain, buyer_address, self.arbiter, "refund", exchange_id,
-            site="chain.refund", noun="buyer refund for exchange %s" % exchange_id,
-        )
-        return self._aborted_outcome(gas + refund.gas_used, exchange_id, reason)
+        try:
+            return await asyncio.wait_for(_reply(), timeout=self.config.request_timeout)
+        except asyncio.TimeoutError:
+            if telemetry.metrics_enabled():
+                telemetry.counter("service.timeouts").inc()
+            return None

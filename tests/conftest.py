@@ -3,7 +3,8 @@
 The SNARK context (SRS + circuit-key cache) is expensive to build, so one
 session-scoped instance is shared by every protocol-level test; circuit
 keys accumulate in its cache across tests, exactly as a deployed system
-would reuse them.
+would reuse them.  So are the seller-proven pi_k bundles the node's
+tests serve.
 
 Seeded-randomness plumbing for the chaos and differential suites: the
 ``chaos_seed`` fixture reads ``REPRO_CHAOS_SEED`` (defaulting to a fixed
@@ -30,6 +31,27 @@ _DEFAULT_CHAOS_SEED = 20220707  # ICDCS 2022
 @pytest.fixture(scope="session")
 def snark_ctx():
     return SnarkContext.with_fresh_srs(_SRS_DEGREE, tau=0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def pik_bundles(snark_ctx):
+    """An asset plus three seller-precomputed pi_k negotiation bundles, for
+    the node's tests: serving them needs no proving."""
+    from repro.core.exchange import Seller
+    from repro.core.tokens import DataAsset
+    from repro.primitives.hashing import field_hash
+    from repro.service import NegotiationBundle
+
+    asset = DataAsset.create([42, 84], key=909, nonce=7)
+    asset.uri = "service-test://asset"
+    seller = Seller(snark_ctx, asset, "offchain-prover")
+    bundles = []
+    for salt in (11, 22, 33):
+        k_v = 10_000 + salt
+        h_v = field_hash(k_v)
+        k_c, pi_k = seller.key_negotiation_message(k_v, h_v)
+        bundles.append(NegotiationBundle(k_v, h_v, k_c, pi_k.to_bytes()))
+    return asset, bundles
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract, ZKCPArbiterContract
-from repro.errors import ProtocolError
+from repro.errors import BackendError, ProtocolError
 from repro.field.fr import MODULUS as R
 from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiation_keys
 from repro.core.tokens import DataAsset
@@ -194,6 +194,29 @@ class TestKeySecureExchange:
         assert not result.success
         assert "aborting" in result.reason
         assert chain.balance_of(buyer_addr) == buyer_before
+
+    def test_prover_failure_after_the_lock_refunds_the_buyer(
+        self, snark_ctx, market, sale_asset, monkeypatch
+    ):
+        """Any pi_k prover failure once the payment is locked — not only a
+        ``ProtocolError`` — aborts and refunds, as the node does: a
+        ``BackendError`` used to propagate with the escrow still locked."""
+        chain, arbiter, seller_addr, buyer_addr = market
+        sale_asset.uri = "u"
+
+        def broken(self, k_v, h_v_on_chain):
+            raise BackendError("helper pipe closed")
+
+        monkeypatch.setattr(Seller, "key_negotiation_message", broken)
+        seller = Seller(snark_ctx, sale_asset, seller_addr)
+        buyer = Buyer(snark_ctx, sale_asset.public_view(), buyer_addr)
+        buyer_before = chain.balance_of(buyer_addr)
+        result = KeySecureExchange(snark_ctx, chain, arbiter).run(seller, buyer, price=5000)
+        assert (result.success, result.aborted) == (False, True)
+        assert result.reason == "prover failed: BackendError: helper pipe closed"
+        assert result.exchange_id is not None
+        assert chain.balance_of(buyer_addr) == buyer_before
+        assert chain.balance_of(arbiter.address) == 0
 
     def test_seller_requires_published_asset(self, snark_ctx, market):
         _chain, _arbiter, seller_addr, _ = market

@@ -5,17 +5,24 @@ typed injection at every site family, retry/backoff arithmetic, and the
 chain/storage instrumentation semantics (a dropped transaction leaves no
 trace; a reverted one leaves a failed receipt).
 
-The ``chaos``-marked classes then run the three exchange protocols end to
-end under seeded :class:`~repro.faults.FaultPlan` profiles and assert the
-safety envelope from the paper's fairness theorems survives an unreliable
-substrate:
+The four exchange drivers — key-secure, ZKCP, FairSwap and the node —
+then run end to end under faults, and every run must satisfy the safety
+envelope from the paper's fairness theorems, stated once in
+``tests/exchange_invariants.py``:
 
-* every run terminates in exactly one of {completed, aborted-and-safe};
-* no key material reaches the chain unless the seller is paid;
-* an aborted buyer gets every escrowed coin back;
-* the same seed replays bit-identically (same fault log, same receipt
-  sequence, same final balances).
+* ``TestEveryEdge`` fails every message channel and every transaction
+  method of each driver for good, one at a time;
+* ``TestReplayGolden`` pins one seeded chaos run per driver to a digest
+  of its fault log, receipts and reasons;
+* the ``chaos``-marked classes sweep seeded :class:`~repro.faults.FaultPlan`
+  profiles and check that the same seed replays bit-identically.
 """
+
+import asyncio
+import dataclasses
+import hashlib
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import pytest
 
@@ -33,6 +40,7 @@ from repro.core.tokens import DataAsset
 from repro.core.zkcp import ZKCPExchange
 from repro.errors import (
     DeadlineExceededError,
+    ExchangeAbortedError,
     ReproError,
     EventDelayError,
     MessageLossError,
@@ -56,8 +64,10 @@ from repro.faults import (
     draw,
 )
 from repro.field.fr import MODULUS as R
+from repro.service import ExchangeRequest, MarketplaceNode, NodeConfig
 from repro.storage import ContentStore
 from repro.storage.dht import DHTNetwork
+from tests.exchange_invariants import assert_safe_end
 
 
 def _always(site, kind, **kw):
@@ -393,67 +403,304 @@ class TestTelemetryAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Chaos: the full protocols under seeded fault profiles
+# The four exchange drivers under faults
 # ---------------------------------------------------------------------------
+#
+# Each driver runs through one harness below that records what the shared
+# invariants (``tests/exchange_invariants.py``) and the replay digests need.
+# Every driver gives a step two attempts, so a seeded plan's budget can
+# outlast it and every abort path is reachable.
 
 CHAOS_PROFILES = ("chain", "exchange", "all")
+FUNDS = 10**9
+PRICE = 5000
+RETRY = RetryPolicy(max_attempts=2)
 
 
-def _keysecure_market(snark_ctx):
+@dataclass
+class Run:
+    """Finished exchanges with one seller, and what is checked about them."""
+
+    chain: Blockchain
+    escrow: object
+    receipts: list
+    runs: list  # (result, buyer address) pairs
+    seller: str
+    start: dict  # balances before the runs
+    injector: FaultInjector | None
+    plaintext: list
+    secret: int | None = None
+
+    @property
+    def result(self):
+        (result, _buyer), = self.runs
+        return result
+
+    def check(self):
+        assert_safe_end(
+            self.chain, self.escrow, self.receipts, self.runs, self.seller, PRICE,
+            self.start, plaintext=self.plaintext, secret=self.secret,
+        )
+
+    def digest(self) -> str:
+        """sha256 of the fault log, the virtual clock, the receipts and the
+        results — everything a replay must reproduce except gas (pi_k
+        calldata is randomly blinded)."""
+        record = (
+            self.injector.log,
+            self.injector.clock.now_us,
+            [(r.method, r.status) for r in self.receipts],
+            [(r.success, r.aborted, r.reason) for r, _buyer in self.runs],
+        )
+        return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@contextmanager
+def _faults(chain, plan=None, drop=None):
+    """Install ``plan`` and drop every submission of the method ``drop``."""
+    if drop is not None:
+        transact = chain.transact
+
+        def transact_or_drop(sender, contract, method, *args, **kwargs):
+            if method == drop:
+                raise TxDroppedError("every %s submission dropped" % drop)
+            return transact(sender, contract, method, *args, **kwargs)
+
+        chain.transact = transact_or_drop
+    try:
+        with faults.use_plan(plan) as injector:
+            yield injector
+    finally:
+        vars(chain).pop("transact", None)
+
+
+class _ProvenSeller(Seller):
+    """A seller who proved (c_d, pi_p) once and sends it on every run, so
+    these runs pay for the drivers and pi_k, not for pi_p."""
+
+    def __init__(self, ctx, asset, address, message):
+        super().__init__(ctx, asset, address)
+        self.message = message
+
+    def data_validation_message(self, predicate=None):
+        return self.message
+
+
+@pytest.fixture(scope="module")
+def sale(snark_ctx):
+    asset = DataAsset.create([42, 84], key=555, nonce=666)
+    asset.uri = "u"
+    return asset, Seller(snark_ctx, asset, "offchain").data_validation_message()
+
+
+@pytest.fixture(scope="module")
+def zkcp():
+    """One ZKCP market for the module: the driver keeps its Groth16 keys,
+    so only the first run pays for the set-up."""
+    chain = Blockchain()
+    arbiter = ZKCPArbiterContract()
+    chain.deploy(arbiter, chain.create_account(funded=10**12))
+    return ZKCPExchange(chain, arbiter, retry=RETRY)
+
+
+def _keysecure(snark_ctx, sale, plan=None, drop=None):
+    asset, message = sale
     chain = Blockchain()
     operator = chain.create_account(funded=10**12)
     verifier = PlonkVerifierContract(key_negotiation_keys(snark_ctx).vk)
     chain.deploy(verifier, operator)
     arbiter = KeySecureArbiterContract(verifier)
     chain.deploy(arbiter, operator)
-    seller_addr = chain.create_account(funded=10**9)
-    buyer_addr = chain.create_account(funded=10**9)
-    return chain, arbiter, seller_addr, buyer_addr
+    seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
+    protocol = KeySecureExchange(snark_ctx, chain, arbiter, retry=RETRY)
+    with _faults(chain, plan, drop) as injector:
+        result = protocol.run(
+            _ProvenSeller(snark_ctx, asset, seller, message),
+            Buyer(snark_ctx, asset.public_view(), buyer),
+            price=PRICE,
+        )
+    return Run(
+        chain, arbiter, chain.receipts, [(result, buyer)], seller,
+        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext, asset.key,
+    )
 
 
-def _run_keysecure(snark_ctx, profile, seed):
-    chain, arbiter, seller_addr, buyer_addr = _keysecure_market(snark_ctx)
-    asset = DataAsset.create([42, 84], key=555, nonce=666)
-    asset.uri = "u"
-    seller = Seller(snark_ctx, asset, seller_addr)
-    buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
-    protocol = KeySecureExchange(snark_ctx, chain, arbiter)
-    with faults.use_plan(FaultPlan.profile(profile, seed=seed)) as injector:
-        result = protocol.run(seller, buyer, price=5000)
-    return {
-        "chain": chain,
-        "arbiter": arbiter,
-        "seller": seller_addr,
-        "buyer": buyer_addr,
-        "asset": asset,
-        "result": result,
-        "log": injector.log,
-    }
+def _zkcp(protocol, plan=None, drop=None):
+    chain = protocol.chain
+    seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
+    asset = DataAsset.create([7, 8], key=4242, nonce=1)
+    mark = len(chain.receipts)
+    with _faults(chain, plan, drop) as injector:
+        result = protocol.run(seller, buyer, asset, price=PRICE)
+    return Run(
+        chain, protocol.arbiter, chain.receipts[mark:], [(result, buyer)], seller,
+        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext,
+    )
 
 
-def _keysecure_invariants(run):
-    chain, result = run["chain"], run["result"]
-    seller, buyer = run["seller"], run["buyer"]
-    # Exactly one terminal state; a fault can never produce a third.
-    assert result.success != result.aborted
-    key_events = [
-        e for r in chain.receipts if r.status for e in r.events if e.name == "KeyDelivered"
-    ]
-    if result.success:
-        assert result.plaintext == run["asset"].plaintext
-        assert chain.balance_of(seller) == 10**9 + 5000
-        assert chain.balance_of(buyer) == 10**9 - 5000
-        assert len(key_events) == 1
-        masked = chain.call_view(run["arbiter"], "masked_key", result.exchange_id)
-        assert masked is not None and masked != run["asset"].key
-    else:
-        # Safe abort: nobody lost a coin, and no key material on chain.
-        assert chain.balance_of(seller) == 10**9
-        assert chain.balance_of(buyer) == 10**9
-        assert key_events == []
-        if result.exchange_id is not None:
-            masked = chain.call_view(run["arbiter"], "masked_key", result.exchange_id)
-            assert masked is None
+def _fairswap(plan=None, drop=None):
+    chain = Blockchain()
+    seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
+    contract = FairSwapContract()
+    chain.deploy(contract, seller)
+    listing = FairSwapListing.create([10, 20, 30, 40], key=777, nonce=3)
+    protocol = FairSwapExchange(chain, contract, retry=RETRY)
+    with _faults(chain, plan, drop) as injector:
+        result = protocol.run(seller, buyer, listing, price=PRICE)
+    return Run(
+        chain, contract, chain.receipts, [(result, buyer)], seller,
+        {seller: FUNDS, buyer: FUNDS}, injector, listing.blocks,
+    )
+
+
+def _node(snark_ctx, asset, bundles, plan=None, drop=None):
+    """One node request per bundle, served one at a time and settled one per
+    batch, so no wall-clock timer orders the fault sites."""
+
+    async def scenario():
+        config = NodeConfig(
+            verify_phase1="skip", concurrency=1, batch_size=1, per_tenant_depth=None
+        )
+        node = MarketplaceNode(snark_ctx, config, retry=RETRY)
+        session = node.open_session(asset)
+        seller = session.seller.address
+        buyers = [node.register_account(funded=FUNDS) for _ in bundles]
+        start = {address: node.chain.balance_of(address) for address in [seller, *buyers]}
+        requests = [
+            ExchangeRequest(
+                session.session_id, tenant="t%d" % i, price=PRICE, buyer_address=buyer,
+                bundle=bundle,
+            )
+            for i, (buyer, bundle) in enumerate(zip(buyers, bundles))
+        ]
+        await node.start()
+        try:
+            with _faults(node.chain, plan, drop) as injector:
+                outcomes = await node.serve(requests)
+        finally:
+            await node.stop()
+        return Run(
+            node.chain, node.arbiter, node.chain.receipts, list(zip(outcomes, buyers)),
+            seller, start, injector, asset.plaintext, asset.key,
+        )
+
+    return asyncio.run(scenario())
+
+
+def _tampered(bundle):
+    return dataclasses.replace(bundle, masked_key=(bundle.masked_key + 1) % R)
+
+
+@pytest.mark.slow
+class TestEveryEdge:
+    """Every fallible edge of every driver, failed for good in turn: each
+    message channel blacked out, each transaction method dropped on every
+    submission.  Each run must end safe, with the reason naming the edge."""
+
+    def _each(self, run_with, sites, methods):
+        reasons = {}
+        for site in sites:
+            run = run_with(plan=_plan(FaultRule(site, "loss", PPM)))
+            run.check()
+            reasons[site] = run.result.reason.partition(":")[0]
+        for method in methods:
+            run = run_with(drop=method)
+            run.check()
+            reasons[method] = run.result.reason.partition(":")[0]
+        return reasons
+
+    def test_keysecure(self, snark_ctx, sale):
+        reasons = self._each(
+            lambda **kw: _keysecure(snark_ctx, sale, **kw),
+            ("exchange.msg.validation", "exchange.msg.key", "exchange.msg.negotiation"),
+            ("lock_payment", "submit_key", "refund"),
+        )
+        assert reasons == {
+            "exchange.msg.validation": "phase-1 message undeliverable",
+            "exchange.msg.key": "k_v undeliverable",
+            "exchange.msg.negotiation": "phase-2 message undeliverable",
+            "lock_payment": "payment lock undeliverable",
+            "submit_key": "key submission undeliverable",
+            "refund": "ok",  # a clean run never refunds
+        }
+
+    def test_zkcp(self, zkcp):
+        reasons = self._each(
+            lambda **kw: _zkcp(zkcp, **kw),
+            ("exchange.msg.deliver",),
+            ("lock", "open", "refund"),
+        )
+        assert reasons == {
+            "exchange.msg.deliver": "deliver message undeliverable",
+            "lock": "payment lock undeliverable",
+            "open": "open undeliverable",
+            "refund": "ok",
+        }
+
+    def test_fairswap(self):
+        reasons = self._each(_fairswap, (), ("offer", "accept", "reveal_key", "abort"))
+        assert reasons == {
+            "offer": "offer undeliverable",
+            "accept": "accept undeliverable",
+            "reveal_key": "reveal undeliverable",
+            "abort": "ok",
+        }
+        # A seller who cannot finalize after revealing has no safe end
+        # left to reach: the driver says so instead of reporting one.
+        with pytest.raises(ExchangeAbortedError, match="finalize for sale 1"):
+            _fairswap(drop="finalize")
+
+    def test_node(self, snark_ctx, pik_bundles):
+        asset, bundles = pik_bundles
+        reasons = self._each(
+            lambda **kw: _node(snark_ctx, asset, bundles[:1], **kw),
+            ("exchange.msg.key", "exchange.msg.negotiation"),
+            ("lock_payment", "submit_key_batch", "refund"),
+        )
+        assert reasons == {
+            "exchange.msg.key": "k_v undeliverable",
+            "exchange.msg.negotiation": "phase-2 message undeliverable",
+            "lock_payment": "payment lock undeliverable",
+            "submit_key_batch": "settlement undeliverable",
+            "refund": "ok",
+        }
+        # A poisoned bundle is the node's fatal receipt: refunded, not paid.
+        run = _node(snark_ctx, asset, [_tampered(bundles[0]), bundles[1]])
+        run.check()
+        assert [r.reason for r, _buyer in run.runs] == ["pi_k rejected on chain", "ok"]
+
+
+#: One pinned chaos seed per driver and the sha256 of its replay
+#: (:meth:`Run.digest`), recorded before the drivers shared one step
+#: runner: a refactor that reorders a fault consultation or rewords a
+#: reason fails here.
+REPLAY_GOLDEN = {
+    "keysecure": ("all", 13, "07faefe6dac9180deffbaed48b46fbc2d3c6f0b825864eb63eda6f22c7ea68f6"),
+    "zkcp": ("all", 13, "8896e0d80f4d4fba16f2af89d478a3c258e9d21176d1e0b6270cb70959cbf36c"),
+    "fairswap": ("chain", 45, "c6314d9bbb3846e0415720a387fb86bc320481ddf57904b9654f92ed2c0a5a62"),
+    "node": ("exchange", 3, "b30835c76ce00105d95dbb8b740268aa5d96a239697def49a5be55ef03b77d04"),
+}
+
+
+@pytest.mark.slow
+class TestReplayGolden:
+    def _run(self, driver, snark_ctx, sale, zkcp, pik_bundles):
+        profile, seed, _digest = REPLAY_GOLDEN[driver]
+        plan = FaultPlan.profile(profile, seed=seed)
+        if driver == "keysecure":
+            return _keysecure(snark_ctx, sale, plan=plan)
+        if driver == "zkcp":
+            return _zkcp(zkcp, plan=plan)
+        if driver == "fairswap":
+            return _fairswap(plan=plan)
+        asset, bundles = pik_bundles
+        return _node(snark_ctx, asset, [bundles[0], _tampered(bundles[1]), *bundles], plan=plan)
+
+    @pytest.mark.parametrize("driver", sorted(REPLAY_GOLDEN))
+    def test_replay_matches_golden(self, driver, snark_ctx, sale, zkcp, pik_bundles):
+        run = self._run(driver, snark_ctx, sale, zkcp, pik_bundles)
+        run.check()
+        assert run.digest() == REPLAY_GOLDEN[driver][2]
 
 
 @pytest.mark.chaos
@@ -461,99 +708,38 @@ def _keysecure_invariants(run):
 class TestKeySecureChaos:
     @pytest.mark.parametrize("profile", CHAOS_PROFILES)
     @pytest.mark.parametrize("offset", (0, 1, 2))
-    def test_terminates_safely(self, snark_ctx, chaos_seed, profile, offset):
-        run = _run_keysecure(snark_ctx, profile, chaos_seed + offset)
-        _keysecure_invariants(run)
+    def test_terminates_safely(self, snark_ctx, sale, chaos_seed, profile, offset):
+        plan = FaultPlan.profile(profile, seed=chaos_seed + offset)
+        _keysecure(snark_ctx, sale, plan=plan).check()
 
-    def test_same_seed_replays_bit_identically(self, snark_ctx, chaos_seed):
-        runs = [_run_keysecure(snark_ctx, "all", chaos_seed) for _ in range(2)]
-        a, b = runs
-        assert a["log"] == b["log"]
-        assert a["result"].success == b["result"].success
-        assert a["result"].aborted == b["result"].aborted
-        assert a["result"].reason == b["result"].reason
-        assert [(r.method, r.status) for r in a["chain"].receipts] == [
-            (r.method, r.status) for r in b["chain"].receipts
+    def test_same_seed_replays_bit_identically(self, snark_ctx, sale, chaos_seed):
+        plan = FaultPlan.profile("all", seed=chaos_seed)
+        a, b = (_keysecure(snark_ctx, sale, plan=plan) for _ in range(2))
+        assert a.digest() == b.digest()
+        assert [a.chain.balance_of(x) for x in a.start] == [
+            b.chain.balance_of(x) for x in b.start
         ]
-        for addr_a, addr_b in (("seller", "seller"), ("buyer", "buyer")):
-            assert a["chain"].balance_of(a[addr_a]) == b["chain"].balance_of(b[addr_b])
 
 
 @pytest.mark.chaos
 @pytest.mark.slow
 class TestZKCPChaos:
     @pytest.mark.parametrize("offset", (0, 1))
-    def test_terminates_safely(self, chaos_seed, offset):
-        chain = Blockchain()
-        operator = chain.create_account(funded=10**12)
-        arbiter = ZKCPArbiterContract()
-        chain.deploy(arbiter, operator)
-        seller = chain.create_account(funded=10**9)
-        buyer = chain.create_account(funded=10**9)
-        asset = DataAsset.create([7, 8], key=4242, nonce=1)
-        protocol = ZKCPExchange(chain, arbiter)
-        with faults.use_plan(
-            FaultPlan.profile("all", seed=chaos_seed + offset)
-        ):
-            result = protocol.run(seller, buyer, asset, price=3000)
-        assert result.success != result.aborted
-        opened = [
-            e for r in chain.receipts if r.status for e in r.events if e.name == "Opened"
-        ]
-        if result.success:
-            assert chain.balance_of(seller) == 10**9 + 3000
-            assert result.plaintext == asset.plaintext
-        else:
-            assert chain.balance_of(seller) == 10**9
-            assert chain.balance_of(buyer) == 10**9
-            assert opened == []  # key never reached the chain
+    def test_terminates_safely(self, zkcp, chaos_seed, offset):
+        _zkcp(zkcp, plan=FaultPlan.profile("all", seed=chaos_seed + offset)).check()
 
 
 @pytest.mark.chaos
 class TestFairSwapChaos:
-    def _run(self, profile, seed):
-        chain = Blockchain()
-        seller = chain.create_account(funded=10**9)
-        buyer = chain.create_account(funded=10**9)
-        contract = FairSwapContract()
-        chain.deploy(contract, seller)
-        listing = FairSwapListing.create([10, 20, 30, 40], key=777, nonce=3)
-        protocol = FairSwapExchange(chain, contract)
-        with faults.use_plan(FaultPlan.profile(profile, seed=seed)) as injector:
-            result = protocol.run(seller, buyer, listing, price=5000)
-        return chain, contract, seller, buyer, result, injector.log
-
     @pytest.mark.parametrize("profile", ("chain", "all"))
     @pytest.mark.parametrize("offset", tuple(range(6)))
     def test_terminates_safely(self, chaos_seed, profile, offset):
-        chain, contract, seller, buyer, result, _log = self._run(
-            profile, chaos_seed + offset
-        )
-        assert not (result.success and result.aborted)
-        if result.success:
-            assert chain.balance_of(seller) == 10**9 + 5000
-            assert chain.balance_of(buyer) == 10**9 - 5000
-        else:
-            # Abort or pre-escrow failure: the buyer keeps every coin.
-            assert chain.balance_of(buyer) == 10**9
-            assert chain.balance_of(seller) == 10**9
-            if result.aborted and "reveal" in result.reason:
-                assert chain.call_view(contract, "resolution", 1) == "aborted"
-                assert chain.call_view(contract, "revealed_key", 1) is None
+        _fairswap(plan=FaultPlan.profile(profile, seed=chaos_seed + offset)).check()
 
     def test_same_seed_replays_bit_identically(self, chaos_seed):
-        runs = [self._run("all", chaos_seed) for _ in range(2)]
-        (ca, _, _, _, ra, la), (cb, _, _, _, rb, lb) = runs
-        assert la == lb
-        assert (ra.success, ra.aborted, ra.reason, ra.gas_used) == (
-            rb.success,
-            rb.aborted,
-            rb.reason,
-            rb.gas_used,
-        )
-        assert [(r.method, r.status) for r in ca.receipts] == [
-            (r.method, r.status) for r in cb.receipts
-        ]
+        a, b = (_fairswap(plan=FaultPlan.profile("all", seed=chaos_seed)) for _ in range(2))
+        assert a.digest() == b.digest()
+        assert a.result.gas_used == b.result.gas_used
 
 
 @pytest.mark.chaos
@@ -561,46 +747,35 @@ class TestForcedAbortPaths:
     """Plans crafted to push each driver down its abort path."""
 
     def test_fairswap_reveal_blackout_refunds_buyer(self):
-        """Seller vanishes after the buyer escrows: offer + accept run
-        clean, then a total-blackout plan makes every reveal attempt
-        drop.  The driver must wait out the reveal window and pull the
-        escrow back through the contract's abort entry point — surviving
-        a few dropped abort submissions along the way (the blackout plan
-        still has budget left when the abort transactions start)."""
-        from repro.primitives.hashing import field_hash
-
+        """Seller vanishes after the buyer escrows: offer and accept land,
+        every reveal is dropped, and so are the first two abort
+        submissions.  The driver must wait out the reveal window and pull
+        the escrow back through the contract's abort entry point, riding
+        out the dropped aborts under the refund's own policy."""
         chain = Blockchain()
-        seller = chain.create_account(funded=10**9)
-        buyer = chain.create_account(funded=10**9)
+        seller = chain.create_account(funded=FUNDS)
+        buyer = chain.create_account(funded=FUNDS)
         contract = FairSwapContract()
         chain.deploy(contract, seller)
         listing = FairSwapListing.create([10, 20], key=777, nonce=3)
         protocol = FairSwapExchange(chain, contract, retry=RetryPolicy(max_attempts=3))
+        dropped = []
+        transact = chain.transact
 
-        receipt = chain.transact(
-            seller, contract, "offer",
-            listing.cipher_tree.root, listing.plain_tree.root,
-            field_hash(listing.key), listing.nonce, len(listing.blocks), 5000,
-        )
-        sale_id = receipt.return_value
-        chain.transact(buyer, contract, "accept", sale_id, value=5000)
-        assert chain.balance_of(buyer) == 10**9 - 5000
+        def flaky(sender, contract, method, *args, **kwargs):
+            if method == "reveal_key" or (method == "abort" and dropped.count("abort") < 2):
+                dropped.append(method)
+                raise TxDroppedError("dropped %s" % method)
+            return transact(sender, contract, method, *args, **kwargs)
 
-        blackout = _plan(
-            FaultRule("chain.transact", "drop", PPM, max_faults=5), seed=13
-        )
-        with faults.use_plan(blackout) as injector:
-            with pytest.raises(RetryExhaustedError):
-                protocol._tx(seller, "reveal_key", sale_id, listing.key,
-                             site="chain.reveal")
-            aborted = protocol._abort_after_accept(
-                buyer, sale_id, 0, "reveal undeliverable"
-            )
-            assert injector.injected == 5  # 3 reveals + 2 abort submissions
-        assert aborted.aborted and not aborted.success
-        assert chain.balance_of(buyer) == 10**9
-        assert chain.call_view(contract, "resolution", sale_id) == "aborted"
-        assert chain.call_view(contract, "revealed_key", sale_id) is None
+        chain.transact = flaky
+        result = protocol.run(seller, buyer, listing, price=PRICE)
+        assert dropped == ["reveal_key"] * 3 + ["abort"] * 2
+        assert result.aborted and not result.success
+        assert result.reason.startswith("reveal undeliverable")
+        assert chain.balance_of(buyer) == FUNDS
+        assert chain.call_view(contract, "resolution", 1) == "aborted"
+        assert chain.call_view(contract, "revealed_key", 1) is None
 
     def test_fairswap_abort_respects_reveal_window(self):
         chain = Blockchain()

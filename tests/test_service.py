@@ -4,13 +4,13 @@ Fast, unmarked tests cover the queue's admission/fairness semantics and
 the chain-side batch entry points (batched verification, batched
 settlement, poisoned-member isolation).  The node-pipeline tests drive
 real exchanges end to end through the asyncio node with seller-attached
-pi_k bundles (proofs are produced once per module — the node's job here
-is serving, not proving); ``TestProverPool`` is where the node proves,
+pi_k bundles (proofs are produced once per session — the node's job
+here is serving, not proving); ``TestProverPool`` is where the node proves,
 on both sides of the pool's choice between a serial prover and one split
 with forked helpers.  The ``chaos``-marked class replays the
-pipeline under the seeded ``exchange`` fault profile and asserts the
-safety envelope: every request terminates in exactly one state, no key
-material without payment, and no stranded escrow after aborts.
+pipeline under the seeded ``exchange`` fault profile and checks the
+safety envelope every exchange driver shares
+(``tests/exchange_invariants.py``).
 """
 
 import asyncio
@@ -27,11 +27,18 @@ from hypothesis import strategies as st
 from repro import faults, telemetry
 from repro.backend import SerialEngine
 from repro.backend.split import SplitEngine
-from repro.core.exchange import Seller, build_key_negotiation_circuit, key_negotiation_keys
-from repro.core.tokens import DataAsset
+from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.transform_protocol import prove_encryption, verify_encryption
 from repro.curve.g1 import G1
-from repro.errors import BackendError, ProtocolError, QueueFullError, ServiceError, SessionError
+from repro.errors import (
+    BackendError,
+    ExchangeAbortedError,
+    ProtocolError,
+    QueueFullError,
+    ServiceError,
+    SessionError,
+    TxDroppedError,
+)
 from repro.faults import FaultPlan
 from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import CircuitBuilder
@@ -45,10 +52,10 @@ from repro.service import (
     ExchangeRequest,
     FairQueue,
     MarketplaceNode,
-    NegotiationBundle,
     NodeConfig,
     ProverPool,
 )
+from tests.exchange_invariants import assert_safe_end
 
 PRICE = 5000
 FUNDS = 10**9
@@ -152,23 +159,8 @@ class TestFairQueue:
 
 
 # ---------------------------------------------------------------------------
-# Shared fixtures: one asset, a few seller-proven pi_k bundles
+# Shared helpers (the pi_k bundles come from conftest's ``pik_bundles``)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pik_bundles(snark_ctx):
-    """An asset plus three seller-precomputed negotiation bundles."""
-    asset = DataAsset.create([42, 84], key=909, nonce=7)
-    asset.uri = "service-test://asset"
-    seller = Seller(snark_ctx, asset, "offchain-prover")
-    bundles = []
-    for salt in (11, 22, 33):
-        k_v = 10_000 + salt
-        h_v = field_hash(k_v)
-        k_c, pi_k = seller.key_negotiation_message(k_v, h_v)
-        bundles.append(NegotiationBundle(k_v, h_v, k_c, pi_k.to_bytes()))
-    return asset, bundles
 
 
 def _node(snark_ctx, **overrides):
@@ -525,6 +517,46 @@ class TestNodePipeline:
 
         asyncio.run(scenario())
 
+    def test_unlandable_refund_fails_its_request_not_the_worker(
+        self, snark_ctx, pik_bundles, monkeypatch
+    ):
+        """A refund that never lands is the one unsafe end: the request's
+        future carries the ExchangeAbortedError the synchronous driver
+        raises, and the worker goes on to serve the next request (it used
+        to die, leaving both futures unresolved)."""
+        asset, bundles = pik_bundles
+        node = _node(snark_ctx, concurrency=1, batch_size=1)
+        transact = node.chain.transact
+
+        def refunds_dropped(sender, contract, method, *args, **kwargs):
+            if method == "refund":
+                raise TxDroppedError("refund dropped")
+            return transact(sender, contract, method, *args, **kwargs)
+
+        monkeypatch.setattr(node.chain, "transact", refunds_dropped)
+
+        async def scenario():
+            session = node.open_session(asset, tenant="seller")
+            tampered = dataclasses.replace(
+                bundles[0], masked_key=(bundles[0].masked_key + 1) % R
+            )
+            await node.start()
+            try:
+                poisoned = node.submit(
+                    ExchangeRequest(session.session_id, tenant="t", price=PRICE, bundle=tampered)
+                )
+                valid = node.submit(
+                    ExchangeRequest(session.session_id, tenant="t", price=PRICE, bundle=bundles[1])
+                )
+                with pytest.raises(ExchangeAbortedError, match="buyer refund for exchange"):
+                    await asyncio.wait_for(poisoned, 5)
+                outcome = await asyncio.wait_for(valid, 5)
+            finally:
+                await node.stop()
+            assert outcome.success and outcome.plaintext == asset.plaintext
+
+        asyncio.run(scenario())
+
     def test_unknown_session_rejected(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles
 
@@ -780,39 +812,9 @@ class TestServiceChaos:
             return node, seller_addr, seller_before, buyers, outcomes
 
         node, seller_addr, seller_before, buyers, outcomes = asyncio.run(scenario())
-
-        successes = 0
-        for i, outcome in enumerate(outcomes):
-            # Exactly one terminal state per request.
-            assert not (outcome.success and outcome.aborted)
-            if outcome.success:
-                successes += 1
-                # Buyer paid exactly the price; key material delivered.
-                assert node.chain.balance_of(buyers[i]) == FUNDS - PRICE
-                masked = node.chain.call_view(
-                    node.arbiter, "masked_key", outcome.exchange_id
-                )
-                assert masked is not None and masked != asset.key
-            else:
-                # Safe failure: the buyer lost nothing — any lock that
-                # happened was refunded before the outcome was reported.
-                assert node.chain.balance_of(buyers[i]) == FUNDS
-                if outcome.exchange_id is not None:
-                    assert (
-                        node.chain.call_view(
-                            node.arbiter, "masked_key", outcome.exchange_id
-                        )
-                        is None
-                    )
-        # Seller is paid once per delivered key, nothing more.
-        assert node.chain.balance_of(seller_addr) == seller_before + successes * PRICE
-        # No stranded escrow anywhere: every lock was settled or refunded.
-        open_escrows = [
-            e
-            for e in node.chain.query_events("PaymentLocked")
-            if node.chain.call_view(
-                node.arbiter, "exchange_info", e.get("exchange_id")
-            )
-            is not None
-        ]
-        assert open_escrows == []
+        start = dict.fromkeys(buyers, FUNDS)
+        start[seller_addr] = seller_before
+        assert_safe_end(
+            node.chain, node.arbiter, node.chain.receipts, list(zip(outcomes, buyers)),
+            seller_addr, PRICE, start, plaintext=asset.plaintext, secret=asset.key,
+        )
