@@ -1,7 +1,7 @@
 """zklint: zk-aware static analysis for the ZKDET reproduction.
 
 Generic linters cannot see the invariants this codebase lives or dies
-by; this package turns them into CI failures.  Ten rules ship, run in
+by; this package turns them into CI failures.  Nine rules ship, run in
 two phases: every module is first folded into a whole-program
 :class:`~repro.analysis.graph.Project` (import/call graph, symbol
 resolution, attribute types) with a CFG-lite per-function path model
@@ -15,14 +15,12 @@ DET-001    no entropy or clock sources on the prover/verifier path
 FLD-001    no literal moduli, no floats outside the measurement layers
 ENG-001    protocol code routes kernels through the engine; kernels
            record their telemetry counters
-ASYNC-001  no blocking calls (``time.sleep``, sync I/O, ``Pool.join``,
+ASYNC-001  no blocking calls (``time.sleep``, sync I/O, ``Process.join``,
            ``lock.acquire``) inside ``async def`` in the service plane
-ASYNC-002  no ``await`` while holding a sync threading/multiprocessing
-           lock
-RES-001    every process / pipe / pool / ledger acquire is released
-           on all CFG paths, exceptional ones included
+RES-001    every process / pipe / ledger acquire is released on all
+           CFG paths, exceptional ones included
 FORK-001   no threads, event loops, sockets or held locks captured
-           across the ``ProverPool`` fork boundary
+           across a ``Process`` fork (prover workers, MSM helpers)
 FLT-002    registered fault sites on driver paths are wrapped in a
            ``RetryPolicy`` or an explicit abort/refund handler
 =========  =============================================================

@@ -177,7 +177,7 @@ class AnalysisConfig:
     #: Methods that squeeze a challenge out of the transcript.
     transcript_challenge_methods: frozenset[str] = frozenset({"challenge"})
 
-    # ----- ASYNC-001 / ASYNC-002 ------------------------------------------
+    # ----- ASYNC-001 ------------------------------------------------------
     #: Module prefixes where coroutines must never block the event loop.
     async_scopes: tuple[str, ...] = ("service/",)
     #: Dotted-name prefixes that block the calling thread outright.
@@ -217,22 +217,6 @@ class AnalysisConfig:
             ("recv", "conn"),
         }
     )
-    #: Constructor names whose instances are *synchronous* locks: holding
-    #: one across an ``await`` (ASYNC-002) deadlocks the loop under
-    #: contention because the waiter never yields.
-    sync_lock_constructors: frozenset[str] = frozenset(
-        {
-            "threading.Lock",
-            "threading.RLock",
-            "threading.Semaphore",
-            "threading.BoundedSemaphore",
-            "threading.Condition",
-            "multiprocessing.Lock",
-            "multiprocessing.RLock",
-            "multiprocessing.Semaphore",
-        }
-    )
-
     # ----- RES-001 --------------------------------------------------------
     #: Module prefixes under must-release discipline.
     resource_scopes: tuple[str, ...] = ("backend/", "service/")
@@ -241,7 +225,6 @@ class AnalysisConfig:
     #: store, return, yield, or hand-off to a non-release call) must reach
     #: one of its release leaves on every CFG path, exceptional included.
     resource_acquires: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("Pool", ("terminate", "close", "join")),
         ("Process", ("terminate", "kill", "join")),
         ("Pipe", ("close",)),
         ("acquire_ledger", ("release_ledger",)),
@@ -250,10 +233,10 @@ class AnalysisConfig:
     # ----- FORK-001 -------------------------------------------------------
     #: Module prefixes checked for state captured across a fork boundary.
     fork_scopes: tuple[str, ...] = ("service/", "backend/")
-    #: Dotted suffixes that create a fork-based worker pool.
-    fork_pool_calls: tuple[str, ...] = ("Pool",)
+    #: Dotted suffixes that fork a child process.
+    fork_calls: tuple[str, ...] = ("Process",)
     #: Dotted-name prefixes that create state which must not exist in the
-    #: parent when a fork pool is spawned: forked children inherit a
+    #: parent when a child is forked: forked children inherit a
     #: started thread's locks mid-flight, a running loop's selector fd,
     #: and open sockets, all silently corrupt.
     fork_hazard_calls: tuple[str, ...] = (

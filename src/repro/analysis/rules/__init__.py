@@ -57,7 +57,7 @@ class Rule:
         )
 
 
-from repro.analysis.rules.concurrency import AsyncBlocking, AsyncLockHold  # noqa: E402
+from repro.analysis.rules.concurrency import AsyncBlocking  # noqa: E402
 from repro.analysis.rules.determinism import Determinism  # noqa: E402
 from repro.analysis.rules.faultpaths import FaultSiteDiscipline  # noqa: E402
 from repro.analysis.rules.field_hygiene import FieldHygiene  # noqa: E402
@@ -75,7 +75,6 @@ ALL_RULES: tuple[Rule, ...] = (
     FieldHygiene(),
     KernelRouting(),
     AsyncBlocking(),
-    AsyncLockHold(),
     ResourceRelease(),
     ForkSafety(),
     FaultSiteDiscipline(),
@@ -88,7 +87,6 @@ __all__ = [
     "RULES_BY_ID",
     "Rule",
     "AsyncBlocking",
-    "AsyncLockHold",
     "Determinism",
     "FaultSiteDiscipline",
     "FieldHygiene",

@@ -1,43 +1,33 @@
-"""ASYNC-001 / ASYNC-002: event-loop liveness rules for the service plane.
+"""ASYNC-001: event-loop liveness for the service plane.
 
 The marketplace node's liveness argument (one admission loop drives
 every session; see ``docs/service_plane.md``) holds only if no
 coroutine ever blocks the loop's thread.  A single ``time.sleep`` or
-``Pool.join`` inside ``async def`` stalls *every* in-flight exchange —
-the chaos suite samples this class of bug; these rules prove its
-absence:
+``Process.join`` inside ``async def`` stalls *every* in-flight exchange —
+the chaos suite samples this class of bug; this rule proves its
+absence in the service scope.
 
-- **ASYNC-001** — no blocking call inside ``async def`` in the service
-  scope.  Directly-blocking callees (``time.sleep``, sync subprocess /
-  socket I/O) match by dotted prefix; method calls like ``pool.apply``
-  or ``lock.acquire`` match by (leaf, receiver-token) pairs so that
-  ``dict.get`` homonyms stay quiet.  Awaited calls are exempt (awaiting
-  ``loop.run_in_executor(None, pool.close)`` is the *fix*, not a
-  finding).  With a project graph the rule also follows one level of
-  call edges: a sync helper defined in the tree that blocks is reported
-  at the coroutine's call site.
-- **ASYNC-002** — no ``await`` while holding a synchronous
-  ``threading``/``multiprocessing`` lock, whether held via ``with
-  self._lock:`` (the attribute's constructor is looked up through the
-  project graph) or a naked ``lock.acquire()`` that dominates the
-  await.  A sync lock held across a suspension point serialises the
-  loop behind whichever thread holds it — the textbook asyncio
-  deadlock.
+Directly-blocking callees (``time.sleep``, sync subprocess / socket I/O)
+match by dotted prefix; method calls like ``pool.apply`` or
+``lock.acquire`` match by (leaf, receiver-token) pairs so that
+``dict.get`` homonyms stay quiet.  Awaited calls are exempt (awaiting
+``loop.run_in_executor(None, pool.close)`` is the *fix*, not a
+finding).  With a project graph the rule also follows one level of call
+edges: a sync helper defined in the tree that blocks is reported at the
+coroutine's call site.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.analysis.astutil import dotted_name, lexical_nodes
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.analysis.config import AnalysisConfig
     from repro.analysis.engine import ModuleInfo
-    from repro.analysis.graph import FunctionNode, ModuleGraphNode, Project
+    from repro.analysis.graph import FunctionNode, Project
 
 
 def _identifier_tokens(name: str) -> set[str]:
@@ -135,122 +125,3 @@ class AsyncBlocking(Rule):
                         % (callee.name, func.name, inner_reason),
                     )
                     break
-
-
-class AsyncLockHold(Rule):
-    """ASYNC-002: no ``await`` while holding a synchronous lock."""
-
-    rule_id = "ASYNC-002"
-    title = "Awaiting while holding a sync lock can deadlock the loop"
-
-    def check_with_project(
-        self, module: "ModuleInfo", config: "AnalysisConfig", project: "Project"
-    ) -> Iterator[Finding]:
-        if not _in_scope(module, config.async_scopes):
-            return
-        graph_module = project.modules_by_rel.get(module.rel)
-        if graph_module is None:
-            return
-        sync_locks = self._sync_lock_attrs(config, project, graph_module)
-        for qname in set(graph_module.functions.values()):
-            func = project.functions[qname]
-            if not func.is_async or func.module is not graph_module:
-                continue
-            yield from self._check_coroutine(module, config, func, sync_locks)
-
-    def _sync_lock_attrs(
-        self,
-        config: "AnalysisConfig",
-        project: "Project",
-        graph_module: "ModuleGraphNode",
-    ) -> set[str]:
-        """``self.<attr>``/local names bound to sync-lock constructors.
-
-        The project graph only types attributes whose constructors are
-        project classes, so stdlib lock constructors are re-scanned here
-        (memoised per module).  Constructor names resolve through the
-        module's import aliases, so ``mp.Lock()``, ``threading.Lock()``
-        and a bare ``Lock()`` from ``from threading import Lock`` all
-        match; ``get_context("fork").Lock()`` matches by leaf + context
-        receiver.
-        """
-
-        def canonical(callee: str) -> str:
-            head, _, rest = callee.partition(".")
-            target = graph_module.aliases.get(head)
-            if target is None:
-                return callee
-            return target + "." + rest if rest else target
-
-        def compute() -> set[str]:
-            out: set[str] = set()
-            for node in ast.walk(graph_module.info.tree):
-                if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
-                    continue
-                callee = dotted_name(node.value.func)
-                if callee is None:
-                    continue
-                full = canonical(callee)
-                leafs = {c.rpartition(".")[2] for c in config.sync_lock_constructors}
-                is_sync = full in config.sync_lock_constructors or (
-                    full.rpartition(".")[2] in leafs
-                    and any(
-                        tok in _identifier_tokens(full)
-                        for tok in ("threading", "multiprocessing", "mp", "ctx", "context")
-                    )
-                )
-                if not is_sync:
-                    continue
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        out.add(target.attr)
-                    elif isinstance(target, ast.Name):
-                        out.add(target.id)
-            return out
-
-        return project.memo(("sync_locks", graph_module.name), compute)
-
-    def _check_coroutine(
-        self,
-        module: "ModuleInfo",
-        config: "AnalysisConfig",
-        func: "FunctionNode",
-        sync_locks: set[str],
-    ) -> Iterator[Finding]:
-        for node in lexical_nodes(func.node):
-            if not isinstance(node, ast.With):
-                continue  # `async with aio_lock:` is the correct form
-            if not self._holds_sync_lock(node, sync_locks):
-                continue
-            for inner in lexical_nodes(node):
-                if isinstance(inner, ast.Await):
-                    yield self.finding(
-                        module,
-                        inner.lineno,
-                        inner.col_offset,
-                        "'await' at line %d while holding a sync lock "
-                        "acquired at line %d in 'async def %s'"
-                        % (inner.lineno, node.lineno, func.name),
-                    )
-                    break
-
-    def _holds_sync_lock(self, node: ast.With, sync_locks: set[str]) -> bool:
-        for item in node.items:
-            expr = item.context_expr
-            dotted = dotted_name(expr)
-            if dotted is None and isinstance(expr, ast.Call):
-                dotted = dotted_name(expr.func)
-                # `with lock.acquire():` / `with self._lock:` both count;
-                # a *constructor* call (`with threading.Lock():`) does too
-                # but is vanishingly rare — treated the same.
-            if dotted is None:
-                continue
-            leaf = dotted.rpartition(".")[2]
-            tokens = _identifier_tokens(dotted)
-            if leaf in sync_locks or (tokens & {"lock", "mutex"}):
-                return True
-        return False

@@ -1,27 +1,26 @@
-"""FORK-001: nothing hazardous may exist when the prover pool forks.
+"""FORK-001: nothing hazardous may exist when a child process is forked.
 
-The ``ProverPool`` (PR 8) forks workers precisely so they inherit the
-warm proving caches copy-on-write.  The flip side of that inheritance:
-a fork child also inherits every started thread's locks (frozen
-mid-flight — any later acquire deadlocks), a running event loop's
-selector fd (two loops multiplexing one epoll set), and open sockets
-(two processes reading one TCP stream).  CPython only replays atfork
-handlers for its own internals; user state is on us.
+``src/`` forks in one way, in two places: the prover pool forks its
+workers and each worker's split engine forks its MSM helpers, as
+``Process``es on pipes, precisely so the children inherit the warm
+proving caches copy-on-write.  The flip side of that inheritance: a fork
+child also inherits every started thread's locks (frozen mid-flight —
+any later acquire deadlocks), a running event loop's selector fd (two
+loops multiplexing one epoll set), and open sockets (two processes
+reading one TCP stream).  CPython only replays atfork handlers for its
+own internals; user state is on us.
 
-The rule finds fork-pool construction sites (``resource``-scope modules
-only) and reports hazardous state that is *live at the fork*:
+The rule finds ``Process(...)`` construction sites (``fork_scopes``
+modules only) and reports hazardous state that is *live at the fork*:
 
 - a hazard call (``threading.Thread``, ``asyncio.get_running_loop``,
   ``socket.socket``, …) **earlier in the same function** whose CFG node
   dominates the fork site — i.e. it is live on every path to the fork
-  (this covers the ``self.thread = Thread(...); self.pool = Pool(...)``
-  constructor shape, since both live in ``__init__``);
+  (this covers the ``self.thread = Thread(...); self.proc =
+  Process(...)`` constructor shape, since both live in ``__init__``);
 - a fork while **holding a sync lock** (``with self._lock:`` around the
   construction) — the child inherits the lock in the locked state with
   no owner to release it.
-
-Pools stored to ``self`` and constructed in otherwise-clean
-``__init__`` bodies — the shipped ``ProverPool`` — pass clean.
 """
 
 from __future__ import annotations
@@ -47,18 +46,15 @@ def _matches_prefix(dotted: str, prefixes: tuple[str, ...]) -> bool:
     )
 
 
-def _is_fork_pool_call(call: ast.Call, config: "AnalysisConfig") -> bool:
-    """``get_context("fork").Pool(...)`` / ``mp.Pool(...)`` shapes."""
+def _is_fork_call(call: ast.Call, config: "AnalysisConfig") -> bool:
+    """``get_context("fork").Process(...)`` / ``ctx.Process(...)`` shapes."""
     dotted = dotted_name(call.func)
     if dotted is None:
-        # `multiprocessing.get_context("fork").Pool(n)` has a Call in the
-        # receiver chain, so dotted_name returns None; match the leaf.
+        # `multiprocessing.get_context("fork").Process()` has a Call in
+        # the receiver chain, so dotted_name returns None; match the leaf.
         func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in config.fork_pool_calls:
-            return True
-        return False
-    leaf = dotted.rpartition(".")[2]
-    return leaf in config.fork_pool_calls
+        return isinstance(func, ast.Attribute) and func.attr in config.fork_calls
+    return dotted.rpartition(".")[2] in config.fork_calls
 
 
 class ForkSafety(Rule):
@@ -84,7 +80,7 @@ class ForkSafety(Rule):
         fork_sites = [
             node
             for node in lexical_nodes(func)
-            if isinstance(node, ast.Call) and _is_fork_pool_call(node, config)
+            if isinstance(node, ast.Call) and _is_fork_call(node, config)
         ]
         if not fork_sites:
             return
@@ -105,7 +101,7 @@ class ForkSafety(Rule):
                     module,
                     fork.lineno,
                     fork.col_offset,
-                    "fork pool created at line %d with %s live from line %d "
+                    "process forked at line %d with %s live from line %d "
                     "— fork children inherit it in an undefined state"
                     % (fork.lineno, hazard_label, hazard_call.lineno),
                 )
@@ -117,7 +113,7 @@ class ForkSafety(Rule):
                     module,
                     fork.lineno,
                     fork.col_offset,
-                    "fork pool created at line %d while holding the sync "
+                    "process forked at line %d while holding the sync "
                     "lock acquired at line %d — the child inherits it "
                     "locked with no owner" % (fork.lineno, lock_line),
                 )

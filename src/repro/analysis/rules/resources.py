@@ -1,8 +1,8 @@
-"""RES-001: every acquired process/pipe/pool/ledger is released on all paths.
+"""RES-001: every acquired process/pipe/ledger is released on all paths.
 
-The prover pool and the split engine's helpers rest on an ownership
-protocol: whoever forks a ``Process`` (or opens a ``Pipe`` or a
-``Pool``) and keeps it in a local must reach its terminate/join/close
+The prover pool's workers and the split engine's helpers rest on one
+ownership protocol: whoever forks a ``Process`` (or opens a ``Pipe``)
+and keeps it in a local must reach its terminate/join/close
 on *every* path out of the function — normal return, early return, and
 any exception raised between acquire and release — or the child
 outlives its owner.  The same discipline applies to ledger leases.
@@ -15,7 +15,8 @@ CFG from :mod:`repro.analysis.flow`:
    returned, yielded, or passed to a call other than a release — since
    ownership transferred and release happens elsewhere (the helpers
    ``SplitEngine._fork_helpers`` appends to ``_links`` for ``close()``
-   to reap are exactly this);
+   to reap, and the workers ``ProverPool._fork`` stores for ``close()``
+   to join, are exactly this);
 3. find release calls on that name (``release_ledger(lease)``,
    ``proc.join()``) and ``with``-statements using the binding as a
    context manager;

@@ -12,12 +12,14 @@ The helper inherited the window tables at fork, so a request is the
 table's key, an offset and the scalars (~33 B each), the reply is one
 Jacobian point, both sides run the same ``msm_fixed_window`` and the
 partials fold with ``jac_add``.  Helpers are forked once the tables they
-need exist and re-forked when a table outgrows them; a daemonic process
-(a ``ProverPool`` worker) may not fork, so it uses the helpers it
-inherited from its parent (:mod:`repro.service.pool`) and computes
-unsplit whatever they cannot cover.  A helper that dies is dropped and
-its shard recomputed in place.  Helpers record no telemetry: their time
-is the caller's ``msm_srs`` kernel time.
+need exist and re-forked when a table outgrows them.  A helper that dies
+is dropped and its shard recomputed in place; the engine goes on with
+the helpers it has left.  Helpers record no telemetry: their time is the
+caller's ``msm_srs`` kernel time.
+
+A helper runs :func:`serve`, the one loop every forked child in
+``src/`` runs (the prover pool's workers too, :mod:`repro.service.pool`):
+answer each request on one pipe until EOF says the owner is gone.
 
 Every other kernel — NTTs, generic and G2 MSMs, inversion, pairing — is
 the base class's, in this process: splitting them was measured and paid
@@ -54,18 +56,19 @@ def _spans(n: int, pieces: int) -> list[tuple[int, int]]:
     return out
 
 
-def _helper_loop(engine: "SplitEngine", conn, inherited: list) -> None:
-    """Forked helper: answer ``(table key, offset, scalars)`` with the
-    partial MSM over that slice of the tables it inherited."""
-    for other in inherited:  # so a dead peer reads as EOF, here and there
+def serve(conn, inherited: list, handle) -> None:
+    """Forked child: send ``handle(request)`` back for each request on
+    ``conn`` until the owner's end closes (EOF, or a send that fails).
+    ``inherited`` are the owner-side pipe ends this child was forked
+    holding; they are closed first, so a dead peer reads as EOF, here
+    and there."""
+    for other in inherited:
         other.close()
     while True:
         try:
-            key, start, scalars = conn.recv()
+            conn.send(handle(conn.recv()))
         except (EOFError, OSError):
             return
-        _, c, tables = engine._window_tables[key]
-        conn.send(msm_fixed_window(tables[start : start + len(scalars)], c, scalars))
 
 
 class SplitEngine(Engine):
@@ -91,17 +94,18 @@ class SplitEngine(Engine):
             ours, theirs = ctx.Pipe()
             inherited = [ours] + [link[1] for link in self._links]
             proc = ctx.Process(
-                target=_helper_loop, args=(self, theirs, inherited), daemon=True
+                target=serve, args=(theirs, inherited, self._shard), daemon=True
             )
             proc.start()
             theirs.close()
             self._links.append((proc, ours))
 
-    def claim_helpers(self, slot: int, of: int) -> None:
-        """Keep every ``of``-th inherited helper from ``slot`` (one forked
-        pool worker's share); a slot past the end keeps none.  The pipe
-        ends let go here close as their last reference drops."""
-        self._links = self._links[slot::of] if slot < of else []
+    def _shard(self, request: tuple) -> tuple:
+        """Helper side: the partial MSM over one slice of a table it
+        inherited, for ``(table key, offset, scalars)``."""
+        key, start, scalars = request
+        _, c, tables = self._window_tables[key]
+        return msm_fixed_window(tables[start : start + len(scalars)], c, scalars)
 
     def live_helpers(self) -> int:
         """Helpers still running, as seen by the process that forked them."""
@@ -109,18 +113,17 @@ class SplitEngine(Engine):
 
     def close(self) -> None:
         links, self._links = self._links, []
+        self._forked_rows = {}
         for proc, conn in links:
             conn.close()
             proc.terminate()
             proc.join()
 
     def _fixed_window(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
-        n = len(scalars)
-        if self.helpers and n >= MIN_MSM_POINTS:
-            stale = self._forked_rows.get(key, 0) < n or not self._links
-            if stale and not multiprocessing.current_process().daemon:
+        if self.helpers and len(scalars) >= MIN_MSM_POINTS:
+            if self._forked_rows.get(key, 0) < len(scalars):
                 self._fork_helpers()
-            if self._links and self._forked_rows.get(key, 0) >= n:
+            if self._links:
                 return self._split(key, c, tables, scalars)
         return msm_fixed_window(tables, c, scalars)
 

@@ -247,8 +247,8 @@ class MarketplaceNode:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self.pool is not None:
-            # Pool.close() joins the forked workers — a blocking call
-            # that would stall every other session on the loop (zklint
+            # close() joins the forked workers — a blocking call that
+            # would stall every other session on the loop (zklint
             # ASYNC-001); park it on the default executor instead.
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.pool.close)

@@ -1,12 +1,13 @@
-"""Seeded FORK-001 violation: a thread started before the pool forks."""
+"""Seeded FORK-001 violation: a thread started before a worker forks."""
 
 import multiprocessing
 import threading
 
 
-class WarmPool:
-    def __init__(self, workers: int) -> None:
+class WarmWorker:
+    def __init__(self) -> None:
         self._heartbeat = threading.Thread(target=lambda: None, daemon=True)
         self._heartbeat.start()
-        # Fork children inherit the heartbeat thread's locks mid-flight.
-        self._pool = multiprocessing.get_context("fork").Pool(workers)
+        # The forked child inherits the heartbeat thread's locks mid-flight.
+        self._proc = multiprocessing.get_context("fork").Process(target=print)
+        self._proc.start()

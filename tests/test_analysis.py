@@ -111,7 +111,6 @@ class TestPerRuleFixtures:
             ("ENG-001", "repro/kzg/eng_violation.py", "compute engine"),
             ("ENG-001", "repro/backend/untimed_kernel.py", "never times itself"),
             ("ASYNC-001", "repro/service/async_violation.py", "blocks the calling thread"),
-            ("ASYNC-002", "repro/service/async_lock_violation.py", "holding a sync lock"),
             ("RES-001", "repro/backend/res_violation.py", "not released on all paths"),
             ("FORK-001", "repro/service/fork_violation.py", "fork children inherit"),
             ("FLT-002", "repro/service/flt_violation.py", "RetryPolicy"),
@@ -230,26 +229,6 @@ class TestRuleBehaviour:
         )
         assert not result.findings
 
-    def test_async002_allows_async_lock_and_awaitless_sync_lock(self, tmp_path):
-        result = _analyze_snippet(
-            tmp_path,
-            "service/good_locks.py",
-            "import asyncio\n"
-            "import threading\n"
-            "\n\n"
-            "class Batcher:\n"
-            "    def __init__(self) -> None:\n"
-            "        self._alock = asyncio.Lock()\n"
-            "        self._slock = threading.Lock()\n"
-            "\n"
-            "    async def flush(self) -> None:\n"
-            "        async with self._alock:\n"
-            "            await asyncio.sleep(0)\n"
-            "        with self._slock:\n"
-            "            self.count = 1\n",
-        )
-        assert not result.findings
-
     def test_res001_allows_finally_and_with_releases(self, tmp_path):
         result = _analyze_snippet(
             tmp_path,
@@ -264,9 +243,9 @@ class TestRuleBehaviour:
             "    finally:\n"
             "        proc.join()\n"
             "\n\n"
-            "def scoped(n: int) -> None:\n"
-            "    pool = multiprocessing.Pool(n)\n"
-            "    with pool:\n"
+            "def scoped(path: str) -> None:\n"
+            "    lease = acquire_ledger(path)\n"
+            "    with lease:\n"
             "        pass\n",
         )
         assert not result.findings
@@ -278,9 +257,9 @@ class TestRuleBehaviour:
             "import multiprocessing\n"
             "import threading\n"
             "\n\n"
-            "class ColdPool:\n"
-            "    def __init__(self, workers: int) -> None:\n"
-            "        self._pool = multiprocessing.get_context('fork').Pool(workers)\n"
+            "class ColdWorker:\n"
+            "    def __init__(self) -> None:\n"
+            "        self._proc = multiprocessing.get_context('fork').Process(target=print)\n"
             "        self._hb = threading.Thread(target=lambda: None, daemon=True)\n",
         )
         assert not result.findings
@@ -459,6 +438,34 @@ class TestResourceReleaseOnRealCode:
             "    finally:\n        proc.terminate()\n",
         )
         assert not _analyze_snippet(tmp_path, "service/helper_case.py", reaped).findings
+
+
+class TestForkSitesOnRealCode:
+    """FORK-001 on the two places ``src/`` forks: the split engine's
+    helpers and the prover pool's workers."""
+
+    @pytest.mark.parametrize(
+        "rel, fork_line",
+        [
+            ("backend/split.py", 'ctx = multiprocessing.get_context("fork")'),
+            ("service/pool.py", 'fork = multiprocessing.get_context("fork")'),
+        ],
+    )
+    def test_a_thread_live_at_the_fork_is_caught(self, tmp_path, rel, fork_line):
+        source = (SRC / "repro" / rel).read_text()
+        assert source.count(fork_line) == 1
+        target = tmp_path / "repro" / rel
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        clean = analyze_paths([tmp_path], DEFAULT_CONFIG, baseline=set())
+        assert not [f for f in clean.findings if f.rule == "FORK-001"]
+
+        thread = "threading.Thread(target=print).start()\n        "
+        target.write_text(source.replace(fork_line, thread + fork_line))
+        broken = analyze_paths([tmp_path], DEFAULT_CONFIG, baseline=set())
+        assert any(
+            f.rule == "FORK-001" and "threading.Thread" in f.message for f in broken.findings
+        )
 
 
 class TestPragmas:

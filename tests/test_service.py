@@ -15,10 +15,12 @@ safety envelope every exchange driver shares
 
 import asyncio
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import random
 import signal
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.field.fr import MODULUS as R
+from repro.plonk import prover as prover_module
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.proof import Proof
@@ -597,6 +600,40 @@ def _segments():
     return set(os.listdir("/dev/shm"))
 
 
+def _children_of(pid):
+    """Pids ``pid`` forked and has not reaped (a pool worker's helpers are
+    its children, not this process's)."""
+    try:
+        with open("/proc/%d/task/%d/children" % (pid, pid)) as fh:
+            return [int(child) for child in fh.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _helper_pids(pool):
+    return [pid for worker in pool._workers for pid in _children_of(worker.proc.pid)]
+
+
+def _alive(pid):
+    """Running; a zombie nobody is left to reap counts as gone."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+async def _forked_helpers(worker, count):
+    """Wait until ``worker`` has forked ``count`` helpers — its proof has
+    reached the commitments — and return their pids."""
+    for _ in range(1000):
+        pids = _children_of(worker.proc.pid)
+        if len(pids) >= count:
+            return pids
+        await asyncio.sleep(0.01)
+    raise AssertionError("worker %d forked no helper" % worker.proc.pid)
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPU mask the pool observes (processes time-share the real
@@ -612,6 +649,17 @@ def _prove_args(asset, k_v):
     return (asset.key, asset.key_commitment.value, asset.key_blinder, k_v, field_hash(k_v))
 
 
+def _pik_witness(snark_ctx, asset, k_v):
+    """The pi_k proving key and assignment a worker builds for ``k_v``."""
+    builder = CircuitBuilder()
+    build_key_negotiation_circuit(
+        builder, (asset.key + k_v) % R, asset.key_commitment.value,
+        field_hash(k_v), asset.key, asset.key_blinder, k_v,
+    )
+    layout, assignment = builder.compile()
+    return snark_ctx.keys_for(layout).pk, assignment
+
+
 def _pik_verifies(snark_ctx, asset, k_v, result):
     k_c, proof_bytes = result
     statement = [k_c, asset.key_commitment.value, field_hash(k_v)]
@@ -622,22 +670,36 @@ def _pik_verifies(snark_ctx, asset, k_v, result):
 @pytest.mark.slow
 class TestProverPool:
     """The pool proves serially on a full mask and splits every
-    commitment with forked helpers when cores are spare; either way the
-    proof is the same proof and nothing outlives ``close()``."""
+    commitment with helpers each worker forks when cores are spare;
+    either way the proof is the same proof, a dead worker costs only its
+    own request, and nothing outlives ``close()``."""
 
     @pytest.mark.parametrize(
         "mask, workers, helpers", [(1, 1, 0), (2, 1, 1), (2, 2, 0), (5, 2, 2)]
     )
     def test_helpers_are_chosen_from_the_cpu_mask(
-        self, snark_ctx, cpus, mask, workers, helpers
+        self, snark_ctx, pik_bundles, cpus, mask, workers, helpers
     ):
+        asset, _ = pik_bundles
         cpus(mask)
-        before, segments = _children(), _segments()
+        before, segments, threads = _children(), _segments(), threading.active_count()
+
+        async def prove_on_every_worker(pool):
+            return await asyncio.gather(
+                *(pool.prove_key_negotiation(asset, k, field_hash(k)) for k in range(workers))
+            )
+
         with ProverPool(snark_ctx, workers=workers) as pool:
+            # The parent forks the workers and nothing else; each worker
+            # forks its helpers at its first MSM.
+            assert len(_children() - before) == workers
+            asyncio.run(prove_on_every_worker(pool))
+            assert threading.active_count() == threads  # replies come through the loop
             assert pool.helpers == helpers
-            # One process per worker and per helper, and none besides.
-            assert len(_children() - before) == workers + helpers
+            pids = [w.proc.pid for w in pool._workers] + _helper_pids(pool)
+            assert len(pids) == workers + helpers
         assert _children() == before
+        assert not [pid for pid in pids if _alive(pid)]
         assert _segments() <= segments
 
     def test_pooled_proof_settles_through_the_node(self, snark_ctx, pik_bundles, cpus):
@@ -647,12 +709,12 @@ class TestProverPool:
 
         async def scenario():
             node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
-            assert node.pool.helpers == 1
             session = node.open_session(asset, tenant="seller")
             await node.start()
             try:
                 request = ExchangeRequest(session.session_id, tenant="t", price=PRICE)
                 (outcome,) = await node.serve([request])
+                assert node.pool.helpers == 1
             finally:
                 await node.stop()
             assert outcome.success and outcome.plaintext == asset.plaintext
@@ -663,16 +725,18 @@ class TestProverPool:
 
     def test_two_workers_each_prove_with_their_own_helper(self, snark_ctx, pik_bundles, cpus):
         """Workers sharing one helper's pipe would read each other's
-        partial sums; each claims its own at fork."""
+        partial sums; each forks its own."""
         asset, _ = pik_bundles
         cpus(4)
 
         async def scenario():
             with ProverPool(snark_ctx, workers=2) as pool:
-                assert pool.helpers == 2
-                return await asyncio.gather(
+                results = await asyncio.gather(
                     *(pool.prove_key_negotiation(asset, k, field_hash(k)) for k in (61, 62))
                 )
+                assert pool.helpers == 2
+                assert len(set(_helper_pids(pool))) == 2
+                return results
 
         for k_v, result in zip((61, 62), asyncio.run(scenario())):
             assert _pik_verifies(snark_ctx, asset, k_v, result)
@@ -726,14 +790,7 @@ class TestProverPool:
 
     def test_unblinded_proof_is_byte_identical_under_the_split(self, snark_ctx, pik_bundles):
         asset, _ = pik_bundles
-        k_v = 31337
-        builder = CircuitBuilder()
-        build_key_negotiation_circuit(
-            builder, (asset.key + k_v) % R, asset.key_commitment.value,
-            field_hash(k_v), asset.key, asset.key_blinder, k_v,
-        )
-        layout, assignment = builder.compile()
-        pk = snark_ctx.keys_for(layout).pk
+        pk, assignment = _pik_witness(snark_ctx, asset, 31337)
         with SplitEngine(helpers=1) as split:
             proof = prove(pk, assignment, blinding=False, engine=split)
             assert split.live_helpers() == 1
@@ -741,38 +798,163 @@ class TestProverPool:
             pk, assignment, blinding=False, engine=SerialEngine()
         ).to_bytes()
 
+    @pytest.mark.parametrize("mask", [1, 2])
+    def test_pinned_blinders_give_the_serial_proof_across_the_pool(
+        self, snark_ctx, pik_bundles, cpus, monkeypatch, mask
+    ):
+        """With the blinder stream pinned before the fork, the worker's
+        proof — split with its own helper on two CPUs — is the bytes the
+        serial engine proves here from the same stream."""
+        asset, _ = pik_bundles
+        cpus(mask)
+        k_v = 4343
+
+        def pin_blinders():
+            stream = itertools.count(1000003, 7919)
+            monkeypatch.setattr(
+                prover_module, "random_scalar", lambda nonzero=False: next(stream)
+            )
+
+        pin_blinders()
+        with ProverPool(snark_ctx, workers=1) as pool:
+            k_c, pooled = asyncio.run(pool.prove_key_negotiation(asset, k_v, field_hash(k_v)))
+            assert pool.helpers == mask - 1
+        pin_blinders()
+        pk, assignment = _pik_witness(snark_ctx, asset, k_v)
+        assert pooled == prove(pk, assignment, engine=SerialEngine()).to_bytes()
+
     def test_killed_helpers_cost_the_split_not_the_proof(self, snark_ctx, pik_bundles, cpus):
-        """SIGKILL one real helper while a proof is running and the other
-        between proofs: both proofs verify, the worker ends up unsplit,
-        the pool says so, and ``close()`` still leaves nothing behind."""
+        """SIGKILL one of a worker's helpers while a proof is running and
+        the other between proofs: both proofs verify, the worker ends up
+        unsplit, the pool says so, and ``close()`` still leaves nothing
+        behind."""
         asset, _ = pik_bundles
         cpus(3)
         before = _children()
 
         async def scenario(pool):
-            first, second = (proc for proc, _ in pool._engine._links)
+            (worker,) = pool._workers
             running = asyncio.ensure_future(
                 pool.prove_key_negotiation(asset, 501, field_hash(501))
             )
-            await asyncio.sleep(0.3)
-            os.kill(first.pid, signal.SIGKILL)
-            assert _pik_verifies(snark_ctx, asset, 501, await running)
+            first, second = await _forked_helpers(worker, 2)
+            os.kill(first, signal.SIGKILL)
+            assert _pik_verifies(snark_ctx, asset, 501, await asyncio.wait_for(running, 120))
             assert pool.helpers == 1
-            os.kill(second.pid, signal.SIGKILL)
-            second.join()
-            result = await pool.prove_key_negotiation(asset, 502, field_hash(502))
+            os.kill(second, signal.SIGKILL)
+            result = await asyncio.wait_for(
+                pool.prove_key_negotiation(asset, 502, field_hash(502)), 120
+            )
             assert _pik_verifies(snark_ctx, asset, 502, result)
             assert pool.helpers == 0
+            return worker.proc.pid, first, second
 
         with telemetry.use_level("metrics"):
             telemetry.reset_metrics()
             with ProverPool(snark_ctx, workers=1) as pool:
-                assert pool.helpers == 2
-                asyncio.run(scenario(pool))
-            lost = telemetry.registry().counter_values()["service.pool.helpers_lost"]
+                pids = asyncio.run(scenario(pool))
+            counters = telemetry.registry().counter_values()
             telemetry.reset_metrics()
-        assert lost == 2
+        assert counters["service.pool.helpers_lost"] == 2
+        assert "service.pool.restarts" not in counters
         assert _children() == before
+        assert not [pid for pid in pids if _alive(pid)]
+
+    def test_a_killed_worker_aborts_its_request_and_is_reforked(
+        self, snark_ctx, pik_bundles, cpus
+    ):
+        """SIGKILL the only worker mid-proof behind a one-coroutine node:
+        its request aborts with the buyer refunded, the worker is
+        re-forked with a fresh helper, the next request proves on it, and
+        ``stop()`` leaves no process of either generation."""
+        asset, _ = pik_bundles
+        cpus(2)
+        before = _children()
+
+        async def scenario():
+            node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+            session = node.open_session(asset, tenant="seller")
+            buyers = [node.register_account(funded=FUNDS) for _ in range(2)]
+            start = dict.fromkeys(buyers, FUNDS)
+            start[session.seller.address] = node.chain.balance_of(session.seller.address)
+            requests = [
+                ExchangeRequest(session.session_id, tenant="t", price=PRICE, buyer_address=b)
+                for b in buyers
+            ]
+            (worker,) = node.pool._workers
+            pids = [worker.proc.pid]
+            await node.start()
+            try:
+                killed = node.submit(requests[0])
+                pids += await _forked_helpers(worker, 1)
+                os.kill(pids[0], signal.SIGKILL)
+                killed = await asyncio.wait_for(killed, 10)
+                served = await asyncio.wait_for(node.submit(requests[1]), 120)
+                assert node.pool.helpers == 1
+                pids += [worker.proc.pid] + _helper_pids(node.pool)
+            finally:
+                await node.stop()
+            return node, session.seller.address, start, list(zip((killed, served), buyers)), pids
+
+        with telemetry.use_level("metrics"):
+            telemetry.reset_metrics()
+            node, seller, start, runs, pids = asyncio.run(scenario())
+            restarts = telemetry.registry().counter_values()["service.pool.restarts"]
+            telemetry.reset_metrics()
+        (killed, _), (served, _) = runs
+        assert (killed.success, killed.aborted) == (False, True)
+        assert "BackendError" in killed.reason and "died" in killed.reason
+        assert served.success
+        assert restarts == 1
+        assert_safe_end(
+            node.chain, node.arbiter, node.chain.receipts, runs, seller, PRICE, start,
+            plaintext=asset.plaintext, secret=asset.key,
+        )
+        assert len(set(pids)) == 4
+        assert _children() == before
+        assert not [pid for pid in pids if _alive(pid)]
+
+    def test_a_cancelled_caller_leaves_its_worker_in_step(self, snark_ctx, pik_bundles, cpus):
+        """The reply a cancelled caller never read is dropped by the
+        worker's next caller, which gets the proof for its own k_v."""
+        asset, _ = pik_bundles
+        cpus(2)
+
+        async def scenario(pool):
+            cancelled = asyncio.ensure_future(
+                pool.prove_key_negotiation(asset, 71, field_hash(71))
+            )
+            await _forked_helpers(pool._workers[0], 1)
+            cancelled.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await cancelled
+            return await asyncio.wait_for(
+                pool.prove_key_negotiation(asset, 72, field_hash(72)), 120
+            )
+
+        with ProverPool(snark_ctx, workers=1) as pool:
+            result = asyncio.run(scenario(pool))
+        assert _pik_verifies(snark_ctx, asset, 72, result)
+
+    def test_stopping_mid_proof_leaves_no_process(self, snark_ctx, pik_bundles, cpus):
+        asset, _ = pik_bundles
+        cpus(2)
+        before = _children()
+
+        async def scenario():
+            node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+            session = node.open_session(asset, tenant="seller")
+            (worker,) = node.pool._workers
+            await node.start()
+            try:
+                node.submit(ExchangeRequest(session.session_id, tenant="t", price=PRICE))
+                return [worker.proc.pid] + await _forked_helpers(worker, 1)
+            finally:
+                await asyncio.wait_for(node.stop(), 30)
+
+        pids = asyncio.run(scenario())
+        assert _children() == before
+        assert not [pid for pid in pids if _alive(pid)]
 
 
 @pytest.mark.chaos
