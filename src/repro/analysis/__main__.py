@@ -25,7 +25,6 @@ from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.engine import analyze_paths
 from repro.analysis.reporters import (
     render_json,
-    render_sarif,
     render_suppressions,
     render_text,
 )
@@ -50,9 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="report format (default: text; sarif feeds GitHub code-scanning)",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--report-suppressions",
@@ -134,8 +133,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = render_suppressions(result)
     elif args.format == "json":
         report = render_json(result, args.strict)
-    elif args.format == "sarif":
-        report = render_sarif(result, args.strict)
     else:
         report = render_text(result, args.strict)
     if args.output:

@@ -22,13 +22,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def iter_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function and method in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def lexical_calls(node: ast.AST) -> Iterator[ast.Call]:
     """Call nodes under ``node`` in source order, not crossing scopes."""
     for child in ast.iter_child_nodes(node):

@@ -9,52 +9,12 @@ package-relative (``plonk/prover.py``, not ``src/repro/plonk/prover.py``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-def _default_secret_exact() -> frozenset[str]:
-    # Identifiers that are secrets whenever they appear verbatim: witness
-    # and key material from core/exchange.py and core/zkcp.py (the data
-    # key ``key``, the buyer's verification key ``k_v``, the commitment
-    # opening ``o_k``), SRS/Groth16 trapdoors, and blinding factors.
-    return frozenset(
-        {
-            "witness",
-            "sk",
-            "secret",
-            "secret_key",
-            "decryption_key",
-            "opening",
-            "blinder",
-            "blinding",
-            "aux",
-            "key",
-            "k_v",
-            "o_k",
-            "tau",
-            "rho",
-            "trapdoor",
-            "toxic_waste",
-            "plaintext",
-        }
-    )
-
-
-def _default_secret_tokens() -> frozenset[str]:
-    # Snake-case *components* that taint compound identifiers, e.g.
-    # ``key_blinder`` and ``witness_values``.  Deliberately excludes
-    # ``key``: ``key_hash``, ``cache_key`` and ``public_key`` are benign
-    # and would drown the rule in noise.
-    return frozenset({"witness", "secret", "blinder", "blinding", "trapdoor", "sk"})
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Repository-specific knobs for the shipped rule catalogue."""
-
-    # ----- SEC-001 --------------------------------------------------------
-    secret_exact: frozenset[str] = field(default_factory=_default_secret_exact)
-    secret_tokens: frozenset[str] = field(default_factory=_default_secret_tokens)
 
     # ----- DET-001 --------------------------------------------------------
     #: Module prefixes whose code must be deterministic: everything on the
@@ -176,104 +136,6 @@ class AnalysisConfig:
     )
     #: Methods that squeeze a challenge out of the transcript.
     transcript_challenge_methods: frozenset[str] = frozenset({"challenge"})
-
-    # ----- ASYNC-001 ------------------------------------------------------
-    #: Module prefixes where coroutines must never block the event loop.
-    async_scopes: tuple[str, ...] = ("service/",)
-    #: Dotted-name prefixes that block the calling thread outright.
-    blocking_call_prefixes: tuple[str, ...] = (
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_output",
-        "subprocess.check_call",
-        "os.system",
-        "os.waitpid",
-        "socket.create_connection",
-        "urllib.request.urlopen",
-        "requests.",
-        "input",
-    )
-    #: Leaf method names that block *when the receiver looks like the
-    #: matching object*: ``apply``/``map``/``join`` on something named
-    #: like a pool, ``acquire`` on something named like a lock.  The
-    #: receiver-token pairing keeps ``dict.get``/``Queue.join`` style
-    #: homonyms out.
-    blocking_leaf_receivers: frozenset[tuple[str, str]] = frozenset(
-        {
-            ("apply", "pool"),
-            ("map", "pool"),
-            ("starmap", "pool"),
-            ("join", "pool"),
-            ("join", "thread"),
-            ("join", "proc"),
-            ("join", "process"),
-            ("acquire", "lock"),
-            ("acquire", "sem"),
-            ("acquire", "semaphore"),
-            ("wait", "event"),
-            ("wait", "barrier"),
-            ("recv", "sock"),
-            ("recv", "conn"),
-        }
-    )
-    # ----- RES-001 --------------------------------------------------------
-    #: Module prefixes under must-release discipline.
-    resource_scopes: tuple[str, ...] = ("backend/", "service/")
-    #: Acquire call (dotted suffix) -> leaf names that release the binding.
-    #: An acquire whose result does not escape (no attribute/container
-    #: store, return, yield, or hand-off to a non-release call) must reach
-    #: one of its release leaves on every CFG path, exceptional included.
-    resource_acquires: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("Process", ("terminate", "kill", "join")),
-        ("Pipe", ("close",)),
-        ("acquire_ledger", ("release_ledger",)),
-    )
-
-    # ----- FORK-001 -------------------------------------------------------
-    #: Module prefixes checked for state captured across a fork boundary.
-    fork_scopes: tuple[str, ...] = ("service/", "backend/")
-    #: Dotted suffixes that fork a child process.
-    fork_calls: tuple[str, ...] = ("Process",)
-    #: Dotted-name prefixes that create state which must not exist in the
-    #: parent when a child is forked: forked children inherit a
-    #: started thread's locks mid-flight, a running loop's selector fd,
-    #: and open sockets, all silently corrupt.
-    fork_hazard_calls: tuple[str, ...] = (
-        "threading.Thread",
-        "threading.Timer",
-        "asyncio.get_event_loop",
-        "asyncio.get_running_loop",
-        "asyncio.new_event_loop",
-        "asyncio.run",
-        "socket.socket",
-        "socket.create_connection",
-    )
-
-    # ----- FLT-002 --------------------------------------------------------
-    #: Module prefixes whose fault-site calls must be wrapped.
-    fault_discipline_scopes: tuple[str, ...] = ("core/", "service/")
-    #: Dotted suffixes registered as fault sites (mirrors faults/plan.py).
-    fault_site_calls: tuple[str, ...] = (
-        "chain.transact",
-        "storage.put",
-        "storage.get",
-        "dht.publish",
-        "dht.lookup",
-        "dht.get",
-        "msg.send",
-        "msg.recv",
-    )
-    #: Identifier tokens that mark a retry-policy receiver (``policy.run``,
-    #: ``self.retry.run``, ``ABORT_POLICY.run``, ``RetryPolicy(...).run``).
-    retry_receiver_tokens: frozenset[str] = frozenset(
-        {"retry", "policy", "retrypolicy", "abort_policy", "default_policy"}
-    )
-    #: Exception leaf-names whose handlers count as explicit abort/refund
-    #: recovery for a naked fault-site call inside a ``try``.
-    abort_handler_tokens: frozenset[str] = frozenset(
-        {"faultinjected", "exchangeaborted", "chainerror", "exception"}
-    )
 
 
 DEFAULT_CONFIG = AnalysisConfig()

@@ -1,18 +1,14 @@
-"""The zklint analysis engine: discover files, parse, build, run, filter.
+"""The zklint analysis engine: discover files, parse, run, filter.
 
-The pipeline is deliberately boring, now in two phases:
+The pipeline is deliberately boring, one module at a time:
 
 1. collect ``*.py`` files under the given paths (``__pycache__`` skipped),
 2. parse each with stdlib :mod:`ast` (never importing the target code),
-3. **phase one** — fold every parsed module into one
-   :class:`~repro.analysis.graph.Project` (import/call graph, symbol
-   resolution, attribute types),
-4. **phase two** — run every enabled rule over every module via
-   :meth:`~repro.analysis.rules.Rule.check_with_project` (per-module
-   rules just ignore the project),
-5. set aside findings suppressed by a per-line pragma (kept on the
+3. run every enabled rule's :meth:`~repro.analysis.rules.Rule.check`
+   over the module,
+4. set aside findings suppressed by a per-line pragma (kept on the
    result for ``--report-suppressions``),
-6. split the rest into *new* vs *baselined* against the committed
+5. split the rest into *new* vs *baselined* against the committed
    baseline.
 
 Module paths are reported relative to the invocation (``display``) and
@@ -33,7 +29,6 @@ from typing import Iterable, Sequence
 from repro.analysis.baseline import partition
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.findings import Finding
-from repro.analysis.graph import build_project
 from repro.analysis.pragmas import is_suppressed, line_suppressions
 from repro.analysis.rules import ALL_RULES, Rule
 
@@ -140,15 +135,13 @@ def analyze_paths(
             errors.append("%s: syntax error: %s" % (file_path.as_posix(), exc.msg))
         except OSError as exc:
             errors.append("%s: unreadable: %s" % (file_path.as_posix(), exc))
-    # Phase one: the whole-program graph over every module that parsed.
-    project = build_project(modules)
-    # Phase two: rules, with pragma partitioning instead of dropping.
+    # Pragma-suppressed findings are partitioned off, not dropped.
     raw: list[Finding] = []
     suppressed: list[Finding] = []
     for module in modules:
         suppressions = line_suppressions(module.source)
         for rule in active_rules:
-            for finding in rule.check_with_project(module, config, project):
+            for finding in rule.check(module, config):
                 if is_suppressed(finding.rule, finding.line, suppressions):
                     suppressed.append(finding)
                     continue

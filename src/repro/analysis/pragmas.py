@@ -6,7 +6,7 @@ violation three lines away.  Several rules may be listed separated by
 commas, and ``all`` disables every rule on the line::
 
     beta = transcript.challenge(b"beta")  # zklint: disable=FS-001
-    x = weird()  # zklint: disable=FS-001,SEC-001
+    x = weird()  # zklint: disable=FS-001,FLD-001
     y = hack()   # zklint: disable=all
 
 Suppressions are extracted lexically (not via the AST) so they work on

@@ -1,12 +1,11 @@
-"""Text, JSON and SARIF reporters for zklint results.
+"""Text and JSON reporters for zklint results.
 
 The text form is for humans and CI logs; the JSON form is the machine
 surface uploaded as a CI artifact alongside the benchmark payloads, so
 it carries the same shape conventions (a ``schema_version`` plus a flat
-summary block); the SARIF form feeds GitHub code-scanning so findings
-surface as inline PR annotations.  All three derive their rule
-catalogue from :data:`~repro.analysis.rules.ALL_RULES` — there is no
-hand-maintained rule table to drift.
+summary block).  Both derive their rule catalogue from
+:data:`~repro.analysis.rules.ALL_RULES` — there is no hand-maintained
+rule table to drift.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from repro.analysis.findings import Finding
 from repro.analysis.rules import ALL_RULES
 
 REPORT_SCHEMA_VERSION = 1
-
-#: The SARIF version GitHub code-scanning ingests.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
 def render_text(result: AnalysisResult, strict: bool) -> str:
@@ -65,95 +60,6 @@ def render_json(result: AnalysisResult, strict: bool) -> str:
         "findings": [finding.as_dict() for finding in result.findings],
         "baselined": [finding.as_dict() for finding in result.baselined],
         "errors": list(result.errors),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)
-
-
-def render_sarif(result: AnalysisResult, strict: bool) -> str:
-    """SARIF 2.1.0 report for GitHub code-scanning upload.
-
-    New and baselined findings are both emitted (code-scanning does its
-    own alert lifecycle); baselined ones carry ``baselineState:
-    unchanged`` so they never page.  Pragma-suppressed findings are
-    emitted with a ``suppressions`` entry, which code-scanning renders
-    as dismissed — the same debt the ``--report-suppressions`` summary
-    itemises.
-    """
-    rules = [
-        {
-            "id": rule.rule_id,
-            "name": type(rule).__name__,
-            "shortDescription": {"text": rule.title},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule in ALL_RULES
-    ]
-    rule_index = {rule.rule_id: i for i, rule in enumerate(ALL_RULES)}
-
-    def sarif_result(
-        finding: Finding, baseline_state: str | None, suppressed: bool
-    ) -> dict:
-        entry: dict = {
-            "ruleId": finding.rule,
-            "ruleIndex": rule_index.get(finding.rule, -1),
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": max(finding.line, 1),
-                            "startColumn": max(finding.col + 1, 1),
-                            "snippet": {"text": finding.snippet},
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {
-                "zklintFingerprint/v1": "|".join(finding.fingerprint())
-            },
-        }
-        if baseline_state is not None:
-            entry["baselineState"] = baseline_state
-        if suppressed:
-            entry["suppressions"] = [
-                {"kind": "inSource", "justification": "zklint: disable pragma"}
-            ]
-        return entry
-
-    results = (
-        [sarif_result(f, "new" if strict else None, False) for f in result.findings]
-        + [sarif_result(f, "unchanged", False) for f in result.baselined]
-        + [sarif_result(f, None, True) for f in result.suppressed]
-    )
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "zklint",
-                        "informationUri": "docs/static_analysis.md",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-                "invocations": [
-                    {
-                        "executionSuccessful": not result.errors,
-                        "toolExecutionNotifications": [
-                            {"level": "error", "message": {"text": error}}
-                            for error in result.errors
-                        ],
-                    }
-                ],
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=False)
 

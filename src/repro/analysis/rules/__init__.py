@@ -16,29 +16,16 @@ from repro.analysis.findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.analysis.config import AnalysisConfig
     from repro.analysis.engine import ModuleInfo
-    from repro.analysis.graph import Project
 
 
 class Rule:
-    """Base class: subclasses set ``rule_id``/``title`` and implement check.
-
-    Per-module rules implement :meth:`check`; whole-program rules
-    override :meth:`check_with_project` instead and query the
-    :class:`~repro.analysis.graph.Project` built in phase one.  The
-    engine always calls ``check_with_project`` — the default delegates
-    to ``check`` so the original five rules run unchanged.
-    """
+    """Base class: subclasses set ``rule_id``/``title`` and implement check."""
 
     rule_id: str = ""
     title: str = ""
 
     def check(self, module: "ModuleInfo", config: "AnalysisConfig") -> Iterator[Finding]:
         raise NotImplementedError
-
-    def check_with_project(
-        self, module: "ModuleInfo", config: "AnalysisConfig", project: "Project"
-    ) -> Iterator[Finding]:
-        yield from self.check(module, config)
 
     def finding(
         self, module: "ModuleInfo", line: int, col: int, message: str
@@ -57,27 +44,17 @@ class Rule:
         )
 
 
-from repro.analysis.rules.concurrency import AsyncBlocking  # noqa: E402
 from repro.analysis.rules.determinism import Determinism  # noqa: E402
-from repro.analysis.rules.faultpaths import FaultSiteDiscipline  # noqa: E402
 from repro.analysis.rules.field_hygiene import FieldHygiene  # noqa: E402
-from repro.analysis.rules.forksafety import ForkSafety  # noqa: E402
 from repro.analysis.rules.kernel_routing import KernelRouting  # noqa: E402
-from repro.analysis.rules.resources import ResourceRelease  # noqa: E402
-from repro.analysis.rules.secrecy import SecretLeakage  # noqa: E402
 from repro.analysis.rules.transcript import TranscriptDiscipline  # noqa: E402
 
 #: Every shipped rule, in catalogue order.
 ALL_RULES: tuple[Rule, ...] = (
     TranscriptDiscipline(),
-    SecretLeakage(),
     Determinism(),
     FieldHygiene(),
     KernelRouting(),
-    AsyncBlocking(),
-    ResourceRelease(),
-    ForkSafety(),
-    FaultSiteDiscipline(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}
@@ -86,13 +63,8 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "Rule",
-    "AsyncBlocking",
     "Determinism",
-    "FaultSiteDiscipline",
     "FieldHygiene",
-    "ForkSafety",
     "KernelRouting",
-    "ResourceRelease",
-    "SecretLeakage",
     "TranscriptDiscipline",
 ]

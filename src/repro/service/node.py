@@ -248,8 +248,9 @@ class MarketplaceNode:
         self._workers = []
         if self.pool is not None:
             # close() joins the forked workers — a blocking call that
-            # would stall every other session on the loop (zklint
-            # ASYNC-001); park it on the default executor instead.
+            # would stall every other session on the loop; park it on the
+            # default executor instead (tests/test_service.py::TestProverPool::
+            # test_the_loop_stays_live_while_the_node_stops).
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.pool.close)
 

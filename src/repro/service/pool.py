@@ -126,12 +126,20 @@ class ProverPool:
         engine.msm_srs(ctx.srs, [0] * (keys.layout.n + DEGREE_MARGIN))
         _WORKER_STATE.update(ctx=worker_ctx, engine=engine)
         self._spare = max(0, len(os.sched_getaffinity(0)) // workers - 1)
-        self._workers = [_Worker() for _ in range(workers)]
+        self._workers: list[_Worker] = []
         self._idle: asyncio.Queue = asyncio.Queue()
-        for worker in self._workers:
-            self._fork(worker)
-            self._idle.put_nowait(worker)
+        # Registered before the first fork, so a fork that fails stops the
+        # workers already forked instead of leaving them for exit to join.
         self._shutdown = Finalize(self, _stop, (self._workers,), exitpriority=0)
+        try:
+            for _ in range(workers):
+                worker = _Worker()
+                self._fork(worker)
+                self._workers.append(worker)
+                self._idle.put_nowait(worker)
+        except BaseException:
+            self._shutdown()
+            raise
 
     def _fork(self, worker: _Worker) -> None:
         """(Re)fork ``worker`` on a fresh pipe; ``start`` reaps a dead one."""

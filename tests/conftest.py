@@ -4,7 +4,8 @@ The SNARK context (SRS + circuit-key cache) is expensive to build, so one
 session-scoped instance is shared by every protocol-level test; circuit
 keys accumulate in its cache across tests, exactly as a deployed system
 would reuse them.  So are the seller-proven pi_k bundles the node's
-tests serve.
+tests serve.  ``lone_thread_at_fork`` checks every fork a test makes
+(the prover pool's and the split engine's tests use it).
 
 Seeded-randomness plumbing for the chaos and differential suites: the
 ``chaos_seed`` fixture reads ``REPRO_CHAOS_SEED`` (defaulting to a fixed
@@ -15,6 +16,8 @@ exact run can be reproduced from the terminal output alone.
 
 import json
 import os
+import threading
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -36,22 +39,44 @@ def snark_ctx():
 @pytest.fixture(scope="session")
 def pik_bundles(snark_ctx):
     """An asset plus three seller-precomputed pi_k negotiation bundles, for
-    the node's tests: serving them needs no proving."""
+    the node's tests: serving them needs no proving.  The key and every
+    k_v are full-width, so a secret found in public data is never a small
+    integer that happens to match."""
     from repro.core.exchange import Seller
     from repro.core.tokens import DataAsset
+    from repro.field.fr import MODULUS as R
     from repro.primitives.hashing import field_hash
     from repro.service import NegotiationBundle
 
-    asset = DataAsset.create([42, 84], key=909, nonce=7)
+    asset = DataAsset.create([42, 84], key=R - 909, nonce=7)
     asset.uri = "service-test://asset"
     seller = Seller(snark_ctx, asset, "offchain-prover")
     bundles = []
     for salt in (11, 22, 33):
-        k_v = 10_000 + salt
+        k_v = R - 10_000 - salt
         h_v = field_hash(k_v)
         k_c, pi_k = seller.key_negotiation_message(k_v, h_v)
         bundles.append(NegotiationBundle(k_v, h_v, k_c, pi_k.to_bytes()))
     return asset, bundles
+
+
+@pytest.fixture
+def lone_thread_at_fork(monkeypatch):
+    """Every process the test forks is forked with no other thread alive:
+    a forked child inherits each thread's locks in whatever state they
+    were.  Yields the thread names seen at each fork; the check runs at
+    teardown, so a fork whose error the code under test swallows (the
+    pool's re-fork of a killed worker) still fails the test."""
+    start = BaseProcess.start
+    seen = []
+
+    def counted(process):
+        seen.append([thread.name for thread in threading.enumerate()])
+        start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", counted)
+    yield seen
+    assert all(len(names) == 1 for names in seen), seen
 
 
 @pytest.fixture

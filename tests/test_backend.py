@@ -31,6 +31,8 @@ from repro.field.ntt import COSET_SHIFT, Domain
 from repro.kzg.commit import commit
 from repro.kzg.srs import SRS
 
+pytestmark = pytest.mark.usefixtures("lone_thread_at_fork")
+
 
 @pytest.fixture(scope="module")
 def split_engine():

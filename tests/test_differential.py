@@ -28,7 +28,7 @@ from repro.plonk.keys import DEGREE_MARGIN
 from repro.r1cs import R1CSBuilder
 from tests import pairing_oracle, substrate_oracle
 
-pytestmark = pytest.mark.differential
+pytestmark = [pytest.mark.differential, pytest.mark.usefixtures("lone_thread_at_fork")]
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,15 @@ envelope from the paper's fairness theorems, stated once in
 ``tests/exchange_invariants.py``:
 
 * ``TestEveryEdge`` fails every message channel and every transaction
-  method of each driver for good, one at a time;
+  method a clean run of each driver touches for good, one at a time;
 * ``TestReplayGolden`` pins one seeded chaos run per driver to a digest
   of its fault log, receipts and reasons;
 * the ``chaos``-marked classes sweep seeded :class:`~repro.faults.FaultPlan`
   profiles and check that the same seed replays bit-identically.
+
+Every key-secure and node run also checks that no secret left the seller
+(:func:`~tests.exchange_invariants.assert_secrets_hidden`), and
+``TestSecretsHidden`` shows that ZKCP and FairSwap fail that check.
 """
 
 import asyncio
@@ -67,7 +71,12 @@ from repro.field.fr import MODULUS as R
 from repro.service import ExchangeRequest, MarketplaceNode, NodeConfig
 from repro.storage import ContentStore
 from repro.storage.dht import DHTNetwork
-from tests.exchange_invariants import assert_safe_end
+from tests.exchange_invariants import (
+    Published,
+    assert_safe_end,
+    assert_secrets_hidden,
+    publishing,
+)
 
 
 def _always(site, kind, **kw):
@@ -427,20 +436,32 @@ class Run:
     runs: list  # (result, buyer address) pairs
     seller: str
     start: dict  # balances before the runs
-    injector: FaultInjector | None
+    injector: FaultInjector
     plaintext: list
-    secret: int | None = None
+    published: Published
+    sites: list  # every site the runs consulted the fault plane at
+    #: What nobody but the seller (and, for k_v, its buyer) may see: set
+    #: for the key-secure driver and the node, whose protocol hides them.
+    secrets: tuple = ()
 
     @property
     def result(self):
         (result, _buyer), = self.runs
         return result
 
+    @property
+    def edges(self) -> set:
+        """The off-chain message channels and transaction methods used."""
+        messages = {site for site in self.sites if site.startswith("exchange.msg.")}
+        return messages | {method for method, _calldata in self.published.calldata}
+
     def check(self):
         assert_safe_end(
             self.chain, self.escrow, self.receipts, self.runs, self.seller, PRICE,
-            self.start, plaintext=self.plaintext, secret=self.secret,
+            self.start, plaintext=self.plaintext,
         )
+        if self.secrets:
+            assert_secrets_hidden(self, self.secrets)
 
     def digest(self) -> str:
         """sha256 of the fault log, the virtual clock, the receipts and the
@@ -457,7 +478,10 @@ class Run:
 
 @contextmanager
 def _faults(chain, plan=None, drop=None):
-    """Install ``plan`` and drop every submission of the method ``drop``."""
+    """Run under ``plan`` (by default one that injects nothing), dropping
+    every submission of the method ``drop``.  Yields the injector, what the
+    run publishes (:func:`~tests.exchange_invariants.publishing`) and the
+    list of sites it consults the fault plane at."""
     if drop is not None:
         transact = chain.transact
 
@@ -467,9 +491,17 @@ def _faults(chain, plan=None, drop=None):
             return transact(sender, contract, method, *args, **kwargs)
 
         chain.transact = transact_or_drop
+    sites = []
     try:
-        with faults.use_plan(plan) as injector:
-            yield injector
+        with publishing(chain) as published, faults.use_plan(plan or _plan()) as injector:
+            check = injector.check
+
+            def consulted(site):
+                sites.append(site)
+                check(site)
+
+            injector.check = consulted
+            yield injector, published, sites
     finally:
         vars(chain).pop("transact", None)
 
@@ -486,9 +518,15 @@ class _ProvenSeller(Seller):
         return self.message
 
 
+#: Full-width keys, so a secret found in public data is never a small
+#: integer that happens to match.
+ZKCP_KEY = R - 4242
+FAIRSWAP_KEY = R - 777
+
+
 @pytest.fixture(scope="module")
 def sale(snark_ctx):
-    asset = DataAsset.create([42, 84], key=555, nonce=666)
+    asset = DataAsset.create([42, 84], key=R - 555, nonce=666)
     asset.uri = "u"
     return asset, Seller(snark_ctx, asset, "offchain").data_validation_message()
 
@@ -513,28 +551,27 @@ def _keysecure(snark_ctx, sale, plan=None, drop=None):
     chain.deploy(arbiter, operator)
     seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
     protocol = KeySecureExchange(snark_ctx, chain, arbiter, retry=RETRY)
-    with _faults(chain, plan, drop) as injector:
-        result = protocol.run(
-            _ProvenSeller(snark_ctx, asset, seller, message),
-            Buyer(snark_ctx, asset.public_view(), buyer),
-            price=PRICE,
-        )
+    party = Buyer(snark_ctx, asset.public_view(), buyer)
+    with _faults(chain, plan, drop) as (injector, published, sites):
+        result = protocol.run(_ProvenSeller(snark_ctx, asset, seller, message), party, price=PRICE)
+    # k_v is None when the run ended before the buyer chose one.
+    secrets = (asset.key, asset.key_blinder) + ((party.k_v,) if party.k_v else ())
     return Run(
         chain, arbiter, chain.receipts, [(result, buyer)], seller,
-        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext, asset.key,
+        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext, published, sites, secrets,
     )
 
 
 def _zkcp(protocol, plan=None, drop=None):
     chain = protocol.chain
     seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
-    asset = DataAsset.create([7, 8], key=4242, nonce=1)
+    asset = DataAsset.create([7, 8], key=ZKCP_KEY, nonce=1)
     mark = len(chain.receipts)
-    with _faults(chain, plan, drop) as injector:
+    with _faults(chain, plan, drop) as (injector, published, sites):
         result = protocol.run(seller, buyer, asset, price=PRICE)
     return Run(
         chain, protocol.arbiter, chain.receipts[mark:], [(result, buyer)], seller,
-        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext,
+        {seller: FUNDS, buyer: FUNDS}, injector, asset.plaintext, published, sites,
     )
 
 
@@ -543,13 +580,13 @@ def _fairswap(plan=None, drop=None):
     seller, buyer = chain.create_account(funded=FUNDS), chain.create_account(funded=FUNDS)
     contract = FairSwapContract()
     chain.deploy(contract, seller)
-    listing = FairSwapListing.create([10, 20, 30, 40], key=777, nonce=3)
+    listing = FairSwapListing.create([10, 20, 30, 40], key=FAIRSWAP_KEY, nonce=3)
     protocol = FairSwapExchange(chain, contract, retry=RETRY)
-    with _faults(chain, plan, drop) as injector:
+    with _faults(chain, plan, drop) as (injector, published, sites):
         result = protocol.run(seller, buyer, listing, price=PRICE)
     return Run(
         chain, contract, chain.receipts, [(result, buyer)], seller,
-        {seller: FUNDS, buyer: FUNDS}, injector, listing.blocks,
+        {seller: FUNDS, buyer: FUNDS}, injector, listing.blocks, published, sites,
     )
 
 
@@ -575,13 +612,14 @@ def _node(snark_ctx, asset, bundles, plan=None, drop=None):
         ]
         await node.start()
         try:
-            with _faults(node.chain, plan, drop) as injector:
+            with _faults(node.chain, plan, drop) as (injector, published, sites):
                 outcomes = await node.serve(requests)
         finally:
             await node.stop()
+        secrets = (asset.key, asset.key_blinder, *(b.verification_key for b in bundles))
         return Run(
             node.chain, node.arbiter, node.chain.receipts, list(zip(outcomes, buyers)),
-            seller, start, injector, asset.plaintext, asset.key,
+            seller, start, injector, asset.plaintext, published, sites, secrets,
         )
 
     return asyncio.run(scenario())
@@ -591,83 +629,116 @@ def _tampered(bundle):
     return dataclasses.replace(bundle, masked_key=(bundle.masked_key + 1) % R)
 
 
+#: Transactions only an abort path sends: a clean run never touches them.
+ABORT_PATH = frozenset({"refund", "abort"})
+
+
 @pytest.mark.slow
 class TestEveryEdge:
     """Every fallible edge of every driver, failed for good in turn: each
     message channel blacked out, each transaction method dropped on every
-    submission.  Each run must end safe, with the reason naming the edge."""
+    submission.  A clean run says which edges a driver touches, so one
+    that grows an edge fails here until its table names the edge.  Each
+    failed run must end safe, with the reason naming the edge."""
 
-    def _each(self, run_with, sites, methods):
+    def _each(self, run_with, table):
+        clean = run_with()
+        clean.check()
+        assert clean.result.success
+        assert clean.edges <= set(table), "no case fails %s" % (clean.edges - set(table))
+        assert set(table) - clean.edges <= ABORT_PATH
         reasons = {}
-        for site in sites:
-            run = run_with(plan=_plan(FaultRule(site, "loss", PPM)))
+        for edge in table:
+            if edge.startswith("exchange.msg."):
+                failing = {"plan": _plan(FaultRule(edge, "loss", PPM))}
+            else:
+                failing = {"drop": edge}
+            try:
+                run = run_with(**failing)
+            except ExchangeAbortedError as exc:
+                reasons[edge] = "raises %s" % str(exc).partition(":")[0]
+                continue
             run.check()
-            reasons[site] = run.result.reason.partition(":")[0]
-        for method in methods:
-            run = run_with(drop=method)
-            run.check()
-            reasons[method] = run.result.reason.partition(":")[0]
-        return reasons
+            reasons[edge] = run.result.reason.partition(":")[0]
+        assert reasons == table
 
     def test_keysecure(self, snark_ctx, sale):
-        reasons = self._each(
-            lambda **kw: _keysecure(snark_ctx, sale, **kw),
-            ("exchange.msg.validation", "exchange.msg.key", "exchange.msg.negotiation"),
-            ("lock_payment", "submit_key", "refund"),
-        )
-        assert reasons == {
+        self._each(lambda **kw: _keysecure(snark_ctx, sale, **kw), {
             "exchange.msg.validation": "phase-1 message undeliverable",
             "exchange.msg.key": "k_v undeliverable",
             "exchange.msg.negotiation": "phase-2 message undeliverable",
             "lock_payment": "payment lock undeliverable",
             "submit_key": "key submission undeliverable",
             "refund": "ok",  # a clean run never refunds
-        }
+        })
 
     def test_zkcp(self, zkcp):
-        reasons = self._each(
-            lambda **kw: _zkcp(zkcp, **kw),
-            ("exchange.msg.deliver",),
-            ("lock", "open", "refund"),
-        )
-        assert reasons == {
+        self._each(lambda **kw: _zkcp(zkcp, **kw), {
             "exchange.msg.deliver": "deliver message undeliverable",
             "lock": "payment lock undeliverable",
             "open": "open undeliverable",
             "refund": "ok",
-        }
+        })
 
     def test_fairswap(self):
-        reasons = self._each(_fairswap, (), ("offer", "accept", "reveal_key", "abort"))
-        assert reasons == {
+        self._each(_fairswap, {
             "offer": "offer undeliverable",
             "accept": "accept undeliverable",
             "reveal_key": "reveal undeliverable",
             "abort": "ok",
-        }
-        # A seller who cannot finalize after revealing has no safe end
-        # left to reach: the driver says so instead of reporting one.
-        with pytest.raises(ExchangeAbortedError, match="finalize for sale 1"):
-            _fairswap(drop="finalize")
+            # A seller who cannot finalize after revealing has no safe end
+            # left to reach: the driver says so instead of reporting one.
+            "finalize": "raises finalize for sale 1 could not be submitted",
+        })
 
     def test_node(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles
-        reasons = self._each(
-            lambda **kw: _node(snark_ctx, asset, bundles[:1], **kw),
-            ("exchange.msg.key", "exchange.msg.negotiation"),
-            ("lock_payment", "submit_key_batch", "refund"),
-        )
-        assert reasons == {
+        self._each(lambda **kw: _node(snark_ctx, asset, bundles[:1], **kw), {
             "exchange.msg.key": "k_v undeliverable",
             "exchange.msg.negotiation": "phase-2 message undeliverable",
             "lock_payment": "payment lock undeliverable",
             "submit_key_batch": "settlement undeliverable",
             "refund": "ok",
-        }
+        })
         # A poisoned bundle is the node's fatal receipt: refunded, not paid.
         run = _node(snark_ctx, asset, [_tampered(bundles[0]), bundles[1]])
         run.check()
         assert [r.reason for r, _buyer in run.runs] == ["pi_k rejected on chain", "ok"]
+
+
+@pytest.mark.slow
+class TestSecretsHidden:
+    """The paper's case against ZKCP and FairSwap, as a test: the secrecy
+    check every key-secure and node run passes fails on both of them, and
+    on a key-secure run that puts k in one span attribute."""
+
+    def _visible(self, run, secret):
+        with pytest.raises(AssertionError) as excinfo:
+            assert_secrets_hidden(run, (secret,))
+        return str(excinfo.value)
+
+    def test_zkcp_opens_the_key_on_chain(self, zkcp):
+        visible = self._visible(_zkcp(zkcp), ZKCP_KEY)
+        for place in ("calldata open", "ZKCPArbiterContract('revealed_key', ", "event Opened.key"):
+            assert place in visible
+
+    def test_fairswap_stores_the_key(self):
+        visible = self._visible(_fairswap(), FAIRSWAP_KEY)
+        for place in ("calldata reveal_key", "FairSwapContract('key', 1)", "event KeyRevealed.key"):
+            assert place in visible
+
+    def test_one_span_attribute_carrying_k_is_caught(self, snark_ctx, sale, monkeypatch):
+        prove = Seller.key_negotiation_message
+
+        def leaky(seller, k_v, h_v):
+            telemetry.current_span().set_attr("k", seller.asset.key)
+            return prove(seller, k_v, h_v)
+
+        monkeypatch.setattr(Seller, "key_negotiation_message", leaky)
+        run = _keysecure(snark_ctx, sale)
+        assert self._visible(run, sale[0].key) == (
+            "a secret is visible in: span exchange.prove.k; ledger exchange.keysecure"
+        )
 
 
 #: One pinned chaos seed per driver and the sha256 of its replay

@@ -21,6 +21,8 @@ import os
 import random
 import signal
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,7 @@ from repro.service import (
     NodeConfig,
     ProverPool,
 )
-from tests.exchange_invariants import assert_safe_end
+from tests.exchange_invariants import assert_safe_end, assert_secrets_hidden, publishing
 
 PRICE = 5000
 FUNDS = 10**9
@@ -668,11 +670,13 @@ def _pik_verifies(snark_ctx, asset, k_v, result):
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("lone_thread_at_fork")
 class TestProverPool:
     """The pool proves serially on a full mask and splits every
     commitment with helpers each worker forks when cores are spare;
     either way the proof is the same proof, a dead worker costs only its
-    own request, and nothing outlives ``close()``."""
+    own request, nothing outlives ``close()`` or a failed start, and
+    nothing but the forking thread is alive at any fork."""
 
     @pytest.mark.parametrize(
         "mask, workers, helpers", [(1, 1, 0), (2, 1, 1), (2, 2, 0), (5, 2, 2)]
@@ -861,12 +865,14 @@ class TestProverPool:
         assert not [pid for pid in pids if _alive(pid)]
 
     def test_a_killed_worker_aborts_its_request_and_is_reforked(
-        self, snark_ctx, pik_bundles, cpus
+        self, snark_ctx, pik_bundles, cpus, lone_thread_at_fork
     ):
         """SIGKILL the only worker mid-proof behind a one-coroutine node:
         its request aborts with the buyer refunded, the worker is
-        re-forked with a fresh helper, the next request proves on it, and
-        ``stop()`` leaves no process of either generation."""
+        re-forked (inside the running loop, with no other thread alive)
+        with a fresh helper, the next request proves on it without the key
+        leaving the seller, and ``stop()`` leaves no process of either
+        generation."""
         asset, _ = pik_bundles
         cpus(2)
         before = _children()
@@ -885,20 +891,22 @@ class TestProverPool:
             pids = [worker.proc.pid]
             await node.start()
             try:
-                killed = node.submit(requests[0])
-                pids += await _forked_helpers(worker, 1)
-                os.kill(pids[0], signal.SIGKILL)
-                killed = await asyncio.wait_for(killed, 10)
-                served = await asyncio.wait_for(node.submit(requests[1]), 120)
+                with publishing(node.chain) as published:
+                    killed = node.submit(requests[0])
+                    pids += await _forked_helpers(worker, 1)
+                    os.kill(pids[0], signal.SIGKILL)
+                    killed = await asyncio.wait_for(killed, 10)
+                    served = await asyncio.wait_for(node.submit(requests[1]), 120)
                 assert node.pool.helpers == 1
                 pids += [worker.proc.pid] + _helper_pids(node.pool)
             finally:
                 await node.stop()
-            return node, session.seller.address, start, list(zip((killed, served), buyers)), pids
+            runs = list(zip((killed, served), buyers))
+            return node, session.seller.address, start, runs, pids, published
 
         with telemetry.use_level("metrics"):
             telemetry.reset_metrics()
-            node, seller, start, runs, pids = asyncio.run(scenario())
+            node, seller, start, runs, pids, published = asyncio.run(scenario())
             restarts = telemetry.registry().counter_values()["service.pool.restarts"]
             telemetry.reset_metrics()
         (killed, _), (served, _) = runs
@@ -906,10 +914,13 @@ class TestProverPool:
         assert "BackendError" in killed.reason and "died" in killed.reason
         assert served.success
         assert restarts == 1
+        assert len(lone_thread_at_fork) == 2  # the first fork and the re-fork
         assert_safe_end(
             node.chain, node.arbiter, node.chain.receipts, runs, seller, PRICE, start,
-            plaintext=asset.plaintext, secret=asset.key,
+            plaintext=asset.plaintext,
         )
+        run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
+        assert_secrets_hidden(run, (asset.key, asset.key_blinder))
         assert len(set(pids)) == 4
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
@@ -956,6 +967,64 @@ class TestProverPool:
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 
+    def test_the_loop_stays_live_while_the_node_stops(self, snark_ctx, pik_bundles, cpus):
+        """``stop()`` joins the pool's worker, whose proof is still in
+        flight, off the event loop: a ticker started before ``stop()``
+        ticks at least every 100 ms until it returns."""
+        asset, _ = pik_bundles
+        cpus(1)
+
+        async def tick(ticks):
+            while True:
+                ticks.append(time.perf_counter())
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+            session = node.open_session(asset, tenant="seller")
+            (worker,) = node.pool._workers
+            await node.start()
+            node.submit(ExchangeRequest(session.session_id, tenant="t", price=PRICE))
+            for _ in range(1000):  # until the proof is in flight
+                if worker.sent:
+                    break
+                await asyncio.sleep(0.01)
+            ticks = []
+            ticker = asyncio.ensure_future(tick(ticks))
+            await asyncio.sleep(0)
+            await asyncio.wait_for(node.stop(), 30)
+            ticks.append(time.perf_counter())
+            ticker.cancel()
+            return ticks
+
+        ticks = asyncio.run(scenario())
+        assert ticks[-1] - ticks[0] > 0.2  # stop() waited for the proof
+        assert max(b - a for a, b in zip(ticks, ticks[1:])) < 0.1
+
+    def test_a_failed_fork_stops_the_workers_already_forked(self, snark_ctx, cpus, monkeypatch):
+        """A pool whose second fork fails stops its first worker before the
+        error reaches the caller.  Left running, that worker waits for EOF
+        on a pipe the traceback keeps open, and interpreter exit joins it
+        for ever."""
+        cpus(1)
+        before = _children()
+        start, forks = multiprocessing.context.ForkProcess.start, []
+
+        def second_fork_fails(process):
+            forks.append(process)
+            if len(forks) == 2:
+                raise OSError("fork failed")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", second_fork_fails)
+        with pytest.raises(OSError, match="fork failed") as excinfo:
+            ProverPool(snark_ctx, workers=2)
+        leaked = _children() - before
+        for process in leaked:  # a failure here must not hang the session's exit
+            process.kill()
+            process.join(10)
+        assert not leaked, "workers outlived %r" % excinfo.value
+
 
 @pytest.mark.chaos
 @pytest.mark.slow
@@ -985,18 +1054,22 @@ class TestServiceChaos:
             ]
             await node.start()
             try:
-                with faults.use_plan(
+                with publishing(node.chain) as published, faults.use_plan(
                     FaultPlan.profile("exchange", seed=chaos_seed + offset)
                 ):
                     outcomes = await node.serve(requests)
             finally:
                 await node.stop()
-            return node, seller_addr, seller_before, buyers, outcomes
+            return node, seller_addr, seller_before, buyers, outcomes, published
 
-        node, seller_addr, seller_before, buyers, outcomes = asyncio.run(scenario())
+        node, seller_addr, seller_before, buyers, outcomes, published = asyncio.run(scenario())
         start = dict.fromkeys(buyers, FUNDS)
         start[seller_addr] = seller_before
+        runs = list(zip(outcomes, buyers))
         assert_safe_end(
-            node.chain, node.arbiter, node.chain.receipts, list(zip(outcomes, buyers)),
-            seller_addr, PRICE, start, plaintext=asset.plaintext, secret=asset.key,
+            node.chain, node.arbiter, node.chain.receipts, runs,
+            seller_addr, PRICE, start, plaintext=asset.plaintext,
         )
+        run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
+        secrets = (asset.key, asset.key_blinder, *(b.verification_key for b in bundles))
+        assert_secrets_hidden(run, secrets)

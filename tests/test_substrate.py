@@ -7,11 +7,15 @@ constants (``curve/glv.py``).
 import multiprocessing
 import os
 
+import pytest
+
 from repro.backend.split import SplitEngine
 from repro.curve import glv
 from repro.curve.fq import Q
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
+
+pytestmark = pytest.mark.usefixtures("lone_thread_at_fork")
 
 
 class TestSegmentLifecycle:
