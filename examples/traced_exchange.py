@@ -8,7 +8,7 @@ level and then shows the four things it produces:
    emitted events attached as attributes;
 2. the prover's own span tree — the five Plonk rounds with wall-clock;
 3. the kernel counters — NTT/MSM calls and the engine-cache hit/miss
-   accounting (warm proofs show the 9 cached coset FFTs directly);
+   accounting (warm proofs show the 10 cached coset FFTs directly);
 4. the run ledger — the durable JSONL record the exchange appended, and
    the `python -m repro.telemetry report` rendered from it.
 
@@ -81,7 +81,7 @@ def main():
           % (mint_gas, result.gas_used, publish.find("publish.mint").attrs["tx.events"]))
 
     # The exchange appended one durable record per run; render it the
-    # way the CI perf job does.
+    # way the CI soak and chaos jobs do.
     records = ledger.read(ledger_path)
     print()
     print("=" * 70)

@@ -192,11 +192,15 @@ class KeySecureExchange:
         settle — each chain step carrying its transaction's gas and
         emitted event names as attributes.  With ``REPRO_LEDGER=<path>``
         set, each run additionally appends one record to the run ledger:
-        the span tree, the run's metric deltas, cache hit rates and any
-        injected faults (see :mod:`repro.telemetry.ledger`).
+        the span tree, the run's metric deltas and any injected faults
+        (see :mod:`repro.telemetry.ledger`).  A run that raises — the
+        phase-1 prover, an unlandable refund — still writes its record,
+        with the error, before the exception propagates.
         """
-        recorder = _ledger.begin("exchange.keysecure")
-        with telemetry.span("exchange.run", price=price) as root:
+        with _ledger.begin("exchange.keysecure") as recorder, telemetry.span(
+            "exchange.run", price=price
+        ) as root:
+            recorder.update(span=root, price=price)
             result = self._run_steps(
                 seller, buyer, price, predicate, tamper_k_c, tamper_k_v
             )
@@ -206,14 +210,12 @@ class KeySecureExchange:
                 gas_total=result.gas_used,
                 aborted=result.aborted,
             )
-        recorder.finish(
-            span=root,
-            success=result.success,
-            reason=result.reason,
-            gas_used=result.gas_used,
-            aborted=result.aborted,
-            price=price,
-        )
+            recorder.update(
+                success=result.success,
+                reason=result.reason,
+                gas_used=result.gas_used,
+                aborted=result.aborted,
+            )
         return result
 
     def _run_steps(

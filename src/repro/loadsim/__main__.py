@@ -3,12 +3,13 @@
 Runs one simulation and prints the report; exits 1 if any invariant was
 violated (the contract the CI soak job gates on).  The printed
 ``replay`` line is a complete command to reproduce the run bit for bit.
+With ``REPRO_LEDGER`` set, the full report lands in the run's
+``loadsim.run`` ledger record.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -46,8 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--churn-every", type=int, default=500)
     parser.add_argument("--faults", default="off",
                         help="fault profile, 'profile:seed', or 'env' (read REPRO_FAULTS)")
-    parser.add_argument("--json", dest="json_path", default=None,
-                        help="also write the full report as JSON to this path")
     args = parser.parse_args(argv)
 
     profile, fault_seed = _parse_faults(args.faults)
@@ -77,10 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         % ("replay", config.users, config.ops, config.mix, config.seed,
            profile, config.resolved_fault_seed())
     )
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     if report.violations:
         print("\nINVARIANT VIOLATIONS (%d):" % len(report.violations), file=sys.stderr)
         for violation in report.violations[:20]:

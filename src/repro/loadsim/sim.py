@@ -501,63 +501,71 @@ class LoadSimulator:
 
     def run(self) -> SimReport:
         cfg = self.config
-        recorder = _ledger.begin("loadsim.run")
-        started = time.perf_counter()
-        ambient = faults.install(self._epoch_injector(0))
-        injected = 0
-        try:
-            for op_seq in range(cfg.ops):
-                if (
-                    cfg.fault_epoch_ops
-                    and op_seq
-                    and op_seq % cfg.fault_epoch_ops == 0
-                ):
-                    # Rotate the injector so bounded profile budgets keep
-                    # biting across a long run; count what the old one did.
-                    old = faults.install(self._epoch_injector(op_seq // cfg.fault_epoch_ops))
-                    injected += len(old.log) if old is not None else 0
-                if cfg.churn_every and op_seq and op_seq % cfg.churn_every == 0:
-                    self._churn(op_seq // cfg.churn_every)
-                op = self.mix.draw_op(cfg.seed, op_seq)
-                if op == "mint":
-                    self._op_mint(op_seq)
-                elif op == "trade":
-                    self._op_trade(op_seq)
-                else:
-                    self._op_audit(op_seq)
-                self._round_countdown -= 1
-                if self._round_countdown <= 0:
+        #: Every fault the run's epoch injectors drew, in draw order.
+        drawn: list = []
+        with _ledger.begin("loadsim.run") as recorder:
+            started = time.perf_counter()
+            ambient = faults.install(self._epoch_injector(0))
+            try:
+                for op_seq in range(cfg.ops):
+                    if (
+                        cfg.fault_epoch_ops
+                        and op_seq
+                        and op_seq % cfg.fault_epoch_ops == 0
+                    ):
+                        # Rotate the injector so bounded profile budgets keep
+                        # biting across a long run; keep what the old one drew.
+                        old = faults.install(
+                            self._epoch_injector(op_seq // cfg.fault_epoch_ops)
+                        )
+                        drawn += old.log if old is not None else ()
+                    if cfg.churn_every and op_seq and op_seq % cfg.churn_every == 0:
+                        self._churn(op_seq // cfg.churn_every)
+                    op = self.mix.draw_op(cfg.seed, op_seq)
+                    if op == "mint":
+                        self._op_mint(op_seq)
+                    elif op == "trade":
+                        self._op_trade(op_seq)
+                    else:
+                        self._op_audit(op_seq)
+                    self._round_countdown -= 1
+                    if self._round_countdown <= 0:
+                        self._mine_round()
+                        self._round_countdown = cfg.ops_per_round
+                # Drain: faults off, retries unbounded, run to quiescence.
+                old = faults.install(None)
+                drawn += old.log if old is not None else ()
+                self._draining = True
+                drain_rounds = 0
+                while (
+                    self.chain.mempool or self._inflight
+                ) and drain_rounds < cfg.max_drain_rounds:
                     self._mine_round()
-                    self._round_countdown = cfg.ops_per_round
-            # Drain: faults off, retries unbounded, run to quiescence.
-            old = faults.install(None)
-            injected += len(old.log) if old is not None else 0
-            self._draining = True
-            drain_rounds = 0
-            while (self.chain.mempool or self._inflight) and drain_rounds < cfg.max_drain_rounds:
-                self._mine_round()
-                drain_rounds += 1
-            if self.chain.mempool or self._inflight:
-                self.checker.violations.append(
-                    "drain did not converge after %d rounds (%d in mempool, %d in flight)"
-                    % (drain_rounds, len(self.chain.mempool), len(self._inflight))
-                )
-            self.checker.check_final()
-        finally:
-            faults.install(ambient)
-        self.report.duration_s = time.perf_counter() - started
-        self.report.faults_injected = injected
-        self.report.mempool_evicted = self.chain.mempool.evicted
-        self.report.mempool_rejected = self.chain.mempool.rejected
-        self.report.users_materialized = self.population.materialized
-        self.report.blocks = len(self.chain.blocks)
-        self.report.violations = list(self.checker.violations)
-        if self._audit_lat_us:
-            ordered = sorted(self._audit_lat_us)
-            self.report.audit_p50_us = ordered[len(ordered) // 2]
-            self.report.audit_p99_us = ordered[min(len(ordered) - 1, len(ordered) * 99 // 100)]
-        self.report.digest = self._digest()
-        recorder.finish(**self.report.to_dict())
+                    drain_rounds += 1
+                if self.chain.mempool or self._inflight:
+                    self.checker.violations.append(
+                        "drain did not converge after %d rounds (%d in mempool, %d in flight)"
+                        % (drain_rounds, len(self.chain.mempool), len(self._inflight))
+                    )
+                self.checker.check_final()
+            finally:
+                # Non-None only when the run raised inside a fault epoch.
+                current = faults.install(ambient)
+                drawn += current.log if current is not None else ()
+                recorder.update(faults=drawn)
+            self.report.duration_s = time.perf_counter() - started
+            self.report.faults_injected = len(drawn)
+            self.report.mempool_evicted = self.chain.mempool.evicted
+            self.report.mempool_rejected = self.chain.mempool.rejected
+            self.report.users_materialized = self.population.materialized
+            self.report.blocks = len(self.chain.blocks)
+            self.report.violations = list(self.checker.violations)
+            if self._audit_lat_us:
+                ordered = sorted(self._audit_lat_us)
+                self.report.audit_p50_us = ordered[len(ordered) // 2]
+                self.report.audit_p99_us = ordered[min(len(ordered) - 1, len(ordered) * 99 // 100)]
+            self.report.digest = self._digest()
+            recorder.update(**self.report.to_dict())
         return self.report
 
     def _digest(self) -> str:

@@ -1,4 +1,4 @@
-"""Structured observability for the whole stack — spans, metrics, exporters.
+"""Structured observability for the whole stack — spans, metrics, the run ledger.
 
 Zero-dependency and **off by default**: the ``REPRO_TELEMETRY``
 environment variable selects one of three levels,
@@ -9,8 +9,7 @@ environment variable selects one of three levels,
 - ``metrics`` — counters and histograms record kernel calls, sizes,
   durations and cache hit/miss outcomes, but no spans are created;
 - ``trace``   — metrics plus nested wall-clock spans (prover rounds,
-  Groth16 phases, exchange protocol steps) exported to stderr and/or a
-  JSON-lines file.
+  Groth16 phases, exchange protocol steps).
 
 Everything is recorded in the calling process: the split engine's forked
 helpers record nothing, their time is the caller's kernel time.
@@ -24,9 +23,10 @@ Typical use::
     tree = telemetry.finished_roots()[-1]     # the plonk.prove span tree
     stats = telemetry.snapshot()              # counters + histograms
 
-Sinks are configured with ``REPRO_TELEMETRY_CONSOLE=1`` (span trees on
-stderr) and ``REPRO_TELEMETRY_FILE=<path>`` (JSON-lines), or
-programmatically via :func:`add_exporter`.  See ``docs/observability.md``.
+The one file telemetry writes is the run ledger (``REPRO_LEDGER=<path>``,
+:mod:`repro.telemetry.ledger`); ``python -m repro.telemetry`` reads it.
+In-process consumers register with :func:`add_exporter`.  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -36,14 +36,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping, Union
 
-from repro.telemetry.export import (
-    ConsoleExporter,
-    JsonLinesExporter,
-    format_span_tree,
-    read_spans,
-    span_records,
-    tree_from_records,
-)
 from repro.telemetry.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
@@ -61,7 +53,9 @@ from repro.telemetry.spans import (
     clear_finished,
     current_span,
     finished_roots,
+    format_span_tree,
     remove_exporter,
+    span_records,
 )
 
 #: Telemetry levels, ordered.  ``metrics`` implies counters/histograms;
@@ -204,21 +198,15 @@ def kernel_timer(kernel: str, **labels: object) -> Union[_KernelTimer, NoopSpan]
 
 
 def configure_from_env(environ: "Mapping[str, str] | None" = None) -> None:
-    """Apply ``REPRO_TELEMETRY`` / ``_CONSOLE`` / ``_FILE`` settings.
+    """Apply the ``REPRO_TELEMETRY`` level; unset or empty changes nothing.
 
     Called once at import; safe to call again after mutating ``os.environ``
-    in tests (exporters registered by a previous call stay registered —
-    use :func:`remove_exporter` to drop them).
+    in tests.
     """
     env = os.environ if environ is None else environ
     raw = env.get("REPRO_TELEMETRY", "").strip()
     if raw:
         set_level(raw)
-    if env.get("REPRO_TELEMETRY_CONSOLE", "").strip() in ("1", "true", "yes"):
-        add_exporter(ConsoleExporter())
-    path = env.get("REPRO_TELEMETRY_FILE", "").strip()
-    if path:
-        add_exporter(JsonLinesExporter(path))
 
 
 configure_from_env()
@@ -232,8 +220,6 @@ __all__ = [
     "Registry",
     "Span",
     "NOOP_SPAN",
-    "ConsoleExporter",
-    "JsonLinesExporter",
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "add_exporter",
@@ -250,7 +236,6 @@ __all__ = [
     "metrics_enabled",
     "quantile_from_bucket_dict",
     "quantile_from_buckets",
-    "read_spans",
     "registry",
     "remove_exporter",
     "reset_metrics",
@@ -259,6 +244,5 @@ __all__ = [
     "span",
     "span_records",
     "trace_enabled",
-    "tree_from_records",
     "use_level",
 ]

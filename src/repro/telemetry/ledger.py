@@ -1,57 +1,59 @@
-"""The run ledger: one append-only JSONL record per proof or exchange.
+"""The run ledger: the one file telemetry writes, one JSONL record per run.
 
 Spans and metrics answer questions about *one process right now*; the
 ledger is the durable trail — the observability counterpart of the
-paper's on-chain traceability.  Each record captures everything needed
-to reconstruct what one run did and cost:
+paper's on-chain traceability.  A record stores what was measured, and
+``python -m repro.telemetry report`` derives the rest (quantiles from
+the buckets, cache hit rates from the counters):
 
-- the span tree (flattened via :func:`~repro.telemetry.export.span_records`);
+- the span tree (flattened via :func:`~repro.telemetry.spans.span_records`);
 - the **delta** of the counter/histogram snapshot over the run, so
-  records attribute per-exchange even when many runs share a process;
-- per-cache hit rates derived from the ``engine.cache.*`` deltas;
-- every fault the active :class:`~repro.faults.injector.FaultInjector`
-  injected during the run;
+  records attribute per-run even when many runs share a process;
+- every fault injected during the run;
 - environment provenance: the installed engine's backend name, git
-  revision, telemetry level.
+  revision, telemetry level and the installed fault plan, so a chaos
+  result replays from the record alone.
 
 Schema (one JSON object per line)::
 
     {
       "schema": "repro.telemetry.ledger",   # constant
-      "schema_version": 1,
+      "schema_version": 2,
       "name": "exchange.keysecure",         # what kind of run
       "seq": 3,                             # per-writer sequence number
-      "attrs": {...},                       # caller-provided outcome attrs
-      "env": {"backend": ..., "git_revision": ...,
-              "telemetry_level": ..., "pid": ...},
-      "metrics": {"counters": {...}, "histograms": {...}},   # run delta
-      "cache_hit_rates": {"<cache>": 0.93, ...},
+      "attrs": {...},                       # outcome; "error" if it raised
+      "env": {"backend": ..., "git_revision": ..., "telemetry_level": ...,
+              "pid": ..., "faults": "<profile>:<seed>" or null},
+      "metrics": {"counters": {...},
+                  "histograms": {"<name>": {"count", "sum", "buckets"}}},
       "faults": [{"sequence": ..., "site": ..., "kind": ..., "rule_index": ...}],
       "spans": [ ...span_records... ]       # [] below trace level
     }
 
-Readers must ignore unknown keys; writers bump ``schema_version`` on any
-incompatible change.  Gating: a path passed explicitly, or the
-``REPRO_LEDGER`` environment variable; with neither, :func:`begin`
+The writers are ``KeySecureExchange.run`` (``exchange.keysecure``),
+``LoadSimulator.run`` (``loadsim.run``) and the paper-figure benches
+(``bench.<slug>``, attrs ``headers`` / ``rows``).  Readers ignore unknown
+keys; an incompatible change bumps ``schema_version``, and :func:`read`
+refuses a record of any other version.  Gating: a path passed explicitly,
+or the ``REPRO_LEDGER`` environment variable; with neither, :func:`begin`
 returns a no-op recorder and the instrumented code paths cost one
 ``None`` check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import faults as _faults
 from repro import telemetry as _tel
-from repro.telemetry.export import span_records
-from repro.telemetry.metrics import quantile_from_bucket_dict
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import Span, span_records
 
 SCHEMA = "repro.telemetry.ledger"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the ledger file; empty/unset disables.
 ENV_VAR = "REPRO_LEDGER"
@@ -88,11 +90,17 @@ def environment() -> Dict[str, Any]:
     # Lazy import: ``repro.backend`` imports ``repro.telemetry``.
     from repro.backend import get_engine
 
+    injector = _faults.active()
     return {
         "backend": get_engine().name,
         "git_revision": _git_revision(),
         "telemetry_level": _tel.level_name(),
         "pid": os.getpid(),
+        "faults": (
+            "%s:%d" % (injector.plan.name, injector.plan.seed)
+            if injector is not None
+            else None
+        ),
     }
 
 
@@ -102,10 +110,8 @@ def environment() -> Dict[str, Any]:
 def diff_snapshots(before: Mapping[str, Any], after: Mapping[str, Any]) -> Dict[str, Any]:
     """The per-run delta between two ``telemetry.snapshot()`` dicts.
 
-    Counters subtract; histograms subtract count/sum and per-bucket
-    counts, then re-derive mean and p50/p95/p99 from the delta buckets —
-    the registry's own quantiles describe the process lifetime, not the
-    run.  Instruments untouched during the run are dropped.
+    Counters subtract; histograms subtract count, sum and per-bucket
+    counts.  Instruments untouched during the run are dropped.
     """
     counters: Dict[str, int] = {}
     before_counters = before.get("counters", {})
@@ -120,20 +126,14 @@ def diff_snapshots(before: Mapping[str, Any], after: Mapping[str, Any]) -> Dict[
         count = int(hist["count"]) - int(base.get("count", 0))
         if count <= 0:
             continue
-        total = float(hist["sum"]) - float(base.get("sum", 0.0))
         base_buckets = base.get("buckets", {})
-        buckets = {
-            bucket: int(n) - int(base_buckets.get(bucket, 0))
-            for bucket, n in hist["buckets"].items()
-        }
         histograms[name] = {
             "count": count,
-            "sum": total,
-            "mean": total / count,
-            "p50": quantile_from_bucket_dict(buckets, 0.50),
-            "p95": quantile_from_bucket_dict(buckets, 0.95),
-            "p99": quantile_from_bucket_dict(buckets, 0.99),
-            "buckets": buckets,
+            "sum": float(hist["sum"]) - float(base.get("sum", 0.0)),
+            "buckets": {
+                bucket: int(n) - int(base_buckets.get(bucket, 0))
+                for bucket, n in hist["buckets"].items()
+            },
         }
     return {"counters": counters, "histograms": histograms}
 
@@ -183,16 +183,24 @@ class Ledger:
 
 
 def read(path: str) -> List[Dict[str, Any]]:
-    """Parse a ledger file, skipping lines of other/newer major schemas."""
+    """Parse a ledger file.  Lines of other schemas are skipped; a record
+    of this schema at another ``schema_version`` raises ``ValueError``."""
     records: List[Dict[str, Any]] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
-            if record.get("schema") == SCHEMA:
-                records.append(record)
+            if record.get("schema") != SCHEMA:
+                continue
+            version = record.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ValueError(
+                    "line %d: ledger schema_version %r (this reader reads %d)"
+                    % (lineno, version, SCHEMA_VERSION)
+                )
+            records.append(record)
     return records
 
 
@@ -200,54 +208,65 @@ def read(path: str) -> List[Dict[str, Any]]:
 
 
 class RunRecorder:
-    """Captures one run: baselines at :func:`begin`, deltas at :meth:`finish`."""
+    """One run's record: baselines at :func:`begin`, written when the
+    recorder's ``with`` block exits — however it exits.
 
-    __slots__ = ("ledger", "name", "_baseline", "_fault_baseline", "record")
+    Inside the block :meth:`update` names the run's root span and its
+    outcome attrs.  An exception adds ``attrs["error"] = "<Type>:
+    <message>"`` to the record and propagates.
+    """
+
+    __slots__ = (
+        "ledger", "name", "span", "attrs", "faults", "record",
+        "_baseline", "_fault_baseline",
+    )
 
     def __init__(self, ledger: Ledger, name: str) -> None:
         self.ledger = ledger
         self.name = name
+        self.span: Any = None
+        self.attrs: Dict[str, Any] = {}
+        self.faults: Optional[Sequence[Any]] = None
+        self.record: Optional[Dict[str, Any]] = None
         self._baseline = _tel.snapshot()
         injector = _faults.active()
         self._fault_baseline = len(injector.log) if injector is not None else 0
-        self.record: Optional[Dict[str, Any]] = None
 
-    def finish(
-        self,
-        span: "Span | Any" = None,
-        **attrs: Any,
-    ) -> Dict[str, Any]:
-        """Write this run's ledger record; returns the stamped record.
+    def update(
+        self, span: Any = None, faults: Optional[Sequence[Any]] = None, **attrs: Any
+    ) -> None:
+        """Set the root span, the outcome attrs and, for a run that
+        installs injectors of its own, the faults they drew (by default
+        the record takes what the active injector drew since :func:`begin`).
+        A ``span`` that is not a real :class:`Span` — the shared no-op
+        below trace level — serialises as ``[]``."""
+        if span is not None:
+            self.span = span
+        if faults is not None:
+            self.faults = faults
+        self.attrs.update(attrs)
 
-        ``span`` is the run's root :class:`Span` (the ``exchange.run`` or
-        ``plonk.prove`` region); anything that is not a real span —
-        e.g. the shared no-op below trace level — serialises as ``[]``.
-        """
-        metrics = diff_snapshots(self._baseline, _tel.snapshot())
-        injector = _faults.active()
-        injected: List[Dict[str, Any]] = []
-        if injector is not None:
-            for fault in injector.log[self._fault_baseline :]:
-                injected.append(
-                    {
-                        "sequence": fault.sequence,
-                        "site": fault.site,
-                        "kind": fault.kind,
-                        "rule_index": fault.rule_index,
-                    }
-                )
+    def __enter__(self) -> "RunRecorder":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        if exc_type is not None:
+            self.attrs["error"] = "%s: %s" % (exc_type.__name__, exc)
+        drawn = self.faults
+        if drawn is None:
+            injector = _faults.active()
+            drawn = injector.log[self._fault_baseline :] if injector is not None else []
         self.record = self.ledger.append(
             {
                 "name": self.name,
-                "attrs": dict(attrs),
+                "attrs": self.attrs,
                 "env": environment(),
-                "metrics": metrics,
-                "cache_hit_rates": cache_hit_rates(metrics["counters"]),
-                "faults": injected,
-                "spans": span_records(span) if isinstance(span, Span) else [],
+                "metrics": diff_snapshots(self._baseline, _tel.snapshot()),
+                "faults": [dataclasses.asdict(fault) for fault in drawn],
+                "spans": span_records(self.span) if isinstance(self.span, Span) else [],
             }
         )
-        return self.record
+        return False
 
 
 class _NoopRecorder:
@@ -255,8 +274,16 @@ class _NoopRecorder:
 
     __slots__ = ()
 
-    def finish(self, span: Any = None, **attrs: Any) -> Dict[str, Any]:
-        return {}
+    record = None
+
+    def update(self, span: Any = None, faults: Any = None, **attrs: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_NoopRecorder":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        return False
 
 
 NOOP_RECORDER = _NoopRecorder()
@@ -281,10 +308,11 @@ def begin(name: str, path: Optional[str] = None) -> "Union[RunRecorder, _NoopRec
     Returns a no-op recorder when neither is set, so instrumenting a code
     path costs nothing without opt-in::
 
-        rec = ledger.begin("exchange.keysecure")
-        with telemetry.span("exchange.run") as root:
+        with ledger.begin("exchange.keysecure") as rec, \\
+                telemetry.span("exchange.run") as root:
+            rec.update(span=root)
             result = run_protocol()
-        rec.finish(span=root, success=result.success)
+            rec.update(success=result.success)
     """
     target = path if path is not None else default_path()
     if target is None:

@@ -9,6 +9,8 @@ the wall-clock of the caller's kernel span.
 When a **root** span (one with no open parent) closes, the finished tree
 is handed to every registered exporter and kept in a bounded in-memory
 ring so tests and the benchmark harness can inspect it without I/O.
+A tree reaches disk only inside a run-ledger record
+(:func:`span_records`); :func:`format_span_tree` renders one for a reader.
 """
 
 from __future__ import annotations
@@ -167,3 +169,48 @@ def remove_exporter(exporter: "Callable[[Span], Any]") -> None:
         _exporters.remove(exporter)
     except ValueError:
         pass
+
+
+def _format_attr(value: Any) -> str:
+    if isinstance(value, float):
+        return "%.6g" % value
+    return str(value)
+
+
+def format_span_tree(span: Span, indent: str = "") -> str:
+    """Render one span subtree as indented text with millisecond timings."""
+    attrs = ""
+    if span.attrs:
+        attrs = "  [%s]" % ", ".join(
+            "%s=%s" % (k, _format_attr(v)) for k, v in span.attrs.items()
+        )
+    lines = ["%s%s  %.1f ms%s" % (indent, span.name, span.duration * 1e3, attrs)]
+    for child in span.children:
+        lines.append(format_span_tree(child, indent + "  "))
+    return "\n".join(lines)
+
+
+def span_records(root: Span) -> list[dict]:
+    """Flatten a span tree to records with ``id``/``parent`` links.
+
+    Ids are depth-first pre-order positions within this tree (the root is
+    0), so records are self-contained per tree and stable across runs.
+    ``root`` may itself be an interior span of a larger trace (e.g. an
+    ``exchange.run`` nested under ``marketplace.sell``); parents outside
+    the exported subtree serialise as ``None``.
+    """
+    ids: dict[int, int] = {}
+    records: list[dict] = []
+    for i, node in enumerate(root.walk()):
+        ids[id(node)] = i
+        records.append(
+            {
+                "id": i,
+                "parent": ids.get(id(node.parent)) if node.parent is not None else None,
+                "name": node.name,
+                "start": node.start,
+                "duration": node.duration,
+                "attrs": dict(node.attrs),
+            }
+        )
+    return records

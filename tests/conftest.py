@@ -14,7 +14,6 @@ used it and failed gets a replay line appended to its report so the
 exact run can be reproduced from the terminal output alone.
 """
 
-import json
 import os
 import threading
 from multiprocessing.process import BaseProcess
@@ -137,18 +136,3 @@ def pytest_runtest_makereport(item, call):
             )
         )
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Optionally dump the telemetry metrics registry for CI artifacts."""
-    out = os.environ.get("REPRO_CHAOS_TELEMETRY_OUT")
-    if not out:
-        return
-    from repro import telemetry
-
-    if not telemetry.metrics_enabled():
-        return
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(telemetry.snapshot(), fh, indent=2, sort_keys=True, default=str)

@@ -75,7 +75,8 @@ class Published:
 def publishing(chain):
     """Record what runs on ``chain`` publish inside the block: the calldata
     of each ``chain.transact``, every span tree (tracing is on) and the
-    run-ledger records (a ledger is active)."""
+    run-ledger records (a ledger is active: ``REPRO_LEDGER``'s when it is
+    set, so a chaos job's ledger keeps every run, else a scratch one)."""
     published = Published()
     transact = vars(chain).get("transact")
     submit = chain.transact
@@ -85,7 +86,8 @@ def publishing(chain):
         return submit(sender, contract, method, *args, **kwargs)
 
     with tempfile.TemporaryDirectory() as tmp, telemetry.use_level("trace"):
-        path = os.path.join(tmp, "ledger.jsonl")
+        path = ledger.default_path() or os.path.join(tmp, "ledger.jsonl")
+        earlier = len(ledger.read(path)) if os.path.exists(path) else 0
         chain.transact = recording
         telemetry.add_exporter(published.spans.append)
         try:
@@ -98,7 +100,7 @@ def publishing(chain):
             else:
                 chain.transact = transact
             if os.path.exists(path):
-                published.ledger = ledger.read(path)
+                published.ledger = ledger.read(path)[earlier:]
 
 
 def _shows(value, secrets):

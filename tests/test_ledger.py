@@ -23,6 +23,7 @@ from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiatio
 from repro.core.tokens import DataAsset
 from repro.faults import FaultPlan
 from repro.telemetry import ledger
+from repro.telemetry.cli import merge_histograms
 
 
 @pytest.fixture(autouse=True)
@@ -79,12 +80,13 @@ class TestDiffSnapshots:
         h.observe(3.0)  # the run's only observation
         delta = ledger.diff_snapshots(before, telemetry.snapshot())
         entry = delta["histograms"]["lat"]
-        assert entry["count"] == 1
-        assert entry["sum"] == pytest.approx(3.0)
-        assert entry["mean"] == pytest.approx(3.0)
-        assert entry["buckets"] == {"le_1": 0, "le_4": 1, "inf": 0}
+        # A record stores what was measured; `report` derives the rest.
+        assert entry == {"count": 1, "sum": pytest.approx(3.0),
+                         "buckets": {"le_1": 0, "le_4": 1, "inf": 0}}
+        derived = merge_histograms([{"metrics": delta}])["lat"]
+        assert derived["mean"] == pytest.approx(3.0)
         # Quantiles come from the delta buckets, not process lifetime.
-        assert 1.0 <= entry["p50"] <= 4.0
+        assert 1.0 <= derived["p50"] <= 4.0
 
     def test_untouched_histogram_is_dropped(self):
         telemetry.set_level(telemetry.METRICS)
@@ -129,29 +131,46 @@ class TestWriter:
         path.write_text(
             json.dumps({"schema": "other.tool", "x": 1})
             + "\n\n"
-            + json.dumps({"schema": ledger.SCHEMA, "schema_version": 1, "name": "keep"})
+            + json.dumps(
+                {"schema": ledger.SCHEMA, "schema_version": ledger.SCHEMA_VERSION, "name": "keep"}
+            )
             + "\n"
         )
         records = ledger.read(str(path))
         assert [r["name"] for r in records] == ["keep"]
 
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_reader_rejects_other_schema_versions(self, tmp_path, version):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            json.dumps({"schema": ledger.SCHEMA, "schema_version": version, "name": "x"})
+            + "\n"
+        )
+        with pytest.raises(ValueError, match="schema_version %d" % version):
+            ledger.read(str(path))
+
     def test_writer_registry_keeps_sequence_across_begins(self, tmp_path):
         path = str(tmp_path / "seq.jsonl")
-        ledger.begin("a", path=path).finish()
-        ledger.begin("b", path=path).finish()
+        with ledger.begin("a", path=path):
+            pass
+        with ledger.begin("b", path=path):
+            pass
         assert [r["seq"] for r in ledger.read(path)] == [0, 1]
 
     def test_begin_without_path_is_noop(self):
         rec = ledger.begin("nothing")
         assert rec is ledger.NOOP_RECORDER
-        assert rec.finish(success=True) == {}
+        with rec:
+            rec.update(success=True)
+        assert rec.record is None
 
     def test_env_var_enables_default_path(self, tmp_path, monkeypatch):
         target = str(tmp_path / "env.jsonl")
         monkeypatch.setenv(ledger.ENV_VAR, target)
         assert ledger.default_path() == target
         assert ledger.enabled()
-        ledger.begin("via-env").finish(ok=1)
+        with ledger.begin("via-env") as rec:
+            rec.update(ok=1)
         assert [r["name"] for r in ledger.read(target)] == ["via-env"]
 
 
@@ -159,16 +178,20 @@ class TestRunRecorder:
     def test_record_carries_deltas_spans_and_env(self, tmp_path):
         telemetry.set_level(telemetry.TRACE)
         telemetry.counter("warmup").inc(10)  # pre-run noise
-        rec = ledger.begin("unit.run", path=str(tmp_path / "r.jsonl"))
-        with telemetry.span("unit.root") as root:
-            telemetry.counter("warmup").inc(2)
-            with telemetry.span("unit.child"):
-                pass
-        record = rec.finish(span=root, success=True, gas_used=7)
+        with ledger.begin("unit.run", path=str(tmp_path / "r.jsonl")) as rec:
+            with telemetry.span("unit.root") as root:
+                telemetry.counter("warmup").inc(2)
+                with telemetry.span("unit.child"):
+                    pass
+            rec.update(span=root, success=True, gas_used=7)
+        record = rec.record
         assert record["name"] == "unit.run"
         assert record["attrs"] == {"success": True, "gas_used": 7}
         assert record["metrics"]["counters"] == {"warmup": 2}
-        assert set(record["env"]) == {"backend", "git_revision", "telemetry_level", "pid"}
+        assert set(record["env"]) == {
+            "backend", "git_revision", "telemetry_level", "pid", "faults",
+        }
+        assert record["env"]["faults"] is None
         names = [s["name"] for s in record["spans"]]
         assert names == ["unit.root", "unit.child"]
         assert record["faults"] == []
@@ -182,9 +205,27 @@ class TestRunRecorder:
             assert ledger.environment()["backend"] == "serial"
 
     def test_non_span_serialises_as_empty_spans(self, tmp_path):
-        rec = ledger.begin("quiet.run", path=str(tmp_path / "r.jsonl"))
-        record = rec.finish(span=telemetry.NOOP_SPAN)
-        assert record["spans"] == []
+        with ledger.begin("quiet.run", path=str(tmp_path / "r.jsonl")) as rec:
+            rec.update(span=telemetry.NOOP_SPAN)
+        assert rec.record["spans"] == []
+
+    def test_env_faults_names_the_installed_plan(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        with faults.use_plan(FaultPlan.profile("chain", seed=42)):
+            assert ledger.environment()["faults"] == "chain:42"
+            with ledger.begin("chaos.run", path=path):
+                pass
+        assert ledger.environment()["faults"] is None
+        assert [r["env"]["faults"] for r in ledger.read(path)] == ["chain:42"]
+
+    def test_a_run_that_raises_still_writes_its_record(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        with pytest.raises(KeyError):
+            with ledger.begin("unit.run", path=path) as rec:
+                rec.update(price=5)
+                raise KeyError("lost")
+        (record,) = ledger.read(path)
+        assert record["attrs"] == {"price": 5, "error": "KeyError: 'lost'"}
 
 
 # ----- the real exchange writes exactly one record ---------------------------
@@ -218,8 +259,32 @@ class TestExchangeIntegration:
         assert "engine.kernel.seconds{kernel=pairing_check}" in record["metrics"][
             "histograms"
         ]
-        assert record["cache_hit_rates"]  # at least one cache exercised
+        # Cache rates are derived from the counters, not stored.
+        assert "cache_hit_rates" not in record
+        assert ledger.cache_hit_rates(counters)  # at least one cache exercised
         assert record["faults"] == []
+
+    def test_prover_crash_leaves_one_record_with_the_error(
+        self, tmp_path, monkeypatch, snark_ctx
+    ):
+        class CrashingSeller(Seller):
+            def data_validation_message(self, predicate=None):
+                raise RuntimeError("prover crashed")
+
+        path = str(tmp_path / "crash.jsonl")
+        monkeypatch.setenv(ledger.ENV_VAR, path)
+        chain, arbiter, seller_addr, buyer_addr = _market(snark_ctx)
+        asset = DataAsset.create([42, 84], key=555, nonce=666)
+        asset.uri = "u"
+        seller = CrashingSeller(snark_ctx, asset, seller_addr)
+        buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+        protocol = KeySecureExchange(snark_ctx, chain, arbiter)
+        with pytest.raises(RuntimeError, match="prover crashed"):
+            protocol.run(seller, buyer, price=5000)
+        (record,) = ledger.read(path)
+        assert record["name"] == "exchange.keysecure"
+        assert record["attrs"]["error"] == "RuntimeError: prover crashed"
+        assert record["attrs"]["price"] == 5000
 
     def test_second_exchange_appends_a_second_record(
         self, tmp_path, monkeypatch, snark_ctx

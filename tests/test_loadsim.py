@@ -25,6 +25,7 @@ from repro.loadsim import (
     sim_draw,
     skewed_draw,
 )
+from repro.telemetry import ledger
 
 #: Small-but-real: enough operations that every op kind, the mempool
 #: backpressure path and churn all actually fire.
@@ -92,6 +93,17 @@ class TestSimulation:
         # Replays under faults are deterministic too.
         again = run_sim(fault_profile="soak", seed=4242, **_SMOKE)
         assert again.digest == report.digest
+
+    def test_ledger_record_carries_every_injected_fault(self, tmp_path, monkeypatch):
+        """The record lists what the run's own epoch injectors drew, not
+        the slice of the ambient injector's log (which drew nothing)."""
+        path = str(tmp_path / "loadsim.jsonl")
+        monkeypatch.setenv(ledger.ENV_VAR, path)
+        LoadSimulator(SimConfig(users=200, ops=600, fault_profile="all", fault_seed=7,
+                                fault_epoch_ops=200)).run()
+        (record,) = ledger.read(path)
+        assert record["name"] == "loadsim.run"
+        assert len(record["faults"]) == record["attrs"]["faults_injected"] > 0
 
     def test_default_config_traffic_is_pinned(self):
         """Golden run: the numbers ``lanes=1, block_txs=256`` produced at

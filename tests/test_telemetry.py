@@ -1,11 +1,9 @@
-"""Tests for the telemetry layer: spans, metrics, exporters, kernel counters.
+"""Tests for the telemetry layer: spans, metrics, span records, kernel counters.
 
 The kernel-accounting tests double as the repo's cache ground truth: the
 warm-proof test asserts the *measured* "10 of 16 coset FFTs skipped" claim
 that the engine docstring and the repeated-proof benchmark cite.
 """
-
-import io
 
 import pytest
 
@@ -246,7 +244,7 @@ class TestMetrics:
         assert telemetry.snapshot() == {"counters": {}, "histograms": {}}
 
 
-# ----- exporters ------------------------------------------------------------
+# ----- rendering and flattening span trees -----------------------------------
 
 
 def _sample_tree():
@@ -268,36 +266,6 @@ class TestExporters:
         assert lines[0].startswith("root") and "run=1" in lines[0]
         assert lines[1].startswith("  left")
         assert lines[2].startswith("    leaf") and "deep=True" in lines[2]
-
-    def test_console_exporter_writes_on_root_completion(self):
-        stream = io.StringIO()
-        exporter = telemetry.ConsoleExporter(stream)
-        telemetry.add_exporter(exporter)
-        try:
-            _sample_tree()
-        finally:
-            telemetry.remove_exporter(exporter)
-        assert "-- trace --" in stream.getvalue()
-        assert "leaf" in stream.getvalue()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        exporter = telemetry.JsonLinesExporter(path)
-        telemetry.add_exporter(exporter)
-        try:
-            _sample_tree()
-            _sample_tree()  # appended trees must stay separable
-        finally:
-            telemetry.remove_exporter(exporter)
-        records = telemetry.read_spans(path)
-        assert len(records) == 8
-        trees = telemetry.tree_from_records(records)
-        assert len(trees) == 2
-        for tree in trees:
-            assert tree["name"] == "root" and tree["parent"] is None
-            assert [c["name"] for c in tree["children"]] == ["left", "right"]
-            assert tree["children"][0]["children"][0]["name"] == "leaf"
-            assert tree["children"][0]["children"][0]["attrs"] == {"deep": True}
 
     def test_span_records_ids_are_preorder(self):
         root = _sample_tree()
