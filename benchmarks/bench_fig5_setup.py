@@ -9,7 +9,7 @@ growth in n) is the claim under test.
 
 import time
 
-from conftest import print_table, run_once
+from conftest import engine_label, print_table, run_once
 
 from repro.costmodel import TimingModel
 from repro.kzg import SRS
@@ -57,7 +57,7 @@ def test_fig5_setup_time(benchmark):
         )
         rows.append((n, "model", "%.1f s" % model.predict(n), note))
     print_table(
-        "Figure 5 - circuit setup time vs constraints",
+        "Figure 5 - circuit setup time vs constraints (%s)" % engine_label(),
         ["constraints", "kind", "setup time", "notes"],
         rows,
     )

@@ -22,7 +22,7 @@ still holds (MiMC re-encryption is pi_e-only), just with a smaller gap.
 
 import time
 
-from conftest import print_table, run_once
+from conftest import engine_label, print_table, run_once
 
 from repro.costmodel import (
     TimingModel,
@@ -121,7 +121,7 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
     rows.append(("pi_k", "any size", "measured", "%.2f s (paper native: %s)"
                  % (results["pi_k"], PAPER["pi_k"])))
     print_table(
-        "Figure 6 - proof generation time vs data size",
+        "Figure 6 - proof generation time vs data size (%s)" % engine_label(),
         ["proof", "data size", "kind", "time"],
         rows,
     )

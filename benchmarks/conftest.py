@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from repro.backend import get_engine
 from repro.core.snark import SnarkContext
 from repro.telemetry import ledger as _ledger
 
@@ -26,6 +27,15 @@ _SRS_DEGREE = 32800
 @pytest.fixture(scope="session")
 def snark_ctx():
     return SnarkContext.with_fresh_srs(_SRS_DEGREE, tau=0xBEEF)
+
+
+def engine_label() -> str:
+    """What the process's engine proves on, for a table's title: its
+    name and helper count (one helper per spare core of the CPU mask)."""
+    engine = get_engine()
+    return "%s engine, %d helper%s" % (
+        engine.name, engine.helpers, "" if engine.helpers == 1 else "s"
+    )
 
 
 def run_once(benchmark, fn):

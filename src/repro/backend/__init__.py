@@ -8,17 +8,19 @@ amortise work across proofs (SRS Jacobian views, MSM window tables,
 coset evaluations, prepared G2 points).  Protocol code takes no engine
 argument: it calls :func:`get_engine`.
 
-The engine is serial unless it has ``helpers``: forked processes that
-share its fixed-table G1 MSMs (every commitment of a warm Plonk proof)
-and give bit-identical results.  There is nothing to set: the default
-has none, and :class:`~repro.service.pool.ProverPool` gives each of its
-workers the spare cores of the CPU mask.  Anything else sets them on the
-process engine, or installs a fresh one for a scope::
+The engine has ``helpers``: forked processes that share its fixed-table
+G1 MSMs (every commitment of a warm Plonk proof), each building and
+holding its own rows of the window tables, with bit-identical results.
+There is nothing to set: :func:`get_engine` gives the process's engine
+one helper per spare core of the CPU mask (none on one CPU), and
+:class:`~repro.service.pool.ProverPool` gives each of its workers its
+share of the spares by the same rule (:func:`spare_cores`).  A scope
+that wants another engine installs one::
 
     from repro.backend import Engine, use_engine
 
-    with use_engine(Engine(helpers=1)):
-        proof = prove(pk, assignment)       # table MSMs on two cores
+    with use_engine(Engine()):
+        proof = prove(pk, assignment)       # every kernel in this process
 
 See ``docs/backend_architecture.md`` for the interface contract, cache
 lifetimes and the helpers' lifecycle.
@@ -26,6 +28,7 @@ lifetimes and the helpers' lifecycle.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -34,23 +37,31 @@ from repro.backend.engine import Engine
 _engine: Engine | None = None
 
 
+def spare_cores(processes: int = 1) -> int:
+    """Helpers for each of ``processes`` proving processes: its share of
+    the CPU mask less the core it runs on itself."""
+    return max(0, len(os.sched_getaffinity(0)) // processes - 1)
+
+
 def get_engine() -> Engine:
-    """Return the process's engine, creating it (with no helpers) on
-    first use.
+    """Return the process's engine, creating it on first use with
+    :func:`spare_cores` helpers.
 
     It is shared so its caches amortise across every proof in the
-    process; a forked child inherits it, tables and all.
+    process; a forked child inherits it with the rows it holds and
+    none of its helpers.
     """
     global _engine
     if _engine is None:
-        _engine = Engine()
+        _engine = Engine(helpers=spare_cores())
     return _engine
 
 
 def set_engine(engine: Engine | None) -> Engine | None:
     """Replace the process's engine; returns the previous one.
 
-    Passing ``None`` resets to a lazily created helper-less engine.
+    Passing ``None`` resets to a lazily created engine (helpers from the
+    CPU mask as it is then).
     """
     global _engine
     previous, _engine = _engine, engine
@@ -68,4 +79,4 @@ def use_engine(engine: Engine) -> Iterator[Engine]:
         set_engine(previous)
 
 
-__all__ = ["Engine", "get_engine", "set_engine", "use_engine"]
+__all__ = ["Engine", "get_engine", "set_engine", "spare_cores", "use_engine"]

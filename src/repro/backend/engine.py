@@ -25,19 +25,23 @@ Protocol code never touches raw kernels directly: it asks the process's
 engine (:func:`repro.backend.get_engine`).  Every kernel runs in this
 process but one: a fixed-table G1 MSM (``msm_srs`` / ``msm_g1_fixed`` on
 the window-table path — all nine commitments of a warm Plonk proof) of at
-least :data:`MIN_MSM_POINTS` terms, on an engine with ``helpers > 0``,
-keeps shard 0 here and sends every other shard to a long-lived forked
-*helper*.  CPython's GIL rules out threads for big-int arithmetic, so the
-second core is reached with processes.  A helper inherited the window
-tables at fork, so a request is the table's key, an offset and the
-scalars (~33 B each), the reply is one Jacobian point, both sides run the
-same ``msm_fixed_window`` and the partials fold with ``jac_add``: the
-result is bit-identical to the unsplit pass.  Helpers are forked once the
-tables they need exist and re-forked when a table outgrows them.  A
-helper that dies is dropped and its shard recomputed in place.  Helpers
-belong to the process that forked them: an engine inherited across a
-fork (a prover-pool worker's) starts with none of its parent's.  Every
-other kernel stays in-process: splitting them was measured and paid for
+least :data:`MIN_MSM_POINTS` terms, on an engine with ``helpers > 0``, is
+shared with long-lived forked *helpers*.  CPython's GIL rules out threads
+for big-int arithmetic, so the other cores are reached with processes.
+With h helpers, row i of a window table belongs to process i mod (h + 1),
+process 0 being this one: each process builds and holds only its own
+rows, a helper's exactly the points it was sent.  A request carries the
+points of the helper's rows that the table gained since its last request
+(none once warm) and its residue's scalars (~33 B each); the reply is one
+Jacobian point.  Every side runs the same ``msm_fixed_window`` and the
+partials fold with ``jac_add``: the affine result is the unsplit pass's.
+Helpers are forked once, at the first wide MSM, and only while this is
+the process's one thread; table growth never re-forks them.  A helper
+that dies is dropped, not replaced: its shard is computed here, from rows
+this process builds the first time it needs them.  Helpers belong to the
+process that forked them: an engine inherited across a fork (a
+prover-pool worker's) starts with none of its parent's.  Every other
+kernel stays in-process: splitting them was measured and paid for
 nothing (EXPERIMENTS.md, "Folded: the parallel engine's pool").
 
 The public methods are thin wrappers that record telemetry (call counts,
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -91,7 +96,8 @@ from repro.curve.pairing import (
 from repro.field.fr import MODULUS as _R, batch_inverse as _fr_batch_inverse
 from repro.field.ntt import COSET_SHIFT, Domain
 
-#: Fixed-table MSMs shorter than this are not worth a pipe round trip.
+#: The shortest fixed-table MSM that forks the helpers: a shorter one
+#: is not worth a fork.
 MIN_MSM_POINTS = 128
 
 #: Scalars are at most 254 bits on BN254.
@@ -114,19 +120,6 @@ def _record_cache(cache: str, hit: bool) -> None:
     _tel.counter("engine.cache.hits" if hit else "engine.cache.misses", cache=cache).inc()
 
 
-def _spans(n: int, pieces: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``(start, count)`` spans covering ``range(n)``."""
-    pieces = max(1, min(pieces, n))
-    size, extra = divmod(n, pieces)
-    out = []
-    start = 0
-    for i in range(pieces):
-        count = size + (1 if i < extra else 0)
-        out.append((start, count))
-        start += count
-    return out
-
-
 def serve(conn: Any, inherited: list, handle: Callable[[Any], Any]) -> None:
     """Forked child: send ``handle(request)`` back for each request on
     ``conn`` until the owner's end closes (EOF, or a send that fails).
@@ -141,6 +134,35 @@ def serve(conn: Any, inherited: list, handle: Callable[[Any], Any]) -> None:
             conn.send(handle(conn.recv()))
         except (EOFError, OSError):
             return
+
+
+def _help(conn: Any, inherited: list) -> None:
+    """Forked helper: for each ``(table key, width, new points, scalars)``
+    append the new points' window rows to that table's rows and reply
+    with the MSM of the scalars over them.  Its rows are exactly the
+    points it was sent, whatever the fork copied."""
+    rows: dict[int, tuple[int, list]] = {}
+
+    def shard(request: tuple) -> tuple:
+        key, c, points, scalars = request
+        held = rows.get(key)
+        if held is None or held[0] != c:
+            held = rows[key] = (c, [])
+        held[1].extend(build_window_tables(points, c))
+        return msm_fixed_window(held[1], c, scalars)
+
+    serve(conn, inherited, shard)
+
+
+class _Helper:
+    """A forked helper: its process, our end of its pipe, the residue of
+    the rows it owns, and table key -> (width, rows of its residue it holds)."""
+
+    __slots__ = ("proc", "conn", "residue", "held")
+
+    def __init__(self, proc: Any, conn: Any, residue: int) -> None:
+        self.proc, self.conn, self.residue = proc, conn, residue
+        self.held: dict[int, tuple[int, int]] = {}
 
 
 def apply_ntt_job(job: tuple) -> list[int]:
@@ -222,15 +244,17 @@ class Engine:
         #: Forked processes a fixed-table MSM is shared with; a
         #: prover-pool worker sets it on the engine it inherited.
         self.helpers = max(0, helpers)
-        #: Live helpers as ``(process, our pipe end)``, forked by ``_pid``.
-        self._links: list[tuple[Any, Any]] = []
+        #: Live helpers, forked by ``_pid``.
+        self._links: list[_Helper] = []
         self._pid = os.getpid()
-        #: Table key -> rows the helpers inherited when they were forked.
-        self._forked_rows: dict[int, int] = {}
+        #: Row i belongs to process i mod ``_stride`` (0: not forked since
+        #: the last ``close()``, every row is ours).
+        self._stride = 0
         self._srs_jac: dict[int, tuple] = {}
         self._fixed_jac: dict[int, tuple] = {}
-        #: id(owner) -> (owner, window width c, per-point window tables).
-        self._window_tables: dict[int, tuple[Any, int, list[list[tuple]]]] = {}
+        #: id(owner) -> (owner, window width c, per-point window rows for
+        #: the prefix seen so far; ``None`` where a helper holds the row).
+        self._window_tables: dict[int, tuple[Any, int, list]] = {}
         self._fb_tables: dict[tuple, _FixedBaseTable] = {}
         self._eval_cache: OrderedDict = OrderedDict()
         self.eval_cache_capacity = 64
@@ -390,8 +414,8 @@ class Engine:
 
         The KZG commit hot path.  The points resolve through the cached
         Jacobian view (:meth:`srs_g1_jacobian`), so the caller never
-        copies the point list; the engine's helpers inherit the
-        window tables, so what it ships per call is just the scalars.
+        copies the point list; once the helpers hold their window rows,
+        what the engine ships per call is just the scalars.
         """
         if not _tel.metrics_enabled():
             return self._msm_srs(srs, [int(s) for s in scalars])
@@ -422,8 +446,8 @@ class Engine:
         the generic MSM, and the fall-off is counted as
         ``engine.cache.bypasses{cache=msm_window}`` so it cannot go
         unnoticed.  Tables are pinned by owner identity like the Jacobian
-        caches and extended in place when a longer prefix is first
-        requested.
+        caches and extended when a longer prefix is first requested; each
+        row is built by the process that owns it, when it is first needed.
         """
         n = len(scalars)
         if not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
@@ -432,19 +456,19 @@ class Engine:
             return None
         hit = self._window_tables.get(id(owner))
         if hit is not None and hit[0] is owner:
-            _, c, tables = hit
+            _, c, rows = hit
         else:
-            c, tables = 0, []
+            c, rows = 0, []
         if _tel.metrics_enabled():
-            _record_cache("msm_window", len(tables) >= n)
-        if len(tables) < n:
+            _record_cache("msm_window", len(rows) >= n)
+        if len(rows) < n:
             # The width follows the table's size: growth across a
             # ``fixed_window_c`` threshold rebuilds at the wider window.
             if fixed_window_c(n) != c:
-                c, tables = fixed_window_c(n), []
-            tables.extend(build_window_tables(list(points[len(tables) : n]), c))
-            self._window_tables[id(owner)] = (owner, c, tables)
-        return self._fixed_window(id(owner), c, tables, scalars)
+                c, rows = fixed_window_c(n), []
+            rows.extend([None] * (n - len(rows)))
+            self._window_tables[id(owner)] = (owner, c, rows)
+        return self._fixed_window(id(owner), c, rows, points, scalars)
 
     @property
     def name(self) -> str:
@@ -452,74 +476,82 @@ class Engine:
         ledger records are stamped with it)."""
         return "split" if self.helpers else "serial"
 
-    def _fixed_window(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
-        """One bucket pass over ``_window_tables[key]``, shared with the
-        helpers when there are any and the MSM is wide enough."""
-        if self.helpers and len(scalars) >= MIN_MSM_POINTS:
-            self._own_links()  # after a fork: the parent's helpers are not ours
-            if self._forked_rows.get(key, 0) < len(scalars):
-                self._fork_helpers()
-            if self._links:
-                return self._split(key, c, tables, scalars)
-        return msm_fixed_window(tables, c, scalars)
+    def _fixed_window(
+        self, key: int, c: int, rows: list, points: tuple, scalars: list[int]
+    ) -> tuple:
+        """One bucket pass over the window rows ``rows`` of ``points``,
+        shared with the helpers while there are any.  The first MSM of
+        ``MIN_MSM_POINTS`` terms or more forks them, if this is the
+        process's one thread (otherwise it runs here)."""
+        n = len(scalars)
+        unforked = not (self._own_links() or self._stride)
+        if unforked and self.helpers and n >= MIN_MSM_POINTS and threading.active_count() == 1:
+            self._fork_helpers()
+        if self._links:
+            return self._split(key, c, rows, points, scalars)
+        return self._local(c, rows, points, scalars, range(n))
 
-    def _split(self, key: int, c: int, tables: list, scalars: list[int]) -> tuple:
-        shards = _spans(len(scalars), len(self._links) + 1)
-        asked = list(zip(self._links, shards[1:]))
-        for (_, conn), (start, count) in asked:
+    def _local(self, c: int, rows: list, points: tuple, scalars: list, indices: Any) -> tuple:
+        """The MSM over the rows at ``indices``, built here where missing."""
+        missing = [i for i in indices if rows[i] is None]
+        if missing:
+            for i, row in zip(missing, build_window_tables([points[i] for i in missing], c)):
+                rows[i] = row
+        return msm_fixed_window([rows[i] for i in indices], c, [scalars[i] for i in indices])
+
+    def _split(self, key: int, c: int, rows: list, points: tuple, scalars: list[int]) -> tuple:
+        n, stride = len(scalars), self._stride
+        asked = list(self._links)
+        for helper in asked:
+            r = helper.residue
+            width, count = helper.held.get(key, (c, 0))
+            count = count if width == c else 0
+            start = r + count * stride
+            helper.held[key] = (c, max(count, len(range(r, n, stride))))
             try:
-                conn.send((key, start, scalars[start : start + count]))
+                helper.conn.send((key, c, points[start:n:stride], scalars[r:n:stride]))
             except OSError:
-                conn.close()  # the recv below raises and recomputes the shard
-        acc = msm_fixed_window(tables, c, scalars[: shards[0][1]])
-        for link, (start, count) in asked:
+                helper.conn.close()  # the recv below raises and recomputes the shard
+        theirs = {helper.residue for helper in asked}
+        ours = [i for i in range(n) if i % stride not in theirs]
+        acc = self._local(c, rows, points, scalars, ours)
+        for helper in asked:
             try:
-                part = link[1].recv()
+                part = helper.conn.recv()
             except (EOFError, OSError):
-                # Helper lost: drop it and do its shard here, same kernel.
-                self._links.remove(link)
-                link[1].close()
-                part = msm_fixed_window(
-                    tables[start : start + count], c, scalars[start : start + count]
-                )
+                # Helper lost: drop it; its rows are ours from now on.
+                self._links.remove(helper)
+                helper.conn.close()
+                part = self._local(c, rows, points, scalars, range(helper.residue, n, stride))
             acc = jac_add(acc, part)
         return acc
 
-    def _shard(self, request: tuple) -> tuple:
-        """Helper side: the partial MSM over one slice of a table it
-        inherited, for ``(table key, offset, scalars)``."""
-        key, start, scalars = request
-        _, c, tables = self._window_tables[key]
-        return msm_fixed_window(tables[start : start + len(scalars)], c, scalars)
-
     def _fork_helpers(self) -> None:
-        """(Re)fork the helpers so they inherit the tables as they are now."""
-        self.close()
+        """Fork the helpers; helper j owns the rows of residue j."""
         ctx = multiprocessing.get_context("fork")
-        self._forked_rows = {k: len(v[2]) for k, v in self._window_tables.items()}
-        for _ in range(self.helpers):
+        self._stride = self.helpers + 1
+        for residue in range(1, self._stride):
             ours, theirs = ctx.Pipe()
-            inherited = [ours] + [link[1] for link in self._links]
-            proc = ctx.Process(
-                target=serve, args=(theirs, inherited, self._shard), daemon=True
-            )
+            inherited = [ours] + [helper.conn for helper in self._links]
+            proc = ctx.Process(target=_help, args=(theirs, inherited), daemon=True)
             proc.start()
             theirs.close()
-            self._links.append((proc, ours))
+            self._links.append(_Helper(proc, ours, residue))
 
-    def _own_links(self) -> list[tuple[Any, Any]]:
+    def _own_links(self) -> list[_Helper]:
         """The helpers this process forked.  In a child forked from this
         engine's process they are the parent's: close our copies of
-        their pipes and start with none."""
+        their pipes and start with none (the rows this process holds
+        stay; the rest are sent to its own helpers or built here)."""
         if self._pid != os.getpid():
-            for _, conn in self._links:
-                conn.close()
-            self._links, self._forked_rows, self._pid = [], {}, os.getpid()
+            for helper in self._links:
+                helper.conn.close()
+            self._links, self._stride, self._pid = [], 0, os.getpid()
         return self._links
 
     def live_helpers(self) -> int:
         """Helpers still running, as seen by the process that forked them."""
-        return sum(1 for proc, _ in self._own_links() if proc.is_alive())
+        return sum(1 for helper in self._own_links() if helper.proc.is_alive())
 
     def _fixed_jacobian(self, table: Any) -> tuple:
         """Jacobian view of a fixed affine point table, cached by identity.
@@ -708,13 +740,13 @@ class Engine:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Reap the helpers (re-forked at the next wide MSM); caches survive."""
-        links, self._links = self._own_links(), []
-        self._forked_rows = {}
-        for proc, conn in links:
-            conn.close()
-            proc.terminate()
-            proc.join()
+        """Reap the helpers (forked afresh at the next wide MSM, and sent
+        the points of their rows); caches survive."""
+        links, self._links, self._stride = self._own_links(), [], 0
+        for helper in links:
+            helper.conn.close()
+            helper.proc.terminate()
+            helper.proc.join()
 
     def __enter__(self) -> "Engine":
         return self

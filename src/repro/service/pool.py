@@ -2,14 +2,15 @@
 
 pi_k proving runs in long-lived forked workers, off the node's event
 loop.  The pool warms the pi_k keys and the window tables of every
-blinded commitment on the process's engine and forks the workers from
-it, so each worker's first proof is warm and no table is built twice.
-Each worker proves under its own pool's context, handed to it at fork.
-When the CPU mask
-(``os.sched_getaffinity``) has at least twice as many CPUs as the pool
-has workers, each worker gives its inherited engine the spare cores as
-MSM helpers, which it forks itself; a helper that dies costs the split,
-not the proof.
+blinded commitment on the process's engine (whose own helpers, on a mask
+with spare cores, build their share of the rows) and forks the workers
+from it, so each worker inherits the rows its parent holds.  Each worker
+proves under its own pool's context, handed to it at fork.  When the CPU
+mask (``os.sched_getaffinity``) has at least twice as many CPUs as the
+pool has workers, each worker gives its inherited engine its share of
+the spare cores as MSM helpers (:func:`~repro.backend.spare_cores`),
+which it forks itself at its first MSM and sends the points of the rows
+they own; a helper that dies costs the split, not the proof.
 
 Workers are owned like helpers: forked processes running
 :func:`~repro.backend.engine.serve` on one pipe each.  The event loop
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import os
 import time
 from multiprocessing.util import Finalize
 from typing import Any
 
 from repro import telemetry
-from repro.backend import get_engine
+from repro.backend import get_engine, spare_cores
 from repro.backend.engine import serve
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
@@ -117,11 +117,11 @@ class ProverPool:
         if workers <= 0:
             raise ServiceError("prover pool needs at least one worker")
         # Warm the pi_k keys and the window tables of n + margin rows on
-        # the process's engine, which the workers inherit.
+        # the process's engine; the workers inherit the rows it holds.
         keys = key_negotiation_keys(ctx)
         get_engine().msm_srs(ctx.srs, [0] * (keys.layout.n + DEGREE_MARGIN))
         self._ctx = ctx
-        self._spare = max(0, len(os.sched_getaffinity(0)) // workers - 1)
+        self._spare = spare_cores(workers)
         self._workers: list[_Worker] = []
         self._idle: asyncio.Queue = asyncio.Queue()
         # Registered before the first fork, so a fork that fails stops the

@@ -5,7 +5,8 @@ session-scoped instance is shared by every protocol-level test; circuit
 keys accumulate in its cache across tests, exactly as a deployed system
 would reuse them.  So are the seller-proven pi_k bundles the node's
 tests serve.  ``lone_thread_at_fork`` checks every fork a test makes
-(the prover pool's and the engine helpers' tests use it).
+(the prover pool's and the engine helpers' tests use it); ``cpus`` sets
+the CPU mask the process's engine and the prover pool are sized from.
 
 Seeded-randomness plumbing for the chaos and differential suites: the
 ``chaos_seed`` fixture reads ``REPRO_CHAOS_SEED`` (defaulting to a fixed
@@ -20,6 +21,7 @@ from multiprocessing.process import BaseProcess
 
 import pytest
 
+import repro.backend
 from repro.core.snark import SnarkContext
 
 #: Supports circuits up to n = 16384 (plus blinding margin) — the
@@ -76,6 +78,24 @@ def lone_thread_at_fork(monkeypatch):
     monkeypatch.setattr(BaseProcess, "start", counted)
     yield seen
     assert all(len(names) == 1 for names in seen), seen
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU mask the process observes (processes time-share the
+    real cores, so every side of a choice made from it runs on any
+    runner) and drop the process's engine, so the next ``get_engine()``
+    sizes a fresh one from the mask.  Teardown reaps that engine's
+    helpers and the previous engine comes back."""
+    previous = repro.backend._engine
+
+    def set_mask(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        monkeypatch.setattr(repro.backend, "_engine", None)
+
+    yield set_mask
+    if repro.backend._engine not in (None, previous):
+        repro.backend._engine.close()
 
 
 @pytest.fixture

@@ -2,13 +2,17 @@
 
 The contract under test is the one the protocol layers rely on:
 
-- the process has one engine (``get_engine``), helper-less unless told
-  otherwise, and ``set_engine`` / ``use_engine`` replace it;
+- the process has one engine (``get_engine``), with one helper per spare
+  core of the CPU mask, and ``set_engine`` / ``use_engine`` replace it;
 - an engine with helpers is bit-identical to one without on every kernel
   (NTT batches, G1/G2 MSM, batched inversion, KZG commitments) and on a
   full Plonk proof whose commitments are wide enough to split;
 - helpers belong to the process that forked them: a forked child of an
   engine's process forks its own;
+- row i of a window table belongs to process i mod (helpers + 1): each
+  process builds and holds its own rows, growth forks nothing, a helper
+  forked after ``close()`` is sent its rows, a dead helper is dropped and
+  its rows built here, and no helper is forked beside another thread;
 - kernel edge cases: ``batch_inverse`` error contracts, ``root_of_unity``
   bounds, MSM length mismatches, fixed-base multiples of the generators.
 
@@ -18,7 +22,10 @@ shares a fixed-table MSM of ``MIN_MSM_POINTS`` terms or more.
 """
 
 import multiprocessing
+import os
 import random
+import signal
+import threading
 
 import pytest
 
@@ -66,17 +73,14 @@ def small_srs():
 
 
 class TestSelection:
-    def test_default_is_serial(self, monkeypatch):
-        """Always: no variable gives the process's engine helpers, whatever
-        a deployment has in its environment."""
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        previous = set_engine(None)
-        try:
+    def test_default_helpers_follow_the_mask(self, cpus, monkeypatch):
+        """One helper per spare core of the CPU mask, and no variable
+        changes that, whatever a deployment has in its environment."""
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        for mask, helpers, name in ((1, 0, "serial"), (2, 1, "split"), (5, 4, "split")):
+            cpus(mask)
             engine = get_engine()
-            assert engine.helpers == 0
-            assert engine.name == "serial"
-        finally:
-            set_engine(previous)
+            assert (engine.helpers, engine.name) == (helpers, name)
 
     def test_get_engine_is_singleton(self):
         previous = set_engine(None)  # reset the process's engine
@@ -190,7 +194,11 @@ class TestEngineEquivalence:
         assert vk_s.digest() == vk_p.digest()
         assert proof_s.to_bytes() == proof_p.to_bytes()
         assert split_engine.live_helpers() == 1
-        assert split_engine._forked_rows[id(small_srs)] >= layout.n
+        # The helper was sent every odd row of the prefix the proof used.
+        (helper,) = split_engine._links
+        rows = split_engine._window_tables[id(small_srs)][2]
+        assert len(rows) >= layout.n
+        assert helper.held[id(small_srs)] == (fixed_window_c(len(rows)), len(rows) // 2)
         with use_engine(serial):
             assert verify(vk_s, assignment.public_inputs, proof_p)
 
@@ -334,7 +342,7 @@ class TestParallelThresholds:
             assert jac_to_affine(engine.msm_srs(small_srs, short)) == jac_to_affine(
                 Engine().msm_srs(small_srs, short)
             )
-            assert engine.live_helpers() == 0 and not engine._forked_rows
+            assert engine.live_helpers() == 0
         finally:
             engine.close()
 
@@ -359,13 +367,15 @@ class TestParallelThresholds:
         scalars = list(range(1, MIN_MSM_POINTS + 1))
         try:
             want = engine.msm_srs(small_srs, scalars)
-            (parent_helper,) = [proc.pid for proc, _ in engine._links]
+            (parent_helper,) = [helper.proc.pid for helper in engine._links]
             ctx = multiprocessing.get_context("fork")
             ours, theirs = ctx.Pipe()
 
             def child():
                 got = engine.msm_srs(small_srs, scalars)
-                theirs.send((got, engine.live_helpers(), [p.pid for p, _ in engine._links]))
+                theirs.send(
+                    (got, engine.live_helpers(), [h.proc.pid for h in engine._links])
+                )
                 engine.close()
 
             proc = ctx.Process(target=child)
@@ -379,4 +389,103 @@ class TestParallelThresholds:
             assert engine.live_helpers() == 1
             assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == jac_to_affine(want)
         finally:
+            engine.close()
+
+
+@pytest.fixture(scope="module")
+def wide_srs():
+    """Powers for the widest table prefix (2,048 + the blinding margin)."""
+    return SRS.generate(2056, tau=0xD1CE)
+
+
+def _held_here(engine, owner):
+    """Indices of the window rows of ``owner`` that ``engine`` holds."""
+    return [i for i, row in enumerate(engine._window_tables[id(owner)][2]) if row is not None]
+
+
+class TestRowOwnership:
+    """Row i of a window table belongs to process i mod (helpers + 1);
+    each process builds and holds only the rows it owns."""
+
+    def test_growth_forks_nothing_and_each_process_holds_its_rows(
+        self, wide_srs, lone_thread_at_fork
+    ):
+        engine = Engine(helpers=1)
+        points = engine.srs_g1_jacobian(wide_srs)
+        rng = random.Random(8)
+        scalars = [rng.randrange(R) for _ in range(2056)]
+        try:
+            for n in (1032, 2056):
+                got = engine.msm_srs(wide_srs, scalars[:n])
+                want = msm_jacobian(list(points[:n]), scalars[:n])
+                assert jac_to_affine(got) == jac_to_affine(want)
+                if n == 1032:
+                    (helper,) = engine._links
+                    children = set(multiprocessing.active_children())
+            # The table grew 1,032 -> 2,056 rows on the helper forked first.
+            assert engine._links == [helper] and helper.proc.is_alive()
+            assert set(multiprocessing.active_children()) == children
+            assert len(lone_thread_at_fork) == 1
+            assert _held_here(engine, wide_srs) == list(range(0, 2056, 2))
+            assert helper.held[id(wide_srs)] == (fixed_window_c(2056), 1028)
+        finally:
+            engine.close()
+
+    def test_a_helper_forked_after_close_is_sent_its_rows(
+        self, small_srs, lone_thread_at_fork
+    ):
+        engine = Engine(helpers=1)
+        rng = random.Random(9)
+        scalars = [rng.randrange(R) for _ in range(250)]
+        want = jac_to_affine(Engine().msm_srs(small_srs, scalars))
+        try:
+            assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == want
+            engine.close()
+            assert engine.live_helpers() == 0 and len(lone_thread_at_fork) == 1
+            assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == want
+            assert engine.live_helpers() == 1 and len(lone_thread_at_fork) == 2
+            (helper,) = engine._links
+            assert helper.held[id(small_srs)][1] == 125
+            assert _held_here(engine, small_srs) == list(range(0, 250, 2))
+        finally:
+            engine.close()
+
+    def test_a_killed_helper_is_dropped_and_its_rows_built_here(
+        self, small_srs, lone_thread_at_fork
+    ):
+        engine = Engine(helpers=2)
+        rng = random.Random(10)
+        serial = Engine()
+        try:
+            for n in (200, 300):
+                scalars = [rng.randrange(R) for _ in range(n)]
+                want = jac_to_affine(serial.msm_srs(small_srs, scalars))
+                assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == want
+                if n == 200:
+                    first, second = engine._links
+                    os.kill(first.proc.pid, signal.SIGKILL)
+                    first.proc.join()
+                    assert engine.live_helpers() == 1
+            assert engine._links == [second] and engine.live_helpers() == 1
+            assert len(lone_thread_at_fork) == 2  # the two first forks, no re-fork
+            assert _held_here(engine, small_srs) == [i for i in range(300) if i % 3 != 2]
+        finally:
+            engine.close()
+
+    def test_no_helper_is_forked_beside_another_thread(self, small_srs, lone_thread_at_fork):
+        """A forked child inherits each thread's locks in whatever state
+        they were: while another thread lives, the MSM runs here."""
+        engine = Engine(helpers=1)
+        rng = random.Random(11)
+        scalars = [rng.randrange(R) for _ in range(200)]
+        want = jac_to_affine(Engine().msm_srs(small_srs, scalars))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == want
+            assert engine.live_helpers() == 0 and not lone_thread_at_fork
+        finally:
+            release.set()
+            other.join()
             engine.close()

@@ -175,10 +175,11 @@ class TestSubstrateDifferential:
             table = tuple(powers)
             got_fixed = eng.msm_g1_fixed(table, coeffs)
             assert got_fixed.to_bytes() == G1.from_jacobian(expected).to_bytes()
-        # Both table paths were split with the forked helper, which was
-        # re-forked when the second table appeared.
+        # Both table paths were split with the one forked helper, which
+        # was sent its rows of the second table when it appeared.
         assert split.live_helpers() == 1
-        assert set(split._forked_rows) >= {id(srs), id(table)}
+        (helper,) = split._links
+        assert set(helper.held) >= {id(srs), id(table)}
 
     def test_table_path_equals_generic_across_the_blinding_margin(self, chaos_seed):
         """The prefix lengths an n=2048 circuit commits to (n .. n +
@@ -245,7 +246,8 @@ class TestSubstrateDifferential:
         ]
         assert groth16_verify(vk, witness.public_inputs, proofs[1])
         assert split.live_helpers() == 1
-        assert split._forked_rows[id(pk.a_query)] >= MIN_MSM_POINTS
+        (helper,) = split._links
+        assert helper.held[id(pk.a_query)][1] >= MIN_MSM_POINTS // 2
 
 
 @pytest.mark.slow

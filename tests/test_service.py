@@ -637,15 +637,11 @@ async def _forked_helpers(worker, count):
     raise AssertionError("worker %d forked no helper" % worker.proc.pid)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU mask the pool observes (processes time-share the real
-    cores, so both sides of its choice run on any runner)."""
-
-    def set_mask(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-    return set_mask
+@pytest.fixture(scope="module")
+def serial_engine():
+    """A helper-less engine, warm across the module's tests: the
+    reference the split is checked against."""
+    return Engine()
 
 
 def _prove_args(asset, k_v):
@@ -674,7 +670,8 @@ def _pik_verifies(snark_ctx, asset, k_v, result):
 @pytest.mark.usefixtures("lone_thread_at_fork")
 class TestProverPool:
     """The pool proves serially on a full mask and splits every
-    commitment with helpers each worker forks when cores are spare;
+    commitment with helpers each worker forks when cores are spare (the
+    parent's own engine, sized from the same mask, splits the warm-up);
     either way the proof is the same proof, a dead worker costs only its
     own request, nothing outlives ``close()`` or a failed start, and
     nothing but the forking thread is alive at any fork."""
@@ -695,14 +692,20 @@ class TestProverPool:
             )
 
         with ProverPool(snark_ctx, workers=workers) as pool:
-            # The parent forks the workers and nothing else; each worker
-            # forks its helpers at its first MSM.
-            assert len(_children() - before) == workers
+            # The parent forks its own engine's helpers (one per spare
+            # core, at the warm-up MSM) and the workers, and nothing else;
+            # each worker forks its helpers at its first MSM.
+            parent = [helper.proc for helper in get_engine()._links]
+            assert len(parent) == mask - 1
+            assert _children() - before - set(parent) == {w.proc for w in pool._workers}
             asyncio.run(prove_on_every_worker(pool))
             assert threading.active_count() == threads  # replies come through the loop
             assert pool.helpers == helpers
             pids = [w.proc.pid for w in pool._workers] + _helper_pids(pool)
             assert len(pids) == workers + helpers
+        assert _children() - before == set(parent)
+        get_engine().close()
+        pids += [proc.pid for proc in parent]
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
         assert _segments() <= segments
@@ -725,6 +728,7 @@ class TestProverPool:
             assert outcome.success and outcome.plaintext == asset.plaintext
 
         asyncio.run(scenario())
+        get_engine().close()  # the parent's helper, forked at the warm-up
         assert _children() == before
         assert _segments() <= segments
 
@@ -762,7 +766,7 @@ class TestProverPool:
     def test_warm_up_covers_the_blinding_margin(self, snark_ctx, pik_bundles, cpus):
         """Every commitment of a worker's first proof finds its window
         table complete (n + margin rows): the pool warms them before it
-        forks, so no worker — and no helper — builds rows privately.
+        forks, so a worker on one CPU builds no rows privately.
         ``_prove_pik_job`` run here sees exactly what a worker inherits."""
         asset, _ = pik_bundles
         cpus(1)
@@ -815,12 +819,12 @@ class TestProverPool:
             result = asyncio.run(scenario(a))
         assert _pik_verifies(snark_ctx, asset, 91, result)
 
-    def test_split_msm_equals_serial_on_the_prover_lengths(self, snark_ctx):
+    def test_split_msm_equals_serial_on_the_prover_lengths(self, snark_ctx, serial_engine):
         """The property the split rests on, at the lengths a pi_k proof
         commits to (n, n + 2, n + 3) and over the scalars that break
         reductions: 0, r - 1 and values the caller did not reduce."""
         n = key_negotiation_keys(snark_ctx).layout.n
-        serial, rng = get_engine(), random.Random(22)
+        serial, rng = serial_engine, random.Random(22)
         with Engine(helpers=2) as split:
             for length in (n, n + 2, n + 3, n + DEGREE_MARGIN):
                 scalars = [
@@ -832,21 +836,26 @@ class TestProverPool:
                 want = serial.msm_srs(snark_ctx.srs, scalars)
                 assert G1.from_jacobian(got) == G1.from_jacobian(want)
 
-    def test_unblinded_proof_is_byte_identical_under_the_split(self, snark_ctx, pik_bundles):
+    def test_unblinded_proof_is_byte_identical_under_the_split(
+        self, snark_ctx, pik_bundles, serial_engine
+    ):
         asset, _ = pik_bundles
         pk, assignment = _pik_witness(snark_ctx, asset, 31337)
         with Engine(helpers=1) as split, use_engine(split):
             proof = prove(pk, assignment, blinding=False)
             assert split.live_helpers() == 1
-        assert proof.to_bytes() == prove(pk, assignment, blinding=False).to_bytes()
+        with use_engine(serial_engine):
+            assert proof.to_bytes() == prove(pk, assignment, blinding=False).to_bytes()
 
     @pytest.mark.parametrize("mask", [1, 2])
     def test_pinned_blinders_give_the_serial_proof_across_the_pool(
-        self, snark_ctx, pik_bundles, cpus, monkeypatch, mask
+        self, snark_ctx, pik_bundles, cpus, monkeypatch, serial_engine, mask
     ):
         """With the blinder stream pinned before the fork, the worker's
-        proof — split with its own helper on two CPUs — is the bytes the
-        serial engine proves here from the same stream."""
+        proof — on two CPUs warmed by a parent whose engine has a helper,
+        which holds half the rows, and split with the worker's own helper,
+        which builds its half — is the bytes a serial engine proves here
+        from the same stream."""
         asset, _ = pik_bundles
         cpus(mask)
         k_v = 4343
@@ -859,11 +868,13 @@ class TestProverPool:
 
         pin_blinders()
         with ProverPool(snark_ctx, workers=1) as pool:
+            assert get_engine().live_helpers() == mask - 1  # the parent's own
             k_c, pooled = asyncio.run(pool.prove_key_negotiation(asset, k_v, field_hash(k_v)))
             assert pool.helpers == mask - 1
         pin_blinders()
         pk, assignment = _pik_witness(snark_ctx, asset, k_v)
-        assert pooled == prove(pk, assignment).to_bytes()
+        with use_engine(serial_engine):
+            assert pooled == prove(pk, assignment).to_bytes()
 
     def test_killed_helpers_cost_the_split_not_the_proof(self, snark_ctx, pik_bundles, cpus):
         """SIGKILL one of a worker's helpers while a proof is running and
@@ -899,6 +910,7 @@ class TestProverPool:
             telemetry.reset_metrics()
         assert counters["service.pool.helpers_lost"] == 2
         assert "service.pool.restarts" not in counters
+        get_engine().close()  # the parent's helpers, forked at the warm-up
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 
@@ -952,7 +964,8 @@ class TestProverPool:
         assert "BackendError" in killed.reason and "died" in killed.reason
         assert served.success
         assert restarts == 1
-        assert len(lone_thread_at_fork) == 2  # the first fork and the re-fork
+        # The parent engine's helper (at the warm-up), the worker, its re-fork.
+        assert len(lone_thread_at_fork) == 3
         assert_safe_end(
             node.chain, node.arbiter, node.chain.receipts, runs, seller, PRICE, start,
             plaintext=asset.plaintext,
@@ -960,6 +973,7 @@ class TestProverPool:
         run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
         assert_secrets_hidden(run, (asset.key, asset.key_blinder))
         assert len(set(pids)) == 4
+        get_engine().close()
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 
@@ -1002,6 +1016,7 @@ class TestProverPool:
                 await asyncio.wait_for(node.stop(), 30)
 
         pids = asyncio.run(scenario())
+        get_engine().close()
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 

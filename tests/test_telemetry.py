@@ -413,7 +413,8 @@ class TestKernelAccounting:
 
 
 class TestSpanTrees:
-    def test_plonk_proof_covers_all_five_rounds(self, snark_ctx):
+    def test_plonk_proof_covers_all_five_rounds(self, snark_ctx, cpus):
+        cpus(1)  # the process's engine on one CPU: no helper, "serial"
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
         telemetry.set_level(telemetry.TRACE)
