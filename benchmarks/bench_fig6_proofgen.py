@@ -81,14 +81,14 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
             keys = snark_ctx.keys_for(layout)
             # pi_k needs a *satisfying* witness: build honestly.
             from repro.field.fr import MODULUS as R
-            from repro.primitives.commitment import commit
+            from repro.kzg.commit import commit_scalar
             from repro.primitives.hashing import field_hash
 
-            k, k_v = 111, 222
-            c, o = commit(k, blinder=9)
+            k, k_v, rho = 111, 222, 9
             builder2 = CircuitBuilder()
             build_key_negotiation_circuit(
-                builder2, (k + k_v) % R, c.value, field_hash(k_v), k, o, k_v
+                builder2, (k + k_v) % R, commit_scalar(snark_ctx.srs, k, rho),
+                field_hash(k_v), k, rho, k_v,
             )
             layout2, assignment2 = builder2.compile()
             keys2 = snark_ctx.keys_for(layout2)

@@ -12,6 +12,7 @@ import time
 
 from conftest import print_table, run_once
 
+from repro.core.exchange import key_negotiation_keys
 from repro.costmodel import measure_pairing_seconds
 from repro.groth16 import (
     groth16_prove,
@@ -64,10 +65,12 @@ def _best_of_three(check):
 def test_fig7_verification_time(benchmark, snark_ctx):
     plonk_rows = []
     groth_rows = []
+    plonk_vks = []
 
     def sweep():
         for ell in ELL_SWEEP:
             vk, publics, proof = _plonk_instance(snark_ctx, ell)
+            plonk_vks.append(vk)
             seconds, ok = _best_of_three(lambda: verify(vk, publics, proof))
             plonk_rows.append((ell, seconds, ok))
 
@@ -87,7 +90,9 @@ def test_fig7_verification_time(benchmark, snark_ctx):
         rows,
     )
 
-    ops_p = plonk_ops(None)
+    ops_p = plonk_ops(plonk_vks[0])
+    # pi_k and pi_e link the key's KZG point: one more G1 exponentiation.
+    ops_k = plonk_ops(key_negotiation_keys(snark_ctx).vk)
     ops_g = groth16_ops(ELL_SWEEP[-1])
     # Measured (not just counted) pairing cost: time the engine's real
     # pairing_check kernel at each verifier's pair count.
@@ -99,6 +104,8 @@ def test_fig7_verification_time(benchmark, snark_ctx):
         [
             ("ZKDET/Plonk", ops_p["pairings"], "%.4f s" % pairing_p,
              ops_p["g1_scalar_mults"], "%d B (9 G1 + 6 F)" % ops_p["proof_size_bytes"]),
+            ("ZKDET/Plonk, linked key (pi_k, pi_e)", ops_k["pairings"], "%.4f s" % pairing_p,
+             ops_k["g1_scalar_mults"], "%d B (9 G1 + 6 F)" % ops_k["proof_size_bytes"]),
             ("ZKCP/Groth16 (ell=%d)" % ELL_SWEEP[-1], ops_g["pairings"],
              "%.4f s" % pairing_g, ops_g["g1_scalar_mults"],
              "%d B" % ops_g["proof_size_bytes"]),

@@ -33,11 +33,12 @@ from repro.contracts import (
     KeySecureArbiterContract,
     PlonkVerifierContract,
 )
+from repro.contracts.arbiter import key_digest
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.field.fr import MODULUS as R
+from repro.kzg.commit import commit_scalar
 from repro.plonk import prove
 from repro.plonk.circuit import CircuitBuilder
-from repro.primitives.commitment import commit
 from repro.primitives.hashing import field_hash
 
 SETTLEMENT_BATCH = 8
@@ -91,29 +92,30 @@ def test_table2_gas(benchmark, snark_ctx):
         # --- settlement: single submit_key vs amortised batch share ---
         arbiter = KeySecureArbiterContract(verifier)
         chain.deploy(arbiter, alice)
-        key, k_v = 4242, 5353
-        c, o = commit(key, blinder=717)
+        key, k_v, rho = 4242, 5353, 717
+        point = commit_scalar(snark_ctx.srs, key, rho)
+        key_bytes = point.to_bytes()
         k_c, h_v = (key + k_v) % R, field_hash(k_v)
         builder = CircuitBuilder()
-        build_key_negotiation_circuit(builder, k_c, c.value, h_v, key, o, k_v)
+        build_key_negotiation_circuit(builder, k_c, point, h_v, key, rho, k_v)
         layout, assignment = builder.compile()
         proof_bytes = prove(snark_ctx.keys_for(layout).pk, assignment).to_bytes()
-        # One pi_k serves every lock: the statement (k_c, c, h_v) is per
+        # One pi_k serves every lock: the statement (k_c, [k], h_v) is per
         # listing, the escrow record is per exchange.
         eids = [
             chain.transact(
-                bob, arbiter, "lock_payment", alice, c.value, h_v, value=1000
+                bob, arbiter, "lock_payment", alice, key_digest(key_bytes), h_v, value=1000
             ).return_value
             for _ in range(1 + SETTLEMENT_BATCH)
         ]
         measured["Exchange settlement (single)"] = chain.transact(
-            alice, arbiter, "submit_key", eids[0], k_c, proof_bytes
+            alice, arbiter, "submit_key", eids[0], k_c, proof_bytes, key_bytes
         ).gas_used
         batch = chain.transact(
             alice,
             arbiter,
             "submit_key_batch",
-            tuple((eid, k_c, proof_bytes) for eid in eids[1:]),
+            tuple((eid, k_c, proof_bytes, key_bytes) for eid in eids[1:]),
         )
         assert len(batch.return_value) == SETTLEMENT_BATCH
         measured["Exchange settlement (batched share)"] = (

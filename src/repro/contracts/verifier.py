@@ -33,26 +33,29 @@ class PlonkVerifierContract(Contract):
     def _charge_verification_gas(self) -> None:
         """Meter the EVM precompile costs of one Plonk verification:
         19 ECMULs and 21 ECADDs for the proof's 21 terms (``W_zeta`` and
-        ``[qC]`` carry scalar 1; the cubic selector q3 is one of each), one
-        2-pair pairing check, and transcript hashing."""
+        ``[qC]`` carry scalar 1; the cubic selector q3 is one of each) —
+        20 and 22 when the key links a commitment, whose term is one more
+        — one 2-pair pairing check, and transcript hashing."""
         s = self.schedule
-        gas = 19 * s.ecmul + 21 * s.ecadd + s.pairing_cost(2)
+        links = self._vk.links
+        gas = (19 + links) * s.ecmul + (21 + links) * s.ecadd + s.pairing_cost(2)
         gas += 15 * (s.sha_base + 2 * s.sha_per_word)  # Fiat-Shamir hashing
         self._ctx.burn(gas)
 
     @external
-    def verify(self, public_inputs: tuple, proof_bytes: bytes) -> bool:
-        """Verify a proof on chain; reverts on malformed input."""
+    def verify(self, public_inputs: tuple, proof_bytes: bytes, link=None) -> bool:
+        """Verify a proof on chain, against the commitment ``link`` when
+        the key links one; reverts on malformed input."""
         try:
             proof = Proof.from_bytes(proof_bytes)
         except Exception as exc:
             self.require(False, "malformed proof: %s" % exc)
         self._charge_verification_gas()
-        ok = plonk_verify(self._vk, [int(p) for p in public_inputs], proof)
+        ok = plonk_verify(self._vk, [int(p) for p in public_inputs], proof, link)
         self.emit("ProofVerified", ok=ok, num_public_inputs=len(public_inputs))
         return ok
 
-    def _charge_batch_verification_gas(self, k: int) -> None:
+    def _charge_batch_verification_gas(self, k: int, links: int = 0) -> None:
         """Meter the precompile costs of a k-proof batched verification.
 
         The fold (:func:`repro.plonk.verifier.fold_check`) weights the
@@ -62,20 +65,24 @@ class PlonkVerifierContract(Contract):
         while the nine commitments of this contract's one key and the
         generator are shared, their k scalars summed before the
         multiplication (~10 MULMOD/ADDMOD a member: field work, which this
-        model prices nowhere).  That is 11k + 10 terms, an ECMUL and an
-        ECADD each, plus each member's Fiat-Shamir hashing and one 2-pair
+        model prices nowhere).  A linked commitment is shared the same way:
+        ``links`` distinct points add one term each, however many members
+        name them.  That is 11k + 10 + links terms, an ECMUL and an ECADD
+        each, plus each member's Fiat-Shamir hashing and one 2-pair
         pairing check for the whole batch.  The first member's two unit
         scalars are not discounted (k = 1 pays 21 ECMULs where
-        :meth:`verify` pays 19): the charge stays a function of k alone.
+        :meth:`verify` pays 19): the charge stays a function of k and links.
         """
         s = self.schedule
-        terms = 11 * k + 10
+        terms = 11 * k + 10 + links
         hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
         self._ctx.burn(terms * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2))
 
     @external
     def verify_batch(self, items: tuple) -> tuple:
-        """Verify many ``(public_inputs, proof_bytes)`` pairs at once.
+        """Verify many ``(public_inputs, proof_bytes)`` pairs at once, each
+        with its linked commitment as a third element when the key links
+        one (members naming one point object share its term).
 
         The happy path folds every well-formed member through the
         random-linear-combination batch verifier — two MSMs and one
@@ -87,25 +94,25 @@ class PlonkVerifierContract(Contract):
         revert the batch; they are reported False in place.
         """
         parsed: list = []
-        for public_inputs, proof_bytes in items:
+        for public_inputs, proof_bytes, *link in items:
             try:
                 proof = Proof.from_bytes(proof_bytes)
             except Exception:
                 parsed.append(None)
                 continue
-            parsed.append(([int(p) for p in public_inputs], proof))
-        self._charge_batch_verification_gas(len(parsed))
+            parsed.append(([int(p) for p in public_inputs], proof, *link))
+        links = {id(item[2]) for item in parsed if item is not None and len(item) > 2}
+        self._charge_batch_verification_gas(len(parsed), len(links))
         results = [False] * len(parsed)
         well_formed = [i for i, item in enumerate(parsed) if item is not None]
-        folded = [(self._vk, parsed[i][0], parsed[i][1]) for i in well_formed]
+        folded = [(self._vk, *parsed[i]) for i in well_formed]
         if folded and batch_verify(folded):
             for i in well_formed:
                 results[i] = True
         else:
             for i in well_formed:
                 self._charge_verification_gas()
-                publics, proof = parsed[i]
-                results[i] = plonk_verify(self._vk, publics, proof)
+                results[i] = plonk_verify(self._vk, *parsed[i])
         self.emit(
             "BatchVerified",
             batch_size=len(parsed),
@@ -114,17 +121,17 @@ class PlonkVerifierContract(Contract):
         return tuple(results)
 
     @external
-    def require_valid(self, public_inputs: tuple, proof_bytes: bytes) -> None:
+    def require_valid(self, public_inputs: tuple, proof_bytes: bytes, link=None) -> None:
         """Verify and revert the whole transaction on failure."""
-        ok = self.verify(public_inputs, proof_bytes)
+        ok = self.verify(public_inputs, proof_bytes, link)
         self.require(ok, "invalid proof")
 
     @view
-    def verify_view(self, public_inputs: tuple, proof_bytes: bytes) -> bool:
+    def verify_view(self, public_inputs: tuple, proof_bytes: bytes, link=None) -> bool:
         """Free off-chain verification via eth_call — the 'unlimited free
         verifications' of Section VI-C2."""
         proof = Proof.from_bytes(proof_bytes)
-        return plonk_verify(self._vk, [int(p) for p in public_inputs], proof)
+        return plonk_verify(self._vk, [int(p) for p in public_inputs], proof, link)
 
     @view
     def circuit_size(self) -> int:

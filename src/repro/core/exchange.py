@@ -1,15 +1,18 @@
 """The key-secure two-phase data exchange protocol (Section IV-F).
 
 Phase 1 (data validation): the seller sends (c_d, pi_p) where pi_p proves
-phi(D) = 1, D_hat = Enc(k, D) and the commitment openings; the buyer
-verifies, picks a fresh k_v, sends it to the seller off-chain, and locks
-payment on the arbiter together with h_v = H(k_v).
+phi(D) = 1, D_hat = Enc(k, D), the data commitment's opening and that k
+is the scalar under the key's KZG point [k]; the buyer verifies, picks a
+fresh k_v, sends it to the seller off-chain, and locks payment on the
+arbiter together with h_v = H(k_v) and the digest of the [k] it checked.
 
 Phase 2 (key negotiation): the seller forms the masked key k_c = k + k_v
-and proves, in pi_k, that Open(k, c, o) = 1, h_v = H(k_v) and
-k_c = k + k_v.  The arbiter releases payment iff pi_k verifies; the buyer
-recovers k = k_c - k_v and decrypts.  The chain never sees k — the
-property ZKCP lacks (Challenge 3).
+and proves, in pi_k, that k is the scalar under [k], h_v = H(k_v) and
+k_c = k + k_v.  Both proofs link the key to the same [k] (DESIGN.md, "The
+key link"), so the key that settles is the key that decrypts.  The
+arbiter releases payment iff [k] matches the locked digest and pi_k
+verifies; the buyer recovers k = k_c - k_v and decrypts.  The chain never
+sees k — the property ZKCP lacks (Challenge 3).
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.telemetry import ledger as _ledger
 from repro.errors import ProtocolError
+from repro.contracts.arbiter import key_digest
+from repro.curve.g1 import G1
 from repro.faults.retry import ExchangeSteps, RetryPolicy
 from repro.field.fr import MODULUS as R, random_scalar
-from repro.gadgets.poseidon import assert_commitment_opens, poseidon_hash_gadget
+from repro.gadgets.poseidon import poseidon_hash_gadget
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.prover import prove
 from repro.primitives.hashing import field_hash
@@ -38,20 +43,22 @@ from repro.core.transform_protocol import (
 def build_key_negotiation_circuit(
     builder: CircuitBuilder,
     k_c: int,
-    c_k: int,
+    c_k: G1 | int,
     h_v: int,
     key: int,
     o_k: int,
     k_v: int,
 ) -> None:
-    """The pi_k relation: Open(k,c,o) /\\ h_v = H(k_v) /\\ k_c = k + k_v."""
+    """The pi_k relation: k under [k] /\\ h_v = H(k_v) /\\ k_c = k + k_v.
+
+    ``c_k`` is the key's KZG point [k] and ``o_k`` its blinder rho: the key
+    wire is linked to it, not opened (a placeholder ``c_k`` suffices for a
+    structure-only build).  The public inputs are (k_c, h_v)."""
     k_c_wire = builder.public_input(k_c)
-    c_k_wire = builder.public_input(c_k)
     h_v_wire = builder.public_input(h_v)
     key_wire = builder.var(key)
-    o_k_wire = builder.var(o_k)
     k_v_wire = builder.var(k_v)
-    assert_commitment_opens(builder, [key_wire], c_k_wire, o_k_wire)
+    builder.link(key_wire, c_k, o_k)
     h_wire = poseidon_hash_gadget(builder, [k_v_wire])
     builder.assert_equal(h_wire, h_v_wire)
     masked = builder.add(key_wire, k_v_wire)
@@ -75,6 +82,7 @@ class Seller:
         self.ctx = ctx
         self.asset = asset
         self.address = address
+        self.key_commitment = asset.key_commitment(ctx.srs)
 
     def data_validation_message(self, predicate=None) -> tuple[int, EncryptionProof]:
         """Phase 1: produce (c_d, pi_p)."""
@@ -94,7 +102,7 @@ class Seller:
         build_key_negotiation_circuit(
             builder,
             k_c,
-            self.asset.key_commitment.value,
+            self.key_commitment,
             h_v_on_chain,
             self.asset.key,
             self.asset.key_blinder,
@@ -240,7 +248,7 @@ class KeySecureExchange:
             steps.send("exchange.msg.key", "k_v")
             receipt = steps.tx(
                 buyer.address, self.arbiter, "lock_payment",
-                seller.address, seller.asset.key_commitment.value, h_v,
+                seller.address, key_digest(pi_p.key_commitment.to_bytes()), h_v,
                 value=price, site="chain.lock_payment", noun="payment lock",
                 span=telemetry.span("exchange.commit", phase=1),
             )
@@ -261,7 +269,8 @@ class KeySecureExchange:
                 k_c = (k_c + 1) % R
             steps.send("exchange.msg.negotiation", "phase-2 message")
             steps.tx(
-                seller.address, self.arbiter, "submit_key", exchange_id, k_c, pi_k.to_bytes(),
+                seller.address, self.arbiter, "submit_key",
+                exchange_id, k_c, pi_k.to_bytes(), seller.key_commitment.to_bytes(),
                 site="chain.submit_key", noun="key submission",
                 span=telemetry.span("exchange.reveal", phase=2), fatal="pi_k rejected on chain",
             )

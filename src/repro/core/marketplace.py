@@ -330,7 +330,6 @@ class ZKDETMarketplace:
                 uri=self.chain.call_view(self.token, "token_uri", token_id) or "",
                 ciphertext=stated,
                 data_commitment=pi_e.data_commitment,
-                key_commitment=pi_e.key_commitment,
                 num_entries=len(pi_e.ciphertext_blocks),
             )
             ok = pi_e.data_commitment == commitment and verify_encryption(

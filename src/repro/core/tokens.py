@@ -3,16 +3,23 @@ storage URIs.
 
 A :class:`DataAsset` is the owner-side view of one dataset: the plaintext
 (field elements), the MiMC key and nonce, the published ciphertext, the
-Poseidon commitments to the data and to the key, and the storage URI.
-Only the public half (:class:`PublicAssetView`) ever leaves the owner.
+Poseidon commitment to the data, the key's blinder and the storage URI.
+The key's commitment is a KZG point, [k] = (k - rho)[1] + rho[tau], so it
+exists only under an SRS: :meth:`DataAsset.key_commitment` derives it
+wherever a :class:`~repro.core.snark.SnarkContext` is at hand, and every
+circuit that uses the key links to it.  Only the public half
+(:class:`PublicAssetView`) ever leaves the owner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.curve.g1 import G1
 from repro.errors import ProtocolError
-from repro.field.fr import MODULUS as R, rand_fr
+from repro.field.fr import MODULUS as R, rand_fr, random_scalar
+from repro.kzg.commit import commit_scalar
+from repro.kzg.srs import SRS
 from repro.primitives.commitment import Commitment, commit
 from repro.primitives.encoding import bytes_to_elements
 from repro.primitives.mimc import CtrCiphertext, mimc_encrypt_ctr
@@ -34,7 +41,6 @@ class PublicAssetView:
     uri: str
     ciphertext: CtrCiphertext
     data_commitment: int
-    key_commitment: int
     num_entries: int
 
 
@@ -48,7 +54,6 @@ class DataAsset:
     ciphertext: CtrCiphertext
     data_commitment: Commitment
     data_blinder: int
-    key_commitment: Commitment
     key_blinder: int
     uri: str | None = None
 
@@ -62,7 +67,6 @@ class DataAsset:
         nonce = rand_fr() if nonce is None else nonce % R
         ciphertext = mimc_encrypt_ctr(key, plaintext, nonce)
         c_d, o_d = commit(plaintext)
-        c_k, o_k = commit(key)
         return DataAsset(
             plaintext=plaintext,
             key=key,
@@ -70,14 +74,19 @@ class DataAsset:
             ciphertext=ciphertext,
             data_commitment=c_d,
             data_blinder=o_d,
-            key_commitment=c_k,
-            key_blinder=o_k,
+            # Nonzero: rho = 0 would leave [k] = k[1], which hides nothing.
+            key_blinder=random_scalar(nonzero=True),
         )
 
     @staticmethod
     def from_bytes(data: bytes, **kwargs) -> "DataAsset":
         """Create an asset from raw bytes (packed into field elements)."""
         return DataAsset.create(bytes_to_elements(data), **kwargs)
+
+    def key_commitment(self, srs: SRS) -> G1:
+        """[k] under ``srs``: the point pi_e, pi_p and pi_k link the key to
+        (:func:`repro.kzg.commit.commit_scalar`)."""
+        return commit_scalar(srs, self.key, self.key_blinder)
 
     def serialized_ciphertext(self) -> bytes:
         """Canonical bytes of the ciphertext, as published to storage."""
@@ -94,7 +103,6 @@ class DataAsset:
             uri=self.uri or "",
             ciphertext=self.ciphertext,
             data_commitment=self.data_commitment.value,
-            key_commitment=self.key_commitment.value,
             num_entries=len(self.plaintext),
         )
 

@@ -6,9 +6,11 @@ proofs of transformation so each is computed once and reused.
 - pi_e  proves  "the published ciphertext encrypts the committed dataset
   under the committed key":
       ct_i = pt_i + E_k(nonce+i) AND Open(D, c_d, o_d) = 1
-     AND Open(k, c_k, o_k) = 1
-  (we fold the key opening into pi_e so the exchange protocol's pi_p is
-  literally pi_e plus a predicate, realising the CP-NIZK reuse of IV-F);
+     AND k is the scalar under the KZG point [k]
+  (the key is linked to [k] through row 0, not opened in-circuit — see
+  DESIGN.md, "The key link" — and the same [k] is linked by pi_k, so the
+  exchange protocol's pi_p is literally pi_e plus a predicate, realising
+  the CP-NIZK reuse of IV-F);
 
 - pi_t  proves  "the committed derived datasets are f of the committed
   source datasets":
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.curve.g1 import G1
 from repro.errors import ProtocolError
 from repro.gadgets.mimc import assert_ctr_encryption
 from repro.gadgets.poseidon import assert_commitment_opens
@@ -37,21 +40,18 @@ from repro.core.transformations import Transformation
 
 @dataclass(frozen=True)
 class EncryptionProof:
-    """pi_e plus the public statement it refers to."""
+    """pi_e plus the public statement it refers to: the public inputs and
+    the key commitment [k] the proof links to."""
 
     proof: Proof
     ciphertext_blocks: tuple
     nonce: int
     data_commitment: int
-    key_commitment: int
+    key_commitment: G1
 
     @property
     def public_inputs(self) -> list[int]:
-        return list(self.ciphertext_blocks) + [
-            self.nonce,
-            self.data_commitment,
-            self.key_commitment,
-        ]
+        return list(self.ciphertext_blocks) + [self.nonce, self.data_commitment]
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def build_encryption_circuit(
     ct_blocks: list[int],
     nonce: int,
     c_d: int,
-    c_k: int,
+    c_k: G1 | int,
     plaintext: list[int],
     key: int,
     o_d: int,
@@ -86,18 +86,20 @@ def build_encryption_circuit(
     predicate=None,
 ) -> None:
     """The pi_e relation; ``predicate(builder, plaintext_wires)`` optionally
-    appends the phi(D) clauses (turning pi_e into the exchange's pi_p)."""
+    appends the phi(D) clauses (turning pi_e into the exchange's pi_p).
+
+    ``c_k`` is the key's KZG point and ``o_k`` its blinder rho: the key
+    wire is linked to it, not opened (a placeholder ``c_k`` suffices for a
+    structure-only build)."""
     ct_wires = [builder.public_input(b) for b in ct_blocks]
     nonce_wire = builder.public_input(nonce)
     c_d_wire = builder.public_input(c_d)
-    c_k_wire = builder.public_input(c_k)
     pt_wires = [builder.var(p) for p in plaintext]
     key_wire = builder.var(key)
     o_d_wire = builder.var(o_d)
-    o_k_wire = builder.var(o_k)
+    builder.link(key_wire, c_k, o_k)
     assert_ctr_encryption(builder, key_wire, pt_wires, nonce_wire, ct_wires)
     assert_commitment_opens(builder, pt_wires, c_d_wire, o_d_wire)
-    assert_commitment_opens(builder, [key_wire], c_k_wire, o_k_wire)
     if predicate is not None:
         predicate(builder, pt_wires)
 
@@ -129,13 +131,14 @@ def build_transformation_circuit(
 
 def prove_encryption(ctx: SnarkContext, asset: DataAsset, predicate=None) -> EncryptionProof:
     """Generate pi_e for an asset (step 1/3 of the protocol)."""
+    key_commitment = asset.key_commitment(ctx.srs)
     builder = CircuitBuilder()
     build_encryption_circuit(
         builder,
         list(asset.ciphertext.blocks),
         asset.ciphertext.nonce,
         asset.data_commitment.value,
-        asset.key_commitment.value,
+        key_commitment,
         asset.plaintext,
         asset.key,
         asset.data_blinder,
@@ -150,7 +153,7 @@ def prove_encryption(ctx: SnarkContext, asset: DataAsset, predicate=None) -> Enc
         ciphertext_blocks=asset.ciphertext.blocks,
         nonce=asset.ciphertext.nonce,
         data_commitment=asset.data_commitment.value,
-        key_commitment=asset.key_commitment.value,
+        key_commitment=key_commitment,
     )
 
 
@@ -201,14 +204,13 @@ def prove_transformation(
 def verify_encryption(
     ctx: SnarkContext, view: PublicAssetView, enc_proof: EncryptionProof, predicate=None
 ) -> bool:
-    """Check pi_e against an asset's public view."""
+    """Check pi_e against an asset's public view; the key commitment it
+    links to is the one its statement names."""
     if enc_proof.ciphertext_blocks != view.ciphertext.blocks:
         return False
     if enc_proof.nonce != view.ciphertext.nonce:
         return False
     if enc_proof.data_commitment != view.data_commitment:
-        return False
-    if enc_proof.key_commitment != view.key_commitment:
         return False
     num_entries = len(view.ciphertext.blocks)
     zeros = [0] * num_entries
@@ -218,7 +220,7 @@ def verify_encryption(
             builder, zeros, 0, 0, 0, zeros, 0, 0, 0, predicate=predicate
         ),
     )
-    return verify(keys.vk, enc_proof.public_inputs, enc_proof.proof)
+    return verify(keys.vk, enc_proof.public_inputs, enc_proof.proof, enc_proof.key_commitment)
 
 
 def verify_transformation(

@@ -67,11 +67,11 @@ def commitment_open_gates(message_len: int) -> int:
 
 
 def encryption_circuit_gates(num_entries: int) -> int:
-    """The pi_e circuit: CTR encryption + data opening + key opening."""
+    """The pi_e circuit: CTR encryption + the data opening.  The key is
+    linked to its KZG point in row 0's b slot, which costs no gate."""
     return (
         num_entries * (mimc_ctr_element_gates() + 1)  # +1 equality per block
         + commitment_open_gates(num_entries)
-        + commitment_open_gates(1)
     )
 
 
@@ -84,9 +84,10 @@ def transformation_circuit_gates(source_sizes: list[int], derived_sizes: list[in
 
 
 def key_negotiation_gates() -> int:
-    """The pi_k circuit: key opening + H(k_v) + three gates: the h_v
-    equality and the masking equation k_c = k + k_v (add, equality)."""
-    return commitment_open_gates(1) + poseidon_hash_gates(1) + 3
+    """The pi_k circuit: H(k_v) + three gates: the h_v equality and the
+    masking equation k_c = k + k_v (add, equality).  The key is linked to
+    its KZG point in row 0's b slot, which costs no gate."""
+    return poseidon_hash_gates(1) + 3
 
 
 def logistic_circuit_gates(num_points: int, num_features: int, fp_mul_gates: int = 95) -> int:

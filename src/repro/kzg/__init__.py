@@ -10,6 +10,7 @@ from repro.kzg.srs import SRS, Ceremony
 from repro.kzg.commit import (
     batch_verify_openings,
     commit,
+    commit_scalar,
     fold_opening_claims,
     open_at,
     verify_opening,
@@ -20,6 +21,7 @@ __all__ = [
     "Ceremony",
     "batch_verify_openings",
     "commit",
+    "commit_scalar",
     "fold_opening_claims",
     "open_at",
     "verify_opening",

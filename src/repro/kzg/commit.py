@@ -44,6 +44,18 @@ def commit(srs: SRS, coeffs: list[int]) -> G1:
     return G1.from_jacobian(get_engine().msm_srs(srs, coeffs))
 
 
+def commit_scalar(srs: SRS, value: int, blinder: int) -> G1:
+    """Commit to the scalar ``value`` as d(X) = value + blinder * (X - 1).
+
+    d(1) = value at every domain size, so the point links the scalar into
+    a Plonk circuit of any n through row 0 (:meth:`repro.plonk.circuit.
+    CircuitBuilder.link`); with ``blinder`` uniform and nonzero the point
+    (value - blinder)[1] + blinder[tau] hides ``value``.  Two scalar
+    multiplications on the SRS's first two powers, outside the engine.
+    """
+    return srs.g1_powers[0] * ((value - blinder) % R) + srs.g1_powers[1] * (blinder % R)
+
+
 def open_at(srs: SRS, coeffs: list[int], z: int) -> tuple[int, G1]:
     """Return ``(p(z), proof)`` for the polynomial ``coeffs`` at point ``z``."""
     z %= R

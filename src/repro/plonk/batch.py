@@ -18,13 +18,13 @@ volumes").
 from __future__ import annotations
 
 from repro.field.fr import random_scalar
-from repro.plonk.keys import VerifyingKey
-from repro.plonk.proof import Proof
 from repro.plonk.verifier import fold_check
 
 
-def batch_verify(items: list[tuple[VerifyingKey, list[int], Proof]]) -> bool:
-    """Verify many (vk, public_inputs, proof) triples at once.
+def batch_verify(items: list[tuple]) -> bool:
+    """Verify many (vk, public_inputs, proof) triples at once; a member
+    whose key links a committed scalar carries that commitment as a
+    fourth element, and members sharing one point object share its term.
 
     All verification keys must come from the same SRS (same [1]_2 and
     [tau]_2) — which they do under ZKDET's universal setup.  Returns False

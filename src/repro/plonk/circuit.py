@@ -68,6 +68,8 @@ class Layout:
         ell: number of public inputs (occupying the first ``ell`` gates).
         ql, qr, qo, qm, q3, qc: the six selector columns, each length ``n``.
         sigma: the copy-constraint permutation over the ``3n`` wire slots.
+        links: 1 when row 0's b wire is linked to a committed scalar
+            (:meth:`CircuitBuilder.link`), else 0.
     """
 
     n: int
@@ -79,6 +81,7 @@ class Layout:
     q3: tuple
     qc: tuple
     sigma: tuple
+    links: int = 0
 
     @property
     def num_constraints(self) -> int:
@@ -94,6 +97,8 @@ class Layout:
         if cached is None:
             h = hashlib.sha256()
             h.update(b"layout:%d:%d;" % (self.n, self.ell))
+            if self.links:  # a layout that links nothing hashes as before
+                h.update(b"links:%d;" % self.links)
             for col in (self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma):
                 for v in col:
                     h.update(v.to_bytes(32, "little"))
@@ -146,12 +151,14 @@ class Layout:
 
 @dataclass
 class Assignment:
-    """A concrete witness: the three wire-value columns."""
+    """A concrete witness: the three wire-value columns, plus the linked
+    ``(commitment, blinder)`` when the layout links one."""
 
     a: list[int]
     b: list[int]
     c: list[int]
     ell: int
+    link: tuple | None = None
 
     @property
     def public_inputs(self) -> list[int]:
@@ -167,6 +174,7 @@ class CircuitBuilder:
         self._gates: list[_Gate] = []
         self._public: list[Wire] = []
         self._constants: dict[int, Wire] = {}
+        self._link: tuple | None = None
         self._compiled = False
 
     # ----- variable allocation -------------------------------------------------
@@ -191,6 +199,22 @@ class CircuitBuilder:
         self.gate(a=w, ql=1, qc=-value)
         self._constants[value] = w
         return w
+
+    def link(self, wire: Wire, commitment, blinder: int) -> None:
+        """Bind ``wire`` to the scalar k under ``commitment``: the KZG point
+        of d(X) = k + blinder * (X - 1)
+        (:func:`repro.kzg.commit.commit_scalar`).
+
+        The wire takes the b slot of row 0, the first public-input row,
+        whose b slot no gate reads, and the prover adds the term
+        L_0(X) * (b(X) - d(X)) to the quotient: the link costs no row.
+        A circuit links at most one commitment and needs a public input.
+        ``commitment`` is statement, not structure: structure-only builds
+        may pass a placeholder.
+        """
+        if self._link is not None:
+            raise CircuitError("a circuit links at most one commitment")
+        self._link = (wire, commitment, int(blinder) % R)
 
     def value(self, wire: Wire) -> int:
         """Read back the witness value of a wire."""
@@ -346,11 +370,15 @@ class CircuitBuilder:
         values, since the layout is witness-independent.
         """
         self._compiled = True
+        if self._link is not None and not self._public:
+            raise CircuitError("a linked circuit needs a public input: the link sits in row 0")
         gates: list[_Gate] = []
         # Public-input gates come first: a = w_i with qL = 1; the PI
-        # polynomial contributes -w_i so the row sums to zero.
-        for w in self._public:
-            gates.append(_Gate(1, 0, 0, 0, 0, 0, w, self.var(0), self.var(0)))
+        # polynomial contributes -w_i so the row sums to zero.  Row 0's b
+        # slot carries the linked wire, if any.
+        for i, w in enumerate(self._public):
+            b = self._link[0] if i == 0 and self._link is not None else self.var(0)
+            gates.append(_Gate(1, 0, 0, 0, 0, 0, w, b, self.var(0)))
         gates.extend(self._gates)
         n = max(min_size, 1)
         while n < len(gates):
@@ -376,13 +404,15 @@ class CircuitBuilder:
             for i, s in enumerate(slots):
                 sigma[s] = slots[(i + 1) % len(slots)]
 
-        layout = Layout(n, len(self._public), ql, qr, qo, qm, q3, qc, tuple(sigma))
+        links = int(self._link is not None)
+        layout = Layout(n, len(self._public), ql, qr, qo, qm, q3, qc, tuple(sigma), links)
         vals = self._values
         assignment = Assignment(
             a=[vals[g.a] for g in gates],
             b=[vals[g.b] for g in gates],
             c=[vals[g.c] for g in gates],
             ell=len(self._public),
+            link=self._link[1:] if links else None,
         )
         if check:
             layout.check(assignment)

@@ -26,7 +26,12 @@ DEGREE_MARGIN = 8
 
 @dataclass(frozen=True)
 class VerifyingKey:
-    """Succinct verification key: 9 G1 commitments + domain metadata."""
+    """Succinct verification key: 9 G1 commitments + domain metadata.
+
+    ``links`` is 1 when the circuit links row 0's b wire to a committed
+    scalar (:meth:`repro.plonk.circuit.CircuitBuilder.link`): its proofs
+    verify against that commitment as part of the statement.
+    """
 
     n: int
     ell: int
@@ -41,11 +46,14 @@ class VerifyingKey:
     c_s3: G1
     g2: G2
     g2_tau: G2
+    links: int = 0
 
     def digest(self) -> bytes:
         """Hash binding the transcript to this circuit and SRS."""
         h = hashlib.sha256()
         h.update(b"plonk-vk:%d:%d:%d:%d;" % (self.n, self.ell, K1, K2))
+        if self.links:  # a key that links nothing hashes as before
+            h.update(b"links:%d;" % self.links)
         for c in (
             self.c_qm,
             self.c_q3,
@@ -103,6 +111,7 @@ def setup(srs: SRS, layout: Layout) -> tuple[ProvingKey, VerifyingKey]:
         c_s3=commit(srs, s_polys[2]),
         g2=srs.g2,
         g2_tau=srs.g2_tau,
+        links=layout.links,
     )
     pk = ProvingKey(layout, srs, q_polys, s_polys, sigma_star, vk)
     return pk, vk

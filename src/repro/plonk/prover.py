@@ -41,6 +41,13 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     round 3 (size 4n; 8n at n=4), plus the SRS Jacobian conversion behind
     every commitment.
 
+    A linking layout (:meth:`~repro.plonk.circuit.CircuitBuilder.link`)
+    absorbs the assignment's commitment after the public inputs and adds
+    alpha^3 L_0(X) (b(X) - d(X)) to the quotient, with d(X) = k +
+    rho (X - 1) built from b(1) = k and the blinder rho.  The commitment
+    is absorbed as given: one that does not commit to d yields a proof
+    that fails verification.
+
     Under ``REPRO_TELEMETRY=trace`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
     evaluation, opening); at ``metrics`` level the engine's kernel
@@ -71,6 +78,12 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
     public_inputs = assignment.public_inputs
     for w in public_inputs:
         transcript.append_scalar(b"pub", w)
+    # d(X) = d0 + rho X: the linked scalar b(1) = d(1) with its blinder.
+    link = assignment.link if pk.layout.links else None
+    if link is not None:
+        transcript.append_point(b"link", link[0])
+        rho = link[1]
+        d0 = (assignment.b[0] - rho) % R
 
     # ----- Round 1: wire polynomials -------------------------------------
     with telemetry.span("blinding", round=1):
@@ -177,6 +190,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for (name, _), evals in zip(live, live_evals):
             ev[name] = evals
         alpha2 = alpha * alpha % R
+        alpha3 = alpha2 * alpha % R
         # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
         zh_period = big_n // n
         zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
@@ -212,9 +226,10 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 % R
             )
             boundary = (zv - 1) * ev["l1"][i] % R
-            t_evals.append(
-                (gate + alpha * (perm_a - perm_b) + alpha2 * boundary) * zh_inv[i % zh_period] % R
-            )
+            numerator = gate + alpha * (perm_a - perm_b) + alpha2 * boundary
+            if link is not None:
+                numerator += alpha3 * ev["l1"][i] % R * (bv - d0 - rho * x)
+            t_evals.append(numerator % R * zh_inv[i % zh_period] % R)
         t_poly = poly.trim(engine.coset_intt(t_evals))
         # A numerator Z_H does not divide leaves a quotient that fills the
         # whole coset; a satisfied circuit keeps it at degree 3n+5.
@@ -278,32 +293,38 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         )
         pb = (a_bar + beta * s1_bar + gamma) * (b_bar + beta * s2_bar + gamma) % R
 
-        d_poly: list[int] = []
-        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qm"], a_bar * b_bar % R))
-        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["q3"], a_bar * a_bar % R * b_bar % R))
-        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["ql"], a_bar))
-        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qr"], b_bar))
-        d_poly = poly.add(d_poly, poly.scale(pk.q_polys["qo"], c_bar))
-        d_poly = poly.add(d_poly, pk.q_polys["qc"])
+        r_poly: list[int] = []
+        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qm"], a_bar * b_bar % R))
+        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["q3"], a_bar * a_bar % R * b_bar % R))
+        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["ql"], a_bar))
+        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qr"], b_bar))
+        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qo"], c_bar))
+        r_poly = poly.add(r_poly, pk.q_polys["qc"])
         z_scalar = (alpha * pa + alpha2 * l1_zeta) % R
-        d_poly = poly.add(d_poly, poly.scale(z_poly, z_scalar))
+        r_poly = poly.add(r_poly, poly.scale(z_poly, z_scalar))
         s3_scalar = (-(alpha * pb % R) * beta % R) * z_omega_bar % R
-        d_poly = poly.add(d_poly, poly.scale(list(pk.s_polys[2]), s3_scalar))
+        r_poly = poly.add(r_poly, poly.scale(list(pk.s_polys[2]), s3_scalar))
         t_combined = poly.add(
             poly.add(t_lo, poly.scale(t_mid, pow(zeta, n, R))),
             poly.scale(t_hi, pow(zeta, 2 * n, R)),
         )
-        d_poly = poly.sub(d_poly, poly.scale(t_combined, zh_zeta))
+        r_poly = poly.sub(r_poly, poly.scale(t_combined, zh_zeta))
 
         r0 = (
             pi_zeta
             - l1_zeta * alpha2
             - alpha * pb % R * ((c_bar + gamma) % R) % R * z_omega_bar
         ) % R
-        if (poly.evaluate(d_poly, zeta) + r0) % R != 0:
+        if link is not None:
+            # d(X) stays a polynomial (the verifier holds only [d]); its
+            # partner b_bar is a known scalar and moves into r0.
+            link_scalar = alpha3 * l1_zeta % R
+            r_poly = poly.sub(r_poly, poly.scale([d0, rho], link_scalar))
+            r0 = (r0 + link_scalar * b_bar) % R
+        if (poly.evaluate(r_poly, zeta) + r0) % R != 0:
             raise ProofError("internal linearization check failed")
 
-        numerator = poly.add(d_poly, [r0])
+        numerator = poly.add(r_poly, [r0])
         vk_pow = v
         for opened, value in (
             (a_poly, a_bar),

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 from repro import telemetry
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract
+from repro.contracts.arbiter import key_digest
 from repro.core.exchange import Buyer, ExchangeResult, Seller, key_negotiation_keys
 from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset
@@ -209,7 +210,10 @@ class MarketplaceNode:
                 with telemetry.span("service.session.prove", proof="pi_p"):
                     pi_p = prove_encryption(self.ctx, asset)
             with telemetry.span("service.session.verify", proof="pi_p") as sp:
-                verified = verify_encryption(self.ctx, asset.public_view(), pi_p)
+                # Buyers lock against the [k] the session's pi_p links to.
+                verified = pi_p.key_commitment == seller.key_commitment and verify_encryption(
+                    self.ctx, asset.public_view(), pi_p
+                )
                 sp.set_attr("ok", verified)
             if not verified:
                 raise ServiceError("session refused: pi_p failed verification")
@@ -335,9 +339,10 @@ class MarketplaceNode:
                     "buyer reply timed out after %.3fs" % self.config.request_timeout,
                 )
             k_v, h_v = reply
+            key_bytes = session.seller.key_commitment.to_bytes()
             receipt = steps.tx(
                 buyer_address, self.arbiter, "lock_payment",
-                session.seller.address, session.asset.key_commitment.value, h_v,
+                session.seller.address, key_digest(key_bytes), h_v,
                 value=request.price, site="chain.lock_payment", noun="payment lock",
             )
             if not receipt.status:
@@ -363,7 +368,9 @@ class MarketplaceNode:
 
             # ----- Batched settlement ------------------------------------
             with steps.step("settlement"):
-                settled, gas_share = await self.batcher.settle(exchange_id, k_c, proof_bytes)
+                settled, gas_share = await self.batcher.settle(
+                    exchange_id, k_c, proof_bytes, key_bytes
+                )
             steps.gas += gas_share
             if not settled:
                 raise ProtocolError("pi_k rejected on chain")

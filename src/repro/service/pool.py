@@ -36,6 +36,7 @@ from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset
 from repro.errors import BackendError, ProtocolError, ServiceError
 from repro.field.fr import MODULUS as R
+from repro.kzg.commit import commit_scalar
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
@@ -46,10 +47,11 @@ from repro.telemetry.metrics import LATENCY_BUCKETS
 def _prove_pik_job(args: tuple) -> tuple:
     """Worker: one pi_k proof under the worker's own pool's context, warm
     from the fork -> ``(k_c, proof_bytes)``."""
-    ctx, key, key_commitment, key_blinder, k_v, h_v = args
+    ctx, key, key_blinder, k_v, h_v = args
     if field_hash(k_v) != h_v:
         raise ProtocolError("buyer's h_v does not match the received k_v; aborting")
     k_c = (key + k_v) % R
+    key_commitment = commit_scalar(ctx.srs, key, key_blinder)
     builder = CircuitBuilder()
     build_key_negotiation_circuit(builder, k_c, key_commitment, h_v, key, key_blinder, k_v)
     layout, assignment = builder.compile()
@@ -171,7 +173,7 @@ class ProverPool:
         try:
             if not worker.proc.is_alive():  # died idle: no request is lost
                 self._fork(worker)
-            worker.conn.send((asset.key, asset.key_commitment.value, asset.key_blinder, k_v, h_v))
+            worker.conn.send((asset.key, asset.key_blinder, k_v, h_v))
             worker.sent += 1
             while worker.read < worker.sent:  # past the replies of cancelled callers
                 reply: asyncio.Future = loop.create_future()

@@ -1,9 +1,9 @@
 """Batched settlement: accumulate completed exchanges, settle k at a time.
 
 Completed exchanges do not hit the chain one transaction each.  The
-batcher parks each ``(exchange_id, k_c, proof_bytes)`` triple behind an
-awaitable future and flushes when either ``batch_size`` members are
-waiting or ``max_delay`` seconds pass since the first member arrived —
+batcher parks each ``(exchange_id, k_c, proof_bytes, key_bytes)`` entry
+behind an awaitable future and flushes when either ``batch_size`` members
+are waiting or ``max_delay`` seconds pass since the first member arrived —
 the standard size-or-age policy, so a lone exchange in a quiet period is
 never parked indefinitely.
 
@@ -53,7 +53,7 @@ class SettlementBatcher:
         self.batch_size = batch_size
         self.max_delay = max_delay
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Waiting members: (exchange_id, k_c, proof_bytes, future).
+        #: Waiting members: (exchange_id, k_c, proof_bytes, key_bytes, future).
         self._pending: List[tuple] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         #: Gas spent across all flushed batch transactions.
@@ -61,9 +61,10 @@ class SettlementBatcher:
         self.batches_flushed = 0
 
     async def settle(
-        self, exchange_id: int, k_c: int, proof_bytes: bytes
+        self, exchange_id: int, k_c: int, proof_bytes: bytes, key_bytes: bytes
     ) -> Tuple[bool, int]:
         """Queue one exchange for batched settlement; await its outcome.
+        ``key_bytes`` encodes the key commitment [k] pi_k links to.
 
         Resolves to ``(settled, gas_share)``.  Raises whatever the batch
         transaction raised (retry exhaustion) when the flush itself could
@@ -71,7 +72,7 @@ class SettlementBatcher:
         """
         loop = asyncio.get_running_loop()
         fut: asyncio.Future = loop.create_future()
-        self._pending.append((exchange_id, k_c, proof_bytes, fut))
+        self._pending.append((exchange_id, k_c, proof_bytes, key_bytes, fut))
         if len(self._pending) >= self.batch_size:
             self._flush()
         elif self._timer is None:
@@ -92,7 +93,7 @@ class SettlementBatcher:
         batch, self._pending = self._pending, []
         if not batch:
             return
-        entries = tuple((eid, k_c, pb) for eid, k_c, pb, _ in batch)
+        entries = tuple(member[:4] for member in batch)
         try:
             receipt = self.retry.run(
                 lambda: self.chain.transact(
@@ -104,7 +105,7 @@ class SettlementBatcher:
                 site="chain.submit_key",
             )
         except Exception as exc:
-            for _eid, _kc, _pb, fut in batch:
+            for *_, fut in batch:
                 if not fut.done():
                     fut.set_exception(exc)
             return
@@ -118,6 +119,6 @@ class SettlementBatcher:
             telemetry.counter(
                 "service.settlement.unsettled"
             ).inc(len(batch) - len(settled))
-        for eid, _kc, _pb, fut in batch:
+        for eid, *_, fut in batch:
             if not fut.done():
                 fut.set_result((eid in settled, gas_share))

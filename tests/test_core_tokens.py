@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.curve.g1 import G1
 from repro.errors import ProtocolError, UnsatisfiedConstraintError
 from repro.field.fr import MODULUS as R
+from repro.kzg import SRS
 from repro.plonk.circuit import CircuitBuilder
 from repro.primitives.encoding import bytes_to_elements
 from repro.primitives.mimc import mimc_decrypt_ctr
@@ -19,7 +21,11 @@ class TestDataAsset:
         assert asset.ciphertext.blocks != (1, 2, 3)
         assert mimc_decrypt_ctr(7, asset.ciphertext) == [1, 2, 3]
         assert open_commitment(asset.plaintext, asset.data_commitment, asset.data_blinder)
-        assert open_commitment(asset.key, asset.key_commitment, asset.key_blinder)
+        # [k] commits to d(X) = k + rho (X - 1): with tau known, [d(tau)].
+        srs = SRS.generate(4, tau=5)
+        assert asset.key_blinder != 0
+        expected = G1.generator() * ((7 + asset.key_blinder * 4) % R)
+        assert asset.key_commitment(srs) == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):

@@ -88,7 +88,8 @@ class TestGateFormulas:
         assert mimc_block_gates() == constraints_per_block() <= 280
 
     def test_exchange_circuits_stay_under_their_power_of_two(self):
-        """pi_k at n=1024, 1- and 2-entry pi_e at n=2048: a gadget change
+        """pi_k at n=512, a 1-entry pi_e at n=1024 and a 2-entry pi_e at
+        n=2048, with the key linked rather than opened: a gadget change
         that crosses a power of two doubles every prover kernel, so it
         fails here and not in a benchmark."""
         from repro.core.exchange import build_key_negotiation_circuit
@@ -96,13 +97,13 @@ class TestGateFormulas:
 
         builder = CircuitBuilder()
         build_key_negotiation_circuit(builder, 0, 0, 0, 0, 0, 0)
-        assert builder.compile(check=False)[0].n == 1024
-        for entries in (1, 2):
+        assert builder.compile(check=False)[0].n == 512
+        for entries, n in ((1, 1024), (2, 2048)):
             builder = CircuitBuilder()
             build_encryption_circuit(
                 builder, [0] * entries, 0, 0, 0, [0] * entries, 0, 0, 0
             )
-            assert builder.compile(check=False)[0].n == 2048
+            assert builder.compile(check=False)[0].n == n
 
     def test_commitment_open_monotone(self):
         assert commitment_open_gates(10) > commitment_open_gates(2)

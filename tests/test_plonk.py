@@ -17,11 +17,13 @@ from repro.errors import (
     SRSError,
     UnsatisfiedConstraintError,
 )
+from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
-from repro.kzg import SRS
-from repro.plonk import CircuitBuilder, Proof, prove, prover, setup, verify
+from repro.kzg import SRS, commit_scalar
+from repro.plonk import CircuitBuilder, Proof, batch_verify, prove, prover, setup, verify
 from repro.plonk.circuit import Layout
+from repro.plonk.verifier import verification_group_operations
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +298,155 @@ class TestQuotientRound:
                 with pytest.raises(ProofError):
                     prove(pk, assignment, blinding=blinding)
         assert rejected >= layout.n  # the sweep did hit constrained cells
+
+
+def _linked_circuit(srs, key, rho, point=None, x_value=3):
+    """Public x and y = key * x, with the key wire linked to ``point``
+    (by default the honest [key] under ``rho``)."""
+    point = commit_scalar(srs, key, rho) if point is None else point
+    builder = CircuitBuilder()
+    x = builder.public_input(x_value)
+    y = builder.public_input(key * x_value % R)
+    k = builder.var(key)
+    builder.link(k, point, rho)
+    builder.assert_equal(builder.mul(k, x), y)
+    return builder.compile()
+
+
+class TestLinkedCommitment:
+    """A key wire linked to a KZG point [k] through row 0 (DESIGN.md, "The
+    key link"): the honest proof verifies, and every way of pointing it
+    at another scalar is rejected."""
+
+    KEY, RHO = 1234567, 7654321
+
+    @pytest.fixture(scope="class")
+    def linked(self, srs):
+        layout, assignment = _linked_circuit(srs, self.KEY, self.RHO)
+        pk, vk = setup(srs, layout)
+        point = commit_scalar(srs, self.KEY, self.RHO)
+        return pk, vk, assignment.public_inputs, prove(pk, assignment), point
+
+    def test_honest_linked_proof_verifies(self, linked):
+        _pk, vk, publics, proof, point = linked
+        assert vk.links == 1
+        assert verify(vk, publics, proof, point)
+
+    def test_batch_mixes_linking_and_plain_members(self, srs, linked):
+        pk, vk, publics, proof, point = linked
+        other_layout, other = _linked_circuit(srs, 99, 5)
+        other_point = commit_scalar(srs, 99, 5)
+        other_proof = prove(pk, other)
+        plain_layout, plain = _square_circuit(9, 12)
+        plain_pk, plain_vk = setup(srs, plain_layout)
+        plain_proof = prove(plain_pk, plain)
+        members = [
+            (vk, publics, proof, point),
+            (plain_vk, plain.public_inputs, plain_proof),
+            (vk, other.public_inputs, other_proof, other_point),
+            (vk, publics, proof, point),
+        ]
+        assert batch_verify(members)
+        # A linked member under the wrong point fails the fold.
+        members[2] = (vk, other.public_inputs, other_proof, point)
+        assert not batch_verify(members)
+
+    def test_fold_sums_a_shared_point_by_identity(self, monkeypatch, linked):
+        """Members naming one point object share its term; an equal point
+        in another object is its own term (nothing is merged by value)."""
+        _pk, vk, publics, proof, point = linked
+        engine = get_engine()
+        sizes = []
+        real_msm = engine.msm_g1
+
+        def counted(points, scalars):
+            sizes.append(len(points))
+            return real_msm(points, scalars)
+
+        monkeypatch.setattr(engine, "msm_g1", counted)
+        copy = G1(point.x, point.y)
+        assert batch_verify([(vk, publics, proof, point)] * 3)
+        assert batch_verify([(vk, publics, proof, point)] * 2 + [(vk, publics, proof, copy)])
+        assert sizes == [6, 9 * 3 + 10 + 1, 6, 9 * 3 + 10 + 2]
+
+    def test_another_tokens_commitment_rejected(self, srs, linked):
+        _pk, vk, publics, proof, _point = linked
+        other = commit_scalar(srs, self.KEY + 1, self.RHO)
+        assert not verify(vk, publics, proof, other)
+        # Same key, another blinder: another commitment, another statement.
+        assert not verify(vk, publics, proof, commit_scalar(srs, self.KEY, self.RHO + 1))
+
+    def test_identity_commitment_rejected(self, linked):
+        _pk, vk, publics, proof, _point = linked
+        assert not verify(vk, publics, proof, G1.identity())
+
+    def test_commitment_swapped_after_proving_rejected(self, srs, linked):
+        pk, vk, publics, proof, point = linked
+        layout, other = _linked_circuit(srs, 99, 5)
+        other_point = commit_scalar(srs, 99, 5)
+        other_proof = prove(pk, other)
+        assert verify(vk, other.public_inputs, other_proof, other_point)
+        assert not verify(vk, publics, proof, other_point)
+        assert not verify(vk, other.public_inputs, other_proof, point)
+
+    def test_key_not_under_the_commitment_rejected(self, srs, linked):
+        """The prover absorbs the statement's point as given; a witness key
+        that is not the scalar under it yields a proof that fails."""
+        pk, vk, _publics, _proof, point = linked
+        wrong_key = self.KEY + 1
+        _layout, assignment = _linked_circuit(srs, wrong_key, self.RHO, point=point)
+        forged = prove(pk, assignment)
+        assert not verify(vk, assignment.public_inputs, forged, point)
+        own_point = commit_scalar(srs, wrong_key, self.RHO)
+        assert not verify(vk, assignment.public_inputs, forged, own_point)
+
+    def test_link_and_key_must_agree(self, srs, linked):
+        _pk, vk, publics, proof, point = linked
+        assert not verify(vk, publics, proof)  # a linking key without [k]
+        plain_layout, plain = _square_circuit(9, 12)
+        plain_pk, plain_vk = setup(srs, plain_layout)
+        plain_proof = prove(plain_pk, plain)
+        assert verify(plain_vk, plain.public_inputs, plain_proof)
+        assert not verify(plain_vk, plain.public_inputs, plain_proof, point)
+
+    def test_one_point_serves_every_domain_size(self, srs):
+        """d(1) = k at every n: the same [k] links an n = 4 and an n = 16
+        circuit."""
+        point = commit_scalar(srs, self.KEY, self.RHO)
+        for padding in (0, 10):
+            builder = CircuitBuilder()
+            x = builder.public_input(3)
+            k = builder.var(self.KEY)
+            builder.link(k, point, self.RHO)
+            for _ in range(padding):
+                builder.assert_equal(k, k)
+            builder.assert_equal(builder.add(k, x), builder.constant(self.KEY + 3))
+            layout, assignment = builder.compile()
+            pk, vk = setup(srs, layout)
+            assert verify(vk, assignment.public_inputs, prove(pk, assignment), point)
+
+    def test_link_costs_no_row_and_enters_the_digests_only_when_set(self, srs):
+        linked_layout, _ = _linked_circuit(srs, self.KEY, self.RHO)
+        builder = CircuitBuilder()
+        x = builder.public_input(3)
+        y = builder.public_input(self.KEY * 3 % R)
+        k = builder.var(self.KEY)
+        builder.assert_equal(builder.mul(k, x), y)
+        plain_layout, _ = builder.compile()
+        assert (linked_layout.n, plain_layout.n, plain_layout.links) == (4, 4, 0)
+        assert linked_layout.qr == plain_layout.qr  # row 0's b slot stays unread
+        assert linked_layout.digest() != plain_layout.digest()
+        assert setup(srs, linked_layout)[1].digest() != setup(srs, plain_layout)[1].digest()
+        assert verification_group_operations(setup(srs, linked_layout)[1])["g1_scalar_mults"] == 20
+        assert verification_group_operations(setup(srs, plain_layout)[1])["g1_scalar_mults"] == 19
+
+    def test_link_needs_a_public_input_and_is_unique(self, srs):
+        point = commit_scalar(srs, 5, 6)
+        builder = CircuitBuilder()
+        k = builder.var(5)
+        builder.link(k, point, 6)
+        with pytest.raises(CircuitError):
+            builder.link(k, point, 6)
+        builder.assert_equal(k, k)
+        with pytest.raises(CircuitError):
+            builder.compile()

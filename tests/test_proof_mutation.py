@@ -24,8 +24,8 @@ from repro.curve.g2 import G2
 from repro.errors import ReproError
 from repro.field.fr import MODULUS as R
 from repro.groth16 import Groth16Proof, groth16_prove, groth16_setup, groth16_verify
-from repro.kzg import SRS
-from repro.plonk import CircuitBuilder, prove, setup, verify
+from repro.kzg import SRS, commit_scalar
+from repro.plonk import CircuitBuilder, Transcript, prove, setup, verify
 from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS
 from repro.r1cs import R1CSBuilder
 from tests.test_plonk import _sbox_circuit
@@ -189,6 +189,73 @@ class TestCubicGateProofMutation:
         monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
         assert verify(vk, publics, proof)  # sanity: pinning changes nothing
         assert _rejects(lambda: verify(stripped, publics, proof))
+
+
+@pytest.fixture(scope="module")
+def linked_case():
+    """A circuit whose key wire is linked to a KZG point [k] (row 0's b
+    slot): the point is part of the statement, so it is mutated too."""
+    srs = SRS.generate(64, tau=987654321)
+    key, rho = 4242, 1717
+    point = commit_scalar(srs, key, rho)
+    builder = CircuitBuilder()
+    x = builder.public_input(3)
+    y = builder.public_input(key * 3)
+    k = builder.var(key)
+    builder.link(k, point, rho)
+    builder.assert_equal(builder.mul(k, x), y)
+    layout, assignment = builder.compile()
+    pk, vk = setup(srs, layout)
+    proof = prove(pk, assignment)
+    publics = assignment.public_inputs
+    assert verify(vk, publics, proof, point)
+    return srs, vk, publics, proof, point
+
+
+class TestLinkedProofMutation:
+    """The same surface over a linked proof, plus mutants of [k]."""
+
+    def test_every_component_is_load_bearing(self, linked_case):
+        _srs, vk, publics, proof, point = linked_case
+        for field in _POINT_FIELDS:
+            mutant = proof.replace(**{field: getattr(proof, field) + G1.generator()})
+            assert _rejects(lambda: verify(vk, publics, mutant, point)), field
+        for field in _SCALAR_FIELDS:
+            mutant = proof.replace(**{field: (getattr(proof, field) + 1) % R})
+            assert _rejects(lambda: verify(vk, publics, mutant, point)), field
+
+    def test_mutated_commitment_rejected(self, linked_case):
+        srs, vk, publics, proof, point = linked_case
+        mutants = {
+            "identity": G1.identity(),
+            "generator": G1.generator(),
+            "negated": -point,
+            "nudged": point + G1.generator(),
+            "doubled": point + point,
+            "tau-power": srs.g1_powers[1],
+            "proof-point": proof.c_b,
+            "other-key": commit_scalar(srs, 4243, 1717),
+            "other-blinder": commit_scalar(srs, 4242, 1718),
+            "unblinded": commit_scalar(srs, 4242, 0),
+        }
+        for name, mutant in mutants.items():
+            assert _rejects(lambda: verify(vk, publics, proof, mutant)), name
+
+    def test_commitment_is_in_the_equation_not_only_the_transcript(self, linked_case, monkeypatch):
+        """Pin the transcript to the honest [k]: a nudged point must still
+        fail, because the link term multiplies the point itself in the
+        pairing equation (d(zeta) is never revealed, so nothing else
+        carries it)."""
+        _srs, vk, publics, proof, point = linked_case
+        absorb = Transcript.append_point
+
+        def pinned(self, label, p):
+            absorb(self, label, point if label == b"link" else p)
+
+        monkeypatch.setattr(Transcript, "append_point", pinned)
+        assert verify(vk, publics, proof, point)  # sanity: pinning changes nothing
+        assert _rejects(lambda: verify(vk, publics, proof, point + G1.generator()))
+        assert _rejects(lambda: verify(vk, publics, proof, commit_scalar(_srs, 4243, 1717)))
 
 
 # ---------------------------------------------------------------------------

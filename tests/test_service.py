@@ -31,8 +31,10 @@ from hypothesis import strategies as st
 from repro import faults, telemetry
 from repro.backend import Engine, get_engine, use_engine
 from repro.backend import engine as engine_module
+from repro.contracts.arbiter import key_digest
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
+from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import prove_encryption, verify_encryption
 from repro.curve.g1 import G1
 from repro.errors import (
@@ -215,7 +217,7 @@ class TestBatchSettlementContracts:
                 node.arbiter,
                 "lock_payment",
                 session.seller.address,
-                asset.key_commitment.value,
+                key_digest(session.seller.key_commitment.to_bytes()),
                 bundle.verification_hash,
                 value=PRICE,
             )
@@ -223,12 +225,16 @@ class TestBatchSettlementContracts:
             locked.append((receipt.return_value, bundle))
         return node, session, buyer, locked
 
+    @staticmethod
+    def _entry(session, eid, k_c, proof_bytes):
+        return (eid, k_c, proof_bytes, session.seller.key_commitment.to_bytes())
+
     def test_batch_settles_all_valid_members(self, snark_ctx, pik_bundles):
         asset, bundles = pik_bundles
         node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 3)
         before = node.chain.balance_of(session.seller.address)
         entries = tuple(
-            (eid, b.masked_key, b.proof_bytes) for eid, b in locked
+            self._entry(session, eid, b.masked_key, b.proof_bytes) for eid, b in locked
         )
         receipt = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch", entries
@@ -246,11 +252,11 @@ class TestBatchSettlementContracts:
         before_buyer = node.chain.balance_of(buyer)
         (e0, b0), (e1, b1), (e2, b2) = locked
         entries = (
-            (e0, b0.masked_key, b0.proof_bytes),
+            self._entry(session, e0, b0.masked_key, b0.proof_bytes),
             # Well-formed proof, wrong public input: fails the fold and
             # the per-proof fallback, but must not drag e0/e2 down.
-            (e1, (b1.masked_key + 1) % R, b1.proof_bytes),
-            (e2, b2.masked_key, b2.proof_bytes),
+            self._entry(session, e1, (b1.masked_key + 1) % R, b1.proof_bytes),
+            self._entry(session, e2, b2.masked_key, b2.proof_bytes),
         )
         receipt = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch", entries
@@ -270,8 +276,8 @@ class TestBatchSettlementContracts:
         node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 2)
         (e0, b0), (e1, _) = locked
         entries = (
-            (e0, b0.masked_key, b0.proof_bytes),
-            (e1, 123, b"not a proof"),
+            self._entry(session, e0, b0.masked_key, b0.proof_bytes),
+            self._entry(session, e1, 123, b"not a proof"),
         )
         receipt = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch", entries
@@ -284,7 +290,7 @@ class TestBatchSettlementContracts:
         node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 1)
         eid, b = locked[0]
         before = node.chain.balance_of(session.seller.address)
-        entry = (eid, b.masked_key, b.proof_bytes)
+        entry = self._entry(session, eid, b.masked_key, b.proof_bytes)
         receipt = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch", (entry, entry)
         )
@@ -308,12 +314,15 @@ class TestBatchSettlementContracts:
         (e0, b0), (e1, b1) = locked
         single = node.chain.transact(
             session.seller.address, node.arbiter, "submit_key",
-            e0, b0.masked_key + R, b0.proof_bytes,
+            *self._entry(session, e0, b0.masked_key + R, b0.proof_bytes),
         )
         assert not single.status and "pi_k verification failed" in single.error
         batch = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch",
-            ((e0, b0.masked_key + R, b0.proof_bytes), (e1, b1.masked_key, b1.proof_bytes)),
+            (
+                self._entry(session, e0, b0.masked_key + R, b0.proof_bytes),
+                self._entry(session, e1, b1.masked_key, b1.proof_bytes),
+            ),
         )
         assert batch.status and batch.return_value == (e1,)
         assert node.chain.call_view(node.arbiter, "masked_key", e0) is None
@@ -328,17 +337,82 @@ class TestBatchSettlementContracts:
             session.seller.address,
             node.arbiter,
             "submit_key",
-            locked[0][0],
-            locked[0][1].masked_key,
-            locked[0][1].proof_bytes,
+            *self._entry(session, locked[0][0], locked[0][1].masked_key, locked[0][1].proof_bytes),
         )
         assert single.status
-        rest = tuple((eid, b.masked_key, b.proof_bytes) for eid, b in locked[1:])
+        rest = tuple(
+            self._entry(session, eid, b.masked_key, b.proof_bytes) for eid, b in locked[1:]
+        )
         batched = node.chain.transact(
             node.operator, node.arbiter, "submit_key_batch", rest
         )
         assert batched.status and len(batched.return_value) == 2
         assert batched.gas_used // len(rest) < single.gas_used
+
+    def test_calldata_commitment_must_match_the_lock(self, snark_ctx, pik_bundles):
+        """The lock stores the digest of [k]; a settlement that names
+        another point — another token's [k], the identity, or the
+        proof's own key under a lock made for another — reverts, and
+        the escrow stays refundable."""
+        asset, bundles = pik_bundles
+        node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 1)
+        eid, b = locked[0]
+        other = DataAsset.create([1], key=5, nonce=6).key_commitment(snark_ctx.srs)
+        for key_bytes in (other.to_bytes(), G1.identity().to_bytes(), b"\x01" * 64):
+            single = node.chain.transact(
+                session.seller.address, node.arbiter, "submit_key",
+                eid, b.masked_key, b.proof_bytes, key_bytes,
+            )
+            assert not single.status and "does not match the lock" in single.error
+        # A lock made against another token's [k]: the honest proof under
+        # the seller's [k] cannot settle it, whichever point is named.
+        foreign = node.chain.transact(
+            buyer, node.arbiter, "lock_payment", session.seller.address,
+            key_digest(other.to_bytes()), b.verification_hash, value=PRICE,
+        ).return_value
+        for key_bytes in (other.to_bytes(), session.seller.key_commitment.to_bytes()):
+            receipt = node.chain.transact(
+                session.seller.address, node.arbiter, "submit_key",
+                foreign, b.masked_key, b.proof_bytes, key_bytes,
+            )
+            assert not receipt.status
+        before = node.chain.balance_of(buyer)
+        assert node.chain.transact(buyer, node.arbiter, "refund", eid).status
+        assert node.chain.transact(buyer, node.arbiter, "refund", foreign).status
+        assert node.chain.balance_of(buyer) == before + 2 * PRICE
+
+    def test_batch_member_with_wrong_commitment_fails_alone(self, snark_ctx, pik_bundles):
+        asset, bundles = pik_bundles
+        node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 3)
+        (e0, b0), (e1, b1), (e2, b2) = locked
+        other = DataAsset.create([1], key=5, nonce=6).key_commitment(snark_ctx.srs)
+        entries = (
+            self._entry(session, e0, b0.masked_key, b0.proof_bytes),
+            (e1, b1.masked_key, b1.proof_bytes, other.to_bytes()),
+            self._entry(session, e2, b2.masked_key, b2.proof_bytes),
+        )
+        receipt = node.chain.transact(node.operator, node.arbiter, "submit_key_batch", entries)
+        assert receipt.status and receipt.return_value == (e0, e2)
+        assert node.chain.call_view(node.arbiter, "exchange_info", e1) is not None
+        assert node.chain.transact(buyer, node.arbiter, "refund", e1).status
+
+    def test_one_keys_batch_hands_the_verifier_one_point(self, snark_ctx, pik_bundles, monkeypatch):
+        """Members locked against one digest share one point object, so the
+        fold multiplies [k] once and the batch pays one term for it."""
+        asset, bundles = pik_bundles
+        node, session, buyer, locked = self._locked(snark_ctx, asset, bundles, 3)
+        seen = []
+        verify_batch = type(node.verifier).verify_batch
+
+        def spy(self, items):
+            seen.append({id(item[2]) for item in items})
+            return verify_batch(self, items)
+
+        monkeypatch.setattr(type(node.verifier), "verify_batch", spy)
+        entries = tuple(self._entry(session, eid, b.masked_key, b.proof_bytes) for eid, b in locked)
+        receipt = node.chain.transact(node.operator, node.arbiter, "submit_key_batch", entries)
+        assert receipt.status and len(receipt.return_value) == 3
+        assert [len(ids) for ids in seen] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +719,14 @@ def serial_engine():
 
 
 def _prove_args(asset, k_v):
-    return (asset.key, asset.key_commitment.value, asset.key_blinder, k_v, field_hash(k_v))
+    return (asset.key, asset.key_blinder, k_v, field_hash(k_v))
 
 
 def _pik_witness(snark_ctx, asset, k_v):
     """The pi_k proving key and assignment a worker builds for ``k_v``."""
     builder = CircuitBuilder()
     build_key_negotiation_circuit(
-        builder, (asset.key + k_v) % R, asset.key_commitment.value,
+        builder, (asset.key + k_v) % R, asset.key_commitment(snark_ctx.srs),
         field_hash(k_v), asset.key, asset.key_blinder, k_v,
     )
     layout, assignment = builder.compile()
@@ -661,9 +735,9 @@ def _pik_witness(snark_ctx, asset, k_v):
 
 def _pik_verifies(snark_ctx, asset, k_v, result):
     k_c, proof_bytes = result
-    statement = [k_c, asset.key_commitment.value, field_hash(k_v)]
+    statement = [k_c, field_hash(k_v)]
     vk = key_negotiation_keys(snark_ctx).vk
-    return verify(vk, statement, Proof.from_bytes(proof_bytes))
+    return verify(vk, statement, Proof.from_bytes(proof_bytes), asset.key_commitment(snark_ctx.srs))
 
 
 @pytest.mark.slow
