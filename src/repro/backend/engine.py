@@ -48,9 +48,9 @@ The public methods are thin wrappers that record telemetry (call counts,
 input sizes, cache hit/miss outcomes, and wall-clock via
 ``telemetry.kernel_timer``) when ``REPRO_TELEMETRY`` enables it; helpers
 record nothing, their time is the caller's kernel time, so the counters
-are the same whatever ``helpers`` is.  The count-AND-time pairing is the
-ENG-001 lint contract: a kernel wrapper that counts but never times (or
-vice versa) is a finding.
+are the same whatever ``helpers`` is.  Every public kernel both counts
+and times: ``tests/test_telemetry.py::TestKernelAccounting`` calls each
+one and fails on a wrapper that does only one of the two.
 """
 
 from __future__ import annotations

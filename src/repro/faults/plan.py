@@ -11,9 +11,10 @@ others.  This is what makes every chaos failure replayable from the
 seed printed in the test report.
 
 No ``random`` module anywhere: draws come from SHA-256, which keeps the
-fault plane trivially deterministic and keeps zklint's DET-001 story
-simple (``faults/`` is measurement-layer code; the proving path may not
-import it at all).
+fault plane trivially deterministic.  ``faults/`` is measurement-layer
+code and the proving path never consults it: under a plan that matches
+every site, the pinned-blinder proofs keep their bytes and the injector
+counts zero consultations (``tests/test_plonk.py::TestQuotientRound``).
 """
 
 from __future__ import annotations

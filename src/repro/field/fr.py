@@ -95,9 +95,10 @@ def random_scalar(nonzero: bool = False) -> int:
     """Sample a random scalar field element (as a raw int).
 
     Randomness contract: this is the *only* sanctioned entropy source on
-    the proving path (DET-001 allowlists exactly this module), and it
-    draws from :func:`secrets.randbelow` — the OS CSPRNG — never from
-    :mod:`random`.  A biased or predictable sampler here breaks zero
+    the proving path (the pinned-blinder ``GOLDEN`` proofs in
+    ``tests/test_plonk.py`` replace it, so any other source moves their
+    bytes), and it draws from :func:`secrets.randbelow` — the OS
+    CSPRNG — never from :mod:`random`.  A biased or predictable sampler here breaks zero
     knowledge outright: Plonk's blinding factors, KZG batch weights and
     Groth16's ``r, s`` all assume uniform scalars.
 

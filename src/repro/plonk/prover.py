@@ -111,7 +111,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         # output back into the sponge, so gamma is bound to beta and to
         # every commitment beta was bound to (GWC19 draws both from the
         # same round-2 state).
-        gamma = transcript.challenge(b"gamma")  # zklint: disable=FS-001
+        gamma = transcript.challenge(b"gamma")
         points = domain.elements
         s1, s2, s3 = pk.sigma_star
         denominators = []

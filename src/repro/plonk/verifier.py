@@ -151,7 +151,7 @@ def proof_terms(
     beta = transcript.challenge(b"beta")
     # Mirrors the prover's round-2 schedule: challenge() folds its output
     # back into the sponge, so gamma stays bound to beta's preimage.
-    gamma = transcript.challenge(b"gamma")  # zklint: disable=FS-001
+    gamma = transcript.challenge(b"gamma")
     transcript.append_point(b"z", proof.c_z)
     alpha = transcript.challenge(b"alpha")
     transcript.append_point(b"t_lo", proof.c_t_lo)

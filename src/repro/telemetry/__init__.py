@@ -180,7 +180,8 @@ class _KernelTimer:
 def kernel_timer(kernel: str, **labels: object) -> Union[_KernelTimer, NoopSpan]:
     """Time one kernel invocation into ``engine.kernel.seconds{kernel=...}``.
 
-    The duration half of the ENG-001 contract: every public engine
+    The duration half of the count-and-time contract
+    (``tests/test_telemetry.py::TestKernelAccounting``): every public engine
     kernel wrapper both *counts* its call (counter/histogram) and
     *times* it through this context manager, so the hot-kernel table in
     ``python -m repro.telemetry report`` can rank kernels by wall-clock

@@ -46,7 +46,7 @@ def prepare_pairing_inputs(
     beta = transcript.challenge(b"beta")
     # Mirrors the prover's round-2 schedule: challenge() folds its output
     # back into the sponge, so gamma stays bound to beta's preimage.
-    gamma = transcript.challenge(b"gamma")  # zklint: disable=FS-001
+    gamma = transcript.challenge(b"gamma")
     transcript.append_point(b"z", proof.c_z)
     alpha = transcript.challenge(b"alpha")
     transcript.append_point(b"t_lo", proof.c_t_lo)

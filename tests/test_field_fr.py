@@ -1,9 +1,14 @@
 """Unit and property tests for the BN254 scalar field."""
 
+import ast
+import tokenize
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.curve.fq import Q
 from repro.errors import FieldError
 from repro.field import Fr, MODULUS, batch_inverse, inv, root_of_unity
 from repro.field import fr
@@ -149,3 +154,20 @@ class TestRandomScalar:
 
         source = inspect.getsource(fr.random_scalar)
         assert "secrets.randbelow" in source
+
+
+def test_no_bn254_modulus_literal_outside_its_home():
+    """Each BN254 modulus is written once, as a named constant (``fr.MODULUS``,
+    ``fq.Q``): a literal copy anywhere else in the package, in any base, is
+    one mistyped digit away from arithmetic in the wrong field."""
+    package = Path(fr.__file__).resolve().parent.parent
+    homes = {package / "field" / "fr.py", package / "curve" / "fq.py"}
+    copies = []
+    for path in sorted(package.rglob("*.py")):
+        if path in homes:
+            continue
+        with tokenize.open(path) as source:
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type == tokenize.NUMBER and ast.literal_eval(token.string) in (MODULUS, Q):
+                    copies.append("%s:%d" % (path.relative_to(package), token.start[0]))
+    assert not copies

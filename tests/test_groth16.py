@@ -230,10 +230,18 @@ class TestGroth16:
         monkeypatch.setattr(
             "repro.groth16.protocol.random_scalar", lambda nonzero=False: next(counter)
         )
-        system, _ = _cube_circuit(35, 105, 3)
-        _, vk = groth16_setup(system)
+        system, witness = _cube_circuit(35, 105, 3)
+        pk, vk = groth16_setup(system)
         assert vk.alpha_g1 == G1.generator() * 0x5EEE
         digest = hashlib.sha256(b"".join(c.to_bytes(32, "big") for c in vk.alpha_beta_gt))
         assert digest.hexdigest() == (
             "f471a21b308921afeeb21aca16a17089bc4ee882d533edc34567f7ba46b1e64b"
+        )
+        # The proof draws r and s from the same counter: its bytes are a
+        # function of (key, witness, counter) alone.
+        proof = groth16_prove(pk, witness)
+        assert groth16_verify(vk, [35, 105], proof)
+        digest = hashlib.sha256(proof.a.to_bytes() + proof.b.to_bytes() + proof.c.to_bytes())
+        assert digest.hexdigest() == (
+            "76882f2a8226fbf3489283629f5f70376606e7257d5e89b99cd3e4c4d605277d"
         )

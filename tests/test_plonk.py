@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from repro import faults
 from repro.errors import (
     CircuitError,
     ProofError,
@@ -266,9 +267,9 @@ class TestQuotientRound:
         "sbox": _sbox_circuit,
     }
 
-    @pytest.mark.parametrize("blinding", [False, True])
-    @pytest.mark.parametrize("name", ["n4", "n8"])
-    def test_proof_bytes_equal_the_parent_commits(self, srs, monkeypatch, name, blinding):
+    def _pinned_proof_digest(self, srs, monkeypatch, name, blinding):
+        """Prove and verify circuit ``name`` with the pinned blinders; the
+        sha256 of the proof bytes."""
         layout, assignment = self.CIRCUITS[name]()
         assert layout.n == int(name[1:])
         pk, vk = setup(srs, layout)
@@ -276,7 +277,25 @@ class TestQuotientRound:
         monkeypatch.setattr(prover, "random_scalar", lambda nonzero=False: next(blinders))
         proof = prove(pk, assignment, blinding=blinding)
         assert verify(vk, assignment.public_inputs, proof)
-        assert hashlib.sha256(proof.to_bytes()).hexdigest() == self.GOLDEN[name, blinding]
+        return hashlib.sha256(proof.to_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("blinding", [False, True])
+    @pytest.mark.parametrize("name", ["n4", "n8"])
+    def test_proof_bytes_equal_the_parent_commits(self, srs, monkeypatch, name, blinding):
+        digest = self._pinned_proof_digest(srs, monkeypatch, name, blinding)
+        assert digest == self.GOLDEN[name, blinding]
+
+    def test_a_plan_failing_every_site_never_reaches_the_prover(self, srs, monkeypatch):
+        """The fault plane is measurement-layer code: under a plan that
+        fails every consultation of every site, proving and verifying
+        consult it zero times and the pinned proofs keep their bytes."""
+        plan = faults.FaultPlan(seed=0, rules=(faults.FaultRule("*", "loss", faults.PPM),))
+        with faults.use_plan(plan) as injector:
+            digests = {
+                key: self._pinned_proof_digest(srs, monkeypatch, *key) for key in self.GOLDEN
+            }
+        assert digests == self.GOLDEN
+        assert injector.consultations == 0
 
     @pytest.mark.parametrize("blinding", [False, True])
     @pytest.mark.parametrize("name", ["n4", "n8", "sbox"])

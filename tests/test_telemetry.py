@@ -5,11 +5,21 @@ warm-proof test asserts the *measured* "10 of 16 coset FFTs skipped" claim
 that the engine docstring and the repeated-proof benchmark cite.
 """
 
+import importlib
+import inspect
+import pkgutil
+import types
+
 import pytest
 
+import repro.groth16
+import repro.kzg
+import repro.plonk
 from repro import telemetry
 from repro.backend import Engine, use_engine
 from repro.chain import Blockchain, Contract, external
+from repro.curve.g1 import G1
+from repro.curve.g2 import G2
 from repro.curve.msm import FIXED_WINDOW_MIN
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
@@ -294,6 +304,23 @@ def _assert_coset_sizes(kind, count, size):
     assert sizes.bucket_counts[sizes.bounds.index(size)] == count
 
 
+#: Public ``Engine`` members that run no kernel: plans, cached views,
+#: cache lookups and lifecycle.
+NON_KERNELS = {
+    "domain",
+    "coset_ntt_cached",
+    "coset_points",
+    "srs_g1_jacobian",
+    "prepared_g2",
+    "close",
+    "live_helpers",
+    "name",
+}
+
+#: The kernel modules protocol code must reach through the engine.
+KERNEL_MODULES = {"repro.field.ntt", "repro.curve.msm", "repro.curve.pairing"}
+
+
 class TestKernelAccounting:
     def test_warm_proof_skips_ten_of_sixteen_coset_ffts(self, snark_ctx):
         """The measured source of truth for the '10 of 16 FFTs cached' claim.
@@ -407,6 +434,72 @@ class TestKernelAccounting:
         assert serial_counts["engine.cache.hits{cache=msm_window}"] == 9
         _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
         assert telemetry.finished_roots()[-1].attrs["backend"] == "split"
+
+    def test_every_public_engine_kernel_counts_and_times(self, snark_ctx):
+        """Each public ``Engine`` method but the named non-kernels, called
+        once at metrics level, raises an ``engine.*`` call counter and adds
+        a sample to ``engine.kernel.seconds``: a new kernel is covered
+        without being listed, and fails here until it does both."""
+        samples = {
+            "coeffs": [1, 2, 3, 4],
+            "evals": [1, 2, 3, 4],
+            "values": [1, 2, 3, 4],
+            "n": 4,
+            "jobs": [("fft", 4, [1, 2, 3, 4], 0)],
+            "points": [],
+            "scalars": [],
+            "srs": snark_ctx.srs,
+            "base": G1.generator(),
+            "scalar": 5,
+            "p_pt": G1.generator(),
+            "q_pt": G2.generator(),
+            "pairs": [(G1.generator(), G2.generator())],
+        }
+        kernels = sorted(
+            name for name in vars(Engine) if not name.startswith("_") and name not in NON_KERNELS
+        )
+        assert "ntt" in kernels and "msm_srs" in kernels
+        engine = Engine()
+        telemetry.set_level(telemetry.METRICS)
+        unaccounted = []
+        for name in kernels:
+            telemetry.reset_metrics()
+            method = getattr(engine, name)
+            params = inspect.signature(method).parameters.values()
+            method(*[samples[p.name] for p in params if p.default is p.empty])
+            snapshot = telemetry.snapshot()
+            counted = any(
+                value
+                for key, value in snapshot["counters"].items()
+                if key.startswith("engine.") and not key.startswith("engine.cache.")
+            )
+            timed = sum(
+                hist["count"]
+                for key, hist in snapshot["histograms"].items()
+                if key.startswith("engine.kernel.seconds")
+            )
+            if not (counted and timed):
+                unaccounted.append((name, counted, timed))
+        assert not unaccounted
+
+    def test_protocol_modules_hold_no_kernel_internals(self):
+        """``kzg``, ``plonk`` and ``groth16`` reach NTT, MSM and pairing
+        code only through the engine, so its caches and counters see every
+        call: no module of theirs holds an object (or a module) from the
+        kernel modules.  Constants such as ``COSET_SHIFT`` carry no
+        ``__module__`` and pass."""
+        held = []
+        for package in (repro.kzg, repro.plonk, repro.groth16):
+            walked = pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+            for name in [package.__name__] + [info.name for info in walked]:
+                for attr, obj in vars(importlib.import_module(name)).items():
+                    if isinstance(obj, types.ModuleType):
+                        origin = obj.__name__
+                    else:
+                        origin = getattr(obj, "__module__", None)
+                    if origin in KERNEL_MODULES:
+                        held.append("%s.%s" % (name, attr))
+        assert not held
 
 
 # ----- prover / protocol span trees ----------------------------------------

@@ -1,17 +1,27 @@
 """Runtime tests for the Fiat-Shamir transcript.
 
-The static rule FS-001 checks the absorb/squeeze *schedule*; these tests
-check the *values*: domain tags, labels, absorbed data and absorption
-order must all change the derived challenges, and the verifier's replay
-must reproduce the prover's challenge sequence bit for bit.
+Domain tags, labels, absorbed data and absorption order must all change
+the derived challenges.  Over real proofs, the prover and the verifier
+must run the same absorb/squeeze schedule byte for byte, and that
+schedule must bind the statement and every proof message before the
+challenge that follows it (the "frozen heart" bug class).
 """
+
+import dataclasses
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
-from repro.kzg import SRS
-from repro.plonk import CircuitBuilder, prove, setup, verify
+from repro.kzg import SRS, commit_scalar
+from repro.plonk import CircuitBuilder, Proof, prove, setup, verify
 from repro.plonk.transcript import Transcript
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _challenge_after(domain_tag, events, label=b"chal"):
@@ -93,63 +103,159 @@ class TestChallengeSeparation:
         assert seq1 == seq2
 
 
+#: Squeezes allowed straight after a squeeze, as (previous, next) labels:
+#: GWC19 draws beta and gamma from the same round-2 state, and
+#: ``challenge()`` folds beta back into it, so gamma stays bound.
+DESIGNED_SQUEEZES = {(b"beta", b"gamma")}
+
+#: The challenge each proof field must be absorbed before: the first one
+#: the prover draws after computing it.
+BOUND_BY = {
+    **dict.fromkeys(("c_a", "c_b", "c_c"), b"beta"),
+    "c_z": b"alpha",
+    **dict.fromkeys(("c_t_lo", "c_t_mid", "c_t_hi"), b"zeta"),
+    **dict.fromkeys(("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar"), b"v"),
+    **dict.fromkeys(("w_zeta", "w_zeta_omega"), b"u"),
+}
+
+
+@pytest.fixture
+def transcript_log(monkeypatch):
+    """Every absorb and every challenge of every transcript, in order, as
+    ``(kind, label, bytes)``.  A challenge's fold-back into the state is
+    part of the challenge, not an absorb."""
+    log = []
+    squeezing = []
+    absorb, challenge = Transcript._absorb, Transcript.challenge
+
+    def recording_absorb(self, label, data):
+        if not squeezing:
+            log.append(("absorb", label, data))
+        absorb(self, label, data)
+
+    def recording_challenge(self, label):
+        squeezing.append(label)
+        try:
+            value = challenge(self, label)
+        finally:
+            squeezing.pop()
+        log.append(("challenge", label, value.to_bytes(32, "little")))
+        return value
+
+    monkeypatch.setattr(Transcript, "_absorb", recording_absorb)
+    monkeypatch.setattr(Transcript, "challenge", recording_challenge)
+    return log
+
+
+def _unlinked(srs):
+    """Public x; private w with w^2 = x."""
+    builder = CircuitBuilder()
+    x = builder.public_input(9)
+    w = builder.var(3)
+    builder.assert_equal(builder.mul(w, w), x)
+    return builder.compile(), None
+
+
+def _linked(srs, key=1234567, rho=7654321):
+    """Public x and y = key * x, with the key wire linked to [key]."""
+    point = commit_scalar(srs, key, rho)
+    builder = CircuitBuilder()
+    x = builder.public_input(3)
+    y = builder.public_input(key * 3 % R)
+    k = builder.var(key)
+    builder.link(k, point, rho)
+    builder.assert_equal(builder.mul(k, x), y)
+    return builder.compile(), point
+
+
+def _encode(value):
+    """The bytes a transcript absorbs for a G1 point or a scalar."""
+    return value.to_bytes() if isinstance(value, G1) else (value % R).to_bytes(32, "little")
+
+
+def _absorbed_at(log, data):
+    """Index of the first absorb of ``data``; fails if it is never absorbed."""
+    for i, (kind, _, absorbed) in enumerate(log):
+        if kind == "absorb" and absorbed == data:
+            return i
+    pytest.fail("never absorbed: %s" % data.hex())
+
+
 class TestProverVerifierReplay:
     @pytest.fixture(scope="class")
     def srs(self):
         return SRS.generate(64, tau=987654321)
 
-    def _circuit(self):
-        builder = CircuitBuilder()
-        x = builder.public_input(9)
-        w = builder.var(3)
-        builder.assert_equal(builder.mul(w, w), x)
-        return builder.compile()
-
-    def test_verifier_reproduces_prover_challenges_bitwise(self, srs, monkeypatch):
-        records = []
-        original = Transcript.challenge
-
-        def recording(self, label):
-            value = original(self, label)
-            records.append((label, value))
-            return value
-
-        monkeypatch.setattr(Transcript, "challenge", recording)
-
-        layout, assignment = self._circuit()
+    def _replay(self, srs, log, statement):
+        """Prove and verify ``statement``; returns what each side logged."""
+        (layout, assignment), link = statement(srs)
         pk, vk = setup(srs, layout)
-        records.clear()
+        log.clear()
         proof = prove(pk, assignment)
-        prover_sequence = list(records)
-        records.clear()
-        assert verify(vk, [9], proof)
-        verifier_sequence = list(records)
+        prover_log = list(log)
+        log.clear()
+        assert verify(vk, assignment.public_inputs, proof, link=link)
+        return prover_log, list(log), (vk, assignment.public_inputs, link, proof)
 
-        labels = [label for label, _ in prover_sequence]
+    def test_verifier_reproduces_prover_challenges_bitwise(self, srs, transcript_log):
+        prover_log, verifier_log, _ = self._replay(srs, transcript_log, _unlinked)
+        labels = [label for kind, label, _ in prover_log if kind == "challenge"]
         assert labels == [b"beta", b"gamma", b"alpha", b"zeta", b"v", b"u"]
-        assert verifier_sequence == prover_sequence
+        assert verifier_log == prover_log
 
-    def test_tampered_proof_diverges_challenges(self, srs, monkeypatch):
-        records = []
-        original = Transcript.challenge
+    @pytest.mark.parametrize("statement", [_unlinked, _linked], ids=["unlinked", "linked"])
+    def test_schedule_binds_the_statement_and_every_proof_field(
+        self, srs, transcript_log, statement
+    ):
+        prover_log, verifier_log, (vk, publics, link, proof) = self._replay(
+            srs, transcript_log, statement
+        )
+        assert verifier_log == prover_log
 
-        def recording(self, label):
-            value = original(self, label)
-            records.append((label, value))
-            return value
+        previous = ("challenge", None)
+        for kind, label, _ in prover_log:
+            if kind == "challenge":
+                assert previous[0] == "absorb" or (previous[1], label) in DESIGNED_SQUEEZES, (
+                    "challenge %r follows challenge %r with no absorb" % (label, previous[1])
+                )
+            previous = kind, label
+        assert prover_log[-1][:2] == ("challenge", b"u"), "absorbed after u"
 
-        monkeypatch.setattr(Transcript, "challenge", recording)
+        challenges = {label: i for i, (kind, label, _) in enumerate(prover_log) if kind == "challenge"}
+        statement_bytes = [vk.digest()] + [_encode(w) for w in publics]
+        if link is not None:
+            statement_bytes.append(_encode(link))
+        for data in statement_bytes:
+            assert _absorbed_at(prover_log, data) < challenges[b"beta"]
+        assert {f.name for f in dataclasses.fields(Proof)} == set(BOUND_BY)
+        for name, bound_by in BOUND_BY.items():
+            assert _absorbed_at(prover_log, _encode(getattr(proof, name))) < challenges[bound_by], name
 
-        layout, assignment = self._circuit()
-        pk, vk = setup(srs, layout)
-        records.clear()
-        proof = prove(pk, assignment)
-        prover_sequence = list(records)
-        records.clear()
-        import dataclasses
-
+    def test_tampered_proof_diverges_challenges(self, srs, transcript_log):
+        prover_log, _, (vk, publics, _, proof) = self._replay(srs, transcript_log, _unlinked)
+        transcript_log.clear()
         tampered = dataclasses.replace(proof, c_a=proof.c_a * 2)
-        assert not verify(vk, [9], tampered)
+        assert not verify(vk, publics, tampered)
         # The verifier re-derives beta from the tampered commitment, so
         # the challenge stream diverges immediately.
-        assert records and records[0] != prover_sequence[0]
+        challenges = [event for event in transcript_log if event[0] == "challenge"]
+        assert challenges and challenges[0] != next(e for e in prover_log if e[0] == "challenge")
+
+
+class TestMypyStrictSubset:
+    def test_strict_subset_typechecks(self):
+        if shutil.which("mypy") is None and not _module_available("mypy"):
+            pytest.skip("mypy not installed (CI-only dependency)")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mypy"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _module_available(name):
+    import importlib.util
+
+    return importlib.util.find_spec(name) is not None
