@@ -12,10 +12,11 @@ The engine has ``helpers``: forked processes that share its fixed-table
 G1 MSMs (every commitment of a warm Plonk proof), each building and
 holding its own rows of the window tables, with bit-identical results.
 There is nothing to set: :func:`get_engine` gives the process's engine
-one helper per spare core of the CPU mask (none on one CPU), and
-:class:`~repro.service.pool.ProverPool` gives each of its workers its
-share of the spares by the same rule (:func:`spare_cores`).  A scope
-that wants another engine installs one::
+one helper per spare core of the CPU mask (none on one CPU).  A host
+runs one set of them: :class:`~repro.service.pool.ProverPool` hands the
+engine's helpers to its one worker rather than let it fork its own
+(:meth:`Engine.hand_over`, :meth:`Engine.adopt`).  A scope that wants
+another engine installs one::
 
     from repro.backend import Engine, use_engine
 
@@ -37,23 +38,17 @@ from repro.backend.engine import Engine
 _engine: Engine | None = None
 
 
-def spare_cores(processes: int = 1) -> int:
-    """Helpers for each of ``processes`` proving processes: its share of
-    the CPU mask less the core it runs on itself."""
-    return max(0, len(os.sched_getaffinity(0)) // processes - 1)
-
-
 def get_engine() -> Engine:
-    """Return the process's engine, creating it on first use with
-    :func:`spare_cores` helpers.
+    """Return the process's engine, creating it on first use with one
+    helper per core of the CPU mask besides the one it runs on.
 
     It is shared so its caches amortise across every proof in the
     process; a forked child inherits it with the rows it holds and
-    none of its helpers.
+    none of its helpers, unless it adopts them (:meth:`Engine.adopt`).
     """
     global _engine
     if _engine is None:
-        _engine = Engine(helpers=spare_cores())
+        _engine = Engine(helpers=len(os.sched_getaffinity(0)) - 1)
     return _engine
 
 
@@ -79,4 +74,4 @@ def use_engine(engine: Engine) -> Iterator[Engine]:
         set_engine(previous)
 
 
-__all__ = ["Engine", "get_engine", "set_engine", "spare_cores", "use_engine"]
+__all__ = ["Engine", "get_engine", "set_engine", "use_engine"]

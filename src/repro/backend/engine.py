@@ -39,9 +39,10 @@ Helpers are forked once, at the first wide MSM, and only while this is
 the process's one thread; table growth never re-forks them.  A helper
 that dies is dropped, not replaced: its shard is computed here, from rows
 this process builds the first time it needs them.  Helpers belong to the
-process that forked them: an engine inherited across a fork (a
-prover-pool worker's) starts with none of its parent's.  Every other
-kernel stays in-process: splitting them was measured and paid for
+process that forked them: an engine inherited across a fork starts with
+none of its parent's, unless it adopts those the parent hands over (the
+prover pool's worker: one set per host).  Every other kernel stays
+in-process: splitting them was measured and paid for
 nothing (EXPERIMENTS.md, "Folded: the parallel engine's pool").
 
 The public methods are thin wrappers that record telemetry (call counts,
@@ -126,7 +127,7 @@ def serve(conn: Any, inherited: list, handle: Callable[[Any], Any]) -> None:
     ``inherited`` are the owner-side pipe ends this child was forked
     holding; they are closed first, so a dead peer reads as EOF, here
     and there.  The one loop every forked child in ``src/`` runs: the
-    MSM helpers and the prover pool's workers."""
+    MSM helpers and the prover pool's worker."""
     for other in inherited:
         other.close()
     while True:
@@ -155,8 +156,9 @@ def _help(conn: Any, inherited: list) -> None:
 
 
 class _Helper:
-    """A forked helper: its process, our end of its pipe, the residue of
-    the rows it owns, and table key -> (width, rows of its residue it holds)."""
+    """A forked helper: its process (``None`` if adopted: not ours to
+    reap), our end of its pipe, the residue of the rows it owns, and
+    table key -> (width, rows of its residue it holds)."""
 
     __slots__ = ("proc", "conn", "residue", "held")
 
@@ -241,10 +243,9 @@ class Engine:
     kernel runs in this process)."""
 
     def __init__(self, helpers: int = 0) -> None:
-        #: Forked processes a fixed-table MSM is shared with; a
-        #: prover-pool worker sets it on the engine it inherited.
+        #: Forked processes a fixed-table MSM is shared with.
         self.helpers = max(0, helpers)
-        #: Live helpers, forked by ``_pid``.
+        #: Live helpers, forked (or adopted) by ``_pid``.
         self._links: list[_Helper] = []
         self._pid = os.getpid()
         #: Row i belongs to process i mod ``_stride`` (0: not forked since
@@ -539,9 +540,9 @@ class Engine:
             self._links.append(_Helper(proc, ours, residue))
 
     def _own_links(self) -> list[_Helper]:
-        """The helpers this process forked.  In a child forked from this
-        engine's process they are the parent's: close our copies of
-        their pipes and start with none (the rows this process holds
+        """The helpers this process forked or adopted.  In a child forked
+        from this engine's process they are the parent's: close our copies
+        of their pipes and start with none (the rows this process holds
         stay; the rest are sent to its own helpers or built here)."""
         if self._pid != os.getpid():
             for helper in self._links:
@@ -550,8 +551,25 @@ class Engine:
         return self._links
 
     def live_helpers(self) -> int:
-        """Helpers still running, as seen by the process that forked them."""
-        return sum(1 for helper in self._own_links() if helper.proc.is_alive())
+        """Helpers still running (an adopted one: while its pipe is open)."""
+        return sum(1 for h in self._own_links() if h.proc is None or h.proc.is_alive())
+
+    def hand_over(self) -> list:
+        """Give the helpers to the child forked since, which adopts them:
+        close our ends of their pipes and reset as :meth:`close` does, but
+        reap nothing.  Returns their processes, to join after that child."""
+        links, self._links, self._stride = self._own_links(), [], 0
+        for helper in links:
+            helper.conn.close()
+        return [helper.proc for helper in links]
+
+    def adopt(self) -> None:
+        """In a child forked from this engine's process: prove on the
+        helpers whose pipes it inherited and never fork (stride 1 without
+        helpers: every row ours).  A helper that dies is dropped at EOF."""
+        for helper in self._links:
+            helper.proc = None
+        self._pid, self._stride = os.getpid(), self._stride or 1
 
     def _fixed_jacobian(self, table: Any) -> tuple:
         """Jacobian view of a fixed affine point table, cached by identity.
@@ -740,13 +758,12 @@ class Engine:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Reap the helpers (forked afresh at the next wide MSM, and sent
-        the points of their rows); caches survive."""
-        links, self._links, self._stride = self._own_links(), [], 0
-        for helper in links:
-            helper.conn.close()
-            helper.proc.terminate()
-            helper.proc.join()
+        """Reap the helpers, or let adopted ones go to exit at EOF (forked
+        afresh at the next wide MSM, and sent their rows); caches survive."""
+        for proc in self.hand_over():
+            if proc is not None:
+                proc.terminate()
+                proc.join()
 
     def __enter__(self) -> "Engine":
         return self

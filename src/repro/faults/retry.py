@@ -35,6 +35,12 @@ from repro.telemetry.spans import NOOP_SPAN
 
 T = TypeVar("T")
 
+#: Backoff grows by this factor per attempt, up to this cap, and a seeded
+#: jitter takes off up to this share of it (in parts per million).
+MULTIPLIER = 2
+MAX_DELAY_US = 2_000_000
+JITTER_PPM = PPM // 2
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -49,19 +55,14 @@ class RetryPolicy:
 
     max_attempts: int = 5
     base_delay_us: int = 50_000
-    max_delay_us: int = 2_000_000
-    multiplier: int = 2
-    jitter_ppm: int = PPM // 2
     timeout_us: int | None = None
     seed: int = 0
 
     def backoff_us(self, attempt: int, salt: str = "") -> int:
         """Virtual backoff before retry number ``attempt`` (0-based)."""
-        delay = min(self.base_delay_us * self.multiplier**attempt, self.max_delay_us)
-        if self.jitter_ppm:
-            fraction = draw(self.seed, attempt, 0, "retry:%s" % salt)
-            delay -= delay * self.jitter_ppm * fraction // (PPM * PPM)
-        return delay
+        delay = min(self.base_delay_us * MULTIPLIER**attempt, MAX_DELAY_US)
+        fraction = draw(self.seed, attempt, 0, "retry:%s" % salt)
+        return delay - delay * JITTER_PPM * fraction // (PPM * PPM)
 
     def run(
         self,

@@ -48,6 +48,14 @@ from repro.primitives.hashing import field_hash
 from repro.storage.dht import DHTNetwork
 from repro.telemetry import ledger as _ledger
 
+REPAIR_EVERY = 4  #: churn events between anti-entropy passes
+FUNDS = 1_000_000  #: faucet per materialised user
+PRICE_MAX = 1_000  #: prices and fees are drawn from [1, max]
+FEE_MAX = 16
+MAX_CLIENT_RETRIES = 4
+MAX_DRAIN_ROUNDS = 10_000
+PREIMAGE_POOL = 64  #: distinct hash-lock preimages (Poseidon is slow)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -63,17 +71,9 @@ class SimConfig:
     dht_nodes: int = 16
     replication: int = 3
     churn_every: int = 500  #: ops between DHT join/leave events (0 = off)
-    repair_every: int = 4  #: churn events between anti-entropy passes (0 = off)
     fault_profile: str = "off"
     fault_seed: int = 0  #: 0 = derive from ``seed``
     fault_epoch_ops: int = 2_000  #: re-seed the injector every N ops (0 = off)
-    funds: int = 1_000_000  #: faucet per materialised user
-    price_max: int = 1_000
-    fee_max: int = 16
-    max_client_retries: int = 4
-    max_drain_rounds: int = 10_000
-    preimage_pool: int = 64  #: distinct hash-lock preimages (Poseidon is slow)
-    check_every: int = 1  #: invariant check every N mining rounds
 
     def resolved_mix(self) -> TrafficMix:
         return TrafficMix.parse(self.mix)
@@ -192,7 +192,7 @@ class LoadSimulator:
         self.config = config
         self.mix = config.resolved_mix()
         self.chain = Blockchain(mempool_capacity=config.mempool_capacity)
-        self.population = Population(self.chain, config.users, config.funds)
+        self.population = Population(self.chain, config.users, FUNDS)
         self.net = DHTNetwork(
             ["seed-%d" % i for i in range(config.dht_nodes)], replication=config.replication
         )
@@ -211,7 +211,7 @@ class LoadSimulator:
         # workload, this is just the client not re-deriving constants.)
         self._preimages = [
             sim_draw(config.seed, "preimage", i, 1 << 62) + 1
-            for i in range(config.preimage_pool)
+            for i in range(PREIMAGE_POOL)
         ]
         self._lock_hashes = [field_hash(p) for p in self._preimages]
         #: tx.seq -> (intent kind, payload) for every in-flight submission.
@@ -238,7 +238,7 @@ class LoadSimulator:
         return skewed_draw(self.config.seed, tag, sequence, self.config.users)
 
     def _fee(self, tag: str, sequence: int) -> int:
-        return 1 + self._draw("fee." + tag, sequence, self.config.fee_max)
+        return 1 + self._draw("fee." + tag, sequence, FEE_MAX)
 
     # ----- submission with backpressure ---------------------------------------
 
@@ -299,12 +299,12 @@ class LoadSimulator:
         buyer = self.population.account(buyer_index)
         if buyer == owner:
             buyer = self.population.account((buyer_index + 1) % self.config.users)
-        pool_index = self._draw("trade.preimage", op_seq, self.config.preimage_pool)
+        pool_index = self._draw("trade.preimage", op_seq, PREIMAGE_POOL)
         trade = _Trade(
             token_id,
             owner,
             buyer,
-            1 + self._draw("trade.price", op_seq, self.config.price_max),
+            1 + self._draw("trade.price", op_seq, PRICE_MAX),
             self._preimages[pool_index],
             self._lock_hashes[pool_index],
         )
@@ -327,7 +327,7 @@ class LoadSimulator:
         self.report.audits += 1
         started = time.perf_counter()
         hits = None
-        for _attempt in range(self.config.max_client_retries + 1):
+        for _attempt in range(MAX_CLIENT_RETRIES + 1):
             try:
                 hits = self.chain.query_events("Minted", token_id=token_id)
                 hits += self.chain.query_events("Transfer", token_id=token_id)
@@ -340,7 +340,7 @@ class LoadSimulator:
             return
         # Content audit: the token's bytes must still be fetchable.
         _owner, uri = self._tokens[token_id]
-        for _attempt in range(self.config.max_client_retries + 1):
+        for _attempt in range(MAX_CLIENT_RETRIES + 1):
             try:
                 self.net.get(uri)
                 return
@@ -367,8 +367,7 @@ class LoadSimulator:
         for tx in round_.dropped:
             self.report.dropped += 1
             self._retry(tx, self._inflight.pop(tx.seq))
-        if self.config.check_every and self.report.rounds % self.config.check_every == 0:
-            self.checker.check_round()
+        self.checker.check_round()
 
     def _advance(self, tx: PendingTx, receipt) -> None:
         intent = self._inflight.pop(tx.seq, None)
@@ -418,7 +417,7 @@ class LoadSimulator:
         kind = intent[0]
         if kind == "mint":
             seller, uri, retries = intent[1]
-            if retries < self.config.max_client_retries or self._draining:
+            if retries < MAX_CLIENT_RETRIES or self._draining:
                 self._submit(
                     ("mint", (seller, uri, retries + 1)), seller, self.token, "mint",
                     uri, self._draw("commitment.retry", tx.seq, 1 << 62),
@@ -429,7 +428,7 @@ class LoadSimulator:
             return
         trade = intent[1]
         trade.retries += 1
-        within_budget = trade.retries <= self.config.max_client_retries or self._draining
+        within_budget = trade.retries <= MAX_CLIENT_RETRIES or self._draining
         if kind == "lock":
             if within_budget:
                 self._submit(
@@ -484,7 +483,7 @@ class LoadSimulator:
             self.net.join("churn-%d" % churn_seq)
         else:
             self.net.leave(names[self._draw("churn.victim", churn_seq, len(names))])
-        if self.config.repair_every and self.report.churn_events % self.config.repair_every == 0:
+        if self.report.churn_events % REPAIR_EVERY == 0:
             added, removed = self.net.repair()
             self.report.repaired += added + removed
 
@@ -539,7 +538,7 @@ class LoadSimulator:
                 drain_rounds = 0
                 while (
                     self.chain.mempool or self._inflight
-                ) and drain_rounds < cfg.max_drain_rounds:
+                ) and drain_rounds < MAX_DRAIN_ROUNDS:
                     self._mine_round()
                     drain_rounds += 1
                 if self.chain.mempool or self._inflight:

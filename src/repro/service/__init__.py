@@ -7,9 +7,10 @@ throughput claims presuppose:
 - :class:`~repro.service.queue.FairQueue` — bounded admission with
   per-tenant budgets and round-robin dispatch (backpressure at the door,
   not in the middle of a protocol run);
-- :class:`~repro.service.pool.ProverPool` — a persistent fork-based
-  worker pool whose processes inherit the parent's warmed SRS and
-  circuit-key caches, so CPU-bound pi_k proving never re-derives them;
+- :class:`~repro.service.pool.ProverPool` — a persistent forked prover
+  that inherits the parent's warmed SRS, circuit-key and window-table
+  caches and its MSM helpers, so CPU-bound pi_k proving never re-derives
+  them;
 - :class:`~repro.service.settlement.SettlementBatcher` — accumulates
   completed exchanges and settles them k-at-a-time through the arbiter's
   ``submit_key_batch`` (one batched pairing check, amortised gas);

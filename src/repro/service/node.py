@@ -14,7 +14,8 @@ transaction at a time — the node amortises everything amortisable:
   :class:`~repro.errors.QueueFullError`, and dispatch round-robins
   across tenants;
 - **proving** goes to a persistent :class:`~repro.service.pool.ProverPool`
-  whose forked workers inherit warm SRS/circuit-key/window-table caches,
+  whose forked worker inherits warm SRS/circuit-key/window-table caches
+  and the node engine's MSM helpers,
   or to a seller-supplied :class:`NegotiationBundle` (sellers proving on
   their own hardware and attaching pi_k to the offer);
 - **settlement** flows through a :class:`~repro.service.settlement.SettlementBatcher`:
@@ -76,14 +77,19 @@ class NodeConfig:
     #: session opens; "skip" trusts the session opener (test/bench
     #: setups that pre-verified out of band).
     verify_phase1: str = "session"
-    #: Prover-pool workers for requests without an attached bundle;
-    #: 0 proves inline on the event loop (blocks other requests).
+    #: Where pi_k is proven for requests without an attached bundle:
+    #: 1 in the prover pool's one worker, 0 inline on the event loop
+    #: (blocks other requests).
     pool_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.verify_phase1 not in ("session", "skip"):
             raise ServiceError(
                 "verify_phase1 must be 'session' or 'skip', got %r" % (self.verify_phase1,)
+            )
+        if self.pool_workers not in (0, 1):
+            raise ServiceError(
+                "pool_workers must be 0 (inline) or 1 (the pool), got %r" % (self.pool_workers,)
             )
 
 
@@ -169,8 +175,8 @@ class MarketplaceNode:
             retry=self.retry,
         )
         self.pool: Optional[ProverPool] = None
-        if self.config.pool_workers > 0:
-            self.pool = ProverPool(ctx, workers=self.config.pool_workers)
+        if self.config.pool_workers:
+            self.pool = ProverPool(ctx)
         self._sessions: Dict[int, Session] = {}
         self._next_session = 1
         self._workers: List[asyncio.Task] = []
@@ -251,7 +257,7 @@ class MarketplaceNode:
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
         if self.pool is not None:
-            # close() joins the forked workers — a blocking call that
+            # close() joins the forked worker — a blocking call that
             # would stall every other session on the loop; park it on the
             # default executor instead (tests/test_service.py::TestProverPool::
             # test_the_loop_stays_live_while_the_node_stops).

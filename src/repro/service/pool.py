@@ -1,35 +1,38 @@
-"""Persistent warm prover pool for the service node.
+"""Persistent warm prover for the service node.
 
-pi_k proving runs in long-lived forked workers, off the node's event
-loop.  The pool warms the pi_k keys and the window tables of every
-blinded commitment on the process's engine (whose own helpers, on a mask
-with spare cores, build their share of the rows) and forks the workers
-from it, so each worker inherits the rows its parent holds.  Each worker
-proves under its own pool's context, handed to it at fork.  When the CPU
-mask (``os.sched_getaffinity``) has at least twice as many CPUs as the
-pool has workers, each worker gives its inherited engine its share of
-the spare cores as MSM helpers (:func:`~repro.backend.spare_cores`),
-which it forks itself at its first MSM and sends the points of the rows
-they own; a helper that dies costs the split, not the proof.
+pi_k proving runs in one long-lived forked worker, off the node's event
+loop, on the host's one set of MSM helpers.  Every fork of the worker
+(the first, and each re-fork) warms the pi_k window tables' n + margin
+rows on the process's engine, which forks its helpers (one per spare
+core of the CPU mask) only if it has none; forks the worker, which
+inherits the rows this process holds and its ends of the helpers'
+pipes; and hands the helpers over (``Engine.hand_over``): this process
+closes its ends and keeps the helpers' processes only to join them after
+the worker.  The worker adopts them (``Engine.adopt``) and forks none; a
+helper that dies costs the split, not the proof.  The worker proves
+under its own pool's context, handed to it at fork.
 
-Workers are owned like helpers: forked processes running
-:func:`~repro.backend.engine.serve` on one pipe each.  The event loop
+The worker is owned like a helper: a forked process running
+:func:`~repro.backend.engine.serve` on one pipe.  The event loop
 learns every reply — a result, an exception raised in the worker, or EOF
 — from ``loop.add_reader``, so no thread runs.  A dead worker fails only
 its in-flight request, with :class:`~repro.errors.BackendError`, and is
-re-forked from the warm parent on a fresh pipe; queued requests wait.
+re-forked from the warm parent on a fresh pipe and fresh helpers; queued
+requests wait.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
+import socket
 import time
 from multiprocessing.util import Finalize
 from typing import Any
 
 from repro import telemetry
-from repro.backend import get_engine, spare_cores
+from repro.backend import get_engine
 from repro.backend.engine import serve
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
@@ -60,11 +63,12 @@ def _prove_pik_job(args: tuple) -> tuple:
     return k_c, pi_k.to_bytes()
 
 
-def _work(conn: Any, inherited: list, ctx: SnarkContext, helpers: int) -> None:
-    """Forked worker: reply ``(ok, result or exception, live helpers)``
-    to each request, proving under ``ctx`` (its pool's, never another's)."""
+def _work(conn: Any, inherited: list, ctx: SnarkContext) -> None:
+    """Forked worker: adopt the helpers its pool hands over and reply
+    ``(ok, result or exception, live helpers)`` to each request, proving
+    under ``ctx`` (its pool's, never another's)."""
     engine = get_engine()
-    engine.helpers = helpers
+    engine.adopt()
 
     def answer(args: tuple) -> tuple:
         try:  # looked up per call, so a wrapper bound before the fork runs
@@ -78,11 +82,13 @@ def _work(conn: Any, inherited: list, ctx: SnarkContext, helpers: int) -> None:
 
 
 class _Worker:
-    """A forked prover, the pool's end of its pipe, the requests sent and
-    replies read on it, and its helpers (the mask's spares, less losses)."""
+    """The forked prover, the pool's end of its pipe, the requests sent
+    and replies read on it, the helper processes it was handed (ours to
+    join after it) and how many of them still serve it."""
 
     proc: Any
     conn: Any = None
+    handed: list
     sent = read = helpers = 0
 
     def on_readable(self, reply: asyncio.Future) -> None:
@@ -101,66 +107,53 @@ class _Worker:
         reply.set_result(message[:2])
 
 
-def _stop(workers: list) -> None:
-    """Close every pipe (each worker reaps its helpers and exits), then
-    join; also run at exit, before multiprocessing joins the workers."""
-    for worker in workers:
-        worker.conn.close()
-    for worker in workers:
-        worker.proc.join(10)  # a proof in flight ends first
-        worker.proc.terminate()  # a no-op once it has exited
-        worker.proc.join()
+def _stop(worker: _Worker) -> None:
+    """Shut the pipe down (the worker lets go of its helpers and exits;
+    they exit at EOF), then join the worker and, after it, its helpers;
+    also run at exit, before multiprocessing joins them.  Shut down, not
+    only closed: a helper this process's engine forks after the worker
+    holds a copy of our end, which would keep the worker from EOF."""
+    with socket.socket(fileno=os.dup(worker.conn.fileno())) as end:
+        end.shutdown(socket.SHUT_RDWR)
+    worker.conn.close()
+    for proc in (worker.proc, *worker.handed):
+        proc.join(10)  # a proof in flight ends first
+        proc.terminate()  # a no-op once it has exited
+        proc.join()
 
 
 class ProverPool:
-    """A warm, persistent pool of pi_k prover processes."""
+    """A warm, persistent pi_k prover process."""
 
-    def __init__(self, ctx: SnarkContext, workers: int = 1) -> None:
-        if workers <= 0:
-            raise ServiceError("prover pool needs at least one worker")
-        # Warm the pi_k keys and the window tables of n + margin rows on
-        # the process's engine; the workers inherit the rows it holds.
-        keys = key_negotiation_keys(ctx)
-        get_engine().msm_srs(ctx.srs, [0] * (keys.layout.n + DEGREE_MARGIN))
+    def __init__(self, ctx: SnarkContext) -> None:
         self._ctx = ctx
-        self._spare = spare_cores(workers)
-        self._workers: list[_Worker] = []
-        self._idle: asyncio.Queue = asyncio.Queue()
-        # Registered before the first fork, so a fork that fails stops the
-        # workers already forked instead of leaving them for exit to join.
-        self._shutdown = Finalize(self, _stop, (self._workers,), exitpriority=0)
-        try:
-            for _ in range(workers):
-                worker = _Worker()
-                self._fork(worker)
-                self._workers.append(worker)
-                self._idle.put_nowait(worker)
-        except BaseException:
-            self._shutdown()
-            raise
+        self._rows = key_negotiation_keys(ctx).layout.n + DEGREE_MARGIN
+        self._worker = _Worker()
+        self._fork(self._worker)
+        self._turn = asyncio.Lock()
+        self._shutdown = Finalize(self, _stop, (self._worker,), exitpriority=0)
 
     def _fork(self, worker: _Worker) -> None:
-        """(Re)fork ``worker`` on a fresh pipe; ``start`` reaps a dead one."""
+        """(Re)fork ``worker`` on a fresh pipe and the engine's helpers
+        (module docstring); a re-fork first joins the dead worker's."""
         if worker.conn is not None:
-            worker.conn.close()
+            _stop(worker)
             if telemetry.metrics_enabled():
                 telemetry.counter("service.pool.restarts").inc()
+        engine = get_engine()
+        engine.msm_srs(self._ctx.srs, [0] * self._rows)
         fork = multiprocessing.get_context("fork")
         ours, theirs = fork.Pipe()
-        siblings = [w.conn for w in self._workers if w is not worker and w.conn]
-        proc = fork.Process(
-            target=_work, args=(theirs, [ours, *siblings], self._ctx, self._spare)
-        )
+        proc = fork.Process(target=_work, args=(theirs, [ours], self._ctx))
         proc.start()
         theirs.close()
-        worker.proc = proc
-        worker.conn = ours
-        worker.sent, worker.read, worker.helpers = 0, 0, self._spare
+        worker.proc, worker.conn, worker.handed = proc, ours, engine.hand_over()
+        worker.sent, worker.read, worker.helpers = 0, 0, len(worker.handed)
 
     @property
     def helpers(self) -> int:
-        """Helpers chosen from the CPU mask, less those lost since."""
-        return sum(worker.helpers for worker in self._workers)
+        """Helpers handed to the worker, less those it has lost since."""
+        return self._worker.helpers
 
     async def prove_key_negotiation(self, asset: DataAsset, k_v: int, h_v: int) -> tuple:
         """Prove pi_k for ``asset`` masked with ``k_v``: ``(k_c, proof_bytes)``.
@@ -169,7 +162,8 @@ class ProverPool:
         if not self._shutdown.still_active():
             raise ServiceError("prover pool is closed")
         started, loop = time.perf_counter(), asyncio.get_running_loop()
-        worker = await self._idle.get()
+        worker = self._worker
+        await self._turn.acquire()
         try:
             if not worker.proc.is_alive():  # died idle: no request is lost
                 self._fork(worker)
@@ -187,7 +181,7 @@ class ProverPool:
             self._fork(worker)
             raise BackendError("prover worker died (exit code %s)" % dead.exitcode) from None
         finally:
-            self._idle.put_nowait(worker)
+            self._turn.release()
             if telemetry.metrics_enabled():
                 telemetry.counter("service.pool.jobs").inc()
                 telemetry.histogram(

@@ -8,7 +8,8 @@ The contract under test is the one the protocol layers rely on:
   (NTT batches, G1/G2 MSM, batched inversion, KZG commitments) and on a
   full Plonk proof whose commitments are wide enough to split;
 - helpers belong to the process that forked them: a forked child of an
-  engine's process forks its own;
+  engine's process forks its own (the prover pool's handover, the one
+  exception, is ``tests/test_service.py::TestProverPool``'s);
 - row i of a window table belongs to process i mod (helpers + 1): each
   process builds and holds its own rows, growth forks nothing, a helper
   forked after ``close()`` is sent its rows, a dead helper is dropped and
@@ -360,8 +361,7 @@ class TestParallelThresholds:
 
     def test_a_forked_child_forks_its_own_helpers(self, small_srs):
         """A child forked from a process whose engine has a live helper
-        (a prover-pool worker is one) does not send its shards down the
-        parent's pipes: it forks a helper of its own, and the parent's
+        does not send its shards down the parent's pipes: it forks a helper of its own, and the parent's
         helper serves the parent afterwards."""
         engine = Engine(helpers=1)
         scalars = list(range(1, MIN_MSM_POINTS + 1))

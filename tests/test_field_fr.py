@@ -171,3 +171,20 @@ def test_no_bn254_modulus_literal_outside_its_home():
                 if token.type == tokenize.NUMBER and ast.literal_eval(token.string) in (MODULUS, Q):
                     copies.append("%s:%d" % (path.relative_to(package), token.start[0]))
     assert not copies
+
+
+def test_no_true_division_in_protocol_arithmetic():
+    """Field, curve and protocol code is integer arithmetic: a ``/`` goes
+    through a float and silently rounds any value past 2**53, so the
+    packages that compute in the fields or on the curve hold none.
+    (``gadgets/fixedpoint.py`` encodes reals on purpose and is not one of
+    them.)"""
+    package = Path(fr.__file__).resolve().parent.parent
+    found = []
+    for sub in ("field", "curve", "kzg", "plonk", "groth16", "backend", "core"):
+        for path in sorted((package / sub).rglob("*.py")):
+            with tokenize.open(path) as source:
+                for token in tokenize.generate_tokens(source.readline):
+                    if token.type == tokenize.OP and token.string in ("/", "/="):
+                        found.append("%s:%d" % (path.relative_to(package), token.start[0]))
+    assert not found

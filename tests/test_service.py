@@ -6,8 +6,8 @@ settlement, poisoned-member isolation).  The node-pipeline tests drive
 real exchanges end to end through the asyncio node with seller-attached
 pi_k bundles (proofs are produced once per session — the node's job
 here is serving, not proving); ``TestProverPool`` is where the node proves,
-on both sides of the pool's choice between a serial prover and one split
-with forked helpers.  The ``chaos``-marked class replays the
+serially on a one-CPU mask and split with the engine's forked helpers on
+a wider one.  The ``chaos``-marked class replays the
 pipeline under the seeded ``exchange`` fault profile and checks the
 safety envelope every exchange driver shares
 (``tests/exchange_invariants.py``).
@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro import faults, telemetry
 from repro.backend import Engine, get_engine, use_engine
 from repro.backend import engine as engine_module
+from repro.backend.engine import MIN_MSM_POINTS
 from repro.contracts.arbiter import key_digest
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.snark import SnarkContext
@@ -564,6 +565,11 @@ class TestNodePipeline:
         with pytest.raises(ServiceError, match="verify_phase1"):
             NodeConfig(verify_phase1="per-request")
 
+    @pytest.mark.parametrize("workers", [-1, 2])
+    def test_a_pool_of_other_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ServiceError, match="pool_workers"):
+            NodeConfig(pool_workers=workers)
+
     def test_prover_failure_after_the_lock_refunds_the_buyer(self, snark_ctx, pik_bundles):
         """Anything that breaks phase 2 once the payment is locked — not
         only a ``ProtocolError`` — must drive the refund: the escrow of a
@@ -678,8 +684,7 @@ def _segments():
 
 
 def _children_of(pid):
-    """Pids ``pid`` forked and has not reaped (a pool worker's helpers are
-    its children, not this process's)."""
+    """Pids ``pid`` forked and has not reaped."""
     try:
         with open("/proc/%d/task/%d/children" % (pid, pid)) as fh:
             return [int(child) for child in fh.read().split()]
@@ -688,7 +693,8 @@ def _children_of(pid):
 
 
 def _helper_pids(pool):
-    return [pid for worker in pool._workers for pid in _children_of(worker.proc.pid)]
+    """The helpers the pool handed its worker: this process's children."""
+    return [proc.pid for proc in pool._worker.handed]
 
 
 def _alive(pid):
@@ -700,15 +706,14 @@ def _alive(pid):
         return False
 
 
-async def _forked_helpers(worker, count):
-    """Wait until ``worker`` has forked ``count`` helpers — its proof has
-    reached the commitments — and return their pids."""
+async def _in_flight(pool):
+    """Wait until the worker has a request (its proof is running) and
+    return the pids of the helpers it proves on."""
     for _ in range(1000):
-        pids = _children_of(worker.proc.pid)
-        if len(pids) >= count:
-            return pids
+        if pool._worker.sent > pool._worker.read:
+            return _helper_pids(pool)
         await asyncio.sleep(0.01)
-    raise AssertionError("worker %d forked no helper" % worker.proc.pid)
+    raise AssertionError("no request reached worker %d" % pool._worker.proc.pid)
 
 
 @pytest.fixture(scope="module")
@@ -743,86 +748,75 @@ def _pik_verifies(snark_ctx, asset, k_v, result):
 @pytest.mark.slow
 @pytest.mark.usefixtures("lone_thread_at_fork")
 class TestProverPool:
-    """The pool proves serially on a full mask and splits every
-    commitment with helpers each worker forks when cores are spare (the
-    parent's own engine, sized from the same mask, splits the warm-up);
-    either way the proof is the same proof, a dead worker costs only its
-    own request, nothing outlives ``close()`` or a failed start, and
-    nothing but the forking thread is alive at any fork."""
+    """The pool's one worker proves serially on a one-CPU mask and splits
+    every commitment with the helpers the parent's engine forked when
+    cores are spare, one set per host; either way the proof is the same
+    proof, a dead worker costs only its own request, nothing outlives
+    ``close()`` or a failed start, and nothing but the forking thread is
+    alive at any fork."""
 
-    @pytest.mark.parametrize(
-        "mask, workers, helpers", [(1, 1, 0), (2, 1, 1), (2, 2, 0), (5, 2, 2)]
-    )
+    @pytest.mark.parametrize("mask, helpers", [(1, 0), (2, 1), (5, 4)])
     def test_helpers_are_chosen_from_the_cpu_mask(
-        self, snark_ctx, pik_bundles, cpus, mask, workers, helpers
+        self, snark_ctx, pik_bundles, cpus, mask, helpers
     ):
+        """The parent's engine forks one helper per spare core at the
+        warm-up and hands them to the worker, which proves on them and
+        forks none: the host runs the worker and that one set."""
         asset, _ = pik_bundles
         cpus(mask)
         before, segments, threads = _children(), _segments(), threading.active_count()
 
-        async def prove_on_every_worker(pool):
-            return await asyncio.gather(
-                *(pool.prove_key_negotiation(asset, k, field_hash(k)) for k in range(workers))
-            )
+        async def prove_twice(pool):
+            for k_v in (1, 2):
+                await pool.prove_key_negotiation(asset, k_v, field_hash(k_v))
 
-        with ProverPool(snark_ctx, workers=workers) as pool:
-            # The parent forks its own engine's helpers (one per spare
-            # core, at the warm-up MSM) and the workers, and nothing else;
-            # each worker forks its helpers at its first MSM.
-            parent = [helper.proc for helper in get_engine()._links]
-            assert len(parent) == mask - 1
-            assert _children() - before - set(parent) == {w.proc for w in pool._workers}
-            asyncio.run(prove_on_every_worker(pool))
+        with ProverPool(snark_ctx) as pool:
+            asyncio.run(prove_twice(pool))
             assert threading.active_count() == threads  # replies come through the loop
-            assert pool.helpers == helpers
-            pids = [w.proc.pid for w in pool._workers] + _helper_pids(pool)
-            assert len(pids) == workers + helpers
-        assert _children() - before == set(parent)
+            worker, handed = pool._worker.proc, pool._worker.handed
+            assert _children() - before == {worker, *handed}
+            assert len(handed) == pool.helpers == helpers
+            assert _children_of(worker.pid) == []
+            assert get_engine().live_helpers() == 0  # handed over, none kept
+            pids = [worker.pid] + _helper_pids(pool)
         get_engine().close()
-        pids += [proc.pid for proc in parent]
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
         assert _segments() <= segments
 
     def test_pooled_proof_settles_through_the_node(self, snark_ctx, pik_bundles, cpus):
+        """Three exchanges proven in the pool settle, and the node does no
+        wide MSM of its own while serving them: its engine records no
+        window-table lookup."""
         asset, _ = pik_bundles
         cpus(2)
         before, segments = _children(), _segments()
 
-        async def scenario():
-            node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+        async def scenario(node):
             session = node.open_session(asset, tenant="seller")
             await node.start()
             try:
-                request = ExchangeRequest(session.session_id, tenant="t", price=PRICE)
-                (outcome,) = await node.serve([request])
+                requests = [
+                    ExchangeRequest(session.session_id, tenant="t", price=PRICE)
+                    for _ in range(3)
+                ]
+                outcomes = await node.serve(requests)
                 assert node.pool.helpers == 1
             finally:
                 await node.stop()
-            assert outcome.success and outcome.plaintext == asset.plaintext
+            return outcomes
 
-        asyncio.run(scenario())
-        get_engine().close()  # the parent's helper, forked at the warm-up
+        node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
+        with telemetry.use_level("metrics"):
+            telemetry.reset_metrics()
+            outcomes = asyncio.run(scenario(node))
+            counters = telemetry.registry().counter_values()
+            telemetry.reset_metrics()
+        assert all(o.success and o.plaintext == asset.plaintext for o in outcomes)
+        assert counters["service.pool.jobs"] == 3
+        assert not [key for key in counters if "cache=msm_window" in key]
         assert _children() == before
         assert _segments() <= segments
-
-    def test_two_workers_each_prove_with_their_own_helper(self, snark_ctx, pik_bundles, cpus):
-        """Workers sharing one helper's pipe would read each other's
-        partial sums; each forks its own."""
-        asset, _ = pik_bundles
-        cpus(4)
-
-        async def scenario():
-            with ProverPool(snark_ctx, workers=2) as pool:
-                results = await asyncio.gather(
-                    *(pool.prove_key_negotiation(asset, k, field_hash(k)) for k in (61, 62))
-                )
-                assert pool.helpers == 2
-                assert len(set(_helper_pids(pool))) == 2
-                return results
-
-        for k_v, result in zip((61, 62), asyncio.run(scenario())):
-            assert _pik_verifies(snark_ctx, asset, k_v, result)
 
     def test_wrong_h_v_raises_protocol_error_from_the_worker(
         self, snark_ctx, pik_bundles, cpus
@@ -831,7 +825,7 @@ class TestProverPool:
         cpus(1)
 
         async def scenario():
-            with ProverPool(snark_ctx, workers=1) as pool:
+            with ProverPool(snark_ctx) as pool:
                 with pytest.raises(ProtocolError, match="h_v"):
                     await pool.prove_key_negotiation(asset, 77, field_hash(77) + 1)
 
@@ -844,7 +838,7 @@ class TestProverPool:
         ``_prove_pik_job`` run here sees exactly what a worker inherits."""
         asset, _ = pik_bundles
         cpus(1)
-        with ProverPool(snark_ctx, workers=1):
+        with ProverPool(snark_ctx):
             with telemetry.use_level("metrics"):
                 telemetry.reset_metrics()
                 result = pool_module._prove_pik_job((snark_ctx, *_prove_args(asset, 4242)))
@@ -854,26 +848,33 @@ class TestProverPool:
         assert counters.get("engine.cache.misses{cache=msm_window}", 0) == 0
         assert counters["engine.cache.hits{cache=msm_window}"] == 9
 
-    def test_each_window_table_row_is_built_once(self, snark_ctx, cpus, monkeypatch):
-        """pi_k keys generated on the process's engine, then a pool: the
-        pool warms only the margin rows key generation did not reach, on
-        that same engine, and its worker inherits every row, so n +
-        DEGREE_MARGIN rows are built in all."""
-        cpus(1)
-        built = []
+    def test_each_window_table_row_is_built_once(
+        self, snark_ctx, pik_bundles, cpus, monkeypatch
+    ):
+        """pi_k keys generated on the process's engine, then a pool and its
+        first proof, on two CPUs: key generation forks the engine's helper
+        and builds n rows between the two processes, the pool warms the
+        margin rows on the same two, and the worker proves on that helper
+        and the rows it inherited, so n + DEGREE_MARGIN rows are built on
+        the host in all (counted across processes)."""
+        asset, _ = pik_bundles
+        cpus(2)
+        built = multiprocessing.Value("q", 0)
         real_build = engine_module.build_window_tables
 
         def counted(points, c):
-            built.append(len(points))
+            with built.get_lock():
+                built.value += len(points)
             return real_build(points, c)
 
         monkeypatch.setattr(engine_module, "build_window_tables", counted)
         ctx = SnarkContext(snark_ctx.srs)
-        with use_engine(Engine()):
-            n = key_negotiation_keys(ctx).layout.n
-            with ProverPool(ctx, workers=1):
-                pass
-        assert sum(built) == n + DEGREE_MARGIN
+        n = key_negotiation_keys(ctx).layout.n
+        with ProverPool(ctx) as pool:
+            assert pool.helpers == 1
+            result = asyncio.run(pool.prove_key_negotiation(asset, 5151, field_hash(5151)))
+        assert built.value == n + DEGREE_MARGIN
+        assert _pik_verifies(snark_ctx, asset, 5151, result)
 
     def test_a_reforked_worker_proves_under_its_own_pool(self, snark_ctx, pik_bundles, cpus):
         """Pools A and B on SRSs with different tau: A's worker, killed
@@ -884,12 +885,11 @@ class TestProverPool:
         other = SnarkContext.with_fresh_srs(n + DEGREE_MARGIN, tau=0xBADC0DE)
 
         async def scenario(a):
-            (worker,) = a._workers
-            os.kill(worker.proc.pid, signal.SIGKILL)
-            worker.proc.join()
+            os.kill(a._worker.proc.pid, signal.SIGKILL)
+            a._worker.proc.join()
             return await asyncio.wait_for(a.prove_key_negotiation(asset, 91, field_hash(91)), 120)
 
-        with ProverPool(snark_ctx, workers=1) as a, ProverPool(other, workers=1):
+        with ProverPool(snark_ctx) as a, ProverPool(other):
             result = asyncio.run(scenario(a))
         assert _pik_verifies(snark_ctx, asset, 91, result)
 
@@ -926,10 +926,9 @@ class TestProverPool:
         self, snark_ctx, pik_bundles, cpus, monkeypatch, serial_engine, mask
     ):
         """With the blinder stream pinned before the fork, the worker's
-        proof — on two CPUs warmed by a parent whose engine has a helper,
-        which holds half the rows, and split with the worker's own helper,
-        which builds its half — is the bytes a serial engine proves here
-        from the same stream."""
+        proof — on two CPUs split with the helper the parent's engine
+        forked, filled with its half of the rows and handed over — is the
+        bytes a serial engine proves here from the same stream."""
         asset, _ = pik_bundles
         cpus(mask)
         k_v = 4343
@@ -941,8 +940,8 @@ class TestProverPool:
             )
 
         pin_blinders()
-        with ProverPool(snark_ctx, workers=1) as pool:
-            assert get_engine().live_helpers() == mask - 1  # the parent's own
+        with ProverPool(snark_ctx) as pool:
+            assert (get_engine().live_helpers(), pool.helpers) == (0, mask - 1)
             k_c, pooled = asyncio.run(pool.prove_key_negotiation(asset, k_v, field_hash(k_v)))
             assert pool.helpers == mask - 1
         pin_blinders()
@@ -951,7 +950,7 @@ class TestProverPool:
             assert pooled == prove(pk, assignment).to_bytes()
 
     def test_killed_helpers_cost_the_split_not_the_proof(self, snark_ctx, pik_bundles, cpus):
-        """SIGKILL one of a worker's helpers while a proof is running and
+        """SIGKILL one of the worker's helpers while a proof is running and
         the other between proofs: both proofs verify, the worker ends up
         unsplit, the pool says so, and ``close()`` still leaves nothing
         behind."""
@@ -960,11 +959,10 @@ class TestProverPool:
         before = _children()
 
         async def scenario(pool):
-            (worker,) = pool._workers
             running = asyncio.ensure_future(
                 pool.prove_key_negotiation(asset, 501, field_hash(501))
             )
-            first, second = await _forked_helpers(worker, 2)
+            first, second = await _in_flight(pool)
             os.kill(first, signal.SIGKILL)
             assert _pik_verifies(snark_ctx, asset, 501, await asyncio.wait_for(running, 120))
             assert pool.helpers == 1
@@ -974,18 +972,17 @@ class TestProverPool:
             )
             assert _pik_verifies(snark_ctx, asset, 502, result)
             assert pool.helpers == 0
-            return worker.proc.pid, first, second
+            return pool._worker.proc.pid, first, second
 
         with telemetry.use_level("metrics"):
             telemetry.reset_metrics()
-            with ProverPool(snark_ctx, workers=1) as pool:
+            with ProverPool(snark_ctx) as pool:
                 pids = asyncio.run(scenario(pool))
             counters = telemetry.registry().counter_values()
             telemetry.reset_metrics()
         assert counters["service.pool.helpers_lost"] == 2
         assert "service.pool.restarts" not in counters
-        get_engine().close()  # the parent's helpers, forked at the warm-up
-        assert _children() == before
+        assert _children() == before  # the pool joined the helpers it handed over
         assert not [pid for pid in pids if _alive(pid)]
 
     def test_a_killed_worker_aborts_its_request_and_is_reforked(
@@ -994,8 +991,9 @@ class TestProverPool:
         """SIGKILL the only worker mid-proof behind a one-coroutine node:
         its request aborts with the buyer refunded, the worker is
         re-forked (inside the running loop, with no other thread alive)
-        with a fresh helper, the next request proves on it without the key
-        leaving the seller, and ``stop()`` leaves no process of either
+        on a fresh helper the parent's engine forks once the dead worker's
+        has exited, the next request proves on it without the key leaving
+        the seller, and ``stop()`` leaves no process of either
         generation."""
         asset, _ = pik_bundles
         cpus(2)
@@ -1011,13 +1009,13 @@ class TestProverPool:
                 ExchangeRequest(session.session_id, tenant="t", price=PRICE, buyer_address=b)
                 for b in buyers
             ]
-            (worker,) = node.pool._workers
+            worker = node.pool._worker
             pids = [worker.proc.pid]
             await node.start()
             try:
                 with publishing(node.chain) as published:
                     killed = node.submit(requests[0])
-                    pids += await _forked_helpers(worker, 1)
+                    pids += await _in_flight(node.pool)
                     os.kill(pids[0], signal.SIGKILL)
                     killed = await asyncio.wait_for(killed, 10)
                     served = await asyncio.wait_for(node.submit(requests[1]), 120)
@@ -1038,8 +1036,8 @@ class TestProverPool:
         assert "BackendError" in killed.reason and "died" in killed.reason
         assert served.success
         assert restarts == 1
-        # The parent engine's helper (at the warm-up), the worker, its re-fork.
-        assert len(lone_thread_at_fork) == 3
+        # A helper (at the warm-up) and the worker, twice.
+        assert len(lone_thread_at_fork) == 4
         assert_safe_end(
             node.chain, node.arbiter, node.chain.receipts, runs, seller, PRICE, start,
             plaintext=asset.plaintext,
@@ -1047,7 +1045,6 @@ class TestProverPool:
         run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
         assert_secrets_hidden(run, (asset.key, asset.key_blinder))
         assert len(set(pids)) == 4
-        get_engine().close()
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 
@@ -1061,7 +1058,7 @@ class TestProverPool:
             cancelled = asyncio.ensure_future(
                 pool.prove_key_negotiation(asset, 71, field_hash(71))
             )
-            await _forked_helpers(pool._workers[0], 1)
+            await _in_flight(pool)
             cancelled.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await cancelled
@@ -1069,7 +1066,7 @@ class TestProverPool:
                 pool.prove_key_negotiation(asset, 72, field_hash(72)), 120
             )
 
-        with ProverPool(snark_ctx, workers=1) as pool:
+        with ProverPool(snark_ctx) as pool:
             result = asyncio.run(scenario(pool))
         assert _pik_verifies(snark_ctx, asset, 72, result)
 
@@ -1081,16 +1078,15 @@ class TestProverPool:
         async def scenario():
             node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
             session = node.open_session(asset, tenant="seller")
-            (worker,) = node.pool._workers
+            worker = node.pool._worker
             await node.start()
             try:
                 node.submit(ExchangeRequest(session.session_id, tenant="t", price=PRICE))
-                return [worker.proc.pid] + await _forked_helpers(worker, 1)
+                return [worker.proc.pid] + await _in_flight(node.pool)
             finally:
                 await asyncio.wait_for(node.stop(), 30)
 
         pids = asyncio.run(scenario())
-        get_engine().close()
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
 
@@ -1109,7 +1105,7 @@ class TestProverPool:
         async def scenario():
             node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
             session = node.open_session(asset, tenant="seller")
-            (worker,) = node.pool._workers
+            worker = node.pool._worker
             await node.start()
             node.submit(ExchangeRequest(session.session_id, tenant="t", price=PRICE))
             for _ in range(1000):  # until the proof is in flight
@@ -1128,29 +1124,50 @@ class TestProverPool:
         assert ticks[-1] - ticks[0] > 0.2  # stop() waited for the proof
         assert max(b - a for a, b in zip(ticks, ticks[1:])) < 0.1
 
-    def test_a_failed_fork_stops_the_workers_already_forked(self, snark_ctx, cpus, monkeypatch):
-        """A pool whose second fork fails stops its first worker before the
-        error reaches the caller.  Left running, that worker waits for EOF
-        on a pipe the traceback keeps open, and interpreter exit joins it
-        for ever."""
-        cpus(1)
+    def test_a_failed_fork_leaks_no_process(self, snark_ctx, cpus, monkeypatch):
+        """A pool whose worker fails to fork raises and hands nothing
+        over: the helper its warm-up forked stays the engine's, which
+        reaps it, and nothing else is left running."""
+        cpus(2)
         before = _children()
         start, forks = multiprocessing.context.ForkProcess.start, []
 
-        def second_fork_fails(process):
+        def worker_fork_fails(process):
             forks.append(process)
-            if len(forks) == 2:
+            if len(forks) == 2:  # the helper forks first, then the worker
                 raise OSError("fork failed")
             start(process)
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", second_fork_fails)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", worker_fork_fails)
         with pytest.raises(OSError, match="fork failed") as excinfo:
-            ProverPool(snark_ctx, workers=2)
-        leaked = _children() - before
+            ProverPool(snark_ctx)
+        helpers = {helper.proc for helper in get_engine()._links}
+        leaked = _children() - before - helpers
+        get_engine().close()
+        leaked |= _children() - before
         for process in leaked:  # a failure here must not hang the session's exit
             process.kill()
             process.join(10)
-        assert not leaked, "workers outlived %r" % excinfo.value
+        assert len(helpers) == 1
+        assert not leaked, "processes outlived %r" % excinfo.value
+
+    def test_a_helper_forked_after_the_worker_does_not_hold_it_open(
+        self, snark_ctx, cpus
+    ):
+        """A wide MSM in the parent once the pool exists (a session that
+        proves pi_p) forks the engine a new helper, which inherits the
+        pool's end of the worker's pipe; ``close()`` still reaches the
+        worker at once."""
+        cpus(2)
+        before = _children()
+        pool = ProverPool(snark_ctx)
+        get_engine().msm_srs(snark_ctx.srs, [1] * MIN_MSM_POINTS)
+        assert get_engine().live_helpers() == 1
+        started = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - started < 5
+        get_engine().close()
+        assert _children() == before
 
 
 @pytest.mark.chaos

@@ -313,6 +313,8 @@ NON_KERNELS = {
     "srs_g1_jacobian",
     "prepared_g2",
     "close",
+    "hand_over",
+    "adopt",
     "live_helpers",
     "name",
 }

@@ -231,6 +231,37 @@ class TestProverVerifierReplay:
         for name, bound_by in BOUND_BY.items():
             assert _absorbed_at(prover_log, _encode(getattr(proof, name))) < challenges[bound_by], name
 
+    @pytest.mark.parametrize("statement", [_unlinked, _linked], ids=["unlinked", "linked"])
+    def test_every_later_challenge_depends_on_every_absorb(
+        self, srs, transcript_log, monkeypatch, statement
+    ):
+        """The transcript chains its state: flip one byte of any statement
+        or proof field a real proof absorbs, replay its schedule, and every
+        challenge drawn after that absorb changes, not only the next one."""
+        prover_log, _, _ = self._replay(srs, transcript_log, statement)
+        monkeypatch.undo()  # replay on the transcript itself, unrecorded
+
+        def challenges(events):
+            transcript, drawn = Transcript(b"plonk"), []
+            for kind, label, data in events:
+                if kind == "absorb":
+                    transcript.append_bytes(label, data)
+                else:
+                    drawn.append(transcript.challenge(label))
+            return drawn
+
+        logged = challenges(prover_log)
+        assert logged == [int.from_bytes(d, "little") for k, _, d in prover_log if k == "challenge"]
+        for i, (kind, label, data) in enumerate(prover_log):
+            if kind != "absorb":
+                continue
+            flipped = prover_log[:i] + [(kind, label, data[:-1] + bytes([data[-1] ^ 1]))]
+            got = challenges(flipped + prover_log[i + 1 :])
+            drawn = sum(1 for event in prover_log[:i] if event[0] == "challenge")
+            assert got[:drawn] == logged[:drawn]
+            unchanged = [j for j in range(drawn, len(logged)) if got[j] == logged[j]]
+            assert drawn < len(logged) and not unchanged, (label, unchanged)
+
     def test_tampered_proof_diverges_challenges(self, srs, transcript_log):
         prover_log, _, (vk, publics, _, proof) = self._replay(srs, transcript_log, _unlinked)
         transcript_log.clear()
