@@ -10,7 +10,7 @@ assets from multiple providers and sells derived products:
 4. the provenance DAG shows the full history; the broker burns the other
    slice, taking it out of circulation.
 
-Run:  python examples/marketplace_lifecycle.py   (~5 minutes pure Python)
+Run:  python examples/marketplace_lifecycle.py   (~40 s on two cores)
 """
 
 import time

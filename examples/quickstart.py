@@ -37,7 +37,8 @@ def main():
     listing = market.publish_dataset(alice, plaintext=[20260705, 42])
     print("      token id    : %d" % listing.token_id)
     print("      storage URI : %s..." % listing.asset.uri[:16])
-    print("      commitment  : %d..." % (listing.asset.data_commitment.value % 10**12))
+    digest = market.chain.call_view(market.token, "commitment_of", listing.token_id)
+    print("      commitment  : digest of [d] %s..." % format(digest, "064x")[:16])
     print("      pi_e proved and verified in %.0f s (size %d bytes)"
           % (time.time() - t0, listing.encryption_proof.proof.size_bytes))
 

@@ -7,8 +7,8 @@ Layer map (bottom-up):
 - ``repro.field`` / ``repro.curve`` — BN254 arithmetic and pairing;
 - ``repro.kzg`` / ``repro.plonk`` — the universal-setup NIZK;
 - ``repro.r1cs`` / ``repro.groth16`` — the ZKCP baseline's SNARK;
-- ``repro.primitives`` / ``repro.gadgets`` — MiMC, Poseidon, commitments,
-  native and in-circuit;
+- ``repro.primitives`` / ``repro.gadgets`` — MiMC and Poseidon, native
+  and in-circuit (commitments are KZG points, ``repro.kzg``);
 - ``repro.chain`` / ``repro.contracts`` / ``repro.storage`` — the
   blockchain and storage substrates;
 - ``repro.core`` — the ZKDET protocols and marketplace;

@@ -1,8 +1,8 @@
 """The ERC-721 data-token contract with provenance tracking.
 
 Each token is the on-chain credential of one (encrypted, publicly stored)
-dataset: it records the storage URI, the Poseidon commitment to the
-plaintext, the transformation kind that produced it, the hash of the
+dataset: it records the storage URI, the digest of the KZG commitment
+[d] to the plaintext, the transformation kind that produced it, the hash of the
 zero-knowledge proof justifying that transformation, and — the key
 extension over plain ERC-721 — ``prevIds[]``, the parent tokens, which
 makes the full transformation DAG walkable on chain (Figure 2).

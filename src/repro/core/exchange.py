@@ -1,15 +1,15 @@
 """The key-secure two-phase data exchange protocol (Section IV-F).
 
-Phase 1 (data validation): the seller sends (c_d, pi_p) where pi_p proves
-phi(D) = 1, D_hat = Enc(k, D), the data commitment's opening and that k
-is the scalar under the key's KZG point [k]; the buyer verifies, picks a
+Phase 1 (data validation): the seller sends ([d], pi_p) where pi_p proves
+phi(D) = 1, D_hat = Enc(k, D), that D is the message under the data's
+KZG point [d] and k the scalar under the key's [k]; the buyer verifies, picks a
 fresh k_v, sends it to the seller off-chain, and locks payment on the
 arbiter together with h_v = H(k_v) and the digest of the [k] it checked.
 
 Phase 2 (key negotiation): the seller forms the masked key k_c = k + k_v
 and proves, in pi_k, that k is the scalar under [k], h_v = H(k_v) and
 k_c = k + k_v.  Both proofs link the key to the same [k] (DESIGN.md, "The
-key link"), so the key that settles is the key that decrypts.  The
+linked commitments"), so the key that settles is the key that decrypts.  The
 arbiter releases payment iff [k] matches the locked digest and pi_k
 verifies; the buyer recovers k = k_c - k_v and decrypts.  The chain never
 sees k — the property ZKCP lacks (Challenge 3).
@@ -83,11 +83,13 @@ class Seller:
         self.asset = asset
         self.address = address
         self.key_commitment = asset.key_commitment(ctx.srs)
+        # The owner commits the data once: buyers' views carry this [d].
+        self.data_commitment = asset.data_commitment(ctx.srs)
 
-    def data_validation_message(self, predicate=None) -> tuple[int, EncryptionProof]:
-        """Phase 1: produce (c_d, pi_p)."""
+    def data_validation_message(self, predicate=None) -> tuple[G1, EncryptionProof]:
+        """Phase 1: produce ([d], pi_p)."""
         pi_p = prove_encryption(self.ctx, self.asset, predicate=predicate)
-        return self.asset.data_commitment.value, pi_p
+        return pi_p.data_commitment, pi_p
 
     def key_negotiation_message(self, k_v: int, h_v_on_chain: int):
         """Phase 2: check the buyer's h_v, then produce (k_c, pi_k).
@@ -123,8 +125,8 @@ class Buyer:
         self.address = address
         self.k_v: int | None = None
 
-    def verify_data(self, c_d: int, pi_p: EncryptionProof, predicate=None) -> bool:
-        """Phase 1 verification of (c_d, pi_p)."""
+    def verify_data(self, c_d: G1, pi_p: EncryptionProof, predicate=None) -> bool:
+        """Phase 1 verification of ([d], pi_p)."""
         if c_d != self.view.data_commitment:
             return False
         return verify_encryption(self.ctx, self.view, pi_p, predicate=predicate)

@@ -137,10 +137,6 @@ class ExchangeAbortedError(ProtocolError):
     chaos plans with bounded fault budgets never reach this."""
 
 
-class CommitmentError(ReproError):
-    """Commitment open/verify failure in a checked context."""
-
-
 class ServiceError(ReproError):
     """Marketplace service-plane failure (node, queue, prover pool)."""
 

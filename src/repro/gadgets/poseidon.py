@@ -1,8 +1,9 @@
-"""In-circuit Poseidon permutation, sponge hash and commitment opening.
+"""In-circuit Poseidon permutation and sponge hash.
 
-Used for the Open(m, c, o) = 1 clauses of the transformation and exchange
-protocols: the circuit recomputes the Poseidon commitment from the witness
-message and blinder and constrains it to equal the public commitment.
+Used for the buyer's statement h_v = H(k_v) in pi_k, ZKCP's key hash,
+Merkle nodes and signature challenges.  Commitments to keys and data are
+KZG points a circuit links (:meth:`repro.plonk.circuit.CircuitBuilder.link`),
+not hashes it re-opens.
 
 Same function as :mod:`repro.primitives.poseidon`, whose constants and
 partial-round tables are imported here (one derivation, a native and an
@@ -140,17 +141,3 @@ def poseidon_hash_gadget(builder: CircuitBuilder, inputs: list[Wire]) -> Wire:
     digest = state[0]
     return builder.constant(digest.value) if isinstance(digest, _Known) else digest
 
-
-def assert_commitment_opens(
-    builder: CircuitBuilder,
-    message: list[Wire],
-    commitment: Wire,
-    blinder: Wire,
-) -> None:
-    """Constrain Open(message, commitment, blinder) == 1.
-
-    Recomputes c' = Poseidon(blinder || message) in-circuit and enforces
-    c' == commitment (the public input wire).
-    """
-    computed = poseidon_hash_gadget(builder, [blinder] + list(message))
-    builder.assert_equal(computed, commitment)

@@ -23,8 +23,9 @@ from repro.plonk.verifier import fold_check
 
 def batch_verify(items: list[tuple]) -> bool:
     """Verify many (vk, public_inputs, proof) triples at once; a member
-    whose key links a committed scalar carries that commitment as a
-    fourth element, and members sharing one point object share its term.
+    whose key links commitments carries them as a fourth element (the
+    point, or a tuple of points in link order), and members sharing one
+    point object share its term.
 
     All verification keys must come from the same SRS (same [1]_2 and
     [tau]_2) — which they do under ZKDET's universal setup.  Returns False

@@ -28,9 +28,9 @@ DEGREE_MARGIN = 8
 class VerifyingKey:
     """Succinct verification key: 9 G1 commitments + domain metadata.
 
-    ``links`` is 1 when the circuit links row 0's b wire to a committed
-    scalar (:meth:`repro.plonk.circuit.CircuitBuilder.link`): its proofs
-    verify against that commitment as part of the statement.
+    ``link_slots`` holds one ``(column, m)`` per message the circuit links
+    (:meth:`repro.plonk.circuit.CircuitBuilder.link`): its proofs verify
+    against those commitments, in that order, as part of the statement.
     """
 
     n: int
@@ -46,14 +46,19 @@ class VerifyingKey:
     c_s3: G1
     g2: G2
     g2_tau: G2
-    links: int = 0
+    link_slots: tuple = ()
+
+    @property
+    def links(self) -> int:
+        """How many commitments a proof under this key links."""
+        return len(self.link_slots)
 
     def digest(self) -> bytes:
         """Hash binding the transcript to this circuit and SRS."""
         h = hashlib.sha256()
         h.update(b"plonk-vk:%d:%d:%d:%d;" % (self.n, self.ell, K1, K2))
-        if self.links:  # a key that links nothing hashes as before
-            h.update(b"links:%d;" % self.links)
+        for slot, m in self.link_slots:  # a key that links nothing hashes as before
+            h.update(b"link:%d:%d;" % (slot, m))
         for c in (
             self.c_qm,
             self.c_q3,
@@ -111,7 +116,7 @@ def setup(srs: SRS, layout: Layout) -> tuple[ProvingKey, VerifyingKey]:
         c_s3=commit(srs, s_polys[2]),
         g2=srs.g2,
         g2_tau=srs.g2_tau,
-        links=layout.links,
+        link_slots=layout.link_slots,
     )
     pk = ProvingKey(layout, srs, q_polys, s_polys, sigma_star, vk)
     return pk, vk

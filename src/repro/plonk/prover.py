@@ -14,12 +14,12 @@ from repro.backend import get_engine
 from repro.field import poly
 from repro.field.fr import MODULUS as R, inv, random_scalar
 from repro.field.ntt import COSET_SHIFT
-from repro.plonk.circuit import Assignment, K1, K2
+from repro.plonk.circuit import Assignment, K1, K2, link_indicator, link_indicator_eval
 from repro.plonk.keys import ProvingKey
 from repro.plonk.proof import Proof
 from repro.plonk.transcript import Transcript
 
-from repro.kzg.commit import commit
+from repro.kzg.commit import commit, message_poly
 
 
 def _blind(coeffs: list[int], blinders: list[int], n: int) -> list[int]:
@@ -42,11 +42,12 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     every commitment.
 
     A linking layout (:meth:`~repro.plonk.circuit.CircuitBuilder.link`)
-    absorbs the assignment's commitment after the public inputs and adds
-    alpha^3 L_0(X) (b(X) - d(X)) to the quotient, with d(X) = k +
-    rho (X - 1) built from b(1) = k and the blinder rho.  The commitment
-    is absorbed as given: one that does not commit to d yields a proof
-    that fails verification.
+    absorbs the assignment's commitments after the public inputs, in link
+    order, and adds alpha^(3+i) I_m(X) (w(X) - d_i(X)) to the quotient for
+    link i, with w its wire column and d_i(X) the message polynomial
+    (:func:`repro.kzg.commit.message_poly`) of the entries w holds at rows
+    j n/m and the link's blinder.  A commitment is absorbed as given: one
+    that does not commit to d_i yields a proof that fails verification.
 
     Under ``REPRO_TELEMETRY=trace`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
@@ -78,12 +79,13 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
     public_inputs = assignment.public_inputs
     for w in public_inputs:
         transcript.append_scalar(b"pub", w)
-    # d(X) = d0 + rho X: the linked scalar b(1) = d(1) with its blinder.
-    link = assignment.link if pk.layout.links else None
-    if link is not None:
-        transcript.append_point(b"link", link[0])
-        rho = link[1]
-        d0 = (assignment.b[0] - rho) % R
+    # One (column, m, d(X)) per link: d interpolates the entries its column
+    # holds at rows j n/m, blinded with the link's rho.
+    columns = (assignment.a, assignment.b, assignment.c)
+    links = []
+    for (slot, m), (point, rho) in zip(pk.layout.link_slots, assignment.links):
+        transcript.append_point(b"link", point)
+        links.append((slot, m, message_poly(columns[slot][:: n // m], rho)))
 
     # ----- Round 1: wire polynomials -------------------------------------
     with telemetry.span("blinding", round=1):
@@ -181,16 +183,26 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 ("l1", l1_poly),
             )
         }
-        # The witness-dependent polynomials are transformed fresh each proof,
-        # as one engine batch.
+        # I_m per link width, fixed per key like L_0 (which is I_1).
+        indicators = {
+            m: ev["l1"] if m == 1 else engine.coset_ntt_cached(pk, "ind%d" % m, link_indicator(n, m), big_n)
+            for _slot, m, _d in links
+        }
+        # The witness-dependent polynomials, the links' d(X) among them, are
+        # transformed fresh each proof, as one engine batch.
         live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("zw", zw_poly), ("pi", pi_poly)
+        live += tuple(("d%d" % i, d) for i, (_slot, _m, d) in enumerate(links))
         live_evals = engine.ntt_batch(
             [("coset_fft", big_n, coeffs, COSET_SHIFT) for _, coeffs in live]
         )
         for (name, _), evals in zip(live, live_evals):
             ev[name] = evals
         alpha2 = alpha * alpha % R
-        alpha3 = alpha2 * alpha % R
+        link_terms = []
+        coeff = alpha2
+        for i, (slot, m, _d) in enumerate(links):
+            coeff = coeff * alpha % R
+            link_terms.append((coeff, ev["abc"[slot]], indicators[m], ev["d%d" % i]))
         # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
         zh_period = big_n // n
         zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
@@ -227,8 +239,8 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             )
             boundary = (zv - 1) * ev["l1"][i] % R
             numerator = gate + alpha * (perm_a - perm_b) + alpha2 * boundary
-            if link is not None:
-                numerator += alpha3 * ev["l1"][i] % R * (bv - d0 - rho * x)
+            for coeff, wire, ind, dv in link_terms:
+                numerator += coeff * ind[i] % R * (wire[i] - dv[i])
             t_evals.append(numerator % R * zh_inv[i % zh_period] % R)
         t_poly = poly.trim(engine.coset_intt(t_evals))
         # A numerator Z_H does not divide leaves a quotient that fills the
@@ -315,12 +327,15 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             - l1_zeta * alpha2
             - alpha * pb % R * ((c_bar + gamma) % R) % R * z_omega_bar
         ) % R
-        if link is not None:
+        coeff = alpha2
+        for slot, m, d_poly in links:
             # d(X) stays a polynomial (the verifier holds only [d]); its
-            # partner b_bar is a known scalar and moves into r0.
-            link_scalar = alpha3 * l1_zeta % R
-            r_poly = poly.sub(r_poly, poly.scale([d0, rho], link_scalar))
-            r0 = (r0 + link_scalar * b_bar) % R
+            # partner, the wire's evaluation, is a known scalar and moves
+            # into r0.
+            coeff = coeff * alpha % R
+            link_scalar = coeff * link_indicator_eval(n, m, zeta) % R
+            r_poly = poly.sub(r_poly, poly.scale(d_poly, link_scalar))
+            r0 = (r0 + link_scalar * (a_bar, b_bar, c_bar)[slot]) % R
         if (poly.evaluate(r_poly, zeta) + r0) % R != 0:
             raise ProofError("internal linearization check failed")
 

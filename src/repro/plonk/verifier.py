@@ -5,11 +5,12 @@ scalar) terms over 19 distinct points — its nine commitments, the nine of
 the verifying key and the generator — and verification is two MSMs over
 those terms (19 non-trivial scalar multiplications: ``W_zeta`` and
 ``[qC]`` ride with scalar 1) and a single 2-pairing product check, the
-costs the paper reports in Section VI-B3 and Figure 7.  A key that links a
-committed scalar (``vk.links``) adds one term, the commitment [d] the
-statement names: 22 terms, 20 multiplications.  :func:`fold_check` is the
-one place those terms are multiplied: :func:`verify` runs it over one
-member, :func:`repro.plonk.batch.batch_verify` over many.
+costs the paper reports in Section VI-B3 and Figure 7.  A key that links
+committed messages (``vk.links``, at most three) adds one term per link,
+the commitment [d] the statement names: 22 terms and 20 multiplications
+for one link.  :func:`fold_check` is the one place those terms are
+multiplied: :func:`verify` runs it over one member,
+:func:`repro.plonk.batch.batch_verify` over many.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
-from repro.plonk.circuit import K1, K2
+from repro.plonk.circuit import K1, K2, link_indicator_eval
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.proof import Proof
 from repro.plonk.transcript import Transcript
 
 
 def verify(
-    vk: VerifyingKey, public_inputs: list[int], proof: Proof, link: G1 | None = None
+    vk: VerifyingKey, public_inputs: list[int], proof: Proof, link=None
 ) -> bool:
     """Check ``proof`` against ``vk``, the public inputs and, when ``vk``
-    links a committed scalar, that commitment ``link``."""
+    links commitments, ``link``: the one point, or the points in link
+    order."""
     with telemetry.span("plonk.verify", n=vk.n, public_inputs=len(public_inputs)) as sp:
         ok = fold_check([(vk, public_inputs, proof, link)], [1])
         sp.set_attr("ok", ok)
@@ -39,7 +41,8 @@ def verify(
 def fold_check(items: list[tuple], weights: list[int]) -> bool:
     """Check ``sum_i weights[i] * (member i's pairing equation)``, for a
     non-empty ``items`` of ``(vk, public_inputs, proof)`` triples, each
-    with the linked commitment as a fourth element when its key links one.
+    with its linked commitments as a fourth element when its key links
+    any (the point, or a tuple of points in link order).
 
     Member i's equation is ``e(sum_j s_ij P_ij, [tau]_2) == e(sum_j t_ij
     Q_ij, [1]_2)`` over the terms of :func:`proof_terms`; since
@@ -49,8 +52,8 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
     commitments and the generator are the same points in every member
     that shares a key, so their scalars are summed per key — by key
     *identity*, never by point value: members are not compared, merged or
-    cached by content.  A linked commitment is summed the same way, by the
-    identity of its point object.  k members under one key cost MSMs of
+    cached by content.  Linked commitments are summed the same way, by the
+    identity of each point object.  k members under one key cost MSMs of
     2k and 9k + 10 points (plus one per distinct linked point) and one
     2-pair check.  Returns False on a structurally malformed member;
     raises if the members' keys come from different SRS.
@@ -69,15 +72,15 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
         terms = proof_terms(vk, publics, proof, link)
         if terms is None:
             return False
-        tau_terms, one_terms, key_scalars, link_scalar = terms
+        tau_terms, one_terms, key_scalars, link_terms = terms
         tau_side += [(p, rho * s % R) for p, s in tau_terms]
         one_side += [(p, rho * s % R) for p, s in one_terms]
         _, sums = key_sums.setdefault(id(vk), (vk, [0] * len(key_scalars)))
         for j, s in enumerate(key_scalars):
             sums[j] = (sums[j] + rho * s) % R
-        if link is not None:
-            entry = link_sums.setdefault(id(link), [link, 0])
-            entry[1] = (entry[1] + rho * link_scalar) % R
+        for point, s in link_terms:
+            entry = link_sums.setdefault(id(point), [point, 0])
+            entry[1] = (entry[1] + rho * s) % R
     for vk, sums in key_sums.values():
         one_side += zip(_key_points(vk), sums)
     one_side += [(point, s) for point, s in link_sums.values()]
@@ -104,31 +107,34 @@ def _key_points(vk: VerifyingKey) -> list[G1]:
 
 
 def proof_terms(
-    vk: VerifyingKey, public_inputs: list[int], proof: Proof, link: G1 | None = None
+    vk: VerifyingKey, public_inputs: list[int], proof: Proof, link=None
 ) -> tuple | None:
     """Reduce a proof to the terms of its final pairing equation.
 
-    Returns ``(tau_terms, one_terms, key_scalars, link_scalar)`` such that
+    Returns ``(tau_terms, one_terms, key_scalars, link_terms)`` such that
     the proof is valid iff
 
         e(sum s*P over tau_terms, [tau]_2)
             == e(sum s*P over one_terms + sum key_scalars[j] * K_j
-                 + link_scalar * link, [1]_2)
+                 + sum s*D over link_terms, [1]_2)
 
     with ``K`` the nine key commitments and the generator
-    (:func:`_key_points`); ``link_scalar`` is 0 for a key that links
-    nothing.  None means an early structural reject: among them a linking
-    key without a commitment (or the reverse) and the identity as the
-    commitment, which only rho = 0 produces.  No group operation happens
+    (:func:`_key_points`) and ``link_terms`` one ``(commitment, scalar)``
+    per link (none for a key that links nothing).  ``link`` is the one
+    linked point or the points in link order.  None means an early
+    structural reject: among them a count of commitments the key does not
+    link and the identity as a commitment, which only rho = 0 produces
+    (a blinder no honest commitment uses).  No group operation happens
     here — field work and the transcript's SHA-256 only — so
     :func:`fold_check` can weight and merge the terms of many proofs
     before anything is multiplied.
     """
     if len(public_inputs) != vk.ell:
         return None
-    if (link is not None) != bool(vk.links):
+    links = tuple(link) if isinstance(link, (tuple, list)) else (() if link is None else (link,))
+    if len(links) != vk.links:
         return None
-    if link is not None and (not isinstance(link, G1) or link.inf):
+    if any(not isinstance(point, G1) or point.inf for point in links):
         return None
     # The transcript and PI(zeta) reduce mod r: x and x + r would be two
     # statements settled by one proof.
@@ -143,8 +149,8 @@ def proof_terms(
     transcript.append_bytes(b"vk", vk.digest())
     for w in public_inputs:
         transcript.append_scalar(b"pub", w)
-    if link is not None:
-        transcript.append_point(b"link", link)
+    for point in links:
+        transcript.append_point(b"link", point)
     transcript.append_point(b"a", proof.c_a)
     transcript.append_point(b"b", proof.c_b)
     transcript.append_point(b"c", proof.c_c)
@@ -200,13 +206,17 @@ def proof_terms(
         - l1_zeta * alpha2
         - alpha * pb % R * ((proof.c_bar + gamma) % R) % R * proof.z_omega_bar
     ) % R
-    # The link term alpha^3 L_0(zeta) (b_bar - d(zeta)): b_bar's half is a
-    # scalar in r0, d's half a term on the commitment (d(zeta) stays hidden).
-    link_scalar = 0
-    if link is not None:
-        link_coeff = alpha2 * alpha % R * l1_zeta % R
-        r0 = (r0 + link_coeff * proof.b_bar) % R
-        link_scalar = -link_coeff % R
+    # Link i's term alpha^(3+i) I_m(zeta) (w_bar - d(zeta)): the wire's half
+    # is a scalar in r0, d's half a term on the commitment (d(zeta) stays
+    # hidden).
+    wire_bars = (proof.a_bar, proof.b_bar, proof.c_bar)
+    link_terms = []
+    coeff = alpha2
+    for point, (slot, m) in zip(links, vk.link_slots):
+        coeff = coeff * alpha % R
+        link_coeff = coeff * link_indicator_eval(n, m, zeta) % R
+        r0 = (r0 + link_coeff * wire_bars[slot]) % R
+        link_terms.append((point, -link_coeff % R))
     v2, v3, v4, v5 = (pow(v, e, R) for e in (2, 3, 4, 5))
     e_scalar = (
         -r0
@@ -245,7 +255,7 @@ def proof_terms(
         (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R,
         -e_scalar % R,
     ]
-    return tau_terms, one_terms, key_scalars, link_scalar
+    return tau_terms, one_terms, key_scalars, link_terms
 
 
 def verification_group_operations(vk: VerifyingKey) -> dict:
@@ -253,7 +263,7 @@ def verification_group_operations(vk: VerifyingKey) -> dict:
 
     Returns the paper-reported shape: 2 pairings and 19 G1 scalar
     multiplications regardless of circuit size, plus one multiplication
-    (on the linked commitment) for a key that links one.  All 19 happen inside
+    per linked commitment.  All 19 happen inside
     :func:`fold_check`'s two MSMs and nowhere else: 1 on the ``[tau]_2``
     side (``u W_zeta_omega``; ``W_zeta`` rides with scalar 1) and 18 on
     the ``[1]_2`` side (the nine proof points, eight of the nine key

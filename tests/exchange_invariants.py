@@ -117,6 +117,12 @@ def _shows(value, secrets):
     return any(str(secret) in text or format(secret, "x") in text for secret in secrets)
 
 
+def asset_secrets(asset) -> tuple:
+    """What only the seller knows of an asset besides its plaintext: the
+    key and the blinders of its commitments [k] and [d]."""
+    return (asset.key, asset.key_blinder, asset.data_blinder)
+
+
 def assert_secrets_hidden(run, secrets):
     """No secret in ``secrets`` reached anyone but the seller.
 

@@ -6,14 +6,15 @@ from repro.errors import ReproError
 from repro.costmodel import (
     CostModel,
     TimingModel,
-    commitment_open_gates,
     encryption_circuit_gates,
+    encryption_circuit_size,
     key_negotiation_gates,
     mimc_block_gates,
     padded_circuit_size,
     poseidon_hash_gates,
     poseidon_permutation_gates,
     transformation_circuit_gates,
+    transformation_circuit_size,
 )
 from repro.plonk.circuit import CircuitBuilder
 
@@ -50,27 +51,36 @@ class TestGateFormulas:
         # so there are no shared constant gates to approximate.
         assert count == poseidon_hash_gates(num_inputs)
 
-    @pytest.mark.parametrize("entries", [1, 2, 4])
+    @pytest.mark.parametrize("entries", [1, 2, 3, 4, 8])
     def test_encryption_circuit_close(self, entries):
         from repro.core.transform_protocol import build_encryption_circuit
 
-        count = built_gate_count(
-            lambda b: build_encryption_circuit(
-                b, [0] * entries, 0, 0, 0, [0] * entries, 0, 0, 0
-            )
-        )
-        assert count == encryption_circuit_gates(entries)
+        builder = CircuitBuilder()
+        build_encryption_circuit(builder, [0] * entries, 0, 0, 0, [0] * entries, 0, 0, 0)
+        assert builder.num_gates == encryption_circuit_gates(entries)
+        assert builder.compile(check=False)[0].n == encryption_circuit_size(entries)
 
     def test_transformation_circuit_close(self):
         from repro.core.transform_protocol import build_transformation_circuit
-        from repro.core.transformations import Duplication
+        from repro.core.transformations import Aggregation, Duplication, Partition
 
-        count = built_gate_count(
-            lambda b: build_transformation_circuit(
-                b, Duplication(), [([0] * 4, 0, 0)], [([0] * 4, 0, 0)]
+        for transformation, sources, derived in (
+            (Duplication(), [4], [4]),
+            (Duplication(), [8], [8]),
+            (Duplication(), [3], [3]),  # one padding entry per dataset
+            (Aggregation(), [2, 3], [5]),
+            (Partition(sizes=(2, 3)), [5], [2, 3]),
+        ):
+            builder = CircuitBuilder()
+            build_transformation_circuit(
+                builder,
+                transformation,
+                [([0] * n, 0, 0) for n in sources],
+                [([0] * n, 0, 0) for n in derived],
             )
-        )
-        assert count == transformation_circuit_gates([4], [4])
+            assert builder.num_gates == transformation_circuit_gates(sources, derived)
+            layout = builder.compile(check=False)[0]
+            assert layout.n == transformation_circuit_size(sources, derived)
 
     def test_key_negotiation_close(self):
         from repro.core.exchange import build_key_negotiation_circuit
@@ -88,25 +98,33 @@ class TestGateFormulas:
         assert mimc_block_gates() == constraints_per_block() <= 280
 
     def test_exchange_circuits_stay_under_their_power_of_two(self):
-        """pi_k at n=512, a 1-entry pi_e at n=1024 and a 2-entry pi_e at
-        n=2048, with the key linked rather than opened: a gadget change
-        that crosses a power of two doubles every prover kernel, so it
-        fails here and not in a benchmark."""
+        """pi_k at 456 rows (n = 512), and pi_e at n = 512 for 1 entry (279
+        rows), 1,024 for 2 or 3 and 2,048 for 4, with the key and the data
+        linked rather than opened: a gadget change that crosses a power of
+        two doubles every prover kernel, so it fails here and not in a
+        benchmark."""
         from repro.core.exchange import build_key_negotiation_circuit
         from repro.core.transform_protocol import build_encryption_circuit
 
         builder = CircuitBuilder()
         build_key_negotiation_circuit(builder, 0, 0, 0, 0, 0, 0)
+        assert builder.num_gates + 2 == 456
         assert builder.compile(check=False)[0].n == 512
-        for entries, n in ((1, 1024), (2, 2048)):
+        for entries, gates, n in ((1, 277, 512), (2, 554, 1024), (3, 832, 1024), (4, 1108, 2048)):
             builder = CircuitBuilder()
             build_encryption_circuit(
                 builder, [0] * entries, 0, 0, 0, [0] * entries, 0, 0, 0
             )
+            assert builder.num_gates == gates
             assert builder.compile(check=False)[0].n == n
 
-    def test_commitment_open_monotone(self):
-        assert commitment_open_gates(10) > commitment_open_gates(2)
+    def test_fig6_transformation_sits_below_encryption(self):
+        """Figure 6's ordering: pi_t well below pi_e at equal size, now that
+        both link the data rather than re-open it (at the parent, which
+        re-opened it, [8] -> [8] took 4,594 gates against pi_e's 4,509)."""
+        assert transformation_circuit_gates([8], [8]) < encryption_circuit_gates(8)
+        assert (transformation_circuit_gates([8], [8]), encryption_circuit_gates(8)) == (8, 2216)
+        assert (transformation_circuit_size([8], [8]), encryption_circuit_size(8)) == (16, 4096)
 
     def test_padded_circuit_size(self):
         assert padded_circuit_size(1) == 4

@@ -29,9 +29,9 @@ from repro.gadgets.fixedpoint import (
 from repro.gadgets.linalg import fp_matvec, fp_softmax, fp_vec_add, matvec_native
 from repro.gadgets.merkle import MerkleTree, assert_merkle_membership
 from repro.gadgets.mimc import assert_ctr_encryption, mimc_block
-from repro.gadgets.poseidon import assert_commitment_opens, poseidon_hash_gadget, poseidon_permutation
+from repro.gadgets.poseidon import poseidon_hash_gadget, poseidon_permutation
 from repro.plonk.circuit import CircuitBuilder
-from repro.primitives import MiMC, commit, mimc_encrypt_ctr
+from repro.primitives import MiMC, mimc_encrypt_ctr
 from tests.poseidon_oracle import Poseidon, poseidon_hash
 
 
@@ -230,23 +230,6 @@ class TestPoseidonGadget:
         out = poseidon_hash_gadget(b, wires)
         assert b.value(out) == poseidon_hash(inputs)
         compile_ok(b)
-
-    def test_commitment_open_gadget(self):
-        message = [7, 8, 9]
-        c, o = commit(message, blinder=4242)
-        b = CircuitBuilder()
-        msg = [b.var(v) for v in message]
-        cw = b.public_input(c.value)
-        ow = b.var(o)
-        assert_commitment_opens(b, msg, cw, ow)
-        compile_ok(b)
-
-    def test_commitment_open_gadget_rejects_bad_blinder(self):
-        c, o = commit([7], blinder=4242)
-        b = CircuitBuilder()
-        assert_commitment_opens(b, [b.var(7)], b.public_input(c.value), b.var(o + 1))
-        with pytest.raises(UnsatisfiedConstraintError):
-            b.compile()
 
 
 def assert_deterministic(builder, inputs):

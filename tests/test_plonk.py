@@ -5,6 +5,7 @@ soundness implies for concrete attacks (Definition 2.6), and the succinct
 proof shape the paper reports (9 G1 + 6 field elements).
 """
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -21,7 +22,8 @@ from repro.errors import (
 from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
-from repro.kzg import SRS, commit_scalar
+from repro.kzg import SRS, commit, commit_message, commit_scalar
+from repro.kzg.commit import message_poly
 from repro.plonk import CircuitBuilder, Proof, batch_verify, prove, prover, setup, verify
 from repro.plonk.circuit import Layout
 from repro.plonk.verifier import verification_group_operations
@@ -334,8 +336,8 @@ def _linked_circuit(srs, key, rho, point=None, x_value=3):
 
 class TestLinkedCommitment:
     """A key wire linked to a KZG point [k] through row 0 (DESIGN.md, "The
-    key link"): the honest proof verifies, and every way of pointing it
-    at another scalar is rejected."""
+    linked commitments"): the honest proof verifies, and every way of
+    pointing it at another scalar is rejected."""
 
     KEY, RHO = 1234567, 7654321
 
@@ -459,13 +461,155 @@ class TestLinkedCommitment:
         assert verification_group_operations(setup(srs, linked_layout)[1])["g1_scalar_mults"] == 20
         assert verification_group_operations(setup(srs, plain_layout)[1])["g1_scalar_mults"] == 19
 
-    def test_link_needs_a_public_input_and_is_unique(self, srs):
+    def test_links_take_the_three_slots_of_row_zero(self, srs):
+        """Links take b, c, then a; a fourth is refused, and so is a third
+        in a circuit whose row 0 holds a public input in its a slot."""
         point = commit_scalar(srs, 5, 6)
         builder = CircuitBuilder()
         k = builder.var(5)
-        builder.link(k, point, 6)
-        with pytest.raises(CircuitError):
+        for _ in range(3):
+            builder.link(k, point, 6)
+        with pytest.raises(CircuitError, match="at most 3"):
             builder.link(k, point, 6)
         builder.assert_equal(k, k)
-        with pytest.raises(CircuitError):
+        assert builder.compile()[0].link_slots == ((1, 1), (2, 1), (0, 1))
+        builder = CircuitBuilder()
+        builder.public_input(5)
+        for _ in range(3):
+            builder.link(builder.var(5), point, 6)
+        with pytest.raises(CircuitError, match="public input"):
             builder.compile()
+
+
+def _message_circuit(srs, message, k_point=None, d_point=None, key=1234567, rho=7654321, data_rho=99):
+    """Public x, y = key * x and s = sum(message); the key is linked in row
+    0's b slot, the message in the c slots of rows j n/m (padded to m)."""
+    k_point = commit_scalar(srs, key, rho) if k_point is None else k_point
+    d_point = commit_message(srs, message, data_rho) if d_point is None else d_point
+    builder = CircuitBuilder()
+    x = builder.public_input(3)
+    y = builder.public_input(key * 3 % R)
+    total = builder.public_input(sum(message))
+    k = builder.var(key)
+    entries = [builder.var(v) for v in message]
+    builder.link(k, k_point, rho)
+    builder.link(entries, d_point, data_rho)
+    builder.assert_equal(builder.mul(k, x), y)
+    builder.assert_equal(builder.linear_combination([(1, w) for w in entries]), total)
+    layout, assignment = builder.compile()
+    return layout, assignment, (k_point, d_point)
+
+
+class TestLinkedMessage:
+    """A message of m entries linked to its KZG point [d] through the rows
+    j n/m (DESIGN.md, "The linked commitments"), next to a linked key: the
+    honest proof verifies, and every way of pointing it at another
+    message is rejected."""
+
+    MESSAGE = [101, 202, 303]  # m = 4: one padding entry, linked to 0
+    DATA_RHO = 99
+
+    @pytest.fixture(scope="class")
+    def linked(self, srs):
+        layout, assignment, points = _message_circuit(srs, self.MESSAGE)
+        pk, vk = setup(srs, layout)
+        return pk, vk, assignment.public_inputs, prove(pk, assignment), points
+
+    def test_honest_proof_verifies_and_rows_hold_the_message(self, linked):
+        pk, vk, publics, proof, points = linked
+        assert vk.link_slots == ((1, 1), (2, 4))
+        assert verify(vk, publics, proof, points)
+        layout = pk.layout
+        # Rows j n/4 past the public inputs are reserved: no gate reads them.
+        step = layout.n // 4
+        for row in range(step, layout.n, step):
+            assert (layout.ql[row], layout.qr[row], layout.qo[row], layout.qm[row]) == (0,) * 4
+
+    def _rejects(self, srs, linked, points):
+        """The statement ``points`` is rejected twice: against the honest
+        proof (the transcript binds the points), and against a proof made
+        under it from the honest witness (the link term binds them: the
+        prover absorbs the points as given and builds d from the wires)."""
+        pk, vk, publics, proof, _points = linked
+        _layout, assignment, _ = _message_circuit(srs, self.MESSAGE, *points)
+        made_under = prove(pk, assignment)
+        return not verify(vk, publics, proof, points) and not verify(
+            vk, assignment.public_inputs, made_under, points
+        )
+
+    def test_another_tokens_commitment_rejected(self, srs, linked):
+        k_point, _d_point = linked[4]
+        other = commit_message(srs, self.MESSAGE, self.DATA_RHO + 1)
+        assert self._rejects(srs, linked, (k_point, other))
+
+    @pytest.mark.parametrize("entry", ["first", "middle", "last", "padding"])
+    def test_a_message_differing_in_one_entry_rejected(self, srs, linked, entry):
+        k_point, _d_point = linked[4]
+        padded = self.MESSAGE + [0]
+        index = {"first": 0, "middle": 1, "last": 2, "padding": 3}[entry]
+        padded[index] += 1
+        forged = commit(srs, message_poly(padded, self.DATA_RHO))
+        assert self._rejects(srs, linked, (k_point, forged))
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_a_witness_not_under_the_commitment_rejected(self, srs, linked, entry):
+        """The prover absorbs the statement's [d] as given: a witness entry
+        that is not the committed one yields a proof that fails."""
+        pk, vk, _publics, _proof, points = linked
+        altered = list(self.MESSAGE)
+        altered[entry] += 1
+        _layout, assignment, _ = _message_circuit(srs, altered, *points)
+        forged = prove(pk, assignment)
+        assert not verify(vk, assignment.public_inputs, forged, points)
+
+    def test_identity_and_swapped_points_rejected(self, srs, linked):
+        _pk, vk, publics, proof, (k_point, d_point) = linked
+        assert not verify(vk, publics, proof, (k_point, G1.identity()))
+        assert self._rejects(srs, linked, (d_point, k_point))
+        assert not verify(vk, publics, proof, k_point)  # one link short
+
+    def test_three_messages_link_without_public_inputs(self, srs):
+        """An aggregation-shaped circuit: C = A ++ B, each linked (slots b,
+        c and a of the rows j n/m); swapping any two points fails."""
+        a_vals, b_vals = [5, 6], [7, 8, 9, 10]
+        points = [commit_message(srs, v, rho) for v, rho in ((a_vals, 3), (b_vals, 4), (a_vals + b_vals, 5))]
+        builder = CircuitBuilder()
+        wires = []
+        for vals, point, rho in zip((a_vals, b_vals, a_vals + b_vals), points, (3, 4, 5)):
+            wires.append([builder.var(v) for v in vals])
+            builder.link(wires[-1], point, rho)
+        for src, dst in zip(wires[0] + wires[1], wires[2]):
+            builder.assert_equal(src, dst)
+        layout, assignment = builder.compile()
+        assert layout.link_slots == ((1, 2), (2, 4), (0, 8)) and layout.ell == 0
+        pk, vk = setup(srs, layout)
+        proof = prove(pk, assignment)
+        assert verify(vk, [], proof, tuple(points))
+        assert not verify(vk, [], proof, (points[1], points[0], points[2]))
+        assert not verify(vk, [], proof, (points[0], points[1], points[1]))
+
+    def test_fold_mixes_message_key_and_plain_members(self, srs, linked):
+        pk, vk, publics, proof, points = linked
+        other_layout, other, other_points = _message_circuit(srs, [7, 8], data_rho=5)
+        other_pk, other_vk = setup(srs, other_layout)
+        other_proof = prove(other_pk, other)
+        plain_layout, plain = _square_circuit(9, 12)
+        plain_pk, plain_vk = setup(srs, plain_layout)
+        members = [
+            (vk, publics, proof, points),
+            (plain_vk, plain.public_inputs, prove(plain_pk, plain)),
+            (other_vk, other.public_inputs, other_proof, other_points),
+        ]
+        assert batch_verify(members)
+        members[2] = (other_vk, other.public_inputs, other_proof, (other_points[0], points[1]))
+        assert not batch_verify(members)
+
+    def test_link_slots_enter_both_digests(self, srs):
+        """Each link's column and m are structure: the layout and the key
+        that differ only in them hash apart."""
+        one, _, _ = _message_circuit(srs, [1, 2, 3])
+        for slots in (((1, 1), (2, 2)), ((2, 1), (1, 4)), ((1, 1),)):
+            other = dataclasses.replace(one, link_slots=slots)
+            assert other.digest() != one.digest()
+            assert setup(srs, other)[1].digest() != setup(srs, one)[1].digest()
+        assert verification_group_operations(setup(srs, one)[1])["g1_scalar_mults"] == 21

@@ -5,46 +5,55 @@ rejected (see also test_core_protocols) — and privacy — proofs and public
 artefacts carry no plaintext or key information.
 Theorem 5.2 (exchange): buyer/seller fairness (test_core_protocols) and
 the key-privacy property unique to ZKDET.
-Plus the underlying assumptions: commitment binding/hiding (Defs 2.2-2.3)
-and cipher key/position sensitivity.
+Plus the underlying assumptions: binding/hiding of the KZG data
+commitment (Defs 2.2-2.3) and cipher key/position sensitivity.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field.fr import MODULUS as R
+from repro.field.fr import MODULUS as R, random_scalar
+from repro.kzg import SRS, commit, commit_message
+from repro.kzg.commit import message_poly
 from repro.plonk.transcript import Transcript
-from repro.primitives import MiMC, commit, mimc_encrypt_ctr, open_commitment
+from repro.primitives import MiMC, mimc_encrypt_ctr
 
 elements = st.integers(min_value=0, max_value=R - 1)
 
 
 class TestCommitmentAssumptions:
-    """Definitions 2.2 (binding) and 2.3 (hiding)."""
+    """Definitions 2.2 (binding) and 2.3 (hiding) for the data commitment
+    [d] = Commit(m; rho) (:func:`repro.kzg.commit.commit_message`)."""
+
+    @pytest.fixture(scope="class")
+    def srs(self):
+        return SRS.generate(16, tau=271828)
 
     @given(st.lists(elements, min_size=1, max_size=4), elements)
     @settings(max_examples=20, deadline=None)
-    def test_binding_under_any_blinder(self, message, fake_blinder):
-        c, o = commit(message)
+    def test_binding_under_any_blinder(self, srs, message, fake_blinder):
+        o = 1 + fake_blinder % (R - 2)
+        c = commit_message(srs, message, o)
         altered = list(message)
         altered[0] = (altered[0] + 1) % R
         # No (message', blinder') pair we can cheaply find opens c.
-        assert not open_commitment(altered, c, o)
+        assert commit_message(srs, altered, o) != c
         if fake_blinder != o:
-            assert not open_commitment(message, c, fake_blinder)
+            assert commit_message(srs, message, fake_blinder) != c
 
-    def test_hiding_distribution(self):
-        # Across many commitments to the SAME message, values look unique
+    def test_hiding_distribution(self, srs):
+        # Across many commitments to the SAME message, points look unique
         # (a collision would indicate blinder reuse / low entropy).
-        values = {commit([7])[0].value for _ in range(64)}
-        assert len(values) == 64
+        points = {commit_message(srs, [7], random_scalar(nonzero=True)) for _ in range(64)}
+        assert len(points) == 64
 
-    def test_commitment_does_not_embed_message(self):
+    def test_commitment_does_not_embed_message(self, srs):
         message = [123456789]
-        c, _ = commit(message)
-        assert c.value != message[0]
-        assert str(message[0]) not in str(c.value)[: len(str(message[0])) - 2]
+        c = commit_message(srs, message, random_scalar(nonzero=True))
+        assert message[0] not in (c.x, c.y)
+        # The blinder's Z_{H_m} term moves the point off the unblinded one.
+        assert c != commit(srs, message_poly(message, 0))
 
 
 class TestCipherAssumptions:

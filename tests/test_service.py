@@ -64,7 +64,12 @@ from repro.service import (
     NodeConfig,
     ProverPool,
 )
-from tests.exchange_invariants import assert_safe_end, assert_secrets_hidden, publishing
+from tests.exchange_invariants import (
+    assert_safe_end,
+    assert_secrets_hidden,
+    asset_secrets,
+    publishing,
+)
 
 PRICE = 5000
 FUNDS = 10**9
@@ -1043,7 +1048,7 @@ class TestProverPool:
             plaintext=asset.plaintext,
         )
         run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
-        assert_secrets_hidden(run, (asset.key, asset.key_blinder))
+        assert_secrets_hidden(run, asset_secrets(asset))
         assert len(set(pids)) == 4
         assert _children() == before
         assert not [pid for pid in pids if _alive(pid)]
@@ -1215,5 +1220,5 @@ class TestServiceChaos:
             seller_addr, PRICE, start, plaintext=asset.plaintext,
         )
         run = SimpleNamespace(chain=node.chain, runs=runs, published=published)
-        secrets = (asset.key, asset.key_blinder, *(b.verification_key for b in bundles))
+        secrets = (*asset_secrets(asset), *(b.verification_key for b in bundles))
         assert_secrets_hidden(run, secrets)

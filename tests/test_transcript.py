@@ -17,7 +17,7 @@ import pytest
 
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
-from repro.kzg import SRS, commit_scalar
+from repro.kzg import SRS, commit_message, commit_scalar
 from repro.plonk import CircuitBuilder, Proof, prove, setup, verify
 from repro.plonk.transcript import Transcript
 
@@ -168,6 +168,25 @@ def _linked(srs, key=1234567, rho=7654321):
     return builder.compile(), point
 
 
+def _data_linked(srs, key=1234567, rho=7654321, message=(11, 22, 33), data_rho=5551212):
+    """Public x, y = key * x and s = sum(message), with the key linked to
+    [key] (row 0, slot b) and a 3-entry message to its [d] (slot c of rows
+    0, n/4, n/2, and 3n/4 for the padding entry)."""
+    k_point = commit_scalar(srs, key, rho)
+    d_point = commit_message(srs, list(message), data_rho)
+    builder = CircuitBuilder()
+    x = builder.public_input(3)
+    y = builder.public_input(key * 3 % R)
+    s = builder.public_input(sum(message))
+    k = builder.var(key)
+    entries = [builder.var(v) for v in message]
+    builder.link(k, k_point, rho)
+    builder.link(entries, d_point, data_rho)
+    builder.assert_equal(builder.mul(k, x), y)
+    builder.assert_equal(builder.linear_combination([(1, w) for w in entries]), s)
+    return builder.compile(), (k_point, d_point)
+
+
 def _encode(value):
     """The bytes a transcript absorbs for a G1 point or a scalar."""
     return value.to_bytes() if isinstance(value, G1) else (value % R).to_bytes(32, "little")
@@ -203,7 +222,9 @@ class TestProverVerifierReplay:
         assert labels == [b"beta", b"gamma", b"alpha", b"zeta", b"v", b"u"]
         assert verifier_log == prover_log
 
-    @pytest.mark.parametrize("statement", [_unlinked, _linked], ids=["unlinked", "linked"])
+    @pytest.mark.parametrize(
+        "statement", [_unlinked, _linked, _data_linked], ids=["unlinked", "linked", "data_linked"]
+    )
     def test_schedule_binds_the_statement_and_every_proof_field(
         self, srs, transcript_log, statement
     ):
@@ -222,16 +243,21 @@ class TestProverVerifierReplay:
         assert prover_log[-1][:2] == ("challenge", b"u"), "absorbed after u"
 
         challenges = {label: i for i, (kind, label, _) in enumerate(prover_log) if kind == "challenge"}
+        links = link if isinstance(link, tuple) else (() if link is None else (link,))
         statement_bytes = [vk.digest()] + [_encode(w) for w in publics]
-        if link is not None:
-            statement_bytes.append(_encode(link))
-        for data in statement_bytes:
-            assert _absorbed_at(prover_log, data) < challenges[b"beta"]
+        statement_bytes += [_encode(point) for point in links]
+        # The key, the public inputs, then each linked point in link order,
+        # all before a (and so before beta).
+        positions = [_absorbed_at(prover_log, data) for data in statement_bytes]
+        assert positions == sorted(positions)
+        assert positions[-1] < _absorbed_at(prover_log, _encode(proof.c_a)) < challenges[b"beta"]
         assert {f.name for f in dataclasses.fields(Proof)} == set(BOUND_BY)
         for name, bound_by in BOUND_BY.items():
             assert _absorbed_at(prover_log, _encode(getattr(proof, name))) < challenges[bound_by], name
 
-    @pytest.mark.parametrize("statement", [_unlinked, _linked], ids=["unlinked", "linked"])
+    @pytest.mark.parametrize(
+        "statement", [_unlinked, _linked, _data_linked], ids=["unlinked", "linked", "data_linked"]
+    )
     def test_every_later_challenge_depends_on_every_absorb(
         self, srs, transcript_log, monkeypatch, statement
     ):
