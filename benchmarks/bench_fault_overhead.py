@@ -51,7 +51,7 @@ def _keysecure_run(snark_ctx):
     asset = DataAsset.create([42, 84], key=555, nonce=666)
     asset.uri = "bench"
     seller = Seller(snark_ctx, asset, seller_addr)
-    buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+    buyer = Buyer(snark_ctx, asset.public_view(snark_ctx.srs), buyer_addr)
 
     def run():
         result = KeySecureExchange(snark_ctx, chain, arbiter).run(

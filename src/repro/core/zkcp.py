@@ -105,7 +105,6 @@ class ZKCPExchange:
     def _run_steps(
         self, seller_address, buyer_address, asset, price, predicate, tamper_key
     ) -> ZKCPResult:
-        view = asset.public_view()
         key_hash = field_hash(asset.key)
 
         # ----- Deliver: seller proves and sends (h, pi_p) ----------------
@@ -159,7 +158,7 @@ class ZKCPExchange:
             # ----- Finalize: buyer decrypts — but so can anyone -----------
             with telemetry.span("zkcp.settle", step="finalize"):
                 revealed = self.chain.call_view(self.arbiter, "revealed_key", deal_id)
-                plaintext = mimc_decrypt_ctr(revealed, view.ciphertext)
+                plaintext = mimc_decrypt_ctr(revealed, asset.ciphertext)
             return ZKCPResult(True, plaintext, "ok", steps.gas, leaked_key=revealed)
         except Exception as exc:
             reason = steps.abort(exc)

@@ -218,7 +218,7 @@ class MarketplaceNode:
             with telemetry.span("service.session.verify", proof="pi_p") as sp:
                 # Buyers lock against the [k] the session's pi_p links to.
                 verified = pi_p.key_commitment == seller.key_commitment and verify_encryption(
-                    self.ctx, asset.public_view(), pi_p
+                    self.ctx, asset.public_view(self.ctx.srs), pi_p
                 )
                 sp.set_attr("ok", verified)
             if not verified:
@@ -335,7 +335,7 @@ class MarketplaceNode:
         buyer_address = request.buyer_address or self.register_account(
             funded=2 * request.price
         )
-        buyer = Buyer(self.ctx, session.asset.public_view(), buyer_address)
+        buyer = Buyer(self.ctx, session.asset.public_view(self.ctx.srs), buyer_address)
         try:
             # Phase 1 (data validation) happened once, in open_session.
             reply = await self._await_buyer(request, buyer, steps)

@@ -56,7 +56,7 @@ def _run_exchange(snark_ctx):
     asset = DataAsset.create([42, 84], key=555, nonce=666)
     asset.uri = "u"
     seller = Seller(snark_ctx, asset, seller_addr)
-    buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+    buyer = Buyer(snark_ctx, asset.public_view(snark_ctx.srs), buyer_addr)
     protocol = KeySecureExchange(snark_ctx, chain, arbiter)
     return protocol.run(seller, buyer, price=5000)
 
@@ -277,7 +277,7 @@ class TestExchangeIntegration:
         asset = DataAsset.create([42, 84], key=555, nonce=666)
         asset.uri = "u"
         seller = CrashingSeller(snark_ctx, asset, seller_addr)
-        buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+        buyer = Buyer(snark_ctx, asset.public_view(snark_ctx.srs), buyer_addr)
         protocol = KeySecureExchange(snark_ctx, chain, arbiter)
         with pytest.raises(RuntimeError, match="prover crashed"):
             protocol.run(seller, buyer, price=5000)
@@ -313,7 +313,7 @@ class TestChaosLedger:
         asset = DataAsset.create([42, 84], key=555, nonce=666)
         asset.uri = "u"
         seller = Seller(snark_ctx, asset, seller_addr)
-        buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+        buyer = Buyer(snark_ctx, asset.public_view(snark_ctx.srs), buyer_addr)
         protocol = KeySecureExchange(snark_ctx, chain, arbiter)
         with faults.use_plan(FaultPlan.profile("chain", seed=20220707)) as injector:
             protocol.run(seller, buyer, price=5000)

@@ -95,7 +95,7 @@ class TestPredicateExchange:
         asset = DataAsset.create([60, 40], key=123, nonce=456)
         asset.uri = "u"
         seller = Seller(snark_ctx, asset, seller_addr)
-        buyer = Buyer(snark_ctx, asset.public_view(), buyer_addr)
+        buyer = Buyer(snark_ctx, asset.public_view(snark_ctx.srs), buyer_addr)
         protocol = KeySecureExchange(snark_ctx, chain, arbiter)
         result = protocol.run(seller, buyer, price=4000, predicate=phi)
         assert result.success, result.reason
