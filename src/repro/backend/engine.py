@@ -23,33 +23,47 @@ repeated work across proofs:
 
 Protocol code never touches raw kernels directly: it asks the process's
 engine (:func:`repro.backend.get_engine`).  Every kernel runs in this
-process but one: a fixed-table G1 MSM (``msm_srs`` / ``msm_g1_fixed`` on
-the window-table path — all nine commitments of a warm Plonk proof) of at
-least :data:`MIN_MSM_POINTS` terms, on an engine with ``helpers > 0``, is
-shared with long-lived forked *helpers*.  CPython's GIL rules out threads
-for big-int arithmetic, so the other cores are reached with processes.
-With h helpers, row i of a window table belongs to process i mod (h + 1),
-process 0 being this one: each process builds and holds only its own
-rows, a helper's exactly the points it was sent.  A request carries the
-points of the helper's rows that the table gained since its last request
-(none once warm) and its residue's scalars (~33 B each); the reply is one
-Jacobian point.  Every side runs the same ``msm_fixed_window`` and the
-partials fold with ``jac_add``: the affine result is the unsplit pass's.
+process but two, which an engine with ``helpers > 0`` shares with
+long-lived forked *helpers* (CPython's GIL rules out threads for big-int
+arithmetic, so the other cores are reached with processes):
+
+- a fixed-table G1 MSM (``msm_srs`` / ``msm_g1_fixed`` on the
+  window-table path — all nine commitments of a warm Plonk proof) of at
+  least :data:`MIN_MSM_POINTS` terms.  With h helpers, row i of a window
+  table belongs to process i mod (h + 1), process 0 being this one: each
+  process builds and holds only its own rows, a helper's exactly the
+  points it was sent.  A request carries the points of the helper's rows
+  that the table gained since its last request (none once warm) and its
+  residue's scalars (~33 B each); the reply is one Jacobian point.  Every
+  side runs the same ``msm_fixed_window`` and the partials fold with
+  ``jac_add``: the affine result is the unsplit pass's.
+- the Plonk fold (``fold_pairing_check``): the first helper multiplies a
+  fixed prefix (:data:`FOLD_SHARE_PERCENT`) of the ``[1]_2``-side terms
+  and runs their Miller loop, :func:`fold_share`, while this process
+  multiplies the rest and runs the other two pairs' loop; the loop values
+  multiply before the one final exponentiation.  A dead helper's prefix
+  goes to the same ``fold_share`` here, and without a helper the prefix
+  is empty: one function, so one verdict.
+
 Helpers are forked once, at the first wide MSM, and only while this is
-the process's one thread; table growth never re-forks them.  A helper
-that dies is dropped, not replaced: its shard is computed here, from rows
-this process builds the first time it needs them.  Helpers belong to the
+the process's one thread; table growth never re-forks them, and a fold
+forks nothing.  A helper that dies is dropped, not replaced: its shard
+or share is computed here, its rows built here the first time they are
+needed.  A pipe carries one request at a time.  Helpers belong to the
 process that forked them: an engine inherited across a fork starts with
 none of its parent's, unless it adopts those the parent hands over (the
 prover pool's worker: one set per host).  Every other kernel stays
-in-process: splitting them was measured and paid for
-nothing (EXPERIMENTS.md, "Folded: the parallel engine's pool").
+in-process: splitting NTT batches, inversions and the generic MSMs was
+measured and paid for nothing (EXPERIMENTS.md, "Folded: the parallel
+engine's pool").
 
 The public methods are thin wrappers that record telemetry (call counts,
 input sizes, cache hit/miss outcomes, and wall-clock via
 ``telemetry.kernel_timer``) when ``REPRO_TELEMETRY`` enables it; helpers
 record nothing, their time is the caller's kernel time, so the counters
-are the same whatever ``helpers`` is.  Every public kernel both counts
+are the same whatever ``helpers`` is — but for the points of a fold's
+two MSMs in this process, which leave out a helper's prefix.  Every
+public kernel both counts
 and times: ``tests/test_telemetry.py::TestKernelAccounting`` calls each
 one and fails on a wrapper that does only one of the two.
 """
@@ -87,6 +101,7 @@ from repro.curve.msm import (
     msm_g2_jacobian,
     msm_jacobian,
 )
+from repro.curve.fq12 import FQ12_ONE, fq12_eq, fq12_mul
 from repro.curve.pairing import (
     PreparedG2,
     final_exponentiation as _final_exponentiation,
@@ -100,6 +115,11 @@ from repro.field.ntt import COSET_SHIFT, Domain
 #: The shortest fixed-table MSM that forks the helpers: a shorter one
 #: is not worth a fork.
 MIN_MSM_POINTS = 128
+
+#: The share of a fold's ``[1]_2``-side terms, a prefix, that the helper
+#: multiplies and runs the Miller loop of (EXPERIMENTS.md, "The settlement
+#: fold on the idle core": the sweep that fixed it).
+FOLD_SHARE_PERCENT = 65
 
 #: Scalars are at most 254 bits on BN254.
 _SCALAR_BITS = 254
@@ -138,21 +158,39 @@ def serve(conn: Any, inherited: list, handle: Callable[[Any], Any]) -> None:
 
 
 def _help(conn: Any, inherited: list) -> None:
-    """Forked helper: for each ``(table key, width, new points, scalars)``
-    append the new points' window rows to that table's rows and reply
-    with the MSM of the scalars over them.  Its rows are exactly the
-    points it was sent, whatever the fork copied."""
+    """Forked helper: serve two kinds of request.  ``("rows", table key,
+    width, new points, scalars)``: append the new points' window rows to
+    that table's rows and reply with the MSM of the scalars over them (its
+    rows are exactly the points it was sent, whatever the fork copied).
+    ``("fold", [1]_2 as (x, y, inf), points, scalars)``: reply with
+    :func:`fold_share` over them, each [1]_2 prepared once and kept."""
     rows: dict[int, tuple[int, list]] = {}
+    prepared: dict[tuple, PreparedG2] = {}
 
-    def shard(request: tuple) -> tuple:
-        key, c, points, scalars = request
+    def handle(request: tuple) -> tuple:
+        kind, *args = request
+        if kind == "fold":
+            g2, points, scalars = args
+            prep = prepared.get(g2)
+            if prep is None:
+                prep = prepared[g2] = prepare_g2(G2(*g2))
+            return fold_share(prep, points, scalars)
+        key, c, points, scalars = args
         held = rows.get(key)
         if held is None or held[0] != c:
             held = rows[key] = (c, [])
         held[1].extend(build_window_tables(points, c))
         return msm_fixed_window(held[1], c, scalars)
 
-    serve(conn, inherited, shard)
+    serve(conn, inherited, handle)
+
+
+def fold_share(prep: PreparedG2, points: list[tuple], scalars: list[int]) -> tuple:
+    """A helper's part of a fold: the Miller-loop value of ``(-B, [1]_2)``
+    (``prep``), B the MSM of ``scalars`` over the Jacobian ``points``.
+    The helper runs it, or the fold's own process when it has none: the
+    same function either way, so the verdict cannot depend on which."""
+    return _multi_miller_loop([(-G1.from_jacobian(msm_jacobian(points, scalars)), prep)])
 
 
 class _Helper:
@@ -239,11 +277,11 @@ class _FixedBaseTable:
 
 class Engine:
     """The compute engine: every kernel, its caches, and ``helpers``
-    forked processes that share its fixed-table G1 MSMs (none: every
-    kernel runs in this process)."""
+    forked processes that share its fixed-table G1 MSMs and its folds
+    (none: every kernel runs in this process)."""
 
     def __init__(self, helpers: int = 0) -> None:
-        #: Forked processes a fixed-table MSM is shared with.
+        #: Forked processes that share fixed-table MSMs and folds.
         self.helpers = max(0, helpers)
         #: Live helpers, forked (or adopted) by ``_pid``.
         self._links: list[_Helper] = []
@@ -510,7 +548,7 @@ class Engine:
             start = r + count * stride
             helper.held[key] = (c, max(count, len(range(r, n, stride))))
             try:
-                helper.conn.send((key, c, points[start:n:stride], scalars[r:n:stride]))
+                helper.conn.send(("rows", key, c, points[start:n:stride], scalars[r:n:stride]))
             except OSError:
                 helper.conn.close()  # the recv below raises and recomputes the shard
         theirs = {helper.residue for helper in asked}
@@ -520,12 +558,16 @@ class Engine:
             try:
                 part = helper.conn.recv()
             except (EOFError, OSError):
-                # Helper lost: drop it; its rows are ours from now on.
-                self._links.remove(helper)
-                helper.conn.close()
+                self._drop(helper)
                 part = self._local(c, rows, points, scalars, range(helper.residue, n, stride))
             acc = jac_add(acc, part)
         return acc
+
+    def _drop(self, helper: _Helper) -> None:
+        """A helper lost (EOF on its pipe): drop it, never replace it; its
+        rows are ours from now on, built here the first time they are needed."""
+        self._links.remove(helper)
+        helper.conn.close()
 
     def _fork_helpers(self) -> None:
         """Fork the helpers; helper j owns the rows of residue j."""
@@ -743,6 +785,62 @@ class Engine:
         if target is None:
             return _pairing_check_prepared(pairs)
         return _pairing_check_prepared(pairs, target)
+
+    def fold_pairing_check(
+        self, tau_side: list[tuple[G1, int]], one_side: list[tuple[G1, int]], g2_tau: G2, g2: G2
+    ) -> bool:
+        """Check ``e(sum s*P over tau_side, g2_tau) == e(sum s*P over
+        one_side, g2)`` for ``(G1 point, scalar)`` terms: the Plonk fold,
+        and the only place it multiplies.
+
+        With a helper, the first :data:`FOLD_SHARE_PERCENT` percent of
+        ``one_side`` is :func:`fold_share`'s: the helper computes it
+        while this process computes A = sum(tau_side), B_p = the rest of
+        ``one_side`` and the 2-pair Miller loop over (A, g2_tau) and
+        (-B_p, g2); the two loop values multiply and take one final
+        exponentiation.  ``fold_share`` runs in this process instead
+        when the helper is found dead here (and dropped), and over an
+        empty prefix when there is none (never forked, or handed over):
+        one path whatever the helpers.  The kernel forks nothing and
+        keeps one request in flight.
+        """
+        if not _tel.metrics_enabled():
+            return self._fold_pairing_check(tau_side, one_side, g2_tau, g2)
+        _tel.counter("engine.fold.calls").inc()
+        _tel.histogram("engine.fold.terms").observe(len(tau_side) + len(one_side))
+        with _tel.kernel_timer("fold_pairing_check"):
+            return self._fold_pairing_check(tau_side, one_side, g2_tau, g2)
+
+    def _fold_pairing_check(
+        self, tau_side: list[tuple[G1, int]], one_side: list[tuple[G1, int]], g2_tau: G2, g2: G2
+    ) -> bool:
+        prep_tau, prep = self.prepared_g2(g2_tau), self.prepared_g2(g2)
+        helper = next(iter(self._own_links()), None)
+        # No helper, no prefix: a split loop here would pay the shared
+        # squarings twice.
+        cut = len(one_side) * FOLD_SHARE_PERCENT // 100 if helper is not None else 0
+        points = [p.to_jacobian() for p, _ in one_side[:cut]]
+        scalars = [int(s) for _, s in one_side[:cut]]
+        if helper is not None:
+            try:
+                helper.conn.send(("fold", (g2.x, g2.y, g2.inf), points, scalars))
+            except OSError:
+                helper.conn.close()  # the recv below raises: computed here
+        try:
+            lhs = self.msm_g1([p for p, _ in tau_side], [s for _, s in tau_side])
+            rest = one_side[cut:]
+            rhs = self.msm_g1([p for p, _ in rest], [s for _, s in rest])
+            f = _multi_miller_loop([(lhs, prep_tau), (-rhs, prep)])
+        finally:
+            part: tuple | None = None
+            if helper is not None:
+                try:
+                    part = helper.conn.recv()
+                except (EOFError, OSError):
+                    self._drop(helper)
+        if part is None:
+            part = fold_share(prep, points, scalars)
+        return fq12_eq(_final_exponentiation(fq12_mul(f, part)), FQ12_ONE)
 
     # ---------------------------------------------------------------- field
 

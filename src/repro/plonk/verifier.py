@@ -2,14 +2,17 @@
 
 Succinct: independent of circuit size, a proof reduces to 21 (point,
 scalar) terms over 19 distinct points — its nine commitments, the nine of
-the verifying key and the generator — and verification is two MSMs over
-those terms (19 non-trivial scalar multiplications: ``W_zeta`` and
-``[qC]`` ride with scalar 1) and a single 2-pairing product check, the
-costs the paper reports in Section VI-B3 and Figure 7.  A key that links
-committed messages (``vk.links``, at most three) adds one term per link,
-the commitment [d] the statement names: 22 terms and 20 multiplications
-for one link.  :func:`fold_check` is the one place those terms are
-multiplied: :func:`verify` runs it over one member,
+the verifying key and the generator — and verification is 19 non-trivial
+scalar multiplications over those terms (``W_zeta`` and ``[qC]`` ride
+with scalar 1) and a single 2-pairing product check, the costs the paper
+reports in Section VI-B3 and Figure 7.  A key that links committed
+messages (``vk.links``, at most three) adds one term per link, the
+commitment [d] the statement names: 22 terms and 20 multiplications for
+one link.  :func:`fold_check` builds the weighted terms and hands them to
+one engine kernel, ``Engine.fold_pairing_check``, the one place they are
+multiplied and paired (on two cores when the engine has a helper: it
+takes a prefix of the ``[1]_2`` side and that prefix's Miller loop).
+:func:`verify` runs the fold over one member,
 :func:`repro.plonk.batch.batch_verify` over many.
 """
 
@@ -48,14 +51,15 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
     Q_ij, [1]_2)`` over the terms of :func:`proof_terms`; since
     ``rho * sum_j s_j P_j == sum_j (rho s_j) P_j`` the weights are
     multiplied into the scalars in F_r and each side of the folded
-    equation is *one* MSM, whatever the batch size.  The nine key
+    equation is *one* term list, whatever the batch size, which
+    ``Engine.fold_pairing_check`` multiplies and checks.  The nine key
     commitments and the generator are the same points in every member
     that shares a key, so their scalars are summed per key — by key
     *identity*, never by point value: members are not compared, merged or
     cached by content.  Linked commitments are summed the same way, by the
-    identity of each point object.  k members under one key cost MSMs of
-    2k and 9k + 10 points (plus one per distinct linked point) and one
-    2-pair check.  Returns False on a structurally malformed member;
+    identity of each point object.  k members under one key cost 2k and
+    9k + 10 terms (plus one per distinct linked point) and one 2-pair
+    check.  Returns False on a structurally malformed member;
     raises if the members' keys come from different SRS.
     """
     engine = get_engine()
@@ -84,10 +88,8 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
     for vk, sums in key_sums.values():
         one_side += zip(_key_points(vk), sums)
     one_side += [(point, s) for point, s in link_sums.values()]
-    lhs = engine.msm_g1(*zip(*tau_side))
-    rhs = engine.msm_g1(*zip(*one_side))
-    with telemetry.span("pairing"):
-        return engine.pairing_check([(lhs, g2_tau), (-rhs, g2)])
+    with telemetry.span("fold", terms=len(tau_side) + len(one_side)):
+        return engine.fold_pairing_check(tau_side, one_side, g2_tau, g2)
 
 
 def _key_points(vk: VerifyingKey) -> list[G1]:
@@ -263,13 +265,17 @@ def verification_group_operations(vk: VerifyingKey) -> dict:
 
     Returns the paper-reported shape: 2 pairings and 19 G1 scalar
     multiplications regardless of circuit size, plus one multiplication
-    per linked commitment.  All 19 happen inside
-    :func:`fold_check`'s two MSMs and nowhere else: 1 on the ``[tau]_2``
-    side (``u W_zeta_omega``; ``W_zeta`` rides with scalar 1) and 18 on
-    the ``[1]_2`` side (the nine proof points, eight of the nine key
-    commitments — ``[qC]`` rides with scalar 1, the cubic selector q3 is
-    one of the eight — and ``-E`` on the generator).  Public inputs enter
-    through scalars, not points: field work only.
+    per linked commitment.  All 19 happen inside the one kernel
+    :func:`fold_check` calls, ``Engine.fold_pairing_check``, and nowhere
+    else: 1 on the ``[tau]_2`` side (``u W_zeta_omega``; ``W_zeta`` rides
+    with scalar 1) and 18 on the ``[1]_2`` side (the nine proof points,
+    eight of the nine key commitments — ``[qC]`` rides with scalar 1, the
+    cubic selector q3 is one of the eight — and ``-E`` on the generator).
+    With a helper the kernel splits the ``[1]_2`` side in two: a prefix
+    and its Miller loop on the helper, the rest here, so that pair's loop
+    runs once per part under the one final exponentiation; the counts
+    here are the unsplit equation's.  Public inputs enter through
+    scalars, not points: field work only.
     """
     return {
         "pairings": 2,

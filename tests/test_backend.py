@@ -14,6 +14,10 @@ The contract under test is the one the protocol layers rely on:
   process builds and holds its own rows, growth forks nothing, a helper
   forked after ``close()`` is sent its rows, a dead helper is dropped and
   its rows built here, and no helper is forked beside another thread;
+- the fold (``fold_pairing_check``) gives the same verdict with a helper
+  as without, whichever side of the helper's prefix a forged term falls
+  on, and a helper killed between or during folds is dropped and its
+  share computed here;
 - kernel edge cases: ``batch_inverse`` error contracts, ``root_of_unity``
   bounds, MSM length mismatches, fixed-base multiples of the generators.
 
@@ -30,9 +34,10 @@ import threading
 
 import pytest
 
-from repro.errors import CurveError, FieldError
+import repro.backend.engine as engine_module
+from repro.errors import CurveError, FieldError, ReproError
 from repro.backend import Engine, get_engine, set_engine, use_engine
-from repro.backend.engine import MIN_MSM_POINTS
+from repro.backend.engine import FOLD_SHARE_PERCENT, MIN_MSM_POINTS
 from repro.curve.fq import fq2_batch_inverse, fq_batch_inverse
 from repro.curve.g1 import G1, jac_mul, jac_to_affine
 from repro.curve.g2 import G2
@@ -41,6 +46,7 @@ from repro.field.fr import MODULUS as R, batch_inverse, inv, root_of_unity
 from repro.field.ntt import COSET_SHIFT, Domain
 from repro.kzg.commit import commit
 from repro.kzg.srs import SRS
+from repro.plonk import batch_verify, verify
 
 pytestmark = pytest.mark.usefixtures("lone_thread_at_fork")
 
@@ -489,3 +495,164 @@ class TestRowOwnership:
             release.set()
             other.join()
             engine.close()
+
+
+def _outcome(check):
+    """A verdict, or the name of the ``repro.errors`` exception raised."""
+    try:
+        return check()
+    except ReproError as exc:
+        return type(exc).__name__
+
+
+#: The helper's prefix of ``fold_members``' [1]_2 side: nine terms a
+#: member and ten a key, two keys.
+SHARED_AT_EIGHT = (9 * 8 + 10 * 2) * FOLD_SHARE_PERCENT // 100
+
+
+@pytest.fixture(scope="module")
+def fold_members(small_srs):
+    """Eight honest Plonk members under two keys, each proof four times:
+    the settlement batch's shape."""
+    from repro.plonk import CircuitBuilder, prove, setup
+
+    members = []
+    for w, extra in ((3, False), (5, True)):
+        builder = CircuitBuilder()
+        x = builder.public_input(w * w)
+        v = builder.var(w)
+        builder.assert_equal(builder.mul(v, v), x)
+        if extra:
+            builder.assert_equal(builder.add(v, x), builder.public_input(w + w * w))
+        layout, assignment = builder.compile()
+        pk, vk = setup(small_srs, layout)
+        members.append((vk, assignment.public_inputs, prove(pk, assignment)))
+    return members * 4
+
+
+@pytest.fixture
+def fold_engine(small_srs):
+    """An engine whose one helper is forked (by a wide MSM: a fold forks
+    nothing), and a count of the folds' shares computed in this process."""
+    engine = Engine(helpers=1)
+    engine.msm_srs(small_srs, [1] * MIN_MSM_POINTS)
+    assert engine.live_helpers() == 1
+    yield engine
+    engine.close()
+
+
+@pytest.fixture
+def shares_here(monkeypatch):
+    """Count :func:`fold_share` calls made in this process (a helper
+    forked before the patch runs its own copy)."""
+    calls = []
+    real = engine_module.fold_share
+    monkeypatch.setattr(
+        engine_module, "fold_share", lambda *args: calls.append(len(args[1])) or real(*args)
+    )
+    return calls
+
+
+def _forge(member):
+    vk, publics, proof = member
+    return vk, publics, proof.replace(c_t_lo=proof.c_t_lo + G1.generator())
+
+
+class TestFold:
+    """``fold_pairing_check`` shares a prefix of the [1]_2 side with the
+    engine's helper; the verdict must not depend on whether it has one."""
+
+    def test_honest_batch_of_eight_is_served_by_the_helper(
+        self, fold_engine, fold_members, shares_here
+    ):
+        with use_engine(Engine()):
+            assert batch_verify(fold_members)
+        assert shares_here == [0]  # no helper: every term multiplied here
+        with use_engine(fold_engine):
+            assert batch_verify(fold_members)
+            assert verify(*fold_members[0])
+        # The helper answered both folds: no share was computed here, and
+        # the helper is alive and still this engine's.
+        assert shares_here == [0]
+        assert fold_engine.live_helpers() == 1 and len(fold_engine._links) == 1
+
+    @pytest.mark.parametrize("position", [0, 7], ids=["helper-prefix", "parent-share"])
+    def test_a_forged_member_fails_on_either_side_of_the_cut(
+        self, fold_engine, fold_members, monkeypatch, position
+    ):
+        members = list(fold_members)
+        members[position] = forged = _forge(members[position])
+        seen = []
+        real = fold_engine.fold_pairing_check
+        monkeypatch.setattr(
+            fold_engine, "fold_pairing_check", lambda *args: seen.append(args) or real(*args)
+        )
+        with use_engine(fold_engine):
+            assert not batch_verify(members)
+        (_, one_side, _, _), = seen
+        cut = len(one_side) * FOLD_SHARE_PERCENT // 100
+        (index,) = [i for i, (p, _) in enumerate(one_side) if p is forged[2].c_t_lo]
+        assert (index < cut) == (position == 0)
+        with use_engine(Engine()):
+            assert not batch_verify(members)
+        assert fold_engine.live_helpers() == 1
+
+    def test_degenerate_mutations_get_the_same_verdicts(self, fold_engine, fold_members):
+        """``test_proof_mutation.py``'s hostile slice, alone (every proof
+        point in the helper's prefix) and as the last of eight members
+        (in this process's share), on both sides of the helper choice."""
+        from tests.test_proof_mutation import _degenerate_mutations
+
+        vk, publics, proof = fold_members[0]
+        for label, mutation in _degenerate_mutations():
+            mutant = (vk, publics, proof.replace(**mutation(proof)))
+            batch = fold_members[:7] + [mutant]
+            verdicts = []
+            for engine in (fold_engine, Engine()):
+                with use_engine(engine):
+                    verdicts.append(
+                        (_outcome(lambda: verify(*mutant)), _outcome(lambda: batch_verify(batch)))
+                    )
+            assert verdicts[0] == verdicts[1], label
+            assert True not in verdicts[0], label
+        assert fold_engine.live_helpers() == 1
+
+    def test_a_helper_killed_between_folds_is_dropped(
+        self, fold_engine, fold_members, shares_here
+    ):
+        forged = fold_members[:7] + [_forge(fold_members[7])]
+        with use_engine(fold_engine):
+            assert batch_verify(fold_members) and not batch_verify(forged)
+            assert shares_here == []
+            (helper,) = fold_engine._links
+            os.kill(helper.proc.pid, signal.SIGKILL)
+            helper.proc.join()
+            assert fold_engine.live_helpers() == 0
+            assert batch_verify(fold_members) and not batch_verify(forged)
+        # The first fold after the kill found the helper dead and computed
+        # its prefix here; the next ran here with no helper at all.
+        assert fold_engine._links == [] and shares_here == [SHARED_AT_EIGHT, 0]
+
+    def test_a_helper_killed_while_a_fold_is_in_flight_is_dropped(
+        self, fold_engine, fold_members, shares_here, monkeypatch
+    ):
+        """Stopped before the fold, so it cannot have answered, and killed
+        while this process computes its own share."""
+        (helper,) = fold_engine._links
+        os.kill(helper.proc.pid, signal.SIGSTOP)
+        real_msm = fold_engine.msm_g1
+
+        def kill_then_msm(points, scalars):
+            if helper.proc.is_alive():
+                os.kill(helper.proc.pid, signal.SIGKILL)
+                helper.proc.join()
+            return real_msm(points, scalars)
+
+        monkeypatch.setattr(fold_engine, "msm_g1", kill_then_msm)
+        with use_engine(fold_engine):
+            assert batch_verify(fold_members)
+        assert fold_engine.live_helpers() == 0 and fold_engine._links == []
+        assert shares_here == [SHARED_AT_EIGHT]
+        with use_engine(fold_engine):
+            assert not batch_verify(fold_members[:7] + [_forge(fold_members[7])])
+        assert shares_here == [SHARED_AT_EIGHT, 0]

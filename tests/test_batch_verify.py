@@ -152,16 +152,18 @@ class TestFold:
         monkeypatch.setattr(batch_module, "random_scalar", lambda nonzero=False: next(drawn))
         engine = Engine()
         seen = []
-        real_check = engine.pairing_check
+        real_check = engine.fold_pairing_check
         monkeypatch.setattr(
             engine,
-            "pairing_check",
-            lambda pairs, target=None: seen.append(pairs) or real_check(pairs),
+            "fold_pairing_check",
+            lambda *args: seen.append(args) or real_check(*args),
         )
         with use_engine(engine):
             assert batch_verify(items)
-        ((lhs, g2_tau), (neg_rhs, g2)), = seen
+        (tau_side, one_side, g2_tau, g2), = seen
         assert (g2_tau, g2) == (items[0][0].g2_tau, items[0][0].g2)
+        lhs = engine.msm_g1([p for p, _ in tau_side], [s for _, s in tau_side])
+        neg_rhs = -engine.msm_g1([p for p, _ in one_side], [s for _, s in one_side])
         expected_lhs = expected_rhs = G1.identity()
         for rho, (vk, publics, proof) in zip(rhos, items):
             l_i, r_i = prepare_pairing_inputs(vk, publics, proof)

@@ -254,9 +254,9 @@ class TestExchangeIntegration:
         assert {"exchange.prove", "plonk.prove", "plonk.verify"} <= names
         # Metric deltas attribute to this run: kernels were exercised.
         counters = record["metrics"]["counters"]
-        assert counters.get("engine.pairing.calls", 0) >= 1
+        assert counters.get("engine.fold.calls", 0) >= 1
         assert any(k.startswith("engine.ntt.calls") for k in counters)
-        assert "engine.kernel.seconds{kernel=pairing_check}" in record["metrics"][
+        assert "engine.kernel.seconds{kernel=fold_pairing_check}" in record["metrics"][
             "histograms"
         ]
         # Cache rates are derived from the counters, not stored.

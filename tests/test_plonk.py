@@ -378,13 +378,13 @@ class TestLinkedCommitment:
         _pk, vk, publics, proof, point = linked
         engine = get_engine()
         sizes = []
-        real_msm = engine.msm_g1
+        real_fold = engine.fold_pairing_check
 
-        def counted(points, scalars):
-            sizes.append(len(points))
-            return real_msm(points, scalars)
+        def counted(tau_side, one_side, g2_tau, g2):
+            sizes.extend((len(tau_side), len(one_side)))
+            return real_fold(tau_side, one_side, g2_tau, g2)
 
-        monkeypatch.setattr(engine, "msm_g1", counted)
+        monkeypatch.setattr(engine, "fold_pairing_check", counted)
         copy = G1(point.x, point.y)
         assert batch_verify([(vk, publics, proof, point)] * 3)
         assert batch_verify([(vk, publics, proof, point)] * 2 + [(vk, publics, proof, copy)])

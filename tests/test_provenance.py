@@ -82,7 +82,7 @@ class TestProvenanceGraph:
 
     def test_node_attributes(self, lineage):
         graph, (t1, *_rest) = lineage
-        g = graph.to_networkx()
-        assert g.nodes[t1]["kind"] == "source"
-        assert g.nodes[t1]["uri"] == "u1"
-        assert g.nodes[t1]["burned"] is False
+        attrs = graph.attributes(t1)
+        assert attrs["kind"] == "source"
+        assert attrs["uri"] == "u1"
+        assert attrs["burned"] is False

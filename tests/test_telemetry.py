@@ -17,6 +17,7 @@ import repro.kzg
 import repro.plonk
 from repro import telemetry
 from repro.backend import Engine, use_engine
+from repro.backend.engine import FOLD_SHARE_PERCENT, MIN_MSM_POINTS
 from repro.chain import Blockchain, Contract, external
 from repro.curve.g1 import G1
 from repro.curve.g2 import G2
@@ -385,25 +386,33 @@ class TestKernelAccounting:
         assert telemetry.counter("engine.cache.hits", cache="msm_window").value == len(lengths)
 
     def test_a_batch_is_two_msms_and_one_pairing_whatever_its_size(self, snark_ctx):
-        """The fold multiplies once: k members' terms go through exactly
-        two G1 MSMs (2k and 9k + 10 points under one key) and one 2-pair
-        check — for verify (k = 1) as for a batch."""
+        """The fold multiplies once: k members' terms (2k on the [tau]_2
+        side, 9k + 10 on the [1]_2 side under one key) go through one
+        ``fold_pairing_check`` — two MSMs and one pairing product — for
+        verify (k = 1) as for a batch, and no separate ``pairing_check``
+        runs.  This process's two MSMs count here: all the terms without
+        a helper; with one, all but the helper's prefix, which records
+        nothing."""
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
         member = (keys.vk, assignment.public_inputs, prove(keys.pk, assignment))
-        telemetry.set_level(telemetry.METRICS)
-        for k in (1, 5):
-            telemetry.reset_metrics()
-            if k == 1:
-                assert verify(*member)
-            else:
-                assert batch_verify([member] * k)
-            assert telemetry.counter("engine.msm.calls", group="g1").value == 2
-            points = telemetry.histogram("engine.msm.points", group="g1")
-            assert (points.count, points.total) == (2, 2 * k + 9 * k + 10)
-            assert telemetry.counter("engine.pairing.calls").value == 1
-            pairs = telemetry.histogram("engine.pairing.pairs")
-            assert (pairs.count, pairs.total) == (1, 2)
+        with Engine(helpers=1) as split:
+            split.msm_srs(snark_ctx.srs, [1] * MIN_MSM_POINTS)  # fork the helper
+            for engine, share in ((Engine(), 0), (split, FOLD_SHARE_PERCENT)):
+                telemetry.set_level(telemetry.METRICS)
+                for k in (1, 5):
+                    telemetry.reset_metrics()
+                    with use_engine(engine):
+                        assert verify(*member) if k == 1 else batch_verify([member] * k)
+                    assert telemetry.counter("engine.fold.calls").value == 1
+                    terms = telemetry.histogram("engine.fold.terms")
+                    assert (terms.count, terms.total) == (1, 2 * k + 9 * k + 10)
+                    shared = (9 * k + 10) * share // 100
+                    assert telemetry.counter("engine.msm.calls", group="g1").value == 2
+                    points = telemetry.histogram("engine.msm.points", group="g1")
+                    assert (points.count, points.total) == (2, 2 * k + 9 * k + 10 - shared)
+                    assert telemetry.counter("engine.pairing.calls").value == 0
+            assert split.live_helpers() == 1
 
     def test_parallel_and_serial_report_identical_totals(self, snark_ctx):
         """Kernel metrics are recorded by the public wrappers, in the
@@ -456,6 +465,10 @@ class TestKernelAccounting:
             "p_pt": G1.generator(),
             "q_pt": G2.generator(),
             "pairs": [(G1.generator(), G2.generator())],
+            "tau_side": [(G1.generator(), 2)],
+            "one_side": [(G1.generator(), 2)],
+            "g2_tau": G2.generator(),
+            "g2": G2.generator(),
         }
         kernels = sorted(
             name for name in vars(Engine) if not name.startswith("_") and name not in NON_KERNELS
@@ -531,7 +544,7 @@ class TestSpanTrees:
         vroot = telemetry.finished_roots()[-1]
         assert vroot.name == "plonk.verify"
         assert vroot.attrs["ok"] is True
-        assert vroot.find("pairing") is not None
+        assert vroot.find("fold") is not None
 
     def test_chain_receipt_span_attrs(self):
         class Toy(Contract):
