@@ -175,10 +175,6 @@ class TransformerBlock:
         out = self._forward(b, self._rows(x_flat), self._unflatten_weights(w_flat))
         return [b.value(w) for w in out]
 
-    def infer_floats(self, sequence: list) -> list[float]:
-        """Decoded native output, for readability in examples."""
-        return [self.spec.decode(v) for v in self.infer(sequence)]
-
     # ----- predicate ----------------------------------------------------------------
 
     def constrain(self, b: CircuitBuilder, sources: list, derived: list) -> None:

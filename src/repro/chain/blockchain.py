@@ -366,10 +366,6 @@ class Blockchain:
 
     # ----- queries ------------------------------------------------------------------
 
-    def events(self, name: str | None = None, address: str | None = None) -> list[Event]:
-        """All events across successful transactions, optionally filtered."""
-        return self.query_events(name=name, address=address)
-
     def query_events(
         self,
         name: str | None = None,

@@ -50,9 +50,6 @@ class EventIndex:
         #: (name, key) -> [entries of _by_name[name] read so far, {value: positions}]
         self._by_field: dict[tuple, list] = {}
 
-    def __len__(self) -> int:
-        return len(self._all)
-
     def add(self, event: Event) -> None:
         """Append one emitted event (next position in emission order)."""
         pos = len(self._all)

@@ -54,10 +54,6 @@ class PendingTx:
     fee: int
     gas_limit: int
 
-    def priority(self) -> tuple:
-        """Mining order: higher fee first, then earlier admission."""
-        return (-self.fee, self.seq)
-
 
 class Mempool:
     """Bounded fee-priority transaction pool with deterministic eviction."""

@@ -11,17 +11,13 @@ from repro.contracts.erc721 import DataTokenContract
 from repro.contracts.verifier import PlonkVerifierContract
 from repro.contracts.auction import ClockAuctionContract
 from repro.contracts.arbiter import KeySecureArbiterContract, ZKCPArbiterContract
-from repro.contracts.channel import PaymentChannelContract
 from repro.contracts.fairswap import FairSwapContract
-from repro.contracts.oracle import OracleCommitteeContract
 
 __all__ = [
     "ClockAuctionContract",
     "DataTokenContract",
     "FairSwapContract",
     "KeySecureArbiterContract",
-    "OracleCommitteeContract",
-    "PaymentChannelContract",
     "PlonkVerifierContract",
     "ZKCPArbiterContract",
 ]

@@ -14,7 +14,7 @@ from repro.core.exchange import Outcome
 from repro.errors import ProtocolError
 from repro.faults.retry import ExchangeSteps, RetryPolicy, must_land
 from repro import telemetry
-from repro.field.fr import MODULUS as R, rand_fr
+from repro.field.fr import MODULUS as R, random_scalar
 from repro.gadgets.merkle import MerkleTree
 from repro.primitives.hashing import field_hash
 from repro.primitives.mimc import MiMC
@@ -36,8 +36,8 @@ class FairSwapListing:
         if not blocks:
             raise ProtocolError("a FairSwap listing needs at least one block")
         blocks = [b % R for b in blocks]
-        key = rand_fr() if key is None else key % R
-        nonce = rand_fr() if nonce is None else nonce % R
+        key = random_scalar() if key is None else key % R
+        nonce = random_scalar() if nonce is None else nonce % R
         cipher = MiMC()
         cipher_blocks = [
             (b + cipher.encrypt_block(key, (nonce + i) % R)) % R

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.contracts.arbiter import key_digest
 from repro.curve.g1 import G1
 from repro.errors import ProtocolError
-from repro.field.fr import MODULUS as R, rand_fr, random_scalar
+from repro.field.fr import MODULUS as R, random_scalar
 from repro.kzg.commit import commit_message, commit_scalar
 from repro.kzg.srs import SRS
 from repro.primitives.encoding import bytes_to_elements
@@ -77,8 +77,8 @@ class DataAsset:
         if not plaintext:
             raise ProtocolError("a data asset needs at least one entry")
         plaintext = [int(p) % R for p in plaintext]
-        key = rand_fr() if key is None else key % R
-        nonce = rand_fr() if nonce is None else nonce % R
+        key = random_scalar() if key is None else key % R
+        nonce = random_scalar() if nonce is None else nonce % R
         ciphertext = mimc_encrypt_ctr(key, plaintext, nonce)
         return DataAsset(
             plaintext=plaintext,

@@ -45,13 +45,6 @@ def fq2_conjugate(a: Fq2) -> Fq2:
     return (a[0], -a[1] % Q)
 
 
-def fq2_frobenius(a: Fq2, power: int = 1) -> Fq2:
-    """``a^(q^power)``: conjugation for odd powers, identity for even."""
-    if power % 2:
-        return (a[0], -a[1] % Q)
-    return (a[0] % Q, a[1] % Q)
-
-
 def fq2_mul_by_nonresidue(a: Fq2) -> Fq2:
     """``a * xi`` for ``xi = 9 + u``, expanded to avoid a full product:
 
@@ -71,7 +64,6 @@ __all__ = [
     "fq2_batch_inverse",
     "fq2_conjugate",
     "fq2_eq",
-    "fq2_frobenius",
     "fq2_inv",
     "fq2_is_zero",
     "fq2_mul",

@@ -19,10 +19,6 @@ GEN_X = 1
 GEN_Y = 2
 
 
-def jac_is_inf(p: tuple) -> bool:
-    return p[2] == 0
-
-
 def jac_double(p: tuple) -> tuple:
     x, y, z = p
     if z == 0 or y == 0:

@@ -1,20 +1,11 @@
-"""Finite-field arithmetic for the BN254 scalar field.
-
-The submodules expose two styles of API:
-
-- :class:`repro.field.fr.Fr` — an ergonomic wrapper type used at protocol
-  boundaries (commitments, keys, dataset entries);
-- raw ``int`` values modulo :data:`repro.field.fr.MODULUS` — used by the
-  polynomial / NTT / prover hot loops, where object overhead matters in
-  CPython.
+"""Finite-field arithmetic for the BN254 scalar field: plain ``int``
+values modulo :data:`repro.field.fr.MODULUS`, polynomials and NTT domains.
 """
 
 from repro.field.fr import (
-    Fr,
     MODULUS,
     batch_inverse,
     inv,
-    rand_fr,
     random_scalar,
     root_of_unity,
 )
@@ -22,13 +13,11 @@ from repro.field.ntt import Domain
 from repro.field import poly
 
 __all__ = [
-    "Fr",
     "MODULUS",
     "Domain",
     "batch_inverse",
     "inv",
     "poly",
-    "rand_fr",
     "random_scalar",
     "root_of_unity",
 ]

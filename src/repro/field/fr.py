@@ -6,9 +6,9 @@ witnesses are defined.  BN254 is the curve used by the paper's prototype
 ``2**28`` divides ``r - 1``, which provides the radix-2 evaluation domains
 needed by the Plonk prover.
 
-Hot loops throughout the library use plain Python ints reduced modulo
-:data:`MODULUS`; the :class:`Fr` wrapper offers operator overloading for
-protocol-level code and tests.
+Elements are plain Python ints reduced modulo :data:`MODULUS` throughout
+the library: in CPython a wrapper object per element costs more than the
+arithmetic it wraps.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ MODULUS = 2188824287183927522224640574525727508854836440041603434369820418657580
 
 #: Largest k such that 2**k divides MODULUS - 1.
 TWO_ADICITY = 28
-
-#: Number of bytes in the canonical little-endian serialisation.
-NUM_BYTES = 32
 
 _R = MODULUS
 
@@ -99,8 +96,8 @@ def random_scalar(nonzero: bool = False) -> int:
     ``tests/test_plonk.py`` replace it, so any other source moves their
     bytes), and it draws from :func:`secrets.randbelow` — the OS
     CSPRNG — never from :mod:`random`.  A biased or predictable sampler here breaks zero
-    knowledge outright: Plonk's blinding factors, KZG batch weights and
-    Groth16's ``r, s`` all assume uniform scalars.
+    knowledge outright: Plonk's blinding factors, the settlement fold's batch
+    weights and Groth16's ``r, s`` all assume uniform scalars.
 
     With ``nonzero=True`` the sample is drawn from ``F_r^*`` by rejection
     (expected iterations: ``1 + 1/r``, i.e. the loop essentially never
@@ -114,107 +111,3 @@ def random_scalar(nonzero: bool = False) -> int:
         if value != 0 or not nonzero:
             return value
 
-
-def rand_fr() -> int:
-    """Sample a uniformly random field element (alias of :func:`random_scalar`)."""
-    return random_scalar()
-
-
-class Fr:
-    """An element of the BN254 scalar field with operator overloading.
-
-    Instances are immutable and normalised to ``[0, r)``.  Arithmetic mixes
-    freely with plain ints.  Use :attr:`value` to extract the raw integer
-    for hot-loop code.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | "Fr" = 0):
-        if isinstance(value, Fr):
-            object.__setattr__(self, "value", value.value)
-        else:
-            object.__setattr__(self, "value", int(value) % _R)
-
-    def __setattr__(self, name, val):  # pragma: no cover - immutability guard
-        raise AttributeError("Fr is immutable")
-
-    @staticmethod
-    def random() -> "Fr":
-        """Sample a uniformly random element."""
-        return Fr(rand_fr())
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Fr":
-        """Deserialise from canonical 32-byte little-endian form."""
-        if len(data) != NUM_BYTES:
-            raise FieldError("expected %d bytes, got %d" % (NUM_BYTES, len(data)))
-        value = int.from_bytes(data, "little")
-        if value >= _R:
-            raise FieldError("scalar out of range")
-        return Fr(value)
-
-    def to_bytes(self) -> bytes:
-        """Serialise to canonical 32-byte little-endian form."""
-        return self.value.to_bytes(NUM_BYTES, "little")
-
-    def inverse(self) -> "Fr":
-        """Return the multiplicative inverse."""
-        return Fr(inv(self.value))
-
-    def _coerce(self, other) -> int | None:
-        if isinstance(other, Fr):
-            return other.value
-        if isinstance(other, int):
-            return other % _R
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(self.value * inv(v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fr(v * inv(self.value))
-
-    def __pow__(self, exponent: int):
-        return Fr(pow(self.value, int(exponent), _R))
-
-    def __neg__(self):
-        return Fr(-self.value)
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self.value == v
-
-    def __hash__(self):
-        return hash(("Fr", self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return "Fr(%d)" % self.value

@@ -13,7 +13,6 @@ enforces bit-for-bit equivalence between the two.
 
 from repro.gadgets import (
     arithmetic,
-    babyjubjub,
     boolean,
     comparison,
     fixedpoint,
@@ -25,7 +24,6 @@ from repro.gadgets import (
 
 __all__ = [
     "arithmetic",
-    "babyjubjub",
     "boolean",
     "comparison",
     "fixedpoint",

@@ -55,9 +55,3 @@ def horner(builder: CircuitBuilder, coeffs: list[Wire], x: Wire) -> Wire:
     for c in reversed(coeffs[:-1]):
         acc = builder.mul_add(acc, x, c)
     return acc
-
-
-def average_scaled(builder: CircuitBuilder, wires: list[Wire], scale: int) -> Wire:
-    """Return ``scale * sum(wires)`` (used for 1/n factors folded into a
-    field constant by the caller)."""
-    return builder.linear_combination([(scale, w) for w in wires])

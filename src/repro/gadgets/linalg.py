@@ -15,7 +15,6 @@ from repro.gadgets.fixedpoint import (
     exp_coefficients,
     fp_mul,
     fp_poly,
-    fp_relu,
 )
 from repro.plonk.circuit import CircuitBuilder, Wire
 
@@ -47,13 +46,6 @@ def fp_vec_add(builder: CircuitBuilder, xs: list[Wire], ys: list[Wire]) -> list[
     if len(xs) != len(ys):
         raise CircuitError("vector addition of unequal lengths")
     return [builder.add(x, y) for x, y in zip(xs, ys)]
-
-
-def fp_relu_vec(
-    builder: CircuitBuilder, xs: list[Wire], spec: FixedPointSpec
-) -> list[Wire]:
-    """Elementwise ReLU."""
-    return [fp_relu(builder, x, spec) for x in xs]
 
 
 def fp_softmax(

@@ -7,7 +7,6 @@ That asymmetry is exactly what Figure 7 of the paper compares.
 """
 
 from repro.groth16.qap import QAP
-from repro.groth16.batch import verify_batch
 from repro.groth16.protocol import (
     Groth16Proof,
     Groth16ProvingKey,
@@ -27,5 +26,4 @@ __all__ = [
     "groth16_setup",
     "groth16_verify",
     "verification_group_operations",
-    "verify_batch",
 ]

@@ -207,7 +207,7 @@ def groth16_prove(pk: Groth16ProvingKey, witness: R1CSWitness) -> Groth16Proof:
 def is_well_formed(
     vk: Groth16VerifyingKey, public_inputs: list[int], proof: Groth16Proof
 ) -> bool:
-    """The structural checks both verifiers make before any group work.
+    """The structural checks the verifier makes before any group work.
 
     Arity; every public input in ``[0, r)`` — vk_x reduces mod r, so ``x``
     and ``x + r`` would be two statements settled by one proof; and

@@ -8,11 +8,9 @@ one participant was honest.
 
 from repro.kzg.srs import SRS, Ceremony
 from repro.kzg.commit import (
-    batch_verify_openings,
     commit,
     commit_message,
     commit_scalar,
-    fold_opening_claims,
     message_slots,
     open_at,
     verify_opening,
@@ -21,11 +19,9 @@ from repro.kzg.commit import (
 __all__ = [
     "SRS",
     "Ceremony",
-    "batch_verify_openings",
     "commit",
     "commit_message",
     "commit_scalar",
-    "fold_opening_claims",
     "message_slots",
     "open_at",
     "verify_opening",

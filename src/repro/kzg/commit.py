@@ -11,10 +11,6 @@ the same SRS skip the per-call affine-to-Jacobian conversion, and its
 ``prepared_g2`` cache amortises the G2-side Miller-loop work for the two
 fixed verification points ``[1]_2`` and ``[tau]_2`` across every opening
 check.
-
-:func:`batch_verify_openings` folds k opening claims into a *single*
-two-pairing check with random weights (small-exponent batching), the same
-trick :mod:`repro.plonk.batch` uses one level up.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from repro.errors import SRSError
 from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.field import poly
-from repro.field.fr import MODULUS as R, random_scalar
+from repro.field.fr import MODULUS as R
 from repro.kzg.srs import SRS
 
 
@@ -111,51 +107,3 @@ def verify_opening(srs: SRS, commitment: G1, z: int, value: int, proof: G1) -> b
     shifted = proof * (-z % R) + G1.generator() * value - commitment
     return get_engine().pairing_check([(proof, srs.g2_tau), (shifted, srs.g2)])
 
-
-def fold_opening_claims(openings: list[tuple[G1, int, int, G1]]) -> tuple[G1, G1]:
-    """Random-linear-combine opening claims into one pairing equation.
-
-    Each claim ``(commitment, z, value, proof)`` asserts
-    e(W_i, [tau]_2) == e(z_i*W_i - [v_i]_1 + C_i, [1]_2).  With fresh
-    random weights rho_i, the claims hold simultaneously (up to
-    soundness error ~k/r) iff
-
-        e(sum rho_i W_i, [tau]_2) == e(sum rho_i (z_i*W_i - [v_i]_1 + C_i), [1]_2).
-
-    Returns ``(L, R)`` with L = sum rho_i W_i and R the right-hand
-    combination, computed as two MSMs (the [v_i]_1 terms collapse onto a
-    single generator scalar).
-    """
-    engine = get_engine()
-    # A zero weight would silently drop that opening from the batch.
-    rhos = [random_scalar(nonzero=True) for _ in openings]
-    lhs = engine.msm_g1([proof for (_, _, _, proof) in openings], rhos)
-    points: list[G1] = []
-    scalars: list[int] = []
-    gen_scalar = 0
-    for rho, (commitment, z, value, proof) in zip(rhos, openings):
-        points.append(proof)
-        scalars.append(rho * (z % R) % R)
-        points.append(commitment)
-        scalars.append(rho)
-        gen_scalar = (gen_scalar + rho * (value % R)) % R
-    points.append(G1.generator())
-    scalars.append(-gen_scalar % R)
-    rhs = engine.msm_g1(points, scalars)
-    return lhs, rhs
-
-
-def batch_verify_openings(srs: SRS, openings: list[tuple[G1, int, int, G1]]) -> bool:
-    """Verify many ``(commitment, z, value, proof)`` claims at once.
-
-    Folds all k claims with :func:`fold_opening_claims` and settles them
-    with a single two-pairing check — O(k) group work instead of k
-    pairing checks.  An empty batch is vacuously valid.
-    """
-    if not openings:
-        return True
-    if telemetry.metrics_enabled():
-        telemetry.counter("kzg.batch_verify.calls").inc()
-        telemetry.histogram("kzg.batch_verify.openings").observe(len(openings))
-    lhs, rhs = fold_opening_claims(openings)
-    return get_engine().pairing_check([(lhs, srs.g2_tau), (-rhs, srs.g2)])

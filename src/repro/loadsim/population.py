@@ -31,13 +31,9 @@ class Population:
         self.size = size
         self.funds_each = funds_each
         self._accounts: dict[int, str] = {}
-        self._index_of: dict[str, int] = {}
         #: Total value faucet-ed into existence (accounts created so far
-        #: times ``funds_each`` plus any explicit top-ups).
+        #: times ``funds_each``).
         self.funds_injected = 0
-
-    def __len__(self) -> int:
-        return len(self._accounts)
 
     @property
     def materialized(self) -> int:
@@ -52,22 +48,5 @@ class Population:
         if address is None:
             address = self.chain.create_account(funded=self.funds_each)
             self._accounts[index] = address
-            self._index_of[address] = index
             self.funds_injected += self.funds_each
         return address
-
-    def index_of(self, address: str) -> int | None:
-        """The user index behind ``address`` (``None`` for non-users)."""
-        return self._index_of.get(address)
-
-    def top_up(self, index: int, amount: int) -> None:
-        """Faucet extra funds to a user, keeping the injection ledger right."""
-        if amount < 0:
-            raise ReproError("top-up must be non-negative")
-        address = self.account(index)
-        self.chain.faucet(address, amount)
-        self.funds_injected += amount
-
-    def addresses(self) -> list[str]:
-        """All materialised addresses (stable creation order)."""
-        return [self._accounts[i] for i in sorted(self._accounts)]

@@ -128,10 +128,6 @@ class Layout:
         """How many messages the circuit links."""
         return len(self.link_slots)
 
-    @property
-    def num_constraints(self) -> int:
-        return self.n
-
     def digest(self) -> bytes:
         """Stable hash of the structure (the key cache's lookup key).
 

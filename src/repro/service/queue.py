@@ -48,9 +48,6 @@ class FairQueue:
     def qsize(self) -> int:
         return self._size
 
-    def empty(self) -> bool:
-        return self._size == 0
-
     def tenant_depth(self, tenant: str) -> int:
         items = self._items.get(tenant)
         return len(items) if items else 0

@@ -1,4 +1,4 @@
-"""Tests for batched verification: Plonk proofs, Groth16 proofs and KZG openings."""
+"""Tests for batched Plonk verification."""
 
 import dataclasses
 
@@ -12,17 +12,9 @@ from repro.backend.engine import MIN_MSM_POINTS
 from repro.curve.g1 import G1
 from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
-from repro.groth16 import (
-    Groth16Proof,
-    groth16_prove,
-    groth16_setup,
-    groth16_verify,
-)
-from repro.groth16 import verify_batch as groth16_verify_batch
-from repro.kzg import SRS, batch_verify_openings, commit, open_at, verify_opening
+from repro.kzg import SRS
 from repro.plonk import CircuitBuilder, batch_verify, prove, setup, verify
 from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS
-from repro.r1cs import R1CSBuilder
 from tests.plonk_oracle import prepare_pairing_inputs
 from tests.test_plonk import _sbox_circuit
 
@@ -224,109 +216,3 @@ class TestFold:
         assert batch_verify(batch)
         assert not batch_verify(poisoned)
 
-
-def _g16_cube(x_value, y_value, w_value):
-    """Statement: I know w with w^3 + w + 5 == x and w * x == y."""
-    b = R1CSBuilder()
-    x = b.public_input(x_value)
-    y = b.public_input(y_value)
-    w = b.var(w_value)
-    w3 = b.mul(b.mul(w, w), w)
-    b.assert_equal(b.linear_combination([(1, w3), (1, w)], 5), x)
-    b.assert_equal(b.mul(w, x), y)
-    return b.compile()
-
-
-@pytest.fixture(scope="module")
-def g16_instances():
-    """Three Groth16 proofs of one circuit (distinct witnesses), plus keys."""
-    system, _ = _g16_cube(35, 105, 3)
-    pk, vk = groth16_setup(system)
-    items = []
-    for w in (2, 3, 4):
-        x = w**3 + w + 5
-        _, witness = _g16_cube(x, w * x, w)
-        proof = groth16_prove(pk, witness)
-        items.append((vk, witness.public_inputs, proof))
-    return items
-
-
-class TestGroth16VerifyBatch:
-    def test_valid_batch_accepts(self, g16_instances):
-        assert groth16_verify_batch(g16_instances)
-
-    def test_empty_batch(self):
-        assert groth16_verify_batch([])
-
-    def test_single_item_matches_plain_verify(self, g16_instances):
-        vk, publics, proof = g16_instances[0]
-        assert groth16_verify(vk, publics, proof)
-        assert groth16_verify_batch(g16_instances[:1])
-
-    def test_one_poisoned_proof_poisons_the_batch(self, g16_instances):
-        vk, publics, proof = g16_instances[1]
-        bad = Groth16Proof(a=proof.a, b=proof.b, c=-proof.c)
-        assert not groth16_verify_batch(
-            [g16_instances[0], (vk, publics, bad), g16_instances[2]]
-        )
-
-    def test_wrong_publics_poison_the_batch(self, g16_instances):
-        vk, _, proof = g16_instances[0]
-        assert not groth16_verify_batch([(vk, [10, 20], proof), g16_instances[1]])
-        # Wrong arity is a structural reject, not a fold failure.
-        assert not groth16_verify_batch([(vk, [10], proof)])
-
-    def test_mixed_verifying_keys_rejected(self, g16_instances):
-        system, _ = _g16_cube(35, 105, 3)
-        _, other_vk = groth16_setup(system)
-        vk, publics, proof = g16_instances[0]
-        with pytest.raises(VerificationError):
-            groth16_verify_batch([g16_instances[1], (other_vk, publics, proof)])
-
-
-@pytest.fixture(scope="module")
-def kzg_openings():
-    """An SRS plus several (commitment, z, value, proof) opening claims."""
-    srs = SRS.generate(16, tau=11111)
-    claims = []
-    for i, coeffs in enumerate(([3, 1, 4, 1, 5], [2, 7, 1, 8], [1, 0, 0, 9])):
-        c = commit(srs, coeffs)
-        z = 100 + 17 * i
-        value, proof = open_at(srs, coeffs, z)
-        claims.append((c, z, value, proof))
-    return srs, claims
-
-
-class TestBatchVerifyOpenings:
-    def test_valid_batch_accepts(self, kzg_openings):
-        srs, claims = kzg_openings
-        for claim in claims:  # each claim really is individually valid
-            assert verify_opening(srs, *claim)
-        assert batch_verify_openings(srs, claims)
-
-    def test_empty_batch(self, kzg_openings):
-        srs, _ = kzg_openings
-        assert batch_verify_openings(srs, [])
-
-    def test_single_claim(self, kzg_openings):
-        srs, claims = kzg_openings
-        assert batch_verify_openings(srs, claims[:1])
-
-    def test_poisoned_value_rejects(self, kzg_openings):
-        srs, claims = kzg_openings
-        c, z, value, proof = claims[1]
-        poisoned = list(claims)
-        poisoned[1] = (c, z, (value + 1) % R, proof)
-        assert not batch_verify_openings(srs, poisoned)
-
-    def test_poisoned_proof_rejects(self, kzg_openings):
-        srs, claims = kzg_openings
-        c, z, value, proof = claims[2]
-        poisoned = list(claims)
-        poisoned[2] = (c, z, value, proof + G1.generator())
-        assert not batch_verify_openings(srs, poisoned)
-
-    def test_swapped_commitments_reject(self, kzg_openings):
-        srs, claims = kzg_openings
-        (c0, z0, v0, w0), (c1, z1, v1, w1) = claims[0], claims[1]
-        assert not batch_verify_openings(srs, [(c1, z0, v0, w0), (c0, z1, v1, w1)])

@@ -156,8 +156,6 @@ class TestTransactions:
         assert [e.get("value") for e in big] == [3, 6]
         assert chain.query_events("Incremented", address="0x" + "0" * 40) == []
         assert chain.query_events("NoSuchEvent") == []
-        # The one-filter form stays equivalent to the legacy events() API.
-        assert chain.query_events("Incremented") == chain.events("Incremented")
 
     def test_query_events_index_matches_linear_oracle(self, deployed):
         chain, sender, contract = deployed

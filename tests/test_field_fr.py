@@ -1,16 +1,17 @@
 """Unit and property tests for the BN254 scalar field."""
 
 import ast
+import importlib
 import tokenize
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.curve.fq import Q
 from repro.errors import FieldError
-from repro.field import Fr, MODULUS, batch_inverse, inv, root_of_unity
+from repro.field import MODULUS, batch_inverse, inv, root_of_unity
 from repro.field import fr
 
 elements = st.integers(min_value=0, max_value=MODULUS - 1)
@@ -22,58 +23,9 @@ def test_modulus_is_prime_ish():
         assert pow(base, MODULUS - 1, MODULUS) == 1
 
 
-def test_fr_basic_arithmetic():
-    a, b = Fr(3), Fr(5)
-    assert a + b == Fr(8)
-    assert a - b == Fr(MODULUS - 2)
-    assert a * b == Fr(15)
-    assert b / a * a == b
-    assert -a == Fr(MODULUS - 3)
-    assert a**3 == Fr(27)
-    assert int(Fr(MODULUS + 4)) == 4
-
-
-def test_fr_mixes_with_ints():
-    a = Fr(10)
-    assert a + 1 == Fr(11)
-    assert 1 + a == Fr(11)
-    assert 2 * a == Fr(20)
-    assert a - 12 == Fr(MODULUS - 2)
-    assert 12 - a == Fr(2)
-    assert 20 / a == Fr(2)
-
-
-def test_fr_is_immutable_and_hashable():
-    a = Fr(7)
-    with pytest.raises(AttributeError):
-        a.value = 8
-    assert len({Fr(1), Fr(1), Fr(2)}) == 2
-
-
-def test_fr_bytes_roundtrip():
-    a = Fr.random()
-    assert Fr.from_bytes(a.to_bytes()) == a
-    with pytest.raises(FieldError):
-        Fr.from_bytes(b"\x00" * 31)
-
-
-@given(st.integers(min_value=0, max_value=(1 << 256) - 1))
-@settings(max_examples=60, deadline=None)
-def test_fr_decoding_is_injective(value):
-    data = value.to_bytes(32, "little")
-    try:
-        decoded = Fr.from_bytes(data)
-    except FieldError:
-        assert value >= MODULUS
-        return
-    assert decoded.to_bytes() == data
-
-
 def test_inverse_of_zero_raises():
     with pytest.raises(FieldError):
         inv(0)
-    with pytest.raises(FieldError):
-        Fr(0).inverse()
     with pytest.raises(FieldError):
         batch_inverse([1, 0, 2])
 
@@ -88,16 +40,6 @@ def test_inverse_property(a):
 @given(st.lists(st.integers(min_value=1, max_value=MODULUS - 1), max_size=20))
 def test_batch_inverse_matches_single(values):
     assert batch_inverse(values) == [inv(v) for v in values]
-
-
-@given(elements, elements, elements)
-@settings(max_examples=50)
-def test_field_axioms(a, b, c):
-    fa, fb, fc = Fr(a), Fr(b), Fr(c)
-    assert fa + fb == fb + fa
-    assert fa * fb == fb * fa
-    assert (fa + fb) + fc == fa + (fb + fc)
-    assert fa * (fb + fc) == fa * fb + fa * fc
 
 
 @pytest.mark.parametrize("log", [0, 1, 2, 5, 10, 20, 28])
@@ -124,9 +66,6 @@ class TestRandomScalar:
     def test_default_range(self):
         for _ in range(32):
             assert 0 <= fr.random_scalar() < MODULUS
-
-    def test_rand_fr_is_an_alias(self):
-        assert 0 <= fr.rand_fr() < MODULUS
 
     def test_default_permits_zero(self, monkeypatch):
         monkeypatch.setattr(fr.secrets, "randbelow", lambda n: 0)
@@ -171,6 +110,25 @@ def test_no_bn254_modulus_literal_outside_its_home():
                 if token.type == tokenize.NUMBER and ast.literal_eval(token.string) in (MODULUS, Q):
                     copies.append("%s:%d" % (path.relative_to(package), token.start[0]))
     assert not copies
+
+
+_PACKAGE = Path(fr.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "package",
+    sorted(
+        ".".join(("repro",) + init.parent.relative_to(_PACKAGE).parts)
+        for init in _PACKAGE.rglob("__init__.py")
+    ),
+)
+def test_every_exported_name_resolves(package):
+    """A name left in ``__all__`` after its definition is deleted breaks
+    ``from <package> import *`` and every reader of the package's surface,
+    yet imports cleanly: only a lookup of each name catches it."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
 
 
 def test_no_true_division_in_protocol_arithmetic():

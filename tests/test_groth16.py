@@ -17,7 +17,6 @@ from repro.groth16 import (
     groth16_setup,
     groth16_verify,
     verification_group_operations,
-    verify_batch,
 )
 from repro.r1cs import R1CSBuilder
 
@@ -207,9 +206,6 @@ class TestGroth16:
         assert groth16_verify(vk, [35, 105], proof)
         for alias in ([35 + R, 105], [35 - R, 105], [35, 105 + R], [-1, 105], [35, R]):
             assert not groth16_verify(vk, alias, proof)
-            assert not verify_batch([(vk, alias, proof)])
-            assert not verify_batch([(vk, [35, 105], proof), (vk, alias, proof)])
-        assert verify_batch([(vk, [35, 105], proof)])
 
     def test_proof_b_outside_the_subgroup_is_refused_without_raising(self):
         system, witness = _cube_circuit(35, 105, 3)
@@ -220,7 +216,6 @@ class TestGroth16:
         for b in (stray, proof.b + stray):
             forged = Groth16Proof(proof.a, b, proof.c)
             assert groth16_verify(vk, [35, 105], forged) is False
-            assert verify_batch([(vk, [35, 105], proof), (vk, [35, 105], forged)]) is False
 
     def test_alpha_beta_gt_golden(self, monkeypatch):
         # e(alpha, beta) is part of the verifying key; the digest was
