@@ -1,14 +1,15 @@
 """The telemetry layer's disabled-path overhead budget (< 2%).
 
-Every instrumentation point in the hot kernels compiles down, when
-``REPRO_TELEMETRY=off``, to either a ``telemetry.span(...)`` call that
-returns the shared no-op singleton or a ``metrics_enabled()`` guard — one
-global load and compare each.  The budget in ISSUE/DESIGN is that this
-costs under 2% of a warm Plonk proof.
+Every instrumentation point compiles down, when ``REPRO_TELEMETRY=off``,
+to a ``telemetry.span(...)`` call that returns the shared no-op singleton,
+a ``metrics_enabled()`` guard — one global load and compare — or, for an
+engine kernel, its decorator's guard plus the one call frame the decorator
+adds.  The budget (DESIGN.md) is that this costs under 2% of a warm Plonk
+proof.
 
 Cross-checkout wall-clock comparisons are too noisy to gate on inside one
 process, so this benchmark asserts the budget deterministically: it
-micro-times the two no-op primitives, counts how many instrumented events
+micro-times the three no-op primitives, counts how many instrumented events
 one warm proof actually executes (read off the metrics registry itself),
 and checks that (events x per-event no-op cost) stays under 2% of the
 measured off-level proof time.  The off-vs-trace wall clock is printed as
@@ -20,6 +21,7 @@ import time
 from conftest import print_table, run_once
 
 from repro import telemetry
+from repro.backend.engine import _kernel
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.prover import prove
 from repro.plonk.verifier import verify
@@ -75,7 +77,24 @@ def test_telemetry_off_overhead(benchmark, snark_ctx):
     n_events = int(sum(snap["counters"].values()))
     n_events += int(sum(h["count"] for h in snap["histograms"].values()))
 
-    # Micro-time the two disabled primitives.
+    n_kernels = int(
+        sum(h["count"] for k, h in snap["histograms"].items() if k.startswith("engine.kernel."))
+    )
+
+    # Micro-time the disabled primitives.  A kernel's is a decorated no-op
+    # method less the bare one: the min of interleaved rounds of each.
+    class Probe:
+        def bare(self, x):
+            return x
+
+        kernel = _kernel("overhead_probe", lambda x: None)(bare)
+
+    def per_call(method, reps: int = 100_000) -> float:
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            method(1)
+        return (time.perf_counter() - t0) / reps
+
     reps = 200_000
     with telemetry.use_level(telemetry.OFF):
         t0 = time.perf_counter()
@@ -86,11 +105,17 @@ def test_telemetry_off_overhead(benchmark, snark_ctx):
         for _ in range(reps):
             telemetry.metrics_enabled()
         guard_cost = (time.perf_counter() - t0) / reps
+        probe = Probe()
+        rounds = [(per_call(probe.kernel), per_call(probe.bare)) for _ in range(5)]
+    kernel_cost = max(0.0, min(k for k, _ in rounds) - min(b for _, b in rounds))
 
-    # Upper bound: every event charged the guard, every span the no-op
-    # span constructor (n_events over-counts guards — several instruments
-    # share one guard at most sites).
-    est_overhead_s = n_events * guard_cost + n_spans * span_cost
+    # Upper bound: every kernel call charged the decorator, every other
+    # event the guard, every span the no-op span constructor (n_events
+    # over-counts guards — several instruments share one guard at most
+    # sites).
+    est_overhead_s = (
+        n_kernels * kernel_cost + (n_events - n_kernels) * guard_cost + n_spans * span_cost
+    )
     overhead_pct = 100.0 * est_overhead_s / off_s
     trace_pct = 100.0 * (trace_s - off_s) / off_s
 
@@ -101,9 +126,11 @@ def test_telemetry_off_overhead(benchmark, snark_ctx):
             ["off-level proof", "%.3f s" % off_s, "baseline"],
             ["trace-level proof", "%.3f s" % trace_s, "%+.1f%% (informational)" % trace_pct],
             ["instrumented events/proof", "%d" % n_events, "from the registry"],
+            ["kernel calls/proof", "%d" % n_kernels, "engine.kernel.seconds samples"],
             ["spans/proof", "%d" % n_spans, "prover span tree"],
             ["no-op span() call", "%.0f ns" % (span_cost * 1e9), "shared singleton"],
             ["metrics_enabled() guard", "%.0f ns" % (guard_cost * 1e9), "load + compare"],
+            ["kernel decorator", "%.0f ns" % (kernel_cost * 1e9), "guard + one call frame"],
             ["estimated off overhead", "%.4f%%" % overhead_pct, "budget < 2%"],
         ],
     )

@@ -57,24 +57,27 @@ in-process: splitting NTT batches, inversions and the generic MSMs was
 measured and paid for nothing (EXPERIMENTS.md, "Folded: the parallel
 engine's pool").
 
-The public methods are thin wrappers that record telemetry (call counts,
-input sizes, cache hit/miss outcomes, and wall-clock via
-``telemetry.kernel_timer``) when ``REPRO_TELEMETRY`` enables it; helpers
-record nothing, their time is the caller's kernel time, so the counters
-are the same whatever ``helpers`` is — but for the points of a fold's
-two MSMs in this process, which leave out a helper's prefix.  Every
-public kernel both counts
-and times: ``tests/test_telemetry.py::TestKernelAccounting`` calls each
-one and fails on a wrapper that does only one of the two.
+Telemetry (``REPRO_TELEMETRY``) has two rules, each stated once: a kernel
+is its body under :func:`_kernel`, which at metrics level counts the call
+from its arguments and times it into ``engine.kernel.seconds``; and every
+cache lookup goes through :meth:`Engine._lookup`, which counts its hit or
+miss.  A body reaches other kernels' arithmetic through the module-level
+functions, so a call counts once (the fold's two ``msm_g1`` calls count as
+MSMs of their own).  Helpers record nothing, their time is the caller's
+kernel time: the counters are the same whatever ``helpers`` is, but for
+the points of a fold's two MSMs here, which leave out a helper's prefix.
+``tests/test_telemetry.py::TestKernelAccounting`` fails on a public kernel
+that does not both count and time, and pins every count of a warm proof.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar, cast
 
 from repro import telemetry as _tel
 from repro.errors import BackendError
@@ -130,15 +133,55 @@ _SCALAR_BITS = 254
 _FB_WINDOW = 6
 
 
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def _kernel(name: str, record: Callable[..., object]) -> Callable[[_F], _F]:
+    """Make an :class:`Engine` method a kernel: at metrics level ``record``
+    counts the call from the method's arguments and the call is timed into
+    ``engine.kernel.seconds{kernel=name}``; below it the method runs
+    straight through."""
+
+    def decorate(body: _F) -> _F:
+        @functools.wraps(body)
+        def kernel(self: Engine, *args: Any, **kwargs: Any) -> Any:
+            if not _tel.metrics_enabled():
+                return body(self, *args, **kwargs)
+            record(*args, **kwargs)
+            with _tel.kernel_timer(name):
+                return body(self, *args, **kwargs)
+
+        return cast(_F, kernel)
+
+    return decorate
+
+
+def _count(calls: str, sizes: str = "", n: int = 0, **labels: object) -> None:
+    """Count one call into ``calls`` and its size ``n`` into ``sizes``, if named."""
+    _tel.counter(calls, **labels).inc()
+    if sizes:
+        _tel.histogram(sizes, **labels).observe(n)
+
+
 def _record_ntt(kind: str, n: int) -> None:
-    """Count one NTT kernel invocation of size ``n`` (metrics level)."""
-    _tel.counter("engine.ntt.calls", kind=kind).inc()
-    _tel.histogram("engine.ntt.size", kind=kind).observe(n)
+    """Count one NTT of size ``n``."""
+    _count("engine.ntt.calls", "engine.ntt.size", n, kind=kind)
 
 
-def _record_cache(cache: str, hit: bool) -> None:
-    """Count one lookup outcome for one of the engine caches."""
-    _tel.counter("engine.cache.hits" if hit else "engine.cache.misses", cache=cache).inc()
+def _record_table_msm(n: int) -> None:
+    """Count one fixed-table G1 MSM of ``n`` terms; outside the window
+    tables' bounds it takes the generic MSM, counted as a bypass."""
+    _count("engine.msm.calls", "engine.msm.points", n, group="g1")
+    if not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
+        _tel.counter("engine.cache.bypasses", cache="msm_window").inc()
+
+
+def _put_lru(table: OrderedDict, key: Any, entry: tuple, capacity: int) -> None:
+    """Store ``entry`` as the most recent; evict the least recent past ``capacity``."""
+    table[key] = entry
+    table.move_to_end(key)
+    while len(table) > capacity:
+        table.popitem(last=False)
 
 
 def serve(conn: Any, inherited: list, handle: Callable[[Any], Any]) -> None:
@@ -289,12 +332,12 @@ class Engine:
         #: Row i belongs to process i mod ``_stride`` (0: not forked since
         #: the last ``close()``, every row is ours).
         self._stride = 0
-        self._srs_jac: dict[int, tuple] = {}
-        self._fixed_jac: dict[int, tuple] = {}
+        #: id(owner) -> (owner, its points as Jacobian tuples): SRS, tables.
+        self._jacobian: dict[int, tuple] = {}
         #: id(owner) -> (owner, window width c, per-point window rows for
         #: the prefix seen so far; ``None`` where a helper holds the row).
         self._window_tables: dict[int, tuple[Any, int, list]] = {}
-        self._fb_tables: dict[tuple, _FixedBaseTable] = {}
+        self._fb_tables: dict[tuple, tuple] = {}
         self._eval_cache: OrderedDict = OrderedDict()
         self.eval_cache_capacity = 64
         self._prepared_g2_cache: OrderedDict = OrderedDict()
@@ -306,64 +349,72 @@ class Engine:
         """Return the (cached) NTT plan for a size-``n`` domain."""
         return Domain.get(n)
 
+    @_kernel("ntt", lambda coeffs, n: _record_ntt("fft", n))
     def ntt(self, coeffs: list[int], n: int) -> list[int]:
         """Evaluate ``coeffs`` over the size-``n`` domain."""
-        if not _tel.metrics_enabled():
-            return Domain.get(n).fft(coeffs)
-        _record_ntt("fft", n)
-        with _tel.kernel_timer("ntt"):
-            return Domain.get(n).fft(coeffs)
+        return Domain.get(n).fft(coeffs)
 
+    @_kernel("intt", lambda evals: _record_ntt("ifft", len(evals)))
     def intt(self, evals: list[int]) -> list[int]:
         """Interpolate coefficients from evaluations (n = len(evals))."""
-        if not _tel.metrics_enabled():
-            return Domain.get(len(evals)).ifft(evals)
-        _record_ntt("ifft", len(evals))
-        with _tel.kernel_timer("intt"):
-            return Domain.get(len(evals)).ifft(evals)
+        return Domain.get(len(evals)).ifft(evals)
 
+    @_kernel("coset_ntt", lambda coeffs, n, shift=None: _record_ntt("coset_fft", n))
     def coset_ntt(self, coeffs: list[int], n: int, shift: int = COSET_SHIFT) -> list[int]:
         """Evaluate ``coeffs`` over the coset ``shift * H`` of size ``n``."""
-        if not _tel.metrics_enabled():
-            return Domain.get(n).coset_fft(coeffs, shift)
-        _record_ntt("coset_fft", n)
-        with _tel.kernel_timer("coset_ntt"):
-            return Domain.get(n).coset_fft(coeffs, shift)
+        return Domain.get(n).coset_fft(coeffs, shift)
 
+    @_kernel("coset_intt", lambda evals, shift=None: _record_ntt("coset_ifft", len(evals)))
     def coset_intt(self, evals: list[int], shift: int = COSET_SHIFT) -> list[int]:
         """Interpolate from coset evaluations (n = len(evals))."""
-        if not _tel.metrics_enabled():
-            return Domain.get(len(evals)).coset_ifft(evals, shift)
-        _record_ntt("coset_ifft", len(evals))
-        with _tel.kernel_timer("coset_intt"):
-            return Domain.get(len(evals)).coset_ifft(evals, shift)
+        return Domain.get(len(evals)).coset_ifft(evals, shift)
 
+    @_kernel("ntt_batch", lambda jobs: [_record_ntt(kind, n) for kind, n, _, _ in jobs])
     def ntt_batch(self, jobs: list[tuple]) -> list[list[int]]:
         """Run many independent NTT jobs ``(kind, n, values, shift)``.
 
         Job order is preserved in the result list.
         """
-        if not _tel.metrics_enabled():
-            return [apply_ntt_job(job) for job in jobs]
-        for kind, n, _, _ in jobs:
-            _record_ntt(kind, n)
-        with _tel.kernel_timer("ntt_batch"):
-            return [apply_ntt_job(job) for job in jobs]
+        return [apply_ntt_job(job) for job in jobs]
 
     # -------------------------------------------------------------- caching
 
-    def _eval_cache_get(self, key: tuple, owner: Any) -> list[int] | None:
-        hit = self._eval_cache.get(key)
-        if hit is not None and hit[0] is owner:
-            self._eval_cache.move_to_end(key)
-            return hit[1]
-        return None
+    def _lookup(
+        self, cache: str, table: dict, key: Any, owner: Any, need: int = 0,
+        miss: Callable[[], object] | None = None,
+    ) -> Any:
+        """The entry of ``table`` at ``key`` made for ``owner``, or ``None``.
+
+        Entries are ``(owner, ..., value)`` and pin their owner: one made
+        for another object (an ``id`` reused after garbage collection) is
+        no entry; a cache keyed by value makes its entries for ``None``.
+        At metrics level the outcome counts as a hit of ``cache`` if the
+        value holds at least ``need`` items, else as a miss, which also
+        runs ``miss``: the count of the kernel the miss costs.
+        """
+        entry = table.get(key)
+        if entry is not None and entry[0] is not owner:
+            entry = None
+        if _tel.metrics_enabled():
+            hit = entry is not None and (need == 0 or len(entry[-1]) >= need)
+            _tel.counter("engine.cache.hits" if hit else "engine.cache.misses", cache=cache).inc()
+            if not hit and miss is not None:
+                miss()
+        return entry
+
+    def _eval_cache_get(
+        self, key: tuple, owner: Any, miss: Callable[[], object] | None = None
+    ) -> list[int] | None:
+        """The evaluation cache's value at ``key`` (whose first item names
+        the cache) for ``owner``, now the most recently used."""
+        entry = self._lookup(key[0], self._eval_cache, key, owner, miss=miss)
+        if entry is None:
+            return None
+        self._eval_cache.move_to_end(key)
+        return entry[1]
 
     def _eval_cache_put(self, key: tuple, owner: Any, value: list[int]) -> None:
-        self._eval_cache[key] = (owner, value)
-        self._eval_cache.move_to_end(key)
-        while len(self._eval_cache) > self.eval_cache_capacity:
-            self._eval_cache.popitem(last=False)
+        _put_lru(self._eval_cache, key, (owner, value), self.eval_cache_capacity)
 
     def coset_ntt_cached(
         self, owner: Any, tag: str, coeffs: list[int], n: int, shift: int = COSET_SHIFT
@@ -373,15 +424,12 @@ class Engine:
         ``owner`` anchors the cache entry's lifetime (typically the
         proving key); the entry is valid only while the exact same owner
         object is passed, which makes ``id()`` reuse after garbage
-        collection harmless.  Entries are evicted LRU.
+        collection harmless.  Entries are evicted LRU; a miss counts the
+        coset FFT it runs.
         """
-        key = ("coset", id(owner), tag, n, shift)
-        cached = self._eval_cache_get(key, owner)
-        if _tel.metrics_enabled():
-            _record_cache("coset_eval", cached is not None)
+        key = ("coset_eval", id(owner), tag, n, shift)
+        cached = self._eval_cache_get(key, owner, lambda: _record_ntt("coset_fft", n))
         if cached is None:
-            if _tel.metrics_enabled():
-                _record_ntt("coset_fft", n)  # the miss runs a real kernel
             cached = Domain.get(n).coset_fft(list(coeffs), shift)
             self._eval_cache_put(key, owner, cached)
         return cached
@@ -390,53 +438,41 @@ class Engine:
         """The coset ``[shift * omega**i]`` of the size-``n`` domain, cached."""
         key = ("coset_points", n, shift)
         cached = self._eval_cache_get(key, None)
-        if _tel.metrics_enabled():
-            _record_cache("coset_points", cached is not None)
         if cached is None:
             cached = [shift * w % _R for w in Domain.get(n).elements]
             self._eval_cache_put(key, None, cached)
         return cached
 
-    def srs_g1_jacobian(self, srs: Any) -> tuple:
-        """The SRS's G1 powers as Jacobian tuples, converted exactly once.
+    def _jacobian_view(self, cache: str, owner: Any, points: Any) -> tuple:
+        """``points`` as Jacobian tuples, converted once per ``owner``."""
+        entry = self._lookup(cache, self._jacobian, id(owner), owner)
+        if entry is None:
+            entry = self._jacobian[id(owner)] = (owner, tuple(p.to_jacobian() for p in points))
+        return entry[1]
 
-        Cached per SRS object identity for the lifetime of the SRS (the
-        entry pins the SRS, so ``id`` reuse cannot alias).
-        """
-        key = id(srs)
-        hit = self._srs_jac.get(key)
-        if hit is not None and hit[0] is srs:
-            if _tel.metrics_enabled():
-                _record_cache("srs_jacobian", True)
-            return hit[1]
-        if _tel.metrics_enabled():
-            _record_cache("srs_jacobian", False)
-        jac = tuple(p.to_jacobian() for p in srs.g1_powers)
-        self._srs_jac[key] = (srs, jac)
-        return jac
+    def srs_g1_jacobian(self, srs: Any) -> tuple:
+        """The SRS's G1 powers as Jacobian tuples, converted exactly once
+        per SRS object, shared by every KZG commitment under it."""
+        return self._jacobian_view("srs_jacobian", srs, srs.g1_powers)
+
+    def _fixed_jacobian(self, table: Any) -> tuple:
+        """Jacobian view of a fixed affine point table, converted once per
+        table object: Groth16 proving-key query tables hit this every proof."""
+        return self._jacobian_view("msm_table", table, table)
 
     # ------------------------------------------------------------------ MSM
 
+    @_kernel("msm_jac", lambda points, scalars: _count(
+        "engine.msm.calls", "engine.msm.points", len(points), group="g1"))
     def msm_jac(self, points: list[tuple], scalars: list[int]) -> tuple:
         """MSM over G1 Jacobian tuples; returns a Jacobian tuple."""
-        if not _tel.metrics_enabled():
-            return self._msm_jac(points, scalars)
-        _tel.counter("engine.msm.calls", group="g1").inc()
-        _tel.histogram("engine.msm.points", group="g1").observe(len(points))
-        with _tel.kernel_timer("msm_jac"):
-            return self._msm_jac(points, scalars)
-
-    def _msm_jac(self, points: list[tuple], scalars: list[int]) -> tuple:
         return msm_jacobian(points, scalars)
 
+    @_kernel("msm_jac_g2", lambda points, scalars: _count(
+        "engine.msm.calls", "engine.msm.points", len(points), group="g2"))
     def msm_jac_g2(self, points: list[tuple], scalars: list[int]) -> tuple:
         """MSM over G2 Jacobian tuples; returns a Jacobian tuple."""
-        if not _tel.metrics_enabled():
-            return msm_g2_jacobian(points, scalars)
-        _tel.counter("engine.msm.calls", group="g2").inc()
-        _tel.histogram("engine.msm.points", group="g2").observe(len(points))
-        with _tel.kernel_timer("msm_jac_g2"):
-            return msm_g2_jacobian(points, scalars)
+        return msm_g2_jacobian(points, scalars)
 
     def msm_g1(self, points: list[G1], scalars: list[int]) -> G1:
         """MSM over affine G1 points; returns an affine point."""
@@ -448,6 +484,7 @@ class Engine:
         jac = self.msm_jac_g2([p.to_jacobian() for p in points], [int(s) for s in scalars])
         return G2.from_jacobian(jac)
 
+    @_kernel("msm_srs", lambda srs, scalars: _record_table_msm(len(scalars)))
     def msm_srs(self, srs: Any, scalars: list[int]) -> tuple:
         """MSM of the first ``len(scalars)`` SRS G1 powers; Jacobian result.
 
@@ -456,50 +493,48 @@ class Engine:
         copies the point list; once the helpers hold their window rows,
         what the engine ships per call is just the scalars.
         """
-        if not _tel.metrics_enabled():
-            return self._msm_srs(srs, [int(s) for s in scalars])
-        _tel.counter("engine.msm.calls", group="g1").inc()
-        _tel.histogram("engine.msm.points", group="g1").observe(len(scalars))
-        with _tel.kernel_timer("msm_srs"):
-            return self._msm_srs(srs, [int(s) for s in scalars])
-
-    def _msm_srs(self, srs: Any, scalars: list[int]) -> tuple:
         points = self.srs_g1_jacobian(srs)
         if len(scalars) > len(points):
             raise BackendError(
                 "msm_srs: %d scalars but SRS has %d G1 powers" % (len(scalars), len(points))
             )
-        fixed = self._window_msm(srs, points, scalars)
-        if fixed is not None:
-            return fixed
-        return self._msm_jac(list(points[: len(scalars)]), scalars)
+        return self._window_msm(srs, points, [int(s) for s in scalars])
 
-    def _window_msm(self, owner: Any, points: tuple, scalars: list[int]) -> tuple | None:
+    @_kernel("msm_g1_fixed", lambda points, scalars: _record_table_msm(len(scalars)))
+    def msm_g1_fixed(self, points: Any, scalars: list[int]) -> G1:
+        """MSM over a fixed affine G1 table with prefix semantics.
+
+        ``points`` is a sequence reused across proofs (Groth16 query
+        tables); only the first ``len(scalars)`` entries are combined.
+        The affine->Jacobian conversion is cached per table identity, so
+        warm proofs convert (and ship to helpers) no points at all.
+        """
+        if len(scalars) > len(points):
+            raise BackendError(
+                "msm_g1_fixed: %d scalars but table has %d points"
+                % (len(scalars), len(points))
+            )
+        jac = self._fixed_jacobian(points)
+        return G1.from_jacobian(self._window_msm(points, jac, [int(s) for s in scalars]))
+
+    def _window_msm(self, owner: Any, points: tuple, scalars: list[int]) -> tuple:
         """Fixed-base single-window MSM against cached precomputed tables.
 
         The warm-proof fast path for :meth:`msm_srs` / :meth:`msm_g1_fixed`:
         the owner's point table is fixed across proofs, so the window
         shifts ``2^(w*c) * P_i`` are computed once (first proof) and every
-        later MSM collapses to a single bucket pass.  Returns ``None``
-        when the size is outside the table bounds — callers fall back to
-        the generic MSM, and the fall-off is counted as
-        ``engine.cache.bypasses{cache=msm_window}`` so it cannot go
-        unnoticed.  Tables are pinned by owner identity like the Jacobian
-        caches and extended when a longer prefix is first requested; each
+        later MSM collapses to a single bucket pass.  A size outside the
+        table bounds takes the generic MSM (the kernel counts it as
+        ``engine.cache.bypasses{cache=msm_window}``, so it cannot go
+        unnoticed).  Tables are pinned by owner identity like the Jacobian
+        views and extended when a longer prefix is first requested; each
         row is built by the process that owns it, when it is first needed.
         """
         n = len(scalars)
         if not FIXED_WINDOW_MIN <= n <= FIXED_WINDOW_MAX:
-            if _tel.metrics_enabled():
-                _tel.counter("engine.cache.bypasses", cache="msm_window").inc()
-            return None
-        hit = self._window_tables.get(id(owner))
-        if hit is not None and hit[0] is owner:
-            _, c, rows = hit
-        else:
-            c, rows = 0, []
-        if _tel.metrics_enabled():
-            _record_cache("msm_window", len(rows) >= n)
+            return msm_jacobian(list(points[:n]), scalars)
+        entry = self._lookup("msm_window", self._window_tables, id(owner), owner, n)
+        _, c, rows = entry or (owner, 0, [])
         if len(rows) < n:
             # The width follows the table's size: growth across a
             # ``fixed_window_c`` threshold rebuilds at the wider window.
@@ -547,21 +582,33 @@ class Engine:
             count = count if width == c else 0
             start = r + count * stride
             helper.held[key] = (c, max(count, len(range(r, n, stride))))
-            try:
-                helper.conn.send(("rows", key, c, points[start:n:stride], scalars[r:n:stride]))
-            except OSError:
-                helper.conn.close()  # the recv below raises and recomputes the shard
+            self._send(helper, ("rows", key, c, points[start:n:stride], scalars[r:n:stride]))
         theirs = {helper.residue for helper in asked}
         ours = [i for i in range(n) if i % stride not in theirs]
         acc = self._local(c, rows, points, scalars, ours)
         for helper in asked:
-            try:
-                part = helper.conn.recv()
-            except (EOFError, OSError):
-                self._drop(helper)
+            part = self._receive(helper)
+            if part is None:
                 part = self._local(c, rows, points, scalars, range(helper.residue, n, stride))
             acc = jac_add(acc, part)
         return acc
+
+    def _send(self, helper: _Helper, request: tuple) -> None:
+        """Send ``request``; a pipe that fails is closed, so that the
+        :meth:`_receive` which follows finds the helper dead."""
+        try:
+            helper.conn.send(request)
+        except OSError:
+            helper.conn.close()
+
+    def _receive(self, helper: _Helper) -> Any:
+        """The helper's reply, or ``None`` if it died (then dropped): the
+        caller computes its part here."""
+        try:
+            return helper.conn.recv()
+        except (EOFError, OSError):
+            self._drop(helper)
+            return None
 
     def _drop(self, helper: _Helper) -> None:
         """A helper lost (EOF on its pipe): drop it, never replace it; its
@@ -613,79 +660,25 @@ class Engine:
             helper.proc = None
         self._pid, self._stride = os.getpid(), self._stride or 1
 
-    def _fixed_jacobian(self, table: Any) -> tuple:
-        """Jacobian view of a fixed affine point table, cached by identity.
-
-        Same pinning contract as :meth:`srs_g1_jacobian`: the entry
-        holds the table alive, so ``id`` reuse cannot alias.  Groth16
-        proving-key query tables hit this every proof.
-        """
-        key = id(table)
-        hit = self._fixed_jac.get(key)
-        if hit is not None and hit[0] is table:
-            if _tel.metrics_enabled():
-                _record_cache("msm_table", True)
-            return hit[1]
-        if _tel.metrics_enabled():
-            _record_cache("msm_table", False)
-        jac = tuple(p.to_jacobian() for p in table)
-        self._fixed_jac[key] = (table, jac)
-        return jac
-
-    def msm_g1_fixed(self, points: Any, scalars: list[int]) -> G1:
-        """MSM over a fixed affine G1 table with prefix semantics.
-
-        ``points`` is a sequence reused across proofs (Groth16 query
-        tables); only the first ``len(scalars)`` entries are combined.
-        The affine->Jacobian conversion is cached per table identity, so
-        warm proofs convert (and ship to helpers) no points at all.
-        """
-        if len(scalars) > len(points):
-            raise BackendError(
-                "msm_g1_fixed: %d scalars but table has %d points"
-                % (len(scalars), len(points))
-            )
-        if not _tel.metrics_enabled():
-            return G1.from_jacobian(self._msm_g1_fixed(points, [int(s) for s in scalars]))
-        _tel.counter("engine.msm.calls", group="g1").inc()
-        _tel.histogram("engine.msm.points", group="g1").observe(len(scalars))
-        with _tel.kernel_timer("msm_g1_fixed"):
-            return G1.from_jacobian(self._msm_g1_fixed(points, [int(s) for s in scalars]))
-
-    def _msm_g1_fixed(self, points: Any, scalars: list[int]) -> tuple:
-        jac = self._fixed_jacobian(points)
-        fixed = self._window_msm(points, jac, scalars)
-        if fixed is not None:
-            return fixed
-        return self._msm_jac(list(jac[: len(scalars)]), scalars)
-
     # ----------------------------------------------------------- fixed base
 
     def _fb_table(self, base: "G1 | G2") -> _FixedBaseTable:
+        group: tuple
         if isinstance(base, G1):
-            key = ("g1", base.x, base.y)
-            table = self._fb_tables.get(key)
-            if _tel.metrics_enabled():
-                _record_cache("fixed_base", table is not None)
-            if table is None:
-                table = _FixedBaseTable(
-                    base.to_jacobian(), jac_add, jac_double, jac_batch_normalize, JAC_INF
-                )
-                self._fb_tables[key] = table
-            return table
-        if isinstance(base, G2):
-            key = ("g2", base.x, base.y)
-            table = self._fb_tables.get(key)
-            if _tel.metrics_enabled():
-                _record_cache("fixed_base", table is not None)
-            if table is None:
-                table = _FixedBaseTable(
-                    base.to_jacobian(), jac2_add, jac2_double, jac2_batch_normalize, JAC2_INF
-                )
-                self._fb_tables[key] = table
-            return table
-        raise BackendError("fixed-base multiplication expects a G1 or G2 point")
+            group = ("g1", jac_add, jac_double, jac_batch_normalize, JAC_INF)
+        elif isinstance(base, G2):
+            group = ("g2", jac2_add, jac2_double, jac2_batch_normalize, JAC2_INF)
+        else:
+            raise BackendError("fixed-base multiplication expects a G1 or G2 point")
+        key = (group[0], base.x, base.y)
+        entry = self._lookup("fixed_base", self._fb_tables, key, None)
+        if entry is None:
+            table = _FixedBaseTable(base.to_jacobian(), *group[1:])
+            entry = self._fb_tables[key] = (None, table)
+        return entry[1]
 
+    @_kernel("fixed_base_mul_jac", lambda base, scalar: _count(
+        "engine.fixed_base.calls", group="g1" if isinstance(base, G1) else "g2"))
     def fixed_base_mul_jac(self, base: "G1 | G2", scalar: int) -> tuple:
         """``scalar * base`` as a Jacobian tuple via a cached window table.
 
@@ -693,24 +686,14 @@ class Engine:
         batch-convert to affine at the end.
         """
         k = int(scalar) % _R
-        if not _tel.metrics_enabled():
-            if k == 0 or getattr(base, "inf", False):
-                return JAC_INF if isinstance(base, G1) else JAC2_INF
-            return self._fb_table(base).mul(k)
-        _tel.counter(
-            "engine.fixed_base.calls", group="g1" if isinstance(base, G1) else "g2"
-        ).inc()
-        with _tel.kernel_timer("fixed_base_mul_jac"):
-            if k == 0 or getattr(base, "inf", False):
-                return JAC_INF if isinstance(base, G1) else JAC2_INF
-            return self._fb_table(base).mul(k)
+        if k == 0 or getattr(base, "inf", False):
+            return JAC_INF if isinstance(base, G1) else JAC2_INF
+        return self._fb_table(base).mul(k)
 
     def fixed_base_mul(self, base: "G1 | G2", scalar: int) -> "G1 | G2":
         """``scalar * base`` for a repeated base point (G1 or G2)."""
         jac = self.fixed_base_mul_jac(base, scalar)
-        if isinstance(base, G1):
-            return G1.from_jacobian(jac)
-        return G2.from_jacobian(jac)
+        return G1.from_jacobian(jac) if isinstance(base, G1) else G2.from_jacobian(jac)
 
     # -------------------------------------------------------------- pairing
 
@@ -726,18 +709,15 @@ class Engine:
         objects.
         """
         key = q_pt.x + q_pt.y if not q_pt.inf else None
-        prep = self._prepared_g2_cache.get(key)
-        if _tel.metrics_enabled():
-            _record_cache("prepared_g2", prep is not None)
-        if prep is None:
-            prep = prepare_g2(q_pt)
-            self._prepared_g2_cache[key] = prep
-            while len(self._prepared_g2_cache) > self.prepared_g2_capacity:
-                self._prepared_g2_cache.popitem(last=False)
+        entry = self._lookup("prepared_g2", self._prepared_g2_cache, key, None)
+        if entry is None:
+            entry = (None, prepare_g2(q_pt))
+            _put_lru(self._prepared_g2_cache, key, entry, self.prepared_g2_capacity)
         else:
             self._prepared_g2_cache.move_to_end(key)
-        return prep
+        return entry[1]
 
+    @_kernel("pairing", lambda p_pt, q_pt: _count("engine.pairing.calls", kind="single"))
     def pairing(self, p_pt: G1, q_pt: "G2 | PreparedG2") -> tuple:
         """The full pairing e(P, Q) as a GT (F_q12) element.
 
@@ -749,17 +729,11 @@ class Engine:
         boolean product checks prefer :meth:`pairing_check`, which
         shares one final exponentiation across all pairs.
         """
-        if not _tel.metrics_enabled():
-            prep = q_pt if isinstance(q_pt, PreparedG2) else self.prepared_g2(q_pt)
-            return self._pairing(p_pt, prep)
-        _tel.counter("engine.pairing.calls", kind="single").inc()
         prep = q_pt if isinstance(q_pt, PreparedG2) else self.prepared_g2(q_pt)
-        with _tel.kernel_timer("pairing"):
-            return self._pairing(p_pt, prep)
-
-    def _pairing(self, p_pt: G1, prep: PreparedG2) -> tuple:
         return _final_exponentiation(_multi_miller_loop([(p_pt, prep)]))
 
+    @_kernel("pairing_check", lambda pairs, target=None: _count(
+        "engine.pairing.calls", "engine.pairing.pairs", len(pairs)))
     def pairing_check(self, pairs: list, target: tuple | None = None) -> bool:
         """Product-of-pairings check: prod e(P_i, Q_i) == target (or 1).
 
@@ -774,18 +748,10 @@ class Engine:
             (p, q if isinstance(q, PreparedG2) else self.prepared_g2(q))
             for p, q in pairs
         ]
-        if not _tel.metrics_enabled():
-            return self._pairing_check(prepared, target)
-        _tel.counter("engine.pairing.calls").inc()
-        _tel.histogram("engine.pairing.pairs").observe(len(pairs))
-        with _tel.kernel_timer("pairing_check"):
-            return self._pairing_check(prepared, target)
+        return _pairing_check_prepared(prepared, FQ12_ONE if target is None else target)
 
-    def _pairing_check(self, pairs: list, target: tuple | None) -> bool:
-        if target is None:
-            return _pairing_check_prepared(pairs)
-        return _pairing_check_prepared(pairs, target)
-
+    @_kernel("fold_pairing_check", lambda tau_side, one_side, g2_tau, g2: _count(
+        "engine.fold.calls", "engine.fold.terms", len(tau_side) + len(one_side)))
     def fold_pairing_check(
         self, tau_side: list[tuple[G1, int]], one_side: list[tuple[G1, int]], g2_tau: G2, g2: G2
     ) -> bool:
@@ -804,16 +770,6 @@ class Engine:
         one path whatever the helpers.  The kernel forks nothing and
         keeps one request in flight.
         """
-        if not _tel.metrics_enabled():
-            return self._fold_pairing_check(tau_side, one_side, g2_tau, g2)
-        _tel.counter("engine.fold.calls").inc()
-        _tel.histogram("engine.fold.terms").observe(len(tau_side) + len(one_side))
-        with _tel.kernel_timer("fold_pairing_check"):
-            return self._fold_pairing_check(tau_side, one_side, g2_tau, g2)
-
-    def _fold_pairing_check(
-        self, tau_side: list[tuple[G1, int]], one_side: list[tuple[G1, int]], g2_tau: G2, g2: G2
-    ) -> bool:
         prep_tau, prep = self.prepared_g2(g2_tau), self.prepared_g2(g2)
         helper = next(iter(self._own_links()), None)
         # No helper, no prefix: a split loop here would pay the shared
@@ -822,36 +778,25 @@ class Engine:
         points = [p.to_jacobian() for p, _ in one_side[:cut]]
         scalars = [int(s) for _, s in one_side[:cut]]
         if helper is not None:
-            try:
-                helper.conn.send(("fold", (g2.x, g2.y, g2.inf), points, scalars))
-            except OSError:
-                helper.conn.close()  # the recv below raises: computed here
+            self._send(helper, ("fold", (g2.x, g2.y, g2.inf), points, scalars))
         try:
             lhs = self.msm_g1([p for p, _ in tau_side], [s for _, s in tau_side])
             rest = one_side[cut:]
             rhs = self.msm_g1([p for p, _ in rest], [s for _, s in rest])
             f = _multi_miller_loop([(lhs, prep_tau), (-rhs, prep)])
         finally:
-            part: tuple | None = None
-            if helper is not None:
-                try:
-                    part = helper.conn.recv()
-                except (EOFError, OSError):
-                    self._drop(helper)
+            part = None if helper is None else self._receive(helper)
         if part is None:
             part = fold_share(prep, points, scalars)
         return fq12_eq(_final_exponentiation(fq12_mul(f, part)), FQ12_ONE)
 
     # ---------------------------------------------------------------- field
 
+    @_kernel("batch_inverse", lambda values: _count(
+        "engine.batch_inverse.calls", "engine.batch_inverse.size", len(values)))
     def batch_inverse(self, values: list[int]) -> list[int]:
         """Invert many scalar-field elements (Montgomery's trick)."""
-        if not _tel.metrics_enabled():
-            return _fr_batch_inverse(values)
-        _tel.counter("engine.batch_inverse.calls").inc()
-        _tel.histogram("engine.batch_inverse.size").observe(len(values))
-        with _tel.kernel_timer("batch_inverse"):
-            return _fr_batch_inverse(values)
+        return _fr_batch_inverse(values)
 
     # ------------------------------------------------------------ lifecycle
 

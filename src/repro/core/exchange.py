@@ -28,6 +28,7 @@ from repro.faults.retry import ExchangeSteps, RetryPolicy
 from repro.field.fr import MODULUS as R, random_scalar
 from repro.gadgets.poseidon import poseidon_hash_gadget
 from repro.plonk.circuit import CircuitBuilder
+from repro.plonk.proof import Proof
 from repro.plonk.prover import prove
 from repro.primitives.hashing import field_hash
 from repro.primitives.mimc import mimc_decrypt_ctr
@@ -65,6 +66,24 @@ def build_key_negotiation_circuit(
     builder.assert_equal(masked, k_c_wire)
 
 
+def key_negotiation_proof(
+    ctx: SnarkContext, key: int, o_k: int, c_k: G1, k_v: int, h_v: int
+) -> tuple[int, Proof]:
+    """Check the buyer's h_v, then prove pi_k for the key ``key`` under
+    ``c_k`` = [k] with blinder ``o_k``, masked with ``k_v``: ``(k_c, pi_k)``.
+
+    Per the seller-fairness proof, S aborts when the locked h_v does not
+    match the k_v she received off-chain.  The seller proves here, and so
+    does the prover pool's worker."""
+    if field_hash(k_v) != h_v:
+        raise ProtocolError("buyer's h_v does not match the received k_v; aborting")
+    k_c = (key + k_v) % R
+    builder = CircuitBuilder()
+    build_key_negotiation_circuit(builder, k_c, c_k, h_v, key, o_k, k_v)
+    layout, assignment = builder.compile()
+    return k_c, prove(ctx.keys_for(layout).pk, assignment)
+
+
 def key_negotiation_keys(ctx: SnarkContext):
     """(Cached) circuit keys for pi_k — shape-independent of the data."""
     builder = CircuitBuilder()
@@ -92,28 +111,12 @@ class Seller:
         return pi_p.data_commitment, pi_p
 
     def key_negotiation_message(self, k_v: int, h_v_on_chain: int):
-        """Phase 2: check the buyer's h_v, then produce (k_c, pi_k).
-
-        Per the seller-fairness proof, S aborts when the locked h_v does
-        not match the k_v she received off-chain.
-        """
-        if field_hash(k_v) != h_v_on_chain:
-            raise ProtocolError("buyer's h_v does not match the received k_v; aborting")
-        k_c = (self.asset.key + k_v) % R
-        builder = CircuitBuilder()
-        build_key_negotiation_circuit(
-            builder,
-            k_c,
-            self.key_commitment,
-            h_v_on_chain,
-            self.asset.key,
-            self.asset.key_blinder,
-            k_v,
+        """Phase 2: check the buyer's h_v, then produce (k_c, pi_k)
+        (:func:`key_negotiation_proof`)."""
+        return key_negotiation_proof(
+            self.ctx, self.asset.key, self.asset.key_blinder, self.key_commitment,
+            k_v, h_v_on_chain,
         )
-        layout, assignment = builder.compile()
-        keys = self.ctx.keys_for(layout)
-        pi_k = prove(keys.pk, assignment)
-        return k_c, pi_k
 
 
 class Buyer:

@@ -328,6 +328,14 @@ class ZKDETMarketplace:
             resolves = stated is None or stored == serialize_ciphertext(stated)
         except Exception:
             resolves = False
+
+        # A root token also records the hash of the pi_e it was minted
+        # with (a derived one its pi_t's, step 3): a valid re-proof of the
+        # same statement is not the published proof.
+        own_parents = self.chain.call_view(self.token, "prev_ids", token_id)
+        if pi_e is not None and not own_parents:
+            hashed = self.chain.call_view(self.token, "proof_hash_of", token_id)
+            resolves = resolves and hashed == _proof_hash(pi_e.proof)
         checks.append(("ciphertext resolves and matches its URI", resolves))
 
         # 2. pi_e: the ciphertext encrypts the committed dataset.
@@ -353,7 +361,10 @@ class ZKDETMarketplace:
             if tid in seen:
                 continue
             seen.add(tid)
-            parents = self.chain.call_view(self.token, "prev_ids", tid)
+            if tid == token_id:
+                parents = own_parents
+            else:
+                parents = self.chain.call_view(self.token, "prev_ids", tid)
             if not parents:
                 continue
             record = self._pi_t_registry.get(tid)
@@ -362,6 +373,15 @@ class ZKDETMarketplace:
                 continue
             transformation, pi_t, source_ids = record
             link_ok = verify_transformation(self.snark, transformation, pi_t)
+            # The record is the one the chain minted: its sources in order,
+            # its kind and the hash of its proof.
+            link_ok = (
+                link_ok
+                and source_ids == parents
+                and transformation.name == self.chain.call_view(self.token, "kind_of", tid)
+                and _proof_hash(pi_t.proof)
+                == self.chain.call_view(self.token, "proof_hash_of", tid)
+            )
             # The points the proof links must be the ones the chain records.
             # Digests carry each dataset's entry count: a point re-declared
             # with padding zeros as entries does not match.

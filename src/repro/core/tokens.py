@@ -69,6 +69,8 @@ class DataAsset:
     uri: str | None = None
     #: ``(srs, [d])`` for the last SRS the data was committed under.
     _committed: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``(srs, [k])`` for the last SRS the key was committed under.
+    _key_committed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(plaintext: list[int], key: int | None = None, nonce: int | None = None) -> "DataAsset":
@@ -98,8 +100,10 @@ class DataAsset:
 
     def key_commitment(self, srs: SRS) -> G1:
         """[k] under ``srs``: the point pi_e, pi_p and pi_k link the key to
-        (:func:`repro.kzg.commit.commit_scalar`)."""
-        return commit_scalar(srs, self.key, self.key_blinder)
+        (:func:`repro.kzg.commit.commit_scalar`), computed once per SRS."""
+        if self._key_committed is None or self._key_committed[0] is not srs:
+            self._key_committed = (srs, commit_scalar(srs, self.key, self.key_blinder))
+        return self._key_committed[1]
 
     def data_commitment(self, srs: SRS) -> G1:
         """[d] under ``srs``: the point pi_e, pi_p and pi_t link the data to

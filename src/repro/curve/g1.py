@@ -158,6 +158,9 @@ class G1:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("G1 is immutable")
 
+    def __reduce__(self):
+        return (G1, (self.x, self.y, self.inf))
+
     @staticmethod
     def generator() -> "G1":
         return G1(GEN_X, GEN_Y)

@@ -34,32 +34,20 @@ from typing import Any
 from repro import telemetry
 from repro.backend import get_engine
 from repro.backend.engine import serve
-from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
+from repro.core.exchange import key_negotiation_keys, key_negotiation_proof
 from repro.core.snark import SnarkContext
 from repro.core.tokens import DataAsset
-from repro.errors import BackendError, ProtocolError, ServiceError
-from repro.field.fr import MODULUS as R
-from repro.kzg.commit import commit_scalar
-from repro.plonk.circuit import CircuitBuilder
+from repro.errors import BackendError, ServiceError
 from repro.plonk.keys import DEGREE_MARGIN
-from repro.plonk.prover import prove
-from repro.primitives.hashing import field_hash
 from repro.telemetry.metrics import LATENCY_BUCKETS
 
 
 def _prove_pik_job(args: tuple) -> tuple:
-    """Worker: one pi_k proof under the worker's own pool's context, warm
-    from the fork -> ``(k_c, proof_bytes)``."""
-    ctx, key, key_blinder, k_v, h_v = args
-    if field_hash(k_v) != h_v:
-        raise ProtocolError("buyer's h_v does not match the received k_v; aborting")
-    k_c = (key + k_v) % R
-    key_commitment = commit_scalar(ctx.srs, key, key_blinder)
-    builder = CircuitBuilder()
-    build_key_negotiation_circuit(builder, k_c, key_commitment, h_v, key, key_blinder, k_v)
-    layout, assignment = builder.compile()
-    keys = ctx.keys_for(layout)
-    pi_k = prove(keys.pk, assignment)
+    """Worker: one pi_k proof (:func:`~repro.core.exchange.key_negotiation_proof`)
+    under the worker's own pool's context, warm from the fork, for
+    ``(ctx, key, key blinder, [k], k_v, h_v)`` -> ``(k_c, proof_bytes)``."""
+    ctx, *message = args
+    k_c, pi_k = key_negotiation_proof(ctx, *message)
     return k_c, pi_k.to_bytes()
 
 
@@ -163,11 +151,12 @@ class ProverPool:
             raise ServiceError("prover pool is closed")
         started, loop = time.perf_counter(), asyncio.get_running_loop()
         worker = self._worker
+        message = (asset.key, asset.key_blinder, asset.key_commitment(self._ctx.srs), k_v, h_v)
         await self._turn.acquire()
         try:
             if not worker.proc.is_alive():  # died idle: no request is lost
                 self._fork(worker)
-            worker.conn.send((asset.key, asset.key_blinder, k_v, h_v))
+            worker.conn.send(message)
             worker.sent += 1
             while worker.read < worker.sent:  # past the replies of cancelled callers
                 reply: asyncio.Future = loop.create_future()

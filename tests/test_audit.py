@@ -4,11 +4,18 @@ import dataclasses
 
 import pytest
 
-from repro.core.marketplace import ZKDETMarketplace
+from repro.core.marketplace import ZKDETMarketplace, _proof_hash
 from repro.core.tokens import DataAsset
-from repro.core.transform_protocol import prove_encryption, verify_encryption
+from repro.core.transform_protocol import (
+    build_transformation_circuit,
+    prove_encryption,
+    verify_encryption,
+    verify_transformation,
+)
 from repro.core.transformations import Aggregation, Duplication, Partition
 from repro.curve.g1 import G1
+from repro.plonk.circuit import CircuitBuilder
+from repro.plonk.prover import prove
 
 pytestmark = pytest.mark.slow
 
@@ -157,3 +164,98 @@ class TestLinkedLineageAudit:
         assert report.failed_checks() == [
             "pi_t (duplication) verifies for token %d" % copy.token_id
         ]
+
+
+@pytest.fixture(scope="module")
+def two_sources(snark_ctx):
+    """Alice owns two unrelated datasets X and Y, and a duplicate of Y."""
+    market = ZKDETMarketplace(snark_ctx)
+    alice = market.register_participant()
+    x = market.publish_dataset(alice, [11, 12])
+    y = market.publish_dataset(alice, [21, 22])
+    (copy,), _pi_t = market.transform(alice, [y], Duplication())
+    return market, alice, x, y, copy
+
+
+def _mint_as_the_copy(market, alice, method, sources, copy):
+    """Mint a token through ``method`` over ``sources`` that carries the
+    copy's URI, digest and pi_t hash, and publish the copy's pi_e and pi_t
+    record for it: every check but the chain bindings holds."""
+    record = market._pi_t_registry[copy.token_id]
+    receipt = market.chain.transact(
+        alice, market.token, method, *sources,
+        copy.asset.uri, copy.encryption_proof.data_digest, _proof_hash(record[1].proof),
+    )
+    assert receipt.status, receipt.error
+    token = receipt.return_value
+    market._pi_e_registry[token] = copy.encryption_proof
+    market._pi_t_registry[token] = record
+    return token
+
+
+class TestChainBindings:
+    """The audit reads each registry record against what the chain minted:
+    its sources and their order, its transformation kind and its proof's
+    hash (a root's pi_e, a derived token's pi_t)."""
+
+    def test_a_record_of_other_sources_fails_the_audit(self, two_sources):
+        """A token minted as a duplicate of X, whose published record is
+        Y's duplication: the proof verifies and links every digest it
+        names, but the chain says the token came from X."""
+        market, alice, x, y, copy = two_sources
+        token = _mint_as_the_copy(market, alice, "duplicate", (x.token_id,), copy)
+        assert market._pi_t_registry[token][2] == (y.token_id,)
+        report = market.audit(token)
+        assert report.failed_checks() == ["pi_t (duplication) verifies for token %d" % token]
+        assert market.audit(copy.token_id).ok
+
+    def test_a_record_of_another_kind_fails_the_audit(self, two_sources):
+        """A token minted through ``process`` over Y whose record names a
+        duplication: sources and digests match, the kind does not."""
+        market, alice, _x, y, copy = two_sources
+        token = _mint_as_the_copy(market, alice, "process", ((y.token_id,),), copy)
+        assert market.chain.call_view(market.token, "kind_of", token) == "processing"
+        report = market.audit(token)
+        assert report.failed_checks() == ["pi_t (duplication) verifies for token %d" % token]
+
+    def test_a_reproved_root_pi_e_fails_the_audit(self, two_sources, snark_ctx):
+        """A fresh, valid pi_e of the same asset: the same statement in
+        other bytes than the proof whose hash the root token records."""
+        market, _alice, x, _y, _copy = two_sources
+        reproved = prove_encryption(snark_ctx, x.asset)
+        assert reproved.proof.to_bytes() != x.encryption_proof.proof.to_bytes()
+        assert verify_encryption(snark_ctx, x.asset.public_view(snark_ctx.srs), reproved)
+        market._pi_e_registry[x.token_id] = reproved
+        try:
+            report = market.audit(x.token_id)
+        finally:
+            market._pi_e_registry[x.token_id] = x.encryption_proof
+        assert report.failed_checks() == ["ciphertext resolves and matches its URI"]
+        assert len(report.checks) == 4
+        assert market.audit(x.token_id).ok
+
+    def test_a_reproved_pi_t_fails_the_audit(self, two_sources, snark_ctx):
+        """The owner, who knows the copy's blinder, proves the same
+        duplication again: a valid pi_t of the same statement whose hash
+        is not the one the chain records."""
+        market, _alice, _x, y, copy = two_sources
+        transformation, pi_t, sources = market._pi_t_registry[copy.token_id]
+        srs = snark_ctx.srs
+        builder = CircuitBuilder()
+        source, derived = (
+            [(a.plaintext, a.data_commitment(srs), a.data_blinder)] for a in (y.asset, copy.asset)
+        )
+        build_transformation_circuit(builder, transformation, source, derived)
+        layout, assignment = builder.compile()
+        reproved = dataclasses.replace(pi_t, proof=prove(snark_ctx.keys_for(layout).pk, assignment))
+        assert reproved.proof.to_bytes() != pi_t.proof.to_bytes()
+        assert verify_transformation(snark_ctx, transformation, reproved)
+        market._pi_t_registry[copy.token_id] = (transformation, reproved, sources)
+        try:
+            report = market.audit(copy.token_id)
+        finally:
+            market._pi_t_registry[copy.token_id] = (transformation, pi_t, sources)
+        assert report.failed_checks() == [
+            "pi_t (duplication) verifies for token %d" % copy.token_id
+        ]
+        assert market.audit(copy.token_id).ok

@@ -728,8 +728,9 @@ def serial_engine():
     return Engine()
 
 
-def _prove_args(asset, k_v):
-    return (asset.key, asset.key_blinder, k_v, field_hash(k_v))
+def _prove_args(snark_ctx, asset, k_v):
+    c_k = asset.key_commitment(snark_ctx.srs)
+    return (snark_ctx, asset.key, asset.key_blinder, c_k, k_v, field_hash(k_v))
 
 
 def _pik_witness(snark_ctx, asset, k_v):
@@ -846,7 +847,7 @@ class TestProverPool:
         with ProverPool(snark_ctx):
             with telemetry.use_level("metrics"):
                 telemetry.reset_metrics()
-                result = pool_module._prove_pik_job((snark_ctx, *_prove_args(asset, 4242)))
+                result = pool_module._prove_pik_job(_prove_args(snark_ctx, asset, 4242))
                 counters = telemetry.registry().counter_values()
                 telemetry.reset_metrics()
         assert _pik_verifies(snark_ctx, asset, 4242, result)

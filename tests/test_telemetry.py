@@ -19,14 +19,18 @@ from repro import telemetry
 from repro.backend import Engine, use_engine
 from repro.backend.engine import FOLD_SHARE_PERCENT, MIN_MSM_POINTS
 from repro.chain import Blockchain, Contract, external
+from repro.core.exchange import build_key_negotiation_circuit
+from repro.core.tokens import DataAsset
 from repro.curve.g1 import G1
 from repro.curve.g2 import G2
-from repro.curve.msm import FIXED_WINDOW_MIN
+from repro.curve.msm import FIXED_WINDOW_MAX, FIXED_WINDOW_MIN
+from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.keys import DEGREE_MARGIN
 from repro.plonk.prover import prove
 from repro.plonk.batch import batch_verify
 from repro.plonk.verifier import verify
+from repro.primitives.hashing import field_hash
 from repro.telemetry.metrics import (
     Histogram,
     Registry,
@@ -35,6 +39,37 @@ from repro.telemetry.metrics import (
     quantile_from_buckets,
 )
 from tests.test_backend import wide_circuit
+
+
+#: ``test_every_engine_count_is_exact``'s workload, counted.
+EXACT_COUNTS = {
+    "engine.batch_inverse.calls": 1,
+    "engine.batch_inverse.size": 1,
+    "engine.cache.bypasses{cache=msm_window}": 1,
+    "engine.cache.hits{cache=coset_eval}": 10,
+    "engine.cache.hits{cache=coset_points}": 1,
+    "engine.cache.hits{cache=msm_window}": 9,
+    "engine.cache.hits{cache=prepared_g2}": 2,
+    "engine.cache.hits{cache=srs_jacobian}": 10,
+    "engine.cache.misses{cache=prepared_g2}": 2,
+    "engine.fold.calls": 2,
+    "engine.fold.terms": 2,
+    "engine.kernel.seconds{kernel=batch_inverse}": 1,
+    "engine.kernel.seconds{kernel=coset_intt}": 1,
+    "engine.kernel.seconds{kernel=fold_pairing_check}": 2,
+    "engine.kernel.seconds{kernel=intt}": 4,
+    "engine.kernel.seconds{kernel=msm_jac}": 4,
+    "engine.kernel.seconds{kernel=msm_srs}": 10,
+    "engine.kernel.seconds{kernel=ntt_batch}": 2,
+    "engine.msm.calls{group=g1}": 14,
+    "engine.msm.points{group=g1}": 14,
+    "engine.ntt.calls{kind=coset_fft}": 7,
+    "engine.ntt.calls{kind=coset_ifft}": 1,
+    "engine.ntt.calls{kind=ifft}": 7,
+    "engine.ntt.size{kind=coset_fft}": 7,
+    "engine.ntt.size{kind=coset_ifft}": 1,
+    "engine.ntt.size{kind=ifft}": 7,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -496,6 +531,41 @@ class TestKernelAccounting:
             if not (counted and timed):
                 unaccounted.append((name, counted, timed))
         assert not unaccounted
+
+    def test_every_engine_count_is_exact(self, snark_ctx):
+        """Every ``engine.*`` counter and histogram count of one warm pi_k
+        proof, its verify, a batch of four and one SRS MSM past the window
+        tables (the generic fallback), on a helper-less engine.  A kernel
+        that reaches another counted kernel, or a count that moves, fails
+        here; only the process-global ntt_plan cache rows are left out."""
+        asset = DataAsset.create([3, 1, 4], key=0xD1CE, nonce=0x5EED)
+        k_v = 0xBEEF
+        c_k = asset.key_commitment(snark_ctx.srs)
+        builder = CircuitBuilder()
+        build_key_negotiation_circuit(
+            builder, (asset.key + k_v) % R, c_k, field_hash(k_v),
+            asset.key, asset.key_blinder, k_v,
+        )
+        layout, assignment = builder.compile()
+        keys = snark_ctx.keys_for(layout)
+        engine = Engine()
+        with use_engine(engine):
+            prove(keys.pk, assignment)  # warm this engine's caches
+            telemetry.set_level(telemetry.METRICS)
+            telemetry.reset_metrics()
+            member = (keys.vk, assignment.public_inputs, prove(keys.pk, assignment), c_k)
+            assert verify(*member)
+            assert batch_verify([member] * 4)
+            engine.msm_srs(snark_ctx.srs, [7] * (FIXED_WINDOW_MAX + 1))
+        snapshot = telemetry.snapshot()
+        counts = dict(snapshot["counters"])
+        counts.update((key, hist["count"]) for key, hist in snapshot["histograms"].items())
+        counts = {
+            key: value
+            for key, value in counts.items()
+            if key.startswith("engine.") and "ntt_plan" not in key
+        }
+        assert counts == EXACT_COUNTS
 
     def test_protocol_modules_hold_no_kernel_internals(self):
         """``kzg``, ``plonk`` and ``groth16`` reach NTT, MSM and pairing
