@@ -24,7 +24,7 @@ from repro import faults
 from repro.errors import ChainError, ContractError, OutOfGasError, TxDroppedError, TxRevertedError
 from repro.chain.contract import Contract, ExecutionContext
 from repro.chain.events import Event, EventIndex
-from repro.chain.gas import DEFAULT_SCHEDULE, GasSchedule
+from repro.chain.gas import DEFAULT_SCHEDULE
 from repro.chain.mempool import Mempool, PendingTx
 
 
@@ -125,8 +125,8 @@ class MiningRound:
 class Blockchain:
     """A single-node simulated chain with deterministic gas metering."""
 
-    def __init__(self, schedule: GasSchedule = DEFAULT_SCHEDULE, mempool_capacity: int = 4096):
-        self.schedule = schedule
+    def __init__(self, mempool_capacity: int = 4096):
+        self.schedule = DEFAULT_SCHEDULE
         self.mempool = Mempool(mempool_capacity)
         self._balances: dict[str, int] = {}
         #: Inside a transaction: each address whose balance it moved, with

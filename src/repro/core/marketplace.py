@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.errors import ProtocolError
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import DEFAULT_POLICY
 from repro.chain import Blockchain
 from repro.contracts import (
     ClockAuctionContract,
@@ -49,6 +49,10 @@ from repro.core.transformations import Transformation
 from repro.primitives.mimc import CtrCiphertext
 
 
+#: Funds of the operator and of each registered participant.
+INITIAL_FUNDS = 10**12
+
+
 def _proof_hash(proof) -> str:
     return hashlib.sha256(proof.to_bytes()).hexdigest()
 
@@ -77,23 +81,11 @@ class AuditReport:
 class ZKDETMarketplace:
     """Full-system facade; see examples/quickstart.py for a tour."""
 
-    def __init__(
-        self,
-        snark: SnarkContext,
-        initial_funds: int = 10**12,
-        retry: RetryPolicy | None = None,
-    ):
+    def __init__(self, snark: SnarkContext):
         self.snark = snark
         self.chain = Blockchain()
         self.storage = ContentStore()
-        self.initial_funds = initial_funds
-        #: Policy for the marketplace's own substrate round-trips: storage
-        #: uploads during publish/transform, URI resolution during
-        #: fetch/audit, and the facade's own transactions (mint, derived
-        #: mints, token transfer).
-        self.retry = retry if retry is not None else RetryPolicy()
-
-        operator = self.chain.create_account(funded=initial_funds)
+        operator = self.chain.create_account(funded=INITIAL_FUNDS)
         self.operator = operator
         self.token = DataTokenContract()
         self.chain.deploy(self.token, operator)
@@ -117,7 +109,7 @@ class ZKDETMarketplace:
 
     def register_participant(self) -> str:
         """Create and fund an account."""
-        return self.chain.create_account(funded=self.initial_funds)
+        return self.chain.create_account(funded=INITIAL_FUNDS)
 
     def _tx(self, sender: str, method: str, *args, site: str):
         """A facade transaction against the token contract, under retry.
@@ -126,7 +118,7 @@ class ZKDETMarketplace:
         so resubmission is idempotent; genuine contract failures surface
         as failed receipts and are never retried.
         """
-        return self.retry.run(
+        return DEFAULT_POLICY.run(
             lambda: self.chain.transact(sender, self.token, method, *args),
             site=site,
         )
@@ -143,7 +135,7 @@ class ZKDETMarketplace:
         """
         with telemetry.span("marketplace.publish", entries=len(plaintext)) as root:
             asset = DataAsset.create(plaintext)
-            self.retry.run(
+            DEFAULT_POLICY.run(
                 lambda: asset.publish(self.storage, owner=owner), site="storage.put"
             )
             with telemetry.span("publish.prove", proof="pi_e"):
@@ -199,7 +191,7 @@ class ZKDETMarketplace:
         pending = []
         with telemetry.span("transform.publish_derived", count=len(derived_assets)):
             for d in derived_assets:
-                self.retry.run(
+                DEFAULT_POLICY.run(
                     lambda d=d: d.publish(self.storage, owner=owner), site="storage.put"
                 )
                 pi_e = prove_encryption(self.snark, d)
@@ -294,7 +286,7 @@ class ZKDETMarketplace:
         uri = self.chain.call_view(self.token, "token_uri", token_id)
         if uri is None:
             raise ProtocolError("token %d does not exist" % token_id)
-        return self.retry.run(lambda: self.storage.get(uri), site="storage.get")
+        return DEFAULT_POLICY.run(lambda: self.storage.get(uri), site="storage.get")
 
     def audit(self, token_id: int) -> AuditReport:
         """Full public audit of a token: storage integrity, pi_e, and the

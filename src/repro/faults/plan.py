@@ -99,22 +99,23 @@ class FaultPlan:
         return FaultPlan(seed=seed, rules=rules, name=name)
 
     @staticmethod
-    def from_env(spec: str) -> "FaultPlan":
-        """Parse a ``REPRO_FAULTS`` value.
+    def parse_env(spec: str) -> tuple[str, int]:
+        """Split a ``REPRO_FAULTS`` value into ``(profile, seed)``.
 
-        Accepted forms: ``"<seed>"`` (the ``all`` profile) and
-        ``"<profile>:<seed>"``, e.g. ``REPRO_FAULTS=storage:42``.
+        Accepted forms: ``"<seed>"`` and ``":<seed>"`` (the ``all``
+        profile) and ``"<profile>:<seed>"``, e.g. ``REPRO_FAULTS=storage:42``.
         """
-        text = spec.strip()
-        if ":" in text:
-            profile_name, _, seed_text = text.partition(":")
-        else:
-            profile_name, seed_text = "all", text
+        profile_name, _, seed_text = spec.strip().rpartition(":")
         try:
             seed = int(seed_text, 0)
         except ValueError:
             raise ReproError("REPRO_FAULTS seed %r is not an integer" % seed_text) from None
-        return FaultPlan.profile(profile_name.strip() or "all", seed)
+        return profile_name.strip() or "all", seed
+
+    @staticmethod
+    def from_env(spec: str) -> "FaultPlan":
+        """The plan a ``REPRO_FAULTS`` value names (see :meth:`parse_env`)."""
+        return FaultPlan.profile(*FaultPlan.parse_env(spec))
 
 
 def _pct(p: int) -> int:

@@ -13,23 +13,17 @@ import argparse
 import os
 import sys
 
-from repro.errors import ReproError
+from repro.faults import FaultPlan
 from repro.loadsim.sim import LoadSimulator, SimConfig
 
 
 def _parse_faults(text: str) -> tuple[str, int]:
-    """``profile``, ``profile:seed`` or ``env`` -> (profile, seed)."""
+    """``profile``, ``profile:seed`` or ``env`` (read ``REPRO_FAULTS``)
+    -> (profile, seed); seed 0 derives the fault seed from ``--seed``."""
     if text == "env":
         raw = os.environ.get("REPRO_FAULTS", "").strip()
-        if not raw:
-            return "off", 0
-        text = raw if ":" in raw else ("all:" + raw)
-    profile, _, seed_text = text.partition(":")
-    try:
-        seed = int(seed_text, 0) if seed_text else 0
-    except ValueError:
-        raise ReproError("fault seed %r is not an integer" % seed_text) from None
-    return profile.strip() or "off", seed
+        return FaultPlan.parse_env(raw) if raw else ("off", 0)
+    return FaultPlan.parse_env(text) if ":" in text else (text, 0)
 
 
 def main(argv: list[str] | None = None) -> int:

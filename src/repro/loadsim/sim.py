@@ -14,8 +14,9 @@ two runs with the same :class:`SimConfig` produce byte-identical chains
 (tx/s, query latency percentiles) but never consulted.
 
 Trades are a client-side state machine (lock -> open -> transfer, with
-refund as the abort path) advanced only by mined receipts, with bounded
-fee-escalating retries against injected drops/reverts.  After the last
+refund as the abort path) advanced only by mined receipts; a dropped,
+reverted or evicted transaction is re-offered as it was, one fee step
+up, within a bounded client budget.  After the last
 operation the run *drains*: faults are uninstalled and mining continues
 until the mempool is empty and every trade is terminal, so bounded
 client retries plus a clean drain guarantee termination under any
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro import faults
 from repro.chain import Blockchain, MiningRound, PendingTx
@@ -55,6 +56,8 @@ FEE_MAX = 16
 MAX_CLIENT_RETRIES = 4
 MAX_DRAIN_ROUNDS = 10_000
 PREIMAGE_POOL = 64  #: distinct hash-lock preimages (Poseidon is slow)
+#: Report values the artifact rounds, with their decimal places.
+_ROUNDED = {"duration_s": 6, "tx_per_sec": 3, "abort_rate": 6, "audit_p50_us": 3, "audit_p99_us": 3}
 
 
 @dataclass(frozen=True)
@@ -122,63 +125,39 @@ class SimReport:
         return (self.refunds + self.aborts) / started if started else 0.0
 
     def to_dict(self) -> dict:
-        cfg = self.config
-        return {
+        cfg, mix = self.config, self.config.resolved_mix()
+        payload = {
             "schema": "repro.loadsim.report/2",
             "users": cfg.users,
             "ops": cfg.ops,
-            "mix": cfg.resolved_mix().spec(),
-            "mix_name": cfg.resolved_mix().name,
+            "mix": mix.spec(),
+            "mix_name": mix.name,
             "seed": cfg.seed,
             "fault_profile": cfg.fault_profile,
             "fault_seed": cfg.resolved_fault_seed(),
-            "digest": self.digest,
-            "duration_s": round(self.duration_s, 6),
-            "tx_per_sec": round(self.tx_per_sec, 3),
-            "mined": self.mined,
-            "reverted": self.reverted,
-            "dropped": self.dropped,
-            "shed": self.shed,
-            "mints": self.mints,
-            "trades_started": self.trades_started,
-            "trades_completed": self.trades_completed,
-            "refunds": self.refunds,
-            "aborts": self.aborts,
-            "abort_rate": round(self.abort_rate, 6),
-            "audits": self.audits,
-            "audit_p50_us": round(self.audit_p50_us, 3),
-            "audit_p99_us": round(self.audit_p99_us, 3),
-            "audit_misses": self.audit_misses,
-            "churn_events": self.churn_events,
-            "repaired": self.repaired,
-            "mempool_evicted": self.mempool_evicted,
-            "mempool_rejected": self.mempool_rejected,
-            "faults_injected": self.faults_injected,
-            "users_materialized": self.users_materialized,
-            "blocks": self.blocks,
-            "rounds": self.rounds,
-            "violations": list(self.violations),
         }
+        payload.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "config")
+        payload.update(
+            tx_per_sec=self.tx_per_sec,
+            abort_rate=self.abort_rate,
+            violations=list(self.violations),
+        )
+        for name, places in _ROUNDED.items():
+            payload[name] = round(payload[name], places)
+        return payload
 
 
 class _Trade:
-    """Client-side exchange state machine (one buyer/seller/token)."""
+    """One buyer/seller/token exchange; the transaction in flight is its state."""
 
-    __slots__ = (
-        "token_id", "seller", "buyer", "price", "preimage", "lock_hash",
-        "deal_id", "state", "retries",
-    )
+    __slots__ = ("token_id", "seller", "buyer", "preimage", "deal_id")
 
-    def __init__(self, token_id, seller, buyer, price, preimage, lock_hash):
+    def __init__(self, token_id, seller, buyer, preimage):
         self.token_id = token_id
         self.seller = seller
         self.buyer = buyer
-        self.price = price
         self.preimage = preimage
-        self.lock_hash = lock_hash
         self.deal_id = None
-        self.state = "lock"  # lock -> open -> transfer -> done | refund -> refunded
-        self.retries = 0
 
 
 class LoadSimulator:
@@ -214,7 +193,8 @@ class LoadSimulator:
             for i in range(PREIMAGE_POOL)
         ]
         self._lock_hashes = [field_hash(p) for p in self._preimages]
-        #: tx.seq -> (intent kind, payload) for every in-flight submission.
+        #: tx.seq -> (trade or None for a mint, retries so far) for every
+        #: in-flight submission; the transaction itself says what it does.
         self._inflight: dict[int, tuple] = {}
         #: Sim-side token registry: token_id -> (owner, uri); owner kept
         #: current from mined Transfer receipts (the *client's* view).
@@ -242,7 +222,7 @@ class LoadSimulator:
 
     # ----- submission with backpressure ---------------------------------------
 
-    def _submit(self, intent: tuple, sender, contract, method, *args, value=0, fee=1) -> bool:
+    def _submit(self, trade, sender, contract, method, *args, value=0, fee=1, retries=0) -> bool:
         """Submit one transaction, mining for space when the pool is full.
 
         Admission can fail (pool full of higher-fee residents); each
@@ -258,7 +238,7 @@ class LoadSimulator:
             except MempoolFullError:
                 self._mine_round()
                 continue
-            self._inflight[tx.seq] = intent
+            self._inflight[tx.seq] = (trade, retries)
             return True
         return False
 
@@ -274,8 +254,7 @@ class LoadSimulator:
             return
         commitment = self._draw("commitment", op_seq, 1 << 62)
         if not self._submit(
-            ("mint", (seller, uri, 0)), seller, self.token, "mint", uri, commitment,
-            fee=self._fee("mint", op_seq),
+            None, seller, self.token, "mint", uri, commitment, fee=self._fee("mint", op_seq)
         ):
             self.report.shed += 1
 
@@ -300,19 +279,13 @@ class LoadSimulator:
         if buyer == owner:
             buyer = self.population.account((buyer_index + 1) % self.config.users)
         pool_index = self._draw("trade.preimage", op_seq, PREIMAGE_POOL)
-        trade = _Trade(
-            token_id,
-            owner,
-            buyer,
-            1 + self._draw("trade.price", op_seq, PRICE_MAX),
-            self._preimages[pool_index],
-            self._lock_hashes[pool_index],
-        )
+        trade = _Trade(token_id, owner, buyer, self._preimages[pool_index])
         self.report.trades_started += 1
         self._busy.add(token_id)
         if not self._submit(
-            ("lock", trade), buyer, self.arbiter, "lock", trade.seller, trade.lock_hash,
-            value=trade.price, fee=self._fee("lock", op_seq),
+            trade, buyer, self.arbiter, "lock", owner, self._lock_hashes[pool_index],
+            value=1 + self._draw("trade.price", op_seq, PRICE_MAX),
+            fee=self._fee("lock", op_seq),
         ):
             self.report.shed += 1
             self.report.aborts += 1
@@ -376,95 +349,56 @@ class LoadSimulator:
         if not receipt.status:
             self._retry(tx, intent)
             return
-        kind = intent[0]
-        if kind == "mint":
-            seller, uri, _r = intent[1]
-            token_id = receipt.return_value
-            self._tokens[token_id] = (seller, uri)
-            self._token_ids.append(token_id)
+        trade = intent[0]
+        if tx.method == "mint":
+            self._tokens[receipt.return_value] = (tx.sender, tx.args[0])
+            self._token_ids.append(receipt.return_value)
             self.report.mints += 1
-            return
-        trade = intent[1]
-        trade.retries = 0
-        if kind == "lock":
+        elif tx.method == "lock":
             trade.deal_id = receipt.return_value
-            trade.state = "open"
             self._submit(
-                ("open", trade), trade.seller, self.arbiter, "open",
-                trade.deal_id, trade.preimage, fee=self._fee("open", trade.deal_id),
+                trade, trade.seller, self.arbiter, "open", trade.deal_id, trade.preimage,
+                fee=self._fee("open", trade.deal_id),
             )
-        elif kind == "open":
-            trade.state = "transfer"
+        elif tx.method == "open":
             self._submit(
-                ("transfer", trade), trade.seller, self.token, "transfer_from",
+                trade, trade.seller, self.token, "transfer_from",
                 trade.seller, trade.buyer, trade.token_id,
                 fee=self._fee("transfer", trade.deal_id),
             )
-        elif kind == "transfer":
-            trade.state = "done"
-            _owner, uri = self._tokens[trade.token_id]
-            self._tokens[trade.token_id] = (trade.buyer, uri)
+        else:
             self._busy.discard(trade.token_id)
-            self.report.trades_completed += 1
-        elif kind == "refund":
-            trade.state = "refunded"
-            self._busy.discard(trade.token_id)
-            self.report.refunds += 1
+            if tx.method == "transfer_from":
+                _owner, uri = self._tokens[trade.token_id]
+                self._tokens[trade.token_id] = (trade.buyer, uri)
+                self.report.trades_completed += 1
+            else:
+                self.report.refunds += 1
 
     def _retry(self, tx: PendingTx, intent: tuple) -> None:
-        """Re-offer a dropped/reverted submission with a fee bump, or
-        fall to the abort path once the retry budget is spent."""
-        kind = intent[0]
-        if kind == "mint":
-            seller, uri, retries = intent[1]
-            if retries < MAX_CLIENT_RETRIES or self._draining:
-                self._submit(
-                    ("mint", (seller, uri, retries + 1)), seller, self.token, "mint",
-                    uri, self._draw("commitment.retry", tx.seq, 1 << 62),
-                    fee=tx.fee + 1,
-                )
-            else:
-                self.report.shed += 1
-            return
-        trade = intent[1]
-        trade.retries += 1
-        within_budget = trade.retries <= MAX_CLIENT_RETRIES or self._draining
-        if kind == "lock":
-            if within_budget:
-                self._submit(
-                    ("lock", trade), trade.buyer, self.arbiter, "lock",
-                    trade.seller, trade.lock_hash, value=trade.price, fee=tx.fee + 1,
-                )
-            else:
-                trade.state = "aborted"  # nothing escrowed yet; clean abort
+        """Re-offer a dropped, reverted or evicted transaction as it was,
+        one fee step up.  Past the client budget (unbounded while
+        draining) a lock aborts, an open becomes the buyer's refund and a
+        mint is shed; a transfer or refund settles escrow, so it is
+        re-offered until it lands (the drain runs fault-free)."""
+        trade, retries = intent
+        if retries >= MAX_CLIENT_RETRIES and not self._draining:
+            if tx.method == "lock":  # nothing escrowed yet; clean abort
                 self._busy.discard(trade.token_id)
                 self.report.aborts += 1
-        elif kind == "open":
-            if within_budget:
-                self._submit(
-                    ("open", trade), trade.seller, self.arbiter, "open",
-                    trade.deal_id, trade.preimage, fee=tx.fee + 1,
-                )
-            else:
-                # Seller could not deliver: the buyer reclaims escrow.
-                trade.state = "refund"
-                trade.retries = 0
-                self._submit(
-                    ("refund", trade), trade.buyer, self.arbiter, "refund",
-                    trade.deal_id, fee=tx.fee + 1,
-                )
-        elif kind in ("transfer", "refund"):
-            # Both are unconditionally retried: escrow is already
-            # resolved (transfer) or must be (refund) — the drain phase
-            # runs fault-free, so these always land eventually.
-            self._submit(
-                (kind, trade), trade.seller if kind == "transfer" else trade.buyer,
-                self.arbiter if kind == "refund" else self.token,
-                "refund" if kind == "refund" else "transfer_from",
-                *((trade.deal_id,) if kind == "refund"
-                  else (trade.seller, trade.buyer, trade.token_id)),
-                fee=tx.fee + 1,
-            )
+                return
+            if tx.method == "open":  # the seller could not deliver
+                self._submit(trade, trade.buyer, self.arbiter, "refund", trade.deal_id,
+                             fee=tx.fee + 1)
+                return
+            if tx.method == "mint":
+                self.report.shed += 1
+                return
+        args = tx.args
+        if tx.method == "mint":  # a fresh commitment for the re-offered mint
+            args = (args[0], self._draw("commitment.retry", tx.seq, 1 << 62))
+        self._submit(trade, tx.sender, tx.contract, tx.method, *args,
+                     value=tx.value, fee=tx.fee + 1, retries=retries + 1)
 
     # ----- churn and fault epochs ----------------------------------------------
 

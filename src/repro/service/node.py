@@ -54,6 +54,9 @@ from repro.service.queue import FairQueue
 from repro.service.settlement import SettlementBatcher
 from repro.telemetry.metrics import LATENCY_BUCKETS
 
+#: Funds of the operator and of each registered account.
+INITIAL_FUNDS = 10**12
+
 
 @dataclass(frozen=True)
 class NodeConfig:
@@ -151,13 +154,12 @@ class MarketplaceNode:
         ctx: SnarkContext,
         config: Optional[NodeConfig] = None,
         retry: Optional[RetryPolicy] = None,
-        initial_funds: int = 10**12,
     ) -> None:
         self.ctx = ctx
         self.config = config or NodeConfig()
         self.retry = retry if retry is not None else RetryPolicy()
         self.chain = Blockchain()
-        self.operator = self.chain.create_account(funded=initial_funds)
+        self.operator = self.chain.create_account(funded=INITIAL_FUNDS)
         pik_keys = key_negotiation_keys(ctx)
         self.verifier = PlonkVerifierContract(pik_keys.vk)
         self.chain.deploy(self.verifier, self.operator)
@@ -181,13 +183,12 @@ class MarketplaceNode:
         self._next_session = 1
         self._workers: List[asyncio.Task] = []
         self._running = False
-        self._initial_funds = initial_funds
 
     # ----- accounts and sessions -----------------------------------------
 
     def register_account(self, funded: Optional[int] = None) -> str:
         return self.chain.create_account(
-            funded=self._initial_funds if funded is None else funded
+            funded=INITIAL_FUNDS if funded is None else funded
         )
 
     def open_session(
@@ -195,7 +196,6 @@ class MarketplaceNode:
         asset: DataAsset,
         tenant: str = "seller",
         encryption_proof: Optional[EncryptionProof] = None,
-        seller_address: Optional[str] = None,
     ) -> Session:
         """Admit a seller listing; phase-1 material is fixed per session.
 
@@ -208,7 +208,7 @@ class MarketplaceNode:
             # Tests and benches sell unpublished assets; the node stands
             # in for the storage layer with a synthetic URI.
             asset.uri = "service://session/%d" % self._next_session
-        address = seller_address or self.register_account()
+        address = self.register_account()
         seller = Seller(self.ctx, asset, address)
         pi_p = encryption_proof
         if self.config.verify_phase1 != "skip":

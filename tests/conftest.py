@@ -23,6 +23,7 @@ import pytest
 
 import repro.backend
 from repro.core.snark import SnarkContext
+from repro.faults import FaultPlan
 
 #: Supports circuits up to n = 16384 (plus blinding margin) — the
 #: logistic-regression convergence predicate is the largest test circuit.
@@ -113,20 +114,21 @@ def chaos_seed(request):
 
 @pytest.fixture
 def soak_params(request):
-    """The (seed, mix, fault profile) triple for a soak simulation.
+    """The seed, mix and fault ``profile:seed`` of a soak simulation.
 
     Reads ``REPRO_SOAK_SEED`` / ``REPRO_SOAK_MIX`` / ``REPRO_FAULTS``
-    (profile part; defaults to ``all``), so the CI soak job steers the
-    run through the environment.  A failing soak test gets the triple —
-    as a ready-to-paste ``python -m repro.loadsim`` command — appended
-    to its report for one-command replay.
+    (parsed as the fault plane parses it; unset means ``all`` with the
+    fault seed derived from the run seed), so the CI soak job steers
+    the run through the environment.  A failing soak test gets its
+    parameters — as a ready-to-paste ``python -m repro.loadsim``
+    command — appended to its report for one-command replay.
     """
     raw_seed = os.environ.get("REPRO_SOAK_SEED", "")
     seed = int(raw_seed, 0) if raw_seed.strip() else _DEFAULT_CHAOS_SEED
     mix = os.environ.get("REPRO_SOAK_MIX", "").strip() or "mixed"
     raw_faults = os.environ.get("REPRO_FAULTS", "").strip()
-    profile = (raw_faults.partition(":")[0] or "all") if raw_faults else "all"
-    params = {"seed": seed, "mix": mix, "profile": profile}
+    profile, fault_seed = FaultPlan.parse_env(raw_faults) if raw_faults else ("all", 0)
+    params = {"seed": seed, "mix": mix, "profile": profile, "fault_seed": fault_seed}
     request.node._repro_soak_params = params
     return params
 
@@ -145,14 +147,15 @@ def pytest_runtest_makereport(item, call):
         )
     soak = getattr(item, "_repro_soak_params", None)
     if soak is not None and report.when == "call" and report.failed:
+        fault_seed = soak["fault_seed"] or soak["seed"]
         report.sections.append(
             (
                 "soak replay",
-                "failing triple: seed=%d mix=%s profile=%s\n"
+                "failing run: seed=%d mix=%s faults=%s:%d\n"
                 "PYTHONPATH=src python -m repro.loadsim --seed %d --mix '%s' "
                 "--faults %s:%d"
-                % (soak["seed"], soak["mix"], soak["profile"],
-                   soak["seed"], soak["mix"], soak["profile"], soak["seed"]),
+                % (soak["seed"], soak["mix"], soak["profile"], fault_seed,
+                   soak["seed"], soak["mix"], soak["profile"], fault_seed),
             )
         )
 

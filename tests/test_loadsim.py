@@ -25,6 +25,8 @@ from repro.loadsim import (
     sim_draw,
     skewed_draw,
 )
+from repro.faults import PROFILES, FaultPlan, FaultRule
+from repro.loadsim.__main__ import _parse_faults
 from repro.telemetry import ledger
 
 #: Small-but-real: enough operations that every op kind, the mempool
@@ -90,9 +92,12 @@ class TestSimulation:
         assert report.faults_injected > 0
         # The fault plane must not invent or destroy funds.
         assert report.dropped + report.reverted >= 0
-        # Replays under faults are deterministic too.
+        # Replays under faults are deterministic too, and pinned across
+        # commits: the chain's bytes of this faulted run do not move.
         again = run_sim(fault_profile="soak", seed=4242, **_SMOKE)
-        assert again.digest == report.digest
+        assert again.digest == report.digest == (
+            "d4afad4787f35e8846747d3a1ea60489933427e31ff1675a3eed427e5ac69a15"
+        )
 
     def test_ledger_record_carries_every_injected_fault(self, tmp_path, monkeypatch):
         """The record lists what the run's own epoch injectors drew, not
@@ -119,6 +124,21 @@ class TestSimulation:
             balances.update(b"%s|%d;" % (address.encode(), sim.chain._balances[address]))
         assert balances.hexdigest() == (
             "27131ff9acfb281d85f9ccb880563416639967b8d43c5a11d49ddd87148ffa22"
+        )
+
+    def test_spent_client_budgets_are_pinned(self, monkeypatch):
+        """Six transactions in ten revert: client budgets run out, so
+        locks abort, an open turns into the buyer's refund and mints are
+        shed — the run reaches every budget exit of the resubmission
+        rule, and its counts and digest are pinned across commits."""
+        monkeypatch.setitem(
+            PROFILES, "revert60", (FaultRule("chain.transact", "revert", 600_000),)
+        )
+        report = run_sim(fault_profile="revert60", seed=3, **_SMOKE)
+        assert report.violations == []
+        assert (report.refunds, report.aborts, report.shed) == (1, 3, 9)
+        assert report.digest == (
+            "036ec506b0ff8a21b28ab455d26d073097fb5e5406e6b0d23d60fa177e3e5124"
         )
 
     def test_finished_simulator_is_freed_without_the_collector(self):
@@ -153,6 +173,21 @@ class TestSimulation:
         assert report.violations == []
         # A 24-slot pool under 200-op bursts must exercise eviction.
         assert report.mempool_evicted + report.mempool_rejected + report.shed > 0
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [("7", ("all", 7)), (":7", ("all", 7)), ("all:7", ("all", 7)), ("storage:9", ("storage", 9))],
+)
+def test_every_reader_parses_repro_faults_alike(spec, expected, monkeypatch, request):
+    """The ambient plan, ``--faults env`` and the soak fixture read one
+    ``REPRO_FAULTS`` value as the same (profile, seed)."""
+    monkeypatch.setenv("REPRO_FAULTS", spec)
+    plan = FaultPlan.from_env(spec)
+    assert (plan.name, plan.seed) == expected
+    assert _parse_faults("env") == expected
+    soak = request.getfixturevalue("soak_params")
+    assert (soak["profile"], soak["fault_seed"]) == expected
 
 
 class TestInvariantChecker:
@@ -206,6 +241,7 @@ class TestSoak:
             mix=soak_params["mix"],
             seed=soak_params["seed"],
             fault_profile=soak_params["profile"],
+            fault_seed=soak_params["fault_seed"],
         )
         assert report.violations == [], report.violations[:10]
         assert report.mined > 1_000
@@ -214,5 +250,6 @@ class TestSoak:
 
     def test_soak_replay_digest_stable(self, soak_params):
         small = dict(users=10_000, ops=1_000, mix=soak_params["mix"],
-                     seed=soak_params["seed"], fault_profile=soak_params["profile"])
+                     seed=soak_params["seed"], fault_profile=soak_params["profile"],
+                     fault_seed=soak_params["fault_seed"])
         assert run_sim(**small).digest == run_sim(**small).digest
