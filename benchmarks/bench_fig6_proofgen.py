@@ -8,9 +8,12 @@ Three series, as in the paper:
   comparisons") — ~10 s for 5 MB;
 - pi_k (key negotiation) — constant, ~120 ms, independent of data size.
 
-We prove for real at 2-8 entries, fit the model, and extrapolate to the
+We prove for real at 2-16 entries, fit the model, and extrapolate to the
 paper's 1 MB / 5 MB points.  Shape claims reproduced: pi_e and pi_t grow
-linearly with data, pi_t well below pi_e, pi_k flat.
+linearly with data, pi_t well below pi_e, pi_k flat.  pi_e proves a MiMC
+round in one row, so below 4 entries its circuit is smaller than pi_k's
+(n = 128 / 256 against 512) and so is its time; pi_k sits below pi_e
+from the size where pi_e's circuit outgrows it.
 
 pi_e and pi_t both link the data's KZG commitment [d] (LegoSNARK-style,
 DESIGN.md, "The linked commitments"), so neither re-opens it in-circuit: pi_t is
@@ -38,6 +41,7 @@ from repro.plonk.circuit import CircuitBuilder
 from repro.plonk.prover import prove
 
 ENTRY_BYTES = 31
+SIZES = (2, 4, 8, 16)
 MEGABYTE_ENTRIES = (1 << 20) // ENTRY_BYTES
 
 PAPER = {
@@ -53,7 +57,7 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
     def sweep():
         # pi_e series (encryption proofs).
         pi_e = []
-        for entries in (2, 4, 8):
+        for entries in SIZES:
             asset = DataAsset.create(list(range(1, entries + 1)), key=7, nonce=3)
             prove_encryption(snark_ctx, asset)  # warm the key cache
             start = time.perf_counter()
@@ -64,7 +68,7 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
 
         # pi_t series (duplication — "essentially data comparisons").
         pi_t = []
-        for entries in (2, 4, 8):
+        for entries in SIZES:
             asset = DataAsset.create(list(range(1, entries + 1)), key=7, nonce=3)
             prove_transformation(snark_ctx, [asset], Duplication())
             start = time.perf_counter()
@@ -133,9 +137,14 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
     # and pi_t has no MiMC re-encryption.
     assert transformation_circuit_gates([8], [8]) < encryption_circuit_gates(8)
     assert results["pi_t"][-1][2] < results["pi_e"][-1][2]
-    # pi_k is independent of the data: below pi_e at every size, and below
-    # the growing pi_t at the paper's data sizes.
-    assert results["pi_k"] < results["pi_e"][0][2]
+    # pi_k is independent of the data: below pi_e wherever pi_e's circuit
+    # is larger than pi_k's (n = 512), and below the growing pi_t at the
+    # paper's data sizes.
+    builder = CircuitBuilder()
+    build_key_negotiation_circuit(builder, 0, 0, 0, 0, 0, 0)
+    pik_n = builder.compile(check=False)[0].n
+    larger = [t for _, n, t in results["pi_e"] if n > pik_n]
+    assert larger and all(results["pi_k"] < t for t in larger)
     big = 5 * MEGABYTE_ENTRIES
     pi_t_5mb = t_model.predict(transformation_circuit_size([big], [big]))
     assert results["pi_k"] < pi_t_5mb < e_model.predict(encryption_circuit_size(big))

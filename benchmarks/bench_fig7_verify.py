@@ -13,6 +13,7 @@ import time
 from conftest import print_table, run_once
 
 from repro.core.exchange import key_negotiation_keys
+from repro.core.transform_protocol import build_encryption_circuit
 from repro.costmodel import measure_pairing_seconds
 from repro.groth16 import (
     groth16_prove,
@@ -25,6 +26,13 @@ from repro.plonk.verifier import verification_group_operations as plonk_ops
 from repro.r1cs import R1CSBuilder
 
 ELL_SWEEP = [4, 32, 128, 512]
+
+
+def _proof_size(ops):
+    """'768 B (9 G1 + 6 F)': the bytes and the field elements past the
+    nine points."""
+    size = ops["proof_size_bytes"]
+    return "%d B (9 G1 + %d F)" % (size, (size - 9 * 64) // 32)
 
 
 def _plonk_instance(snark_ctx, ell):
@@ -91,8 +99,13 @@ def test_fig7_verification_time(benchmark, snark_ctx):
     )
 
     ops_p = plonk_ops(plonk_vks[0])
-    # pi_k and pi_e link the key's KZG point: one more G1 exponentiation.
+    # pi_k links the key's KZG point: one more G1 exponentiation.  pi_e
+    # links the key and the data, and its MiMC round gates add [qround]
+    # and a(zeta omega): the counts are per key.
     ops_k = plonk_ops(key_negotiation_keys(snark_ctx).vk)
+    builder = CircuitBuilder()
+    build_encryption_circuit(builder, [0], 0, 0, 0, [0], 0, 0, 0)
+    ops_e = plonk_ops(snark_ctx.keys_for(builder.compile(check=False)[0]).vk)
     ops_g = groth16_ops(ELL_SWEEP[-1])
     # Measured (not just counted) pairing cost: time the engine's real
     # pairing_check kernel at each verifier's pair count.
@@ -103,9 +116,11 @@ def test_fig7_verification_time(benchmark, snark_ctx):
         ["system", "pairings", "measured pairing cost", "G1 exps", "proof size"],
         [
             ("ZKDET/Plonk", ops_p["pairings"], "%.4f s" % pairing_p,
-             ops_p["g1_scalar_mults"], "%d B (9 G1 + 6 F)" % ops_p["proof_size_bytes"]),
-            ("ZKDET/Plonk, linked key (pi_k, pi_e)", ops_k["pairings"], "%.4f s" % pairing_p,
-             ops_k["g1_scalar_mults"], "%d B (9 G1 + 6 F)" % ops_k["proof_size_bytes"]),
+             ops_p["g1_scalar_mults"], _proof_size(ops_p)),
+            ("ZKDET/Plonk, linked key (pi_k)", ops_k["pairings"], "%.4f s" % pairing_p,
+             ops_k["g1_scalar_mults"], _proof_size(ops_k)),
+            ("ZKDET/Plonk, key + data + round gate (pi_e)", ops_e["pairings"], "%.4f s" % pairing_p,
+             ops_e["g1_scalar_mults"], _proof_size(ops_e)),
             ("ZKCP/Groth16 (ell=%d)" % ELL_SWEEP[-1], ops_g["pairings"],
              "%.4f s" % pairing_g, ops_g["g1_scalar_mults"],
              "%d B" % ops_g["proof_size_bytes"]),

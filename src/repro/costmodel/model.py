@@ -21,9 +21,9 @@ from repro.primitives.poseidon import FULL_ROUNDS, PARTIAL_ROUNDS
 
 
 def mimc_block_gates(rounds: int = MIMC_ROUNDS) -> int:
-    """One MiMC permutation: per round one linear fold + x^7 in two cubic
-    gates (s^3, then (s^3)^2 * s), plus the final key addition."""
-    return rounds * 3 + 1
+    """One MiMC permutation: one round gate a round, plus the final key
+    addition, which is the row the last round writes its output into."""
+    return rounds + 1
 
 
 def mimc_ctr_element_gates(rounds: int = MIMC_ROUNDS) -> int:

@@ -2,16 +2,24 @@
 
 The proof-of-encryption statements of Section IV-B —
 ``ct_i = pt_i + E_k(nonce + i)`` — are proved by re-computing the cipher
-inside the circuit.  One MiMC block costs 91 rounds x 3 gates — one
-linear gate for ``s = x + k + c``, then x^7 as ``s^3`` and ``(s^3)^2 * s``
-on the cubic gate — which is why the paper picks MiMC over AES ("millions
-of constraints" per kilobyte, Section IV-C).
+inside the circuit.  One MiMC block costs 92 rows: one round gate a round
+(:meth:`~repro.plonk.circuit.CircuitBuilder.mimc_round`: x^7 in one row,
+written into the next row's a slot) and the final key
+addition — which is why the paper picks MiMC over AES ("millions of
+constraints" per kilobyte, Section IV-C).
+
+Row i's a slot holds x_i + c_i, the round's state with its constant
+already added, so a round is t = a + b with b the key; round i's gate adds
+c_(i+1) to its output.  c_0 is zero, so the block enters the first row as
+it is.
 """
 
 from __future__ import annotations
 
 from repro.plonk.circuit import CircuitBuilder, Wire
 from repro.primitives.mimc import EXPONENT, MiMC, ROUNDS
+
+assert EXPONENT == 7, "the round gate computes x^7"
 
 
 def mimc_block(
@@ -21,13 +29,11 @@ def mimc_block(
     rounds: int = ROUNDS,
 ) -> Wire:
     """Constrain and return E_key(block)."""
-    cipher = MiMC(rounds=rounds)
+    constants = MiMC(rounds=rounds).constants
+    assert constants[0] == 0, "the block enters round 0 without a constant"
     x = block
-    for c in cipher.constants:
-        s = builder.linear_combination([(1, x), (1, key)], constant=c)
-        # s^7 = (s^3)^2 * s  -- 2 cubic gates.
-        x = builder.square_mul(builder.square_mul(s, s), s)
-    assert EXPONENT == 7, "gadget unrolled for exponent 7"
+    for c_next in constants[1:] + (0,):
+        x = builder.mimc_round(x, key, c_next)
     return builder.add(x, key)
 
 
@@ -64,5 +70,5 @@ def assert_ctr_encryption(
 
 
 def constraints_per_block(rounds: int = ROUNDS) -> int:
-    """Gate count of one MiMC block (used by the cost model)."""
-    return rounds * 3 + 1
+    """Gate count of one MiMC block: a row a round and the key addition."""
+    return rounds + 1

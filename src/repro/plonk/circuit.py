@@ -5,7 +5,13 @@ A circuit is a list of gates over three wires (a, b, c), each enforcing
     qL*a + qR*b + qO*c + qM*a*b + q3*a*a*b + qC (+ PI) = 0,
 
 plus copy constraints ("the same variable appears in these slots"), which
-Plonk encodes as a permutation over the 3n wire slots.
+Plonk encodes as a permutation over the 3n wire slots.  A row may also be
+a MiMC round gate (:meth:`CircuitBuilder.mimc_round`), whose selector
+``qround`` adds, with t = a + b,
+
+    qround*(c - t^3) = 0   and, inside the gate above,   qround*(a(omega X) - c^2*t),
+
+so the round's x^7 lands in the next row's a slot: one row a round.
 
 :class:`CircuitBuilder` is used in *synthesis* style: every operation both
 records the gate structure and computes the concrete witness value, so
@@ -85,6 +91,14 @@ def link_indicator_eval(n: int, m: int, x: int) -> int:
     return m * fr_inv(n) % R * (pow(x, n, R) - 1) % R * fr_inv((pow(x, m, R) - 1) % R) % R
 
 
+def round_scalar(a_bar: int, b_bar: int, c_bar: int, a_omega_bar: int, coeff: int) -> int:
+    """The round gate's two terms at zeta, the linearisation's scalar on
+    qround (prover) and [qround] (verifier): (a(zeta omega) - c^2 t) +
+    coeff (c - t^3), t = a + b, coeff the cube term's power of alpha."""
+    t = (a_bar + b_bar) % R
+    return (a_omega_bar - c_bar * c_bar % R * t + coeff * (c_bar - t * t % R * t)) % R
+
+
 @dataclass
 class _Gate:
     ql: int
@@ -96,6 +110,7 @@ class _Gate:
     a: Wire
     b: Wire
     c: Wire
+    qround: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,6 +125,9 @@ class Layout:
         link_slots: one ``(column, m)`` per linked message
             (:meth:`CircuitBuilder.link`): its entry j sits in that column
             of row j * n / m.  Empty for a circuit that links nothing.
+        qround: the MiMC round gate's selector column, length ``n``; empty
+            for a circuit without round gates, whose key and proofs then
+            carry nothing for it.
     """
 
     n: int
@@ -122,11 +140,23 @@ class Layout:
     qc: tuple
     sigma: tuple
     link_slots: tuple = ()
+    qround: tuple = ()
+
+    def __post_init__(self) -> None:
+        # omega * omega^(n-1) = 1: a round gate on the last row would write
+        # its output into row 0, a public input.
+        if self.qround and self.qround[-1]:
+            raise CircuitError("a round gate on the last row would read row 0 at omega X")
 
     @property
     def links(self) -> int:
         """How many messages the circuit links."""
         return len(self.link_slots)
+
+    @property
+    def shifted(self) -> bool:
+        """Whether the circuit has round gates, and so opens a at zeta omega."""
+        return bool(self.qround)
 
     def digest(self) -> bytes:
         """Stable hash of the structure (the key cache's lookup key).
@@ -140,7 +170,9 @@ class Layout:
             h.update(b"layout:%d:%d;" % (self.n, self.ell))
             for slot, m in self.link_slots:  # a layout that links nothing hashes as before
                 h.update(b"link:%d:%d;" % (slot, m))
-            for col in (self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma):
+            if self.shifted:  # likewise one without round gates
+                h.update(b"round;")
+            for col in (self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma, self.qround):
                 for v in col:
                     h.update(v.to_bytes(32, "little"))
             cached = h.digest()
@@ -174,9 +206,11 @@ class Layout:
         field-arithmetic speed without running the prover.
         """
         a, b, c = assignment.a, assignment.b, assignment.c
-        if not (len(a) == len(b) == len(c) == self.n):
+        n = self.n
+        if not (len(a) == len(b) == len(c) == n):
             raise CircuitError("assignment length does not match layout")
-        for i in range(self.n):
+        qround = self.qround or (0,) * n
+        for i in range(n):
             pi = -assignment.a[i] % R if i < self.ell else 0
             lhs = (
                 self.ql[i] * a[i]
@@ -185,8 +219,13 @@ class Layout:
                 + (self.qm[i] + self.q3[i] * a[i]) * a[i] * b[i]
                 + self.qc[i]
                 + pi
-            ) % R
-            if lhs != 0:
+            )
+            if qround[i]:
+                t = a[i] + b[i]
+                if qround[i] * (c[i] - t * t * t) % R:
+                    raise UnsatisfiedConstraintError("round gate %d: c is not (a + b)^3" % i)
+                lhs += qround[i] * (a[(i + 1) % n] - c[i] * c[i] % R * t)
+            if lhs % R != 0:
                 raise UnsatisfiedConstraintError("gate %d not satisfied" % i)
 
 
@@ -217,6 +256,9 @@ class CircuitBuilder:
         self._constants: dict[int, Wire] = {}
         self._links: list[tuple] = []
         self._compiled = False
+        # The output of the last gate if it is a round gate: the next gate
+        # must take it in its a slot.
+        self._shifted_out: Wire | None = None
 
     # ----- variable allocation -------------------------------------------------
 
@@ -284,19 +326,24 @@ class CircuitBuilder:
         qm: int = 0,
         q3: int = 0,
         qc: int = 0,
+        qround: int = 0,
     ) -> None:
         """Append a raw gate; unused wire positions get dummy variables.
 
-        ``q3`` weighs the cubic term ``a*a*b`` (an S-box step in one row).
+        ``q3`` weighs the cubic term ``a*a*b`` (an S-box step in one row);
+        ``qround`` makes the row a round gate (:meth:`mimc_round`).
         """
         if self._compiled:
             raise CircuitError("builder already compiled")
+        if self._shifted_out is not None and a != self._shifted_out:
+            raise CircuitError("the gate after a round gate must take its output in the a slot")
         a = self.var(0) if a is None else a
         b = self.var(0) if b is None else b
         c = self.var(0) if c is None else c
         self._gates.append(
-            _Gate(ql % R, qr % R, qo % R, qm % R, q3 % R, qc % R, a, b, c)
+            _Gate(ql % R, qr % R, qo % R, qm % R, q3 % R, qc % R, a, b, c, qround % R)
         )
+        self._shifted_out = None
 
     # ----- arithmetic operations (compute value + constrain) --------------------
 
@@ -322,6 +369,20 @@ class CircuitBuilder:
         """Return a wire constrained to x * x * y (one cubic gate)."""
         out = self.var(self._values[x] * self._values[x] % R * self._values[y])
         self.gate(a=x, b=y, c=out, q3=1, qo=-1)
+        return out
+
+    def mimc_round(self, x: Wire, key: Wire, constant: int) -> Wire:
+        """Return a wire constrained to (x + key)^7 + constant: one MiMC
+        round in one row, which holds x, key and t^3 (t = x + key) and whose
+        selector ``qround`` checks ``c = t^3`` and, with ``qC = -constant``,
+        ``a(omega X) = c^2 t + constant``.  The output is read in the next
+        row's a slot, so the next gate must take the returned wire as its a.
+        """
+        t = (self._values[x] + self._values[key]) % R
+        cube = self.var(t * t % R * t)
+        self.gate(a=x, b=key, c=cube, qc=-constant, qround=1)
+        out = self.var(pow(t, 7, R) + constant)
+        self._shifted_out = out
         return out
 
     def mul_add(self, x: Wire, y: Wire, z: Wire) -> Wire:
@@ -420,6 +481,8 @@ class CircuitBuilder:
         rebuild a circuit's *structure* (selectors, permutation) from dummy
         values, since the layout is witness-independent.
         """
+        if self._shifted_out is not None:
+            raise CircuitError("a round gate on the last row would read row 0 at omega X")
         self._compiled = True
         ell = len(self._public)
         slots = LINK_SLOTS[: len(self._links)]
@@ -434,18 +497,25 @@ class CircuitBuilder:
         # Public-input gates come first: a = w_i with qL = 1; the PI
         # polynomial contributes -w_i so the row sums to zero.
         gates: list[_Gate] = []
-        emitted = iter(self._gates)
+        emitted = 0
         for row in range(n):
             if row < ell:
                 gates.append(_Gate(1, 0, 0, 0, 0, 0, self._public[row], self.var(0), self.var(0)))
                 continue
-            gate = None if row in reserved else next(emitted, None)
-            if gate is None:
-                gate = _Gate(0, 0, 0, 0, 0, 0, self.var(0), self.var(0), self.var(0))
-            gates.append(gate)
+            if row not in reserved and emitted < len(self._gates):
+                gates.append(self._gates[emitted])
+                emitted += 1
+                continue
+            # A round gate before a reserved row writes its output — the a
+            # of the gate after it — into that row's a slot, which the row's
+            # zero selectors leave free.
+            a = self._gates[emitted].a if gates and gates[-1].qround else self.var(0)
+            gates.append(_Gate(0, 0, 0, 0, 0, 0, a, self.var(0), self.var(0)))
         for (wires, _c, _o), slot in zip(self._links, slots):
             step = n // len(wires)
             for j, wire in enumerate(wires):
+                if slot == 0 and j and gates[j * step - 1].qround:
+                    raise CircuitError("a round gate writes into a row whose a slot is linked")
                 setattr(gates[j * step], "abc"[slot], wire)
 
         ql = tuple(g.ql for g in gates)
@@ -467,7 +537,8 @@ class CircuitBuilder:
                 sigma[s] = cycle[(i + 1) % len(cycle)]
 
         link_slots = tuple((slot, len(w)) for (w, _c, _o), slot in zip(self._links, slots))
-        layout = Layout(n, ell, ql, qr, qo, qm, q3, qc, tuple(sigma), link_slots)
+        qround = tuple(g.qround for g in gates) if any(g.qround for g in gates) else ()
+        layout = Layout(n, ell, ql, qr, qo, qm, q3, qc, tuple(sigma), link_slots, qround)
         vals = self._values
         assignment = Assignment(
             a=[vals[g.a] for g in gates],

@@ -1,10 +1,10 @@
 """Plonk key generation (the KeyGen of the NIZK triple).
 
 ``setup(srs, layout)`` preprocesses a compiled circuit into a proving key
-(polynomials + SRS) and a verification key (nine commitments + domain
-metadata).  The SRS is universal: the same string serves every circuit
-whose size fits, so — as the paper stresses — circuits can change without
-re-running the ceremony.
+(polynomials + SRS) and a verification key (nine commitments, ten with
+round gates, + domain metadata).  The SRS is universal: the same string
+serves every circuit whose size fits, so — as the paper stresses —
+circuits can change without re-running the ceremony.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ class VerifyingKey:
     ``link_slots`` holds one ``(column, m)`` per message the circuit links
     (:meth:`repro.plonk.circuit.CircuitBuilder.link`): its proofs verify
     against those commitments, in that order, as part of the statement.
+    ``c_qround`` commits the round gate's selector of a circuit that has
+    round gates, and is None otherwise: only then do its proofs carry
+    a(zeta omega).
     """
 
     n: int
@@ -47,11 +50,17 @@ class VerifyingKey:
     g2: G2
     g2_tau: G2
     link_slots: tuple = ()
+    c_qround: G1 | None = None
 
     @property
     def links(self) -> int:
         """How many commitments a proof under this key links."""
         return len(self.link_slots)
+
+    @property
+    def shifted(self) -> bool:
+        """Whether proofs under this key carry a(zeta omega)."""
+        return self.c_qround is not None
 
     def digest(self) -> bytes:
         """Hash binding the transcript to this circuit and SRS."""
@@ -72,6 +81,8 @@ class VerifyingKey:
         ):
             h.update(c.to_bytes())
         h.update(self.g2_tau.to_bytes())
+        if self.c_qround is not None:  # a key without round gates hashes as before
+            h.update(b"round;" + self.c_qround.to_bytes())
         return h.digest()
 
 
@@ -101,7 +112,7 @@ def setup(srs: SRS, layout: Layout) -> tuple[ProvingKey, VerifyingKey]:
             % (srs.max_degree, n, n + DEGREE_MARGIN)
         )
     sigma_star = layout.sigma_star()
-    selectors = ("qm", "q3", "ql", "qr", "qo", "qc")
+    selectors = ("qm", "q3", "ql", "qr", "qo", "qc") + (("qround",) if layout.shifted else ())
     columns = [list(getattr(layout, name)) for name in selectors]
     columns += [list(col) for col in sigma_star]
     interpolated = engine.ntt_batch([("ifft", n, col, 0) for col in columns])

@@ -14,7 +14,14 @@ from repro.backend import get_engine
 from repro.field import poly
 from repro.field.fr import MODULUS as R, inv, random_scalar
 from repro.field.ntt import COSET_SHIFT
-from repro.plonk.circuit import Assignment, K1, K2, link_indicator, link_indicator_eval
+from repro.plonk.circuit import (
+    Assignment,
+    K1,
+    K2,
+    link_indicator,
+    link_indicator_eval,
+    round_scalar,
+)
 from repro.plonk.keys import ProvingKey
 from repro.plonk.proof import Proof
 from repro.plonk.transcript import Transcript
@@ -49,6 +56,13 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     j n/m and the link's blinder.  A commitment is absorbed as given: one
     that does not commit to d_i yields a proof that fails verification.
 
+    A layout with round gates
+    (:meth:`~repro.plonk.circuit.CircuitBuilder.mimc_round`) adds
+    qround(X) (a(omega X) - c^2 t) to the gate and alpha^(3+links)
+    qround(X) (c - t^3) to the quotient, t = a + b; a gets a third blinder
+    and the proof one more evaluation, a(zeta omega), opened together with
+    z(zeta omega).
+
     Under ``REPRO_TELEMETRY=trace`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
     evaluation, opening); at ``metrics`` level the engine's kernel
@@ -81,6 +95,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         transcript.append_scalar(b"pub", w)
     # One (column, m, d(X)) per link: d interpolates the entries its column
     # holds at rows j n/m, blinded with the link's rho.
+    shifted = pk.layout.shifted
     columns = (assignment.a, assignment.b, assignment.c)
     links = []
     for (slot, m), (point, rho) in zip(pk.layout.link_slots, assignment.links):
@@ -96,7 +111,8 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 ("ifft", n, list(assignment.c), 0),
             ]
         )
-        a_poly = _blind(wire_polys[0], [rand(), rand()], n)
+        # a is opened at zeta and, with round gates, at zeta omega too.
+        a_poly = _blind(wire_polys[0], [rand() for _ in range(2 + shifted)], n)
         b_poly = _blind(wire_polys[1], [rand(), rand()], n)
         c_poly = _blind(wire_polys[2], [rand(), rand()], n)
         c_a = commit(srs, a_poly)
@@ -151,18 +167,15 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             pi_vals[i] = (-w) % R
         pi_poly = engine.intt(pi_vals)
         l1_poly = engine.intt([1] + [0] * (n - 1))
-        # z(omega * X): scale coefficient i by omega^i.
-        zw_poly = []
-        acc = 1
-        for coef in z_poly:
-            zw_poly.append(coef * acc % R)
-            acc = acc * omega % R
+        zw_poly = _shift(z_poly, omega)
 
         # The smallest power-of-two coset that holds t (degree <= 3n+5): 4n
         # for n >= 8.  The numerator (degree up to 4n+5) does not fit, so it
         # is never interpolated: Z_H is divided out pointwise instead.  The
         # permutation term sets that degree; the cubic gate term q3*a*a*b
-        # reaches only (n-1) + 3(n+1) = 4n+2 and rides inside it.
+        # reaches only (n-1) + 3(n+1) = 4n+2 and rides inside it.  With
+        # round gates a has degree n+2: the permutation term reaches 4n+6,
+        # qround*t^3 4n+5, and t 3n+6, which the same coset holds.
         big_n = 1 << (3 * n + 5).bit_length()
         xs = engine.coset_points(big_n)
         # Selector / permutation / L1 polynomials are fixed per proving key:
@@ -182,6 +195,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 ("s3", list(pk.s_polys[2])),
                 ("l1", l1_poly),
             )
+            + ((("qround", pk.q_polys["qround"]),) if shifted else ())
         }
         # I_m per link width, fixed per key like L_0 (which is I_1).
         indicators = {
@@ -192,6 +206,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         # transformed fresh each proof, as one engine batch.
         live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("zw", zw_poly), ("pi", pi_poly)
         live += tuple(("d%d" % i, d) for i, (_slot, _m, d) in enumerate(links))
+        live += (("aw", _shift(a_poly, omega)),) if shifted else ()
         live_evals = engine.ntt_batch(
             [("coset_fft", big_n, coeffs, COSET_SHIFT) for _, coeffs in live]
         )
@@ -203,6 +218,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for i, (slot, m, _d) in enumerate(links):
             coeff = coeff * alpha % R
             link_terms.append((coeff, ev["abc"[slot]], indicators[m], ev["d%d" % i]))
+        round_coeff = coeff * alpha % R
         # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
         zh_period = big_n // n
         zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
@@ -218,7 +234,11 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 + cv * ev["qo"][i]
                 + ev["pi"][i]
                 + ev["qc"][i]
-            ) % R
+            )
+            if shifted:  # the round gate's shifted half joins the gate
+                qv, tv = ev["qround"][i], av + bv
+                gate += qv * (ev["aw"][i] - cv * cv % R * tv)
+            gate %= R
             perm_a = (
                 (av + beta * x + gamma)
                 * (bv + beta * K1 * x % R + gamma)
@@ -241,13 +261,17 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             numerator = gate + alpha * (perm_a - perm_b) + alpha2 * boundary
             for coeff, wire, ind, dv in link_terms:
                 numerator += coeff * ind[i] % R * (wire[i] - dv[i])
+            if shifted:  # and its cube is alpha-separated
+                numerator += round_coeff * qv % R * (cv - tv * tv % R * tv)
             t_evals.append(numerator % R * zh_inv[i % zh_period] % R)
         t_poly = poly.trim(engine.coset_intt(t_evals))
         # A numerator Z_H does not divide leaves a quotient that fills the
-        # whole coset; a satisfied circuit keeps it at degree 3n+5.
-        if len(t_poly) > 3 * n + 6:
+        # whole coset; a satisfied circuit keeps it at degree 3n+5 (3n+6
+        # with round gates).
+        if len(t_poly) > 3 * n + 6 + shifted:
             raise ProofError(
-                "quotient is not divisible by Z_H: degree %d exceeds 3n+5" % (len(t_poly) - 1)
+                "quotient is not divisible by Z_H: degree %d exceeds 3n+%d"
+                % (len(t_poly) - 1, 5 + shifted)
             )
 
         t_lo = t_poly[:n]
@@ -279,6 +303,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         s1_bar = poly.evaluate(list(pk.s_polys[0]), zeta)
         s2_bar = poly.evaluate(list(pk.s_polys[1]), zeta)
         z_omega_bar = poly.evaluate(z_poly, zeta * omega % R)
+        a_omega_bar = poly.evaluate(a_poly, zeta * omega % R) if shifted else None
         for label, value in (
             (b"a_bar", a_bar),
             (b"b_bar", b_bar),
@@ -286,7 +311,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             (b"s1_bar", s1_bar),
             (b"s2_bar", s2_bar),
             (b"z_omega_bar", z_omega_bar),
-        ):
+        ) + (((b"a_omega_bar", a_omega_bar),) if shifted else ()):
             transcript.append_scalar(label, value)
 
     # ----- Round 5: linearization + opening proofs ------------------------
@@ -312,6 +337,14 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qr"], b_bar))
         r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qo"], c_bar))
         r_poly = poly.add(r_poly, pk.q_polys["qc"])
+        if shifted:
+            r_poly = poly.add(
+                r_poly,
+                poly.scale(
+                    pk.q_polys["qround"],
+                    round_scalar(a_bar, b_bar, c_bar, a_omega_bar, round_coeff),
+                ),
+            )
         z_scalar = (alpha * pa + alpha2 * l1_zeta) % R
         r_poly = poly.add(r_poly, poly.scale(z_poly, z_scalar))
         s3_scalar = (-(alpha * pb % R) * beta % R) * z_omega_bar % R
@@ -351,9 +384,13 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             numerator = poly.add(numerator, poly.scale(poly.sub(opened, [value]), vk_pow))
             vk_pow = vk_pow * v % R
         w_zeta_poly = poly.divide_by_linear(numerator, zeta)
-        w_zeta_omega_poly = poly.divide_by_linear(
-            poly.sub(z_poly, [z_omega_bar]), zeta * omega % R
-        )
+        # a(zeta omega) rides in z's opening, weighted by v.
+        shifted_numerator = poly.sub(z_poly, [z_omega_bar])
+        if shifted:
+            shifted_numerator = poly.add(
+                shifted_numerator, poly.scale(poly.sub(a_poly, [a_omega_bar]), v)
+            )
+        w_zeta_omega_poly = poly.divide_by_linear(shifted_numerator, zeta * omega % R)
         w_zeta = commit(srs, w_zeta_poly)
         w_zeta_omega = commit(srs, w_zeta_omega_poly)
         transcript.append_point(b"w_zeta", w_zeta)
@@ -376,4 +413,15 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         s1_bar=s1_bar,
         s2_bar=s2_bar,
         z_omega_bar=z_omega_bar,
+        a_omega_bar=a_omega_bar,
     )
+
+
+def _shift(coeffs: list[int], omega: int) -> list[int]:
+    """p(omega X): coefficient i scaled by omega^i."""
+    out = []
+    acc = 1
+    for coef in coeffs:
+        out.append(coef * acc % R)
+        acc = acc * omega % R
+    return out

@@ -8,10 +8,13 @@ with scalar 1) and a single 2-pairing product check, the costs the paper
 reports in Section VI-B3 and Figure 7.  A key that links committed
 messages (``vk.links``, at most three) adds one term per link, the
 commitment [d] the statement names: 22 terms and 20 multiplications for
-one link.  :func:`fold_check` builds the weighted terms and hands them to
-one engine kernel, ``Engine.fold_pairing_check``, the one place they are
-multiplied and paired (on two cores when the engine has a helper: it
-takes a prefix of the ``[1]_2`` side and that prefix's Miller loop).
+one link.  A key with MiMC round gates (``vk.shifted``) adds one more,
+[qround], and its proofs one evaluation, a(zeta omega), which rides on
+[a]'s existing term and the ``W_zeta_omega`` opening.  :func:`fold_check`
+builds the weighted terms and hands them to one engine kernel,
+``Engine.fold_pairing_check``, the one place they are multiplied and
+paired (on two cores when the engine has a helper: it takes a prefix of
+the ``[1]_2`` side and that prefix's Miller loop).
 :func:`verify` runs the fold over one member,
 :func:`repro.plonk.batch.batch_verify` over many.
 """
@@ -23,9 +26,9 @@ from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
-from repro.plonk.circuit import K1, K2, link_indicator_eval
+from repro.plonk.circuit import K1, K2, link_indicator_eval, round_scalar
 from repro.plonk.keys import VerifyingKey
-from repro.plonk.proof import Proof
+from repro.plonk.proof import Proof, proof_size_bytes
 from repro.plonk.transcript import Transcript
 
 
@@ -105,7 +108,7 @@ def _key_points(vk: VerifyingKey) -> list[G1]:
         vk.c_s2,
         vk.c_s3,
         G1.generator(),
-    ]
+    ] + ([vk.c_qround] if vk.c_qround is not None else [])
 
 
 def proof_terms(
@@ -120,18 +123,21 @@ def proof_terms(
             == e(sum s*P over one_terms + sum key_scalars[j] * K_j
                  + sum s*D over link_terms, [1]_2)
 
-    with ``K`` the nine key commitments and the generator
-    (:func:`_key_points`) and ``link_terms`` one ``(commitment, scalar)``
-    per link (none for a key that links nothing).  ``link`` is the one
-    linked point or the points in link order.  None means an early
-    structural reject: among them a count of commitments the key does not
-    link and the identity as a commitment, which only rho = 0 produces
-    (a blinder no honest commitment uses).  No group operation happens
-    here — field work and the transcript's SHA-256 only — so
+    with ``K`` the nine key commitments and the generator, then [qround]
+    for a key with round gates (:func:`_key_points`), and ``link_terms``
+    one ``(commitment, scalar)`` per link (none for a key that links
+    nothing).  ``link`` is the one linked point or the points in link
+    order.  None means an early structural reject: among them a count of
+    commitments the key does not link, the identity as a commitment,
+    which only rho = 0 produces (a blinder no honest commitment uses), and
+    a proof whose shape is not its key's (a(zeta omega) carried or
+    missing).  No group operation happens here — field work and the transcript's SHA-256 only — so
     :func:`fold_check` can weight and merge the terms of many proofs
     before anything is multiplied.
     """
     if len(public_inputs) != vk.ell:
+        return None
+    if proof.shifted != vk.shifted:
         return None
     links = tuple(link) if isinstance(link, (tuple, list)) else (() if link is None else (link,))
     if len(links) != vk.links:
@@ -173,7 +179,7 @@ def proof_terms(
         (b"s1_bar", proof.s1_bar),
         (b"s2_bar", proof.s2_bar),
         (b"z_omega_bar", proof.z_omega_bar),
-    ):
+    ) + (((b"a_omega_bar", proof.a_omega_bar),) if vk.shifted else ()):
         transcript.append_scalar(label, value)
     v = transcript.challenge(b"v")
     transcript.append_point(b"w_zeta", proof.w_zeta)
@@ -229,6 +235,12 @@ def proof_terms(
         + v5 * proof.s2_bar
         + u * proof.z_omega_bar
     ) % R
+    # With round gates W_zw also opens a at zeta omega, weighted by v:
+    # [a] gains u v, E gains u v a(zeta omega).
+    a_scalar = v
+    if vk.shifted:
+        a_scalar = v * (1 + u) % R
+        e_scalar = (e_scalar + u * v % R * proof.a_omega_bar) % R
 
     # The equation, with [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[S1] + v^5[S2]:
     #   e(W_z + u*W_zw, [tau]_2) == e(zeta*W_z + u*zeta*omega*W_zw + F - E, [1]_2)
@@ -241,7 +253,7 @@ def proof_terms(
         (proof.c_t_lo, -zh_zeta % R),
         (proof.c_t_mid, -zh_zeta * zeta_n % R),
         (proof.c_t_hi, -zh_zeta * zeta_n % R * zeta_n % R),
-        (proof.c_a, v),
+        (proof.c_a, a_scalar),
         (proof.c_b, v2),
         (proof.c_c, v3),
     ]
@@ -257,15 +269,22 @@ def proof_terms(
         (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R,
         -e_scalar % R,
     ]
+    if vk.shifted:
+        round_coeff = coeff * alpha % R  # alpha^(3+links), after the links'
+        key_scalars.append(
+            round_scalar(proof.a_bar, proof.b_bar, proof.c_bar, proof.a_omega_bar, round_coeff)
+        )
     return tau_terms, one_terms, key_scalars, link_terms
 
 
 def verification_group_operations(vk: VerifyingKey) -> dict:
-    """Operation counts for the verifier (used by the Fig. 7 benchmark).
+    """Operation counts for the verifier of proofs under ``vk`` (used by
+    the Fig. 7 benchmark).
 
     Returns the paper-reported shape: 2 pairings and 19 G1 scalar
     multiplications regardless of circuit size, plus one multiplication
-    per linked commitment.  All 19 happen inside the one kernel
+    per linked commitment and one, [qround], for a key with round gates,
+    whose proofs are also one field element longer (800 bytes, not 768).  All 19 happen inside the one kernel
     :func:`fold_check` calls, ``Engine.fold_pairing_check``, and nowhere
     else: 1 on the ``[tau]_2`` side (``u W_zeta_omega``; ``W_zeta`` rides
     with scalar 1) and 18 on the ``[1]_2`` side (the nine proof points,
@@ -281,7 +300,7 @@ def verification_group_operations(vk: VerifyingKey) -> dict:
         "pairings": 2,
         "miller_loops": 2,
         "final_exponentiations": 1,
-        "g1_scalar_mults": 19 + vk.links,
+        "g1_scalar_mults": 19 + vk.links + vk.shifted,
         "field_ops_per_public_input": 3,
-        "proof_size_bytes": 9 * 64 + 6 * 32,
+        "proof_size_bytes": proof_size_bytes(vk.shifted),
     }

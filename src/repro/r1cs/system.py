@@ -147,6 +147,21 @@ class R1CSBuilder:
             right[var] = right.get(var, 0) + coeff
         self.enforce(left, {b: 1}, right)
 
+    def mimc_round(self, x: int, key: int, constant: int) -> int:
+        """(x + key)^7 + constant, the Plonk round gate's output: four
+        products of the linear form x + key."""
+        t = {x: 1}
+        t[key] = t.get(key, 0) + 1
+        s = self._values[x] + self._values[key]
+        t2 = self.var(s * s)
+        self.enforce(t, t, {t2: 1})
+        t3 = self.var(self._values[t2] * s)
+        self.enforce({t2: 1}, t, {t3: 1})
+        t6 = self.mul(t3, t3)
+        out = self.var(self._values[t6] * s + constant)
+        self.enforce({t6: 1}, t, {out: 1, self.ONE: -constant})
+        return out
+
     def add(self, x: int, y: int) -> int:
         out = self.var(self._values[x] + self._values[y])
         self.enforce({x: 1, y: 1}, {self.ONE: 1}, {out: 1})

@@ -235,9 +235,16 @@ class TestPoseidonGadget:
 def assert_deterministic(builder, inputs):
     """Every gate defines one fresh wire — its c, with qO != 0 — from wires
     defined earlier, so the witness is a function of ``inputs`` and a
-    gadget that matches the native primitive leaves nothing free."""
+    gadget that matches the native primitive leaves nothing free.  A round
+    gate defines two from its a and b: its c (t^3) and the next gate's a."""
     defined = set(inputs)
-    for g in builder._gates:
+    gates = builder._gates
+    for i, g in enumerate(gates):
+        if g.qround:
+            assert g.a in defined and g.b in defined
+            assert g.c not in defined and gates[i + 1].a not in defined
+            defined.update((g.c, gates[i + 1].a))
+            continue
         assert g.a in defined or not (g.ql or g.qm or g.q3)
         assert g.b in defined or not (g.qr or g.qm or g.q3)
         assert g.qo and g.c not in defined

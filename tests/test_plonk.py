@@ -23,6 +23,7 @@ from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
 from repro.kzg import SRS, commit, commit_message, commit_scalar
+from repro.gadgets.mimc import mimc_block
 from repro.kzg.commit import message_poly
 from repro.plonk import CircuitBuilder, Proof, batch_verify, prove, prover, setup, verify
 from repro.plonk.circuit import Layout
@@ -73,6 +74,16 @@ def _sbox_circuit():
     x35 = builder.square_mul(builder.square_mul(x5, x5), x5)
     builder.assert_equal(x35, y)
     return builder.compile()
+
+
+def _round_circuit(builder=None, check=True, rounds=8, key=111, block=222):
+    """Public y = E_key(block), MiMC over ``rounds`` rounds on the round
+    gate: a row a round, the key addition and the equality (n = 16 at 8
+    rounds).  y is whatever the builder's rounds compute."""
+    builder = CircuitBuilder() if builder is None else builder
+    out = mimc_block(builder, builder.var(key), builder.var(block), rounds=rounds)
+    builder.assert_equal(out, builder.public_input(builder.value(out)))
+    return builder.compile(check=check)
 
 
 class TestCircuitBuilder:
@@ -267,6 +278,7 @@ class TestQuotientRound:
         "n4": _one_gate_circuit,
         "n8": lambda: _square_circuit(9, 12),
         "sbox": _sbox_circuit,
+        "round": _round_circuit,
     }
 
     def _pinned_proof_digest(self, srs, monkeypatch, name, blinding):
@@ -300,7 +312,7 @@ class TestQuotientRound:
         assert injector.consultations == 0
 
     @pytest.mark.parametrize("blinding", [False, True])
-    @pytest.mark.parametrize("name", ["n4", "n8", "sbox"])
+    @pytest.mark.parametrize("name", ["n4", "n8", "sbox", "round"])
     def test_bad_witness_aborts_without_the_layout_check(self, srs, monkeypatch, name, blinding):
         """Corrupt each wire cell in turn: whatever ``Layout.check`` rejects,
         the rounds themselves must refuse to prove."""

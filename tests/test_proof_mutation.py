@@ -3,7 +3,7 @@
 Knowledge soundness is not directly testable, but a cheap and strong
 corollary is: take an honestly generated proof and flip any single
 component — any of the 9 G1 commitments or 6 scalar evaluations of a
-Plonk proof, any of the (A, B, C) elements of a Groth16 proof, or any
+Plonk proof (7 with a MiMC round gate's a(zeta omega)), any of the (A, B, C) elements of a Groth16 proof, or any
 public input — and the verifier must reject.  A mutation that survives
 verification would mean that component never entered the pairing checks,
 i.e. a forgery degree of freedom.
@@ -26,9 +26,9 @@ from repro.field.fr import MODULUS as R
 from repro.groth16 import Groth16Proof, groth16_prove, groth16_setup, groth16_verify
 from repro.kzg import SRS, commit_scalar
 from repro.plonk import CircuitBuilder, Transcript, prove, setup, verify
-from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS
+from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS, _SHIFTED_FIELD
 from repro.r1cs import R1CSBuilder
-from tests.test_plonk import _sbox_circuit
+from tests.test_plonk import _round_circuit, _sbox_circuit
 
 pytestmark = pytest.mark.slow
 
@@ -185,6 +185,58 @@ class TestCubicGateProofMutation:
         vk, publics, proof = cubic_case
         stripped = dataclasses.replace(vk, c_q3=G1.identity())
         assert _rejects(lambda: verify(stripped, publics, proof))
+        honest_digest = vk.digest()
+        monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
+        assert verify(vk, publics, proof)  # sanity: pinning changes nothing
+        assert _rejects(lambda: verify(stripped, publics, proof))
+
+
+@pytest.fixture(scope="module")
+def round_case():
+    """A circuit of MiMC round gates (test_plonk's round circuit, 8 rounds):
+    its proofs carry a seventh evaluation, a(zeta omega)."""
+    layout, assignment = _round_circuit()
+    pk, vk = setup(SRS.generate(64, tau=987654321), layout)
+    proof = prove(pk, assignment)
+    publics = assignment.public_inputs
+    assert proof.a_omega_bar is not None and verify(vk, publics, proof)
+    return vk, publics, proof
+
+
+class TestRoundGateProofMutation:
+    """The same surface over a proof whose rows are round gates, plus its
+    shifted evaluation a(zeta omega)."""
+
+    def test_every_component_is_load_bearing(self, round_case):
+        vk, publics, proof = round_case
+        for field in _POINT_FIELDS:
+            mutant = proof.replace(**{field: getattr(proof, field) + G1.generator()})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+        for field in _SCALAR_FIELDS + (_SHIFTED_FIELD,):
+            mutant = proof.replace(**{field: (getattr(proof, field) + 1) % R})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+
+    @pytest.mark.parametrize("value", [0, 1, R - 1, None], ids=["0", "1", "r-1", "missing"])
+    def test_degenerate_shifted_evaluation_rejected(self, round_case, value):
+        vk, publics, proof = round_case
+        mutant = proof.replace(a_omega_bar=value)
+        assert mutant != proof
+        assert _rejects(lambda: verify(vk, publics, mutant))
+
+    def test_randomized_shifted_evaluation_rejected(self, round_case, chaos_seed):
+        vk, publics, proof = round_case
+        rng = random.Random("%d:a_omega_bar" % chaos_seed)
+        value = proof.a_omega_bar
+        while value == proof.a_omega_bar:
+            value = rng.randrange(R)
+        assert _rejects(lambda: verify(vk, publics, proof.replace(a_omega_bar=value)))
+
+    def test_key_without_the_round_selector_rejects(self, round_case, monkeypatch):
+        """Swap ``c_qround`` for the identity with ``vk.digest()`` pinned to
+        the honest key's: the [qround] term alone is missing and the
+        pairing equation breaks."""
+        vk, publics, proof = round_case
+        stripped = dataclasses.replace(vk, c_qround=G1.identity())
         honest_digest = vk.digest()
         monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
         assert verify(vk, publics, proof)  # sanity: pinning changes nothing

@@ -17,6 +17,7 @@ import pytest
 
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
+from repro.gadgets.mimc import mimc_block
 from repro.kzg import SRS, commit_message, commit_scalar
 from repro.plonk import CircuitBuilder, Proof, prove, setup, verify
 from repro.plonk.transcript import Transcript
@@ -114,7 +115,9 @@ BOUND_BY = {
     **dict.fromkeys(("c_a", "c_b", "c_c"), b"beta"),
     "c_z": b"alpha",
     **dict.fromkeys(("c_t_lo", "c_t_mid", "c_t_hi"), b"zeta"),
-    **dict.fromkeys(("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar"), b"v"),
+    **dict.fromkeys(
+        ("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar", "a_omega_bar"), b"v"
+    ),
     **dict.fromkeys(("w_zeta", "w_zeta_omega"), b"u"),
 }
 
@@ -187,6 +190,15 @@ def _data_linked(srs, key=1234567, rho=7654321, message=(11, 22, 33), data_rho=5
     return builder.compile(), (k_point, d_point)
 
 
+def _round_gate(srs, key=111, block=222, rounds=8):
+    """Public y = E_key(block) on the MiMC round gate: its proofs carry
+    a(zeta omega)."""
+    builder = CircuitBuilder()
+    out = mimc_block(builder, builder.var(key), builder.var(block), rounds=rounds)
+    builder.assert_equal(out, builder.public_input(builder.value(out)))
+    return builder.compile(), None
+
+
 def _encode(value):
     """The bytes a transcript absorbs for a G1 point or a scalar."""
     return value.to_bytes() if isinstance(value, G1) else (value % R).to_bytes(32, "little")
@@ -223,7 +235,9 @@ class TestProverVerifierReplay:
         assert verifier_log == prover_log
 
     @pytest.mark.parametrize(
-        "statement", [_unlinked, _linked, _data_linked], ids=["unlinked", "linked", "data_linked"]
+        "statement",
+        [_unlinked, _linked, _data_linked, _round_gate],
+        ids=["unlinked", "linked", "data_linked", "round_gate"],
     )
     def test_schedule_binds_the_statement_and_every_proof_field(
         self, srs, transcript_log, statement
@@ -253,10 +267,14 @@ class TestProverVerifierReplay:
         assert positions[-1] < _absorbed_at(prover_log, _encode(proof.c_a)) < challenges[b"beta"]
         assert {f.name for f in dataclasses.fields(Proof)} == set(BOUND_BY)
         for name, bound_by in BOUND_BY.items():
+            if getattr(proof, name) is None:  # a(zeta omega) without round gates
+                continue
             assert _absorbed_at(prover_log, _encode(getattr(proof, name))) < challenges[bound_by], name
 
     @pytest.mark.parametrize(
-        "statement", [_unlinked, _linked, _data_linked], ids=["unlinked", "linked", "data_linked"]
+        "statement",
+        [_unlinked, _linked, _data_linked, _round_gate],
+        ids=["unlinked", "linked", "data_linked", "round_gate"],
     )
     def test_every_later_challenge_depends_on_every_absorb(
         self, srs, transcript_log, monkeypatch, statement
