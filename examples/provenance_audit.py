@@ -3,9 +3,10 @@
 Shows the two properties ZKDET was built for:
 
 A. **Traceability with verification** — a buyer audits a derived asset
-   from public information only: walks the on-chain prevIds DAG, verifies
-   the pi_t proof chain back to the source commitment [d], verifies pi_e, and
-   detects storage tampering through the content-addressed URI.
+   from public information only (``ZKDETMarketplace.audit``): the
+   content-addressed URI, pi_e, and every pi_t back to the source, each
+   against the digests of [d] the chain records; the on-chain prevIds DAG
+   names the lineage, and storage tampering fails the audit.
 
 B. **Key privacy** — the same dataset sold twice: once with classic ZKCP
    (after which an uninvolved eavesdropper decrypts it straight from
@@ -17,7 +18,6 @@ Run:  python examples/provenance_audit.py   (~30 s on two cores)
 
 from repro import Duplication, SnarkContext, ZKDETMarketplace
 from repro.contracts import ZKCPArbiterContract
-from repro.core.transform_protocol import verify_encryption, verify_proof_chain
 from repro.core.zkcp import ZKCPExchange
 from repro.errors import StorageError
 from repro.primitives.mimc import mimc_decrypt_ctr
@@ -28,30 +28,19 @@ def main():
     snark = SnarkContext.with_fresh_srs(8208)
     market = ZKDETMarketplace(snark)
     alice = market.register_participant()
-    eve = market.register_participant()  # a curious third party
 
     print("\n--- Part A: provenance audit -------------------------------")
     source = market.publish_dataset(alice, [314, 159])
-    replicas, pi_t = market.transform(alice, [source], Duplication())
-    replica = replicas[0]
+    (replica,), _pi_t = market.transform(alice, [source], Duplication())
     print("source token %d -> duplication -> token %d"
           % (source.token_id, replica.token_id))
 
     print("Auditing token %d from public data:" % replica.token_id)
-    graph = market.provenance()
-    # The chain records the digest of each dataset's [d] and entry count;
-    # pi_t links the points and declares the counts.
-    root, tail = (
-        market.chain.call_view(market.token, "commitment_of", t.token_id)
-        for t in (source, replica)
-    )
-    ok_chain = verify_proof_chain(snark, [(Duplication(), pi_t)], root, tail)
-    print("  pi_t chain source->replica verifies : %s" % ok_chain)
-    view = replica.asset.public_view(snark.srs)
-    ok_enc = verify_encryption(snark, view, replica.encryption_proof)
-    print("  pi_e for the replica verifies       : %s" % ok_enc)
-    print("  lineage recorded on chain           : %s"
-          % (graph.ancestors(replica.token_id) == {source.token_id}))
+    report = market.audit(replica.token_id)
+    for description, passed in report.checks:
+        print("  %-52s: %s" % (description, passed))
+    lineage = market.provenance().ancestors(replica.token_id) == {source.token_id}
+    print("  %-52s: %s" % ("lineage recorded on chain", lineage))
 
     print("Tamper check: corrupting the stored ciphertext...")
     market.storage.tamper(replica.asset.uri, b"malicious bytes")
@@ -60,6 +49,7 @@ def main():
         print("  !!! tampering went unnoticed")
     except StorageError:
         print("  tampering detected: content no longer matches its URI")
+    print("  the audit now fails: %s" % market.audit(replica.token_id).failed_checks())
     # Restore for part B.
     market.storage.put(replica.asset.serialized_ciphertext(), owner=alice)
 

@@ -9,16 +9,22 @@ group operations (the BN254 precompiles: ECADD, ECMUL, pairing check).
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from repro.chain.contract import Contract, external, view
+from repro.curve.g1 import G1
 from repro.plonk.batch import batch_verify
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.proof import Proof
+from repro.plonk.verifier import UNIT_TERMS, fold_terms
 from repro.plonk.verifier import verify as plonk_verify
 
 
 def _vk_code_bytes(vk: VerifyingKey) -> int:
-    """Bytes the hardcoded key contributes to the deployed code."""
-    return 9 * 64 + 2 * 128 + 64  # 9 G1 commitments, 2 G2 points, domain data
+    """Bytes the hardcoded key contributes to the deployed code: its G1
+    commitments (nine, ten with round gates), 2 G2 points, domain data."""
+    g1 = sum(isinstance(getattr(vk, f.name), G1) for f in fields(vk))
+    return g1 * 64 + 2 * 128 + 64
 
 
 class PlonkVerifierContract(Contract):
@@ -30,17 +36,24 @@ class PlonkVerifierContract(Contract):
         # The key is a deploy-time constant, so it counts as code, not storage.
         self.extra_code_bytes = _vk_code_bytes(vk) + 4096  # + pairing library
 
-    def _charge_verification_gas(self) -> None:
-        """Meter the EVM precompile costs of one Plonk verification:
-        19 ECMULs and 21 ECADDs for the proof's 21 terms (``W_zeta`` and
-        ``[qC]`` carry scalar 1; the cubic selector q3 is one of each) —
-        20 and 22 when the key links a commitment, whose term is one more
-        — one 2-pair pairing check, and transcript hashing."""
+    def _charge_fold_gas(self, members: list, unit_terms: int) -> None:
+        """Meter the EVM precompile costs of folding ``members`` (in
+        :func:`~repro.plonk.verifier.fold_check`'s shape): an ECADD per
+        term of the fold (:func:`~repro.plonk.verifier.fold_terms`) and an
+        ECMUL per term less the ``unit_terms`` whose scalar is 1, each
+        member's Fiat-Shamir hashing, and one 2-pair pairing check.  The
+        key's and the links' scalars are summed across members in F_r
+        (~10 MULMOD/ADDMOD a member: field work, which this model prices
+        nowhere)."""
         s = self.schedule
-        links = self._vk.links
-        gas = (19 + links) * s.ecmul + (21 + links) * s.ecadd + s.pairing_cost(2)
-        gas += 15 * (s.sha_base + 2 * s.sha_per_word)  # Fiat-Shamir hashing
-        self._ctx.burn(gas)
+        terms = fold_terms(members)
+        hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
+        self._ctx.burn(
+            (terms - unit_terms) * s.ecmul
+            + terms * s.ecadd
+            + len(members) * hashing
+            + s.pairing_cost(2)
+        )
 
     @external
     def verify(self, public_inputs: tuple, proof_bytes: bytes, link=None) -> bool:
@@ -50,33 +63,11 @@ class PlonkVerifierContract(Contract):
             proof = Proof.from_bytes(proof_bytes)
         except Exception as exc:
             self.require(False, "malformed proof: %s" % exc)
-        self._charge_verification_gas()
-        ok = plonk_verify(self._vk, [int(p) for p in public_inputs], proof, link)
+        member = (self._vk, [int(p) for p in public_inputs], proof, link)
+        self._charge_fold_gas([member], UNIT_TERMS)
+        ok = plonk_verify(*member)
         self.emit("ProofVerified", ok=ok, num_public_inputs=len(public_inputs))
         return ok
-
-    def _charge_batch_verification_gas(self, k: int, links: int = 0) -> None:
-        """Meter the precompile costs of a k-proof batched verification.
-
-        The fold (:func:`repro.plonk.verifier.fold_check`) weights the
-        terms of all k members in F_r and multiplies once.  A member
-        contributes 11 points of its own — ``W_zeta`` and ``W_zeta_omega``
-        on both sides of the equation, its other seven commitments once —
-        while the nine commitments of this contract's one key and the
-        generator are shared, their k scalars summed before the
-        multiplication (~10 MULMOD/ADDMOD a member: field work, which this
-        model prices nowhere).  A linked commitment is shared the same way:
-        ``links`` distinct points add one term each, however many members
-        name them.  That is 11k + 10 + links terms, an ECMUL and an ECADD
-        each, plus each member's Fiat-Shamir hashing and one 2-pair
-        pairing check for the whole batch.  The first member's two unit
-        scalars are not discounted (k = 1 pays 21 ECMULs where
-        :meth:`verify` pays 19): the charge stays a function of k and links.
-        """
-        s = self.schedule
-        terms = 11 * k + 10 + links
-        hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
-        self._ctx.burn(terms * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2))
 
     @external
     def verify_batch(self, items: tuple) -> tuple:
@@ -86,36 +77,37 @@ class PlonkVerifierContract(Contract):
 
         The happy path folds every well-formed member through the
         random-linear-combination batch verifier — two MSMs and one
-        pairing check for the whole batch.  If the fold fails (at least
-        one member is invalid), the batch falls back to individually
-        metered per-proof verification so a single poisoned proof cannot
-        poison its batchmates: honest members still settle, and the
-        submitter pays the re-check gas.  Malformed proof bytes never
-        revert the batch; they are reported False in place.
+        pairing check for the whole batch — and is charged for the fold
+        of every member, a malformed one included, with no unit scalar
+        discounted: the charge stays a function of the batch's size and
+        links.  If the fold fails (at least one member is invalid), the
+        batch falls back to individually metered per-proof verification so
+        a single poisoned proof cannot poison its batchmates: honest
+        members still settle, and the submitter pays the re-check gas.
+        Malformed proof bytes never revert the batch; they are reported
+        False in place.
         """
-        parsed: list = []
+        members: list = []
         for public_inputs, proof_bytes, *link in items:
             try:
                 proof = Proof.from_bytes(proof_bytes)
             except Exception:
-                parsed.append(None)
+                members.append(None)
                 continue
-            parsed.append(([int(p) for p in public_inputs], proof, *link))
-        links = {id(item[2]) for item in parsed if item is not None and len(item) > 2}
-        self._charge_batch_verification_gas(len(parsed), len(links))
-        results = [False] * len(parsed)
-        well_formed = [i for i, item in enumerate(parsed) if item is not None]
-        folded = [(self._vk, *parsed[i]) for i in well_formed]
-        if folded and batch_verify(folded):
+            members.append((self._vk, [int(p) for p in public_inputs], proof, *link))
+        self._charge_fold_gas([member or (self._vk,) for member in members], 0)
+        results = [False] * len(members)
+        well_formed = [i for i, member in enumerate(members) if member is not None]
+        if well_formed and batch_verify([members[i] for i in well_formed]):
             for i in well_formed:
                 results[i] = True
         else:
             for i in well_formed:
-                self._charge_verification_gas()
-                results[i] = plonk_verify(self._vk, *parsed[i])
+                self._charge_fold_gas([members[i]], UNIT_TERMS)
+                results[i] = plonk_verify(*members[i])
         self.emit(
             "BatchVerified",
-            batch_size=len(parsed),
+            batch_size=len(members),
             accepted=sum(1 for ok in results if ok),
         )
         return tuple(results)

@@ -19,7 +19,9 @@ proofs of transformation so each is computed once and reused.
   for at most three datasets in all (:data:`MAX_LINKED_DATASETS`).
 
 Chains of pi_t over shared commitments give continuous validation from
-the data source (Figure 3); :func:`verify_proof_chain` walks such chains.
+the data source (Figure 3); the marketplace audit
+(:meth:`~repro.core.marketplace.ZKDETMarketplace.audit`) walks them
+against what the chain records.
 """
 
 from __future__ import annotations
@@ -275,28 +277,3 @@ def verify_transformation(
     )
     return verify(keys.vk, [], t_proof.proof, t_proof.links)
 
-
-def verify_proof_chain(
-    ctx: SnarkContext,
-    chain: list[tuple[Transformation, TransformProof]],
-    root_digest: int,
-    final_digest: int,
-) -> bool:
-    """Walk a pi_t chain from a source dataset to a final one, each named
-    by its :func:`~repro.core.tokens.commitment_digest` (what the chain
-    records: [d] and its entry count).
-
-    Each step's sources must include the previous step's first derived
-    dataset (Figure 3's chained validation), at the size that step
-    declared for it; every pi_t must verify.
-    """
-    if not chain:
-        return root_digest == final_digest
-    current = root_digest
-    for transformation, t_proof in chain:
-        if current not in t_proof.source_digests:
-            return False
-        if not verify_transformation(ctx, transformation, t_proof):
-            return False
-        current = t_proof.derived_digests[0]
-    return current == final_digest

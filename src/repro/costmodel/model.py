@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.kzg.commit import message_slots
 from repro.plonk.circuit import linked_size
+from repro.plonk.proof import proof_size_bytes
 from repro.primitives.mimc import ROUNDS as MIMC_ROUNDS
 from repro.primitives.poseidon import FULL_ROUNDS, PARTIAL_ROUNDS
 
@@ -254,7 +255,8 @@ class CostModel:
         )
 
     def report_row(self, gates: int) -> dict:
-        """Predicted costs for a circuit with ``gates`` raw constraints."""
+        """Predicted costs for a circuit with ``gates`` raw constraints
+        and no round gates."""
         n = padded_circuit_size(gates)
         return {
             "gates": gates,
@@ -262,5 +264,5 @@ class CostModel:
             "setup_seconds": self.setup.predict(n),
             "prove_seconds": self.prove.predict(n),
             "verify_seconds": self.verify.predict(n),
-            "proof_size_bytes": 9 * 64 + 6 * 32,
+            "proof_size_bytes": proof_size_bytes(shifted=False),
         }

@@ -68,7 +68,3 @@ def assert_ctr_encryption(
     for got, expected in zip(computed, ciphertext):
         builder.assert_equal(got, expected)
 
-
-def constraints_per_block(rounds: int = ROUNDS) -> int:
-    """Gate count of one MiMC block: a row a round and the key addition."""
-    return rounds + 1

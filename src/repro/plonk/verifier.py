@@ -1,20 +1,17 @@
 """The Plonk verifier.
 
-Succinct: independent of circuit size, a proof reduces to 21 (point,
-scalar) terms over 19 distinct points — its nine commitments, the nine of
-the verifying key and the generator — and verification is 19 non-trivial
-scalar multiplications over those terms (``W_zeta`` and ``[qC]`` ride
-with scalar 1) and a single 2-pairing product check, the costs the paper
-reports in Section VI-B3 and Figure 7.  A key that links committed
-messages (``vk.links``, at most three) adds one term per link, the
-commitment [d] the statement names: 22 terms and 20 multiplications for
-one link.  A key with MiMC round gates (``vk.shifted``) adds one more,
-[qround], and its proofs one evaluation, a(zeta omega), which rides on
-[a]'s existing term and the ``W_zeta_omega`` opening.  :func:`fold_check`
-builds the weighted terms and hands them to one engine kernel,
-``Engine.fold_pairing_check``, the one place they are multiplied and
-paired (on two cores when the engine has a helper: it takes a prefix of
-the ``[1]_2`` side and that prefix's Miller loop).
+Succinct: independent of circuit size, a proof reduces to a short list of
+(point, scalar) terms — its nine commitments, the key's commitments, the
+generator and any commitments the statement links (:func:`fold_terms`
+counts them) — and a single 2-pairing product check, the costs the paper
+reports in Section VI-B3 and Figure 7.  A key with MiMC round gates
+(``vk.shifted``) adds [qround], and its proofs one evaluation,
+a(zeta omega), which rides on [a]'s existing term and the
+``W_zeta_omega`` opening.  :func:`fold_check` builds the weighted terms
+and hands them to one engine kernel, ``Engine.fold_pairing_check``, the
+one place they are multiplied and paired (on two cores when the engine
+has a helper: it takes a prefix of the ``[1]_2`` side and that prefix's
+Miller loop).
 :func:`verify` runs the fold over one member,
 :func:`repro.plonk.batch.batch_verify` over many.
 """
@@ -60,10 +57,10 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
     that shares a key, so their scalars are summed per key — by key
     *identity*, never by point value: members are not compared, merged or
     cached by content.  Linked commitments are summed the same way, by the
-    identity of each point object.  k members under one key cost 2k and
-    9k + 10 terms (plus one per distinct linked point) and one 2-pair
-    check.  Returns False on a structurally malformed member;
-    raises if the members' keys come from different SRS.
+    identity of each point object.  :func:`fold_terms` counts the terms;
+    the check is one 2-pair product whatever the batch size.  Returns
+    False on a structurally malformed member; raises if the members' keys
+    come from different SRS.
     """
     engine = get_engine()
     g2, g2_tau = items[0][0].g2, items[0][0].g2_tau
@@ -93,6 +90,38 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
     one_side += [(point, s) for point, s in link_sums.values()]
     with telemetry.span("fold", terms=len(tau_side) + len(one_side)):
         return engine.fold_pairing_check(tau_side, one_side, g2_tau, g2)
+
+
+#: Of a one-member fold's terms, those whose scalar is 1 and so cost no
+#: multiplication: ``W_zeta`` on the ``[tau]_2`` side and ``[qC]``.
+UNIT_TERMS = 2
+
+
+def fold_terms(items: list[tuple]) -> int:
+    """How many (point, scalar) terms :func:`fold_check` folds for
+    ``items``, given in its shape (only each member's key and linked
+    points are read).
+
+    A member brings 11 of its own: ``W_zeta`` and ``W_zeta_omega`` on
+    both sides of the equation, its other seven commitments once.  Each
+    distinct key brings :func:`_key_points` once, and each distinct linked
+    point one term, both grouped by object identity as :func:`fold_check`
+    sums their scalars.  :data:`UNIT_TERMS` of a one-member fold's terms
+    carry scalar 1.
+    """
+    keys = {id(item[0]): item[0] for item in items}
+    links = {
+        id(point) for item in items for point in _link_points(item[3] if len(item) > 3 else None)
+    }
+    return 11 * len(items) + sum(len(_key_points(vk)) for vk in keys.values()) + len(links)
+
+
+def _link_points(link) -> tuple:
+    """A member's linked points: ``link`` is the one point, the points in
+    link order, or None."""
+    if isinstance(link, (tuple, list)):
+        return tuple(link)
+    return () if link is None else (link,)
 
 
 def _key_points(vk: VerifyingKey) -> list[G1]:
@@ -139,7 +168,7 @@ def proof_terms(
         return None
     if proof.shifted != vk.shifted:
         return None
-    links = tuple(link) if isinstance(link, (tuple, list)) else (() if link is None else (link,))
+    links = _link_points(link)
     if len(links) != vk.links:
         return None
     if any(not isinstance(point, G1) or point.inf for point in links):
@@ -281,26 +310,23 @@ def verification_group_operations(vk: VerifyingKey) -> dict:
     """Operation counts for the verifier of proofs under ``vk`` (used by
     the Fig. 7 benchmark).
 
-    Returns the paper-reported shape: 2 pairings and 19 G1 scalar
-    multiplications regardless of circuit size, plus one multiplication
-    per linked commitment and one, [qround], for a key with round gates,
-    whose proofs are also one field element longer (800 bytes, not 768).  All 19 happen inside the one kernel
-    :func:`fold_check` calls, ``Engine.fold_pairing_check``, and nowhere
-    else: 1 on the ``[tau]_2`` side (``u W_zeta_omega``; ``W_zeta`` rides
-    with scalar 1) and 18 on the ``[1]_2`` side (the nine proof points,
-    eight of the nine key commitments — ``[qC]`` rides with scalar 1, the
-    cubic selector q3 is one of the eight — and ``-E`` on the generator).
-    With a helper the kernel splits the ``[1]_2`` side in two: a prefix
-    and its Miller loop on the helper, the rest here, so that pair's loop
-    runs once per part under the one final exponentiation; the counts
-    here are the unsplit equation's.  Public inputs enter through
-    scalars, not points: field work only.
+    Returns the paper-reported shape: 2 pairings and a constant number of
+    G1 scalar multiplications regardless of circuit size — the terms of a
+    one-member fold (:func:`fold_terms`, each link a distinct point) less
+    its :data:`UNIT_TERMS` — all inside the one kernel :func:`fold_check`
+    calls, ``Engine.fold_pairing_check``, and nowhere else.  With a helper
+    the kernel splits the ``[1]_2`` side in two: a prefix and its Miller
+    loop on the helper, the rest here, so that pair's loop runs once per
+    part under the one final exponentiation; the counts here are the
+    unsplit equation's.  Public inputs enter through scalars, not points:
+    field work only.
     """
+    member = (vk, None, None, [object() for _ in range(vk.links)])
     return {
         "pairings": 2,
         "miller_loops": 2,
         "final_exponentiations": 1,
-        "g1_scalar_mults": 19 + vk.links + vk.shifted,
+        "g1_scalar_mults": fold_terms([member]) - UNIT_TERMS,
         "field_ops_per_public_input": 3,
         "proof_size_bytes": proof_size_bytes(vk.shifted),
     }

@@ -126,6 +126,12 @@ class TestLinkedLineageAudit:
             report = market.audit(published.token_id)
             assert report.ok, report.failed_checks()
         assert [p.asset.plaintext for p in parts] == [[5], [6, 7]]
+        # A part's audit walks both pi_t hops back to the roots (Figure 3).
+        lineage = [d for d, _ in market.audit(parts[0].token_id).checks if d.startswith("pi_t")]
+        assert lineage == [
+            "pi_t (partition) verifies for token %d" % parts[0].token_id,
+            "pi_t (aggregation) verifies for token %d" % merged.token_id,
+        ]
 
     @pytest.mark.parametrize("edge", ["aggregation", "partition"])
     def test_one_forged_derived_point_fails_the_audit(self, linked_lineage, edge):

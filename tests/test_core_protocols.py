@@ -16,13 +16,12 @@ from repro.curve.g1 import G1
 from repro.errors import BackendError, ProtocolError
 from repro.field.fr import MODULUS as R
 from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiation_keys
-from repro.core.tokens import DataAsset, commitment_digest
+from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import (
     EncryptionProof,
     prove_encryption,
     prove_transformation,
     verify_encryption,
-    verify_proof_chain,
     verify_transformation,
 )
 from repro.core.transformations import Aggregation, Duplication, Partition
@@ -127,29 +126,6 @@ class TestTransformationProtocol:
             derived_sizes=(4,),
         )
         assert not verify_transformation(snark_ctx, Aggregation(), wide)
-
-    def test_proof_chain(self, snark_ctx, asset):
-        """Figure 3: chained pi_t from the source to a grandchild."""
-        mid, pi_t1 = prove_transformation(snark_ctx, [asset], Duplication())
-        final, pi_t2 = prove_transformation(snark_ctx, mid, Duplication())
-        chain = [(Duplication(), pi_t1), (Duplication(), pi_t2)]
-        srs = snark_ctx.srs
-
-        def digest(a, entries=None):
-            return commitment_digest(a.data_commitment(srs), entries or len(a.plaintext))
-
-        root, tail = digest(asset), digest(final[0])
-        assert verify_proof_chain(snark_ctx, chain, root, tail)
-        # Broken linkage: wrong root or wrong tail.
-        forged = commitment_digest(asset.data_commitment(srs) + G1.generator(), 2)
-        assert not verify_proof_chain(snark_ctx, chain, forged, tail)
-        assert not verify_proof_chain(snark_ctx, chain, root, digest(mid[0]))
-        # The same points at another entry count are other datasets.
-        assert not verify_proof_chain(snark_ctx, chain, digest(asset, 4), tail)
-        assert not verify_proof_chain(snark_ctx, chain, root, digest(final[0], 4))
-        # Empty chain degenerates to digest equality.
-        assert verify_proof_chain(snark_ctx, [], root, root)
-        assert not verify_proof_chain(snark_ctx, [], root, tail)
 
 
 class TestKeySecureExchange:

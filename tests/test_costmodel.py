@@ -92,10 +92,11 @@ class TestGateFormulas:
 
     def test_gadget_budgets(self):
         """The per-gadget ceilings the power-of-two sizes below rest on."""
-        from repro.gadgets.mimc import constraints_per_block
+        from repro.gadgets.mimc import mimc_block
 
+        mimc_rows = built_gate_count(lambda b: mimc_block(b, b.var(1), b.var(2)))
         assert poseidon_hash_gates(1) <= poseidon_hash_gates(2) <= 460
-        assert mimc_block_gates() == constraints_per_block() <= 92
+        assert mimc_block_gates() == mimc_rows <= 92
 
     def test_exchange_circuits_stay_under_their_power_of_two(self):
         """pi_k at 456 rows (n = 512), and pi_e, a row a MiMC round, at

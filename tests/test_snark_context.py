@@ -1,10 +1,16 @@
 """Tests for the shared SNARK context and on-chain verifier contract."""
 
+import dataclasses
+
 import pytest
 
+from repro.backend import get_engine
 from repro.chain import Blockchain
 from repro.chain.contract import ExecutionContext
 from repro.contracts import PlonkVerifierContract
+from repro.core.exchange import key_negotiation_keys
+from repro.core.tokens import DataAsset
+from repro.core.transform_protocol import build_encryption_circuit, prove_encryption
 from repro.errors import SRSError
 from repro.core.snark import SnarkContext
 from repro.field.fr import MODULUS as R
@@ -100,7 +106,7 @@ class TestVerifierContract:
         def charged(k):
             contract._ctx = ExecutionContext(chain, operator, 0, gas_limit=10**9)
             try:
-                contract._charge_batch_verification_gas(k)
+                contract._charge_fold_gas([(contract._vk,)] * k, 0)
                 return contract._ctx.gas_used
             finally:
                 contract._ctx = None
@@ -148,3 +154,91 @@ class TestVerifierContract:
                 ((publics, proof_bytes), ((alias,), proof_bytes)),
             )
             assert batch.status and batch.return_value == (True, False)
+
+
+def _charge_cases(snark_ctx, pik_bundles, case):
+    """The key and the ``(public_inputs, proof_bytes, link)`` members of
+    one case: two pi_k sharing [k], one 1-entry pi_e, or two 1-entry pi_e
+    under one key, sharing the one [k] object."""
+    srs = snark_ctx.srs
+    if case == "pi_k":
+        asset, bundles = pik_bundles
+        key = asset.key_commitment(srs)
+        members = [
+            ((b.masked_key, b.verification_hash), b.proof_bytes, key) for b in bundles[:2]
+        ]
+        return key_negotiation_keys(snark_ctx).vk, members
+    first = DataAsset.create([5])
+    assets = [first]
+    if case == "pi_e_pair":
+        other = DataAsset.create([6], key=first.key)
+        assets.append(dataclasses.replace(other, key_blinder=first.key_blinder))
+    members = []
+    for asset in assets:
+        pi_e = prove_encryption(snark_ctx, asset)
+        # The first asset's [k] object in every member.
+        links = (first.key_commitment(srs), pi_e.data_commitment)
+        members.append((tuple(pi_e.public_inputs), pi_e.proof.to_bytes(), links))
+    keys = snark_ctx.keys_for_shape(
+        ("pi_e", 1, None),
+        lambda b: build_encryption_circuit(b, [0], 0, 0, 0, [0], 0, 0, 0),
+    )
+    return keys.vk, members
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["pi_k", "pi_e", "pi_e_pair"])
+def test_the_charge_is_the_fold(snark_ctx, pik_bundles, monkeypatch, case):
+    """``verify`` pays an ECADD per term the fold multiplies and an ECMUL
+    per term whose scalar is not 1; ``verify_batch`` an ECMUL and an ECADD
+    per term (a batch discounts no unit scalar).  Read from the one charge
+    a transaction burns at or above the pairing's price, against the
+    kernel's own arguments."""
+    vk, members = _charge_cases(snark_ctx, pik_bundles, case)
+    chain = Blockchain()
+    operator = chain.create_account(funded=10**12)
+    s = chain.schedule
+    hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
+    contract = PlonkVerifierContract(vk)
+    deploy = chain.deploy(contract, operator)
+
+    folds, charges = [], []
+    engine = get_engine()
+    fold, burn = engine.fold_pairing_check, ExecutionContext.burn
+
+    def spy_fold(tau_side, one_side, g2_tau, g2):
+        terms = tau_side + one_side
+        folds.append((len(terms), sum(1 for _, scalar in terms if scalar % R != 1)))
+        return fold(tau_side, one_side, g2_tau, g2)
+
+    def spy_burn(ctx, amount):
+        if amount >= s.pairing_cost(2):
+            charges.append(amount)
+        return burn(ctx, amount)
+
+    monkeypatch.setattr(engine, "fold_pairing_check", spy_fold)
+    monkeypatch.setattr(ExecutionContext, "burn", spy_burn)
+
+    def charged(k):
+        """(ECMUL, ECADD) of the one charge, k members' hashing taken off."""
+        (amount,) = charges
+        charges.clear()
+        ops = amount - k * hashing - s.pairing_cost(2)
+        ecmul, rest = divmod(ops, s.ecmul + s.ecadd)
+        assert rest % s.ecadd == 0
+        return ecmul, ecmul + rest // s.ecadd
+
+    single = chain.transact(operator, contract, "verify", *members[0])
+    assert single.status and single.return_value is True
+    (terms, non_unit), = folds
+    assert charged(1) == (non_unit, terms)
+
+    folds.clear()
+    batch = chain.transact(operator, contract, "verify_batch", tuple(members))
+    assert batch.status and batch.return_value == (True,) * len(members)
+    (terms, _non_unit), = folds
+    assert charged(len(members)) == (terms, terms)
+
+    # A round-gate key hardcodes one more G1 point: 64 code bytes.
+    pik_deploy = chain.deploy(PlonkVerifierContract(key_negotiation_keys(snark_ctx).vk), operator)
+    assert deploy.gas_used - pik_deploy.gas_used == (12_800 if vk.shifted else 0)
