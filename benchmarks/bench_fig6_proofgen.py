@@ -82,7 +82,7 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
             builder = CircuitBuilder()
             build_key_negotiation_circuit(builder, 12, 34, 56, 0, 0, 0)
             layout, assignment = builder.compile(check=False)
-            keys = snark_ctx.keys_for(layout)
+            snark_ctx.keys_for(layout)
             # pi_k needs a *satisfying* witness: build honestly.
             from repro.field.fr import MODULUS as R
             from repro.kzg.commit import commit_scalar

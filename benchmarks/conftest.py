@@ -7,8 +7,11 @@ come from the cost model calibrated on the measured points.
 
 With ``REPRO_LEDGER=<path>`` set, each table is also appended to that run
 ledger as one ``bench.<slug>`` record (attrs ``headers`` / ``rows``),
-stamped like every record with the git revision, backend, telemetry level
+stamped like every record with the git revision, backend, telemetry setting
 and installed fault plan; ``python -m repro.telemetry report`` reads it.
+A ledger path switches telemetry on for the process, so the timed rows then
+include its spans and counters (``bench_telemetry_overhead.py`` prints what
+they cost a proof).
 """
 
 import re

@@ -1,7 +1,7 @@
 """A fully traced key-secure exchange: spans, kernel counters, run ledger.
 
-Runs the publish -> sell pipeline with the telemetry layer at trace
-level and then shows the four things it produces:
+Runs the publish -> sell pipeline with telemetry on and then shows the
+four things it produces:
 
 1. the span tree of the exchange — every protocol step (prove, verify,
    commit, reveal, settle) with the matching transaction's gas and
@@ -28,10 +28,8 @@ from repro.telemetry import ledger
 
 
 def main():
-    # Anything below trace is raised to trace so the span trees below
-    # exist.
-    if telemetry.level() < telemetry.TRACE:
-        telemetry.set_level("trace")
+    # Telemetry on, so the span trees below exist.
+    telemetry.set_level("on")
     ledger_path = ledger.default_path()
     if ledger_path is None:
         ledger_path = os.path.join(tempfile.mkdtemp(prefix="repro-"), "runs.jsonl")

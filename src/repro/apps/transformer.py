@@ -67,8 +67,12 @@ class TransformerBlock:
             state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
             return (state >> 16) % 1000 / 1000.0 - 0.5
 
-        mat = lambda r, c: [[nxt() for _ in range(c)] for _ in range(r)]
-        vec = lambda n: [nxt() for _ in range(n)]
+        def mat(r, c):
+            return [[nxt() for _ in range(c)] for _ in range(r)]
+
+        def vec(n):
+            return [nxt() for _ in range(n)]
+
         return TransformerBlock(
             seq_len, d_model, d_ff,
             mat(d_model, d_model), mat(d_model, d_model), mat(d_model, d_model),

@@ -58,7 +58,7 @@ measured and paid for nothing (EXPERIMENTS.md, "Folded: the parallel
 engine's pool").
 
 Telemetry (``REPRO_TELEMETRY``) has two rules, each stated once: a kernel
-is its body under :func:`_kernel`, which at metrics level counts the call
+is its body under :func:`_kernel`, which when on counts the call
 from its arguments and times it into ``engine.kernel.seconds``; and every
 cache lookup goes through :meth:`Engine._lookup`, which counts its hit or
 miss.  A body reaches other kernels' arithmetic through the module-level
@@ -137,15 +137,15 @@ _F = TypeVar("_F", bound=Callable[..., Any])
 
 
 def _kernel(name: str, record: Callable[..., object]) -> Callable[[_F], _F]:
-    """Make an :class:`Engine` method a kernel: at metrics level ``record``
+    """Make an :class:`Engine` method a kernel: with telemetry on ``record``
     counts the call from the method's arguments and the call is timed into
-    ``engine.kernel.seconds{kernel=name}``; below it the method runs
-    straight through."""
+    ``engine.kernel.seconds{kernel=name}``; off, the method runs straight
+    through."""
 
     def decorate(body: _F) -> _F:
         @functools.wraps(body)
         def kernel(self: Engine, *args: Any, **kwargs: Any) -> Any:
-            if not _tel.metrics_enabled():
+            if not _tel.enabled():
                 return body(self, *args, **kwargs)
             record(*args, **kwargs)
             with _tel.kernel_timer(name):
@@ -388,14 +388,14 @@ class Engine:
         Entries are ``(owner, ..., value)`` and pin their owner: one made
         for another object (an ``id`` reused after garbage collection) is
         no entry; a cache keyed by value makes its entries for ``None``.
-        At metrics level the outcome counts as a hit of ``cache`` if the
+        With telemetry on the outcome counts as a hit of ``cache`` if the
         value holds at least ``need`` items, else as a miss, which also
         runs ``miss``: the count of the kernel the miss costs.
         """
         entry = table.get(key)
         if entry is not None and entry[0] is not owner:
             entry = None
-        if _tel.metrics_enabled():
+        if _tel.enabled():
             hit = entry is not None and (need == 0 or len(entry[-1]) >= need)
             _tel.counter("engine.cache.hits" if hit else "engine.cache.misses", cache=cache).inc()
             if not hit and miss is not None:

@@ -106,7 +106,7 @@ class Mempool:
             floor = self.fee_floor()
             if floor is None or fee <= floor:
                 self.rejected += 1
-                if telemetry.metrics_enabled():
+                if telemetry.enabled():
                     telemetry.counter("chain.mempool.rejected").inc()
                 raise MempoolFullError(
                     "mempool full (%d txs); fee %d does not beat the floor %s"
@@ -119,7 +119,7 @@ class Mempool:
         heapq.heappush(self._serve, (-tx.fee, tx.seq))
         heapq.heappush(self._evict, (tx.fee, -tx.seq))
         self.admitted += 1
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("chain.mempool.admitted").inc()
         return tx
 
@@ -130,7 +130,7 @@ class Mempool:
             if victim is not None:
                 self.evicted += 1
                 self._evicted_txs.append(victim)
-                if telemetry.metrics_enabled():
+                if telemetry.enabled():
                     telemetry.counter("chain.mempool.evicted").inc()
                 return victim
 

@@ -199,14 +199,14 @@ class KeySecureExchange:
         """Execute both phases; the tamper flags inject malicious behaviour
         (used by the fairness tests and the security benchmarks).
 
-        Under ``REPRO_TELEMETRY=trace`` the run emits an ``exchange.run``
+        Under ``REPRO_TELEMETRY=on`` the run emits an ``exchange.run``
         span with one child per protocol step — prove/verify (phase 1),
         commit (payment lock), prove/reveal (phase 2 key submission) and
         settle — each chain step carrying its transaction's gas and
         emitted event names as attributes.  With ``REPRO_LEDGER=<path>``
-        set, each run additionally appends one record to the run ledger:
-        the span tree, the run's metric deltas and any injected faults
-        (see :mod:`repro.telemetry.ledger`).  A run that raises — the
+        set (which switches telemetry on), each run also appends one
+        record to the run ledger: the span tree, the run's metric deltas
+        and any injected faults (see :mod:`repro.telemetry.ledger`).  A run that raises — the
         phase-1 prover, an unlandable refund — still writes its record,
         with the error, before the exception propagates.
         """

@@ -9,7 +9,7 @@ one of the typed transient errors from :mod:`repro.errors`.
 
 Everything the injector does is recorded twice: in ``self.log`` (the
 deterministic ground truth the replay tests compare bit-for-bit) and —
-when telemetry is at least ``metrics`` — in the global registry under
+when telemetry is on — in the global registry under
 ``faults.injected.<kind>`` counters.
 
 Time is *virtual*: injected latency and retry backoff advance
@@ -100,7 +100,7 @@ class FaultInjector:
 
     def _record(self, site: str, rule: FaultRule, rule_index: int) -> None:
         self.log.append(InjectedFault(len(self.log), site, rule.kind, rule_index))
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("faults.injected.%s" % rule.kind, site=site).inc()
 
     def _firing(self, site: str) -> Iterator[FaultRule]:

@@ -82,7 +82,7 @@ class RetryPolicy:
         started_us = clock.now_us if clock is not None else 0
         last: TransientError | None = None
         for attempt in range(self.max_attempts):
-            if attempt and telemetry.metrics_enabled():
+            if attempt and telemetry.enabled():
                 telemetry.counter("retry.attempts", site=site).inc()
             try:
                 return operation()
@@ -94,13 +94,13 @@ class RetryPolicy:
                         self.timeout_us is not None
                         and clock.now_us - started_us > self.timeout_us
                     ):
-                        if telemetry.metrics_enabled():
+                        if telemetry.enabled():
                             telemetry.counter("retry.deadline", site=site).inc()
                         raise DeadlineExceededError(
                             "operation %r exceeded its %d us budget after %d attempts"
                             % (site, self.timeout_us, attempt + 1)
                         ) from exc
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("retry.exhausted", site=site).inc()
         raise RetryExhaustedError(
             "operation %r failed on all %d attempts; last error: %s"
@@ -245,7 +245,7 @@ class ExchangeSteps:
                 )
                 span.set_attrs(receipt.span_attrs("refund"))
             self.gas += receipt.gas_used
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("exchange.aborted", protocol=self.protocol).inc()
         if isinstance(exc, ProtocolError):
             return str(exc)

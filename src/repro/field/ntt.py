@@ -121,7 +121,7 @@ class Domain:
     def get(cls, n: int) -> "Domain":
         """Return a cached domain of size ``n`` (domains are immutable)."""
         dom = cls._cache.get(n)
-        if _tel.metrics_enabled():
+        if _tel.enabled():
             _tel.counter(
                 "engine.cache.hits" if dom is not None else "engine.cache.misses",
                 cache="ntt_plan",

@@ -31,7 +31,7 @@ def commit(srs: SRS, coeffs: list[int]) -> G1:
         raise SRSError(
             "polynomial degree %d exceeds SRS bound %d" % (len(coeffs) - 1, srs.max_degree)
         )
-    if telemetry.metrics_enabled():
+    if telemetry.enabled():
         telemetry.counter("kzg.commit.calls").inc()
         telemetry.histogram("kzg.commit.degree").observe(max(len(coeffs) - 1, 0))
     # msm_srs resolves the points inside the engine (cached Jacobian view

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from repro import faults
-from repro.chain import Blockchain, MiningRound, PendingTx
+from repro.chain import Blockchain, PendingTx
 from repro.contracts.arbiter import ZKCPArbiterContract
 from repro.contracts.erc721 import DataTokenContract
 from repro.errors import (

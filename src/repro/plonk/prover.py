@@ -63,11 +63,10 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     and the proof one more evaluation, a(zeta omega), opened together with
     z(zeta omega).
 
-    Under ``REPRO_TELEMETRY=trace`` the proof emits a ``plonk.prove``
+    Under ``REPRO_TELEMETRY=on`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
-    evaluation, opening); at ``metrics`` level the engine's kernel
-    counters record every NTT/MSM/inversion with sizes and cache
-    outcomes.
+    evaluation, opening), and the engine's kernel counters record every
+    NTT/MSM/inversion with sizes and cache outcomes.
     """
     engine = get_engine()
     layout = pk.layout

@@ -97,7 +97,10 @@ class R1CSBuilder:
         self, a: LinearCombination, b: LinearCombination, c: LinearCombination
     ) -> None:
         """Add the constraint <a, w> * <b, w> = <c, w>."""
-        norm = lambda lc: {k: v % R for k, v in lc.items() if v % R}
+
+        def norm(lc: LinearCombination) -> LinearCombination:
+            return {k: v % R for k, v in lc.items() if v % R}
+
         self._constraints.append((norm(a), norm(b), norm(c)))
 
     # ----- helpers -------------------------------------------------------------

@@ -231,7 +231,7 @@ class MarketplaceNode:
         )
         self._sessions[session.session_id] = session
         self._next_session += 1
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("service.sessions.opened").inc()
         return session
 
@@ -313,7 +313,7 @@ class MarketplaceNode:
                     fut.set_exception(exc)
                 continue
             outcome.latency_s = time.perf_counter() - enqueued
-            if telemetry.metrics_enabled():
+            if telemetry.enabled():
                 label = (
                     "success"
                     if outcome.success
@@ -415,6 +415,6 @@ class MarketplaceNode:
         try:
             return await asyncio.wait_for(_reply(), timeout=self.config.request_timeout)
         except asyncio.TimeoutError:
-            if telemetry.metrics_enabled():
+            if telemetry.enabled():
                 telemetry.counter("service.timeouts").inc()
             return None

@@ -90,7 +90,7 @@ class _Worker:
             return
         self.read += 1
         lost, self.helpers = self.helpers - message[2], message[2]
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("service.pool.helpers_lost").inc(max(0, lost))
         reply.set_result(message[:2])
 
@@ -126,7 +126,7 @@ class ProverPool:
         (module docstring); a re-fork first joins the dead worker's."""
         if worker.conn is not None:
             _stop(worker)
-            if telemetry.metrics_enabled():
+            if telemetry.enabled():
                 telemetry.counter("service.pool.restarts").inc()
         engine = get_engine()
         engine.msm_srs(self._ctx.srs, [0] * self._rows)
@@ -171,7 +171,7 @@ class ProverPool:
             raise BackendError("prover worker died (exit code %s)" % dead.exitcode) from None
         finally:
             self._turn.release()
-            if telemetry.metrics_enabled():
+            if telemetry.enabled():
                 telemetry.counter("service.pool.jobs").inc()
                 telemetry.histogram(
                     "service.pool.prove.seconds", LATENCY_BUCKETS

@@ -67,12 +67,12 @@ class FairQueue:
             self._ring.append(tenant)
         items.append(item)
         self._size += 1
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("service.queue.admitted").inc()
         self._wake_one()
 
     def _reject(self, tenant: str, scope: str) -> None:
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.counter("service.queue.rejected", scope=scope).inc()
         if scope == "queue":
             raise QueueFullError(

@@ -113,7 +113,7 @@ class SettlementBatcher:
         self.gas_total += receipt.gas_used
         gas_share = receipt.gas_used // len(batch)
         settled = set(receipt.return_value) if receipt.status else set()
-        if telemetry.metrics_enabled():
+        if telemetry.enabled():
             telemetry.histogram("service.settlement.batch_size").observe(len(batch))
             telemetry.counter("service.settlement.settled").inc(len(settled))
             telemetry.counter(

@@ -1,15 +1,18 @@
 """Structured observability for the whole stack — spans, metrics, the run ledger.
 
-Zero-dependency and **off by default**: the ``REPRO_TELEMETRY``
-environment variable selects one of three levels,
+Zero-dependency and **off by default**: ``REPRO_TELEMETRY`` is ``off``
+or ``on``,
 
-- ``off``     — every instrumentation point is a module-level no-op
-  fast path (a single integer comparison; budgeted at <2% of proof
+- ``off`` — every instrumentation point is a module-level no-op fast
+  path (one global load and compare; budgeted at <2% of proof
   wall-clock, see ``benchmarks/bench_telemetry_overhead.py``);
-- ``metrics`` — counters and histograms record kernel calls, sizes,
-  durations and cache hit/miss outcomes, but no spans are created;
-- ``trace``   — metrics plus nested wall-clock spans (prover rounds,
-  Groth16 phases, exchange protocol steps).
+- ``on``  — counters and histograms record kernel calls, sizes,
+  durations and cache hit/miss outcomes, and nested wall-clock spans
+  record prover rounds, Groth16 phases and exchange protocol steps.
+
+A process started with ``REPRO_LEDGER`` set runs ``on``, so its run
+ledger records carry their metric deltas and span trees;
+``REPRO_TELEMETRY=off`` beside a ledger path is refused at import.
 
 Everything is recorded in the calling process: the engine's forked MSM
 helpers record nothing, their time is the caller's kernel time.
@@ -18,7 +21,7 @@ Typical use::
 
     from repro import telemetry
 
-    with telemetry.use_level("trace"):
+    with telemetry.use_level("on"):
         proof = prove(pk, assignment)
     tree = telemetry.finished_roots()[-1]     # the plonk.prove span tree
     stats = telemetry.snapshot()              # counters + histograms
@@ -58,67 +61,42 @@ from repro.telemetry.spans import (
     span_records,
 )
 
-#: Telemetry levels, ordered.  ``metrics`` implies counters/histograms;
-#: ``trace`` additionally creates spans.
-OFF, METRICS, TRACE = 0, 1, 2
-
-_LEVEL_NAMES = {"off": OFF, "metrics": METRICS, "trace": TRACE}
-
-#: The active level.  Module-level integer so the disabled fast path is
-#: one global load and compare — cheap enough for the hottest kernels.
-_level = OFF
+#: Whether telemetry records.  A module-level bool so the disabled fast
+#: path is one global load and compare — cheap enough for the hottest
+#: kernels.
+_on = False
 
 _registry = Registry()
 
 
-def _parse_level(value: Union[int, str]) -> int:
-    if isinstance(value, int):
-        if value not in (OFF, METRICS, TRACE):
-            raise ValueError("telemetry level must be 0, 1 or 2, got %r" % value)
-        return value
+def _parse_level(value: str) -> bool:
     name = str(value).strip().lower()
-    if name in _LEVEL_NAMES:
-        return _LEVEL_NAMES[name]
-    if name.isdigit() and int(name) in (OFF, METRICS, TRACE):
-        return int(name)
-    raise ValueError(
-        "unknown telemetry level %r (expected off, metrics or trace)" % (value,)
-    )
+    if name not in ("off", "on"):
+        raise ValueError("unknown telemetry level %r (expected off or on)" % (value,))
+    return name == "on"
 
 
-def level() -> int:
-    """The active level as an integer (OFF / METRICS / TRACE)."""
-    return _level
+def enabled() -> bool:
+    """Whether counters, histograms and spans record."""
+    return _on
 
 
-def level_name() -> str:
-    return {OFF: "off", METRICS: "metrics", TRACE: "trace"}[_level]
-
-
-def set_level(value: Union[int, str]) -> int:
-    """Set the active level ('off' ... 'trace' or 0-2); returns the previous."""
-    global _level
-    previous = _level
-    _level = _parse_level(value)
+def set_level(value: str) -> str:
+    """Switch telemetry ``"off"`` or ``"on"``; returns the previous setting."""
+    global _on
+    previous = "on" if _on else "off"
+    _on = _parse_level(value)
     return previous
 
 
 @contextmanager
-def use_level(value: Union[int, str]) -> Iterator[None]:
-    """Scoped level override (restores the previous level on exit)."""
+def use_level(value: str) -> Iterator[None]:
+    """Scoped switch (restores the previous setting on exit)."""
     previous = set_level(value)
     try:
         yield
     finally:
         set_level(previous)
-
-
-def metrics_enabled() -> bool:
-    return _level >= METRICS
-
-
-def trace_enabled() -> bool:
-    return _level >= TRACE
 
 
 # ----- instruments --------------------------------------------------------
@@ -149,12 +127,12 @@ def reset_metrics() -> None:
 
 
 def span(name: str, **attrs: Any) -> Union[Span, NoopSpan]:
-    """A traced region: real :class:`Span` at trace level, no-op otherwise.
+    """A traced region: a real :class:`Span` when on, the no-op otherwise.
 
     The returned object supports ``with``, :meth:`~Span.set_attr` and
     :meth:`~Span.set_attrs` in both modes, so call sites never branch.
     """
-    if _level < TRACE:
+    if not _on:
         return NOOP_SPAN
     return Span(name, attrs)
 
@@ -186,9 +164,9 @@ def kernel_timer(kernel: str, **labels: object) -> Union[_KernelTimer, NoopSpan]
     *times* it through this context manager, so the hot-kernel table in
     ``python -m repro.telemetry report`` can rank kernels by wall-clock
     and quantiles, not just call counts.  Returns the shared no-op span
-    below metrics level, so the disabled path stays one compare.
+    when off, so the disabled path stays one compare.
     """
-    if _level < METRICS:
+    if not _on:
         return NOOP_SPAN
     return _KernelTimer(
         _registry.histogram("engine.kernel.seconds", LATENCY_BUCKETS, kernel=kernel, **labels)
@@ -199,13 +177,22 @@ def kernel_timer(kernel: str, **labels: object) -> Union[_KernelTimer, NoopSpan]
 
 
 def configure_from_env(environ: "Mapping[str, str] | None" = None) -> None:
-    """Apply the ``REPRO_TELEMETRY`` level; unset or empty changes nothing.
+    """Apply ``REPRO_TELEMETRY``; a set ``REPRO_LEDGER`` switches telemetry on.
 
-    Called once at import; safe to call again after mutating ``os.environ``
-    in tests.
+    Unset or empty ``REPRO_TELEMETRY`` without a ledger changes nothing.
+    ``REPRO_TELEMETRY=off`` with a ledger path raises ``ValueError``: its
+    records would carry no spans and no metrics.  Called once at import;
+    safe to call again after mutating ``os.environ`` in tests.
     """
     env = os.environ if environ is None else environ
     raw = env.get("REPRO_TELEMETRY", "").strip()
+    if env.get("REPRO_LEDGER", "").strip():
+        if raw and not _parse_level(raw):
+            raise ValueError(
+                "REPRO_TELEMETRY=off with REPRO_LEDGER set: a ledger record "
+                "needs telemetry on (unset REPRO_TELEMETRY or set it to on)"
+            )
+        raw = "on"
     if raw:
         set_level(raw)
 
@@ -213,9 +200,6 @@ def configure_from_env(environ: "Mapping[str, str] | None" = None) -> None:
 configure_from_env()
 
 __all__ = [
-    "OFF",
-    "METRICS",
-    "TRACE",
     "Counter",
     "Histogram",
     "Registry",
@@ -228,13 +212,11 @@ __all__ = [
     "configure_from_env",
     "counter",
     "current_span",
+    "enabled",
     "finished_roots",
     "format_span_tree",
     "histogram",
     "kernel_timer",
-    "level",
-    "level_name",
-    "metrics_enabled",
     "quantile_from_bucket_dict",
     "quantile_from_buckets",
     "registry",
@@ -244,6 +226,5 @@ __all__ = [
     "snapshot",
     "span",
     "span_records",
-    "trace_enabled",
     "use_level",
 ]

@@ -194,7 +194,7 @@ def cmd_flame(args: argparse.Namespace) -> int:
         sys.stdout.write(line + "\n")
     if not lines:
         sys.stdout.write(
-            "no spans in ledger (record runs with REPRO_TELEMETRY=trace)\n"
+            "no spans in ledger (record runs with REPRO_TELEMETRY=on)\n"
         )
     return 0
 

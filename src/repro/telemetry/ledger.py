@@ -11,8 +11,8 @@ the buckets, cache hit rates from the counters):
   records attribute per-run even when many runs share a process;
 - every fault injected during the run;
 - environment provenance: the installed engine's backend name, git
-  revision, telemetry level and the installed fault plan, so a chaos
-  result replays from the record alone.
+  revision, telemetry setting (``off``/``on``) and the installed fault
+  plan, so a chaos result replays from the record alone.
 
 Schema (one JSON object per line)::
 
@@ -27,7 +27,7 @@ Schema (one JSON object per line)::
       "metrics": {"counters": {...},
                   "histograms": {"<name>": {"count", "sum", "buckets"}}},
       "faults": [{"sequence": ..., "site": ..., "kind": ..., "rule_index": ...}],
-      "spans": [ ...span_records... ]       # [] below trace level
+      "spans": [ ...span_records... ]       # [] if telemetry was off
     }
 
 The writers are ``KeySecureExchange.run`` (``exchange.keysecure``),
@@ -37,12 +37,15 @@ keys; an incompatible change bumps ``schema_version``, and :func:`read`
 refuses a record of any other version.  Gating: a path passed explicitly,
 or the ``REPRO_LEDGER`` environment variable; with neither, :func:`begin`
 returns a no-op recorder and the instrumented code paths cost one
-``None`` check.
+``None`` check.  A process started with ``REPRO_LEDGER`` set runs with
+telemetry on (:func:`repro.telemetry.configure_from_env`), so each of its
+records carries the run's metric deltas and the tree of its root span.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -69,7 +72,9 @@ def enabled() -> bool:
     return default_path() is not None
 
 
+@functools.cache
 def _git_revision() -> str:
+    """``git rev-parse HEAD`` of this checkout, read once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -94,7 +99,7 @@ def environment() -> Dict[str, Any]:
     return {
         "backend": get_engine().name,
         "git_revision": _git_revision(),
-        "telemetry_level": _tel.level_name(),
+        "telemetry_level": "on" if _tel.enabled() else "off",
         "pid": os.getpid(),
         "faults": (
             "%s:%d" % (injector.plan.name, injector.plan.seed)
@@ -239,7 +244,7 @@ class RunRecorder:
         installs injectors of its own, the faults they drew (by default
         the record takes what the active injector drew since :func:`begin`).
         A ``span`` that is not a real :class:`Span` — the shared no-op
-        below trace level — serialises as ``[]``."""
+        when telemetry is off — serialises as ``[]``."""
         if span is not None:
             self.span = span
         if faults is not None:

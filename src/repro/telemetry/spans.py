@@ -110,7 +110,7 @@ class Span:
 
 
 class NoopSpan:
-    """Shared do-nothing span returned when tracing is off.
+    """Shared do-nothing span returned when telemetry is off.
 
     Stateless, so one instance can be re-entered concurrently; every
     mutator is a no-op and returns ``self`` for chaining.

@@ -6,7 +6,9 @@ keys accumulate in its cache across tests, exactly as a deployed system
 would reuse them.  So are the seller-proven pi_k bundles the node's
 tests serve.  ``lone_thread_at_fork`` checks every fork a test makes
 (the prover pool's and the engine helpers' tests use it); ``cpus`` sets
-the CPU mask the process's engine and the prover pool are sized from.
+the CPU mask the process's engine and the prover pool are sized from; an
+autouse check fails any test that leaves a patched ``Engine`` method on
+the process's engine.
 
 Seeded-randomness plumbing for the chaos and differential suites: the
 ``chaos_seed`` fixture reads ``REPRO_CHAOS_SEED`` (defaulting to a fixed
@@ -97,6 +99,21 @@ def cpus(monkeypatch):
     yield set_mask
     if repro.backend._engine not in (None, previous):
         repro.backend._engine.close()
+
+
+@pytest.fixture(autouse=True)
+def _engine_left_unpatched():
+    """Fail a test that leaves an ``Engine`` attribute in the process
+    engine's ``vars``.  ``monkeypatch.setattr(get_engine(), name, spy)`` is
+    undone by setting the bound method back on the instance, where it
+    shadows the class for the rest of the session: a later patch of
+    ``Engine`` would not see the process engine's calls.  Patch ``Engine``
+    itself, or spy on an engine of the test's own (``use_engine``)."""
+    yield
+    engine = repro.backend._engine
+    if engine is not None:
+        shadowing = sorted(set(vars(engine)) & set(dir(type(engine))))
+        assert not shadowing, "the process engine keeps instance attributes %s" % shadowing
 
 
 @pytest.fixture

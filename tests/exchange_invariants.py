@@ -85,7 +85,7 @@ def publishing(chain):
         published.calldata.append((method, encode_calldata(method, args)))
         return submit(sender, contract, method, *args, **kwargs)
 
-    with tempfile.TemporaryDirectory() as tmp, telemetry.use_level("trace"):
+    with tempfile.TemporaryDirectory() as tmp, telemetry.use_level("on"):
         path = ledger.default_path() or os.path.join(tmp, "ledger.jsonl")
         earlier = len(ledger.read(path)) if os.path.exists(path) else 0
         chain.transact = recording

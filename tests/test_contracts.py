@@ -114,7 +114,7 @@ class TestDataToken:
 
     def test_unknown_parent_rejected(self, env):
         chain, alice, _, token = env
-        src = chain.transact(alice, token, "mint", "u", 9).return_value
+        chain.transact(alice, token, "mint", "u", 9)
         r = chain.transact(alice, token, "duplicate", 999, "d", 9, "pf")
         assert not r.status
 

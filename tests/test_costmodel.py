@@ -139,7 +139,9 @@ class TestTimingModel:
     def test_fit_recovers_linear_nlogn(self):
         import math
 
-        truth = lambda n: 2e-3 * n * math.log2(n) + 0.5
+        def truth(n):
+            return 2e-3 * n * math.log2(n) + 0.5
+
         points = [(n, truth(n)) for n in (64, 256, 1024, 4096)]
         model = TimingModel.fit(points)
         predicted = model.predict(16384)

@@ -401,7 +401,7 @@ class TestChainInjection:
 
 class TestTelemetryAccounting:
     def test_injections_and_retries_counted(self):
-        with telemetry.use_level("metrics"):
+        with telemetry.use_level("on"):
             telemetry.reset_metrics()
             plan = _plan(_always("chain.transact", "drop", max_faults=2))
             with faults.use_plan(plan):

@@ -30,7 +30,7 @@ from repro.telemetry.cli import merge_histograms
 def _clean_telemetry(monkeypatch):
     """Isolate each test: reset level/metrics/spans, detach REPRO_LEDGER."""
     monkeypatch.delenv(ledger.ENV_VAR, raising=False)
-    previous = telemetry.set_level(telemetry.OFF)
+    previous = telemetry.set_level("off")
     telemetry.reset_metrics()
     telemetry.clear_finished()
     yield
@@ -72,7 +72,7 @@ class TestDiffSnapshots:
         assert delta["counters"] == {"a": 2, "new": 2}
 
     def test_histograms_rederive_mean_and_quantiles_from_delta(self):
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         h = telemetry.histogram("lat", bounds=(1.0, 4.0))
         h.observe(0.5)  # pre-run noise: huge relative to the run itself
         h.observe(0.5)
@@ -89,7 +89,7 @@ class TestDiffSnapshots:
         assert 1.0 <= derived["p50"] <= 4.0
 
     def test_untouched_histogram_is_dropped(self):
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         telemetry.histogram("idle", bounds=(1.0,)).observe(0.2)
         before = telemetry.snapshot()
         delta = ledger.diff_snapshots(before, telemetry.snapshot())
@@ -176,7 +176,7 @@ class TestWriter:
 
 class TestRunRecorder:
     def test_record_carries_deltas_spans_and_env(self, tmp_path):
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         telemetry.counter("warmup").inc(10)  # pre-run noise
         with ledger.begin("unit.run", path=str(tmp_path / "r.jsonl")) as rec:
             with telemetry.span("unit.root") as root:
@@ -195,6 +195,26 @@ class TestRunRecorder:
         names = [s["name"] for s in record["spans"]]
         assert names == ["unit.root", "unit.child"]
         assert record["faults"] == []
+
+    def test_git_revision_is_read_once_per_process(self, tmp_path, monkeypatch):
+        """The revision cannot change inside a process, so two records
+        spawn ``git`` once."""
+        spawns = []
+        real_run = ledger.subprocess.run
+
+        def counted(*args, **kwargs):
+            spawns.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(ledger.subprocess, "run", counted)
+        ledger._git_revision.cache_clear()
+        path = str(tmp_path / "r.jsonl")
+        for name in ("first", "second"):
+            with ledger.begin(name, path=path):
+                pass
+        assert spawns == [["git", "rev-parse", "HEAD"]]
+        first, second = ledger.read(path)
+        assert first["env"]["git_revision"] == second["env"]["git_revision"]
 
     def test_env_names_the_installed_engine_not_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
@@ -238,7 +258,7 @@ class TestExchangeIntegration:
     ):
         path = str(tmp_path / "exchange.jsonl")
         monkeypatch.setenv(ledger.ENV_VAR, path)
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         result = _run_exchange(snark_ctx)
         assert result.success
         records = ledger.read(path)
@@ -263,6 +283,23 @@ class TestExchangeIntegration:
         assert "cache_hit_rates" not in record
         assert ledger.cache_hit_rates(counters)  # at least one cache exercised
         assert record["faults"] == []
+
+    def test_a_ledger_alone_records_the_span_tree_and_counters(
+        self, tmp_path, monkeypatch, snark_ctx
+    ):
+        """``REPRO_LEDGER`` set and ``REPRO_TELEMETRY`` unset: the process
+        records at on, so the exchange's record explains the run."""
+        path = str(tmp_path / "alone.jsonl")
+        monkeypatch.setenv(ledger.ENV_VAR, path)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        telemetry.configure_from_env()
+        assert _run_exchange(snark_ctx).success
+        (record,) = ledger.read(path)
+        assert record["env"]["telemetry_level"] == "on"
+        names = {s["name"] for s in record["spans"]}
+        assert {"exchange.run", "exchange.prove", "plonk.prove", "plonk.verify"} <= names
+        assert record["metrics"]["counters"]
+        assert record["metrics"]["histograms"]
 
     def test_prover_crash_leaves_one_record_with_the_error(
         self, tmp_path, monkeypatch, snark_ctx
@@ -291,7 +328,7 @@ class TestExchangeIntegration:
     ):
         path = str(tmp_path / "two.jsonl")
         monkeypatch.setenv(ledger.ENV_VAR, path)
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         assert _run_exchange(snark_ctx).success
         assert _run_exchange(snark_ctx).success
         records = ledger.read(path)
@@ -308,7 +345,7 @@ class TestChaosLedger:
     def test_injected_faults_are_recorded(self, tmp_path, monkeypatch, snark_ctx):
         path = str(tmp_path / "chaos.jsonl")
         monkeypatch.setenv(ledger.ENV_VAR, path)
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         chain, arbiter, seller_addr, buyer_addr = _market(snark_ctx)
         asset = DataAsset.create([42, 84], key=555, nonce=666)
         asset.uri = "u"

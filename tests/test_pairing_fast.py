@@ -62,7 +62,7 @@ def _rand_pair():
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    previous = telemetry.set_level(telemetry.OFF)
+    previous = telemetry.set_level("off")
     telemetry.reset_metrics()
     yield
     telemetry.set_level(previous)
@@ -305,7 +305,7 @@ class TestEngineKernel:
         return [(p * 21, q), (-p, q * 21)]
 
     def test_engine_check_and_cache_accounting(self):
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         engine = Engine()
         pairs = self._pairs()
         assert engine.pairing_check(pairs)
@@ -331,7 +331,7 @@ class TestEngineKernel:
         for q in qs:
             engine.prepared_g2(q)
         assert len(engine._prepared_g2_cache) == 2
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         engine.prepared_g2(qs[0])  # evicted: a miss again
         counters = telemetry.registry().counter_values()
         assert counters["engine.cache.misses{cache=prepared_g2}"] == 1
@@ -345,7 +345,7 @@ class TestEngineKernel:
             assert engine.pairing_check(pairs)
             return telemetry.registry().counter_values()
 
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         serial_counts = measured(Engine())
         with Engine(helpers=1) as split:
             split_counts = measured(split)

@@ -19,7 +19,7 @@ from repro.errors import (
     SRSError,
     UnsatisfiedConstraintError,
 )
-from repro.backend import get_engine
+from repro.backend import Engine
 from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
 from repro.kzg import SRS, commit, commit_message, commit_scalar
@@ -388,15 +388,14 @@ class TestLinkedCommitment:
         """Members naming one point object share its term; an equal point
         in another object is its own term (nothing is merged by value)."""
         _pk, vk, publics, proof, point = linked
-        engine = get_engine()
         sizes = []
-        real_fold = engine.fold_pairing_check
+        real_fold = Engine.fold_pairing_check
 
-        def counted(tau_side, one_side, g2_tau, g2):
+        def counted(engine, tau_side, one_side, g2_tau, g2):
             sizes.extend((len(tau_side), len(one_side)))
-            return real_fold(tau_side, one_side, g2_tau, g2)
+            return real_fold(engine, tau_side, one_side, g2_tau, g2)
 
-        monkeypatch.setattr(engine, "fold_pairing_check", counted)
+        monkeypatch.setattr(Engine, "fold_pairing_check", counted)
         copy = G1(point.x, point.y)
         assert batch_verify([(vk, publics, proof, point)] * 3)
         assert batch_verify([(vk, publics, proof, point)] * 2 + [(vk, publics, proof, copy)])

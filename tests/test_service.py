@@ -813,7 +813,7 @@ class TestProverPool:
             return outcomes
 
         node = _node(snark_ctx, pool_workers=1, concurrency=1, batch_size=1)
-        with telemetry.use_level("metrics"):
+        with telemetry.use_level("on"):
             telemetry.reset_metrics()
             outcomes = asyncio.run(scenario(node))
             counters = telemetry.registry().counter_values()
@@ -845,7 +845,7 @@ class TestProverPool:
         asset, _ = pik_bundles
         cpus(1)
         with ProverPool(snark_ctx):
-            with telemetry.use_level("metrics"):
+            with telemetry.use_level("on"):
                 telemetry.reset_metrics()
                 result = pool_module._prove_pik_job(_prove_args(snark_ctx, asset, 4242))
                 counters = telemetry.registry().counter_values()
@@ -980,7 +980,7 @@ class TestProverPool:
             assert pool.helpers == 0
             return pool._worker.proc.pid, first, second
 
-        with telemetry.use_level("metrics"):
+        with telemetry.use_level("on"):
             telemetry.reset_metrics()
             with ProverPool(snark_ctx) as pool:
                 pids = asyncio.run(scenario(pool))
@@ -1032,7 +1032,7 @@ class TestProverPool:
             runs = list(zip((killed, served), buyers))
             return node, session.seller.address, start, runs, pids, published
 
-        with telemetry.use_level("metrics"):
+        with telemetry.use_level("on"):
             telemetry.reset_metrics()
             node, seller, start, runs, pids, published = asyncio.run(scenario())
             restarts = telemetry.registry().counter_values()["service.pool.restarts"]

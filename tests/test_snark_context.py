@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.backend import get_engine
+from repro.backend import Engine
 from repro.chain import Blockchain
 from repro.chain.contract import ExecutionContext
 from repro.contracts import PlonkVerifierContract
@@ -203,20 +203,19 @@ def test_the_charge_is_the_fold(snark_ctx, pik_bundles, monkeypatch, case):
     deploy = chain.deploy(contract, operator)
 
     folds, charges = [], []
-    engine = get_engine()
-    fold, burn = engine.fold_pairing_check, ExecutionContext.burn
+    fold, burn = Engine.fold_pairing_check, ExecutionContext.burn
 
-    def spy_fold(tau_side, one_side, g2_tau, g2):
+    def spy_fold(engine, tau_side, one_side, g2_tau, g2):
         terms = tau_side + one_side
         folds.append((len(terms), sum(1 for _, scalar in terms if scalar % R != 1)))
-        return fold(tau_side, one_side, g2_tau, g2)
+        return fold(engine, tau_side, one_side, g2_tau, g2)
 
     def spy_burn(ctx, amount):
         if amount >= s.pairing_cost(2):
             charges.append(amount)
         return burn(ctx, amount)
 
-    monkeypatch.setattr(engine, "fold_pairing_check", spy_fold)
+    monkeypatch.setattr(Engine, "fold_pairing_check", spy_fold)
     monkeypatch.setattr(ExecutionContext, "burn", spy_burn)
 
     def charged(k):

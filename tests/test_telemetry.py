@@ -7,8 +7,12 @@ that the engine docstring and the repeated-proof benchmark cite.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,9 @@ from repro.telemetry.metrics import (
     quantile_from_buckets,
 )
 from tests.test_backend import wide_circuit
+
+#: The package source, put on a child interpreter's ``PYTHONPATH``.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 #: ``test_every_engine_count_is_exact``'s workload, counted.
@@ -75,7 +82,7 @@ EXACT_COUNTS = {
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     """Isolate every test: reset level, registry and finished spans."""
-    previous = telemetry.set_level(telemetry.OFF)
+    previous = telemetry.set_level("off")
     telemetry.reset_metrics()
     telemetry.clear_finished()
     yield
@@ -106,8 +113,8 @@ def _tiny_circuit():
 class TestLevels:
     def test_default_span_is_shared_noop(self):
         assert telemetry.span("anything", n=1) is telemetry.NOOP_SPAN
-        telemetry.set_level(telemetry.METRICS)
-        assert telemetry.span("anything") is telemetry.NOOP_SPAN
+        telemetry.set_level("on")
+        assert isinstance(telemetry.span("anything"), telemetry.Span)
 
     def test_noop_span_records_nothing(self):
         with telemetry.span("root", a=1) as sp:
@@ -117,30 +124,76 @@ class TestLevels:
         assert telemetry.finished_roots() == []
 
     def test_level_parsing_and_restore(self):
-        with telemetry.use_level("trace"):
-            assert telemetry.level() == telemetry.TRACE
-            assert telemetry.trace_enabled() and telemetry.metrics_enabled()
-            with telemetry.use_level(1):
-                assert telemetry.level_name() == "metrics"
-                assert not telemetry.trace_enabled()
-            assert telemetry.level() == telemetry.TRACE
-        assert telemetry.level() == telemetry.OFF
+        with telemetry.use_level("on"):
+            assert telemetry.enabled()
+            with telemetry.use_level(" OFF "):
+                assert not telemetry.enabled()
+            assert telemetry.enabled()
+        assert not telemetry.enabled()
+        assert telemetry.set_level("on") == "off"
+        assert telemetry.set_level("off") == "on"
         with pytest.raises(ValueError):
             telemetry.set_level("verbose")
 
     def test_configure_from_env(self):
-        telemetry.configure_from_env({"REPRO_TELEMETRY": "metrics"})
-        assert telemetry.level() == telemetry.METRICS
-        telemetry.configure_from_env({})  # empty env leaves the level alone
-        assert telemetry.level() == telemetry.METRICS
+        telemetry.configure_from_env({"REPRO_TELEMETRY": "on"})
+        assert telemetry.enabled()
+        telemetry.configure_from_env({})  # empty env leaves the switch alone
+        assert telemetry.enabled()
+        telemetry.configure_from_env({"REPRO_TELEMETRY": "off"})
+        assert not telemetry.enabled()
+
+    def test_a_ledger_path_switches_telemetry_on(self):
+        """A process that keeps a ledger records spans and metrics: no
+        record of it can come out empty."""
+        telemetry.configure_from_env({"REPRO_LEDGER": "runs.jsonl"})
+        assert telemetry.enabled()
+        telemetry.set_level("off")
+        telemetry.configure_from_env({"REPRO_LEDGER": "runs.jsonl", "REPRO_TELEMETRY": "on"})
+        assert telemetry.enabled()
+        telemetry.set_level("off")
+        with pytest.raises(ValueError, match="REPRO_TELEMETRY=off with REPRO_LEDGER"):
+            telemetry.configure_from_env(
+                {"REPRO_LEDGER": "runs.jsonl", "REPRO_TELEMETRY": "off"}
+            )
+        assert not telemetry.enabled()
 
     def test_profile_level_is_gone(self):
-        """There are three levels; ``profile`` is not one of them."""
-        with pytest.raises(ValueError, match="unknown telemetry level 'profile'"):
-            telemetry.configure_from_env({"REPRO_TELEMETRY": "profile"})
+        """The switch is off or on; ``profile``, ``metrics``, ``trace`` and
+        the old digits are refused."""
+        for value in ("profile", "metrics", "trace", "1", "2"):
+            with pytest.raises(ValueError, match="unknown telemetry level '%s'" % value):
+                telemetry.configure_from_env({"REPRO_TELEMETRY": value})
+            with pytest.raises(ValueError, match="unknown telemetry level"):
+                telemetry.configure_from_env({"REPRO_TELEMETRY": value, "REPRO_LEDGER": "r"})
         with pytest.raises(ValueError):
-            telemetry.set_level(3)
-        assert telemetry.level() == telemetry.OFF
+            telemetry.set_level(2)
+        assert not telemetry.enabled()
+
+    def test_import_applies_the_environment(self, tmp_path):
+        """The rules hold where they run, at import: a ledger path alone
+        switches telemetry on; ``off`` beside one, or an old level name,
+        stops the import."""
+        probe = "import repro.telemetry as t; print(t.enabled())"
+        ledger_path = str(tmp_path / "runs.jsonl")
+
+        def run(**env):
+            environ = dict(os.environ)
+            environ.pop("REPRO_TELEMETRY", None)
+            environ.pop("REPRO_LEDGER", None)
+            environ.update(env, PYTHONPATH=SRC)
+            return subprocess.run(
+                [sys.executable, "-c", probe], env=environ, capture_output=True, text=True
+            )
+
+        on = run(REPRO_LEDGER=ledger_path)
+        assert (on.returncode, on.stdout) == (0, "True\n"), on.stderr
+        refused = run(REPRO_LEDGER=ledger_path, REPRO_TELEMETRY="off")
+        assert refused.returncode != 0
+        assert "REPRO_TELEMETRY=off with REPRO_LEDGER" in refused.stderr
+        unknown = run(REPRO_TELEMETRY="trace")
+        assert unknown.returncode != 0
+        assert "unknown telemetry level 'trace'" in unknown.stderr
 
 
 # ----- spans ----------------------------------------------------------------
@@ -148,7 +201,7 @@ class TestLevels:
 
 class TestSpans:
     def test_nesting_attrs_and_walk(self):
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         with telemetry.span("root", job="test") as root:
             assert telemetry.current_span() is root
             with telemetry.span("child_a", i=0) as a:
@@ -169,7 +222,7 @@ class TestSpans:
         assert telemetry.finished_roots() == [root]
 
     def test_exception_annotates_and_unwinds(self):
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         with pytest.raises(RuntimeError):
             with telemetry.span("outer"):
                 with telemetry.span("inner"):
@@ -180,7 +233,7 @@ class TestSpans:
         assert root.find("inner").attrs["error"] == "RuntimeError: boom"
 
     def test_finished_ring_is_bounded(self):
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         for i in range(300):
             with telemetry.span("s%d" % i):
                 pass
@@ -263,7 +316,7 @@ class TestMetrics:
 
     def test_kernel_timer_observes_latency_histogram(self):
         assert telemetry.kernel_timer("ntt") is telemetry.NOOP_SPAN
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         with telemetry.kernel_timer("ntt"):
             pass
         with telemetry.kernel_timer("ntt"):
@@ -293,7 +346,7 @@ class TestMetrics:
 
 
 def _sample_tree():
-    telemetry.set_level(telemetry.TRACE)
+    telemetry.set_level("on")
     with telemetry.span("root", run=1) as root:
         with telemetry.span("left"):
             with telemetry.span("leaf", deep=True):
@@ -371,7 +424,7 @@ class TestKernelAccounting:
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
         prove(keys.pk, assignment)  # warm the caches
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         telemetry.reset_metrics()
         proof = prove(keys.pk, assignment)
         assert verify(keys.vk, assignment.public_inputs, proof)
@@ -390,7 +443,7 @@ class TestKernelAccounting:
     def test_cold_engine_pays_all_sixteen(self, snark_ctx):
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         telemetry.reset_metrics()
         with use_engine(Engine()):
             prove(keys.pk, assignment)
@@ -407,7 +460,7 @@ class TestKernelAccounting:
         lengths = range(2048, 2048 + DEGREE_MARGIN + 1)
         engine = Engine()
         engine.msm_srs(srs, [1] * lengths[-1])  # warm: build the tables
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         telemetry.reset_metrics()
         for length in lengths:
             engine.msm_srs(srs, [length] * length)
@@ -434,7 +487,7 @@ class TestKernelAccounting:
         with Engine(helpers=1) as split:
             split.msm_srs(snark_ctx.srs, [1] * MIN_MSM_POINTS)  # fork the helper
             for engine, share in ((Engine(), 0), (split, FOLD_SHARE_PERCENT)):
-                telemetry.set_level(telemetry.METRICS)
+                telemetry.set_level("on")
                 for k in (1, 5):
                     telemetry.reset_metrics()
                     with use_engine(engine):
@@ -470,7 +523,7 @@ class TestKernelAccounting:
                 if "ntt_plan" not in k
             }
 
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         serial_counts = measured_counters(Engine())
         with Engine(helpers=1) as split:
             split_counts = measured_counters(split)
@@ -510,7 +563,7 @@ class TestKernelAccounting:
         )
         assert "ntt" in kernels and "msm_srs" in kernels
         engine = Engine()
-        telemetry.set_level(telemetry.METRICS)
+        telemetry.set_level("on")
         unaccounted = []
         for name in kernels:
             telemetry.reset_metrics()
@@ -551,7 +604,7 @@ class TestKernelAccounting:
         engine = Engine()
         with use_engine(engine):
             prove(keys.pk, assignment)  # warm this engine's caches
-            telemetry.set_level(telemetry.METRICS)
+            telemetry.set_level("on")
             telemetry.reset_metrics()
             member = (keys.vk, assignment.public_inputs, prove(keys.pk, assignment), c_k)
             assert verify(*member)
@@ -595,7 +648,7 @@ class TestSpanTrees:
         cpus(1)  # the process's engine on one CPU: no helper, "serial"
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         proof = prove(keys.pk, assignment)
         root = telemetry.finished_roots()[-1]
         assert root.name == "plonk.prove"
@@ -627,7 +680,7 @@ class TestSpanTrees:
         sender = chain.create_account(funded=10**9)
         toy = Toy()
         chain.deploy(toy, sender)
-        telemetry.set_level(telemetry.TRACE)
+        telemetry.set_level("on")
         with telemetry.span("step") as sp:
             receipt = chain.transact(sender, toy, "ping")
             sp.set_attrs(receipt.span_attrs())
