@@ -11,9 +11,9 @@ Three series, as in the paper:
 We prove for real at 2-16 entries, fit the model, and extrapolate to the
 paper's 1 MB / 5 MB points.  Shape claims reproduced: pi_e and pi_t grow
 linearly with data, pi_t well below pi_e, pi_k flat.  pi_e proves a MiMC
-round in one row, so below 4 entries its circuit is smaller than pi_k's
-(n = 128 / 256 against 512) and so is its time; pi_k sits below pi_e
-from the size where pi_e's circuit outgrows it.
+round in one row and pi_k a Poseidon partial round in two, so a 1-entry
+pi_e's circuit is smaller than pi_k's (n = 128 against 256) and so is its
+time; pi_k sits below pi_e from the size where pi_e's circuit outgrows it.
 
 pi_e and pi_t both link the data's KZG commitment [d] (LegoSNARK-style,
 DESIGN.md, "The linked commitments"), so neither re-opens it in-circuit: pi_t is
@@ -77,27 +77,22 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
             pi_t.append((entries, n, time.perf_counter() - start))
         results["pi_t"] = pi_t
 
-        # pi_k (constant size).
+        # pi_k (constant size), on an honest witness.
         def prove_pik():
-            builder = CircuitBuilder()
-            build_key_negotiation_circuit(builder, 12, 34, 56, 0, 0, 0)
-            layout, assignment = builder.compile(check=False)
-            snark_ctx.keys_for(layout)
-            # pi_k needs a *satisfying* witness: build honestly.
             from repro.field.fr import MODULUS as R
             from repro.kzg.commit import commit_scalar
             from repro.primitives.hashing import field_hash
 
             k, k_v, rho = 111, 222, 9
-            builder2 = CircuitBuilder()
+            builder = CircuitBuilder()
             build_key_negotiation_circuit(
-                builder2, (k + k_v) % R, commit_scalar(snark_ctx.srs, k, rho),
+                builder, (k + k_v) % R, commit_scalar(snark_ctx.srs, k, rho),
                 field_hash(k_v), k, rho, k_v,
             )
-            layout2, assignment2 = builder2.compile()
-            keys2 = snark_ctx.keys_for(layout2)
+            layout, assignment = builder.compile()
+            keys = snark_ctx.keys_for(layout)
             start = time.perf_counter()
-            prove(keys2.pk, assignment2)
+            prove(keys.pk, assignment)
             return time.perf_counter() - start
 
         prove_pik()  # warm cache
@@ -138,7 +133,7 @@ def test_fig6_proof_generation(benchmark, snark_ctx):
     assert transformation_circuit_gates([8], [8]) < encryption_circuit_gates(8)
     assert results["pi_t"][-1][2] < results["pi_e"][-1][2]
     # pi_k is independent of the data: below pi_e wherever pi_e's circuit
-    # is larger than pi_k's (n = 512), and below the growing pi_t at the
+    # is larger than pi_k's (n = 256), and below the growing pi_t at the
     # paper's data sizes.
     builder = CircuitBuilder()
     build_key_negotiation_circuit(builder, 0, 0, 0, 0, 0, 0)

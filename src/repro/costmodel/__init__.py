@@ -12,7 +12,10 @@ from repro.costmodel.model import (
     TimingModel,
     encryption_circuit_gates,
     encryption_circuit_size,
+    key_negotiation_fold_terms,
     key_negotiation_gates,
+    key_negotiation_proof_bytes,
+    key_negotiation_size,
     linked_circuit_size,
     logistic_circuit_gates,
     measure_pairing_seconds,
@@ -21,6 +24,7 @@ from repro.costmodel.model import (
     padded_circuit_size,
     poseidon_hash_gates,
     poseidon_permutation_gates,
+    settlement_gas,
     transformation_circuit_gates,
     transformation_circuit_size,
     transformer_circuit_gates,
@@ -31,7 +35,10 @@ __all__ = [
     "TimingModel",
     "encryption_circuit_gates",
     "encryption_circuit_size",
+    "key_negotiation_fold_terms",
     "key_negotiation_gates",
+    "key_negotiation_proof_bytes",
+    "key_negotiation_size",
     "linked_circuit_size",
     "logistic_circuit_gates",
     "measure_pairing_seconds",
@@ -40,6 +47,7 @@ __all__ = [
     "padded_circuit_size",
     "poseidon_hash_gates",
     "poseidon_permutation_gates",
+    "settlement_gas",
     "transformation_circuit_gates",
     "transformation_circuit_size",
     "transformer_circuit_gates",

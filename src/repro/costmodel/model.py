@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chain.gas import DEFAULT_SCHEDULE
 from repro.errors import ReproError
 from repro.kzg.commit import message_slots
 from repro.plonk.circuit import linked_size
@@ -32,34 +33,44 @@ def mimc_ctr_element_gates(rounds: int = MIMC_ROUNDS) -> int:
     return mimc_block_gates(rounds) + 2
 
 
-#: Gates of one Poseidon full round over three live lanes: three 2-gate
-#: S-boxes (round constant folded in) + three 3-term mixing rows.
+#: Gates of one Poseidon full round over three live lanes whose round
+#: constants are added: three 2-gate S-boxes (x^3, then x^5, on q3) and
+#: three 3-term mixing rows, which add the next round's constants.
 _POSEIDON_FULL_ROUND = 3 * 2 + 3 * 2
 
-#: Gates of one partial round in lane coordinates: the S-box, the 3-term
-#: read-out of the next S-box input, and one update gate per idle lane.
-_POSEIDON_PARTIAL_ROUND = 2 + 2 + 2
+#: Gates of one partial round: the partial-round gate's two rows.
+_POSEIDON_PARTIAL_ROUND = 2
+
+#: Round-constant additions a permutation of three live wires pays: its
+#: inputs' (three) and the two lanes a partial round leaves without one,
+#: before the closing full rounds (lane 0's rides in the last next-a gate).
+_POSEIDON_CONSTANT_GATES = 3 + 2
 
 
 def poseidon_permutation_gates() -> int:
     """One width-3 Poseidon permutation of three live wires (the Merkle
-    node, and every sponge chunk after the first): the rounds plus two
-    gates mapping the idle lanes back before the closing full rounds."""
-    return FULL_ROUNDS * _POSEIDON_FULL_ROUND + PARTIAL_ROUNDS * _POSEIDON_PARTIAL_ROUND + 2
+    node, and every sponge chunk after the first)."""
+    return (
+        FULL_ROUNDS * _POSEIDON_FULL_ROUND
+        + PARTIAL_ROUNDS * _POSEIDON_PARTIAL_ROUND
+        + _POSEIDON_CONSTANT_GATES
+    )
 
 
 def poseidon_hash_gates(num_inputs: int) -> int:
     """Sponge hash of ``num_inputs`` wires, exactly.
 
     The first chunk is absorbed into build-time constants (length tag,
-    zero padding), so its opening round has S-boxes only on the live
-    lanes and one-gate mixing rows; later chunks pay a full permutation
-    plus one absorb-add per input.  Hashing nothing is one constant gate.
+    zero padding), so its opening round adds constants and S-boxes only
+    on the live lanes and has one-gate mixing rows; later chunks pay a
+    full permutation plus one absorb-add per input.  Hashing nothing is
+    one constant gate.
     """
     if num_inputs == 0:
         return 1
     live = min(num_inputs, 2)
-    first = poseidon_permutation_gates() - _POSEIDON_FULL_ROUND + 2 * live + 3
+    opening = 3 * live + 3  # per live lane a constant and an S-box; 3 mixing rows
+    first = poseidon_permutation_gates() - _POSEIDON_FULL_ROUND - 3 + opening
     later_chunks = (num_inputs - 1) // 2
     return first + later_chunks * poseidon_permutation_gates() + num_inputs - live
 
@@ -67,7 +78,10 @@ def poseidon_hash_gates(num_inputs: int) -> int:
 def linked_circuit_size(public: int, gates: int, message_sizes: list[int]) -> int:
     """The padded n of a circuit with ``public`` inputs, ``gates`` gates and
     the given linked messages (:func:`repro.plonk.circuit.linked_size`, the
-    builder's own sizing)."""
+    builder's own sizing).  It does not count the gate-free rows a Poseidon
+    partial round leaves before a reserved link row: a circuit those rows
+    push past n compiles at 2n (``test_gate_free_rows_that_overflow_n_double_it``).
+    pi_k links one scalar, which reserves no row past its public inputs."""
     return linked_size(public, gates, [message_slots(m) for m in message_sizes])
 
 
@@ -104,6 +118,39 @@ def key_negotiation_gates() -> int:
     masking equation k_c = k + k_v (add, equality).  The key is linked to
     its KZG point in row 0's b slot, which costs no gate."""
     return poseidon_hash_gates(1) + 3
+
+
+def key_negotiation_size() -> int:
+    """n of pi_k: (k_c, h_v) are its public inputs, the key its one link."""
+    return linked_circuit_size(2, key_negotiation_gates(), [1])
+
+
+#: Of a one-member fold, the terms every proof brings (its commitments,
+#: the two openings on both sides) and the key points every key has: the
+#: nine commitments, the generator.
+_PROOF_TERMS, _KEY_POINTS = 11, 10
+
+
+def key_negotiation_fold_terms() -> int:
+    """The (point, scalar) terms one pi_k's fold multiplies and adds
+    (:func:`repro.plonk.verifier.fold_terms`): its own, the key's points
+    but [qM], the identity (no S-box row multiplies two wires), plus
+    [qnext] and [qpartial], and [k]."""
+    return _PROOF_TERMS + _KEY_POINTS - 1 + 2 + 1
+
+
+def key_negotiation_proof_bytes() -> int:
+    """pi_k's encoding: it opens a, b and c at zeta omega."""
+    return proof_size_bytes((0, 1, 2))
+
+
+def settlement_gas(fold_terms: int, proof_bytes: int) -> int:
+    """The part of a one-member ``verify_batch`` settlement that depends on
+    the circuit: an ECMUL and an ECADD per fold term (a batch discounts no
+    unit scalar) and the proof's calldata, counted as if no byte were zero
+    (an upper bound: ~1/256 of a proof's bytes are)."""
+    per_term = DEFAULT_SCHEDULE.ecmul + DEFAULT_SCHEDULE.ecadd
+    return fold_terms * per_term + proof_bytes * DEFAULT_SCHEDULE.calldata_nonzero_byte
 
 
 def logistic_circuit_gates(num_points: int, num_features: int, fp_mul_gates: int = 95) -> int:
@@ -264,5 +311,5 @@ class CostModel:
             "setup_seconds": self.setup.predict(n),
             "prove_seconds": self.prove.predict(n),
             "verify_seconds": self.verify.predict(n),
-            "proof_size_bytes": proof_size_bytes(shifted=False),
+            "proof_size_bytes": proof_size_bytes(),
         }

@@ -372,11 +372,13 @@ def msm_jacobian(points: list[tuple], scalars: list[int]) -> tuple:
 #: Bounds for the precomputed-table path: below the floor the single
 #: window is mostly empty slots (the plain GLV path wins).  The cap is
 #: "circuit size + blinding margin": every SRS-prefix MSM a Plonk circuit
-#: of size n <= 2048 issues (blinded wires, t_hi and the opening quotients
-#: carry up to n + ``plonk.keys.DEGREE_MARGIN`` scalars) stays on the
-#: tables, and so does a pi_e of one to three entries.  Larger circuits (a
-#: pi_e of four entries or more, at n >= 4096) are proved once per asset,
-#: so their tables would never amortise their build and footprint.
+#: of size n <= 2048 issues (blinded wires and the opening quotients carry
+#: up to n + ``plonk.keys.DEGREE_MARGIN`` scalars; t_hi of a circuit that
+#: opens a, b and c at zeta omega, pi_k at n = 256, carries one more) stays
+#: on the tables, and so does a pi_e of one to three entries.  Larger
+#: circuits (a pi_e of four entries or more, at n >= 4096) are proved once
+#: per asset, so their tables would never amortise their build and
+#: footprint.
 FIXED_WINDOW_MIN = 32
 _BLINDING_MARGIN = 8  # == plonk.keys.DEGREE_MARGIN (this layer cannot import it; tests pin it)
 FIXED_WINDOW_MAX = 2048 + _BLINDING_MARGIN

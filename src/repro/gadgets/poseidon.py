@@ -5,21 +5,26 @@ Merkle nodes and signature challenges.  Commitments to keys and data are
 KZG points a circuit links (:meth:`repro.plonk.circuit.CircuitBuilder.link`),
 not hashes it re-opens.
 
-Same function as :mod:`repro.primitives.poseidon`, whose constants and
-partial-round tables are imported here (one derivation, a native and an
-in-circuit consumer), laid out for the cubic gate ``q3*a*a*b``:
+Same function as :mod:`repro.primitives.poseidon`, whose constants and MDS
+matrix are imported here, laid out as:
 
-- an S-box ``(s + c)^5`` is two gates, the round constant folded into the
-  coefficients, so there are no add-constant rows;
-- across the 60 partial rounds the two lanes without an S-box are carried
-  in coordinates ``sigma_p = A^-p * l_p`` (``A`` the lane block of the MDS
-  matrix), in which a lane update is one gate, not a dense matrix row; they
-  are mapped back once, before the closing full rounds;
+- a full round: per lane an S-box x^5 in two cubic gates ``q3*a*a*b``
+  (x^3 = x*x*x, then x^5 = x*x*x^3), then one 3-term mixing row per lane,
+  which adds the next round's constants, so S-box inputs arrive with
+  their constant already added and no S-box row needs ``qM``;
+- a partial round: the two rows of
+  :meth:`~repro.plonk.circuit.CircuitBuilder.poseidon_partial_round`,
+  whose gate reads the next row's three wires.  By Poseidon's constant
+  equivalence (the Poseidon paper, Appendix B) a partial round keeps one
+  constant, on lane 0: the other two pass its S-box unchanged, so M moves
+  them forward into the next round's constants, and out of the last
+  partial round into the first closing full round's
+  (:func:`_partial_constants`);
 - lanes whose value is fixed at build time (the length tag, zero padding)
   never become wires.
 
-One permutation of three live wires is 458 gates; a one- or two-input hash
-is 451 / 453.
+One permutation of three live wires is 221 gates; a one- or two-input hash
+is 212 / 215.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ from repro.plonk.circuit import CircuitBuilder, Wire
 from repro.primitives.poseidon import (
     ALPHA,
     FULL_ROUNDS,
-    LANES_BACK,
     MDS,
     PARTIAL_ROUNDS,
-    PARTIAL_ROWS,
     ROUND_CONSTANTS,
     WIDTH,
     permute,
@@ -50,18 +53,39 @@ class _Known:
     value: int
 
 
-def _sbox(builder: CircuitBuilder, s: Wire, c: int) -> Wire:
-    """Return a wire constrained to (s + c)^5: two cubic gates."""
-    c2 = c * c % R
-    v = (builder.value(s) + c) % R
-    v2 = v * v % R
-    # (s+c)^3 = s^3 + 3c s^2 + 3c^2 s + c^3
-    x3 = builder.var(v2 * v)
-    builder.gate(a=s, b=s, c=x3, q3=1, qm=3 * c, ql=3 * c2, qc=c2 * c, qo=-1)
-    # (s+c)^2 * x3 = s^2 x3 + 2c s x3 + c^2 x3
-    x5 = builder.var(v2 * builder.value(x3))
-    builder.gate(a=s, b=x3, c=x5, q3=1, qm=2 * c, qr=c2, qo=-1)
-    return x5
+def _round_constants(rnd: int) -> tuple:
+    return ROUND_CONSTANTS[rnd * WIDTH : (rnd + 1) * WIDTH]
+
+
+def _partial_constants() -> tuple[tuple, tuple]:
+    """Poseidon's constant equivalence over the partial rounds.
+
+    Round p adds c_p to every lane, but lanes 1 and 2 pass its S-box
+    unchanged, so their share moves through M: with carry_0 = 0, total_p =
+    c_p + carry_p keeps its lane 0 and carry_(p+1) = M (0, total_p[1],
+    total_p[2]).  Returns the 60 lane-0 constants and the first closing
+    full round's constants, which take the last carry.
+    """
+    first = FULL_ROUNDS // 2
+    carry = (0, 0, 0)
+    lane0 = []
+    for rnd in range(first, first + PARTIAL_ROUNDS):
+        total = [(c + k) % R for c, k in zip(_round_constants(rnd), carry)]
+        lane0.append(total[0])
+        carry = tuple((row[1] * total[1] + row[2] * total[2]) % R for row in MDS)
+    closing = tuple(
+        (c + k) % R for c, k in zip(_round_constants(first + PARTIAL_ROUNDS), carry)
+    )
+    return tuple(lane0), closing
+
+
+#: Every circuit build reads them.
+PARTIAL_CONSTANTS, CLOSING_CONSTANTS = _partial_constants()
+
+
+def _sbox(builder: CircuitBuilder, x: Wire) -> Wire:
+    """Return a wire constrained to x^5: two cubic gates, x in the a slot."""
+    return builder.square_mul(x, builder.square_mul(x, x))
 
 
 def _combine(builder: CircuitBuilder, terms, constant: int = 0):
@@ -77,32 +101,21 @@ def _combine(builder: CircuitBuilder, terms, constant: int = 0):
     return builder.linear_combination(live, constant)
 
 
-def _full_round(builder: CircuitBuilder, rnd: int, lanes: list) -> list:
-    rc = ROUND_CONSTANTS[rnd * WIDTH : (rnd + 1) * WIDTH]
-    boxed = [
-        _Known(pow(lane.value + c, ALPHA, R))
-        if isinstance(lane, _Known)
-        else _sbox(builder, lane, c)
-        for lane, c in zip(lanes, rc)
-    ]
-    return [_combine(builder, zip(row, boxed)) for row in MDS]
-
-
-def _partial_rounds(builder: CircuitBuilder, lanes: list[Wire]) -> list[Wire]:
-    """All partial rounds: per round 2 S-box gates, 2 for the next S-box
-    input, 1 per lane; plus 2 at the end to leave lane coordinates."""
-    m00 = MDS[0][0]
-    s0, sig1, sig2 = lanes
-    for c0, read, read_const, inject, lane_const in PARTIAL_ROWS:
-        y = _sbox(builder, s0, c0)
-        s0 = builder.linear_combination(
-            [(read[0], sig1), (read[1], sig2), (m00, y)], read_const
-        )
-        sig1 = builder.linear_combination([(1, sig1), (inject[0], y)], lane_const[0])
-        sig2 = builder.linear_combination([(1, sig2), (inject[1], y)], lane_const[1])
-    return [s0] + [
-        builder.linear_combination([(row[0], sig1), (row[1], sig2)]) for row in LANES_BACK
-    ]
+def _full_round(builder: CircuitBuilder, lanes: list, added: tuple, constants: tuple) -> list:
+    """One full round; returns M (lanes^5) + ``constants``, the next
+    round's.  ``added[j]`` is lane j's round constant when the lane does
+    not carry it yet (an add-constant gate goes first), None when it does.
+    Lane 0 goes first: a partial round's last row writes it into the next
+    gate's a."""
+    boxed = []
+    for lane, k in zip(lanes, added):
+        if isinstance(lane, _Known):
+            boxed.append(_Known(pow(lane.value + (k or 0), ALPHA, R)))
+            continue
+        if k is not None:
+            lane = builder.add_const(lane, k)
+        boxed.append(_sbox(builder, lane))
+    return [_combine(builder, zip(row, boxed), k) for row, k in zip(MDS, constants)]
 
 
 def _permute(builder: CircuitBuilder, lanes: list) -> list:
@@ -110,12 +123,25 @@ def _permute(builder: CircuitBuilder, lanes: list) -> list:
     if all(isinstance(lane, _Known) for lane in lanes):
         return [_Known(v) for v in permute([lane.value for lane in lanes])]
     half_full = FULL_ROUNDS // 2
+    added = _round_constants(0)
     for rnd in range(half_full):
-        lanes = _full_round(builder, rnd, lanes)
+        nxt = (
+            _round_constants(rnd + 1)
+            if rnd + 1 < half_full
+            else (PARTIAL_CONSTANTS[0], 0, 0)  # lanes 1 and 2 enter raw
+        )
+        lanes = _full_round(builder, lanes, added, nxt)
+        added = (None, None, None)
     # One live lane makes every lane live after a round: no MDS entry is 0.
-    lanes = _partial_rounds(builder, lanes)
-    for rnd in range(half_full + PARTIAL_ROUNDS, FULL_ROUNDS + PARTIAL_ROUNDS):
-        lanes = _full_round(builder, rnd, lanes)
+    x, s1, s2 = lanes
+    for k in PARTIAL_CONSTANTS[1:] + (CLOSING_CONSTANTS[0],):
+        x, s1, s2 = builder.poseidon_partial_round(x, s1, s2, k)
+    lanes, added = [x, s1, s2], (None,) + CLOSING_CONSTANTS[1:]
+    first_closing = half_full + PARTIAL_ROUNDS
+    for rnd in range(first_closing, FULL_ROUNDS + PARTIAL_ROUNDS):
+        last = rnd + 1 == FULL_ROUNDS + PARTIAL_ROUNDS
+        lanes = _full_round(builder, lanes, added, (0, 0, 0) if last else _round_constants(rnd + 1))
+        added = (None, None, None)
     return lanes
 
 
@@ -140,4 +166,3 @@ def poseidon_hash_gadget(builder: CircuitBuilder, inputs: list[Wire]) -> Wire:
         state = _permute(builder, state)
     digest = state[0]
     return builder.constant(digest.value) if isinstance(digest, _Known) else digest
-

@@ -29,7 +29,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field, fields
 
-from repro import faults
+from repro import faults, telemetry
 from repro.chain import Blockchain, PendingTx
 from repro.contracts.arbiter import ZKCPArbiterContract
 from repro.contracts.erc721 import DataTokenContract
@@ -436,7 +436,10 @@ class LoadSimulator:
         cfg = self.config
         #: Every fault the run's epoch injectors drew, in draw order.
         drawn: list = []
-        with _ledger.begin("loadsim.run") as recorder:
+        with _ledger.begin("loadsim.run") as recorder, telemetry.span(
+            "loadsim.run", ops=cfg.ops, seed=cfg.seed
+        ) as root:
+            recorder.update(span=root)
             started = time.perf_counter()
             ambient = faults.install(self._epoch_injector(0))
             try:

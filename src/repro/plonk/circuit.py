@@ -5,13 +5,27 @@ A circuit is a list of gates over three wires (a, b, c), each enforcing
     qL*a + qR*b + qO*c + qM*a*b + q3*a*a*b + qC (+ PI) = 0,
 
 plus copy constraints ("the same variable appears in these slots"), which
-Plonk encodes as a permutation over the 3n wire slots.  A row may also be
-a MiMC round gate (:meth:`CircuitBuilder.mimc_round`), whose selector
-``qround`` adds, with t = a + b,
+Plonk encodes as a permutation over the 3n wire slots.  Three selectors
+read the next row, so their circuits open wires at zeta omega too
+(:attr:`Layout.shifted`):
 
-    qround*(c - t^3) = 0   and, inside the gate above,   qround*(a(omega X) - c^2*t),
+- ``qround``, a MiMC round (:meth:`CircuitBuilder.mimc_round`), adds with
+  t = a + b
 
-so the round's x^7 lands in the next row's a slot: one row a round.
+      qround*(c - t^3) = 0   and, inside the gate above,   qround*(a(omega X) - c^2*t),
+
+  so the round's x^7 lands in the next row's a slot: one row a round;
+- ``qnext`` adds qnext*a(omega X) inside the gate: with qnext = -1 the
+  row's linear part is written into the next row's a slot;
+- ``qpartial``, a Poseidon partial round's S-box row
+  (:meth:`CircuitBuilder.poseidon_partial_round`), enforces with
+  y = b*a^2 and the MDS matrix M
+
+      b = a^3,   b(omega X) = M10 y + M11 c + M12 a(omega X),
+      c(omega X) = M20 y + M21 c + M22 a(omega X),
+
+  so a partial round is two rows: (x, x^3, s1) and (s2, s1', s2'), the
+  second a ``qnext`` row writing the next round's x.
 
 :class:`CircuitBuilder` is used in *synthesis* style: every operation both
 records the gate structure and computes the concrete witness value, so
@@ -29,6 +43,7 @@ import hashlib
 from repro.errors import CircuitError, UnsatisfiedConstraintError
 from repro.field.fr import MODULUS as R, inv as fr_inv, root_of_unity
 from repro.kzg.commit import message_slots
+from repro.primitives.poseidon import MDS
 
 #: Coset representatives separating the three wire columns inside the
 #: permutation argument.  Checked at import time to lie outside every
@@ -99,6 +114,87 @@ def round_scalar(a_bar: int, b_bar: int, c_bar: int, a_omega_bar: int, coeff: in
     return (a_omega_bar - c_bar * c_bar % R * t + coeff * (c_bar - t * t % R * t)) % R
 
 
+(_M10, _M11, _M12), (_M20, _M21, _M22) = MDS[1], MDS[2]
+
+
+def partial_terms(a, b, c, a_next, b_next, c_next) -> tuple[int, int, int]:
+    """The partial-round gate's three constraints at one point, each 0 on
+    a satisfied row: b - a^3 and the two MDS rows on the next row's b and
+    c, with y = b a^2.  Reduced mod r; the prover's coset loop and both
+    linearisations evaluate them here."""
+    y = b * a % R * a % R
+    return (
+        (b - a * a % R * a) % R,
+        (b_next - _M10 * y - _M11 * c - _M12 * a_next) % R,
+        (c_next - _M20 * y - _M21 * c - _M22 * a_next) % R,
+    )
+
+
+def _next_row_map() -> tuple[int, int, int]:
+    """rho with M0 . (y, s1, s2) = rho . (s2, s1', s2'), where s1', s2' are
+    M's rows 1 and 2 applied to (y, s1, s2): the partial round's second row
+    recovers the next S-box input from its own three wires.  It exists
+    because the minor [[M10, M11], [M20, M21]] of an MDS matrix is
+    invertible."""
+    det_inv = fr_inv((_M10 * _M21 - _M11 * _M20) % R)
+    m00, m01, m02 = MDS[0]
+    # (w0, w1) = (m00, m01) . [[M10, M11], [M20, M21]]^-1
+    w0 = (m00 * _M21 - m01 * _M20) * det_inv % R
+    w1 = (m01 * _M10 - m00 * _M11) * det_inv % R
+    return (m02 - w0 * _M12 - w1 * _M22) % R, w0, w1
+
+
+#: The qnext row of a partial round: x' = rho . (a, b, c) + constant.
+NEXT_ROW = _next_row_map()
+
+
+#: The selectors of the gates that read the next row, in key order: a
+#: layout has a column, and its key a commitment, only for those it uses.
+SHIFTED_SELECTORS = ("qround", "qnext", "qpartial")
+
+
+def gate_coeffs(coeff: int, alpha: int, round_gate: bool, partial_gate: bool) -> tuple:
+    """The powers of alpha of the alpha-separated gate constraints, after
+    ``coeff``, the last link's (alpha^2 without links): the round gate's
+    cube takes the next, the partial-round gate's three constraints the
+    ones after it.  Returns (round coefficient, partial coefficients)."""
+    round_coeff = coeff * alpha % R
+    if round_gate:
+        coeff = round_coeff
+    partial = []
+    for _ in range(3 if partial_gate else 0):
+        coeff = coeff * alpha % R
+        partial.append(coeff)
+    return round_coeff, tuple(partial)
+
+
+def selector_scalars(
+    present, bars: tuple, omega_bars: dict, round_coeff: int, partial_coeffs: tuple
+) -> list:
+    """(selector, scalar) for each of :data:`SHIFTED_SELECTORS` in
+    ``present``: what the linearisation multiplies qround, qnext and
+    qpartial (prover) or their commitments (verifier) by, given the wires
+    at zeta (``bars``) and at zeta omega (``omega_bars``, by column).  The
+    partial-round gate's scalar is its three constraints at zeta, weighted
+    by their powers of alpha."""
+    out = []
+    if "qround" in present:
+        out.append(("qround", round_scalar(*bars, omega_bars[0], round_coeff)))
+    if "qnext" in present:
+        out.append(("qnext", omega_bars[0]))
+    if "qpartial" in present:
+        terms = partial_terms(*bars, *(omega_bars[col] for col in range(3)))
+        out.append(("qpartial", sum(k * t for k, t in zip(partial_coeffs, terms)) % R))
+    return out
+
+
+def shifted_columns(next_a: bool, partial: bool) -> tuple:
+    """The wire columns opened at zeta omega by a circuit whose gates read
+    the next row's a (round and next-a gates) and all three of its wires
+    (partial-round gates): always a prefix of (a, b, c)."""
+    return (0, 1, 2) if partial else (0,) if next_a else ()
+
+
 @dataclass
 class _Gate:
     ql: int
@@ -111,6 +207,13 @@ class _Gate:
     b: Wire
     c: Wire
     qround: int = 0
+    qnext: int = 0
+    qpartial: int = 0
+
+    @property
+    def writes_next_a(self) -> bool:
+        """Whether the row's gate fixes the next row's a slot."""
+        return bool(self.qround or self.qnext)
 
 
 @dataclass(frozen=True)
@@ -125,9 +228,10 @@ class Layout:
         link_slots: one ``(column, m)`` per linked message
             (:meth:`CircuitBuilder.link`): its entry j sits in that column
             of row j * n / m.  Empty for a circuit that links nothing.
-        qround: the MiMC round gate's selector column, length ``n``; empty
-            for a circuit without round gates, whose key and proofs then
-            carry nothing for it.
+        qround, qnext, qpartial: the selector columns that read the next
+            row (the MiMC round, the next-a and the Poseidon partial-round
+            gates), each length ``n`` or empty for a circuit without that
+            gate, whose key and proofs then carry nothing for it.
     """
 
     n: int
@@ -141,12 +245,14 @@ class Layout:
     sigma: tuple
     link_slots: tuple = ()
     qround: tuple = ()
+    qnext: tuple = ()
+    qpartial: tuple = ()
 
     def __post_init__(self) -> None:
-        # omega * omega^(n-1) = 1: a round gate on the last row would write
-        # its output into row 0, a public input.
-        if self.qround and self.qround[-1]:
-            raise CircuitError("a round gate on the last row would read row 0 at omega X")
+        # omega * omega^(n-1) = 1: a gate on the last row that reads the
+        # next one would read row 0, a public input.
+        if any(col and col[-1] for col in (self.qround, self.qnext, self.qpartial)):
+            raise CircuitError("a shifted gate on the last row would read row 0 at omega X")
 
     @property
     def links(self) -> int:
@@ -154,9 +260,11 @@ class Layout:
         return len(self.link_slots)
 
     @property
-    def shifted(self) -> bool:
-        """Whether the circuit has round gates, and so opens a at zeta omega."""
-        return bool(self.qround)
+    def shifted(self) -> tuple:
+        """The wire columns (0 = a, 1 = b, 2 = c) the circuit's proofs open
+        at zeta omega: a for round and next-a gates, all three for
+        partial-round gates, none for a circuit without them."""
+        return shifted_columns(bool(self.qround or self.qnext), bool(self.qpartial))
 
     def digest(self) -> bytes:
         """Stable hash of the structure (the key cache's lookup key).
@@ -170,9 +278,14 @@ class Layout:
             h.update(b"layout:%d:%d;" % (self.n, self.ell))
             for slot, m in self.link_slots:  # a layout that links nothing hashes as before
                 h.update(b"link:%d:%d;" % (slot, m))
-            if self.shifted:  # likewise one without round gates
+            if self.qround:  # likewise one without round gates
                 h.update(b"round;")
-            for col in (self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma, self.qround):
+            if self.qnext or self.qpartial:  # and one without Poseidon's
+                h.update(b"poseidon;")
+            for col in (
+                self.ql, self.qr, self.qo, self.qm, self.q3, self.qc, self.sigma,
+                self.qround, self.qnext, self.qpartial,
+            ):
                 for v in col:
                     h.update(v.to_bytes(32, "little"))
             cached = h.digest()
@@ -209,9 +322,11 @@ class Layout:
         n = self.n
         if not (len(a) == len(b) == len(c) == n):
             raise CircuitError("assignment length does not match layout")
-        qround = self.qround or (0,) * n
+        zeros = (0,) * n
+        qround, qnext, qpartial = self.qround or zeros, self.qnext or zeros, self.qpartial or zeros
         for i in range(n):
             pi = -assignment.a[i] % R if i < self.ell else 0
+            j = (i + 1) % n
             lhs = (
                 self.ql[i] * a[i]
                 + self.qr[i] * b[i]
@@ -219,12 +334,15 @@ class Layout:
                 + (self.qm[i] + self.q3[i] * a[i]) * a[i] * b[i]
                 + self.qc[i]
                 + pi
+                + qnext[i] * a[j]
             )
             if qround[i]:
                 t = a[i] + b[i]
                 if qround[i] * (c[i] - t * t * t) % R:
                     raise UnsatisfiedConstraintError("round gate %d: c is not (a + b)^3" % i)
-                lhs += qround[i] * (a[(i + 1) % n] - c[i] * c[i] % R * t)
+                lhs += qround[i] * (a[j] - c[i] * c[i] % R * t)
+            if qpartial[i] and any(partial_terms(a[i], b[i], c[i], a[j], b[j], c[j])):
+                raise UnsatisfiedConstraintError("partial round gate %d not satisfied" % i)
             if lhs % R != 0:
                 raise UnsatisfiedConstraintError("gate %d not satisfied" % i)
 
@@ -256,8 +374,8 @@ class CircuitBuilder:
         self._constants: dict[int, Wire] = {}
         self._links: list[tuple] = []
         self._compiled = False
-        # The output of the last gate if it is a round gate: the next gate
-        # must take it in its a slot.
+        # The output of the last gate if it writes the next row's a (a round
+        # or next-a gate): the next gate must take it in its a slot.
         self._shifted_out: Wire | None = None
 
     # ----- variable allocation -------------------------------------------------
@@ -327,21 +445,29 @@ class CircuitBuilder:
         q3: int = 0,
         qc: int = 0,
         qround: int = 0,
+        qnext: int = 0,
+        qpartial: int = 0,
     ) -> None:
         """Append a raw gate; unused wire positions get dummy variables.
 
         ``q3`` weighs the cubic term ``a*a*b`` (an S-box step in one row);
-        ``qround`` makes the row a round gate (:meth:`mimc_round`).
+        ``qround`` makes the row a round gate (:meth:`mimc_round`);
+        ``qnext`` weighs the next row's a and ``qpartial`` makes the row a
+        partial round's S-box row (:meth:`poseidon_partial_round`, which
+        sets both).
         """
         if self._compiled:
             raise CircuitError("builder already compiled")
         if self._shifted_out is not None and a != self._shifted_out:
-            raise CircuitError("the gate after a round gate must take its output in the a slot")
+            raise CircuitError("the gate after a shifted gate must take its output in the a slot")
         a = self.var(0) if a is None else a
         b = self.var(0) if b is None else b
         c = self.var(0) if c is None else c
         self._gates.append(
-            _Gate(ql % R, qr % R, qo % R, qm % R, q3 % R, qc % R, a, b, c, qround % R)
+            _Gate(
+                ql % R, qr % R, qo % R, qm % R, q3 % R, qc % R, a, b, c,
+                qround % R, qnext % R, qpartial % R,
+            )
         )
         self._shifted_out = None
 
@@ -384,6 +510,32 @@ class CircuitBuilder:
         out = self.var(pow(t, 7, R) + constant)
         self._shifted_out = out
         return out
+
+    def poseidon_partial_round(
+        self, x: Wire, s1: Wire, s2: Wire, constant: int
+    ) -> tuple[Wire, Wire, Wire]:
+        """One Poseidon partial round in two rows: ``x`` the S-box input
+        (its round constant added), ``s1``, ``s2`` the other two lanes.
+        Returns (x', s1', s2') with (x' - constant, s1', s2') = M (x^5, s1,
+        s2).  Row one, (x, x^3, s1), is the ``qpartial`` row: the cube and
+        M's rows 1 and 2 land on row two, (s2, s1', s2'), whose ``qnext``
+        writes x' = rho . (s2, s1', s2') + constant (:data:`NEXT_ROW`) into
+        the next row's a slot, so the next gate must take it there.
+        """
+        xv, v1, v2 = self._values[x], self._values[s1], self._values[s2]
+        cube = xv * xv % R * xv % R
+        y = cube * xv % R * xv % R
+        lanes = [
+            (row[0] * y + row[1] * v1 + row[2] * v2) % R for row in MDS
+        ]
+        u = self.var(cube)
+        self.gate(a=x, b=u, c=s1, qpartial=1)
+        out1, out2 = self.var(lanes[1]), self.var(lanes[2])
+        rho_a, rho_b, rho_c = NEXT_ROW
+        self.gate(a=s2, b=out1, c=out2, ql=rho_a, qr=rho_b, qo=rho_c, qc=constant, qnext=-1)
+        out0 = self.var(lanes[0] + constant)
+        self._shifted_out = out0
+        return out0, out1, out2
 
     def mul_add(self, x: Wire, y: Wire, z: Wire) -> Wire:
         """Return a wire constrained to x*y + z (two gates)."""
@@ -474,6 +626,38 @@ class CircuitBuilder:
         """Gates emitted so far (excluding public-input, link and padding rows)."""
         return len(self._gates)
 
+    def _rows(self, n: int, ell: int, widest: int) -> list[_Gate] | None:
+        """The n rows: public inputs, then the gates around the rows the
+        widest link reserves (no gate, no constraint); None when they do
+        not fit in n.
+
+        Public-input gates come first: a = w_i with qL = 1; the PI
+        polynomial contributes -w_i so the row sums to zero.  A gate that
+        writes the next row's a before a reserved row writes it — the a of
+        the gate after it — into that row's a slot, which the row's zero
+        selectors leave free.  A partial round's first row reads all three
+        wires of its second, so it never sits before a reserved row: a
+        gate-free row holding its a (which the gate before may write) goes
+        there instead.
+        """
+        reserved = set(reserved_rows(n, widest, ell))
+        gates: list[_Gate] = []
+        pending = iter(self._gates)
+        gate = next(pending, None)
+        for row in range(n):
+            if row < ell:
+                gates.append(_Gate(1, 0, 0, 0, 0, 0, self._public[row], self.var(0), self.var(0)))
+                continue
+            blocked = gate is not None and gate.qpartial and row + 1 in reserved
+            if row not in reserved and gate is not None and not blocked:
+                gates.append(gate)
+                gate = next(pending, None)
+                continue
+            carried = blocked or (gate is not None and gates and gates[-1].writes_next_a)
+            a = gate.a if carried else self.var(0)
+            gates.append(_Gate(0, 0, 0, 0, 0, 0, a, self.var(0), self.var(0)))
+        return gates if gate is None else None
+
     def compile(self, min_size: int = 4, check: bool = True) -> tuple[Layout, Assignment]:
         """Finalize into a (layout, assignment) pair, padded to a power of 2.
 
@@ -482,7 +666,7 @@ class CircuitBuilder:
         values, since the layout is witness-independent.
         """
         if self._shifted_out is not None:
-            raise CircuitError("a round gate on the last row would read row 0 at omega X")
+            raise CircuitError("a shifted gate on the last row would read row 0 at omega X")
         self._compiled = True
         ell = len(self._public)
         slots = LINK_SLOTS[: len(self._links)]
@@ -492,30 +676,14 @@ class CircuitBuilder:
             )
         widths = [len(w) for w, _c, _o in self._links]
         n = linked_size(ell, len(self._gates), widths, min_size)
-        # Link rows past the public inputs are reserved: no gate, no constraint.
-        reserved = set(reserved_rows(n, max(widths, default=1), ell))
-        # Public-input gates come first: a = w_i with qL = 1; the PI
-        # polynomial contributes -w_i so the row sums to zero.
-        gates: list[_Gate] = []
-        emitted = 0
-        for row in range(n):
-            if row < ell:
-                gates.append(_Gate(1, 0, 0, 0, 0, 0, self._public[row], self.var(0), self.var(0)))
-                continue
-            if row not in reserved and emitted < len(self._gates):
-                gates.append(self._gates[emitted])
-                emitted += 1
-                continue
-            # A round gate before a reserved row writes its output — the a
-            # of the gate after it — into that row's a slot, which the row's
-            # zero selectors leave free.
-            a = self._gates[emitted].a if gates and gates[-1].qround else self.var(0)
-            gates.append(_Gate(0, 0, 0, 0, 0, 0, a, self.var(0), self.var(0)))
+        # A partial round's first row may push its gates past n (_rows).
+        while (gates := self._rows(n, ell, max(widths, default=1))) is None:
+            n <<= 1
         for (wires, _c, _o), slot in zip(self._links, slots):
             step = n // len(wires)
             for j, wire in enumerate(wires):
-                if slot == 0 and j and gates[j * step - 1].qround:
-                    raise CircuitError("a round gate writes into a row whose a slot is linked")
+                if slot == 0 and j and gates[j * step - 1].writes_next_a:
+                    raise CircuitError("a shifted gate writes into a row whose a slot is linked")
                 setattr(gates[j * step], "abc"[slot], wire)
 
         ql = tuple(g.ql for g in gates)
@@ -537,8 +705,14 @@ class CircuitBuilder:
                 sigma[s] = cycle[(i + 1) % len(cycle)]
 
         link_slots = tuple((slot, len(w)) for (w, _c, _o), slot in zip(self._links, slots))
-        qround = tuple(g.qround for g in gates) if any(g.qround for g in gates) else ()
-        layout = Layout(n, ell, ql, qr, qo, qm, q3, qc, tuple(sigma), link_slots, qround)
+        # A gate no row uses has no column: its key and proofs carry nothing.
+        qround, qnext, qpartial = (
+            tuple(col) if any(col) else ()
+            for col in zip(*((g.qround, g.qnext, g.qpartial) for g in gates))
+        )
+        layout = Layout(
+            n, ell, ql, qr, qo, qm, q3, qc, tuple(sigma), link_slots, qround, qnext, qpartial
+        )
         vals = self._values
         assignment = Assignment(
             a=[vals[g.a] for g in gates],

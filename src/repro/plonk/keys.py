@@ -1,8 +1,8 @@
 """Plonk key generation (the KeyGen of the NIZK triple).
 
 ``setup(srs, layout)`` preprocesses a compiled circuit into a proving key
-(polynomials + SRS) and a verification key (nine commitments, ten with
-round gates, + domain metadata).  The SRS is universal: the same string
+(polynomials + SRS) and a verification key (nine commitments, plus one per
+gate that reads the next row, + domain metadata).  The SRS is universal: the same string
 serves every circuit whose size fits, so — as the paper stresses —
 circuits can change without re-running the ceremony.
 """
@@ -18,7 +18,7 @@ from repro.curve.g1 import G1
 from repro.curve.g2 import G2
 from repro.kzg.commit import commit
 from repro.kzg.srs import SRS
-from repro.plonk.circuit import K1, K2, Layout
+from repro.plonk.circuit import K1, K2, SHIFTED_SELECTORS, Layout, shifted_columns
 
 #: Extra degree headroom required beyond n (blinding of wires, z and t).
 DEGREE_MARGIN = 8
@@ -31,9 +31,9 @@ class VerifyingKey:
     ``link_slots`` holds one ``(column, m)`` per message the circuit links
     (:meth:`repro.plonk.circuit.CircuitBuilder.link`): its proofs verify
     against those commitments, in that order, as part of the statement.
-    ``c_qround`` commits the round gate's selector of a circuit that has
-    round gates, and is None otherwise: only then do its proofs carry
-    a(zeta omega).
+    ``c_qround``, ``c_qnext`` and ``c_qpartial`` commit the selectors of
+    the gates that read the next row, each None for a circuit without that
+    gate: its proofs carry the wires :attr:`shifted` names at zeta omega.
     """
 
     n: int
@@ -51,6 +51,8 @@ class VerifyingKey:
     g2_tau: G2
     link_slots: tuple = ()
     c_qround: G1 | None = None
+    c_qnext: G1 | None = None
+    c_qpartial: G1 | None = None
 
     @property
     def links(self) -> int:
@@ -58,9 +60,11 @@ class VerifyingKey:
         return len(self.link_slots)
 
     @property
-    def shifted(self) -> bool:
-        """Whether proofs under this key carry a(zeta omega)."""
-        return self.c_qround is not None
+    def shifted(self) -> tuple:
+        """The wire columns proofs under this key open at zeta omega
+        (:attr:`repro.plonk.circuit.Layout.shifted`)."""
+        next_a = self.c_qround is not None or self.c_qnext is not None
+        return shifted_columns(next_a, self.c_qpartial is not None)
 
     def digest(self) -> bytes:
         """Hash binding the transcript to this circuit and SRS."""
@@ -81,8 +85,12 @@ class VerifyingKey:
         ):
             h.update(c.to_bytes())
         h.update(self.g2_tau.to_bytes())
-        if self.c_qround is not None:  # a key without round gates hashes as before
-            h.update(b"round;" + self.c_qround.to_bytes())
+        # A key without one of these gates hashes as before.
+        for label, point in (
+            (b"round;", self.c_qround), (b"next;", self.c_qnext), (b"partial;", self.c_qpartial)
+        ):
+            if point is not None:
+                h.update(label + point.to_bytes())
         return h.digest()
 
 
@@ -112,7 +120,9 @@ def setup(srs: SRS, layout: Layout) -> tuple[ProvingKey, VerifyingKey]:
             % (srs.max_degree, n, n + DEGREE_MARGIN)
         )
     sigma_star = layout.sigma_star()
-    selectors = ("qm", "q3", "ql", "qr", "qo", "qc") + (("qround",) if layout.shifted else ())
+    selectors = ("qm", "q3", "ql", "qr", "qo", "qc") + tuple(
+        name for name in SHIFTED_SELECTORS if getattr(layout, name)
+    )
     columns = [list(getattr(layout, name)) for name in selectors]
     columns += [list(col) for col in sigma_star]
     interpolated = engine.ntt_batch([("ifft", n, col, 0) for col in columns])

@@ -2,9 +2,10 @@
 
 As the paper reports (Section VI-B3), every proof consists of exactly
 9 G1 elements and 6 field elements, independent of the relation proved —
-768 bytes in our uncompressed encoding.  A circuit with MiMC round gates
-adds one field element, a(zeta omega) (800 bytes): its size depends on
-the key, never on the witness.
+768 bytes in our uncompressed encoding.  A circuit whose gates read the
+next row adds the wires it opens at zeta omega: a(zeta omega) for MiMC
+round gates (800 bytes), a, b and c for Poseidon's partial-round gate
+(864 bytes).  The size depends on the key, never on the witness.
 """
 
 from __future__ import annotations
@@ -17,19 +18,25 @@ from repro.field.fr import MODULUS as R
 
 _POINT_FIELDS = ("c_a", "c_b", "c_c", "c_z", "c_t_lo", "c_t_mid", "c_t_hi", "w_zeta", "w_zeta_omega")
 _SCALAR_FIELDS = ("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar")
-#: The evaluation only a proof under a key with round gates carries.
-_SHIFTED_FIELD = "a_omega_bar"
+#: The wires' evaluations at zeta omega, by column: a proof carries those
+#: its key's :attr:`~repro.plonk.keys.VerifyingKey.shifted` names, a prefix.
+_SHIFTED_FIELDS = ("a_omega_bar", "b_omega_bar", "c_omega_bar")
 
 
-def proof_size_bytes(shifted: bool) -> int:
-    """Length of a proof's encoding, with or without a(zeta omega)."""
-    return 64 * len(_POINT_FIELDS) + 32 * (len(_SCALAR_FIELDS) + shifted)
+def proof_size_bytes(shifted: tuple = ()) -> int:
+    """Length of a proof's encoding that opens the wire columns
+    ``shifted`` at zeta omega."""
+    return 64 * len(_POINT_FIELDS) + 32 * (len(_SCALAR_FIELDS) + len(shifted))
+
+
+#: Encoded length -> the columns such a proof opens at zeta omega.
+_SHAPES = {proof_size_bytes(cols): cols for cols in ((), (0,), (0, 1, 2))}
 
 
 @dataclass(frozen=True)
 class Proof:
     """A Plonk proof: 9 G1 commitments and 6 evaluations at zeta, plus
-    a(zeta omega) when its key has round gates."""
+    the wires its key opens at zeta omega."""
 
     c_a: G1
     c_b: G1
@@ -47,11 +54,20 @@ class Proof:
     s2_bar: int
     z_omega_bar: int
     a_omega_bar: int | None = None
+    b_omega_bar: int | None = None
+    c_omega_bar: int | None = None
 
     @property
-    def shifted(self) -> bool:
-        """Whether the proof carries a(zeta omega)."""
-        return self.a_omega_bar is not None
+    def shifted(self) -> tuple:
+        """The wire columns whose zeta omega evaluations the proof carries."""
+        return tuple(
+            col for col, name in enumerate(_SHIFTED_FIELDS) if getattr(self, name) is not None
+        )
+
+    @property
+    def omega_bars(self) -> tuple:
+        """Those evaluations, in column order."""
+        return tuple(getattr(self, _SHIFTED_FIELDS[col]) for col in self.shifted)
 
     @property
     def num_g1_elements(self) -> int:
@@ -59,28 +75,27 @@ class Proof:
 
     @property
     def num_field_elements(self) -> int:
-        return len(_SCALAR_FIELDS) + self.shifted
+        return len(_SCALAR_FIELDS) + len(self.shifted)
 
     def to_bytes(self) -> bytes:
-        """Serialise: 9 uncompressed G1 points then 6 scalars (7 with
-        a(zeta omega), last)."""
+        """Serialise: 9 uncompressed G1 points, 6 scalars, then the
+        zeta omega evaluations it carries in column order."""
         out = bytearray()
         for name in _POINT_FIELDS:
             out += getattr(self, name).to_bytes()
-        for name in _SCALAR_FIELDS + (_SHIFTED_FIELD,) * self.shifted:
+        for name in _SCALAR_FIELDS + tuple(_SHIFTED_FIELDS[col] for col in self.shifted):
             out += (getattr(self, name) % R).to_bytes(32, "little")
         return bytes(out)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Proof":
-        """Parse either shape; whether it matches a key is the verifier's
-        structural check."""
-        if len(data) not in (proof_size_bytes(False), proof_size_bytes(True)):
+        """Parse any shape (none, a, or a, b and c opened at zeta omega);
+        whether it matches a key is the verifier's structural check."""
+        if len(data) not in _SHAPES:
             raise SerializationError(
-                "proof must be %d or %d bytes, got %d"
-                % (proof_size_bytes(False), proof_size_bytes(True), len(data))
+                "proof must be %s bytes, got %d" % (" or ".join(map(str, _SHAPES)), len(data))
             )
-        scalars = _SCALAR_FIELDS + (_SHIFTED_FIELD,) * (len(data) == proof_size_bytes(True))
+        scalars = _SCALAR_FIELDS + tuple(_SHIFTED_FIELDS[col] for col in _SHAPES[len(data)])
         kwargs = {}
         offset = 0
         for name in _POINT_FIELDS:

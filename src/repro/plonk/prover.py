@@ -20,7 +20,10 @@ from repro.plonk.circuit import (
     K2,
     link_indicator,
     link_indicator_eval,
-    round_scalar,
+    SHIFTED_SELECTORS,
+    gate_coeffs,
+    partial_terms,
+    selector_scalars,
 )
 from repro.plonk.keys import ProvingKey
 from repro.plonk.proof import Proof
@@ -59,9 +62,14 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     A layout with round gates
     (:meth:`~repro.plonk.circuit.CircuitBuilder.mimc_round`) adds
     qround(X) (a(omega X) - c^2 t) to the gate and alpha^(3+links)
-    qround(X) (c - t^3) to the quotient, t = a + b; a gets a third blinder
-    and the proof one more evaluation, a(zeta omega), opened together with
-    z(zeta omega).
+    qround(X) (c - t^3) to the quotient, t = a + b; one with next-a gates
+    adds qnext(X) a(omega X) to the gate; one with partial-round gates
+    (:meth:`~repro.plonk.circuit.CircuitBuilder.poseidon_partial_round`)
+    adds qpartial(X) times each of its three constraints
+    (:func:`~repro.plonk.circuit.partial_terms`) at the next powers of
+    alpha.  Each wire these gates read at omega X (``layout.shifted``)
+    gets a third blinder, and the proof its evaluation at zeta omega,
+    opened together with z(zeta omega) at weights v, v^2, v^3.
 
     Under ``REPRO_TELEMETRY=on`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
@@ -110,10 +118,12 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 ("ifft", n, list(assignment.c), 0),
             ]
         )
-        # a is opened at zeta and, with round gates, at zeta omega too.
-        a_poly = _blind(wire_polys[0], [rand() for _ in range(2 + shifted)], n)
-        b_poly = _blind(wire_polys[1], [rand(), rand()], n)
-        c_poly = _blind(wire_polys[2], [rand(), rand()], n)
+        # A wire opened at zeta omega too gets a third blinder.
+        wires = tuple(
+            _blind(wire_polys[col], [rand() for _ in range(2 + (col in shifted))], n)
+            for col in range(3)
+        )
+        a_poly, b_poly, c_poly = wires
         c_a = commit(srs, a_poly)
         c_b = commit(srs, b_poly)
         c_c = commit(srs, c_poly)
@@ -172,10 +182,14 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         # for n >= 8.  The numerator (degree up to 4n+5) does not fit, so it
         # is never interpolated: Z_H is divided out pointwise instead.  The
         # permutation term sets that degree; the cubic gate term q3*a*a*b
-        # reaches only (n-1) + 3(n+1) = 4n+2 and rides inside it.  With
-        # round gates a has degree n+2: the permutation term reaches 4n+6,
-        # qround*t^3 4n+5, and t 3n+6, which the same coset holds.
-        big_n = 1 << (3 * n + 5).bit_length()
+        # reaches only (n-1) + 3(n+1) = 4n+2 and rides inside it.  Each
+        # wire opened at zeta omega has degree n+2: with a alone the
+        # permutation term reaches 4n+6 and qround*t^3 4n+5; with all three
+        # it reaches 4n+8, and the partial-round gate's b a^2 4n+5, so t
+        # has degree 3n+5+len(shifted), which the same coset holds for
+        # n >= 16 (t_hi: n+8, the SRS's DEGREE_MARGIN).
+        t_degree = 3 * n + 5 + len(shifted)
+        big_n = 1 << t_degree.bit_length()
         xs = engine.coset_points(big_n)
         # Selector / permutation / L1 polynomials are fixed per proving key:
         # their coset evaluations come from the engine's memo (computed on the
@@ -194,7 +208,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 ("s3", list(pk.s_polys[2])),
                 ("l1", l1_poly),
             )
-            + ((("qround", pk.q_polys["qround"]),) if shifted else ())
+            + tuple((name, pk.q_polys[name]) for name in SHIFTED_SELECTORS if name in pk.q_polys)
         }
         # I_m per link width, fixed per key like L_0 (which is I_1).
         indicators = {
@@ -205,7 +219,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         # transformed fresh each proof, as one engine batch.
         live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("zw", zw_poly), ("pi", pi_poly)
         live += tuple(("d%d" % i, d) for i, (_slot, _m, d) in enumerate(links))
-        live += (("aw", _shift(a_poly, omega)),) if shifted else ()
+        live += tuple(("abc"[col] + "w", _shift(wires[col], omega)) for col in shifted)
         live_evals = engine.ntt_batch(
             [("coset_fft", big_n, coeffs, COSET_SHIFT) for _, coeffs in live]
         )
@@ -217,7 +231,8 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for i, (slot, m, _d) in enumerate(links):
             coeff = coeff * alpha % R
             link_terms.append((coeff, ev["abc"[slot]], indicators[m], ev["d%d" % i]))
-        round_coeff = coeff * alpha % R
+        round_coeff, partial_coeffs = gate_coeffs(coeff, alpha, "qround" in ev, "qpartial" in ev)
+        qround_ev, qnext_ev, qpartial_ev = (ev.get(name) for name in SHIFTED_SELECTORS)
         # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
         zh_period = big_n // n
         zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
@@ -234,8 +249,10 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
                 + ev["pi"][i]
                 + ev["qc"][i]
             )
-            if shifted:  # the round gate's shifted half joins the gate
-                qv, tv = ev["qround"][i], av + bv
+            if qnext_ev:
+                gate += qnext_ev[i] * ev["aw"][i]
+            if qround_ev:  # the round gate's shifted half joins the gate
+                qv, tv = qround_ev[i], av + bv
                 gate += qv * (ev["aw"][i] - cv * cv % R * tv)
             gate %= R
             perm_a = (
@@ -260,17 +277,19 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             numerator = gate + alpha * (perm_a - perm_b) + alpha2 * boundary
             for coeff, wire, ind, dv in link_terms:
                 numerator += coeff * ind[i] % R * (wire[i] - dv[i])
-            if shifted:  # and its cube is alpha-separated
+            if qround_ev:  # and its cube is alpha-separated
                 numerator += round_coeff * qv % R * (cv - tv * tv % R * tv)
+            if qpartial_ev and qpartial_ev[i]:
+                terms = partial_terms(av, bv, cv, ev["aw"][i], ev["bw"][i], ev["cw"][i])
+                numerator += qpartial_ev[i] * sum(k * t for k, t in zip(partial_coeffs, terms))
             t_evals.append(numerator % R * zh_inv[i % zh_period] % R)
         t_poly = poly.trim(engine.coset_intt(t_evals))
         # A numerator Z_H does not divide leaves a quotient that fills the
-        # whole coset; a satisfied circuit keeps it at degree 3n+5 (3n+6
-        # with round gates).
-        if len(t_poly) > 3 * n + 6 + shifted:
+        # whole coset; a satisfied circuit keeps it at t_degree.
+        if len(t_poly) > t_degree + 1:
             raise ProofError(
                 "quotient is not divisible by Z_H: degree %d exceeds 3n+%d"
-                % (len(t_poly) - 1, 5 + shifted)
+                % (len(t_poly) - 1, t_degree - 3 * n)
             )
 
         t_lo = t_poly[:n]
@@ -302,7 +321,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         s1_bar = poly.evaluate(list(pk.s_polys[0]), zeta)
         s2_bar = poly.evaluate(list(pk.s_polys[1]), zeta)
         z_omega_bar = poly.evaluate(z_poly, zeta * omega % R)
-        a_omega_bar = poly.evaluate(a_poly, zeta * omega % R) if shifted else None
+        omega_bars = tuple(poly.evaluate(wires[col], zeta * omega % R) for col in shifted)
         for label, value in (
             (b"a_bar", a_bar),
             (b"b_bar", b_bar),
@@ -310,8 +329,11 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             (b"s1_bar", s1_bar),
             (b"s2_bar", s2_bar),
             (b"z_omega_bar", z_omega_bar),
-        ) + (((b"a_omega_bar", a_omega_bar),) if shifted else ()):
+        ) + tuple(
+            (b"%s_omega_bar" % b"abc"[col : col + 1], w) for col, w in zip(shifted, omega_bars)
+        ):
             transcript.append_scalar(label, value)
+        shifted_bars = dict(zip(shifted, omega_bars))
 
     # ----- Round 5: linearization + opening proofs ------------------------
     with telemetry.span("opening", round=5):
@@ -336,14 +358,10 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qr"], b_bar))
         r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qo"], c_bar))
         r_poly = poly.add(r_poly, pk.q_polys["qc"])
-        if shifted:
-            r_poly = poly.add(
-                r_poly,
-                poly.scale(
-                    pk.q_polys["qround"],
-                    round_scalar(a_bar, b_bar, c_bar, a_omega_bar, round_coeff),
-                ),
-            )
+        for name, scalar in selector_scalars(
+            pk.q_polys, (a_bar, b_bar, c_bar), shifted_bars, round_coeff, partial_coeffs
+        ):
+            r_poly = poly.add(r_poly, poly.scale(pk.q_polys[name], scalar))
         z_scalar = (alpha * pa + alpha2 * l1_zeta) % R
         r_poly = poly.add(r_poly, poly.scale(z_poly, z_scalar))
         s3_scalar = (-(alpha * pb % R) * beta % R) * z_omega_bar % R
@@ -383,12 +401,15 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             numerator = poly.add(numerator, poly.scale(poly.sub(opened, [value]), vk_pow))
             vk_pow = vk_pow * v % R
         w_zeta_poly = poly.divide_by_linear(numerator, zeta)
-        # a(zeta omega) rides in z's opening, weighted by v.
+        # The wires' zeta omega evaluations ride in z's opening, weighted
+        # by v, v^2, v^3 in column order.
         shifted_numerator = poly.sub(z_poly, [z_omega_bar])
-        if shifted:
+        vk_pow = v
+        for col, value in zip(shifted, omega_bars):
             shifted_numerator = poly.add(
-                shifted_numerator, poly.scale(poly.sub(a_poly, [a_omega_bar]), v)
+                shifted_numerator, poly.scale(poly.sub(wires[col], [value]), vk_pow)
             )
+            vk_pow = vk_pow * v % R
         w_zeta_omega_poly = poly.divide_by_linear(shifted_numerator, zeta * omega % R)
         w_zeta = commit(srs, w_zeta_poly)
         w_zeta_omega = commit(srs, w_zeta_omega_poly)
@@ -412,7 +433,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         s1_bar=s1_bar,
         s2_bar=s2_bar,
         z_omega_bar=z_omega_bar,
-        a_omega_bar=a_omega_bar,
+        **{"abc"[col] + "_omega_bar": value for col, value in zip(shifted, omega_bars)},
     )
 
 

@@ -4,10 +4,12 @@ Succinct: independent of circuit size, a proof reduces to a short list of
 (point, scalar) terms — its nine commitments, the key's commitments, the
 generator and any commitments the statement links (:func:`fold_terms`
 counts them) — and a single 2-pairing product check, the costs the paper
-reports in Section VI-B3 and Figure 7.  A key with MiMC round gates
-(``vk.shifted``) adds [qround], and its proofs one evaluation,
-a(zeta omega), which rides on [a]'s existing term and the
-``W_zeta_omega`` opening.  :func:`fold_check` builds the weighted terms
+reports in Section VI-B3 and Figure 7.  A key whose gates read the next
+row adds their selectors' commitments ([qround], [qnext], [qpartial]), and
+its proofs the wires ``vk.shifted`` names at zeta omega, which ride on
+those wires' existing terms and the ``W_zeta_omega`` opening.  A key
+commitment that is the identity (a selector no row uses) multiplies to
+nothing and is left out of the fold.  :func:`fold_check` builds the weighted terms
 and hands them to one engine kernel, ``Engine.fold_pairing_check``, the
 one place they are multiplied and paired (on two cores when the engine
 has a helper: it takes a prefix of the ``[1]_2`` side and that prefix's
@@ -23,7 +25,14 @@ from repro.backend import get_engine
 from repro.curve.g1 import G1
 from repro.errors import VerificationError
 from repro.field.fr import MODULUS as R
-from repro.plonk.circuit import K1, K2, link_indicator_eval, round_scalar
+from repro.plonk.circuit import (
+    K1,
+    K2,
+    SHIFTED_SELECTORS,
+    gate_coeffs,
+    link_indicator_eval,
+    selector_scalars,
+)
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.proof import Proof, proof_size_bytes
 from repro.plonk.transcript import Transcript
@@ -86,7 +95,7 @@ def fold_check(items: list[tuple], weights: list[int]) -> bool:
             entry = link_sums.setdefault(id(point), [point, 0])
             entry[1] = (entry[1] + rho * s) % R
     for vk, sums in key_sums.values():
-        one_side += zip(_key_points(vk), sums)
+        one_side += [(point, s) for point, s in zip(_key_points(vk), sums) if point is not None]
     one_side += [(point, s) for point, s in link_sums.values()]
     with telemetry.span("fold", terms=len(tau_side) + len(one_side)):
         return engine.fold_pairing_check(tau_side, one_side, g2_tau, g2)
@@ -104,16 +113,17 @@ def fold_terms(items: list[tuple]) -> int:
 
     A member brings 11 of its own: ``W_zeta`` and ``W_zeta_omega`` on
     both sides of the equation, its other seven commitments once.  Each
-    distinct key brings :func:`_key_points` once, and each distinct linked
-    point one term, both grouped by object identity as :func:`fold_check`
-    sums their scalars.  :data:`UNIT_TERMS` of a one-member fold's terms
-    carry scalar 1.
+    distinct key brings the points of :func:`_key_points` it folds (not
+    the identity) once, and each distinct linked point one term, both
+    grouped by object identity as :func:`fold_check` sums their scalars.
+    :data:`UNIT_TERMS` of a one-member fold's terms carry scalar 1.
     """
     keys = {id(item[0]): item[0] for item in items}
     links = {
         id(point) for item in items for point in _link_points(item[3] if len(item) > 3 else None)
     }
-    return 11 * len(items) + sum(len(_key_points(vk)) for vk in keys.values()) + len(links)
+    folded = sum(point is not None for vk in keys.values() for point in _key_points(vk))
+    return 11 * len(items) + folded + len(links)
 
 
 def _link_points(link) -> tuple:
@@ -124,20 +134,20 @@ def _link_points(link) -> tuple:
     return () if link is None else (link,)
 
 
-def _key_points(vk: VerifyingKey) -> list[G1]:
-    """The points :func:`proof_terms`'s ``key_scalars`` multiply, in order."""
-    return [
-        vk.c_qm,
-        vk.c_q3,
-        vk.c_ql,
-        vk.c_qr,
-        vk.c_qo,
-        vk.c_qc,
-        vk.c_s1,
-        vk.c_s2,
-        vk.c_s3,
-        G1.generator(),
-    ] + ([vk.c_qround] if vk.c_qround is not None else [])
+def _key_points(vk: VerifyingKey) -> list[G1 | None]:
+    """The points :func:`proof_terms`'s ``key_scalars`` multiply, in order,
+    None where the fold leaves the point out: a commitment that is the
+    identity (a selector column of zeros) adds nothing whatever its
+    scalar.  [qC] always stays, being one of the :data:`UNIT_TERMS`.  Read
+    from the key alone, fixed when a verifier is deployed."""
+    points = [vk.c_qm, vk.c_q3, vk.c_ql, vk.c_qr, vk.c_qo]
+    points = [None if point.inf else point for point in points]
+    points += [vk.c_qc, vk.c_s1, vk.c_s2, vk.c_s3, G1.generator()]
+    for name in SHIFTED_SELECTORS:
+        point = getattr(vk, "c_" + name)
+        if point is not None:
+            points.append(None if point.inf else point)
+    return points
 
 
 def proof_terms(
@@ -152,15 +162,17 @@ def proof_terms(
             == e(sum s*P over one_terms + sum key_scalars[j] * K_j
                  + sum s*D over link_terms, [1]_2)
 
-    with ``K`` the nine key commitments and the generator, then [qround]
-    for a key with round gates (:func:`_key_points`), and ``link_terms``
+    with ``K`` the nine key commitments and the generator, then [qround],
+    [qnext] and [qpartial] for a key with those gates (:func:`_key_points`,
+    whose None entries the fold skips), and ``link_terms``
     one ``(commitment, scalar)`` per link (none for a key that links
     nothing).  ``link`` is the one linked point or the points in link
     order.  None means an early structural reject: among them a count of
     commitments the key does not link, the identity as a commitment,
     which only rho = 0 produces (a blinder no honest commitment uses), and
-    a proof whose shape is not its key's (a(zeta omega) carried or
-    missing).  No group operation happens here — field work and the transcript's SHA-256 only — so
+    a proof whose shape is not its key's (an evaluation at zeta omega
+    carried or missing).  No group operation happens here — field work
+    and the transcript's SHA-256 only — so
     :func:`fold_check` can weight and merge the terms of many proofs
     before anything is multiplied.
     """
@@ -208,7 +220,9 @@ def proof_terms(
         (b"s1_bar", proof.s1_bar),
         (b"s2_bar", proof.s2_bar),
         (b"z_omega_bar", proof.z_omega_bar),
-    ) + (((b"a_omega_bar", proof.a_omega_bar),) if vk.shifted else ()):
+    ) + tuple(
+        (b"%s_omega_bar" % b"abc"[col : col + 1], w) for col, w in zip(vk.shifted, proof.omega_bars)
+    ):
         transcript.append_scalar(label, value)
     v = transcript.challenge(b"v")
     transcript.append_point(b"w_zeta", proof.w_zeta)
@@ -264,12 +278,15 @@ def proof_terms(
         + v5 * proof.s2_bar
         + u * proof.z_omega_bar
     ) % R
-    # With round gates W_zw also opens a at zeta omega, weighted by v:
-    # [a] gains u v, E gains u v a(zeta omega).
-    a_scalar = v
-    if vk.shifted:
-        a_scalar = v * (1 + u) % R
-        e_scalar = (e_scalar + u * v % R * proof.a_omega_bar) % R
+    # W_zw also opens the shifted wires at zeta omega, weighted by v, v^2,
+    # v^3 in column order: each wire's point gains u v^i, E gains
+    # u v^i w(zeta omega).
+    wire_scalars = [v, v2, v3]
+    weight = u * v % R
+    for col, value in zip(vk.shifted, proof.omega_bars):
+        wire_scalars[col] = (wire_scalars[col] + weight) % R
+        e_scalar = (e_scalar + weight * value) % R
+        weight = weight * v % R
 
     # The equation, with [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[S1] + v^5[S2]:
     #   e(W_z + u*W_zw, [tau]_2) == e(zeta*W_z + u*zeta*omega*W_zw + F - E, [1]_2)
@@ -282,9 +299,9 @@ def proof_terms(
         (proof.c_t_lo, -zh_zeta % R),
         (proof.c_t_mid, -zh_zeta * zeta_n % R),
         (proof.c_t_hi, -zh_zeta * zeta_n % R * zeta_n % R),
-        (proof.c_a, a_scalar),
-        (proof.c_b, v2),
-        (proof.c_c, v3),
+        (proof.c_a, wire_scalars[0]),
+        (proof.c_b, wire_scalars[1]),
+        (proof.c_c, wire_scalars[2]),
     ]
     key_scalars = [
         proof.a_bar * proof.b_bar % R,
@@ -298,11 +315,20 @@ def proof_terms(
         (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R,
         -e_scalar % R,
     ]
-    if vk.shifted:
-        round_coeff = coeff * alpha % R  # alpha^(3+links), after the links'
-        key_scalars.append(
-            round_scalar(proof.a_bar, proof.b_bar, proof.c_bar, proof.a_omega_bar, round_coeff)
+    present = [name for name in SHIFTED_SELECTORS if getattr(vk, "c_" + name) is not None]
+    round_coeff, partial_coeffs = gate_coeffs(
+        coeff, alpha, "qround" in present, "qpartial" in present
+    )
+    key_scalars += [
+        scalar
+        for _name, scalar in selector_scalars(
+            present,
+            (proof.a_bar, proof.b_bar, proof.c_bar),
+            dict(zip(vk.shifted, proof.omega_bars)),
+            round_coeff,
+            partial_coeffs,
         )
+    ]
     return tau_terms, one_terms, key_scalars, link_terms
 
 

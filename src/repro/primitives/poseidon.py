@@ -12,9 +12,10 @@ so prover and verifier always agree.
 
 The permutation is written out for three lanes held in locals, and runs
 the 60 partial rounds in the lane coordinates of
-:func:`_partial_round_tables` — the same tables
-:mod:`repro.gadgets.poseidon` lays its gates from — so a partial round is
-one S-box and five multiplications instead of a dense 3x3 product.
+:func:`_partial_round_tables`, so a partial round is one S-box and five
+multiplications instead of a dense 3x3 product.  The gadget
+(:mod:`repro.gadgets.poseidon`) keeps the standard coordinates and moves
+the round constants instead: its state rides the next row's wires.
 ``tests/poseidon_oracle.py`` keeps the textbook any-width form; the tests
 hold the two equal.  Nothing here remembers a hashed value: preimages are
 secrets.
@@ -114,7 +115,7 @@ def _partial_round_tables() -> tuple:
 
 
 #: The partial rounds as :func:`_partial_round_tables` derives them, once:
-#: every hash and every circuit build reads them.
+#: every hash reads them.
 PARTIAL_ROWS, LANES_BACK = _partial_round_tables()
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import CircuitError, UnsatisfiedConstraintError
 from repro.field.fr import MODULUS as R
+from repro.primitives.poseidon import MDS
 
 #: A linear combination is a sparse {variable_index: coefficient} map.
 LinearCombination = dict
@@ -164,6 +165,20 @@ class R1CSBuilder:
         out = self.var(self._values[t6] * s + constant)
         self.enforce({t6: 1}, t, {out: 1, self.ONE: -constant})
         return out
+
+    def poseidon_partial_round(self, x: int, s1: int, s2: int, constant: int) -> tuple:
+        """The Plonk partial-round rows' outputs (x', s1', s2'), with
+        (x' - constant, s1', s2') = M (x^5, s1, s2): x^2 and x^3, then each
+        output one product (M_j0 x^3) * x^2 against its linear rest."""
+        x2 = self.mul(x, x)
+        x3 = self.mul(x2, x)
+        y = self._values[x3] * self._values[x2]
+        outs = []
+        for row, k in zip(MDS, (constant, 0, 0)):
+            out = self.var(row[0] * y + row[1] * self._values[s1] + row[2] * self._values[s2] + k)
+            self.enforce({x3: row[0]}, {x2: 1}, {out: 1, s1: -row[1], s2: -row[2], self.ONE: -k})
+            outs.append(out)
+        return tuple(outs)
 
     def add(self, x: int, y: int) -> int:
         out = self.var(self._values[x] + self._values[y])

@@ -3,8 +3,9 @@
 pi_k proving runs in one long-lived forked worker, off the node's event
 loop, on the host's one set of MSM helpers.  Every fork of the worker
 (the first, and each re-fork) warms the pi_k window tables' n + margin
-rows on the process's engine, which forks its helpers (one per spare
-core of the CPU mask) only if it has none; forks the worker, which
++ 1 rows (every SRS power up to t_hi's degree) on the process's engine,
+which forks its helpers (one per spare core of the CPU mask) only if it
+has none; forks the worker, which
 inherits the rows this process holds and its ends of the helpers'
 pipes; and hands the helpers over (``Engine.hand_over``): this process
 closes its ends and keeps the helpers' processes only to join them after
@@ -115,7 +116,7 @@ class ProverPool:
 
     def __init__(self, ctx: SnarkContext) -> None:
         self._ctx = ctx
-        self._rows = key_negotiation_keys(ctx).layout.n + DEGREE_MARGIN
+        self._rows = key_negotiation_keys(ctx).layout.n + DEGREE_MARGIN + 1
         self._worker = _Worker()
         self._fork(self._worker)
         self._turn = asyncio.Lock()

@@ -34,8 +34,8 @@ The writers are ``KeySecureExchange.run`` (``exchange.keysecure``),
 ``LoadSimulator.run`` (``loadsim.run``) and the paper-figure benches
 (``bench.<slug>``, attrs ``headers`` / ``rows``).  Readers ignore unknown
 keys; an incompatible change bumps ``schema_version``, and :func:`read`
-refuses a record of any other version.  Gating: a path passed explicitly,
-or the ``REPRO_LEDGER`` environment variable; with neither, :func:`begin`
+refuses a record of any other version.  Gating: the ``REPRO_LEDGER``
+environment variable, the one route to a ledger; unset, :func:`begin`
 returns a no-op recorder and the instrumented code paths cost one
 ``None`` check.  A process started with ``REPRO_LEDGER`` set runs with
 telemetry on (:func:`repro.telemetry.configure_from_env`), so each of its
@@ -307,10 +307,10 @@ def writer(path: str) -> Ledger:
     return ledger
 
 
-def begin(name: str, path: Optional[str] = None) -> "Union[RunRecorder, _NoopRecorder]":
-    """Start capturing one run into the ledger at ``path`` (or ``REPRO_LEDGER``).
+def begin(name: str) -> "Union[RunRecorder, _NoopRecorder]":
+    """Start capturing one run into the ledger at ``REPRO_LEDGER``.
 
-    Returns a no-op recorder when neither is set, so instrumenting a code
+    Returns a no-op recorder when it is unset, so instrumenting a code
     path costs nothing without opt-in::
 
         with ledger.begin("exchange.keysecure") as rec, \\
@@ -319,7 +319,7 @@ def begin(name: str, path: Optional[str] = None) -> "Union[RunRecorder, _NoopRec
             result = run_protocol()
             rec.update(success=result.success)
     """
-    target = path if path is not None else default_path()
+    target = default_path()
     if target is None:
         return NOOP_RECORDER
     return RunRecorder(writer(target), name)

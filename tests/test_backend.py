@@ -506,8 +506,9 @@ def _outcome(check):
 
 
 #: The helper's prefix of ``fold_members``' [1]_2 side: nine terms a
-#: member and ten a key, two keys.
-SHARED_AT_EIGHT = (9 * 8 + 10 * 2) * FOLD_SHARE_PERCENT // 100
+#: member and nine a key (no cubic row: the identity [q3] is left out),
+#: two keys.
+SHARED_AT_EIGHT = (9 * 8 + 9 * 2) * FOLD_SHARE_PERCENT // 100
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,15 @@ from repro.costmodel import (
     TimingModel,
     encryption_circuit_gates,
     encryption_circuit_size,
+    key_negotiation_fold_terms,
     key_negotiation_gates,
+    key_negotiation_proof_bytes,
+    key_negotiation_size,
     mimc_block_gates,
     padded_circuit_size,
     poseidon_hash_gates,
     poseidon_permutation_gates,
+    settlement_gas,
     transformation_circuit_gates,
     transformation_circuit_size,
 )
@@ -95,22 +99,23 @@ class TestGateFormulas:
         from repro.gadgets.mimc import mimc_block
 
         mimc_rows = built_gate_count(lambda b: mimc_block(b, b.var(1), b.var(2)))
-        assert poseidon_hash_gates(1) <= poseidon_hash_gates(2) <= 460
+        assert poseidon_hash_gates(1) <= poseidon_hash_gates(2) <= 220
         assert mimc_block_gates() == mimc_rows <= 92
 
     def test_exchange_circuits_stay_under_their_power_of_two(self):
-        """pi_k at 456 rows (n = 512), and pi_e, a row a MiMC round, at
-        n = 128 for 1 entry (97 rows), 256 for 2 and 512 for 3 or 4, with
-        the key and the data linked rather than opened: a gadget change that
-        crosses a power of two doubles every prover kernel, so it fails here
-        and not in a benchmark."""
+        """pi_k at 217 rows (n = 256: two rows a Poseidon partial round),
+        and pi_e, a row a MiMC round, at n = 128 for 1 entry (97 rows), 256
+        for 2 and 512 for 3 or 4, with the key and the data linked rather
+        than opened: a gadget change that crosses a power of two doubles
+        every prover kernel, so it fails here and not in a benchmark.  The
+        built pi_k is the cost model's prediction."""
         from repro.core.exchange import build_key_negotiation_circuit
         from repro.core.transform_protocol import build_encryption_circuit
 
         builder = CircuitBuilder()
         build_key_negotiation_circuit(builder, 0, 0, 0, 0, 0, 0)
-        assert builder.num_gates + 2 == 456
-        assert builder.compile(check=False)[0].n == 512
+        assert builder.num_gates + 2 == key_negotiation_gates() + 2 == 217
+        assert builder.compile(check=False)[0].n == key_negotiation_size() == 256
         for entries, gates, n in ((1, 95, 128), (2, 190, 256), (3, 286, 512), (4, 380, 512)):
             builder = CircuitBuilder()
             build_encryption_circuit(
@@ -118,6 +123,23 @@ class TestGateFormulas:
             )
             assert builder.num_gates == gates
             assert builder.compile(check=False)[0].n == n
+
+    def test_pi_k_verifier_terms_proof_and_gas_are_predicted(self, snark_ctx):
+        """The fold's terms and the proof's bytes of the built pi_k key are
+        the cost model's; against the layout before the partial-round gate
+        (22 terms, 768 bytes) a settlement pays one term and 96 calldata
+        bytes more: at most 7,686 gas, inside prove_exchange's 3% of
+        378,192."""
+        from repro.core.exchange import key_negotiation_keys
+        from repro.plonk.verifier import fold_terms, verification_group_operations
+
+        vk = key_negotiation_keys(snark_ctx).vk
+        member = (vk, None, None, object())
+        assert fold_terms([member]) == key_negotiation_fold_terms() == 23
+        ops = verification_group_operations(vk)
+        assert ops["proof_size_bytes"] == key_negotiation_proof_bytes() == 864
+        delta = settlement_gas(23, 864) - settlement_gas(22, 768)
+        assert delta == 7_686 < 0.03 * 378_192
 
     def test_fig6_transformation_sits_below_encryption(self):
         """Figure 6's ordering: pi_t well below pi_e at equal size, now that

@@ -236,7 +236,10 @@ def assert_deterministic(builder, inputs):
     """Every gate defines one fresh wire — its c, with qO != 0 — from wires
     defined earlier, so the witness is a function of ``inputs`` and a
     gadget that matches the native primitive leaves nothing free.  A round
-    gate defines two from its a and b: its c (t^3) and the next gate's a."""
+    gate defines two from its a and b: its c (t^3) and the next gate's a.
+    A partial round's first row defines three from its a and c and the next
+    row's a: its b (a^3) and the next row's b and c, whose next-a gate
+    then defines the a of the row after it."""
     defined = set(inputs)
     gates = builder._gates
     for i, g in enumerate(gates):
@@ -244,6 +247,16 @@ def assert_deterministic(builder, inputs):
             assert g.a in defined and g.b in defined
             assert g.c not in defined and gates[i + 1].a not in defined
             defined.update((g.c, gates[i + 1].a))
+            continue
+        if g.qpartial:
+            second = gates[i + 1]
+            assert g.a in defined and g.c in defined and second.a in defined
+            assert not {g.b, second.b, second.c} & defined
+            defined.update((g.b, second.b, second.c))
+            continue
+        if g.qnext:
+            assert {g.a, g.b, g.c} <= defined and gates[i + 1].a not in defined
+            defined.add(gates[i + 1].a)
             continue
         assert g.a in defined or not (g.ql or g.qm or g.q3)
         assert g.b in defined or not (g.qr or g.qm or g.q3)
@@ -253,8 +266,9 @@ def assert_deterministic(builder, inputs):
 
 class TestCubicGateGadgetsMatchNative:
     """The Poseidon / MiMC gadgets against the textbook native forms
-    (Poseidon's is ``tests/poseidon_oracle.py``: the library's shares its
-    partial-round tables with the gadget), on seeded random field elements."""
+    (Poseidon's is ``tests/poseidon_oracle.py``: the library's runs its
+    partial rounds in lane coordinates, the gadget on constants moved to
+    lane 0), on seeded random field elements."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     def test_hash(self, count, chaos_seed):

@@ -39,6 +39,16 @@ def _clean_telemetry(monkeypatch):
     telemetry.clear_finished()
 
 
+@pytest.fixture
+def ledger_path(tmp_path, monkeypatch):
+    """A ledger file the way a process gets one: ``REPRO_LEDGER``, with
+    telemetry on (a process started with it set runs at on)."""
+    path = str(tmp_path / "r.jsonl")
+    monkeypatch.setenv(ledger.ENV_VAR, path)
+    telemetry.set_level("on")
+    return path
+
+
 def _market(snark_ctx):
     chain = Blockchain()
     operator = chain.create_account(funded=10**12)
@@ -149,13 +159,20 @@ class TestWriter:
         with pytest.raises(ValueError, match="schema_version %d" % version):
             ledger.read(str(path))
 
-    def test_writer_registry_keeps_sequence_across_begins(self, tmp_path):
-        path = str(tmp_path / "seq.jsonl")
-        with ledger.begin("a", path=path):
+    def test_writer_registry_keeps_sequence_across_begins(self, ledger_path):
+        with ledger.begin("a"):
             pass
-        with ledger.begin("b", path=path):
+        with ledger.begin("b"):
             pass
-        assert [r["seq"] for r in ledger.read(path)] == [0, 1]
+        assert [r["seq"] for r in ledger.read(ledger_path)] == [0, 1]
+
+    def test_the_only_route_to_a_ledger_is_the_processs(self, tmp_path):
+        """No caller names a ledger file: a record goes where
+        ``REPRO_LEDGER`` points, in a process that records at on, so no
+        record is written that explains nothing."""
+        with pytest.raises(TypeError):
+            ledger.begin("unit.run", path=str(tmp_path / "r.jsonl"))
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_begin_without_path_is_noop(self):
         rec = ledger.begin("nothing")
@@ -175,10 +192,9 @@ class TestWriter:
 
 
 class TestRunRecorder:
-    def test_record_carries_deltas_spans_and_env(self, tmp_path):
-        telemetry.set_level("on")
+    def test_record_carries_deltas_spans_and_env(self, ledger_path):
         telemetry.counter("warmup").inc(10)  # pre-run noise
-        with ledger.begin("unit.run", path=str(tmp_path / "r.jsonl")) as rec:
+        with ledger.begin("unit.run") as rec:
             with telemetry.span("unit.root") as root:
                 telemetry.counter("warmup").inc(2)
                 with telemetry.span("unit.child"):
@@ -196,7 +212,7 @@ class TestRunRecorder:
         assert names == ["unit.root", "unit.child"]
         assert record["faults"] == []
 
-    def test_git_revision_is_read_once_per_process(self, tmp_path, monkeypatch):
+    def test_git_revision_is_read_once_per_process(self, ledger_path, monkeypatch):
         """The revision cannot change inside a process, so two records
         spawn ``git`` once."""
         spawns = []
@@ -208,12 +224,11 @@ class TestRunRecorder:
 
         monkeypatch.setattr(ledger.subprocess, "run", counted)
         ledger._git_revision.cache_clear()
-        path = str(tmp_path / "r.jsonl")
         for name in ("first", "second"):
-            with ledger.begin(name, path=path):
+            with ledger.begin(name):
                 pass
         assert spawns == [["git", "rev-parse", "HEAD"]]
-        first, second = ledger.read(path)
+        first, second = ledger.read(ledger_path)
         assert first["env"]["git_revision"] == second["env"]["git_revision"]
 
     def test_env_names_the_installed_engine_not_the_variable(self, monkeypatch):
@@ -224,27 +239,25 @@ class TestRunRecorder:
         with use_engine(Engine()):
             assert ledger.environment()["backend"] == "serial"
 
-    def test_non_span_serialises_as_empty_spans(self, tmp_path):
-        with ledger.begin("quiet.run", path=str(tmp_path / "r.jsonl")) as rec:
+    def test_non_span_serialises_as_empty_spans(self, ledger_path):
+        with ledger.begin("quiet.run") as rec:
             rec.update(span=telemetry.NOOP_SPAN)
         assert rec.record["spans"] == []
 
-    def test_env_faults_names_the_installed_plan(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
+    def test_env_faults_names_the_installed_plan(self, ledger_path):
         with faults.use_plan(FaultPlan.profile("chain", seed=42)):
             assert ledger.environment()["faults"] == "chain:42"
-            with ledger.begin("chaos.run", path=path):
+            with ledger.begin("chaos.run"):
                 pass
         assert ledger.environment()["faults"] is None
-        assert [r["env"]["faults"] for r in ledger.read(path)] == ["chain:42"]
+        assert [r["env"]["faults"] for r in ledger.read(ledger_path)] == ["chain:42"]
 
-    def test_a_run_that_raises_still_writes_its_record(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
+    def test_a_run_that_raises_still_writes_its_record(self, ledger_path):
         with pytest.raises(KeyError):
-            with ledger.begin("unit.run", path=path) as rec:
+            with ledger.begin("unit.run") as rec:
                 rec.update(price=5)
                 raise KeyError("lost")
-        (record,) = ledger.read(path)
+        (record,) = ledger.read(ledger_path)
         assert record["attrs"] == {"price": 5, "error": "KeyError: 'lost'"}
 
 

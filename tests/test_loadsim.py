@@ -27,6 +27,7 @@ from repro.loadsim import (
 )
 from repro.faults import PROFILES, FaultPlan, FaultRule
 from repro.loadsim.__main__ import _parse_faults
+from repro import telemetry
 from repro.telemetry import ledger
 
 #: Small-but-real: enough operations that every op kind, the mempool
@@ -109,6 +110,24 @@ class TestSimulation:
         (record,) = ledger.read(path)
         assert record["name"] == "loadsim.run"
         assert len(record["faults"]) == record["attrs"]["faults_injected"] > 0
+
+    def test_ledger_record_explains_its_time(self, tmp_path, monkeypatch, capsys):
+        """A ledger turns telemetry on, and the run's record carries the
+        tree under its ``loadsim.run`` root span, which the flame export
+        prints."""
+        from repro.telemetry.cli import main
+
+        path = str(tmp_path / "loadsim.jsonl")
+        monkeypatch.setenv(ledger.ENV_VAR, path)
+        with telemetry.use_level("on"):
+            LoadSimulator(SimConfig(users=200, ops=300, seed=5)).run()
+        (record,) = ledger.read(path)
+        roots = [span for span in record["spans"] if span["parent"] is None]
+        assert [span["name"] for span in roots] == ["loadsim.run"]
+        capsys.readouterr()
+        assert main(["flame", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("loadsim.run") for line in lines)
 
     def test_default_config_traffic_is_pinned(self):
         """Golden run: the numbers ``lanes=1, block_txs=256`` produced at

@@ -399,7 +399,10 @@ class TestLinkedCommitment:
         copy = G1(point.x, point.y)
         assert batch_verify([(vk, publics, proof, point)] * 3)
         assert batch_verify([(vk, publics, proof, point)] * 2 + [(vk, publics, proof, copy)])
-        assert sizes == [6, 9 * 3 + 10 + 1, 6, 9 * 3 + 10 + 2]
+        # The key brings nine points: no row of it is cubic, so [q3] is
+        # the identity, which the fold leaves out.
+        assert vk.c_q3.inf
+        assert sizes == [6, 9 * 3 + 9 + 1, 6, 9 * 3 + 9 + 2]
 
     def test_another_tokens_commitment_rejected(self, srs, linked):
         _pk, vk, publics, proof, _point = linked
@@ -469,8 +472,9 @@ class TestLinkedCommitment:
         assert linked_layout.qr == plain_layout.qr  # row 0's b slot stays unread
         assert linked_layout.digest() != plain_layout.digest()
         assert setup(srs, linked_layout)[1].digest() != setup(srs, plain_layout)[1].digest()
-        assert verification_group_operations(setup(srs, linked_layout)[1])["g1_scalar_mults"] == 20
-        assert verification_group_operations(setup(srs, plain_layout)[1])["g1_scalar_mults"] == 19
+        # Neither has a cubic row: the fold leaves out [q3], the identity.
+        assert verification_group_operations(setup(srs, linked_layout)[1])["g1_scalar_mults"] == 19
+        assert verification_group_operations(setup(srs, plain_layout)[1])["g1_scalar_mults"] == 18
 
     def test_links_take_the_three_slots_of_row_zero(self, srs):
         """Links take b, c, then a; a fourth is refused, and so is a third
@@ -623,4 +627,5 @@ class TestLinkedMessage:
             other = dataclasses.replace(one, link_slots=slots)
             assert other.digest() != one.digest()
             assert setup(srs, other)[1].digest() != setup(srs, one)[1].digest()
-        assert verification_group_operations(setup(srs, one)[1])["g1_scalar_mults"] == 21
+        # Two links, no cubic row ([q3], the identity, is left out).
+        assert verification_group_operations(setup(srs, one)[1])["g1_scalar_mults"] == 20

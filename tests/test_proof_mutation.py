@@ -3,7 +3,9 @@
 Knowledge soundness is not directly testable, but a cheap and strong
 corollary is: take an honestly generated proof and flip any single
 component — any of the 9 G1 commitments or 6 scalar evaluations of a
-Plonk proof (7 with a MiMC round gate's a(zeta omega)), any of the (A, B, C) elements of a Groth16 proof, or any
+Plonk proof (7 with a MiMC round gate's a(zeta omega), 9 with a Poseidon
+partial-round gate's a, b and c there), any of the (A, B, C) elements of
+a Groth16 proof, or any
 public input — and the verifier must reject.  A mutation that survives
 verification would mean that component never entered the pairing checks,
 i.e. a forgery degree of freedom.
@@ -26,7 +28,7 @@ from repro.field.fr import MODULUS as R
 from repro.groth16 import Groth16Proof, groth16_prove, groth16_setup, groth16_verify
 from repro.kzg import SRS, commit_scalar
 from repro.plonk import CircuitBuilder, Transcript, prove, setup, verify
-from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS, _SHIFTED_FIELD
+from repro.plonk.proof import _POINT_FIELDS, _SCALAR_FIELDS, _SHIFTED_FIELDS
 from repro.r1cs import R1CSBuilder
 from tests.test_plonk import _round_circuit, _sbox_circuit
 
@@ -212,7 +214,7 @@ class TestRoundGateProofMutation:
         for field in _POINT_FIELDS:
             mutant = proof.replace(**{field: getattr(proof, field) + G1.generator()})
             assert _rejects(lambda: verify(vk, publics, mutant)), field
-        for field in _SCALAR_FIELDS + (_SHIFTED_FIELD,):
+        for field in _SCALAR_FIELDS + _SHIFTED_FIELDS[:1]:
             mutant = proof.replace(**{field: (getattr(proof, field) + 1) % R})
             assert _rejects(lambda: verify(vk, publics, mutant)), field
 
@@ -237,6 +239,57 @@ class TestRoundGateProofMutation:
         pairing equation breaks."""
         vk, publics, proof = round_case
         stripped = dataclasses.replace(vk, c_qround=G1.identity())
+        honest_digest = vk.digest()
+        monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
+        assert verify(vk, publics, proof)  # sanity: pinning changes nothing
+        assert _rejects(lambda: verify(stripped, publics, proof))
+
+
+@pytest.fixture(scope="module")
+def partial_case():
+    """Three Poseidon partial rounds on their gate: its proofs carry a, b
+    and c at zeta omega, nine evaluations."""
+    builder = CircuitBuilder()
+    x, s1, s2 = (builder.var(v) for v in (5, 6, 7))
+    for k in range(3):
+        x, s1, s2 = builder.poseidon_partial_round(x, s1, s2, k + 1)
+    builder.assert_equal(x, builder.public_input(builder.value(x)))
+    layout, assignment = builder.compile()
+    pk, vk = setup(SRS.generate(64, tau=987654321), layout)
+    proof = prove(pk, assignment)
+    publics = assignment.public_inputs
+    assert proof.shifted == (0, 1, 2) and verify(vk, publics, proof)
+    return vk, publics, proof
+
+
+class TestPartialRoundProofMutation:
+    """The same surface over a proof of partial-round gates, whose three
+    evaluations at zeta omega are each load-bearing."""
+
+    def test_every_component_is_load_bearing(self, partial_case):
+        vk, publics, proof = partial_case
+        for field in _POINT_FIELDS:
+            mutant = proof.replace(**{field: getattr(proof, field) + G1.generator()})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+        for field in _SCALAR_FIELDS + _SHIFTED_FIELDS:
+            mutant = proof.replace(**{field: (getattr(proof, field) + 1) % R})
+            assert _rejects(lambda: verify(vk, publics, mutant)), field
+
+    @pytest.mark.parametrize("field", _SHIFTED_FIELDS)
+    @pytest.mark.parametrize("value", [0, 1, R - 1, None], ids=["0", "1", "r-1", "missing"])
+    def test_degenerate_shifted_evaluation_rejected(self, partial_case, field, value):
+        vk, publics, proof = partial_case
+        mutant = proof.replace(**{field: value})
+        assert mutant != proof
+        assert _rejects(lambda: verify(vk, publics, mutant))
+
+    @pytest.mark.parametrize("selector", ["c_qpartial", "c_qnext"])
+    def test_key_without_a_shifted_selector_rejects(self, partial_case, monkeypatch, selector):
+        """Swap [qpartial] or [qnext] for the identity, which the fold
+        leaves out, with ``vk.digest()`` pinned to the honest key's: the
+        pairing equation breaks."""
+        vk, publics, proof = partial_case
+        stripped = dataclasses.replace(vk, **{selector: G1.identity()})
         honest_digest = vk.digest()
         monkeypatch.setattr(type(vk), "digest", lambda self: honest_digest)
         assert verify(vk, publics, proof)  # sanity: pinning changes nothing

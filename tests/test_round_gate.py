@@ -8,8 +8,9 @@ opening.  Covered here: a wrong round fails the layout check and, proved
 under a key that leaves it out, the verifier; a round gate that would
 wrap to row 0 is refused; a round's output passes through a reserved
 link row; a proof whose shape is not its key's is a structural reject;
-the verifier's per-key accounting; and layouts without the gate keep
-their bytes.
+the verifier's per-key accounting; and layouts without the gates that
+read the next row keep their bytes.  The Poseidon partial-round gate,
+which reads all three wires of the next row, is ``test_poseidon_gate.py``.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import itertools
 import pytest
 
 from repro.backend import get_engine
+from repro.core import exchange as exchange_module
 from repro.core.exchange import build_key_negotiation_circuit, key_negotiation_keys
 from repro.core.transform_protocol import build_encryption_circuit, prove_encryption
 from repro.curve.g1 import G1
@@ -27,11 +29,12 @@ from repro.field.fr import MODULUS as R
 from repro.gadgets.mimc import mimc_ctr_encrypt
 from repro.kzg import SRS, commit_message, commit_scalar
 from repro.plonk import CircuitBuilder, Proof, batch_verify, prove, prover, setup, verify
-from repro.plonk.circuit import reserved_rows
+from repro.plonk.circuit import SHIFTED_SELECTORS, reserved_rows
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.transcript import Transcript
 from repro.plonk.verifier import proof_terms, verification_group_operations
 from repro.primitives.hashing import field_hash
+from tests import poseidon_gadget_oracle
 from tests.test_plonk import _round_circuit
 
 WRONG_ROUND = 3
@@ -185,15 +188,18 @@ def exchange(snark_ctx, pik_bundles):
 
 
 class TestProofShape:
-    def test_from_bytes_reads_both_shapes(self, honest, exchange):
+    def test_from_bytes_reads_every_shape(self, honest, exchange):
         proof = honest[4]
         data = proof.to_bytes()
         assert (len(data), proof.size_bytes, proof.num_field_elements) == (800, 800, 7)
         assert Proof.from_bytes(data) == proof
-        plain = exchange[0][0][2]
-        assert (len(plain.to_bytes()), plain.size_bytes, plain.num_field_elements) == (768, 768, 6)
-        assert Proof.from_bytes(plain.to_bytes()) == plain
-        for length in (767, 769, 799, 801, 832):
+        pik = exchange[0][0][2]
+        assert (len(pik.to_bytes()), pik.size_bytes, pik.num_field_elements) == (864, 864, 9)
+        assert Proof.from_bytes(pik.to_bytes()) == pik
+        plain = Proof.from_bytes(data[:768])
+        assert (plain.shifted, plain.size_bytes, plain.num_field_elements) == ((), 768, 6)
+        assert plain.to_bytes() == data[:768]
+        for length in (767, 769, 799, 801, 832, 863, 865):
             with pytest.raises(SerializationError):
                 Proof.from_bytes(data[:length] if length < 800 else data + b"\0" * (length - 800))
 
@@ -204,38 +210,48 @@ class TestProofShape:
         assert proof_terms(vk, publics, short) is None
         assert verify(vk, publics, short) is False
         pik_vk, statement, pik, point = exchange[0][0]
-        long = Proof.from_bytes(pik.to_bytes() + (5).to_bytes(32, "little"))
-        assert proof_terms(pik_vk, statement, long, point) is None
-        assert verify(pik_vk, statement, long, point) is False
+        a_only = Proof.from_bytes(pik.to_bytes()[:800])
+        assert proof_terms(pik_vk, statement, a_only, point) is None
+        assert verify(pik_vk, statement, a_only, point) is False
 
     def test_a_mixed_batch_folds_pi_k_and_a_round_gate_member(self, exchange):
         piks, member = exchange
         vk, publics, proof, links = member
-        assert vk.shifted and not piks[0][0].shifted
+        assert (vk.shifted, piks[0][0].shifted) == ((0,), (0, 1, 2))
         assert batch_verify(piks + [member])
         assert batch_verify([member] + piks)
         unshifted = proof.replace(a_omega_bar=None)
         assert batch_verify(piks + [(vk, publics, unshifted, links)]) is False
         pik_vk, statement, pik, point = piks[1]
-        carried = pik.replace(a_omega_bar=proof.a_omega_bar)
-        assert batch_verify([piks[0], (pik_vk, statement, carried, point), member]) is False
+        dropped = pik.replace(c_omega_bar=None)
+        assert batch_verify([piks[0], (pik_vk, statement, dropped, point), member]) is False
         nudged = proof.replace(a_omega_bar=(proof.a_omega_bar + 1) % R)
         assert batch_verify(piks + [(vk, publics, nudged, links)]) is False
 
 
 class TestVerifierAccounting:
-    def test_pi_k_counts_are_unchanged_and_a_round_gate_key_pays_one_term(self, exchange):
-        piks, member = exchange
-        assert verification_group_operations(piks[0][0]) == {
+    def test_pi_k_pays_for_its_three_shifted_wires(self, exchange):
+        """pi_k: 23 fold terms less the two unit ones, and three openings
+        at zeta omega on top of the 768-byte proof."""
+        pik_vk = exchange[0][0][0]
+        assert verification_group_operations(pik_vk) == {
             "pairings": 2,
             "miller_loops": 2,
             "final_exponentiations": 1,
-            "g1_scalar_mults": 20,
+            "g1_scalar_mults": 21,
             "field_ops_per_public_input": 3,
-            "proof_size_bytes": 768,
+            "proof_size_bytes": 864,
         }
-        ops = verification_group_operations(member[0])
-        assert (ops["g1_scalar_mults"], ops["proof_size_bytes"]) == (22, 800)
+
+    def test_a_round_gate_key_pays_one_term(self, exchange):
+        """A 1-entry pi_e: eleven terms of its own, its key's points but
+        [qM] and [q3] (no row multiplies two wires, so both are the
+        identity the fold leaves out), [qround], and its two links."""
+        _piks, member = exchange
+        vk = member[0]
+        assert vk.c_qm.inf and vk.c_q3.inf and not vk.c_qround.inf
+        ops = verification_group_operations(vk)
+        assert (ops["g1_scalar_mults"], ops["proof_size_bytes"]) == (20, 800)
         assert ops["proof_size_bytes"] == member[2].size_bytes == len(member[2].to_bytes())
 
 
@@ -251,19 +267,25 @@ class TestUnusedGateKeepsItsBytes:
     )
 
     def test_pi_k_hashes_proves_and_verifies_as_before(self, monkeypatch):
+        """pi_k laid out as before the partial-round gate (its Poseidon
+        from ``tests/poseidon_gadget_oracle.py``): a layout that uses none
+        of the gates that read the next row keeps its bytes."""
+        monkeypatch.setattr(
+            exchange_module, "poseidon_hash_gadget", poseidon_gadget_oracle.poseidon_hash_gadget
+        )
         srs = SRS.generate(520, tau=987654321)
         key, rho, k_v = 1234567, 7654321, 424242
         point = commit_scalar(srs, key, rho)
         builder = CircuitBuilder()
         build_key_negotiation_circuit(builder, (key + k_v) % R, point, field_hash(k_v), key, rho, k_v)
         layout, assignment = builder.compile()
-        assert (layout.n, layout.qround) == (512, ())
+        assert (layout.n, layout.shifted) == (512, ())
         pk, vk = setup(srs, layout)
-        assert vk.c_qround is None and "qround" not in pk.q_polys
+        assert vk.shifted == () and not set(SHIFTED_SELECTORS) & set(pk.q_polys)
         blinders = itertools.count(1000003, 7919)
         monkeypatch.setattr(prover, "random_scalar", lambda nonzero=False: next(blinders))
         proof = prove(pk, assignment)
-        assert proof.a_omega_bar is None
+        assert proof.shifted == ()
         assert verify(vk, assignment.public_inputs, proof, point)
         digests = (layout.digest().hex(), vk.digest().hex(), hashlib.sha256(proof.to_bytes()).hexdigest())
         assert digests == self.PI_K

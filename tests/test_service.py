@@ -861,8 +861,9 @@ class TestProverPool:
         first proof, on two CPUs: key generation forks the engine's helper
         and builds n rows between the two processes, the pool warms the
         margin rows on the same two, and the worker proves on that helper
-        and the rows it inherited, so n + DEGREE_MARGIN rows are built on
-        the host in all (counted across processes)."""
+        and the rows it inherited, so n + DEGREE_MARGIN + 1 rows (t_hi's
+        degree is n + DEGREE_MARGIN) are built on the host in all (counted
+        across processes)."""
         asset, _ = pik_bundles
         cpus(2)
         built = multiprocessing.Value("q", 0)
@@ -879,7 +880,7 @@ class TestProverPool:
         with ProverPool(ctx) as pool:
             assert pool.helpers == 1
             result = asyncio.run(pool.prove_key_negotiation(asset, 5151, field_hash(5151)))
-        assert built.value == n + DEGREE_MARGIN
+        assert built.value == n + DEGREE_MARGIN + 1
         assert _pik_verifies(snark_ctx, asset, 5151, result)
 
     def test_a_reforked_worker_proves_under_its_own_pool(self, snark_ctx, pik_bundles, cpus):

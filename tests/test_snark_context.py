@@ -13,6 +13,7 @@ from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import build_encryption_circuit, prove_encryption
 from repro.errors import SRSError
 from repro.core.snark import SnarkContext
+from repro.curve.g1 import G1
 from repro.field.fr import MODULUS as R
 from repro.plonk import CircuitBuilder, prove
 
@@ -98,7 +99,9 @@ class TestVerifierContract:
         return chain, operator, contract, member
 
     def test_batch_charge_is_the_folds_term_count(self, snark_ctx):
-        """(11k + 10) ECMUL + ECADD, k hashings, one 2-pair check."""
+        """(11k + 9) ECMUL + ECADD, k hashings, one 2-pair check: the toy
+        key has no cubic row, so its [q3] is the identity the fold leaves
+        out."""
         chain, operator, contract, _member = self._deployed(snark_ctx)
         s = chain.schedule
         hashing = 15 * (s.sha_base + 2 * s.sha_per_word)
@@ -113,22 +116,22 @@ class TestVerifierContract:
 
         for k in (1, 2, 8, 64):
             assert charged(k) == (
-                (11 * k + 10) * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2)
+                (11 * k + 9) * (s.ecmul + s.ecadd) + k * hashing + s.pairing_cost(2)
             )
         # Against the evaluate-then-fold verifier's k * (21 ECMUL + 23
-        # ECADD): a batch of one moves by two ECADDs (0.12% of the charge),
-        # a batch of eight drops 54k gas a member.
+        # ECADD): a batch of one moves by two ECADDs and the skipped [q3],
+        # a batch of eight drops 54.9k gas a member.
         def before(k):
             return k * (21 * s.ecmul + 23 * s.ecadd + hashing) + s.pairing_cost(2)
 
-        assert before(1) - charged(1) == 2 * s.ecadd
-        assert (before(8) - charged(8)) // 8 == 54_112
+        assert before(1) - charged(1) == 2 * s.ecadd + s.ecmul + s.ecadd
+        assert (before(8) - charged(8)) // 8 == 54_881
 
     def test_failed_fold_still_charges_every_recheck(self, snark_ctx):
         chain, operator, contract, (publics, proof_bytes) = self._deployed(snark_ctx)
         s = chain.schedule
         single = (
-            19 * s.ecmul + 21 * s.ecadd + s.pairing_cost(2)
+            18 * s.ecmul + 20 * s.ecadd + s.pairing_cost(2)
             + 15 * (s.sha_base + 2 * s.sha_per_word)
         )
         clean = chain.transact(operator, contract, "verify_batch", ((publics, proof_bytes),) * 4)
@@ -238,6 +241,13 @@ def test_the_charge_is_the_fold(snark_ctx, pik_bundles, monkeypatch, case):
     (terms, _non_unit), = folds
     assert charged(len(members)) == (terms, terms)
 
-    # A round-gate key hardcodes one more G1 point: 64 code bytes.
-    pik_deploy = chain.deploy(PlonkVerifierContract(key_negotiation_keys(snark_ctx).vk), operator)
-    assert deploy.gas_used - pik_deploy.gas_used == (12_800 if vk.shifted else 0)
+    # Each G1 point a key hardcodes is 64 code bytes: pi_e's [qround]
+    # against pi_k's [qnext] and [qpartial].
+    pik_vk = key_negotiation_keys(snark_ctx).vk
+    pik_deploy = chain.deploy(PlonkVerifierContract(pik_vk), operator)
+
+    def points(key):
+        return sum(isinstance(getattr(key, f.name), G1) for f in dataclasses.fields(key))
+
+    assert (points(vk), points(pik_vk)) == ((10 if vk.shifted == (0,) else 11), 11)
+    assert deploy.gas_used - pik_deploy.gas_used == 12_800 * (points(vk) - points(pik_vk))

@@ -116,8 +116,9 @@ BOUND_BY = {
     "c_z": b"alpha",
     **dict.fromkeys(("c_t_lo", "c_t_mid", "c_t_hi"), b"zeta"),
     **dict.fromkeys(
-        ("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar", "a_omega_bar"), b"v"
+        ("a_bar", "b_bar", "c_bar", "s1_bar", "s2_bar", "z_omega_bar"), b"v"
     ),
+    **dict.fromkeys(("a_omega_bar", "b_omega_bar", "c_omega_bar"), b"v"),
     **dict.fromkeys(("w_zeta", "w_zeta_omega"), b"u"),
 }
 
@@ -199,6 +200,17 @@ def _round_gate(srs, key=111, block=222, rounds=8):
     return builder.compile(), None
 
 
+def _partial_round(srs, lanes=(5, 6, 7), rounds=3):
+    """Public x after ``rounds`` Poseidon partial rounds on their gate: its
+    proofs carry a, b and c at zeta omega."""
+    builder = CircuitBuilder()
+    x, s1, s2 = (builder.var(v) for v in lanes)
+    for k in range(rounds):
+        x, s1, s2 = builder.poseidon_partial_round(x, s1, s2, k + 1)
+    builder.assert_equal(x, builder.public_input(builder.value(x)))
+    return builder.compile(), None
+
+
 def _encode(value):
     """The bytes a transcript absorbs for a G1 point or a scalar."""
     return value.to_bytes() if isinstance(value, G1) else (value % R).to_bytes(32, "little")
@@ -236,8 +248,8 @@ class TestProverVerifierReplay:
 
     @pytest.mark.parametrize(
         "statement",
-        [_unlinked, _linked, _data_linked, _round_gate],
-        ids=["unlinked", "linked", "data_linked", "round_gate"],
+        [_unlinked, _linked, _data_linked, _round_gate, _partial_round],
+        ids=["unlinked", "linked", "data_linked", "round_gate", "partial_round"],
     )
     def test_schedule_binds_the_statement_and_every_proof_field(
         self, srs, transcript_log, statement
@@ -266,15 +278,18 @@ class TestProverVerifierReplay:
         assert positions == sorted(positions)
         assert positions[-1] < _absorbed_at(prover_log, _encode(proof.c_a)) < challenges[b"beta"]
         assert {f.name for f in dataclasses.fields(Proof)} == set(BOUND_BY)
+        assert [getattr(proof, "abc"[col] + "_omega_bar") is not None for col in range(3)] == [
+            col in vk.shifted for col in range(3)
+        ]
         for name, bound_by in BOUND_BY.items():
-            if getattr(proof, name) is None:  # a(zeta omega) without round gates
+            if getattr(proof, name) is None:  # a wire the key does not open at zeta omega
                 continue
             assert _absorbed_at(prover_log, _encode(getattr(proof, name))) < challenges[bound_by], name
 
     @pytest.mark.parametrize(
         "statement",
-        [_unlinked, _linked, _data_linked, _round_gate],
-        ids=["unlinked", "linked", "data_linked", "round_gate"],
+        [_unlinked, _linked, _data_linked, _round_gate, _partial_round],
+        ids=["unlinked", "linked", "data_linked", "round_gate", "partial_round"],
     )
     def test_every_later_challenge_depends_on_every_absorb(
         self, srs, transcript_log, monkeypatch, statement
