@@ -86,6 +86,18 @@ def _round_circuit(builder=None, check=True, rounds=8, key=111, block=222):
     return builder.compile(check=check)
 
 
+def _partial_circuit():
+    """Public y, the first lane after five Poseidon partial rounds on the
+    partial-round gate: two rows a round (qpartial, then qnext) and the
+    equality (n = 16)."""
+    builder = CircuitBuilder()
+    x, s1, s2 = (builder.var(v) for v in (5, 6, 7))
+    for k in range(5):
+        x, s1, s2 = builder.poseidon_partial_round(x, s1, s2, 1000 + k)
+    builder.assert_equal(x, builder.public_input(builder.value(x)))
+    return builder.compile()
+
+
 class TestCircuitBuilder:
     def test_compile_pads_to_power_of_two(self):
         layout, assignment = _square_circuit(9, 12)
@@ -273,20 +285,39 @@ class TestQuotientRound:
         ("n8", False): "b30b4e3564c4b14d6ad473b8c833aca4f9c70fee3e9eeaf85d2848bc88a794b0",
         ("n4", True): "5a64aa09da8408de1b264cc9066c2cb63c254c728ab9c9439aa080b269f4c7d6",
         ("n8", True): "b4bd557d50e46ec7f7b33e721987f4aae44aa8f4b86aaf2e5f327acd8fb126e7",
+        ("sbox", False): "22337eac44df6490b60524a413a78522a5ac38540425cbb6a8e40b4000f49516",
+        ("sbox", True): "ce6b477f4a7700d138793d519eab83038d99b8fe525bc13a7e34984cf1a8e62d",
+        ("round", False): "f7c3e51e09dba2374f02d3da78c5cbf49e521b21ad438152f3b7f23de954c72a",
+        ("round", True): "dc17bc8582a3b9046e79bccabee7645b7e76406c4e529954da14654a21e2f2f3",
+        ("partial", False): "865a0cb8ad9a174045f57b89ac967776c0480398f14cb90e2ebdc9c851b29af0",
+        ("partial", True): "bb260dd61ae215a455afb1a9b2b3000bfc4a639214ffb4bfa4fb1af4de84c6be",
+    }
+    #: ``vk.digest()`` of the gate circuits: one pin for each selector a key
+    #: has beyond the gate-less n4 and n8 circuits' — q3 (sbox), qround
+    #: (round, a at zeta omega), qpartial and qnext (partial, a, b and c at
+    #: zeta omega).  These and their GOLDEN entries were recorded at 028f192.
+    KEY_GOLDEN = {
+        "sbox": "a5562a43ef2e4a5bfa650b4afffb7fec37d81289764419c128377570c766cce2",
+        "round": "697a186fac892a529fd34cfffbd6d3dff8b5ee7f81091d2123167414fe83a9dc",
+        "partial": "b4f05bca7b7e357bab1a1979dec3382ad0afc514bf1237fa72f43e439b4ce192",
     }
     CIRCUITS = {
         "n4": _one_gate_circuit,
         "n8": lambda: _square_circuit(9, 12),
         "sbox": _sbox_circuit,
         "round": _round_circuit,
+        "partial": _partial_circuit,
     }
+    SIZES = {"n4": 4, "n8": 8, "sbox": 8, "round": 16, "partial": 16}
 
     def _pinned_proof_digest(self, srs, monkeypatch, name, blinding):
         """Prove and verify circuit ``name`` with the pinned blinders; the
         sha256 of the proof bytes."""
         layout, assignment = self.CIRCUITS[name]()
-        assert layout.n == int(name[1:])
+        assert layout.n == self.SIZES[name]
         pk, vk = setup(srs, layout)
+        if name in self.KEY_GOLDEN:
+            assert vk.digest().hex() == self.KEY_GOLDEN[name]
         blinders = itertools.count(1000003, 7919)
         monkeypatch.setattr(prover, "random_scalar", lambda nonzero=False: next(blinders))
         proof = prove(pk, assignment, blinding=blinding)
@@ -294,7 +325,7 @@ class TestQuotientRound:
         return hashlib.sha256(proof.to_bytes()).hexdigest()
 
     @pytest.mark.parametrize("blinding", [False, True])
-    @pytest.mark.parametrize("name", ["n4", "n8"])
+    @pytest.mark.parametrize("name", ["n4", "n8", "sbox", "round", "partial"])
     def test_proof_bytes_equal_the_parent_commits(self, srs, monkeypatch, name, blinding):
         digest = self._pinned_proof_digest(srs, monkeypatch, name, blinding)
         assert digest == self.GOLDEN[name, blinding]
@@ -312,7 +343,7 @@ class TestQuotientRound:
         assert injector.consultations == 0
 
     @pytest.mark.parametrize("blinding", [False, True])
-    @pytest.mark.parametrize("name", ["n4", "n8", "sbox", "round"])
+    @pytest.mark.parametrize("name", ["n4", "n8", "sbox", "round", "partial"])
     def test_bad_witness_aborts_without_the_layout_check(self, srs, monkeypatch, name, blinding):
         """Corrupt each wire cell in turn: whatever ``Layout.check`` rejects,
         the rounds themselves must refuse to prove."""
