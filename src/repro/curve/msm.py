@@ -375,10 +375,11 @@ def msm_jacobian(points: list[tuple], scalars: list[int]) -> tuple:
 #: of size n <= 2048 issues (blinded wires and the opening quotients carry
 #: up to n + ``plonk.keys.DEGREE_MARGIN`` scalars; t_hi of a circuit that
 #: opens a, b and c at zeta omega, pi_k at n = 256, carries one more) stays
-#: on the tables, and so does a pi_e of one to three entries.  Larger
-#: circuits (a pi_e of four entries or more, at n >= 4096) are proved once
-#: per asset, so their tables would never amortise their build and
-#: footprint.
+#: on the tables: pi_k, and a pi_e of up to 20 entries (n = 128 / 256 / 512
+#: / 1024 for 1 / 2 / 4 / 8 entries, n = 2048 up to 20).  Larger circuits
+#: (a pi_e of 21 entries and up, n >= 4096, and any pi_t past n = 2048) are
+#: proved once per asset or transformation, so their tables would never
+#: amortise their build and footprint.
 FIXED_WINDOW_MIN = 32
 _BLINDING_MARGIN = 8  # == plonk.keys.DEGREE_MARGIN (this layer cannot import it; tests pin it)
 FIXED_WINDOW_MAX = 2048 + _BLINDING_MARGIN

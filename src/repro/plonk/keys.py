@@ -18,7 +18,7 @@ from repro.curve.g1 import G1
 from repro.curve.g2 import G2
 from repro.kzg.commit import commit
 from repro.kzg.srs import SRS
-from repro.plonk.circuit import K1, K2, SHIFTED_SELECTORS, Layout, shifted_columns
+from repro.plonk.circuit import K1, K2, SELECTORS, Layout, shifted_columns
 
 #: Extra degree headroom required beyond n (blinding of wires, z and t).
 DEGREE_MARGIN = 8
@@ -120,9 +120,7 @@ def setup(srs: SRS, layout: Layout) -> tuple[ProvingKey, VerifyingKey]:
             % (srs.max_degree, n, n + DEGREE_MARGIN)
         )
     sigma_star = layout.sigma_star()
-    selectors = ("qm", "q3", "ql", "qr", "qo", "qc") + tuple(
-        name for name in SHIFTED_SELECTORS if getattr(layout, name)
-    )
+    selectors = tuple(name for name in SELECTORS if getattr(layout, name))
     columns = [list(getattr(layout, name)) for name in selectors]
     columns += [list(col) for col in sigma_star]
     interpolated = engine.ntt_batch([("ifft", n, col, 0) for col in columns])

@@ -18,12 +18,12 @@ from repro.plonk.circuit import (
     Assignment,
     K1,
     K2,
+    SELECTORS,
+    gate_sum,
+    gate_weights,
     link_indicator,
     link_indicator_eval,
-    SHIFTED_SELECTORS,
-    gate_coeffs,
-    partial_terms,
-    selector_scalars,
+    linearisation_scalars,
 )
 from repro.plonk.keys import ProvingKey
 from repro.plonk.proof import Proof
@@ -59,17 +59,15 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     j n/m and the link's blinder.  A commitment is absorbed as given: one
     that does not commit to d_i yields a proof that fails verification.
 
-    A layout with round gates
-    (:meth:`~repro.plonk.circuit.CircuitBuilder.mimc_round`) adds
-    qround(X) (a(omega X) - c^2 t) to the gate and alpha^(3+links)
-    qround(X) (c - t^3) to the quotient, t = a + b; one with next-a gates
-    adds qnext(X) a(omega X) to the gate; one with partial-round gates
-    (:meth:`~repro.plonk.circuit.CircuitBuilder.poseidon_partial_round`)
-    adds qpartial(X) times each of its three constraints
-    (:func:`~repro.plonk.circuit.partial_terms`) at the next powers of
-    alpha.  Each wire these gates read at omega X (``layout.shifted``)
-    gets a third blinder, and the proof its evaluation at zeta omega,
-    opened together with z(zeta omega) at weights v, v^2, v^3.
+    The gate enters once, as :func:`~repro.plonk.circuit.gate_constraints`:
+    the quotient adds its constraints at each coset point, weighted by
+    :func:`~repro.plonk.circuit.gate_weights` (1 on the main gate, then
+    the powers of alpha after the links'), and r(X) multiplies each
+    selector polynomial by the same sum at the selector's unit vector
+    (:func:`~repro.plonk.circuit.linearisation_scalars`).  Each wire the
+    gates read at omega X (``layout.shifted``) gets a third blinder, and
+    the proof its evaluation at zeta omega, opened together with z(zeta
+    omega) at weights v, v^2, v^3.
 
     Under ``REPRO_TELEMETRY=on`` the proof emits a ``plonk.prove``
     span with one child per round (blinding, permutation, quotient,
@@ -194,22 +192,11 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         # Selector / permutation / L1 polynomials are fixed per proving key:
         # their coset evaluations come from the engine's memo (computed on the
         # first proof, reused afterwards).
-        ev = {
-            name: engine.coset_ntt_cached(pk, name, coeffs, big_n)
-            for name, coeffs in (
-                ("qm", pk.q_polys["qm"]),
-                ("q3", pk.q_polys["q3"]),
-                ("ql", pk.q_polys["ql"]),
-                ("qr", pk.q_polys["qr"]),
-                ("qo", pk.q_polys["qo"]),
-                ("qc", pk.q_polys["qc"]),
-                ("s1", list(pk.s_polys[0])),
-                ("s2", list(pk.s_polys[1])),
-                ("s3", list(pk.s_polys[2])),
-                ("l1", l1_poly),
-            )
-            + tuple((name, pk.q_polys[name]) for name in SHIFTED_SELECTORS if name in pk.q_polys)
-        }
+        selectors = [name for name in SELECTORS if name in pk.q_polys]
+        fixed = [(name, pk.q_polys[name]) for name in selectors]
+        fixed += [("s1", list(pk.s_polys[0])), ("s2", list(pk.s_polys[1]))]
+        fixed += [("s3", list(pk.s_polys[2])), ("l1", l1_poly)]
+        ev = {name: engine.coset_ntt_cached(pk, name, coeffs, big_n) for name, coeffs in fixed}
         # I_m per link width, fixed per key like L_0 (which is I_1).
         indicators = {
             m: ev["l1"] if m == 1 else engine.coset_ntt_cached(pk, "ind%d" % m, link_indicator(n, m), big_n)
@@ -231,8 +218,9 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for i, (slot, m, _d) in enumerate(links):
             coeff = coeff * alpha % R
             link_terms.append((coeff, ev["abc"[slot]], indicators[m], ev["d%d" % i]))
-        round_coeff, partial_coeffs = gate_coeffs(coeff, alpha, "qround" in ev, "qpartial" in ev)
-        qround_ev, qnext_ev, qpartial_ev = (ev.get(name) for name in SHIFTED_SELECTORS)
+        weights = gate_weights(selectors, alpha, coeff)
+        q_evs = [(name, ev[name]) for name in selectors]
+        next_evs = [ev["abc"[col] + "w"] for col in shifted]
         # Z_H(x) = x^n - 1 takes only big_n/n distinct values on the coset.
         zh_period = big_n // n
         zh_inv = [inv(domain.vanishing_eval(x)) for x in xs[:zh_period]]
@@ -241,20 +229,8 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             av, bv, cv = ev["a"][i], ev["b"][i], ev["c"][i]
             zv, zwv = ev["z"][i], ev["zw"][i]
             x = xs[i]
-            gate = (
-                av * bv % R * (ev["qm"][i] + av * ev["q3"][i])
-                + av * ev["ql"][i]
-                + bv * ev["qr"][i]
-                + cv * ev["qo"][i]
-                + ev["pi"][i]
-                + ev["qc"][i]
-            )
-            if qnext_ev:
-                gate += qnext_ev[i] * ev["aw"][i]
-            if qround_ev:  # the round gate's shifted half joins the gate
-                qv, tv = qround_ev[i], av + bv
-                gate += qv * (ev["aw"][i] - cv * cv % R * tv)
-            gate %= R
+            q = {name: col[i] for name, col in q_evs}
+            gate = gate_sum(q, (av, bv, cv), [col[i] for col in next_evs], weights) + ev["pi"][i]
             perm_a = (
                 (av + beta * x + gamma)
                 * (bv + beta * K1 * x % R + gamma)
@@ -277,11 +253,6 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             numerator = gate + alpha * (perm_a - perm_b) + alpha2 * boundary
             for coeff, wire, ind, dv in link_terms:
                 numerator += coeff * ind[i] % R * (wire[i] - dv[i])
-            if qround_ev:  # and its cube is alpha-separated
-                numerator += round_coeff * qv % R * (cv - tv * tv % R * tv)
-            if qpartial_ev and qpartial_ev[i]:
-                terms = partial_terms(av, bv, cv, ev["aw"][i], ev["bw"][i], ev["cw"][i])
-                numerator += qpartial_ev[i] * sum(k * t for k, t in zip(partial_coeffs, terms))
             t_evals.append(numerator % R * zh_inv[i % zh_period] % R)
         t_poly = poly.trim(engine.coset_intt(t_evals))
         # A numerator Z_H does not divide leaves a quotient that fills the
@@ -322,6 +293,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         s2_bar = poly.evaluate(list(pk.s_polys[1]), zeta)
         z_omega_bar = poly.evaluate(z_poly, zeta * omega % R)
         omega_bars = tuple(poly.evaluate(wires[col], zeta * omega % R) for col in shifted)
+        wire_bars = (a_bar, b_bar, c_bar)
         for label, value in (
             (b"a_bar", a_bar),
             (b"b_bar", b_bar),
@@ -333,7 +305,6 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             (b"%s_omega_bar" % b"abc"[col : col + 1], w) for col, w in zip(shifted, omega_bars)
         ):
             transcript.append_scalar(label, value)
-        shifted_bars = dict(zip(shifted, omega_bars))
 
     # ----- Round 5: linearization + opening proofs ------------------------
     with telemetry.span("opening", round=5):
@@ -352,14 +323,8 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         pb = (a_bar + beta * s1_bar + gamma) * (b_bar + beta * s2_bar + gamma) % R
 
         r_poly: list[int] = []
-        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qm"], a_bar * b_bar % R))
-        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["q3"], a_bar * a_bar % R * b_bar % R))
-        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["ql"], a_bar))
-        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qr"], b_bar))
-        r_poly = poly.add(r_poly, poly.scale(pk.q_polys["qo"], c_bar))
-        r_poly = poly.add(r_poly, pk.q_polys["qc"])
-        for name, scalar in selector_scalars(
-            pk.q_polys, (a_bar, b_bar, c_bar), shifted_bars, round_coeff, partial_coeffs
+        for name, scalar in zip(
+            selectors, linearisation_scalars(selectors, wire_bars, omega_bars, weights)
         ):
             r_poly = poly.add(r_poly, poly.scale(pk.q_polys[name], scalar))
         z_scalar = (alpha * pa + alpha2 * l1_zeta) % R
@@ -385,7 +350,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             coeff = coeff * alpha % R
             link_scalar = coeff * link_indicator_eval(n, m, zeta) % R
             r_poly = poly.sub(r_poly, poly.scale(d_poly, link_scalar))
-            r0 = (r0 + link_scalar * (a_bar, b_bar, c_bar)[slot]) % R
+            r0 = (r0 + link_scalar * wire_bars[slot]) % R
         if (poly.evaluate(r_poly, zeta) + r0) % R != 0:
             raise ProofError("internal linearization check failed")
 

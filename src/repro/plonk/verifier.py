@@ -28,10 +28,10 @@ from repro.field.fr import MODULUS as R
 from repro.plonk.circuit import (
     K1,
     K2,
-    SHIFTED_SELECTORS,
-    gate_coeffs,
+    SELECTORS,
+    gate_weights,
     link_indicator_eval,
-    selector_scalars,
+    linearisation_scalars,
 )
 from repro.plonk.keys import VerifyingKey
 from repro.plonk.proof import Proof, proof_size_bytes
@@ -134,20 +134,28 @@ def _link_points(link) -> tuple:
     return () if link is None else (link,)
 
 
+def _selectors(vk: VerifyingKey) -> list[str]:
+    """The names of :data:`~repro.plonk.circuit.SELECTORS` the key commits."""
+    return [name for name in SELECTORS if getattr(vk, "c_" + name) is not None]
+
+
+def _key_order(selector_terms: list, fixed_terms: list) -> list:
+    """The key's fold terms in key order: the selectors' up to qC, then the
+    permutation's and the generator's ``fixed_terms``, then the selectors'
+    that read the next row."""
+    cut = SELECTORS.index("qc") + 1
+    return selector_terms[:cut] + fixed_terms + selector_terms[cut:]
+
+
 def _key_points(vk: VerifyingKey) -> list[G1 | None]:
     """The points :func:`proof_terms`'s ``key_scalars`` multiply, in order,
     None where the fold leaves the point out: a commitment that is the
     identity (a selector column of zeros) adds nothing whatever its
     scalar.  [qC] always stays, being one of the :data:`UNIT_TERMS`.  Read
     from the key alone, fixed when a verifier is deployed."""
-    points = [vk.c_qm, vk.c_q3, vk.c_ql, vk.c_qr, vk.c_qo]
-    points = [None if point.inf else point for point in points]
-    points += [vk.c_qc, vk.c_s1, vk.c_s2, vk.c_s3, G1.generator()]
-    for name in SHIFTED_SELECTORS:
-        point = getattr(vk, "c_" + name)
-        if point is not None:
-            points.append(None if point.inf else point)
-    return points
+    selectors = [(name, getattr(vk, "c_" + name)) for name in _selectors(vk)]
+    points = [None if point.inf and name != "qc" else point for name, point in selectors]
+    return _key_order(points, [vk.c_s1, vk.c_s2, vk.c_s3, G1.generator()])
 
 
 def proof_terms(
@@ -303,32 +311,11 @@ def proof_terms(
         (proof.c_b, wire_scalars[1]),
         (proof.c_c, wire_scalars[2]),
     ]
-    key_scalars = [
-        proof.a_bar * proof.b_bar % R,
-        proof.a_bar * proof.a_bar % R * proof.b_bar % R,
-        proof.a_bar,
-        proof.b_bar,
-        proof.c_bar,
-        1,
-        v4,
-        v5,
-        (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R,
-        -e_scalar % R,
-    ]
-    present = [name for name in SHIFTED_SELECTORS if getattr(vk, "c_" + name) is not None]
-    round_coeff, partial_coeffs = gate_coeffs(
-        coeff, alpha, "qround" in present, "qpartial" in present
-    )
-    key_scalars += [
-        scalar
-        for _name, scalar in selector_scalars(
-            present,
-            (proof.a_bar, proof.b_bar, proof.c_bar),
-            dict(zip(vk.shifted, proof.omega_bars)),
-            round_coeff,
-            partial_coeffs,
-        )
-    ]
+    selectors = _selectors(vk)
+    weights = gate_weights(selectors, alpha, coeff)
+    gate_scalars = linearisation_scalars(selectors, wire_bars, proof.omega_bars, weights)
+    s3_scalar = (-(alpha * pb % R) * beta % R) * proof.z_omega_bar % R
+    key_scalars = _key_order(gate_scalars, [v4, v5, s3_scalar, -e_scalar % R])
     return tau_terms, one_terms, key_scalars, link_terms
 
 
