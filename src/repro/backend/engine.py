@@ -16,10 +16,10 @@ repeated work across proofs:
 - **coset-evaluation cache**: an LRU of coset-NTT outputs for polynomials
   that are fixed per proving key (Plonk selectors, permutation columns
   and the first Lagrange basis polynomial — 10 polynomials in all), so
-  the second proof onward skips 10 of the prover's 16 big FFTs.  (The
+  the second proof onward skips 10 of the prover's 15 big FFTs.  (The
   telemetry counters are the source of truth for that number:
-  ``tests/test_telemetry.py`` asserts 10 ``coset_eval`` cache hits and 6
-  live coset FFTs per warm proof.)
+  ``tests/test_telemetry.py`` asserts 10 ``coset_eval`` cache hits and 5
+  live coset FFTs per warm proof; z(omega X) is a rotation, no FFT.)
 
 Protocol code never touches raw kernels directly: it asks the process's
 engine (:func:`repro.backend.get_engine`).  Every kernel runs in this
@@ -536,10 +536,10 @@ class Engine:
         entry = self._lookup("msm_window", self._window_tables, id(owner), owner, n)
         _, c, rows = entry or (owner, 0, [])
         if len(rows) < n:
-            # The width follows the table's size: growth across a
-            # ``fixed_window_c`` threshold rebuilds at the wider window.
-            if fixed_window_c(n) != c:
-                c, rows = fixed_window_c(n), []
+            # The width fits each process's share; crossing a threshold rebuilds.
+            width = fixed_window_c(-(-n // (self._stride or self.helpers + 1)))
+            if width != c:
+                c, rows = width, []
             rows.extend([None] * (n - len(rows)))
             self._window_tables[id(owner)] = (owner, c, rows)
         return self._fixed_window(id(owner), c, rows, points, scalars)

@@ -80,7 +80,7 @@ def key_negotiation_proof(
     k_c = (key + k_v) % R
     builder = CircuitBuilder()
     build_key_negotiation_circuit(builder, k_c, c_k, h_v, key, o_k, k_v)
-    layout, assignment = builder.compile()
+    layout, assignment = builder.compile(check=False)  # prove() checks the witness
     return k_c, prove(ctx.keys_for(layout).pk, assignment)
 
 

@@ -162,7 +162,7 @@ def prove_encryption(ctx: SnarkContext, asset: DataAsset, predicate=None) -> Enc
         asset.key_blinder,
         predicate=predicate,
     )
-    layout, assignment = builder.compile()
+    layout, assignment = builder.compile(check=False)  # prove() checks the witness
     keys = ctx.keys_for(layout)
     proof = prove(keys.pk, assignment)
     return EncryptionProof(
@@ -210,7 +210,7 @@ def prove_transformation(
         [(s.plaintext, s.data_commitment(srs), s.data_blinder) for s in sources],
         [(d.plaintext, d.data_commitment(srs), d.data_blinder) for d in derived_assets],
     )
-    layout, assignment = builder.compile()
+    layout, assignment = builder.compile(check=False)  # prove() checks the witness
     keys = ctx.keys_for(layout)
     proof = prove(keys.pk, assignment)
     t_proof = TransformProof(

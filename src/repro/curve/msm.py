@@ -386,11 +386,11 @@ FIXED_WINDOW_MAX = 2048 + _BLINDING_MARGIN
 
 
 def fixed_window_c(n: int) -> int:
-    """Window width for :func:`msm_fixed_window` (empirical, like
-    :func:`_window_size` — but wider: with precomputed window shifts the
-    per-window aggregation cost is gone, so only scatter density and the
-    single running sum push back)."""
-    return 10 if n >= 128 else 8
+    """Window width for :func:`msm_fixed_window` when one process multiplies
+    ``n`` scalars, its share of the MSM (empirical, like :func:`_window_size`,
+    but wider: the precomputed window shifts remove the per-window
+    aggregation).  EXPERIMENTS.md, "Table widths per process share"."""
+    return 8 if n < 128 else 9 if n < 256 else 10
 
 
 def window_table_depth(c: int) -> int:

@@ -45,8 +45,8 @@ class SRS:
         A single-party trusted setup; :class:`Ceremony` builds the
         multi-party version on top of repeated calls to :meth:`update`.
         The engine's fixed-base window table for the G1 generator plus a
-        single batched affine conversion replace the per-power
-        double-and-add + inversion of the naive construction.
+        single batched affine conversion replace the per-power double-and-add
+        + inversion of the naive construction; [tau]_2 is one product.
         """
         if max_degree < 1:
             raise SRSError("SRS degree must be at least 1")
@@ -62,7 +62,7 @@ class SRS:
             acc = acc * secret % R
         jacs = [engine.fixed_base_mul_jac(gen, s) for s in scalars]
         powers = G1.batch_from_jacobian(jacs)
-        return SRS(tuple(powers), G2.generator(), engine.fixed_base_mul(G2.generator(), secret))
+        return SRS(tuple(powers), G2.generator(), G2.generator() * secret)
 
     def update(self, rho: int | None = None) -> tuple["SRS", "UpdateProof"]:
         """Re-randomise the SRS with a fresh secret ``rho`` (tau' = rho*tau).

@@ -33,9 +33,18 @@ from repro.kzg.commit import commit, message_poly
 
 
 def _blind(coeffs: list[int], blinders: list[int], n: int) -> list[int]:
-    """Add blinder(X) * Z_H(X) to ``coeffs`` (hiding against evaluations)."""
-    zh = [(-1) % R] + [0] * (n - 1) + [1]
-    return poly.add(coeffs, poly.mul(blinders, zh))
+    """Add blinder(X) * Z_H(X) to ``coeffs`` (hiding against evaluations):
+    Z_H = X^n - 1, so blinder i is subtracted at degree i, added at n + i."""
+    blinders = poly.trim(blinders)
+    out = list(coeffs) + [0] * (n + len(blinders) - len(coeffs))
+    for i, b in enumerate(blinders):
+        out[i], out[n + i] = (out[i] - b) % R, (out[n + i] + b) % R
+    return out
+
+
+def _rotate(evals: list[int], k: int) -> list[int]:
+    """p(omega X) on a coset of k n points, from p's evaluations there."""
+    return evals[k:] + evals[:k]
 
 
 def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proof:
@@ -47,9 +56,9 @@ def prove(pk: ProvingKey, assignment: Assignment, blinding: bool = True) -> Proo
     All kernel work (NTTs, MSMs, batched inversion) routes through the
     process's engine.  The engine memoises the coset evaluations of the
     selector and permutation polynomials — fixed per proving key — so the
-    second proof onward for a circuit skips 10 of the 16 coset FFTs of
-    round 3 (size 4n; 8n at n=4), plus the SRS Jacobian conversion behind
-    every commitment.
+    second proof onward for a circuit skips 10 of the 15 coset FFTs of
+    round 3 (size 4n; 8n at n=4; z(omega X) and the shifted wires' columns
+    are rotations), plus the SRS Jacobian conversion behind every commitment.
 
     A linking layout (:meth:`~repro.plonk.circuit.CircuitBuilder.link`)
     absorbs the assignment's commitments after the public inputs, in link
@@ -173,8 +182,7 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         for i, w in enumerate(public_inputs):
             pi_vals[i] = (-w) % R
         pi_poly = engine.intt(pi_vals)
-        l1_poly = engine.intt([1] + [0] * (n - 1))
-        zw_poly = _shift(z_poly, omega)
+        l1_poly = link_indicator(n, 1)
 
         # The smallest power-of-two coset that holds t (degree <= 3n+5): 4n
         # for n >= 8.  The numerator (degree up to 4n+5) does not fit, so it
@@ -203,15 +211,17 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
             for _slot, m, _d in links
         }
         # The witness-dependent polynomials, the links' d(X) among them, are
-        # transformed fresh each proof, as one engine batch.
-        live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("zw", zw_poly), ("pi", pi_poly)
+        # transformed fresh each proof, as one engine batch; z(omega X) and
+        # the shifted wires' columns are rotations of their evaluations.
+        live = ("a", a_poly), ("b", b_poly), ("c", c_poly), ("z", z_poly), ("pi", pi_poly)
         live += tuple(("d%d" % i, d) for i, (_slot, _m, d) in enumerate(links))
-        live += tuple(("abc"[col] + "w", _shift(wires[col], omega)) for col in shifted)
         live_evals = engine.ntt_batch(
             [("coset_fft", big_n, coeffs, COSET_SHIFT) for _, coeffs in live]
         )
         for (name, _), evals in zip(live, live_evals):
             ev[name] = evals
+        for name in ("z",) + tuple("abc"[col] for col in shifted):
+            ev[name + "w"] = _rotate(ev[name], big_n // n)
         alpha2 = alpha * alpha % R
         link_terms = []
         coeff = alpha2
@@ -400,13 +410,3 @@ def _prove_rounds(pk, assignment, engine, domain, omega, srs, rand, n) -> Proof:
         z_omega_bar=z_omega_bar,
         **{"abc"[col] + "_omega_bar": value for col, value in zip(shifted, omega_bars)},
     )
-
-
-def _shift(coeffs: list[int], omega: int) -> list[int]:
-    """p(omega X): coefficient i scaled by omega^i."""
-    out = []
-    acc = 1
-    for coef in coeffs:
-        out.append(coef * acc % R)
-        acc = acc * omega % R
-    return out

@@ -201,11 +201,12 @@ class TestEngineEquivalence:
         assert vk_s.digest() == vk_p.digest()
         assert proof_s.to_bytes() == proof_p.to_bytes()
         assert split_engine.live_helpers() == 1
-        # The helper was sent every odd row of the prefix the proof used.
+        # The helper was sent every odd row of the prefix the proof used, at
+        # the width fitted to its share: half the rows, rounded up.
         (helper,) = split_engine._links
         rows = split_engine._window_tables[id(small_srs)][2]
         assert len(rows) >= layout.n
-        assert helper.held[id(small_srs)] == (fixed_window_c(len(rows)), len(rows) // 2)
+        assert helper.held[id(small_srs)] == (fixed_window_c(-(-len(rows) // 2)), len(rows) // 2)
         with use_engine(serial):
             assert verify(vk_s, assignment.public_inputs, proof_p)
 
@@ -253,6 +254,21 @@ class TestEngineCaches:
             _, width, tables = engine._window_tables[id(small_srs)]
             assert width == fixed_window_c(len(tables))
         assert len(tables) == 200
+
+    def test_window_width_follows_each_process_share(self, small_srs):
+        """A table's width is fitted to the scalars one process multiplies:
+        a 265-scalar MSM is 133 a process on a split engine and 265 on a
+        serial one, and both return the unsplit result."""
+        assert fixed_window_c(133) != fixed_window_c(265)
+        rng = random.Random(10)
+        scalars = [rng.randrange(R) for _ in range(265)]
+        points = Engine().srs_g1_jacobian(small_srs)
+        want = jac_to_affine(msm_jacobian(list(points[:265]), scalars))
+        for engine, share in ((Engine(helpers=1), 133), (Engine(), 265)):
+            with engine:
+                assert jac_to_affine(engine.msm_srs(small_srs, scalars)) == want
+                assert engine.live_helpers() == engine.helpers
+                assert engine._window_tables[id(small_srs)][1] == fixed_window_c(share)
 
 
 class TestKernelEdgeCases:
@@ -433,7 +449,8 @@ class TestRowOwnership:
             assert set(multiprocessing.active_children()) == children
             assert len(lone_thread_at_fork) == 1
             assert _held_here(engine, wide_srs) == list(range(0, 2056, 2))
-            assert helper.held[id(wide_srs)] == (fixed_window_c(2056), 1028)
+            # Its width is fitted to each process's 1,028 scalars.
+            assert helper.held[id(wide_srs)] == (fixed_window_c(1028), 1028)
         finally:
             engine.close()
 

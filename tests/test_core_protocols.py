@@ -13,8 +13,9 @@ import pytest
 from repro.chain import Blockchain
 from repro.contracts import KeySecureArbiterContract, PlonkVerifierContract, ZKCPArbiterContract
 from repro.curve.g1 import G1
-from repro.errors import BackendError, ProtocolError
+from repro.errors import BackendError, ProtocolError, UnsatisfiedConstraintError
 from repro.field.fr import MODULUS as R
+from repro.core import exchange
 from repro.core.exchange import Buyer, KeySecureExchange, Seller, key_negotiation_keys
 from repro.core.tokens import DataAsset
 from repro.core.transform_protocol import (
@@ -26,7 +27,9 @@ from repro.core.transform_protocol import (
 )
 from repro.core.transformations import Aggregation, Duplication, Partition
 from repro.core.zkcp import ZKCPExchange
-from repro.plonk.circuit import CircuitBuilder
+from repro.plonk import prover
+from repro.plonk.circuit import CircuitBuilder, Layout
+from repro.primitives.hashing import field_hash
 
 pytestmark = pytest.mark.slow
 
@@ -263,3 +266,59 @@ class TestZKCPBaseline:
         assert not result.success and not result.aborted
         assert result.reason == "payment lock failed"
         assert chain.balance_of(poor) == 100 and chain.balance_of(arbiter.address) == 0
+
+
+class _LyingDuplication(Duplication):
+    """Derives entries its own constraints reject: a witness no proof holds."""
+
+    def apply(self, sources):
+        return [[(v + 1) % R for v in sources[0]]]
+
+
+def _pi_k(ctx, monkeypatch, bad):
+    asset = DataAsset.create([3], key=0xD1CE, nonce=0x5EED)
+    k_v = 0xBEEF
+    h_v = (field_hash(k_v) + bad) % R
+    # A wrong h_v would stop at the native pre-check; let it reach the circuit.
+    monkeypatch.setattr(exchange, "field_hash", lambda value: h_v)
+    c_k = asset.key_commitment(ctx.srs)
+    exchange.key_negotiation_proof(ctx, asset.key, asset.key_blinder, c_k, k_v, h_v)
+
+
+def _pi_e(ctx, monkeypatch, bad):
+    asset = DataAsset.create([3], key=0xD1CE, nonce=0x5EED)
+    if bad:  # the ciphertext no longer encrypts the plaintext
+        asset = dataclasses.replace(asset, plaintext=[4])
+    prove_encryption(ctx, asset)
+
+
+def _pi_t(ctx, monkeypatch, bad):
+    source = DataAsset.create([3, 1], key=0xD1CE, nonce=0x5EED)
+    prove_transformation(ctx, [source], _LyingDuplication() if bad else Duplication())
+
+
+@pytest.mark.parametrize("entry", [_pi_k, _pi_e, _pi_t], ids=["pi_k", "pi_e", "pi_t"])
+class TestWitnessCheckedOnce:
+    """Each prover entry point compiles without the witness check, because
+    ``prove`` checks it before round 1: one check a proof, and a bad witness
+    still stops before the prover commits to anything."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+        check = Layout.check
+        monkeypatch.setattr(Layout, "check", lambda layout, a: seen.append(a) or check(layout, a))
+        return seen
+
+    def test_a_proof_checks_its_witness_once(self, entry, snark_ctx, monkeypatch, checks):
+        entry(snark_ctx, monkeypatch, bad=0)
+        assert len(checks) == 1
+
+    def test_a_bad_witness_raises_before_any_commitment(
+        self, entry, snark_ctx, monkeypatch, checks
+    ):
+        commits = []
+        monkeypatch.setattr(prover, "commit", lambda *args: commits.append(args))
+        with pytest.raises(UnsatisfiedConstraintError):
+            entry(snark_ctx, monkeypatch, bad=1)
+        assert len(checks) == 1 and commits == []

@@ -1,5 +1,7 @@
 """Tests for the powers-of-tau SRS, ceremony, and KZG commitments."""
 
+import hashlib
+
 import pytest
 
 from repro.curve import G1
@@ -22,6 +24,21 @@ class TestSRS:
     def test_powers_are_consistent(self, srs):
         tau = 123456789
         assert srs.g1_powers[3] == G1.generator() * pow(tau, 3, R)
+
+    def test_generate_is_pinned(self):
+        """[tau]_2 and the G1 powers of one string, recorded when [tau]_2
+        was still a product on a G2 fixed-base table."""
+        srs = SRS.generate(40, tau=0xD1CE)
+        assert srs.g2_tau.to_bytes().hex() == (
+            "6edc9df4cd3aa69935a611f770167da5c8c39e109ee7c92f0f63e07520d02f2a"
+            "70a4b861391493a75a9392c15b1732e653d2d06c53649bb069f2a2a77627bf05"
+            "7b090ccf7bad4f4eb505ecb3c32760ea9d72397be4ef4894a0b31caa379e1d2e"
+            "1eba947b2fbadb0609f335ceda996a52f8935d1add4070963329936f77d56829"
+        )
+        powers = b"".join(p.to_bytes() for p in srs.g1_powers)
+        assert hashlib.sha256(powers).hexdigest() == (
+            "d724f5999af4cbd957ad2263dab954140455bf06b9ffaad19193cc913e553675"
+        )
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(SRSError):

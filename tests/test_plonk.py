@@ -8,6 +8,7 @@ proof shape the paper reports (9 G1 + 6 field elements).
 import dataclasses
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -21,12 +22,14 @@ from repro.errors import (
 )
 from repro.backend import Engine
 from repro.curve.g1 import G1
+from repro.field import poly
 from repro.field.fr import MODULUS as R
+from repro.field.ntt import Domain
 from repro.kzg import SRS, commit, commit_message, commit_scalar
 from repro.gadgets.mimc import mimc_block
 from repro.kzg.commit import message_poly
 from repro.plonk import CircuitBuilder, Proof, batch_verify, prove, prover, setup, verify
-from repro.plonk.circuit import Layout
+from repro.plonk.circuit import Layout, link_indicator
 from repro.plonk.verifier import verification_group_operations
 
 
@@ -375,6 +378,41 @@ def _linked_circuit(srs, key, rho, point=None, x_value=3):
     builder.link(k, point, rho)
     builder.assert_equal(builder.mul(k, x), y)
     return builder.compile()
+
+
+class TestRoundShortcuts:
+    """The prover's ways round an FFT, each against the formula it replaced."""
+
+    @pytest.mark.parametrize("n", [8, 16, 256])
+    def test_rotated_coset_evaluations_are_p_at_omega_x(self, n):
+        """On a coset of k n points, p(omega X) is p's evaluations rotated
+        by k: what the quotient reads for z(omega X) and the shifted wires."""
+        rng = random.Random(n)
+        p = [rng.randrange(R) for _ in range(n + 3)]
+        omega = Domain.get(n).omega
+        p_omega = [c * pow(omega, i, R) % R for i, c in enumerate(p)]
+        engine = Engine()
+        for k in (4, 8):
+            rotated = prover._rotate(engine.coset_ntt(p, k * n), k)
+            assert rotated == engine.coset_ntt(p_omega, k * n)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_blind_adds_the_blinders_times_z_h(self, n, count):
+        """``_blind`` writes b(X)(X^n - 1) in place, as ``poly.mul`` did;
+        zero blinders (the unblinded path) leave the coefficients as they are."""
+        rng = random.Random(n + count)
+        coeffs = [rng.randrange(R) for _ in range(n)]
+        z_h = [R - 1] + [0] * (n - 1) + [1]
+        for blinders in ([rng.randrange(1, R) for _ in range(count)], [0] * count):
+            want = poly.add(coeffs, poly.mul(blinders, z_h))
+            assert prover._blind(coeffs, blinders, n) == want
+
+    @pytest.mark.parametrize("n", [4, 8, 256])
+    def test_l1_coefficients_are_the_interpolated_unit_vector(self, n):
+        """The prover writes L_1's coefficients (each 1/n) instead of
+        interpolating the unit vector e_0."""
+        assert link_indicator(n, 1) == Engine().intt([1] + [0] * (n - 1))
 
 
 class TestLinkedCommitment:

@@ -48,7 +48,10 @@ from tests.test_backend import wide_circuit
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-#: ``test_every_engine_count_is_exact``'s workload, counted.
+#: ``test_every_engine_count_is_exact``'s workload, counted.  The proof's
+#: six live coset FFTs are a, b, c, z, PI and the link's d(X): z(omega X)
+#: and the three shifted wires are rotations, and L_1's coefficients are
+#: written out, not interpolated (three of the six ifft rows are the wires').
 EXACT_COUNTS = {
     "engine.batch_inverse.calls": 1,
     "engine.batch_inverse.size": 1,
@@ -64,18 +67,18 @@ EXACT_COUNTS = {
     "engine.kernel.seconds{kernel=batch_inverse}": 1,
     "engine.kernel.seconds{kernel=coset_intt}": 1,
     "engine.kernel.seconds{kernel=fold_pairing_check}": 2,
-    "engine.kernel.seconds{kernel=intt}": 4,
+    "engine.kernel.seconds{kernel=intt}": 3,
     "engine.kernel.seconds{kernel=msm_jac}": 4,
     "engine.kernel.seconds{kernel=msm_srs}": 10,
     "engine.kernel.seconds{kernel=ntt_batch}": 2,
     "engine.msm.calls{group=g1}": 14,
     "engine.msm.points{group=g1}": 14,
-    "engine.ntt.calls{kind=coset_fft}": 10,
+    "engine.ntt.calls{kind=coset_fft}": 6,
     "engine.ntt.calls{kind=coset_ifft}": 1,
-    "engine.ntt.calls{kind=ifft}": 7,
-    "engine.ntt.size{kind=coset_fft}": 10,
+    "engine.ntt.calls{kind=ifft}": 6,
+    "engine.ntt.size{kind=coset_fft}": 6,
     "engine.ntt.size{kind=coset_ifft}": 1,
-    "engine.ntt.size{kind=ifft}": 7,
+    "engine.ntt.size{kind=ifft}": 6,
 }
 
 
@@ -413,13 +416,14 @@ KERNEL_MODULES = {"repro.field.ntt", "repro.curve.msm", "repro.curve.pairing"}
 
 
 class TestKernelAccounting:
-    def test_warm_proof_skips_ten_of_sixteen_coset_ffts(self, snark_ctx):
-        """The measured source of truth for the '10 of 16 FFTs cached' claim.
+    def test_warm_proof_skips_ten_of_fifteen_coset_ffts(self, snark_ctx):
+        """The measured source of truth for the '10 of 15 FFTs cached' claim.
 
-        Round 3 runs 16 size-4n coset FFTs: 10 per-key-fixed polynomials
+        Round 3 runs 15 size-4n coset FFTs: 10 per-key-fixed polynomials
         (qm q3 ql qr qo qc s1 s2 s3 l1) served from the engine's coset-eval
-        cache, and 6 live ones (a b c z z*omega PI) recomputed per proof.
-        All nine commitments take the precomputed-table MSM path.
+        cache, and 5 live ones (a b c z PI) recomputed per proof; z(omega X)
+        is a rotation of z's evaluations.  All nine commitments take the
+        precomputed-table MSM path.
         """
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
@@ -428,8 +432,8 @@ class TestKernelAccounting:
         telemetry.reset_metrics()
         proof = prove(keys.pk, assignment)
         assert verify(keys.vk, assignment.public_inputs, proof)
-        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 6
-        _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
+        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 5
+        _assert_coset_sizes("coset_fft", 5, 4 * layout.n)
         _assert_coset_sizes("coset_ifft", 1, 4 * layout.n)
         assert telemetry.counter("engine.cache.hits", cache="coset_eval").value == 10
         assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 0
@@ -440,17 +444,17 @@ class TestKernelAccounting:
         assert telemetry.counter("engine.cache.misses", cache="srs_jacobian").value == 0
         assert telemetry.counter("engine.cache.hits", cache="srs_jacobian").value > 0
 
-    def test_cold_engine_pays_all_sixteen(self, snark_ctx):
+    def test_cold_engine_pays_all_fifteen(self, snark_ctx):
         layout, assignment = _tiny_circuit()
         keys = snark_ctx.keys_for(layout)
         telemetry.set_level("on")
         telemetry.reset_metrics()
         with use_engine(Engine()):
             prove(keys.pk, assignment)
-        # All 16 coset FFT kernels run cold: 10 cache misses + 6 live polys.
+        # All 15 coset FFT kernels run cold: 10 cache misses + 5 live polys.
         assert telemetry.counter("engine.cache.misses", cache="coset_eval").value == 10
-        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 16
-        _assert_coset_sizes("coset_fft", 16, 4 * layout.n)
+        assert telemetry.counter("engine.ntt.calls", kind="coset_fft").value == 15
+        _assert_coset_sizes("coset_fft", 15, 4 * layout.n)
 
     def test_margin_sized_srs_msms_take_the_table_path(self, snark_ctx):
         """Every commitment an n=2048 circuit issues (n .. n + DEGREE_MARGIN
@@ -530,9 +534,9 @@ class TestKernelAccounting:
             split_counts = measured_counters(split)
             assert split.live_helpers() == 1
         assert serial_counts == split_counts
-        assert serial_counts["engine.ntt.calls{kind=coset_fft}"] == 6
+        assert serial_counts["engine.ntt.calls{kind=coset_fft}"] == 5
         assert serial_counts["engine.cache.hits{cache=msm_window}"] == 9
-        _assert_coset_sizes("coset_fft", 6, 4 * layout.n)
+        _assert_coset_sizes("coset_fft", 5, 4 * layout.n)
         assert telemetry.finished_roots()[-1].attrs["backend"] == "split"
 
     def test_every_public_engine_kernel_counts_and_times(self, snark_ctx):
